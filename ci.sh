@@ -7,7 +7,18 @@ set -eux
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release --workspace
-cargo test -q --workspace
+cargo test -q --workspace --exclude hera-integration
+# hera-integration's binaries are most of the suite's wall time (ROADMAP
+# aim 4e): build them once, then run them one at a time and print the
+# wall seconds each took, so a slow CI run explains itself.
+cargo test -q -p hera-integration --no-run
+cargo test -q -p hera-integration --lib
+for t in crates/integration/tests/*.rs; do
+    name=$(basename "$t" .rs)
+    start=$(date +%s)
+    cargo test -q -p hera-integration --test "$name"
+    echo "== hera-integration --test $name: $(($(date +%s) - start)) s =="
+done
 # Bench targets must keep compiling (criterion-gated ones are skipped
 # offline) and the perf harness must run end to end; one rep at a small
 # scale keeps this a smoke test, not a measurement.

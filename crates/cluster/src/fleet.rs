@@ -32,14 +32,15 @@ use crate::scope::{Scope, ScopeOutcome};
 use crate::traffic::{self, Request};
 use crate::{ClusterConfig, ClusterError, RebalConfig};
 use hera_cell::FaultPlan;
-use hera_core::{HeraJvm, RunEnd, RunOutcome, VmConfig};
+use hera_core::{HeraJvm, RunEnd, RunOutcome, VmConfig, WorkerPool};
 use hera_isa::Value;
 use hera_rng::splitmix64;
-use hera_trace::{nearest_rank, ExactPercentiles, MetricsRegistry};
+use hera_trace::{nearest_rank, MetricsRegistry, SpanKind, StreamingPercentile};
 use hera_workloads::Workload;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::fmt::Write as _;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Per-machine-seed salt for transient-fault plans.
 const MACHINE_SEED_SALT: u64 = 0x6d61_6368_696e_6531;
@@ -55,7 +56,8 @@ struct ClassProfile {
     checksum: i32,
 }
 
-/// Everything measured once per experiment and shared by every policy.
+/// Everything measured once per experiment and shared, immutably, by
+/// every replay of the trace (replays run side by side on the pool).
 struct FleetProfile {
     classes: Vec<ClassProfile>,
     /// Per-machine fault plan (all-default when faults are disabled).
@@ -64,8 +66,8 @@ struct FleetProfile {
     shapes: Vec<u8>,
     /// `reference[class][machine]`: the uninterrupted run outcome under
     /// that machine's shape and fault plan. Machines sharing both hold
-    /// `Rc` clones of one run.
-    reference: Vec<Vec<Rc<RunOutcome>>>,
+    /// `Arc` clones of one run.
+    reference: Vec<Vec<Arc<RunOutcome>>>,
     /// `best_same_shape[class][machine]`: the best reference wall among
     /// machines of the same shape — the baseline the sustained-slowdown
     /// drain signal compares against (a 2-SPE machine is slower than a
@@ -92,7 +94,17 @@ fn vm_err(what: &str, e: impl std::fmt::Debug) -> ClusterError {
     ClusterError::msg(format!("{what}: {e:?}"))
 }
 
-fn build_profile(cfg: &ClusterConfig) -> Result<FleetProfile, ClusterError> {
+/// The experiment's one host worker pool: reference-run cells and trace
+/// replays both fan out on it. Sized to the host, capped at a reference
+/// cell per class and machine (never fewer than the three policies);
+/// `WorkerPool::new(0)` runs everything on the caller.
+fn experiment_pool(cfg: &ClusterConfig) -> WorkerPool {
+    let cells = Workload::ALL.len() * cfg.machines;
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    WorkerPool::new(cpus.min(cells).saturating_sub(1))
+}
+
+fn build_profile(cfg: &ClusterConfig, pool: &WorkerPool) -> Result<FleetProfile, ClusterError> {
     let mut classes = Vec::new();
     for w in Workload::ALL {
         let (program, checksum) = w.build(cfg.threads, cfg.scale);
@@ -134,15 +146,7 @@ fn build_profile(cfg: &ClusterConfig) -> Result<FleetProfile, ClusterError> {
         });
         cell_of.push(idx);
     }
-    let cells = classes.len() * uniq.len();
-    let pool = hera_core::WorkerPool::new(
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(cells)
-            .saturating_sub(1),
-    );
-    let outcomes = pool.map(cells, |i| {
+    let outcomes = pool.map(classes.len() * uniq.len(), |i| {
         let class = &classes[i / uniq.len()];
         let (spes, plan) = uniq[i % uniq.len()];
         let vm = HeraJvm::new(class.program.clone(), machine_vm_config(cfg, plan, spes))
@@ -159,14 +163,14 @@ fn build_profile(cfg: &ClusterConfig) -> Result<FleetProfile, ClusterError> {
         }
         Ok(out)
     });
-    let mut reference: Vec<Vec<Rc<RunOutcome>>> = Vec::new();
+    let mut reference: Vec<Vec<Arc<RunOutcome>>> = Vec::new();
     let mut it = outcomes.into_iter();
     for _ in &classes {
         let mut per_cell = Vec::new();
         for _ in &uniq {
-            per_cell.push(Rc::new(it.next().expect("one outcome per cell")?));
+            per_cell.push(Arc::new(it.next().expect("one outcome per cell")?));
         }
-        let per_machine = cell_of.iter().map(|&c| Rc::clone(&per_cell[c])).collect();
+        let per_machine = cell_of.iter().map(|&c| Arc::clone(&per_cell[c])).collect();
         reference.push(per_machine);
     }
     let best_same_shape: Vec<Vec<u64>> = reference
@@ -481,12 +485,12 @@ struct Sim<'a> {
     resil: Option<ResilConfig>,
     /// Per-machine circuit breakers (idle unless `resil.breakers`).
     breakers: Vec<Breaker>,
-    /// Observed attempt latencies per class (dispatch → completion),
-    /// kept exact so the hedge trigger reads a nearest-rank p95 — the
-    /// log2 metrics histograms overestimate by up to 2x, which is the
+    /// Exact nearest-rank p95 of the observed attempt latencies per class
+    /// (dispatch → completion), read by the hedge trigger at every wave —
+    /// the log2 metrics histograms overestimate by up to 2x, which is the
     /// difference between a hedge that beats a 4x straggler and one
     /// dispatched after the primary already finished.
-    class_lat: Vec<ExactPercentiles>,
+    class_p95: Vec<StreamingPercentile>,
     /// Request-level tracing (`ClusterConfig::scope`); observation only,
     /// never charges virtual cycles or touches the event heap.
     scope: Option<Scope>,
@@ -511,7 +515,7 @@ impl<'a> Sim<'a> {
         self.heap.push(std::cmp::Reverse((time, self.seq, ev)));
     }
 
-    fn ref_outcome(&self, job: usize, fallback_machine: usize) -> &Rc<RunOutcome> {
+    fn ref_outcome(&self, job: usize, fallback_machine: usize) -> &Arc<RunOutcome> {
         let j = &self.jobs[job];
         &self.profile.reference[j.class][j.origin.unwrap_or(fallback_machine)]
     }
@@ -706,10 +710,9 @@ impl<'a> Sim<'a> {
         self.jobs[job].wave_start = now;
         self.push(now + r.deadline_cycles, Ev::Timeout { job, gen });
         if r.hedging {
-            let lat = &self.class_lat[self.jobs[job].class];
-            if lat.len() as u64 >= r.hedge_min_samples {
-                let p95 = lat.percentile_permille(950);
-                self.push(now + p95.max(1), Ev::HedgeCheck { job, gen });
+            let p95 = &self.class_p95[self.jobs[job].class];
+            if p95.len() as u64 >= r.hedge_min_samples {
+                self.push(now + p95.value().max(1), Ev::HedgeCheck { job, gen });
             }
         }
     }
@@ -877,7 +880,7 @@ impl<'a> Sim<'a> {
             self.jobs[job].cross_shape = true;
             self.metrics.add("cluster.adoption.cross_shape", 1);
         } else {
-            let reference = Rc::clone(self.ref_outcome(job, m));
+            let reference = Arc::clone(self.ref_outcome(job, m));
             let mut check = |what: &str, same: bool| {
                 if !same {
                     ok = false;
@@ -934,7 +937,7 @@ impl<'a> Sim<'a> {
             sc.on_complete(job, m, now);
         }
         if let Some(r) = self.resil {
-            self.class_lat[class].record(wave_latency);
+            self.class_p95[class].record(wave_latency);
             if was_hedge {
                 self.metrics.add("resil.hedge.wins", 1);
             }
@@ -944,7 +947,7 @@ impl<'a> Sim<'a> {
             if r.breakers && self.breakers[m].on_success() {
                 self.metrics.add("resil.breaker.closes", 1);
                 if let Some(sc) = self.scope.as_mut() {
-                    sc.on_breaker(m, "breaker.closed", now);
+                    sc.on_breaker(m, SpanKind::BreakerClosed, now);
                 }
                 // A closed breaker ends the drain episode: the machine
                 // may be drained again if it sickens again.
@@ -1048,7 +1051,7 @@ impl<'a> Sim<'a> {
                 if let Some(at) = self.breakers[m].on_crash(&r, self.cfg.seed, m, now) {
                     self.metrics.add("resil.breaker.trips", 1);
                     if let Some(sc) = self.scope.as_mut() {
-                        sc.on_breaker(m, "breaker.open", now);
+                        sc.on_breaker(m, SpanKind::BreakerOpen, now);
                     }
                     self.push(at, Ev::Probe { machine: m });
                 }
@@ -1458,7 +1461,7 @@ impl<'a> Sim<'a> {
                                     self.metrics.add("resil.breaker.halfopen_rejections", 1);
                                 }
                                 if let Some(sc) = self.scope.as_mut() {
-                                    sc.on_breaker(m, "breaker.open", now);
+                                    sc.on_breaker(m, SpanKind::BreakerOpen, now);
                                 }
                                 self.push(at, Ev::Probe { machine: m });
                                 // Proactive degradation: don't wait for
@@ -1528,7 +1531,7 @@ impl<'a> Sim<'a> {
                     if self.breakers[machine].on_probe(now) {
                         self.metrics.add("resil.breaker.halfopens", 1);
                         if let Some(sc) = self.scope.as_mut() {
-                            sc.on_breaker(machine, "breaker.half_open", now);
+                            sc.on_breaker(machine, SpanKind::BreakerHalfOpen, now);
                         }
                     }
                 }
@@ -1539,14 +1542,15 @@ impl<'a> Sim<'a> {
     }
 }
 
+/// Replay `trace` once under `cfg` and `policy`. Returns the outcome and
+/// the proof and bookkeeping failures the replay reported.
 fn run_policy(
     cfg: &ClusterConfig,
     profile: &FleetProfile,
     trace: &[Request],
     span: u64,
     policy: Box<dyn BalancePolicy>,
-    failures: &mut Vec<String>,
-) -> Result<PolicyOutcome, ClusterError> {
+) -> Result<(PolicyOutcome, Vec<String>), ClusterError> {
     let name = policy.name();
     let jobs: Vec<Job> = trace
         .iter()
@@ -1603,7 +1607,7 @@ fn run_policy(
         failures: Vec::new(),
         resil: cfg.resil,
         breakers: vec![Breaker::new(); cfg.machines],
-        class_lat: vec![ExactPercentiles::new(); profile.classes.len()],
+        class_p95: vec![StreamingPercentile::new(950); profile.classes.len()],
         scope,
         rebal: cfg.rebal,
         draining: vec![false; cfg.machines],
@@ -1675,14 +1679,13 @@ fn run_policy(
             &mut sim.failures,
         )
     });
-    failures.append(&mut sim.failures);
     let mut latencies: Vec<u64> = sim
         .jobs
         .iter()
         .filter_map(|j| j.completed_at.map(|t| t.saturating_sub(j.arrival)))
         .collect();
     latencies.sort_unstable();
-    Ok(PolicyOutcome {
+    let outcome = PolicyOutcome {
         policy: name,
         completed: sim.metrics.counter("cluster.completed"),
         metrics: sim.metrics,
@@ -1691,7 +1694,63 @@ fn run_policy(
         requeues,
         latencies,
         scope,
-    })
+    };
+    Ok((outcome, sim.failures))
+}
+
+/// One independent replay of the shared trace: a row of a matrix, or a
+/// policy of the default experiment.
+struct Replay<'a> {
+    cfg: ClusterConfig,
+    profile: &'a FleetProfile,
+    policy: fn() -> Box<dyn BalancePolicy>,
+    /// Whether the caller reads this replay's scope recording. One that
+    /// is not read is dropped inside the replay, so no more recordings
+    /// than pool threads are alive at once.
+    keep_scope: bool,
+}
+
+fn jsq() -> Box<dyn BalancePolicy> {
+    Box::new(crate::policy::JoinShortestQueue)
+}
+
+/// The policies the default experiment replays, in report order.
+const POLICIES: [fn() -> Box<dyn BalancePolicy>; 3] = [
+    || Box::new(crate::policy::RoundRobin::default()),
+    jsq,
+    || Box::new(crate::policy::LeastLoaded),
+];
+
+/// What a batch of replays produced: the outcomes in row order and the
+/// rows' failures concatenated in row order.
+type Replayed = (Vec<PolicyOutcome>, Vec<String>);
+
+/// Run every replay on `pool`. The replays read one immutable profile
+/// and trace and share nothing mutable, so each is the same pure function
+/// of its inputs on any thread; collecting in row order makes the result
+/// independent of the pool's size and scheduling.
+fn replay_all(
+    pool: &WorkerPool,
+    trace: &[Request],
+    span: u64,
+    rows: &[Replay],
+) -> Result<Replayed, ClusterError> {
+    let replayed = pool.map(rows.len(), |i| {
+        let row = &rows[i];
+        let (mut outcome, failures) =
+            run_policy(&row.cfg, row.profile, trace, span, (row.policy)())?;
+        if !row.keep_scope {
+            outcome.scope = None;
+        }
+        Ok((outcome, failures))
+    });
+    let (mut outcomes, mut failures) = (Vec::with_capacity(rows.len()), Vec::new());
+    for row in replayed {
+        let (outcome, mut row_failures) = row?;
+        outcomes.push(outcome);
+        failures.append(&mut row_failures);
+    }
+    Ok((outcomes, failures))
 }
 
 /// Reject configurations the simulator would silently mishandle.
@@ -1759,16 +1818,25 @@ fn validate(cfg: &ClusterConfig) -> Result<(), ClusterError> {
     Ok(())
 }
 
+/// The experiment's request trace, paced so a fleet with
+/// `mean_service` cycles per request runs at the target utilization.
+/// Returns the mean inter-arrival time, the trace and its arrival span.
+fn paced_trace(cfg: &ClusterConfig, mean_service: u64) -> (u64, Vec<Request>, u64) {
+    let util = cfg.utilization_pct.clamp(1, 100) as u64;
+    let mean_inter = (mean_service * 100 / util / cfg.machines.max(1) as u64).max(1);
+    let trace = traffic::generate(cfg.seed, cfg.requests, mean_inter, cfg.arrival, &cfg.mix);
+    let span = trace.last().map(|r| r.arrival).unwrap_or(0);
+    (mean_inter, trace, span)
+}
+
 /// Run the full experiment: measure the fleet profile, generate the
 /// trace, and replay it once per balancing policy (round-robin,
 /// join-shortest-queue, least-loaded).
 pub fn run_experiment(cfg: &ClusterConfig) -> Result<ClusterReport, ClusterError> {
     validate(cfg)?;
-    let profile = build_profile(cfg)?;
-    let util = cfg.utilization_pct.clamp(1, 100) as u64;
-    let mean_inter = (profile.mean_service * 100 / util / cfg.machines.max(1) as u64).max(1);
-    let trace = traffic::generate(cfg.seed, cfg.requests, mean_inter, cfg.arrival, &cfg.mix);
-    let span = trace.last().map(|r| r.arrival).unwrap_or(0);
+    let pool = experiment_pool(cfg);
+    let profile = build_profile(cfg, &pool)?;
+    let (mean_inter, trace, span) = paced_trace(cfg, profile.mean_service);
 
     let mut header = String::new();
     let _ = writeln!(
@@ -1827,19 +1895,17 @@ pub fn run_experiment(cfg: &ClusterConfig) -> Result<ClusterReport, ClusterError
         );
     }
 
-    let policies: Vec<Box<dyn BalancePolicy>> = vec![
-        Box::new(crate::policy::RoundRobin::default()),
-        Box::new(crate::policy::JoinShortestQueue),
-        Box::new(crate::policy::LeastLoaded),
-    ];
-    let mut outcomes = Vec::new();
-    let mut failures = Vec::new();
-    for policy in policies {
-        let mut outcome = run_policy(cfg, &profile, &trace, span, policy, &mut failures)?;
+    let rows = POLICIES.map(|policy| Replay {
+        cfg: cfg.clone(),
+        profile: &profile,
+        policy,
+        keep_scope: true,
+    });
+    let (mut outcomes, failures) = replay_all(&pool, &trace, span, &rows)?;
+    for outcome in &mut outcomes {
         outcome
             .metrics
             .set("cluster.requeued_jobs", outcome.requeues.len() as u64);
-        outcomes.push(outcome);
     }
     Ok(ClusterReport {
         header,
@@ -1987,41 +2053,55 @@ impl ChaosReport {
     }
 }
 
-fn run_row(
-    name: &str,
-    cfg: &ClusterConfig,
-    profile: &FleetProfile,
+/// Replay a matrix's named rows through join-shortest-queue and summarise
+/// each as a [`MatrixRow`]. Only the last row's scope recording is kept:
+/// in both matrices the all-on replay is the one whose trace exercises
+/// every causal edge (retries, hedges, requeues, breaker transitions,
+/// drains).
+fn replay_matrix(
+    pool: &WorkerPool,
     trace: &[Request],
     span: u64,
-    failures: &mut Vec<String>,
-) -> Result<(MatrixRow, PolicyOutcome), ClusterError> {
-    let outcome = run_policy(
-        cfg,
-        profile,
-        trace,
-        span,
-        Box::new(crate::policy::JoinShortestQueue),
-        failures,
-    )?;
-    let m = &outcome.metrics;
-    let lat = &outcome.latencies;
-    let row = MatrixRow {
-        name: name.to_string(),
-        p50: nearest_rank(lat, 500),
-        p95: nearest_rank(lat, 950),
-        p99: nearest_rank(lat, 990),
-        p999: nearest_rank(lat, 999),
-        requests: trace.len() as u64,
-        completed: outcome.completed,
-        shed: m.counter("cluster.shed"),
-        timeouts: m.counter("resil.timeouts"),
-        retries: m.counter("resil.retries"),
-        hedges: m.counter("resil.hedges"),
-        hedge_wins: m.counter("resil.hedge.wins"),
-        breaker_trips: m.counter("resil.breaker.trips"),
-        slo_ok: cfg.resil.map(|_| m.counter("resil.slo_ok")),
-    };
-    Ok((row, outcome))
+    named: Vec<(String, ClusterConfig, &FleetProfile)>,
+) -> Result<(Vec<MatrixRow>, Replayed), ClusterError> {
+    let (count, mut names, mut rows) = (named.len(), Vec::new(), Vec::new());
+    for (name, cfg, profile) in named {
+        names.push(name);
+        let keep_scope = rows.len() + 1 == count;
+        rows.push(Replay {
+            cfg,
+            profile,
+            policy: jsq,
+            keep_scope,
+        });
+    }
+    let replayed = replay_all(pool, trace, span, &rows)?;
+    let matrix = names
+        .into_iter()
+        .zip(&rows)
+        .zip(&replayed.0)
+        .map(|((name, row), outcome)| {
+            let m = &outcome.metrics;
+            let lat = &outcome.latencies;
+            MatrixRow {
+                name,
+                p50: nearest_rank(lat, 500),
+                p95: nearest_rank(lat, 950),
+                p99: nearest_rank(lat, 990),
+                p999: nearest_rank(lat, 999),
+                requests: trace.len() as u64,
+                completed: outcome.completed,
+                shed: m.counter("cluster.shed"),
+                timeouts: m.counter("resil.timeouts"),
+                retries: m.counter("resil.retries"),
+                hedges: m.counter("resil.hedges"),
+                hedge_wins: m.counter("resil.hedge.wins"),
+                breaker_trips: m.counter("resil.breaker.trips"),
+                slo_ok: row.cfg.resil.map(|_| m.counter("resil.slo_ok")),
+            }
+        })
+        .collect();
+    Ok((matrix, replayed))
 }
 
 /// Run the resilience matrix: a fault-free baseline, then the config's
@@ -2039,13 +2119,11 @@ pub fn run_chaos_matrix(cfg: &ClusterConfig) -> Result<ChaosReport, ClusterError
     base_cfg.migrations.clear();
     base_cfg.fault_rates = None;
     base_cfg.resil = None;
-    let base_profile = build_profile(&base_cfg)?;
-    let chaos_profile = build_profile(cfg)?;
+    let pool = experiment_pool(cfg);
+    let base_profile = build_profile(&base_cfg, &pool)?;
+    let chaos_profile = build_profile(cfg, &pool)?;
 
-    let util = cfg.utilization_pct.clamp(1, 100) as u64;
-    let mean_inter = (base_profile.mean_service * 100 / util / cfg.machines.max(1) as u64).max(1);
-    let trace = traffic::generate(cfg.seed, cfg.requests, mean_inter, cfg.arrival, &cfg.mix);
-    let span = trace.last().map(|r| r.arrival).unwrap_or(0);
+    let (mean_inter, trace, span) = paced_trace(cfg, base_profile.mean_service);
 
     // Knobs scale with the measured healthy service time, so the matrix
     // stays meaningful at any workload scale; an explicit `cfg.resil`
@@ -2077,18 +2155,7 @@ pub fn run_chaos_matrix(cfg: &ClusterConfig) -> Result<ChaosReport, ClusterError
         resil_base.max_retries
     );
 
-    let mut rows = Vec::new();
-    let mut failures = Vec::new();
-    let mut scope = None;
-    let (baseline, _) = run_row(
-        "fault-free baseline",
-        &base_cfg,
-        &base_profile,
-        &trace,
-        span,
-        &mut failures,
-    )?;
-    rows.push(baseline);
+    let mut named = vec![(String::from("fault-free baseline"), base_cfg, &base_profile)];
     for (breakers, hedging, shedding) in [
         (false, false, false),
         (true, false, false),
@@ -2124,16 +2191,10 @@ pub fn run_chaos_matrix(cfg: &ClusterConfig) -> Result<ChaosReport, ClusterError
         if !(breakers || hedging || shedding) {
             name.push_str(", resil off");
         }
-        let (row, mut outcome) =
-            run_row(&name, &row_cfg, &chaos_profile, &trace, span, &mut failures)?;
-        rows.push(row);
-        if let Some(s) = outcome.scope.take() {
-            // Last row wins: the all-knobs-on replay is the one whose
-            // trace exercises every causal edge (retries, hedges,
-            // requeues, breaker transitions).
-            scope = Some(s);
-        }
+        named.push((name, row_cfg, &chaos_profile));
     }
+    let (rows, (mut outcomes, failures)) = replay_matrix(&pool, &trace, span, named)?;
+    let scope = outcomes.last_mut().and_then(|o| o.scope.take());
     Ok(ChaosReport {
         header,
         rows,
@@ -2273,13 +2334,11 @@ pub fn run_rebal_matrix(cfg: &ClusterConfig) -> Result<RebalReport, ClusterError
     base_cfg.fault_rates = None;
     base_cfg.resil = None;
     base_cfg.rebal = None;
-    let base_profile = build_profile(&base_cfg)?;
-    let chaos_profile = build_profile(cfg)?;
+    let pool = experiment_pool(cfg);
+    let base_profile = build_profile(&base_cfg, &pool)?;
+    let chaos_profile = build_profile(cfg, &pool)?;
 
-    let util = cfg.utilization_pct.clamp(1, 100) as u64;
-    let mean_inter = (base_profile.mean_service * 100 / util / cfg.machines.max(1) as u64).max(1);
-    let trace = traffic::generate(cfg.seed, cfg.requests, mean_inter, cfg.arrival, &cfg.mix);
-    let span = trace.last().map(|r| r.arrival).unwrap_or(0);
+    let (mean_inter, trace, span) = paced_trace(cfg, base_profile.mean_service);
 
     let resil_full = cfg
         .resil
@@ -2323,53 +2382,48 @@ pub fn run_rebal_matrix(cfg: &ClusterConfig) -> Result<RebalReport, ClusterError
         rebal.cooldown_permille
     );
 
-    let mut rows = Vec::new();
-    let mut stats = Vec::new();
-    let mut failures = Vec::new();
-    let mut scope = None;
     let row_specs: [(&str, bool, Option<RebalConfig>); 4] = [
         ("fault-free baseline", false, None),
         ("faults, reactive resil", true, None),
         ("faults +drains", true, Some(RebalConfig::drains_only())),
         ("faults +drains+rebalance", true, Some(rebal)),
     ];
-    for (name, faulty, row_rebal) in row_specs {
-        let mut row_cfg = if faulty {
-            cfg.clone()
-        } else {
-            base_cfg.clone()
-        };
-        if faulty {
-            row_cfg.resil = Some(resil_full);
-        }
-        row_cfg.rebal = row_rebal;
-        let profile = if faulty {
-            &chaos_profile
-        } else {
-            &base_profile
-        };
-        let (row, mut outcome) = run_row(name, &row_cfg, profile, &trace, span, &mut failures)?;
-        let m = &outcome.metrics;
-        stats.push(RebalStats {
-            drains: m.counter("rebal.drains"),
-            drain_events: m.counter("rebal.drain.events"),
-            moves: m.counter("rebal.moves"),
-            migrations: m.counter("cluster.migrations"),
-            adoption_proofs: m.counter("cluster.adoption.proofs"),
-            cross_shape: m.counter("cluster.adoption.cross_shape"),
-            migrations_verified: outcome
-                .migration_events
-                .iter()
-                .filter(|e| e.verified_identical)
-                .count() as u64,
-        });
-        rows.push(row);
-        if let Some(s) = outcome.scope.take() {
-            // Last row wins: the all-on replay exercises every causal
-            // edge, drains included.
-            scope = Some(s);
-        }
-    }
+    let named = row_specs
+        .into_iter()
+        .map(|(name, faulty, row_rebal)| {
+            let (mut row_cfg, profile) = if faulty {
+                (cfg.clone(), &chaos_profile)
+            } else {
+                (base_cfg.clone(), &base_profile)
+            };
+            if faulty {
+                row_cfg.resil = Some(resil_full);
+            }
+            row_cfg.rebal = row_rebal;
+            (name.to_string(), row_cfg, profile)
+        })
+        .collect();
+    let (rows, (mut outcomes, failures)) = replay_matrix(&pool, &trace, span, named)?;
+    let scope = outcomes.last_mut().and_then(|o| o.scope.take());
+    let stats = outcomes
+        .iter()
+        .map(|outcome| {
+            let m = &outcome.metrics;
+            RebalStats {
+                drains: m.counter("rebal.drains"),
+                drain_events: m.counter("rebal.drain.events"),
+                moves: m.counter("rebal.moves"),
+                migrations: m.counter("cluster.migrations"),
+                adoption_proofs: m.counter("cluster.adoption.proofs"),
+                cross_shape: m.counter("cluster.adoption.cross_shape"),
+                migrations_verified: outcome
+                    .migration_events
+                    .iter()
+                    .filter(|e| e.verified_identical)
+                    .count() as u64,
+            }
+        })
+        .collect();
     Ok(RebalReport {
         header,
         rows,
@@ -2478,6 +2532,91 @@ mod tests {
         cfg.migrations = vec![(1, 1000)];
         cfg.requests = 10;
         assert!(run_experiment(&cfg).is_ok());
+    }
+
+    /// A debug-sized E13 fleet (straggler, crash, full resilience) with
+    /// scope on and a live migration, so snapshots get adopted.
+    fn small_e13() -> ClusterConfig {
+        ClusterConfig {
+            requests: 60,
+            utilization_pct: 60,
+            crashes: crash_storm(42, 2, 3, 200, 800),
+            migrations: vec![(1, 450)],
+            slowdowns: vec![(0, 4, 0)],
+            resil: Some(ResilConfig::default().full()),
+            scope: true,
+            ..tiny()
+        }
+    }
+
+    /// The same on E15's terms: heterogeneous shapes (cross-shape
+    /// adoptions) with drains and the rebalancer on.
+    fn small_e15() -> ClusterConfig {
+        ClusterConfig {
+            machines: 3,
+            utilization_pct: 75,
+            shapes: [2u8, 1, 2]
+                .iter()
+                .map(|&spe_count| crate::MachineShape { spe_count })
+                .collect(),
+            crashes: crash_storm(42, 3, 1, 300, 700),
+            rebal: Some(RebalConfig::default()),
+            ..small_e13()
+        }
+    }
+
+    /// Replay the three policies (scope kept) plus a fourth row whose
+    /// scope nobody reads, and return every byte a caller can read: the
+    /// report, then each kept recording's Chrome export and SLO table.
+    fn replayed_on(pool: &WorkerPool, cfg: &ClusterConfig, profile: &FleetProfile) -> Vec<String> {
+        let (_, trace, span) = paced_trace(cfg, profile.mean_service);
+        let row = |policy, keep_scope| Replay {
+            cfg: cfg.clone(),
+            profile,
+            policy,
+            keep_scope,
+        };
+        let [rr, jsq_kept, ll] = POLICIES.map(|policy| row(policy, true));
+        let rows = [rr, jsq_kept, ll, row(jsq, false)];
+        let (outcomes, failures) = replay_all(pool, &trace, span, &rows).expect("replays run");
+        assert!(outcomes[3].scope.is_none(), "an unread recording was kept");
+        assert_eq!(outcomes[3].latencies, outcomes[1].latencies);
+        let report = ClusterReport {
+            header: String::new(),
+            outcomes,
+            failures,
+        };
+        let mut rendered = vec![report.render()];
+        for scope in report.outcomes.iter().filter_map(|o| o.scope.as_ref()) {
+            rendered.push(scope.chrome_json());
+            rendered.push(scope.slo_report());
+        }
+        assert_eq!(rendered.len(), 7);
+        rendered
+    }
+
+    #[test]
+    fn replays_render_identically_on_any_pool() {
+        let (sequential, wide) = (WorkerPool::new(0), WorkerPool::new(3));
+        for (cfg, poisoned) in [(small_e15(), false), (small_e13(), true)] {
+            let mut profile = build_profile(&cfg, &wide).expect("profile builds");
+            if poisoned {
+                // Every same-shape adoption proof now reports a divergence.
+                for reference in profile.reference.iter_mut().flatten() {
+                    let mut wrong = RunOutcome::clone(reference);
+                    wrong.heap_digest ^= 1;
+                    *reference = Arc::new(wrong);
+                }
+            }
+            let rendered = replayed_on(&sequential, &cfg, &profile);
+            assert_eq!(
+                rendered[0].contains("FAILURES (5)"),
+                poisoned,
+                "{}",
+                rendered[0]
+            );
+            assert_eq!(rendered, replayed_on(&wide, &cfg, &profile));
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   is a reported failure, not a warning.
 
 use hera_trace::{
-    fleet_trace_json, ExactPercentiles, FleetSpan, FlowArrow, FlowKind, MetricsRegistry,
+    fleet_trace_json, ExactPercentiles, FleetSpan, FlowArrow, FlowKind, MetricsRegistry, SpanKind,
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -47,8 +47,8 @@ struct JobScope {
     root: u64,
     arrival: u64,
     class: usize,
-    /// Terminal kind, set exactly once ("completed" | "shed" | "timedout").
-    terminal: Option<&'static str>,
+    /// Terminal kind, set exactly once (completed | shed | timed out).
+    terminal: Option<SpanKind>,
     /// Causal arrow armed by a retry/hedge/requeue/migration, consumed by
     /// the next enqueue of this job (dropped if the attempt never lands).
     pending_flow: Option<(FlowKind, u32, u64)>,
@@ -84,8 +84,9 @@ pub(crate) struct Scope {
     flows: Vec<FlowArrow>,
     jobs: Vec<JobScope>,
     mach: Vec<MachScope>,
-    /// Exact end-to-end latencies per class (completed requests only).
-    class_lat: Vec<ExactPercentiles>,
+    /// End-to-end latencies per class (completed requests only), in
+    /// completion order; [`Scope::finish`] sorts each once.
+    class_lat: Vec<Vec<u64>>,
     metrics: MetricsRegistry,
     sample_every: u64,
     next_sample: u64,
@@ -108,11 +109,14 @@ impl Scope {
         Scope {
             class_names,
             next_id: 0,
-            spans: Vec::new(),
+            // Root, terminal, queue, dispatch and service per request, with
+            // headroom for retry and hedge attempts: recording never has
+            // to move the spans while doubling.
+            spans: Vec::with_capacity(njobs * 6),
             flows: Vec::new(),
             jobs: Vec::with_capacity(njobs),
             mach: (0..machines).map(|_| MachScope::default()).collect(),
-            class_lat: vec![ExactPercentiles::new(); classes],
+            class_lat: vec![Vec::new(); classes],
             metrics: MetricsRegistry::default(),
             sample_every,
             next_sample: sample_every,
@@ -133,48 +137,61 @@ impl Scope {
         self.next_id
     }
 
-    fn marker(&mut self, track: u32, name: String, cat: &'static str, now: u64, parent: u64) {
+    /// Record a span of `kind` under a fresh id. `job` is `None` for
+    /// machine-wide markers, which hang off no request.
+    fn span(
+        &mut self,
+        kind: SpanKind,
+        track: u32,
+        job: Option<usize>,
+        begin: u64,
+        dur: u64,
+        args: [u64; 4],
+    ) {
         let id = self.alloc();
         self.spans.push(FleetSpan {
+            kind,
             track,
-            name,
-            cat,
-            begin: now,
-            dur: 0,
+            req: job.map_or(0, |j| j as u64),
+            begin,
+            dur,
             id,
-            parent,
-            args: Vec::new(),
+            parent: job.map_or(0, |j| self.jobs[j].root),
+            args,
         });
     }
 
-    fn terminal(&mut self, job: usize, kind: &'static str, now: u64) {
-        let (root, arrival, class) = {
-            let j = &self.jobs[job];
-            debug_assert!(j.terminal.is_none(), "job {job} terminated twice");
-            (j.root, j.arrival, j.class as u64)
-        };
-        self.jobs[job].terminal = Some(kind);
-        let id = self.alloc();
+    /// Close `job`'s queue wait on machine `m`, if it has one, as `kind`.
+    fn close_queue(&mut self, m: usize, job: usize, now: u64, kind: SpanKind) {
+        if let Some(enq) = self.mach[m].queue_since.remove(&job) {
+            let wait = now.saturating_sub(enq);
+            self.span(
+                kind,
+                machine_track(m),
+                Some(job),
+                enq,
+                wait,
+                [m as u64, 0, 0, 0],
+            );
+        }
+    }
+
+    fn terminal(&mut self, job: usize, kind: SpanKind, now: u64) {
+        let j = &mut self.jobs[job];
+        debug_assert!(j.terminal.is_none(), "job {job} terminated twice");
+        j.terminal = Some(kind);
+        // The root span carries the id reserved at arrival, not a fresh one.
         self.spans.push(FleetSpan {
+            kind: SpanKind::Request,
             track: FRONTEND_TRACK,
-            name: format!("req{job}"),
-            cat: "request",
-            begin: arrival,
-            dur: now.saturating_sub(arrival),
-            id: root,
+            req: job as u64,
+            begin: j.arrival,
+            dur: now.saturating_sub(j.arrival),
+            id: j.root,
             parent: 0,
-            args: vec![("class", class)],
+            args: [j.class as u64, 0, 0, 0],
         });
-        self.spans.push(FleetSpan {
-            track: FRONTEND_TRACK,
-            name: format!("{kind} req{job}"),
-            cat: "terminal",
-            begin: now,
-            dur: 0,
-            id,
-            parent: root,
-            args: Vec::new(),
-        });
+        self.span(kind, FRONTEND_TRACK, Some(job), now, 0, [0; 4]);
     }
 
     // ------------------------------------------------------------ hooks
@@ -194,7 +211,7 @@ impl Scope {
     pub fn on_shed(&mut self, job: usize, now: u64) {
         self.jobs[job].pending_flow = None;
         self.shed += 1;
-        self.terminal(job, "shed", now);
+        self.terminal(job, SpanKind::Shed, now);
     }
 
     /// Arm the causal arrow the next enqueue of `job` will consume.
@@ -251,18 +268,16 @@ impl Scope {
         transfer: u64,
     ) {
         let enq = self.mach[m].queue_since.remove(&job).unwrap_or(now);
-        let root = self.jobs[job].root;
-        let id = self.alloc();
-        self.spans.push(FleetSpan {
-            track: machine_track(m),
-            name: format!("queue req{job}"),
-            cat: "queue",
-            begin: enq,
-            dur: now.saturating_sub(enq),
-            id,
-            parent: root,
-            args: vec![("machine", m as u64)],
-        });
+        let wait = now.saturating_sub(enq);
+        let queued = [m as u64, 0, 0, 0];
+        self.span(
+            SpanKind::Queue,
+            machine_track(m),
+            Some(job),
+            enq,
+            wait,
+            queued,
+        );
         self.mach[m].open = Some(OpenService {
             job,
             started: now,
@@ -274,124 +289,77 @@ impl Scope {
     }
 
     /// Close the open attempt on `m`, emitting its dispatch span and —
-    /// when execution had begun — its service span named `outcome`
-    /// ("service", "service.cancelled", "service.interrupted",
-    /// "service.migrated"). Returns the job that was closed.
-    fn close_service(&mut self, m: usize, now: u64, outcome: &'static str) -> Option<usize> {
+    /// when execution had begun — its service span of kind `outcome`
+    /// (service, cancelled, interrupted or migrated). Returns the job
+    /// that was closed.
+    fn close_service(&mut self, m: usize, now: u64, outcome: SpanKind) -> Option<usize> {
         let open = self.mach[m].open.take()?;
         if let Some(b) = self.mach[m].busy_from.take() {
             self.mach[m].busy_accum += now.saturating_sub(b);
         }
-        let root = self.jobs[open.job].root;
-        let track = machine_track(m);
-        let id = self.alloc();
-        self.spans.push(FleetSpan {
+        let (track, job) = (machine_track(m), Some(open.job));
+        let dispatch = open.exec_start.min(now).saturating_sub(open.started);
+        let transfer = [open.transfer, 0, 0, 0];
+        self.span(
+            SpanKind::Dispatch,
             track,
-            name: format!("dispatch req{}", open.job),
-            cat: "dispatch",
-            begin: open.started,
-            dur: open.exec_start.min(now).saturating_sub(open.started),
-            id,
-            parent: root,
-            args: vec![("transfer", open.transfer)],
-        });
+            job,
+            open.started,
+            dispatch,
+            transfer,
+        );
         if now > open.exec_start {
-            let id = self.alloc();
-            self.spans.push(FleetSpan {
-                track,
-                name: format!("{} req{}", outcome, open.job),
-                cat: "service",
-                begin: open.exec_start,
-                dur: now - open.exec_start,
-                id,
-                parent: root,
-                args: vec![("machine", m as u64), ("hedge", open.hedge as u64)],
-            });
+            let attempt = [m as u64, open.hedge as u64, 0, 0];
+            let ran = now - open.exec_start;
+            self.span(outcome, track, job, open.exec_start, ran, attempt);
         }
         Some(open.job)
     }
 
     pub fn on_complete(&mut self, job: usize, m: usize, now: u64) {
-        let closed = self.close_service(m, now, "service");
+        let closed = self.close_service(m, now, SpanKind::Service);
         debug_assert_eq!(closed, Some(job), "completion closed a foreign attempt");
         let (arrival, class) = (self.jobs[job].arrival, self.jobs[job].class);
-        self.class_lat[class].record(now.saturating_sub(arrival));
+        self.class_lat[class].push(now.saturating_sub(arrival));
         self.completed += 1;
-        self.terminal(job, "completed", now);
+        self.terminal(job, SpanKind::Completed, now);
     }
 
     /// A deadline cancel reached machine `m`: close whichever form the
     /// attempt is in (running or queued).
     pub fn on_cancel(&mut self, m: usize, job: usize, now: u64) {
         if self.mach[m].open.as_ref().is_some_and(|o| o.job == job) {
-            self.close_service(m, now, "service.cancelled");
-        } else if let Some(enq) = self.mach[m].queue_since.remove(&job) {
-            let root = self.jobs[job].root;
-            let id = self.alloc();
-            self.spans.push(FleetSpan {
-                track: machine_track(m),
-                name: format!("queue.cancelled req{job}"),
-                cat: "queue",
-                begin: enq,
-                dur: now.saturating_sub(enq),
-                id,
-                parent: root,
-                args: vec![("machine", m as u64)],
-            });
+            self.close_service(m, now, SpanKind::ServiceCancelled);
+        } else {
+            self.close_queue(m, job, now, SpanKind::QueueCancelled);
         }
     }
 
     /// A crash (or migration detach) interrupted the running attempt.
     pub fn on_interrupt(&mut self, m: usize, now: u64) {
-        self.close_service(m, now, "service.interrupted");
+        self.close_service(m, now, SpanKind::ServiceInterrupted);
     }
 
     /// A crash drained `job` out of machine `m`'s queue.
     pub fn on_queue_interrupt(&mut self, m: usize, job: usize, now: u64) {
-        if let Some(enq) = self.mach[m].queue_since.remove(&job) {
-            let root = self.jobs[job].root;
-            let id = self.alloc();
-            self.spans.push(FleetSpan {
-                track: machine_track(m),
-                name: format!("queue.interrupted req{job}"),
-                cat: "queue",
-                begin: enq,
-                dur: now.saturating_sub(enq),
-                id,
-                parent: root,
-                args: vec![("machine", m as u64)],
-            });
-        }
+        self.close_queue(m, job, now, SpanKind::QueueInterrupted);
     }
 
     /// A proactive drain pulled queued `job` out of machine `m`: close
     /// its queue span and arm the [`FlowKind::Drain`] arrow the next
     /// enqueue will consume.
     pub fn on_drain(&mut self, m: usize, job: usize, now: u64) {
-        if let Some(enq) = self.mach[m].queue_since.remove(&job) {
-            let root = self.jobs[job].root;
-            let id = self.alloc();
-            self.spans.push(FleetSpan {
-                track: machine_track(m),
-                name: format!("queue.drained req{job}"),
-                cat: "queue",
-                begin: enq,
-                dur: now.saturating_sub(enq),
-                id,
-                parent: root,
-                args: vec![("machine", m as u64)],
-            });
-        }
+        self.close_queue(m, job, now, SpanKind::QueueDrained);
         self.drains += 1;
         self.flow_from(job, FlowKind::Drain, machine_track(m), now);
     }
 
     pub fn on_crash(&mut self, m: usize, now: u64) {
-        self.marker(machine_track(m), String::from("crash"), "fault", now, 0);
+        self.span(SpanKind::Crash, machine_track(m), None, now, 0, [0; 4]);
     }
 
     pub fn on_recover(&mut self, m: usize, now: u64) {
-        self.marker(machine_track(m), String::from("recover"), "fault", now, 0);
+        self.span(SpanKind::Recover, machine_track(m), None, now, 0, [0; 4]);
     }
 
     /// A live migration detached `job` from `m`: close the source
@@ -410,58 +378,42 @@ impl Scope {
         (bytes, transfer, reexec): (u64, u64, u64),
         drain: bool,
     ) {
-        self.close_service(m, now, "service.migrated");
-        let root = self.jobs[job].root;
-        let id = self.alloc();
-        let verb = if drain { "drain" } else { "migrate" };
-        self.spans.push(FleetSpan {
-            track: machine_track(m),
-            name: format!("{verb} req{job}"),
-            cat: "migration",
-            begin: now,
-            dur: 0,
-            id,
-            parent: root,
-            args: vec![
-                ("dest", dest as u64),
-                ("bytes", bytes),
-                ("transfer", transfer),
-                ("reexec", reexec),
-            ],
-        });
-        self.migrations += 1;
-        let kind = if drain {
+        self.close_service(m, now, SpanKind::ServiceMigrated);
+        let (span, flow) = if drain {
             self.drains += 1;
-            FlowKind::Drain
+            (SpanKind::Drain, FlowKind::Drain)
         } else {
-            FlowKind::Migrate
+            (SpanKind::Migrate, FlowKind::Migrate)
         };
-        self.flow_from(job, kind, machine_track(m), now);
+        let moved = [dest as u64, bytes, transfer, reexec];
+        self.span(span, machine_track(m), Some(job), now, 0, moved);
+        self.migrations += 1;
+        self.flow_from(job, flow, machine_track(m), now);
     }
 
     /// An attempt wave hit its deadline (the wave's cancels follow via
     /// [`Scope::on_cancel`]).
     pub fn on_wave_timeout(&mut self, job: usize, now: u64) {
-        let root = self.jobs[job].root;
-        self.marker(
+        self.span(
+            SpanKind::WaveTimeout,
             FRONTEND_TRACK,
-            format!("wave.timeout req{job}"),
-            "resil",
+            Some(job),
             now,
-            root,
+            0,
+            [0; 4],
         );
     }
 
     /// The last retry wave timed out: the request is dead.
     pub fn on_timed_out(&mut self, job: usize, now: u64) {
         self.timedout += 1;
-        self.terminal(job, "timedout", now);
+        self.terminal(job, SpanKind::TimedOut, now);
     }
 
-    /// Breaker state transition on machine `m`; `which` is one of
-    /// "breaker.open", "breaker.half_open", "breaker.closed".
-    pub fn on_breaker(&mut self, m: usize, which: &'static str, now: u64) {
-        self.marker(machine_track(m), String::from(which), "breaker", now, 0);
+    /// Breaker state transition on machine `m`; `which` is one of the
+    /// three `SpanKind::Breaker*` markers.
+    pub fn on_breaker(&mut self, m: usize, which: SpanKind, now: u64) {
+        self.span(which, machine_track(m), None, now, 0, [0; 4]);
     }
 
     // ---------------------------------------------------------- sampler
@@ -579,7 +531,11 @@ impl Scope {
             .class_names
             .iter()
             .cloned()
-            .zip(self.class_lat)
+            .zip(
+                self.class_lat
+                    .into_iter()
+                    .map(ExactPercentiles::from_samples),
+            )
             .collect();
         ScopeOutcome {
             policy,
@@ -641,13 +597,12 @@ impl ScopeOutcome {
             "{:<12} {:>6} {:>12} {:>12} {:>12} {:>12} {:>12} {:>8}",
             "class", "n", "p50", "p95", "p99", "p999", "max", "slo"
         );
-        let mut total = ExactPercentiles::new();
+        let mut all = Vec::new();
         for (name, lat) in &self.class_latencies {
-            for &v in lat.as_slice() {
-                total.record(v);
-            }
+            all.extend_from_slice(lat.as_slice());
             let _ = writeln!(out, "{}", Self::slo_row(name, lat, self.slo_cycles));
         }
+        let total = ExactPercentiles::from_samples(all);
         let _ = writeln!(out, "{}", Self::slo_row("all", &total, self.slo_cycles));
         out
     }

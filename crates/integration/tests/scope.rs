@@ -301,3 +301,36 @@ fn drain_ledger_reconciles_under_the_rebal_matrix() {
         "every accounted drain must leave exactly one Drain arrow"
     );
 }
+
+/// Digests of the small fleets' exports, captured before span names
+/// moved from recording time to export time and before the exporter
+/// stopped building one `String` per event: the recording's
+/// representation may change freely, the exported bytes may not.
+#[test]
+fn small_fleet_exports_match_pinned_digests() {
+    let digest = |s: String| hera_snap::digest64(s.as_bytes());
+    let mut got = Vec::new();
+    let report = run_experiment(&ClusterConfig {
+        scope: true,
+        ..busy_fleet()
+    })
+    .expect("experiment runs");
+    for outcome in &report.outcomes {
+        let scope = outcome.scope.as_ref().expect("scope on");
+        got.push((digest(scope.chrome_json()), digest(scope.slo_report())));
+    }
+    let chaos = run_chaos_matrix(&ClusterConfig {
+        scope: true,
+        ..small_matrix()
+    })
+    .expect("matrix runs");
+    let scope = chaos.scope.as_ref().expect("scope on");
+    got.push((digest(scope.chrome_json()), digest(scope.slo_report())));
+    let want = [
+        (0x3941_30da_013c_db0d_u64, 0xe12c_69f2_4e7b_1f3d_u64),
+        (0xf6db_63df_b400_77c6, 0x8f23_b3d8_6001_b20b),
+        (0x80e1_61a1_14c4_9b52, 0xb57c_c773_fce9_acff),
+        (0xc186_2c3a_8fea_09d3, 0xf3dc_2c5b_600d_e82c),
+    ];
+    assert_eq!(got, want, "exported bytes moved");
+}

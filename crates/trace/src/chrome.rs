@@ -165,72 +165,64 @@ pub fn chrome_trace_json_with(sink: &TraceSink, method_name: &dyn Fn(u32) -> Str
 /// which the integration tests assert. Timestamps are fleet-virtual
 /// cycles written as microseconds, same convention as the VM exporter.
 pub fn fleet_trace_json(tracks: &[String], spans: &[FleetSpan], flows: &[FlowArrow]) -> String {
-    let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-    let mut first = true;
-    let push = |out: &mut String, first: &mut bool, ev: &str| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push_str(ev);
-    };
-
+    let mut out = String::with_capacity(64 + 160 * (spans.len() + 2 * flows.len()));
+    out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
     for (tid, name) in tracks.iter().enumerate() {
-        push(
-            &mut out,
-            &mut first,
-            &format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"name\":{}}}}}",
-                tid,
-                json_string(name)
-            ),
+        let _ = write!(
+            out,
+            "{}{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":{}}}}}",
+            if tid == 0 { "" } else { "," },
+            json_string(name)
         );
     }
 
-    // Bucket every event onto its track, then sort each track by
-    // (timestamp, arrival order). `seq` makes the sort total.
-    let mut lanes: Vec<Vec<(u64, u64, String)>> = vec![Vec::new(); tracks.len()];
-    let mut seq = 0u64;
-    for s in spans {
-        let mut args = format!("\"span\":{},\"parent\":{}", s.id, s.parent);
-        for (k, v) in &s.args {
-            let _ = write!(args, ",\"{k}\":{v}");
-        }
-        let body = format!(
-            "{{\"name\":{},\"cat\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{{args}}}}}",
-            json_string(&s.name),
-            s.cat,
-            s.track,
-            s.begin,
-            s.dur
-        );
-        lanes[s.track as usize].push((s.begin, seq, body));
-        seq += 1;
+    // Bucket a `(timestamp, seq)` key per event onto its track and sort
+    // each track. `seq` is arrival order — spans first, then each arrow's
+    // start and finish — so it makes the sort total and names the event.
+    let mut lanes: Vec<Vec<(u64, usize)>> = vec![Vec::new(); tracks.len()];
+    for (i, s) in spans.iter().enumerate() {
+        lanes[s.track as usize].push((s.begin, i));
     }
-    for f in flows {
-        let begin = format!(
-            "{{\"name\":\"{}\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":{},\"pid\":1,\"tid\":{},\"ts\":{}}}",
-            f.kind.name(),
-            f.id,
-            f.from_track,
-            f.from_ts
-        );
-        lanes[f.from_track as usize].push((f.from_ts, seq, begin));
-        seq += 1;
-        let end = format!(
-            "{{\"name\":\"{}\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{},\"pid\":1,\"tid\":{},\"ts\":{}}}",
-            f.kind.name(),
-            f.id,
-            f.to_track,
-            f.to_ts
-        );
-        lanes[f.to_track as usize].push((f.to_ts, seq, end));
-        seq += 1;
+    for (i, f) in flows.iter().enumerate() {
+        lanes[f.from_track as usize].push((f.from_ts, spans.len() + 2 * i));
+        lanes[f.to_track as usize].push((f.to_ts, spans.len() + 2 * i + 1));
     }
-    for lane in &mut lanes {
-        lane.sort_by_key(|&(ts, seq, _)| (ts, seq));
-        for (_, _, body) in lane.iter() {
-            push(&mut out, &mut first, body);
+    for (tid, lane) in lanes.iter_mut().enumerate() {
+        lane.sort_unstable();
+        for &(ts, seq) in lane.iter() {
+            // A lane exists per track, so a metadata record precedes this.
+            out.push(',');
+            if let Some(s) = spans.get(seq) {
+                // Span labels are static ASCII: nothing to escape.
+                let (_, _, cat, keys) = s.kind.parts();
+                out.push_str("{\"name\":\"");
+                let _ = s.write_name(&mut out);
+                let _ = write!(
+                    out,
+                    "\",\"cat\":\"{cat}\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"dur\":{},\"args\":{{\"span\":{},\"parent\":{}",
+                    s.dur,
+                    s.id,
+                    s.parent
+                );
+                for (k, v) in keys.iter().zip(s.args) {
+                    let _ = write!(out, ",\"{k}\":{v}");
+                }
+                out.push_str("}}");
+            } else {
+                let at = seq - spans.len();
+                let f = &flows[at / 2];
+                let ph = if at.is_multiple_of(2) {
+                    "\"s\""
+                } else {
+                    "\"f\",\"bp\":\"e\""
+                };
+                let _ = write!(
+                    out,
+                    "{{\"name\":\"{}\",\"cat\":\"flow\",\"ph\":{ph},\"id\":{},\"pid\":1,\"tid\":{tid},\"ts\":{ts}}}",
+                    f.kind.name(),
+                    f.id
+                );
+            }
         }
     }
 
@@ -293,40 +285,23 @@ mod tests {
 
     #[test]
     fn fleet_export_orders_each_track_by_timestamp() {
-        use crate::span::FlowKind;
+        use crate::span::{FlowKind, SpanKind};
         let tracks = vec![String::from("front-end"), String::from("m0")];
         // Spans deliberately out of time order on track 1.
+        let span = |kind, track, begin, dur, id, parent, arg| FleetSpan {
+            kind,
+            track,
+            req: 0,
+            begin,
+            dur,
+            id,
+            parent,
+            args: [arg, 0, 0, 0],
+        };
         let spans = vec![
-            FleetSpan {
-                track: 1,
-                name: String::from("service req0"),
-                cat: "service",
-                begin: 500,
-                dur: 100,
-                id: 2,
-                parent: 1,
-                args: vec![("machine", 0)],
-            },
-            FleetSpan {
-                track: 1,
-                name: String::from("queue req0"),
-                cat: "queue",
-                begin: 300,
-                dur: 200,
-                id: 3,
-                parent: 1,
-                args: vec![],
-            },
-            FleetSpan {
-                track: 0,
-                name: String::from("req0"),
-                cat: "request",
-                begin: 100,
-                dur: 500,
-                id: 1,
-                parent: 0,
-                args: vec![("class", 2)],
-            },
+            span(SpanKind::Service, 1, 500, 100, 2, 1, 0),
+            span(SpanKind::Queue, 1, 300, 200, 3, 1, 0),
+            span(SpanKind::Request, 0, 100, 500, 1, 0, 2),
         ];
         let flows = vec![FlowArrow {
             kind: FlowKind::Hedge,
@@ -345,7 +320,8 @@ mod tests {
         let queue = j.find("queue req0").unwrap();
         let service = j.find("service req0").unwrap();
         assert!(queue < service, "track 1 must be sorted by ts: {j}");
-        assert!(j.contains("\"span\":2,\"parent\":1,\"machine\":0"));
+        assert!(j.contains("\"span\":2,\"parent\":1,\"machine\":0,\"hedge\":0"));
+        assert!(j.contains("\"span\":1,\"parent\":0,\"class\":2}"));
         assert_eq!(fleet_trace_json(&tracks, &spans, &flows), j);
     }
 

@@ -33,7 +33,9 @@ pub use cost::{CostClass, CostVec};
 pub use event::{
     BarrierKind, DmaTag, GcPhase, InjectedFault, MigrationKind, TraceEvent, TraceKindArgs,
 };
-pub use metrics::{nearest_rank, ExactPercentiles, Histogram, MetricsRegistry, TimeSeries};
+pub use metrics::{
+    nearest_rank, ExactPercentiles, Histogram, MetricsRegistry, StreamingPercentile, TimeSeries,
+};
 pub use sink::{Lane, TimedEvent, TraceSink};
-pub use span::{FleetSpan, FlowArrow, FlowKind};
+pub use span::{FleetSpan, FlowArrow, FlowKind, SpanKind};
 pub use summary::text_summary;

@@ -3,7 +3,8 @@
 //! `BTreeMap` keys keep iteration (and therefore rendering and equality)
 //! deterministic, which the trace determinism test relies on.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt::Write as _;
 
 /// A log2-bucketed histogram of `u64` samples.
@@ -144,8 +145,14 @@ pub fn nearest_rank(sorted: &[u64], q_permille: u64) -> u64 {
 /// within a factor of two — its estimates are *upper bounds* on the true
 /// quantile, which is too coarse to judge a "p99 within 2x of baseline"
 /// SLO bound. `ExactPercentiles` keeps every sample, sorted, and answers
-/// nearest-rank queries exactly. Memory is linear in the sample count,
-/// so it fits request-level populations (thousands), not per-cycle ones.
+/// nearest-rank queries exactly. Memory is linear in the sample count.
+///
+/// Costs: a query is O(1); [`ExactPercentiles::from_samples`] is one
+/// O(n log n) sort; [`ExactPercentiles::record`] is an O(n) insert, so
+/// filling a set one `record` at a time is O(n²). A per-request path
+/// collects its samples unsorted and calls `from_samples` once, or —
+/// when one quantile must be read between inserts — keeps a
+/// [`StreamingPercentile`].
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct ExactPercentiles {
     sorted: Vec<u64>,
@@ -156,7 +163,14 @@ impl ExactPercentiles {
         ExactPercentiles::default()
     }
 
-    /// Insert `v`, keeping the sample set sorted.
+    /// Build the set from unsorted samples with one sort.
+    pub fn from_samples(mut samples: Vec<u64>) -> ExactPercentiles {
+        samples.sort_unstable();
+        ExactPercentiles { sorted: samples }
+    }
+
+    /// Insert `v`, keeping the sample set sorted: O(n) element moves per
+    /// call. For occasional inserts into small sets only.
     pub fn record(&mut self, v: u64) {
         let at = self.sorted.partition_point(|&x| x <= v);
         self.sorted.insert(at, v);
@@ -203,6 +217,62 @@ impl ExactPercentiles {
     /// How many samples are `<= bound` (SLO attainment numerator).
     pub fn count_at_most(&self, bound: u64) -> u64 {
         self.sorted.partition_point(|&x| x <= bound) as u64
+    }
+}
+
+/// One exact nearest-rank quantile of a growing sample set, readable
+/// after every insert: O(log n) [`StreamingPercentile::record`], O(1)
+/// [`StreamingPercentile::value`]. Two heaps split the samples at rank
+/// `ceil(q·n/1000)` — `low` holds the `rank` smallest with the answer on
+/// top — so the value always equals [`nearest_rank`] over the sorted
+/// samples recorded so far.
+#[derive(Clone, Debug)]
+pub struct StreamingPercentile {
+    q_permille: u64,
+    low: BinaryHeap<u64>,
+    high: BinaryHeap<Reverse<u64>>,
+}
+
+impl StreamingPercentile {
+    /// Track the `q_permille` quantile (950 = p95; 1..=1000).
+    pub fn new(q_permille: u64) -> StreamingPercentile {
+        debug_assert!((1..=1000).contains(&q_permille));
+        StreamingPercentile {
+            q_permille,
+            low: BinaryHeap::new(),
+            high: BinaryHeap::new(),
+        }
+    }
+
+    pub fn record(&mut self, v: u64) {
+        if self.low.peek().is_none_or(|&top| v <= top) {
+            self.low.push(v);
+        } else {
+            self.high.push(Reverse(v));
+        }
+        // The rank grows by at most one per insert, so one move settles it.
+        let n = self.len() as u64;
+        let rank = (self.q_permille * n).div_ceil(1000).clamp(1, n) as usize;
+        if self.low.len() > rank {
+            let top = self.low.pop().expect("low is non-empty");
+            self.high.push(Reverse(top));
+        } else if self.low.len() < rank {
+            let Reverse(least) = self.high.pop().expect("high holds the rest");
+            self.low.push(least);
+        }
+    }
+
+    pub fn len(&self) -> usize {
+        self.low.len() + self.high.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.low.is_empty()
+    }
+
+    /// The tracked quantile of everything recorded; 0 when empty.
+    pub fn value(&self) -> u64 {
+        self.low.peek().copied().unwrap_or(0)
     }
 }
 
@@ -520,6 +590,51 @@ mod tests {
         e.record(1 << 20);
         assert_eq!(e.p50(), 100);
         assert!(h.p50() >= e.p50(), "histogram p50 is an upper bound");
+    }
+
+    /// Random (with duplicates), ascending, descending and all-equal
+    /// sample sequences, including n = 1.
+    fn sample_sequences() -> Vec<Vec<u64>> {
+        let mut rng = hera_rng::SplitMix64::new(0x7065_7263);
+        let random: Vec<u64> = (0..700).map(|_| rng.next_below(300)).collect();
+        let ascending: Vec<u64> = (0..500).collect();
+        let descending: Vec<u64> = ascending.iter().rev().copied().collect();
+        vec![random, ascending, descending, vec![9; 300], vec![42]]
+    }
+
+    #[test]
+    fn streaming_percentile_equals_nearest_rank_after_every_insert() {
+        for q in [500, 950, 990, 999] {
+            for seq in sample_sequences() {
+                let mut stream = StreamingPercentile::new(q);
+                assert_eq!((stream.value(), stream.is_empty()), (0, true));
+                let mut prefix = Vec::new();
+                for &v in &seq {
+                    stream.record(v);
+                    prefix.push(v);
+                    prefix.sort_unstable();
+                    assert_eq!(stream.len(), prefix.len());
+                    assert_eq!(
+                        stream.value(),
+                        nearest_rank(&prefix, q),
+                        "q {q} after {} inserts",
+                        prefix.len()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn from_samples_equals_repeated_record() {
+        for seq in sample_sequences() {
+            let mut one_by_one = ExactPercentiles::new();
+            for &v in &seq {
+                one_by_one.record(v);
+            }
+            assert_eq!(ExactPercentiles::from_samples(seq), one_by_one);
+        }
+        assert!(ExactPercentiles::from_samples(Vec::new()).is_empty());
     }
 
     #[test]
