@@ -21,8 +21,11 @@
 //!
 //! All maps are iterated in sorted key order at encode time and every
 //! integer is fixed-width, so encoding the same state twice yields the
-//! same bytes (and re-encoding after the checkpoint stall yields the
-//! same *length*, which breaks the cost-depends-on-size circularity).
+//! same bytes, and the checkpoint stall — which moves only the clocks at
+//! the head of CORE — changes neither its length nor the offset of
+//! anything in it. That breaks the cost-depends-on-size circularity and
+//! lets [`Checkpoint`] encode CORE once, before the stall, and re-encode
+//! just the clocks after it.
 
 use crate::thread::{
     BlockReason, Frame, FrameKind, JavaThread, PendingCall, ThreadId, ThreadState,
@@ -31,7 +34,9 @@ use crate::vm::VmConfig;
 use crate::world::World;
 use hera_cell::{CoreId, CoreKind, CycleBreakdown, FaultPlan, OpClass, SpeDeath};
 use hera_isa::{ClassId, MethodId, ObjRef, Program, Slot, Trap, Value};
-use hera_snap::{digest64, open, rle_decode, rle_encode, seal, SnapError, SnapReader, SnapWriter};
+use hera_snap::{
+    digest64, open, rle_decode, rle_encode, SnapError, SnapReader, SnapWriter, HEADER_LEN,
+};
 use hera_trace::{Histogram, MetricsRegistry, MigrationKind};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -282,7 +287,18 @@ fn decode_migration_kind(tag: u8) -> Result<MigrationKind, SnapError> {
     }
 }
 
-fn encode_thread(w: &mut SnapWriter, t: &JavaThread) {
+/// Zero-RLE `words` as little-endian bytes, staged in `scratch` (reused
+/// from call to call so one checkpoint stages every word array in one
+/// allocation).
+fn rle_encode_words(w: &mut SnapWriter, scratch: &mut Vec<u8>, words: impl Iterator<Item = u64>) {
+    scratch.clear();
+    for v in words {
+        scratch.extend_from_slice(&v.to_le_bytes());
+    }
+    rle_encode(w, scratch);
+}
+
+fn encode_thread(w: &mut SnapWriter, scratch: &mut Vec<u8>, t: &JavaThread) {
     w.u32(t.id.0);
     w.u8(core_tag(t.core));
     match &t.state {
@@ -347,11 +363,7 @@ fn encode_thread(w: &mut SnapWriter, t: &JavaThread) {
     w.u32(t.held_monitors);
     // The untagged slot arena, as raw little-endian u64 cells (mostly
     // zero above the live watermark, hence the zero-RLE codec).
-    let mut raw = Vec::with_capacity(t.arena.len() * 8);
-    for s in &t.arena {
-        raw.extend_from_slice(&s.raw().to_le_bytes());
-    }
-    rle_encode(w, &raw);
+    rle_encode_words(w, scratch, t.arena.iter().map(|s| s.raw()));
     w.len_prefix(t.frames.len());
     for f in &t.frames {
         match f.kind {
@@ -374,19 +386,14 @@ fn encode_thread(w: &mut SnapWriter, t: &JavaThread) {
     }
 }
 
-/// Encode the CORE section: every byte of state that virtual time
-/// depends on. Its length — not its content — sets the checkpoint cost.
-pub(crate) fn encode_core(world: &World<'_>) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    w.u64(config_digest(&world.config));
-    w.u64(program_digest(world.program));
-    encode_fault_plan(&mut w, &crashless(&world.config.cell.faults));
-    w.u32(world.checkpoint_seq);
+/// Encode the clocks: makespan, core count, per-core clocks and cycle
+/// breakdowns. This is all of CORE that charging a stall can move, and
+/// for a given machine shape it is fixed-width, which is what lets a
+/// [`Checkpoint`] overwrite it in place after the write stall.
+fn encode_clocks(w: &mut SnapWriter, world: &World<'_>) {
     let cores = world.machine.cores();
     w.u64(world.machine.makespan(&cores));
     w.u32(cores.len() as u32);
-
-    // ---- machine ----
     for &c in world.machine.clocks() {
         w.u64(c);
     }
@@ -399,6 +406,20 @@ pub(crate) fn encode_core(world: &World<'_>) -> Vec<u8> {
             w.u64(v);
         }
     }
+}
+
+/// Append the CORE section to `w`: every byte of state that virtual time
+/// depends on. Its length — not its content — sets the checkpoint cost.
+/// Returns the offset in `w` of the [`encode_clocks`] block.
+fn encode_core(w: &mut SnapWriter, world: &World<'_>) -> usize {
+    w.u64(config_digest(&world.config));
+    w.u64(program_digest(world.program));
+    encode_fault_plan(w, &crashless(&world.config.cell.faults));
+    w.u32(world.checkpoint_seq);
+    let clocks_at = w.len();
+    encode_clocks(w, world);
+
+    // ---- machine ----
     for &f in world.machine.failed_flags() {
         w.bool(f);
     }
@@ -433,21 +454,14 @@ pub(crate) fn encode_core(world: &World<'_>) -> Vec<u8> {
     w.u64(world.machine.eib.bytes_transferred);
     w.u64(world.machine.eib.transfers);
     w.u64(world.machine.eib.queue_cycles_total);
+    let mut scratch = Vec::new();
     let (l1, l2) = world.machine.ppe_cache.export_state();
     for (tags, stamps, tick) in [l1, l2] {
         // Untouched slots hold tag `u64::MAX` / stamp 0: storing the
         // tags *inverted* turns both arrays into mostly-zero byte runs
         // the RLE codec collapses (the L2 alone is 64 KiB raw).
-        let mut raw = Vec::with_capacity(tags.len() * 8);
-        for &t in tags {
-            raw.extend_from_slice(&(!t).to_le_bytes());
-        }
-        rle_encode(&mut w, &raw);
-        raw.clear();
-        for &s in stamps {
-            raw.extend_from_slice(&s.to_le_bytes());
-        }
-        rle_encode(&mut w, &raw);
+        rle_encode_words(w, &mut scratch, tags.iter().map(|&t| !t));
+        rle_encode_words(w, &mut scratch, stamps.iter().copied());
         w.u64(tick);
     }
     let hs = world.machine.ppe_cache.stats;
@@ -456,7 +470,7 @@ pub(crate) fn encode_core(world: &World<'_>) -> Vec<u8> {
     }
     let num_spes = world.config.cell.num_spes;
     for spe in 0..num_spes {
-        rle_encode(&mut w, world.machine.local_store(spe).raw());
+        rle_encode(w, world.machine.local_store(spe).raw());
     }
     w.len_prefix(world.machine.injector_counts().len());
     for row in world.machine.injector_counts() {
@@ -466,7 +480,7 @@ pub(crate) fn encode_core(world: &World<'_>) -> Vec<u8> {
     }
 
     // ---- heap ----
-    rle_encode(&mut w, world.heap.raw());
+    rle_encode(w, world.heap.raw());
     w.u32(world.heap.objects_base());
     w.u32(world.heap.limit());
     w.u32(world.heap.statics_size());
@@ -495,7 +509,7 @@ pub(crate) fn encode_core(world: &World<'_>) -> Vec<u8> {
                 w.u32(f);
             }
         }
-        rle_encode(&mut w, local);
+        rle_encode(w, local);
         let s = dc.stats;
         for v in [
             s.hits,
@@ -561,7 +575,7 @@ pub(crate) fn encode_core(world: &World<'_>) -> Vec<u8> {
     // ---- threads / scheduler ----
     w.len_prefix(world.threads.len());
     for t in &world.threads {
-        encode_thread(&mut w, t);
+        encode_thread(w, &mut scratch, t);
     }
     let rows = world.monitors.export_state();
     w.len_prefix(rows.len());
@@ -618,15 +632,14 @@ pub(crate) fn encode_core(world: &World<'_>) -> Vec<u8> {
         w.u64(v);
     }
     w.opt_u64(world.next_checkpoint_at);
-    w.into_inner()
+    clocks_at
 }
 
 /// Encode the OBS section: observability-only state. Nothing in here may
 /// influence virtual time or the checkpoint cost. Trace lane event
 /// counts and restore markers are deliberately *not* captured, so later
 /// checkpoints of a resumed run stay byte-identical to the full run's.
-fn encode_obs(world: &World<'_>) -> Vec<u8> {
-    let mut w = SnapWriter::new();
+fn encode_obs(w: &mut SnapWriter, world: &World<'_>) {
     w.bool(world.machine.trace.is_enabled());
     let counters: Vec<(&str, u64)> = world.machine.trace.metrics.counters().collect();
     w.len_prefix(counters.len());
@@ -668,18 +681,58 @@ fn encode_obs(world: &World<'_>) -> Vec<u8> {
             }
         }
     }
-    w.into_inner()
+}
+
+/// A snapshot being written in place, in two steps so that a scheduled
+/// checkpoint scans the machine's bulk state once. [`Checkpoint::begin`]
+/// encodes CORE straight into the final buffer (container header and
+/// `core_len` slot in front of it); the caller reads the write cost off
+/// [`Checkpoint::core_len`] and charges it; [`Checkpoint::finish`] then
+/// re-encodes the clocks — the only part of CORE the charge moved — over
+/// their old bytes, appends OBS and seals. Anything else that changes
+/// between the two steps is silently left out of the snapshot, which is
+/// why `World::take_checkpoint` checks the result against [`encode`] in
+/// debug builds.
+pub(crate) struct Checkpoint {
+    w: SnapWriter,
+    clocks_at: usize,
+}
+
+impl Checkpoint {
+    /// Offset of CORE in the sealed buffer: header, then the `core_len`
+    /// prefix.
+    const CORE_AT: usize = HEADER_LEN + 8;
+
+    /// Encode CORE of `world` into a buffer with room for a snapshot of
+    /// `capacity` bytes (a hint: the previous checkpoint's length).
+    pub(crate) fn begin(world: &World<'_>, capacity: usize) -> Self {
+        let mut w = SnapWriter::sealed(capacity.saturating_sub(HEADER_LEN));
+        w.len_prefix(0);
+        let clocks_at = encode_core(&mut w, world);
+        let mut checkpoint = Self { w, clocks_at };
+        let core_len = checkpoint.core_len();
+        checkpoint.w.patch(HEADER_LEN, &core_len.to_le_bytes());
+        checkpoint
+    }
+
+    /// Bytes in the CORE section (drives the checkpoint's virtual cost).
+    pub(crate) fn core_len(&self) -> u64 {
+        (self.w.len() - Self::CORE_AT) as u64
+    }
+
+    /// Complete the sealed snapshot against `world` as it is now.
+    pub(crate) fn finish(mut self, world: &World<'_>) -> Vec<u8> {
+        let mut clocks = SnapWriter::new();
+        encode_clocks(&mut clocks, world);
+        self.w.patch(self.clocks_at, clocks.bytes());
+        encode_obs(&mut self.w, world);
+        self.w.seal()
+    }
 }
 
 /// Encode the complete sealed snapshot of `world`.
 pub fn encode(world: &World<'_>) -> Vec<u8> {
-    let core = encode_core(world);
-    let obs = encode_obs(world);
-    let mut w = SnapWriter::new();
-    w.len_prefix(core.len());
-    w.raw(&core);
-    w.raw(&obs);
-    seal(w.bytes())
+    Checkpoint::begin(world, 0).finish(world)
 }
 
 /// Header-level facts about a sealed snapshot without a full decode.

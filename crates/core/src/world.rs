@@ -646,13 +646,14 @@ impl<'p> World<'p> {
 
     /// Take one scheduled checkpoint at virtual time `now`.
     ///
-    /// The write cost is derived from the *pre-stall* CORE encoding
-    /// length and charged to the PPE as main-memory stall; the snapshot
-    /// is then re-encoded post-stall so it captures the charged clocks.
-    /// All integers are fixed-width, so both encodings have identical
-    /// lengths and the cost is well-defined (no circularity). The
-    /// schedule is advanced *before* encoding so a restored run never
-    /// re-takes (or re-charges) the checkpoint it was restored from.
+    /// CORE is encoded once, *before* the stall; its length sets the
+    /// write cost, which is charged to the PPE as main-memory stall, and
+    /// the snapshot is then completed in place with the charged clocks
+    /// (see [`crate::snapshot::Checkpoint`]). All integers are
+    /// fixed-width, so the charge cannot change the length it was
+    /// derived from (no circularity). The schedule is advanced *before*
+    /// encoding so a restored run never re-takes (or re-charges) the
+    /// checkpoint it was restored from.
     fn take_checkpoint(&mut self, now: u64) -> Result<(), VmError> {
         self.checkpoint_seq += 1;
         let seq = self.checkpoint_seq;
@@ -664,7 +665,9 @@ impl<'p> World<'p> {
             }
             self.next_checkpoint_at = Some(next);
         }
-        let core_len = crate::snapshot::encode_core(self).len() as u64;
+        let capacity = self.checkpoints.last().map_or(0, |c| c.bytes.len());
+        let checkpoint = crate::snapshot::Checkpoint::begin(self, capacity);
+        let core_len = checkpoint.core_len();
         let cost = CHECKPOINT_BASE_CYCLES + core_len / CHECKPOINT_BYTES_PER_CYCLE;
         self.machine.stall(CoreId::Ppe, cost, OpClass::MainMemory);
         // Checkpoint writing is runtime work; drain it to the `(runtime)`
@@ -674,7 +677,7 @@ impl<'p> World<'p> {
             CoreId::Ppe,
             hera_trace::TraceEvent::Checkpoint {
                 seq,
-                bytes: core_len as u32,
+                bytes: u32::try_from(core_len).unwrap_or(u32::MAX),
             },
         );
         if self.machine.trace.is_enabled() {
@@ -685,7 +688,11 @@ impl<'p> World<'p> {
                 .add("snap.bytes_written", core_len);
             self.machine.trace.metrics.add("snap.write_cycles", cost);
         }
-        let bytes = crate::snapshot::encode(self);
+        let bytes = checkpoint.finish(self);
+        debug_assert!(
+            bytes == crate::snapshot::encode(self),
+            "checkpoint {seq}: the in-place encode differs from a from-scratch encode"
+        );
         if let Some(dir) = &self.checkpoint_dir {
             let path = dir.join(format!("snap-{seq:04}.hsnap"));
             std::fs::write(&path, &bytes)

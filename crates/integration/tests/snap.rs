@@ -401,6 +401,103 @@ fn format_version_golden() {
     );
 }
 
+fn checkpoint_digests(run: &RunOutcome) -> Vec<u64> {
+    run.checkpoints
+        .iter()
+        .map(|c| hera_snap::digest64(&c.bytes))
+        .collect()
+}
+
+/// Byte-exact oracle for encode-side refactors: `digest64` of every
+/// checkpoint of the three kernels on the fleet-sized machine (6 SPEs,
+/// 2 MB heap, `checkpoint_every = wall / 8`, scale 0.1), captured before
+/// the encode pipeline was rewritten (ISSUE 16). The format golden above
+/// covers a few-KiB snapshot; these cover local stores, six data caches
+/// and a populated heap.
+#[test]
+fn kernel_checkpoint_bytes_match_pinned_digests() {
+    use hera_workloads::Workload;
+    const PINNED: [(Workload, &[u64]); 3] = [
+        (
+            Workload::Compress,
+            &[
+                0x473f_7b5d_90d6_a135,
+                0x32bd_276d_f763_b124,
+                0xc2e4_ff31_1738_4166,
+                0xff9b_7b9f_29ba_bc33,
+                0x527f_94fc_21a0_ad98,
+                0x67e1_6768_8075_e406,
+                0x233a_2125_990e_e5fa,
+                0x07a0_ad25_b0df_c00e,
+            ],
+        ),
+        (
+            Workload::MpegAudio,
+            &[
+                0x3401_86d1_17ca_3bd8,
+                0x312e_a932_bcdb_034a,
+                0x18ac_a31e_70d7_bdb1,
+                0x4a14_6a5b_61f7_a73e,
+                0x0bde_c9f2_1ea2_7c45,
+                0x1ab3_8271_3ef1_d7c8,
+                0x5561_b413_9d4e_45f6,
+                0xeef6_2f6c_d84b_251b,
+            ],
+        ),
+        (
+            Workload::Mandelbrot,
+            &[
+                0x7d39_481f_4a7e_6797,
+                0xc643_ee03_937a_8fe4,
+                0x3943_ce68_ff25_c40e,
+                0x9ee7_fed3_b981_d209,
+                0xe8fb_b297_de14_ec73,
+                0x769d_64f6_8662_5879,
+                0x7984_8a6f_2d50_290d,
+                0x1330_f152_c0c6_1ae2,
+            ],
+        ),
+    ];
+    for (w, pinned) in PINNED {
+        let (program, expected) = w.build(6, 0.1);
+        let mut cfg = VmConfig::pinned_spe(6);
+        cfg.heap.size_bytes = 2 << 20;
+        let wall = HeraJvm::new(program.clone(), cfg)
+            .expect("constructs")
+            .run()
+            .expect("plain run")
+            .stats
+            .wall_cycles;
+        let full = HeraJvm::new(program, cfg.with_checkpoint_every((wall / 8).max(1)))
+            .expect("constructs")
+            .run()
+            .expect("checkpointed run");
+        assert_eq!(full.result, Some(Value::I32(expected)), "{}", w.name());
+        let got = checkpoint_digests(&full);
+        assert_eq!(
+            got,
+            pinned,
+            "{}: checkpoint bytes changed (actual: {got:#018x?})",
+            w.name()
+        );
+    }
+}
+
+/// Same oracle for a heap whose free spans hold stale non-zero bytes:
+/// the GC-pressure run fills its heap a dozen times over, so both of its
+/// checkpoints are taken after several collections.
+#[test]
+fn post_gc_checkpoint_bytes_match_pinned_digests() {
+    const PINNED: &[u64] = &[0xe3f0_5bb2_2258_24a5, 0xa1eb_f0a3_410c_3a4d];
+    let full = gc_pressure_vm().run().expect("runs");
+    assert!(full.stats.gc.collections > 0, "GC never ran");
+    let got = checkpoint_digests(&full);
+    assert_eq!(
+        got, PINNED,
+        "post-GC checkpoint bytes changed (actual: {got:#018x?})"
+    );
+}
+
 // ----------------------------------- cache-bypass paths under snapshot
 
 /// A method bigger than the whole code cache can never be resident; the
@@ -562,11 +659,10 @@ fn oversized_object_bypasses_data_cache_live_and_across_restore() {
 
 // --------------------------------------------- OOM semantics + snapshot
 
-/// Allocation pressure with *dead* garbage: the allocator must GC and
-/// retry rather than trap, and the checkpointed run restores to the
-/// same outcome.
-#[test]
-fn gc_then_retry_avoids_oom_and_survives_restore() {
+/// Allocation pressure with *dead* garbage on a 64 KiB heap: 3000 ×
+/// 256+ B of it, so the run survives only by collecting. Free spans keep
+/// their stale bytes, which is the heap image the snapshot must carry.
+fn gc_pressure_vm() -> HeraJvm {
     let body = vec![
         Stmt::Let("keep".into(), new_array(ElemTy::Int, i32c(64))),
         for_range(
@@ -580,10 +676,16 @@ fn gc_then_retry_avoids_oom_and_survives_restore() {
         ),
         Stmt::Return(Some(index(local("keep"), i32c(0)))),
     ];
-    // 3000 × 256+ B ≫ the 64 KiB heap: survival requires GC.
     let mut cfg = VmConfig::pinned_ppe().with_checkpoint_every(200_000);
     cfg.heap.size_bytes = 64 << 10;
-    let vm = HeraJvm::new(main_program(Some(Ty::Int), body), cfg).expect("constructs");
+    HeraJvm::new(main_program(Some(Ty::Int), body), cfg).expect("constructs")
+}
+
+/// The allocator must GC and retry rather than trap, and the
+/// checkpointed run restores to the same outcome.
+#[test]
+fn gc_then_retry_avoids_oom_and_survives_restore() {
+    let vm = gc_pressure_vm();
     let full = vm.run().expect("runs");
     assert!(full.is_clean(), "GC-then-retry failed: {:?}", full.traps);
     assert_eq!(full.result, Some(Value::I32(2_999)));

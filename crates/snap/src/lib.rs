@@ -25,8 +25,6 @@
 //! and all semantic validation — lives in `hera-core::snapshot`, which
 //! bumps [`FORMAT_VERSION`] whenever the payload layout changes.
 
-use std::sync::OnceLock;
-
 /// Magic bytes at the start of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"HSNAP\0\0\0";
 /// Current on-disk format version. Bump whenever the payload layout changes.
@@ -100,31 +98,60 @@ impl std::fmt::Display for SnapError {
 
 impl std::error::Error for SnapError {}
 
-fn crc_table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    0xEDB8_8320 ^ (crc >> 1)
-                } else {
-                    crc >> 1
-                };
-            }
-            *entry = crc;
+/// Bytes folded into the CRC per step of [`crc32`] (slice-by-16).
+const CRC_SLICES: usize = 16;
+
+/// Slicing lookup tables for the reflected IEEE polynomial: `[0]` is the
+/// classic byte-at-a-time table and `[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, so a block of [`CRC_SLICES`] input bytes
+/// folds into the running CRC with that many independent loads.
+static CRC_TABLES: [[u32; 256]; CRC_SLICES] = {
+    let mut t = [[0u32; 256]; CRC_SLICES];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                0xEDB8_8320 ^ (crc >> 1)
+            } else {
+                crc >> 1
+            };
+            bit += 1;
         }
-        table
-    })
-}
+        t[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < CRC_SLICES {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
 
 /// CRC-32 (IEEE 802.3 polynomial) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let table = crc_table();
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut blocks = bytes.chunks_exact(CRC_SLICES);
+    for block in &mut blocks {
+        // The running CRC only meets the block's first four bytes; every
+        // byte then looks up the CRC of itself shifted to the block's end.
+        let head = crc.to_le_bytes();
+        crc = 0;
+        for (i, &b) in block.iter().enumerate() {
+            let b = if i < 4 { b ^ head[i] } else { b };
+            crc ^= t[CRC_SLICES - 1 - i][b as usize];
+        }
+    }
+    for &b in blocks.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -150,14 +177,9 @@ pub fn digest64(bytes: &[u8]) -> u64 {
 
 /// Wrap a payload in the versioned, checksummed container header.
 pub fn seal(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    let mut w = SnapWriter::sealed(payload.len());
+    w.raw(payload);
+    w.seal()
 }
 
 /// Validate the container header and checksum, returning the payload slice.
@@ -187,7 +209,7 @@ pub fn open(bytes: &[u8]) -> Result<&[u8], SnapError> {
     if declared != actual {
         if declared > actual {
             return Err(SnapError::Truncated {
-                wanted: HEADER_LEN + declared as usize,
+                wanted: HEADER_LEN.saturating_add(usize::try_from(declared).unwrap_or(usize::MAX)),
                 available: bytes.len(),
             });
         }
@@ -212,6 +234,45 @@ pub struct SnapWriter {
 impl SnapWriter {
     pub fn new() -> Self {
         Self { buf: Vec::new() }
+    }
+
+    /// A writer for a container built in place: the buffer starts with the
+    /// [`HEADER_LEN`]-byte header (length and CRC still zero) and has room
+    /// for `payload_capacity` more bytes. The payload is written behind it
+    /// and [`SnapWriter::seal`] completes the header, so the payload is
+    /// never copied.
+    pub fn sealed(payload_capacity: usize) -> Self {
+        let mut w = Self {
+            buf: Vec::with_capacity(HEADER_LEN + payload_capacity),
+        };
+        w.raw(&MAGIC);
+        w.u32(FORMAT_VERSION);
+        w.u32(0); // flags
+        w.u64(0); // payload length, set by `seal`
+        w.u32(0); // payload CRC, set by `seal`
+        w
+    }
+
+    /// Finish a container begun with [`SnapWriter::sealed`]: write the
+    /// payload length and CRC into the header and return the whole buffer.
+    pub fn seal(mut self) -> Vec<u8> {
+        assert!(
+            self.buf.len() >= HEADER_LEN && self.buf[..8] == MAGIC,
+            "seal() on a writer not created by SnapWriter::sealed"
+        );
+        let payload = &self.buf[HEADER_LEN..];
+        let (len, crc) = (payload.len() as u64, crc32(payload));
+        self.patch(16, &len.to_le_bytes());
+        self.patch(24, &crc.to_le_bytes());
+        // Snapshots are retained (a run keeps every checkpoint), so hand
+        // the growth slack back instead of holding up to 2x per blob.
+        self.buf.shrink_to_fit();
+        self.buf
+    }
+
+    /// Overwrite already-written bytes starting at offset `at`.
+    pub fn patch(&mut self, at: usize, bytes: &[u8]) {
+        self.buf[at..at + bytes.len()].copy_from_slice(bytes);
     }
 
     pub fn len(&self) -> usize {
@@ -421,40 +482,85 @@ impl<'a> SnapReader<'a> {
 const RLE_ZERO: u8 = 0;
 const RLE_LITERAL: u8 = 1;
 
+/// A zero run shorter than this stays inside the surrounding literal:
+/// chasing every isolated zero would bloat the chunk table.
+const MIN_ZERO_RUN: usize = 24;
+
+fn le_word(chunk: &[u8]) -> u64 {
+    u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"))
+}
+
+/// Number of leading zero bytes in `data`, found 32 and then 8 bytes at
+/// a time.
+fn zero_prefix(data: &[u8]) -> usize {
+    let mut n = 0;
+    for b in data.chunks_exact(32) {
+        if le_word(&b[..8]) | le_word(&b[8..16]) | le_word(&b[16..24]) | le_word(&b[24..]) != 0 {
+            break;
+        }
+        n += 32;
+    }
+    for c in data[n..].chunks_exact(8) {
+        let word = le_word(c);
+        if word != 0 {
+            return n + (word.trailing_zeros() / 8) as usize;
+        }
+        n += 8;
+    }
+    n + data[n..].iter().take_while(|&&b| b == 0).count()
+}
+
+/// End of the literal chunk that starts at the non-zero byte
+/// `data[start]`: the start of the first maximal zero run of at least
+/// [`MIN_ZERO_RUN`] bytes, or `data.len()`.
+///
+/// Only all-zero words can matter: on any 8-byte grid a run of 24 zero
+/// bytes covers two whole words (one if it runs into the unaligned tail
+/// of `data`), and the first of them is preceded by a non-zero word, so
+/// the run starts at most 7 bytes before it. Shorter runs that happen to
+/// cover a word are measured the same way and skipped.
+fn literal_end(data: &[u8], start: usize) -> usize {
+    let mut i = start;
+    loop {
+        let Some(k) = data[i..].chunks_exact(8).position(|c| le_word(c) == 0) else {
+            return data.len();
+        };
+        let word_at = i + 8 * k;
+        let before = data[i..word_at]
+            .iter()
+            .rev()
+            .take_while(|&&b| b == 0)
+            .count();
+        let run = before + 8 + zero_prefix(&data[word_at + 8..]);
+        if run >= MIN_ZERO_RUN {
+            return word_at - before;
+        }
+        i = word_at - before + run;
+    }
+}
+
 /// Zero-run-length encode `data` into `w`. Large buffers in the machine
 /// (the 32 MB heap, 256 KB local stores) are overwhelmingly zero, so runs
 /// of zeros are stored as a tag + length while everything else is copied
 /// literally. Format: u64 total length, then chunks of
 /// `(u8 tag, u64 len[, len literal bytes])` until the total is covered.
+/// A zero chunk is a maximal zero run; a literal chunk ends at the first
+/// maximal zero run of at least [`MIN_ZERO_RUN`] bytes or at end of data.
 pub fn rle_encode(w: &mut SnapWriter, data: &[u8]) {
     w.len_prefix(data.len());
     let mut i = 0;
     while i < data.len() {
-        if data[i] == 0 {
-            let start = i;
-            while i < data.len() && data[i] == 0 {
-                i += 1;
-            }
+        let zeros = zero_prefix(&data[i..]);
+        if zeros > 0 {
             w.u8(RLE_ZERO);
-            w.len_prefix(i - start);
+            w.len_prefix(zeros);
+            i += zeros;
         } else {
-            let start = i;
-            // A literal run ends at the next "worthwhile" zero run: chasing
-            // every isolated zero would bloat the chunk table.
-            while i < data.len() {
-                if data[i] == 0 {
-                    let z = data[i..].iter().take_while(|&&b| b == 0).count();
-                    if z >= 24 {
-                        break;
-                    }
-                    i += z;
-                } else {
-                    i += 1;
-                }
-            }
+            let end = literal_end(data, i);
             w.u8(RLE_LITERAL);
-            w.len_prefix(i - start);
-            w.raw(&data[start..i]);
+            w.len_prefix(end - i);
+            w.raw(&data[i..end]);
+            i = end;
         }
     }
 }
@@ -496,12 +602,191 @@ pub fn rle_decode(r: &mut SnapReader<'_>, expected_len: usize) -> Result<Vec<u8>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hera_rng::SplitMix64;
+
+    /// The byte-at-a-time CRC-32 that `crc32` replaced, kept as the
+    /// reference for the differential test.
+    fn crc32_reference(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    0xEDB8_8320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    /// The byte-at-a-time encoder that `rle_encode` replaced, kept as the
+    /// reference for the differential tests: it *is* the chunking rule.
+    fn rle_encode_reference(w: &mut SnapWriter, data: &[u8]) {
+        w.len_prefix(data.len());
+        let mut i = 0;
+        while i < data.len() {
+            let start = i;
+            if data[i] == 0 {
+                while i < data.len() && data[i] == 0 {
+                    i += 1;
+                }
+                w.u8(RLE_ZERO);
+                w.len_prefix(i - start);
+            } else {
+                while i < data.len() {
+                    if data[i] == 0 {
+                        let z = data[i..].iter().take_while(|&&b| b == 0).count();
+                        if z >= 24 {
+                            break;
+                        }
+                        i += z;
+                    } else {
+                        i += 1;
+                    }
+                }
+                w.u8(RLE_LITERAL);
+                w.len_prefix(i - start);
+                w.raw(&data[start..i]);
+            }
+        }
+    }
+
+    /// `rle_encode(data)` must equal the reference byte for byte and
+    /// decode back to `data`.
+    fn assert_rle_matches_reference(data: &[u8], what: &str) {
+        let mut fast = SnapWriter::new();
+        rle_encode(&mut fast, data);
+        let mut slow = SnapWriter::new();
+        rle_encode_reference(&mut slow, data);
+        assert_eq!(fast.bytes(), slow.bytes(), "{what}: encoding differs");
+        let mut r = SnapReader::new(fast.bytes());
+        assert_eq!(rle_decode(&mut r, data.len()).unwrap(), data, "{what}");
+        r.finish().unwrap();
+    }
+
+    fn nonzero_bytes(rng: &mut SplitMix64, n: usize) -> Vec<u8> {
+        (0..n).map(|_| 1 + rng.next_below(255) as u8).collect()
+    }
 
     #[test]
     fn crc32_known_vectors() {
         // Standard IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_reference() {
+        let mut rng = SplitMix64::new(0xC0C32);
+        let buf: Vec<u8> = (0..4096 + 70).map(|_| rng.next_u64() as u8).collect();
+        // Every length 0..=70 (up to four whole blocks of the slicing loop
+        // and every remainder length) at eight start offsets, then a few
+        // long unaligned slices.
+        for start in 0..8 {
+            for len in 0..=70 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_reference(s), "start {start} len {len}");
+            }
+            let s = &buf[start..];
+            assert_eq!(crc32(s), crc32_reference(s), "start {start} to end");
+        }
+    }
+
+    #[test]
+    fn rle_matches_reference_around_every_run_length() {
+        // A zero run of each interesting length (below, at and above one
+        // word, the 24-byte threshold, and a page) at the start, in the
+        // middle and at the tail of the buffer, with the literal before
+        // it shifted through every word phase and the slice itself
+        // starting at every offset mod 8 of its allocation.
+        let mut rng = SplitMix64::new(0x21E);
+        for run in [0usize, 1, 7, 8, 9, 23, 24, 25, 4096] {
+            for lead in (0..=17).chain([64, 255]) {
+                for trail in [0usize, 1, 8, 13, 40] {
+                    let mut v = vec![0xAAu8; 8]; // unaligned-start padding
+                    v.extend(nonzero_bytes(&mut rng, lead));
+                    v.extend(std::iter::repeat_n(0u8, run));
+                    v.extend(nonzero_bytes(&mut rng, trail));
+                    for skew in 0..8 {
+                        assert_rle_matches_reference(
+                            &v[8 - skew..],
+                            &format!("run {run} lead {lead} trail {trail} skew {skew}"),
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rle_matches_reference_on_seeded_buffers() {
+        assert_rle_matches_reference(&[], "empty");
+        assert_rle_matches_reference(&[0], "one zero");
+        assert_rle_matches_reference(&[9], "one literal");
+        assert_rle_matches_reference(&vec![0; 100_000], "all zero");
+        let mut rng = SplitMix64::new(0x5EED);
+        assert_rle_matches_reference(&nonzero_bytes(&mut rng, 10_000), "all literal");
+        // Mixed buffers: alternating zero runs and literals whose lengths
+        // straddle the word size and the 24-byte threshold, including
+        // literals with embedded short zero runs.
+        for case in 0..200 {
+            let mut v = Vec::new();
+            let pieces = 1 + rng.next_below(12);
+            for _ in 0..pieces {
+                let len = match rng.next_below(4) {
+                    0 => rng.next_below(10),
+                    1 => 14 + rng.next_below(20),
+                    2 => rng.next_below(70),
+                    _ => rng.next_below(600),
+                } as usize;
+                if rng.next_below(2) == 0 {
+                    v.extend(std::iter::repeat_n(0u8, len));
+                } else {
+                    v.extend(nonzero_bytes(&mut rng, len));
+                }
+            }
+            let skew = rng.next_below(8).min(v.len() as u64) as usize;
+            assert_rle_matches_reference(&v[skew..], &format!("seeded case {case}"));
+        }
+        // Sparse images: single non-zero bytes scattered over zeros, the
+        // shape of a mostly-empty heap or local store.
+        for case in 0..50 {
+            let mut v = vec![0u8; 2048 + rng.next_below(64) as usize];
+            for _ in 0..rng.next_below(40) {
+                let at = rng.next_below(v.len() as u64) as usize;
+                v[at] = 1 + rng.next_below(255) as u8;
+            }
+            assert_rle_matches_reference(&v, &format!("sparse case {case}"));
+        }
+    }
+
+    #[test]
+    fn open_survives_a_huge_declared_length() {
+        // A length field near u64::MAX must come back as a typed error:
+        // `HEADER_LEN + declared` used to overflow.
+        let mut bad = seal(b"payload");
+        bad[16..24].fill(0xFF);
+        assert_eq!(
+            open(&bad),
+            Err(SnapError::Truncated {
+                wanted: usize::MAX,
+                available: bad.len(),
+            })
+        );
+    }
+
+    #[test]
+    fn sealing_in_place_matches_seal() {
+        let payload = b"header written last, payload never copied";
+        let mut w = SnapWriter::sealed(0);
+        w.raw(payload);
+        let at = w.len() - 6;
+        w.patch(at, b"COPIED");
+        let sealed = w.seal();
+        assert_eq!(sealed, seal(b"header written last, payload never COPIED"));
+        assert_eq!(open(&sealed).unwrap().len(), payload.len());
     }
 
     #[test]
