@@ -46,6 +46,30 @@ fn small_matrix() -> ClusterConfig {
     }
 }
 
+/// The debug-sized E15 matrix from `tests/cluster.rs`: a heterogeneous
+/// three-machine fleet under a straggler plus a crash, scope on.
+fn small_rebal_matrix() -> ClusterConfig {
+    ClusterConfig {
+        seed: 42,
+        machines: 3,
+        requests: 60,
+        threads: 2,
+        scale: 0.02,
+        num_spes: 2,
+        heap_bytes: 1 << 20,
+        utilization_pct: 75,
+        shapes: [2u8, 1, 2]
+            .iter()
+            .map(|&s| hera_cluster::MachineShape { spe_count: s })
+            .collect(),
+        crashes: hera_cluster::crash_storm(42, 3, 1, 300, 700),
+        migrations: vec![],
+        slowdowns: vec![(0, 4, 0)],
+        scope: true,
+        ..ClusterConfig::default()
+    }
+}
+
 fn records(doc: &Value) -> &[Value] {
     doc.get("traceEvents")
         .expect("export has a traceEvents field")
@@ -263,25 +287,7 @@ fn scope_replay_is_byte_identical() {
 /// in the kept recording.
 #[test]
 fn drain_ledger_reconciles_under_the_rebal_matrix() {
-    let cfg = ClusterConfig {
-        seed: 42,
-        machines: 3,
-        requests: 60,
-        threads: 2,
-        scale: 0.02,
-        num_spes: 2,
-        heap_bytes: 1 << 20,
-        utilization_pct: 75,
-        shapes: [2u8, 1, 2]
-            .iter()
-            .map(|&s| hera_cluster::MachineShape { spe_count: s })
-            .collect(),
-        crashes: hera_cluster::crash_storm(42, 3, 1, 300, 700),
-        migrations: vec![],
-        slowdowns: vec![(0, 4, 0)],
-        scope: true,
-        ..ClusterConfig::default()
-    };
+    let cfg = small_rebal_matrix();
     let report = hera_cluster::run_rebal_matrix(&cfg).expect("matrix runs");
     assert!(report.failures.is_empty(), "{:?}", report.failures);
     let scope = report.scope.as_ref().expect("scope on => matrix keeps one");
@@ -333,4 +339,24 @@ fn small_fleet_exports_match_pinned_digests() {
         (0xc186_2c3a_8fea_09d3, 0xf3dc_2c5b_600d_e82c),
     ];
     assert_eq!(got, want, "exported bytes moved");
+
+    // The report texts themselves, and the rebal matrix's kept recording:
+    // a reordered metric or a moved column must not pass either.
+    let rebal = hera_cluster::run_rebal_matrix(&small_rebal_matrix()).expect("matrix runs");
+    let scope = rebal.scope.as_ref().expect("scope on");
+    let got = [
+        digest(report.render()),
+        digest(chaos.render()),
+        digest(rebal.render()),
+        digest(scope.chrome_json()),
+        digest(scope.slo_report()),
+    ];
+    let want = [
+        0xee90_6ef7_d64f_5b1a_u64,
+        0x932e_b239_b026_c486,
+        0xbd34_b5bf_207f_ecdc,
+        0x0b29_438c_c003_b7e5,
+        0xce35_308b_c4cc_fa45,
+    ];
+    assert_eq!(got, want, "report bytes moved");
 }
