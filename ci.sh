@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# The full local gate, identical to .github/workflows/ci.yml.
+# The full gate, and the only list of gates: .github/workflows/ci.yml
+# installs the toolchain and runs this script.
 # Runs entirely offline: the workspace has no external dependencies.
 set -eux
 
@@ -23,7 +24,8 @@ done
 cargo run --release -p hera-bench --bin figures -- perf --reps 1 --scale 0.1
 # Perf regression gate: the full-scale grid must reproduce the virtual
 # metrics (wall_cycles, guest_ops) committed in BENCH_interp.json
-# exactly; host wall-clock drift is advisory only, so this cannot flake.
+# exactly; host wall-clock is not compared (`hostbench pairs` owns
+# host-time claims), so this cannot flake.
 cargo run --release -p hera-bench --bin figures -- perf-gate --reps 1
 # Parallel engine golden-grid smoke: the determinism suite re-runs the
 # workload grid at workers 1/2/4/8 (plus chaos, checkpoint, and crash

@@ -101,84 +101,59 @@ fn help_and_exit() -> ! {
     std::process::exit(0);
 }
 
+/// Parse the value of the flag at `args[*i]` (`what` names the expected
+/// form), leaving `i` on it.
+fn flag_value<T: std::str::FromStr>(args: &[String], i: &mut usize, what: &str) -> T {
+    let name = &args[*i];
+    *i += 1;
+    let raw = args
+        .get(*i)
+        .unwrap_or_else(|| usage_and_exit(&format!("{name} needs a value")));
+    raw.parse()
+        .unwrap_or_else(|_| usage_and_exit(&format!("{name} needs {what}")))
+}
+
+/// The paper's figures and the extension experiments `all` runs, in order.
+type Figure = (&'static str, fn(f64));
+const FIGURES: [Figure; 10] = [
+    ("fig4a", fig4a),
+    ("fig4b", fig4b),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("ablate-data", ablate_data),
+    ("ablate-jit", ablate_jit),
+    ("adaptive-cache", adaptive_cache),
+    ("placement", placement),
+    ("cellvm-sync", cellvm_sync),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut which: Option<String> = None;
-    let mut workload = "mandelbrot".to_string();
-    let mut scale = xb::DEFAULT_SCALE;
-    let mut scale_set = false;
-    let mut reps = 3u32;
-    let mut workers = 1u32;
-    let mut machines = 4usize;
-    let mut machines_set = false;
-    let mut requests = 400u64;
-    let mut requests_set = false;
-    let mut seed = 42u64;
+    let mut which: Option<&str> = None;
+    let mut workload = "mandelbrot";
+    let (mut scale, mut machines, mut requests) = (None, None, None);
+    let (mut reps, mut workers, mut seed) = (3u32, 1u32, 42u64);
     let mut i = 0;
-    let flag = |args: &[String], i: usize, name: &str| -> String {
-        args.get(i + 1)
-            .cloned()
-            .unwrap_or_else(|| usage_and_exit(&format!("{name} needs a value")))
-    };
     while i < args.len() {
         match args[i].as_str() {
-            "--scale" => {
-                scale = flag(&args, i, "--scale")
-                    .parse()
-                    .unwrap_or_else(|_| usage_and_exit("--scale needs a number"));
-                scale_set = true;
-                i += 1;
-            }
-            "--reps" => {
-                reps = flag(&args, i, "--reps")
-                    .parse()
-                    .unwrap_or_else(|_| usage_and_exit("--reps needs an integer"));
-                i += 1;
-            }
+            "--scale" => scale = Some(flag_value(&args, &mut i, "a number")),
+            "--reps" => reps = flag_value(&args, &mut i, "an integer"),
             "--workers" => {
-                workers = flag(&args, i, "--workers")
-                    .parse()
-                    .unwrap_or_else(|_| usage_and_exit("--workers needs an integer"));
+                workers = flag_value(&args, &mut i, "an integer");
                 if workers == 0 {
                     usage_and_exit("--workers must be at least 1");
                 }
-                i += 1;
             }
-            "--machines" => {
-                machines = flag(&args, i, "--machines")
-                    .parse()
-                    .unwrap_or_else(|_| usage_and_exit("--machines needs an integer"));
-                machines_set = true;
-                i += 1;
-            }
-            "--requests" => {
-                requests = flag(&args, i, "--requests")
-                    .parse()
-                    .unwrap_or_else(|_| usage_and_exit("--requests needs an integer"));
-                requests_set = true;
-                i += 1;
-            }
-            "--seed" => {
-                seed = flag(&args, i, "--seed")
-                    .parse()
-                    .unwrap_or_else(|_| usage_and_exit("--seed needs an integer"));
-                i += 1;
-            }
+            "--machines" => machines = Some(flag_value(&args, &mut i, "an integer")),
+            "--requests" => requests = Some(flag_value(&args, &mut i, "an integer")),
+            "--seed" => seed = flag_value(&args, &mut i, "an integer"),
             "--help" | "-h" => help_and_exit(),
-            other => match &which {
-                None => {
-                    if !EXPERIMENTS.contains(&other) {
-                        usage_and_exit(&format!("unknown experiment '{other}'"));
-                    }
-                    which = Some(other.to_string());
-                }
-                Some(w)
-                    if matches!(
-                        w.as_str(),
-                        "trace" | "chaos" | "chaos-crash" | "profile" | "profile-diff"
-                    ) =>
-                {
-                    workload = other.to_string();
+            other => match which {
+                None if EXPERIMENTS.contains(&other) => which = Some(other),
+                None => usage_and_exit(&format!("unknown experiment '{other}'")),
+                Some("trace" | "chaos" | "chaos-crash" | "profile" | "profile-diff") => {
+                    workload = other;
                 }
                 Some(_) => usage_and_exit(&format!("unexpected argument '{other}'")),
             },
@@ -188,116 +163,40 @@ fn main() {
     let Some(which) = which else {
         usage_and_exit("no experiment named");
     };
-
-    if which == "trace" {
-        trace_workload(&workload, scale);
-        return;
-    }
-    if which == "chaos" {
-        chaos(&workload, scale);
-        return;
-    }
-    if which == "chaos-crash" {
-        chaos_crash(&workload, scale);
-        return;
-    }
-    if which == "perf" {
-        perf(scale, reps, workers);
-        return;
-    }
-    if which == "perf-gate" {
-        if workers > 1 {
-            perf_gate_par(scale, reps, workers);
-        } else {
-            perf_gate(scale, reps);
+    let full_scale = scale.unwrap_or(xb::DEFAULT_SCALE);
+    // The fleet subcommands default to small scales (the matrices to the
+    // smallest the workloads support): cluster cost is requests x machines,
+    // not one big run. The matrices default to their committed six
+    // machines: the resilience stack needs that redundancy to absorb a
+    // straggler plus a crash storm (with 4 the post-crash fleet is
+    // over-committed and no knob can help).
+    let fleet = |machines_default, requests_default, scale_default| {
+        (
+            machines.unwrap_or(machines_default),
+            requests.unwrap_or(requests_default),
+            seed,
+            scale.unwrap_or(scale_default),
+        )
+    };
+    match which {
+        "trace" => trace_workload(workload, full_scale),
+        "chaos" => chaos(workload, full_scale),
+        "chaos-crash" => chaos_crash(workload, full_scale),
+        "perf" => perf(full_scale, reps, workers),
+        "perf-gate" => perf_gate(full_scale, reps, workers),
+        "profile" => profile(workload, full_scale),
+        "profile-diff" => profile_diff(workload, full_scale),
+        "cluster" => cluster(fleet(4, 400, 0.05)),
+        "cluster-chaos" => cluster_chaos(fleet(6, 800, 0.02)),
+        "fleet-trace" => fleet_trace(fleet(6, 800, 0.02)),
+        "cluster-rebal" => cluster_rebal(fleet(6, 600, 0.02)),
+        _ => {
+            for (name, figure) in FIGURES {
+                if which == "all" || which == name {
+                    figure(full_scale);
+                }
+            }
         }
-        return;
-    }
-    if which == "profile" {
-        profile(&workload, scale);
-        return;
-    }
-    if which == "profile-diff" {
-        profile_diff(&workload, scale);
-        return;
-    }
-    if which == "cluster" {
-        // The fleet's default scale is the smallest the workloads support:
-        // cluster cost is requests x machines, not one big run.
-        cluster(
-            machines,
-            requests,
-            seed,
-            if scale_set { scale } else { 0.05 },
-        );
-        return;
-    }
-    if which == "cluster-chaos" {
-        // E13's committed configuration: a 6-machine fleet gives the
-        // resilience stack the redundancy it needs to absorb a straggler
-        // plus a crash storm (with 4 machines the post-crash fleet is
-        // transiently over-committed and no knob can help).
-        cluster_chaos(
-            if machines_set { machines } else { 6 },
-            if requests_set { requests } else { 800 },
-            seed,
-            if scale_set { scale } else { 0.02 },
-        );
-        return;
-    }
-    if which == "fleet-trace" {
-        // Same committed E13 configuration, with hera-scope on.
-        fleet_trace(
-            if machines_set { machines } else { 6 },
-            if requests_set { requests } else { 800 },
-            seed,
-            if scale_set { scale } else { 0.02 },
-        );
-        return;
-    }
-    if which == "cluster-rebal" {
-        // E15's committed configuration: six machines of mixed shape so
-        // crash recovery and drains land snapshots on machines with
-        // fewer SPEs than the source.
-        cluster_rebal(
-            if machines_set { machines } else { 6 },
-            if requests_set { requests } else { 600 },
-            seed,
-            if scale_set { scale } else { 0.02 },
-        );
-        return;
-    }
-
-    let all = which == "all";
-    if all || which == "fig4a" {
-        fig4a(scale);
-    }
-    if all || which == "fig4b" {
-        fig4b(scale);
-    }
-    if all || which == "fig5" {
-        fig5(scale);
-    }
-    if all || which == "fig6" {
-        fig6(scale);
-    }
-    if all || which == "fig7" {
-        fig7(scale);
-    }
-    if all || which == "ablate-data" {
-        ablate_data(scale);
-    }
-    if all || which == "ablate-jit" {
-        ablate_jit(scale);
-    }
-    if all || which == "adaptive-cache" {
-        adaptive_cache(scale);
-    }
-    if all || which == "placement" {
-        placement(scale);
-    }
-    if all || which == "cellvm-sync" {
-        cellvm_sync();
     }
 }
 
@@ -465,358 +364,244 @@ fn chaos_crash(name: &str, scale: f64) {
     }
 }
 
-fn cluster(machines: usize, requests: u64, seed: u64, scale: f64) {
-    use hera_cluster::ClusterConfig;
-    let cfg = ClusterConfig {
+/// What one run of a fleet subcommand produced; [`replay_and_gate`]
+/// needs two of them to agree.
+#[derive(Default)]
+struct FleetRun {
+    /// Printed before the replay.
+    body: String,
+    /// Files written once everything holds, as `(name, contents)`.
+    artifacts: Vec<(&'static str, String)>,
+    /// The report's failures, and the acceptance gates that did not hold.
+    failures: Vec<String>,
+    gates: Vec<String>,
+    /// Printed once the gates hold: before the artifacts, and after them.
+    summary: String,
+    verified: String,
+}
+
+/// The one driver behind the four fleet subcommands. An experiment is
+/// claimed to be a pure function of its config, so: run it, print it, run
+/// it again and require every printed and written byte identical; fail
+/// on any reported failure or unmet gate; only then write the artifacts.
+fn replay_and_gate(name: &str, run: impl Fn() -> Result<FleetRun, hera_cluster::ClusterError>) {
+    let first = run().unwrap_or_else(|e| {
+        eprintln!("{name}: {e}");
+        std::process::exit(2);
+    });
+    print!("{}", first.body);
+    let replay = run().unwrap_or_else(|e| {
+        eprintln!("{name}: replay errored: {e}");
+        std::process::exit(1);
+    });
+    if replay.body != first.body || replay.artifacts != first.artifacts {
+        eprintln!("{name}: same-seed replay diverged — determinism broken");
+        std::process::exit(1);
+    }
+    for f in first.failures.iter().chain(&first.gates) {
+        eprintln!("{name} FAIL: {f}");
+    }
+    if !first.failures.is_empty() {
+        eprintln!(
+            "{name}: {} bit-identity/bookkeeping failure(s) — see report above",
+            first.failures.len()
+        );
+    }
+    if !(first.failures.is_empty() && first.gates.is_empty()) {
+        std::process::exit(1);
+    }
+    print!("{}", first.summary);
+    for (file, contents) in &first.artifacts {
+        std::fs::write(file, contents).unwrap_or_else(|e| panic!("write {file}: {e}"));
+        let viewer = if file.ends_with(".json") {
+            " — open in chrome://tracing or https://ui.perfetto.dev"
+        } else {
+            ""
+        };
+        println!("wrote {file} ({} bytes){viewer}", contents.len());
+    }
+    print!("{}", first.verified);
+}
+
+fn cluster((machines, requests, seed, scale): (usize, u64, u64, f64)) {
+    let cfg = hera_cluster::ClusterConfig {
         seed,
         machines,
         requests,
         scale,
-        ..ClusterConfig::default()
+        ..Default::default()
     };
     header(&format!(
         "hera-cluster: fleet simulation ({machines} machines, {requests} requests, seed {seed})"
     ));
-    let first = match hera_cluster::run_experiment(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cluster: {e}");
-            std::process::exit(2);
-        }
-    };
-    let rendered = first.render();
-    print!("{rendered}");
-    // The whole experiment is claimed to be a pure function of its
-    // config: replay it and require the byte-identical report.
-    let replay = match hera_cluster::run_experiment(&cfg) {
-        Ok(r) => r.render(),
-        Err(e) => {
-            eprintln!("cluster: replay errored: {e}");
-            std::process::exit(1);
-        }
-    };
-    if replay != rendered {
-        eprintln!("cluster: same-seed replay diverged — determinism broken");
-        std::process::exit(1);
-    }
-    if !first.failures.is_empty() {
-        eprintln!(
-            "cluster: {} bit-identity/bookkeeping failure(s) — see report above",
-            first.failures.len()
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "verified: every migration and recovery bit-identical to the unmigrated runs; \
-         same-seed replay byte-identical"
-    );
+    replay_and_gate("cluster", || {
+        let report = hera_cluster::run_experiment(&cfg)?;
+        Ok(FleetRun {
+            body: report.render(),
+            failures: report.failures,
+            verified: "verified: every migration and recovery bit-identical to the unmigrated \
+                       runs; same-seed replay byte-identical\n"
+                .into(),
+            ..FleetRun::default()
+        })
+    });
 }
 
-fn cluster_chaos(machines: usize, requests: u64, seed: u64, scale: f64) {
-    use hera_cluster::ClusterConfig;
-    let cfg = ClusterConfig {
-        seed,
-        machines,
-        requests,
-        threads: 2,
-        scale,
-        num_spes: 2,
-        heap_bytes: 1 << 20,
-        utilization_pct: 60,
-        crashes: hera_cluster::crash_storm(seed, machines, 2, 300, 700),
-        migrations: vec![],
-        slowdowns: vec![(0, 4, 0)],
-        ..ClusterConfig::default()
-    };
+fn cluster_chaos((machines, requests, seed, scale): (usize, u64, u64, f64)) {
+    let cfg = hera_cluster::ClusterConfig::e13(seed, machines, requests, scale);
     header(&format!(
         "hera-resil: chaos matrix ({machines} machines, {requests} requests, seed {seed}, \
          one 4x straggler + two-crash storm)"
     ));
-    let first = match hera_cluster::run_chaos_matrix(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cluster-chaos: {e}");
-            std::process::exit(2);
+    replay_and_gate("cluster-chaos", || {
+        let report = hera_cluster::run_chaos_matrix(&cfg)?;
+        // E13 acceptance: the full stack must hold the tail and the
+        // goodput under faults, and the unprotected fleet must
+        // demonstrably not.
+        let (base, off, full) = (report.baseline(), report.control(), report.full());
+        let bound = 2 * base.p99;
+        let mut gates = Vec::new();
+        if full.p99 > bound {
+            gates.push(format!(
+                "full-resilience p99 {} exceeds 2x the fault-free baseline ({} vs bound {})",
+                full.p99, base.p99, bound
+            ));
         }
-    };
-    let rendered = first.render();
-    print!("{rendered}");
-    // Determinism is the headline property: replay the whole matrix and
-    // require the byte-identical report.
-    let replay = match hera_cluster::run_chaos_matrix(&cfg) {
-        Ok(r) => r.render(),
-        Err(e) => {
-            eprintln!("cluster-chaos: replay errored: {e}");
-            std::process::exit(1);
+        if full.goodput_permille() < 900 {
+            gates.push(format!(
+                "full-resilience goodput {}‰ below the 900‰ floor",
+                full.goodput_permille()
+            ));
         }
-    };
-    if replay != rendered {
-        eprintln!("cluster-chaos: same-seed replay diverged — determinism broken");
-        std::process::exit(1);
-    }
-    if !first.failures.is_empty() {
-        eprintln!(
-            "cluster-chaos: {} bit-identity/bookkeeping failure(s) — see report above",
-            first.failures.len()
+        if off.p99 <= bound {
+            gates.push(format!(
+                "the unprotected fleet held p99 {} within the 2x bound {} — the fault \
+                 schedule is too gentle to demonstrate anything",
+                off.p99, bound
+            ));
+        }
+        let summary = format!(
+            "verified: same-seed replay byte-identical; full resilience holds p99 to \
+             {:.2}x the fault-free baseline (unprotected: {:.2}x) at {}.{}% goodput\n",
+            full.p99 as f64 / base.p99.max(1) as f64,
+            off.p99 as f64 / base.p99.max(1) as f64,
+            full.goodput_permille() / 10,
+            full.goodput_permille() % 10
         );
-        std::process::exit(1);
-    }
-    // E13 acceptance: the full stack must hold the tail and the goodput
-    // under faults, and the unprotected fleet must demonstrably not.
-    let base = first.baseline();
-    let full = first.full_resil();
-    let off = first.no_resil();
-    let mut failed = false;
-    let bound = 2 * base.p99;
-    if full.p99 > bound {
-        eprintln!(
-            "cluster-chaos FAIL: full-resilience p99 {} exceeds 2x the fault-free \
-             baseline ({} vs bound {})",
-            full.p99, base.p99, bound
-        );
-        failed = true;
-    }
-    if full.goodput_permille() < 900 {
-        eprintln!(
-            "cluster-chaos FAIL: full-resilience goodput {}‰ below the 900‰ floor",
-            full.goodput_permille()
-        );
-        failed = true;
-    }
-    if off.p99 <= bound {
-        eprintln!(
-            "cluster-chaos FAIL: the unprotected fleet held p99 {} within the 2x bound \
-             {} — the fault schedule is too gentle to demonstrate anything",
-            off.p99, bound
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    let summary = format!(
-        "verified: same-seed replay byte-identical; full resilience holds p99 to \
-         {:.2}x the fault-free baseline (unprotected: {:.2}x) at {}.{}% goodput\n",
-        full.p99 as f64 / base.p99.max(1) as f64,
-        off.p99 as f64 / base.p99.max(1) as f64,
-        full.goodput_permille() / 10,
-        full.goodput_permille() % 10
-    );
-    print!("{summary}");
-    let artifact = format!("{rendered}{summary}");
-    std::fs::write("cluster_chaos.txt", &artifact)
-        .unwrap_or_else(|e| panic!("write cluster_chaos.txt: {e}"));
-    println!("wrote cluster_chaos.txt ({} bytes)", artifact.len());
+        let body = report.render();
+        Ok(FleetRun {
+            artifacts: vec![("cluster_chaos.txt", format!("{body}{summary}"))],
+            body,
+            failures: report.failures,
+            gates,
+            summary,
+            ..FleetRun::default()
+        })
+    });
 }
 
-fn cluster_rebal(machines: usize, requests: u64, seed: u64, scale: f64) {
-    use hera_cluster::{ClusterConfig, MachineShape};
-    // E15: a heterogeneous fleet — machine 0 is the big straggler, and
-    // the 2/4-SPE machines force crash recoveries and drains through the
-    // cross-shape adoption path (snapshot from a 6-SPE machine adopted
-    // on a smaller one, dropped SPEs drained to the PPE).
-    let spes: Vec<u8> = (0..machines)
-        .map(|m| match m % 6 {
-            0 | 5 => 6,
-            1 | 3 => 2,
-            _ => 4,
-        })
-        .collect();
-    let cfg = ClusterConfig {
-        seed,
-        machines,
-        requests,
-        threads: 2,
-        scale,
-        num_spes: 6,
-        heap_bytes: 1 << 20,
-        // Hot enough that join-shortest-queue must sometimes queue work
-        // on the capacity-penalized straggler — that backlog is what the
-        // proactive layer exists to move.
-        utilization_pct: 75,
-        shapes: spes
-            .iter()
-            .map(|&s| MachineShape { spe_count: s })
-            .collect(),
-        crashes: hera_cluster::crash_storm(seed, machines, 2, 300, 700),
-        migrations: vec![(0, 450), (5, 550)],
-        slowdowns: vec![(0, 4, 0)],
-        scope: true,
-        ..ClusterConfig::default()
-    };
+fn cluster_rebal((machines, requests, seed, scale): (usize, u64, u64, f64)) {
+    let cfg = hera_cluster::ClusterConfig::e15(seed, machines, requests, scale);
+    let spes: Vec<u8> = cfg.shapes.iter().map(|s| s.spe_count).collect();
     header(&format!(
         "hera-rebal: proactive degradation ({machines} machines, shapes {spes:?}, \
          {requests} requests, seed {seed}, one 4x straggler + two-crash storm)"
     ));
-    let first = match hera_cluster::run_rebal_matrix(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cluster-rebal: {e}");
-            std::process::exit(2);
+    replay_and_gate("cluster-rebal", || {
+        let report = hera_cluster::run_rebal_matrix(&cfg)?;
+        // E15 acceptance: acting on health signals *before* requests fail
+        // must not be worse than waiting for them to fail, and the
+        // heterogeneous fleet must actually exercise cross-shape adoption.
+        let (reactive, proactive, pstats) = (report.control(), report.full(), report.full_stats());
+        let mut gates = Vec::new();
+        if proactive.p99 > reactive.p99 {
+            gates.push(format!(
+                "proactive p99 {} worse than reactive-only {}",
+                proactive.p99, reactive.p99
+            ));
         }
-    };
-    let rendered = first.render();
-    print!("{rendered}");
-    // Determinism first: proactive decisions (drain triggers, rebalance
-    // moves) must be pure functions of the config, so the whole matrix
-    // replays byte-identically.
-    let replay = match hera_cluster::run_rebal_matrix(&cfg) {
-        Ok(r) => r.render(),
-        Err(e) => {
-            eprintln!("cluster-rebal: replay errored: {e}");
-            std::process::exit(1);
+        if proactive.goodput_permille() < reactive.goodput_permille() {
+            gates.push(format!(
+                "proactive goodput {}‰ below reactive-only {}‰",
+                proactive.goodput_permille(),
+                reactive.goodput_permille()
+            ));
         }
-    };
-    if replay != rendered {
-        eprintln!("cluster-rebal: same-seed replay diverged — determinism broken");
-        std::process::exit(1);
-    }
-    if !first.failures.is_empty() {
-        eprintln!(
-            "cluster-rebal: {} adoption-proof/ledger failure(s) — see report above",
-            first.failures.len()
+        if pstats.cross_shape == 0 {
+            gates.push(
+                "no cross-shape adoption was exercised — the fleet shapes or the fault \
+                 schedule are too gentle to prove anything"
+                    .into(),
+            );
+        }
+        if pstats.drains == 0 {
+            gates.push("the proactive row never drained anything".into());
+        }
+        let summary = format!(
+            "verified: same-seed replay byte-identical; proactive p99 {:.2}x reactive \
+             ({} vs {}) at {}.{}% goodput; {} drains, {} rebalance moves, {} cross-shape \
+             adoptions proven by replay determinism\n",
+            proactive.p99 as f64 / reactive.p99.max(1) as f64,
+            proactive.p99,
+            reactive.p99,
+            proactive.goodput_permille() / 10,
+            proactive.goodput_permille() % 10,
+            pstats.drains,
+            pstats.moves,
+            pstats.cross_shape
         );
-        std::process::exit(1);
-    }
-    // E15 acceptance: acting on health signals *before* requests fail
-    // must not be worse than waiting for them to fail, and the
-    // heterogeneous fleet must actually exercise cross-shape adoption.
-    let reactive = first.reactive();
-    let proactive = first.proactive();
-    let pstats = first.proactive_stats();
-    let mut failed = false;
-    if proactive.p99 > reactive.p99 {
-        eprintln!(
-            "cluster-rebal FAIL: proactive p99 {} worse than reactive-only {}",
-            proactive.p99, reactive.p99
-        );
-        failed = true;
-    }
-    if proactive.goodput_permille() < reactive.goodput_permille() {
-        eprintln!(
-            "cluster-rebal FAIL: proactive goodput {}‰ below reactive-only {}‰",
-            proactive.goodput_permille(),
-            reactive.goodput_permille()
-        );
-        failed = true;
-    }
-    if pstats.cross_shape == 0 {
-        eprintln!(
-            "cluster-rebal FAIL: no cross-shape adoption was exercised — the fleet \
-             shapes or the fault schedule are too gentle to prove anything"
-        );
-        failed = true;
-    }
-    if pstats.drains == 0 {
-        eprintln!("cluster-rebal FAIL: the proactive row never drained anything");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    let summary = format!(
-        "verified: same-seed replay byte-identical; proactive p99 {:.2}x reactive \
-         ({} vs {}) at {}.{}% goodput; {} drains, {} rebalance moves, {} cross-shape \
-         adoptions proven by replay determinism\n",
-        proactive.p99 as f64 / reactive.p99.max(1) as f64,
-        proactive.p99,
-        reactive.p99,
-        proactive.goodput_permille() / 10,
-        proactive.goodput_permille() % 10,
-        pstats.drains,
-        pstats.moves,
-        pstats.cross_shape
-    );
-    print!("{summary}");
-    let artifact = format!("{rendered}{summary}");
-    std::fs::write("cluster_rebal.txt", &artifact)
-        .unwrap_or_else(|e| panic!("write cluster_rebal.txt: {e}"));
-    println!("wrote cluster_rebal.txt ({} bytes)", artifact.len());
+        let body = report.render();
+        Ok(FleetRun {
+            artifacts: vec![("cluster_rebal.txt", format!("{body}{summary}"))],
+            body,
+            failures: report.failures,
+            gates,
+            summary,
+            ..FleetRun::default()
+        })
+    });
 }
 
-fn fleet_trace(machines: usize, requests: u64, seed: u64, scale: f64) {
-    use hera_cluster::ClusterConfig;
+fn fleet_trace((machines, requests, seed, scale): (usize, u64, u64, f64)) {
     // The committed E13 configuration with hera-scope switched on: the
     // all-knobs-on matrix row's span tree, flow arrows, and telemetry
     // timelines are the artifacts.
-    let cfg = ClusterConfig {
-        seed,
-        machines,
-        requests,
-        threads: 2,
-        scale,
-        num_spes: 2,
-        heap_bytes: 1 << 20,
-        utilization_pct: 60,
-        crashes: hera_cluster::crash_storm(seed, machines, 2, 300, 700),
-        migrations: vec![],
-        slowdowns: vec![(0, 4, 0)],
+    let cfg = hera_cluster::ClusterConfig {
         scope: true,
-        ..ClusterConfig::default()
+        ..hera_cluster::ClusterConfig::e13(seed, machines, requests, scale)
     };
     header(&format!(
         "hera-scope: fleet trace ({machines} machines, {requests} requests, seed {seed}, \
          E13 chaos matrix with request tracing on)"
     ));
-    let run = |what: &str| -> hera_cluster::ChaosReport {
-        match hera_cluster::run_chaos_matrix(&cfg) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("fleet-trace: {what} errored: {e}");
-                std::process::exit(2);
-            }
-        }
-    };
-    let first = run("run");
-    let scope = first.scope.as_ref().unwrap_or_else(|| {
-        eprintln!("fleet-trace: matrix ran with scope on but produced no ScopeOutcome");
-        std::process::exit(1);
-    });
-    let rendered = first.render();
-    let json = scope.chrome_json();
-    let slo = scope.slo_report();
-    print!("{rendered}");
-    print!("{slo}");
-    println!(
-        "scope: {} spans, {} flow arrows across {} tracks; {} telemetry series",
-        scope.spans.len(),
-        scope.flows.len(),
-        scope.tracks.len(),
-        scope.metrics.series().count()
-    );
-    // Determinism is the artifact's warranty: every byte of the report,
-    // the Chrome trace, and the SLO table must replay identically.
-    let replay = run("replay");
-    let rescope = replay.scope.as_ref().unwrap_or_else(|| {
-        eprintln!("fleet-trace: replay produced no ScopeOutcome");
-        std::process::exit(1);
-    });
-    if replay.render() != rendered || rescope.chrome_json() != json || rescope.slo_report() != slo {
-        eprintln!("fleet-trace: same-seed replay diverged — determinism broken");
-        std::process::exit(1);
-    }
-    if !first.failures.is_empty() {
-        for f in &first.failures {
-            eprintln!("fleet-trace FAIL: {f}");
-        }
-        eprintln!(
-            "fleet-trace: {} reconciliation/bookkeeping failure(s)",
-            first.failures.len()
+    replay_and_gate("fleet-trace", || {
+        let report = hera_cluster::run_chaos_matrix(&cfg)?;
+        let scope = report
+            .scope
+            .as_ref()
+            .expect("scope on keeps the last row's recording");
+        let slo = scope.slo_report();
+        let body = format!(
+            "{}{slo}scope: {} spans, {} flow arrows across {} tracks; {} telemetry series\n",
+            report.render(),
+            scope.spans.len(),
+            scope.flows.len(),
+            scope.tracks.len(),
+            scope.metrics.series().count()
         );
-        std::process::exit(1);
-    }
-    std::fs::write("fleet_trace.json", &json)
-        .unwrap_or_else(|e| panic!("write fleet_trace.json: {e}"));
-    std::fs::write("fleet_slo.txt", &slo).unwrap_or_else(|e| panic!("write fleet_slo.txt: {e}"));
-    println!(
-        "wrote fleet_trace.json ({} bytes) — open in chrome://tracing or https://ui.perfetto.dev",
-        json.len()
-    );
-    println!("wrote fleet_slo.txt ({} bytes)", slo.len());
-    println!(
-        "verified: span ledger reconciles exactly against the policy counters; \
-         same-seed replay byte-identical (report, trace, SLO table)"
-    );
+        Ok(FleetRun {
+            body,
+            artifacts: vec![
+                ("fleet_trace.json", scope.chrome_json()),
+                ("fleet_slo.txt", slo),
+            ],
+            failures: report.failures,
+            verified: "verified: span ledger reconciles exactly against the policy counters; \
+                       same-seed replay byte-identical (report, trace, SLO table)\n"
+                .into(),
+            ..FleetRun::default()
+        })
+    });
 }
 
 fn perf(scale: f64, reps: u32, workers: u32) {
@@ -939,63 +724,37 @@ fn profile_diff(name: &str, scale: f64) {
     println!("(positive delta: the method costs more cycles in the 6-SPE configuration)");
 }
 
-fn perf_gate(scale: f64, reps: u32) {
+/// Gate a fresh perf run against the committed snapshots: virtual
+/// metrics exact against `BENCH_interp.json`, and with `workers > 1` also
+/// against `BENCH_par.json` plus the parallel engine's speedup bound.
+fn perf_gate(scale: f64, reps: u32, workers: u32) {
     if scale != xb::DEFAULT_SCALE {
         eprintln!(
-            "perf-gate compares against the committed full-scale BENCH_interp.json; \
+            "perf-gate compares against the committed full-scale snapshots; \
              refusing to gate at scale {scale}"
         );
         std::process::exit(2);
     }
-    header(&format!(
-        "perf regression gate (best of {reps} vs committed BENCH_interp.json)"
-    ));
-    let committed = std::fs::read_to_string("BENCH_interp.json").unwrap_or_else(|e| {
-        eprintln!("read BENCH_interp.json: {e} (run `figures -- perf` to create it)");
-        std::process::exit(2);
-    });
-    let baseline = xb::parse_bench_json(&committed);
-    if baseline.is_empty() {
-        eprintln!("BENCH_interp.json parsed to zero rows — regenerate with `figures -- perf`");
-        std::process::exit(2);
-    }
-    let rows = xb::perf_interp(scale, reps);
-    let report = xb::perf_gate(&baseline, &rows, 0.25);
-    println!(
-        "checked {} cells: wall_cycles and guest_ops exact, host_ns ±25% advisory",
-        report.checked
-    );
-    for w in &report.warnings {
-        println!("warning: {w}");
-    }
-    for f in &report.failures {
-        println!("FAIL: {f}");
-    }
-    if report.passed() {
-        println!("perf gate passed — virtual metrics identical to the committed snapshot");
+    let par = workers > 1;
+    let (gate, against, regen) = if par {
+        header(&format!(
+            "parallel perf gate ({workers} host workers on {} CPUs, best of {reps} \
+             vs committed BENCH_interp.json + BENCH_par.json)",
+            xb::host_cpus()
+        ));
+        let against =
+            " against both snapshots, mandelbrot/spe6 speedup ≥2.0x where the host allows";
+        (
+            "parallel perf gate",
+            against,
+            format!(" --workers {workers}"),
+        )
     } else {
-        println!(
-            "perf gate FAILED ({} mismatches) — if the change is intentional, \
-             regenerate the snapshot with `figures -- perf`",
-            report.failures.len()
-        );
-        std::process::exit(1);
-    }
-}
-
-fn perf_gate_par(scale: f64, reps: u32, workers: u32) {
-    if scale != xb::DEFAULT_SCALE {
-        eprintln!(
-            "perf-gate compares against committed full-scale snapshots; \
-             refusing to gate at scale {scale}"
-        );
-        std::process::exit(2);
-    }
-    header(&format!(
-        "parallel perf gate ({workers} host workers on {} CPUs, best of {reps} \
-         vs committed BENCH_interp.json + BENCH_par.json)",
-        xb::host_cpus()
-    ));
+        header(&format!(
+            "perf regression gate (best of {reps} vs committed BENCH_interp.json)"
+        ));
+        ("perf gate", "", String::new())
+    };
     let read = |path: &str| -> Vec<xb::BaselineRow> {
         let committed = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("read {path}: {e} (run `figures -- perf` to create it)");
@@ -1009,32 +768,37 @@ fn perf_gate_par(scale: f64, reps: u32, workers: u32) {
         rows
     };
     let seq = read("BENCH_interp.json");
-    let par = read("BENCH_par.json");
+    let committed_par = par.then(|| read("BENCH_par.json"));
     let rows = xb::perf_par(scale, reps, workers);
-    let report = xb::perf_gate_par(&seq, &par, &rows, workers, 0.25, 2.0);
+    let report = match &committed_par {
+        Some(par) => xb::perf_gate_par(&seq, par, &rows, workers, 2.0),
+        None => xb::perf_gate(&seq, &rows),
+    };
     println!(
-        "checked {} cells: wall_cycles and guest_ops exact against both snapshots, \
-         host_ns ±25% advisory, mandelbrot/spe6 speedup ≥2.0x where the host allows",
+        "checked {} cells: wall_cycles and guest_ops exact{against}",
         report.checked
     );
-    for w in &report.warnings {
-        println!("warning: {w}");
+    if let Some(skipped) = &report.skipped {
+        println!("warning: {skipped}");
     }
     for f in &report.failures {
         println!("FAIL: {f}");
     }
-    if report.passed() {
+    if !report.passed() {
         println!(
-            "parallel perf gate passed — virtual time is worker-count independent \
-             and matches both committed snapshots"
-        );
-    } else {
-        println!(
-            "parallel perf gate FAILED ({} mismatches) — if the change is intentional, \
-             regenerate the snapshot with `figures -- perf --workers {workers}`",
+            "{gate} FAILED ({} mismatches) — if the change is intentional, \
+             regenerate the snapshot with `figures -- perf{regen}`",
             report.failures.len()
         );
         std::process::exit(1);
+    }
+    if par {
+        println!(
+            "{gate} passed — virtual time is worker-count independent \
+             and matches both committed snapshots"
+        );
+    } else {
+        println!("{gate} passed — virtual metrics identical to the committed snapshot");
     }
 }
 
@@ -1199,7 +963,7 @@ fn placement(scale: f64) {
     println!("(annotations let the runtime put each phase on its best core type)");
 }
 
-fn cellvm_sync() {
+fn cellvm_sync(_scale: f64) {
     header("E10 extension: local SPE sync (Hera-JVM) vs PPE-proxied sync (CellVM-style)");
     println!(
         "{:>5} {:>16} {:>16} {:>10}",

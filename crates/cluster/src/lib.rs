@@ -16,6 +16,12 @@
 //! bit-identical to the run that never moved — result, traps, output,
 //! and final heap image — and the proof runs inside the experiment for
 //! every migration and every crash recovery.
+//!
+//! Module map: `kernel` (event heap, jobs, machines, the placement
+//! interface), `fleet` (fleet profile, event loop, replay seam),
+//! [`resil`] and [`rebal`] (the opt-in layers: knobs, state, handlers),
+//! `scope` (request tracing, observation only), `matrix` (runners and
+//! reports).
 
 pub mod policy;
 pub mod rebal;
@@ -23,11 +29,14 @@ pub mod resil;
 pub mod traffic;
 
 mod fleet;
+mod kernel;
+mod matrix;
 mod scope;
 
-pub use fleet::{
-    crash_storm, run_chaos_matrix, run_experiment, run_rebal_matrix, ChaosReport, ClusterReport,
-    CrashEvent, MatrixRow, MigrationEvent, PolicyOutcome, RebalReport, RebalStats,
+pub use fleet::{CrashEvent, MigrationEvent, PolicyOutcome};
+pub use matrix::{
+    run_chaos_matrix, run_experiment, run_rebal_matrix, ClusterReport, MatrixReport, MatrixRow,
+    RebalStats,
 };
 pub use policy::{BalancePolicy, JoinShortestQueue, LeastLoaded, MachineView, RoundRobin};
 pub use rebal::RebalConfig;
@@ -54,6 +63,14 @@ pub enum ClusterError {
         /// Fleet size the entry was validated against.
         machines: usize,
     },
+    /// `ClusterConfig::mix` does not weight exactly the workload classes
+    /// (it is indexed by class), or weights them all zero.
+    InvalidMix {
+        /// The offending mix.
+        mix: Vec<u32>,
+        /// Workload classes the mix must weight, one entry each.
+        classes: usize,
+    },
     /// Any other invalid configuration, or a VM-level error that is a
     /// bug rather than a measured outcome.
     Config(String),
@@ -78,6 +95,11 @@ impl std::fmt::Display for ClusterError {
                 f,
                 "migrations[{index}] = (machine {machine}, {permille}‰) is invalid for a \
                  {machines}-machine fleet (machine must be < {machines}, permille <= 1000)"
+            ),
+            ClusterError::InvalidMix { mix, classes } => write!(
+                f,
+                "mix {mix:?} must weight exactly the {classes} workload classes, \
+                 at least one of them above zero"
             ),
             ClusterError::Config(s) => f.write_str(s),
         }
@@ -178,6 +200,141 @@ impl ClusterConfig {
     pub fn shape_of(&self, m: usize) -> u8 {
         self.shapes.get(m).map_or(self.num_spes, |s| s.spe_count)
     }
+
+    /// E13's chaos fleet (`figures -- cluster-chaos`, `fleet-trace`):
+    /// 2-SPE machines at 60 % utilization, machine 0 a 4x straggler, a
+    /// seeded two-crash storm in the middle of the trace, no migrations.
+    pub fn e13(seed: u64, machines: usize, requests: u64, scale: f64) -> Self {
+        ClusterConfig {
+            seed,
+            machines,
+            requests,
+            threads: 2,
+            scale,
+            num_spes: 2,
+            heap_bytes: 1 << 20,
+            utilization_pct: 60,
+            crashes: crash_storm(seed, machines, 2, 300, 700),
+            migrations: vec![],
+            slowdowns: vec![(0, 4, 0)],
+            ..ClusterConfig::default()
+        }
+    }
+
+    /// E15's heterogeneous fleet (`figures -- cluster-rebal`): E13's
+    /// fault schedule on 6/2/4/2/4/6-SPE machines — the small ones force
+    /// crash recoveries and drains through cross-shape adoption — with
+    /// two planned migrations and scope on, hot enough (75 %) that
+    /// join-shortest-queue must sometimes queue work on the
+    /// capacity-penalized straggler for the proactive layer to move.
+    pub fn e15(seed: u64, machines: usize, requests: u64, scale: f64) -> Self {
+        let spes = [6, 2, 4, 2, 4, 6].into_iter().cycle().take(machines);
+        ClusterConfig {
+            num_spes: 6,
+            utilization_pct: 75,
+            shapes: spes.map(|spe_count| MachineShape { spe_count }).collect(),
+            migrations: vec![(0, 450), (5, 550)],
+            scope: true,
+            ..ClusterConfig::e13(seed, machines, requests, scale)
+        }
+    }
+
+    /// Reject configurations the simulator would silently mishandle (or
+    /// panic on).
+    pub(crate) fn validate(&self) -> Result<(), ClusterError> {
+        let machines = self.machines;
+        if machines == 0 {
+            return Err(ClusterError::msg("cluster needs at least one machine"));
+        }
+        if self.queue_cap == 0 {
+            return Err(ClusterError::msg(
+                "queue cap must be at least 1 (0 would shed everything)",
+            ));
+        }
+        let classes = hera_workloads::Workload::ALL.len();
+        if self.mix.len() != classes || self.mix.iter().all(|&w| w == 0) {
+            return Err(ClusterError::InvalidMix {
+                mix: self.mix.clone(),
+                classes,
+            });
+        }
+        // Both schedules fire at per-mille points of the trace span.
+        let bad = |&(machine, permille): &(usize, u32)| machine >= machines || permille > 1000;
+        if let Some(index) = self.crashes.iter().position(bad) {
+            return Err(ClusterError::msg(format!(
+                "crashes[{index}] = {:?} is invalid for a {machines}-machine fleet \
+                 (machine must be < {machines}, permille <= 1000)",
+                self.crashes[index]
+            )));
+        }
+        if let Some(index) = self.migrations.iter().position(bad) {
+            let (machine, permille) = self.migrations[index];
+            return Err(ClusterError::InvalidMigration {
+                index,
+                machine,
+                permille,
+                machines,
+            });
+        }
+        for (m, shape) in self.shapes.iter().enumerate() {
+            if shape.spe_count == 0 || shape.spe_count > 8 {
+                return Err(ClusterError::msg(format!(
+                    "machine {m} shape has {} SPEs (must be 1..=8)",
+                    shape.spe_count
+                )));
+            }
+        }
+        if let Some((a, b, c)) = self.fault_rates {
+            for (knob, ppm) in [
+                ("mfc_transfer", a),
+                ("eib_timeout", b),
+                ("ls_corruption", c),
+            ] {
+                if ppm > 1_000_000 {
+                    return Err(ClusterError::msg(format!(
+                        "fault rate {knob} = {ppm} ppm exceeds 1_000_000"
+                    )));
+                }
+            }
+        }
+        for &(m, factor, _) in &self.slowdowns {
+            if m >= machines {
+                return Err(ClusterError::msg(format!(
+                    "slowdown machine {m} out of range for a {machines}-machine fleet"
+                )));
+            }
+            if factor == 0 {
+                return Err(ClusterError::msg(
+                    "slowdown factor 0 is meaningless (1 = no slowdown)",
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A seeded crash storm: `count` crashes at machines and per-mille
+/// points drawn deterministically from `seed`, inside
+/// `[from_permille, to_permille)` of the trace span. Sorted so the
+/// schedule renders stably in config dumps.
+pub fn crash_storm(
+    seed: u64,
+    machines: usize,
+    count: usize,
+    from_permille: u32,
+    to_permille: u32,
+) -> Vec<(usize, u32)> {
+    let mut rng = hera_rng::SplitMix64::new(seed ^ 0x6372_6173_682d_7374); // "crash-st"
+    let span = to_permille.saturating_sub(from_permille).max(1) as u64;
+    let mut storm: Vec<(usize, u32)> = (0..count)
+        .map(|_| {
+            let m = (rng.next_u64() % machines.max(1) as u64) as usize;
+            let t = from_permille + (rng.next_u64() % span) as u32;
+            (m, t)
+        })
+        .collect();
+    storm.sort_unstable();
+    storm
 }
 
 impl Default for ClusterConfig {

@@ -25,8 +25,17 @@
 //! * **Shedding.** Admission control refuses a request whose best-case
 //!   completion estimate already blows the deadline; queue caps route
 //!   overflow through the same shed path.
+//!
+//! The second half of the file is the layer as the fleet runs it:
+//! [`Resil`] and its event arms, written against the kernel's placement
+//! interface. `Sim::resil` being `Some` is the on-switch.
 
+use crate::fleet::{Routed, Sim};
+use crate::kernel::{Completion, Ev, Outcome};
+use crate::policy::MachineView;
+use crate::ClusterError;
 use hera_rng::draw_word;
+use hera_trace::{SpanKind, StreamingPercentile};
 
 /// Salt for retry-backoff jitter draws (site-style; pairs with the
 /// per-machine fault-plan salt in `fleet.rs`).
@@ -139,9 +148,10 @@ pub fn backoff_cycles(cfg: &ResilConfig, seed: u64, job: usize, retry: u32) -> u
 }
 
 /// Circuit-breaker state (one per machine when breakers are enabled).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum BreakerState {
     /// Healthy: requests route normally.
+    #[default]
     Closed,
     /// Tripped: the machine is excluded from placement until the probe
     /// at `probe_at` moves it to half-open.
@@ -152,7 +162,7 @@ pub enum BreakerState {
 }
 
 /// Per-machine breaker: closed / open / half-open with seeded probes.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Breaker {
     pub state: BreakerState,
     /// Wave timeouts since the last success.
@@ -163,11 +173,7 @@ pub struct Breaker {
 
 impl Breaker {
     pub fn new() -> Breaker {
-        Breaker {
-            state: BreakerState::Closed,
-            consecutive_timeouts: 0,
-            trips: 0,
-        }
+        Breaker::default()
     }
 
     /// Probe delay for trip number `trips` (1-based) of `machine`:
@@ -181,9 +187,17 @@ impl Breaker {
         step + draw_word(seed ^ PROBE_SALT, machine as u64, trips as u64, 0) % span
     }
 
+    /// Trip (or re-trip) the breaker: open it and return the time its
+    /// probe fires — the caller schedules the probe event.
+    fn trip(&mut self, cfg: &ResilConfig, seed: u64, machine: usize, now: u64) -> Option<u64> {
+        self.trips += 1;
+        let at = now + Self::probe_delay(cfg, seed, machine, self.trips);
+        self.state = BreakerState::Open { probe_at: at };
+        Some(at)
+    }
+
     /// A wave timed out on this machine. Returns `Some(probe_at)` when
-    /// this trips (or re-trips) the breaker — the caller schedules the
-    /// probe event at that time.
+    /// this trips (or re-trips) the breaker.
     pub fn on_timeout(
         &mut self,
         cfg: &ResilConfig,
@@ -193,23 +207,13 @@ impl Breaker {
     ) -> Option<u64> {
         match self.state {
             BreakerState::Open { .. } => None,
-            BreakerState::HalfOpen => {
-                // The trial failed: straight back to open, longer wait.
-                self.trips += 1;
-                let at = now + Self::probe_delay(cfg, seed, machine, self.trips);
-                self.state = BreakerState::Open { probe_at: at };
-                Some(at)
-            }
+            // The trial failed: straight back to open, longer wait.
+            BreakerState::HalfOpen => self.trip(cfg, seed, machine, now),
             BreakerState::Closed => {
                 self.consecutive_timeouts += 1;
-                if self.consecutive_timeouts >= cfg.breaker_trip_timeouts {
-                    self.trips += 1;
-                    let at = now + Self::probe_delay(cfg, seed, machine, self.trips);
-                    self.state = BreakerState::Open { probe_at: at };
-                    Some(at)
-                } else {
-                    None
-                }
+                (self.consecutive_timeouts >= cfg.breaker_trip_timeouts)
+                    .then(|| self.trip(cfg, seed, machine, now))
+                    .flatten()
             }
         }
     }
@@ -223,13 +227,10 @@ impl Breaker {
         machine: usize,
         now: u64,
     ) -> Option<u64> {
-        if matches!(self.state, BreakerState::Open { .. }) {
-            return None;
+        match self.state {
+            BreakerState::Open { .. } => None,
+            _ => self.trip(cfg, seed, machine, now),
         }
-        self.trips += 1;
-        let at = now + Self::probe_delay(cfg, seed, machine, self.trips);
-        self.state = BreakerState::Open { probe_at: at };
-        Some(at)
     }
 
     /// A request completed on this machine: close and reset. Returns
@@ -262,9 +263,273 @@ impl Breaker {
     }
 }
 
-impl Default for Breaker {
-    fn default() -> Self {
-        Breaker::new()
+/// The resilience layer's state for one replay.
+pub(crate) struct Resil {
+    pub cfg: ResilConfig,
+    /// Per-machine circuit breakers (idle unless `cfg.breakers`).
+    breakers: Vec<Breaker>,
+    /// Exact nearest-rank p95 of the observed attempt latencies per class
+    /// (dispatch → completion), read by the hedge trigger at every wave —
+    /// the log2 metrics histograms overestimate by up to 2x, which is the
+    /// difference between a hedge that beats a 4x straggler and one
+    /// dispatched after the primary already finished.
+    class_p95: Vec<StreamingPercentile>,
+}
+
+impl Resil {
+    pub fn new(cfg: ResilConfig, machines: usize, classes: usize) -> Resil {
+        Resil {
+            cfg,
+            breakers: vec![Breaker::new(); machines],
+            class_p95: vec![StreamingPercentile::new(950); classes],
+        }
+    }
+
+    /// Machine `m`'s breaker as the scope sampler codes it: 0 = closed,
+    /// 1 = half-open, 2 = open.
+    pub fn breaker_code(&self, m: usize) -> u64 {
+        match self.breakers[m].state {
+            BreakerState::Closed => 0,
+            BreakerState::HalfOpen => 1,
+            BreakerState::Open { .. } => 2,
+        }
+    }
+}
+
+impl Sim<'_> {
+    /// The layer's state when circuit breakers are on.
+    fn breakers(&self) -> Option<&Resil> {
+        self.resil.as_ref().filter(|r| r.cfg.breakers)
+    }
+
+    /// Whether placement should route around machine `m` entirely.
+    pub(crate) fn breaker_open(&self, m: usize) -> bool {
+        self.breakers().is_some_and(|r| r.breakers[m].is_open())
+    }
+
+    /// Advertised capacity of machine `m` in per-mille of a healthy
+    /// machine. Only computed when health-weighted balancing is on
+    /// (`resil.breakers`); otherwise every machine advertises 1000 and
+    /// the policies behave exactly as before.
+    pub(crate) fn capacity_permille(&self, m: usize) -> u64 {
+        let Some(r) = self.breakers() else {
+            return 1000;
+        };
+        let plan = &self.k.profile.plans[m];
+        let factor = if plan.slowdown_active() {
+            plan.slowdown_factor
+        } else {
+            1
+        };
+        advertised_capacity_permille(factor, r.breakers[m].state == BreakerState::HalfOpen)
+    }
+
+    /// Count the placements this dispatch routes around an open breaker.
+    pub(crate) fn count_breaker_rejections(&mut self, exclude: &[usize]) {
+        let rejected = (0..self.k.machines.len())
+            .filter(|m| self.k.machines[*m].up && !exclude.contains(m) && self.breaker_open(*m))
+            .count() as u64;
+        if rejected > 0 {
+            self.k.metrics.add("resil.breaker.rejections", rejected);
+        }
+    }
+
+    /// Admission control: refuse work whose *best-case* completion
+    /// estimate already blows the deadline — it would only time out
+    /// after consuming capacity.
+    pub(crate) fn refuses_admission(&self, job: usize, views: &[MachineView]) -> bool {
+        let Some(r) = self.resil.as_ref().filter(|r| r.cfg.shedding) else {
+            return false;
+        };
+        let best = views
+            .iter()
+            .map(|v| v.backlog_cycles + self.k.estimate(job, v.machine))
+            .min()
+            .expect("views is non-empty");
+        best > r.cfg.deadline_cycles
+    }
+
+    /// Start a new attempt wave for `job`: arm its deadline and (when
+    /// hedging is on and the class has enough history) its hedge check.
+    pub(crate) fn begin_wave(&mut self, job: usize, now: u64) {
+        let Some(r) = self.resil.as_ref() else {
+            return;
+        };
+        let gen = self.k.jobs[job].gen;
+        self.k.jobs[job].wave_start = now;
+        self.k
+            .push(now + r.cfg.deadline_cycles, Ev::Timeout { job, gen });
+        let p95 = &r.class_p95[self.k.jobs[job].class];
+        if r.cfg.hedging && p95.len() as u64 >= r.cfg.hedge_min_samples {
+            self.k
+                .push(now + p95.value().max(1), Ev::HedgeCheck { job, gen });
+        }
+    }
+
+    /// A request completed on machine `m`: feed the hedge trigger, count
+    /// the SLO, and close the machine's breaker.
+    pub(crate) fn resil_completed(&mut self, done: &Completion, m: usize, now: u64) {
+        let Some(r) = self.resil.as_mut() else {
+            return;
+        };
+        r.class_p95[done.class].record(done.wave_latency);
+        if done.was_hedge {
+            self.k.metrics.add("resil.hedge.wins", 1);
+        }
+        if done.latency <= r.cfg.slo_cycles {
+            self.k.metrics.add("resil.slo_ok", 1);
+        }
+        if r.cfg.breakers && r.breakers[m].on_success() {
+            self.k.metrics.add("resil.breaker.closes", 1);
+            self.k
+                .observe(|sc| sc.on_machine(m, SpanKind::BreakerClosed, now));
+            // A closed breaker ends the drain episode: the machine
+            // may be drained again if it sickens again.
+            if let Some(rb) = self.rebal.as_mut() {
+                rb.end_episode(m);
+            }
+        }
+    }
+
+    /// Machine `m`'s breaker tripped: record it and schedule the probe.
+    fn breaker_tripped(&mut self, m: usize, probe_at: u64, now: u64) {
+        self.k.metrics.add("resil.breaker.trips", 1);
+        self.k
+            .observe(|sc| sc.on_machine(m, SpanKind::BreakerOpen, now));
+        self.k.push(probe_at, Ev::Probe { machine: m });
+    }
+
+    /// Machine `m` crashed: trip its breaker at once.
+    pub(crate) fn breaker_crashed(&mut self, m: usize, now: u64) {
+        let seed = self.k.cfg.seed;
+        let Some(r) = self.resil.as_mut().filter(|r| r.cfg.breakers) else {
+            return;
+        };
+        if let Some(at) = r.breakers[m].on_crash(&r.cfg, seed, m, now) {
+            self.breaker_tripped(m, at, now);
+        }
+    }
+
+    /// Wave `gen` of `job` hit its deadline: cancel it everywhere, charge
+    /// the machines' breakers, then retry after a backoff or give up.
+    pub(crate) fn on_timeout(
+        &mut self,
+        job: usize,
+        gen: u32,
+        now: u64,
+    ) -> Result<(), ClusterError> {
+        if self.k.jobs[job].gen != gen {
+            return Ok(()); // the wave already resolved
+        }
+        let cfg = self
+            .resil
+            .as_ref()
+            .expect("timeouts are only scheduled with resil on")
+            .cfg;
+        let seed = self.k.cfg.seed;
+        self.k.metrics.add("resil.timeouts", 1);
+        self.k.observe(|sc| sc.on_wave_timeout(job, now));
+        self.k.jobs[job].gen += 1;
+        for (m, _) in self.k.jobs[job].placements().to_vec() {
+            self.k.cancel(m, job, now)?;
+            let Some(r) = self.resil.as_mut().filter(|r| r.cfg.breakers) else {
+                continue;
+            };
+            let was_half = r.breakers[m].state == BreakerState::HalfOpen;
+            if let Some(at) = r.breakers[m].on_timeout(&cfg, seed, m, now) {
+                if was_half {
+                    // The half-open trial was rejected: straight back
+                    // to open.
+                    self.k.metrics.add("resil.breaker.halfopen_rejections", 1);
+                }
+                self.breaker_tripped(m, at, now);
+                // Proactive degradation: don't wait for every resident
+                // request to time out — drain the machine now.
+                if self.rebal.as_ref().is_some_and(|rb| rb.cfg.drain_on_break) {
+                    self.proactive_drain(m, now)?;
+                }
+            }
+        }
+        // A wave held at the front-end has no placements but still
+        // occupies the pending queue.
+        self.k.pending.retain(|&p| p != job);
+        let j = &mut self.k.jobs[job];
+        if j.retries < cfg.max_retries {
+            j.retries += 1;
+            let (retry, gen) = (j.retries, j.gen);
+            let backoff = backoff_cycles(&cfg, seed, job, retry);
+            self.k.metrics.add("resil.retries", 1);
+            self.k.metrics.record("resil.backoff", backoff);
+            self.k.push(now + backoff, Ev::Retry { job, gen });
+        } else {
+            j.outcome = Outcome::TimedOut;
+            self.k.metrics.add("resil.deadline_failures", 1);
+            self.k.observe(|sc| sc.on_timed_out(job, now));
+        }
+        Ok(())
+    }
+
+    /// Backoff elapsed: re-dispatch `job` as wave `gen`.
+    pub(crate) fn on_retry(&mut self, job: usize, gen: u32, now: u64) -> Result<(), ClusterError> {
+        if self.k.jobs[job].gen != gen {
+            return Ok(());
+        }
+        // Every scheduled retry fires (nothing can bump the gen of an
+        // undisputed wave in backoff), so counting here reconciles with
+        // `resil.retries`.
+        self.k.observe(|sc| sc.on_retry_wave(job, now));
+        self.begin_wave(job, now);
+        self.dispatch(job, now, &[])
+    }
+
+    /// Wave `gen` of `job` outlived its class's p95: dispatch a duplicate
+    /// to a second machine. A hedge that finds no eligible machine or a
+    /// full queue is skipped — the primary attempt is still live.
+    pub(crate) fn on_hedge_check(
+        &mut self,
+        job: usize,
+        gen: u32,
+        now: u64,
+    ) -> Result<(), ClusterError> {
+        let j = &self.k.jobs[job];
+        if j.gen != gen {
+            return Ok(()); // completed, shed, or already retried
+        }
+        // Hedge only a fresh single-placement attempt: jobs carrying
+        // snapshot state resume under their origin plan and must stay
+        // singular.
+        let &[(primary, _)] = j.placements() else {
+            return Ok(());
+        };
+        if j.resume.is_some() || j.pending_migration.is_some() {
+            return Ok(());
+        }
+        self.k.observe(|sc| sc.on_hedge_armed(job, primary, now));
+        let skipped = match self.route(job, now, &[primary], true)? {
+            Routed::Handled => {
+                self.k.metrics.add("resil.hedges", 1);
+                return Ok(());
+            }
+            Routed::NoMachine => "resil.hedge.skipped_no_dest",
+            Routed::QueueFull => "resil.hedge.skipped_full",
+        };
+        self.k.metrics.add(skipped, 1);
+        self.k.observe(|sc| sc.clear_flow(job));
+        Ok(())
+    }
+
+    /// An open breaker's seeded probe fired: move to half-open.
+    pub(crate) fn on_probe(&mut self, m: usize, now: u64) {
+        self.k.metrics.add("resil.breaker.probes", 1);
+        if self
+            .resil
+            .as_mut()
+            .is_some_and(|r| r.breakers[m].on_probe(now))
+        {
+            self.k.metrics.add("resil.breaker.halfopens", 1);
+            self.k
+                .observe(|sc| sc.on_machine(m, SpanKind::BreakerHalfOpen, now));
+        }
     }
 }
 

@@ -77,6 +77,7 @@ struct MachScope {
 
 /// The recorder the simulator drives; [`Scope::finish`] turns it into a
 /// [`ScopeOutcome`].
+#[derive(Default)]
 pub(crate) struct Scope {
     class_names: Vec<String>,
     next_id: u64,
@@ -105,30 +106,18 @@ pub(crate) struct Scope {
 impl Scope {
     pub fn new(machines: usize, class_names: Vec<String>, span: u64, njobs: usize) -> Scope {
         let sample_every = (span / TARGET_SAMPLES).max(1);
-        let classes = class_names.len();
         Scope {
+            class_lat: vec![Vec::new(); class_names.len()],
             class_names,
-            next_id: 0,
             // Root, terminal, queue, dispatch and service per request, with
             // headroom for retry and hedge attempts: recording never has
             // to move the spans while doubling.
             spans: Vec::with_capacity(njobs * 6),
-            flows: Vec::new(),
             jobs: Vec::with_capacity(njobs),
             mach: (0..machines).map(|_| MachScope::default()).collect(),
-            class_lat: vec![Vec::new(); classes],
-            metrics: MetricsRegistry::default(),
             sample_every,
             next_sample: sample_every,
-            ticks: 0,
-            completed: 0,
-            shed: 0,
-            timedout: 0,
-            retry_waves: 0,
-            hedges: 0,
-            requeues: 0,
-            migrations: 0,
-            drains: 0,
+            ..Scope::default()
         }
     }
 
@@ -354,12 +343,10 @@ impl Scope {
         self.flow_from(job, FlowKind::Drain, machine_track(m), now);
     }
 
-    pub fn on_crash(&mut self, m: usize, now: u64) {
-        self.span(SpanKind::Crash, machine_track(m), None, now, 0, [0; 4]);
-    }
-
-    pub fn on_recover(&mut self, m: usize, now: u64) {
-        self.span(SpanKind::Recover, machine_track(m), None, now, 0, [0; 4]);
+    /// A machine-wide marker on machine `m`: `kind` is `Crash`, `Recover`
+    /// or one of the three `SpanKind::Breaker*` transitions.
+    pub fn on_machine(&mut self, m: usize, kind: SpanKind, now: u64) {
+        self.span(kind, machine_track(m), None, now, 0, [0; 4]);
     }
 
     /// A live migration detached `job` from `m`: close the source
@@ -408,12 +395,6 @@ impl Scope {
     pub fn on_timed_out(&mut self, job: usize, now: u64) {
         self.timedout += 1;
         self.terminal(job, SpanKind::TimedOut, now);
-    }
-
-    /// Breaker state transition on machine `m`; `which` is one of the
-    /// three `SpanKind::Breaker*` markers.
-    pub fn on_breaker(&mut self, m: usize, which: SpanKind, now: u64) {
-        self.span(which, machine_track(m), None, now, 0, [0; 4]);
     }
 
     // ---------------------------------------------------------- sampler

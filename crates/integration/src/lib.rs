@@ -4,6 +4,7 @@
 //! tests spanning the whole stack (frontend → ISA → JIT → runtime →
 //! machine model). The library itself only hosts small shared helpers.
 
+pub mod fleets;
 pub mod minijson;
 
 use hera_core::{HeraJvm, RunOutcome, VmConfig};

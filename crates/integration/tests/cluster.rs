@@ -5,26 +5,8 @@
 use hera_cell::FaultPlan;
 use hera_cluster::{run_experiment, ArrivalShape, ClusterConfig};
 use hera_core::{HeraJvm, RunEnd, VmConfig};
+use hera_integration::fleets::{busy_fleet, small_e13, small_e15};
 use hera_workloads::Workload;
-
-/// A fleet small enough for debug-mode CI but busy enough that crashes
-/// catch jobs in flight: bursty arrivals near saturation.
-fn busy_fleet() -> ClusterConfig {
-    ClusterConfig {
-        seed: 42,
-        machines: 2,
-        requests: 50,
-        threads: 2,
-        scale: 0.02,
-        num_spes: 2,
-        heap_bytes: 1 << 20,
-        arrival: ArrivalShape::Bursty { burst: 6 },
-        utilization_pct: 98,
-        crashes: vec![(1, 500)],
-        migrations: vec![(0, 700)],
-        ..ClusterConfig::default()
-    }
-}
 
 #[test]
 fn same_seed_reports_are_byte_identical() {
@@ -234,20 +216,7 @@ fn tripped_breaker_probe_schedule_is_deterministic() {
 /// debug-mode run stays CI-friendly.
 #[test]
 fn chaos_matrix_replays_byte_identically() {
-    let cfg = ClusterConfig {
-        seed: 42,
-        machines: 2,
-        requests: 60,
-        threads: 2,
-        scale: 0.02,
-        num_spes: 2,
-        heap_bytes: 1 << 20,
-        utilization_pct: 60,
-        crashes: hera_cluster::crash_storm(42, 2, 1, 300, 700),
-        migrations: vec![],
-        slowdowns: vec![(0, 4, 0)],
-        ..ClusterConfig::default()
-    };
+    let cfg = small_e13();
     let a = hera_cluster::run_chaos_matrix(&cfg).expect("matrix runs");
     let b = hera_cluster::run_chaos_matrix(&cfg).expect("matrix runs");
     assert_eq!(a.render(), b.render(), "chaos matrix replay diverged");
@@ -373,25 +342,7 @@ fn cross_shape_adoption_is_replay_deterministic_strict_refuses() {
 /// proof and ledger reconciliation holds.
 #[test]
 fn rebal_matrix_replays_byte_identically_on_a_heterogeneous_fleet() {
-    let cfg = ClusterConfig {
-        seed: 42,
-        machines: 3,
-        requests: 60,
-        threads: 2,
-        scale: 0.02,
-        num_spes: 2,
-        heap_bytes: 1 << 20,
-        utilization_pct: 75,
-        shapes: [2u8, 1, 2]
-            .iter()
-            .map(|&s| hera_cluster::MachineShape { spe_count: s })
-            .collect(),
-        crashes: hera_cluster::crash_storm(42, 3, 1, 300, 700),
-        migrations: vec![],
-        slowdowns: vec![(0, 4, 0)],
-        scope: true,
-        ..ClusterConfig::default()
-    };
+    let cfg = small_e15();
     let a = hera_cluster::run_rebal_matrix(&cfg).expect("matrix runs");
     let b = hera_cluster::run_rebal_matrix(&cfg).expect("matrix runs");
     assert_eq!(a.render(), b.render(), "rebal matrix replay diverged");
@@ -467,5 +418,85 @@ fn jsq_at_uniform_capacity_collapses_to_legacy_order() {
             legacy,
             "uniform-capacity JSQ diverged from legacy order on {views:?}"
         );
+    }
+}
+
+/// Conservation under configs nobody hand-picked: eight small fleets drawn
+/// from a seed — size, shapes, crash storm, straggler, migrations, and
+/// each of resil / rebal / scope on or off — through all three runners.
+/// Every request must end exactly once, every proof and ledger must hold,
+/// and a second run must render the same bytes; in a debug build the
+/// kernel's placement invariants are asserted after every move as well.
+#[test]
+fn seeded_fleets_conserve_every_request_and_replay_identically() {
+    use hera_cluster::{run_chaos_matrix, run_rebal_matrix, RebalConfig, ResilConfig};
+    let mut rng = hera_rng::SplitMix64::new(0x5eed_f1ee7);
+    for case in 0..8 {
+        let seed = rng.next_u64() % 10_000;
+        let machines = 2 + rng.next_below(3) as usize;
+        let mut coin = || rng.next_below(2) == 0;
+        let cfg = ClusterConfig {
+            seed,
+            machines,
+            // Sized for a debug build: single-thread jobs at the smallest
+            // workload scale on a small heap, a checkpoint or two per run.
+            requests: 16,
+            threads: 1,
+            scale: 0.01,
+            num_spes: 2,
+            heap_bytes: 1 << 18,
+            checkpoint_every: 1_200_000,
+            utilization_pct: 85,
+            shapes: (0..machines)
+                .map(|m| hera_cluster::MachineShape {
+                    spe_count: if (seed >> m) & 1 == 0 { 2 } else { 1 },
+                })
+                .collect(),
+            crashes: hera_cluster::crash_storm(seed, machines, 1 + case % 2, 200, 800),
+            migrations: if coin() { vec![(0, 500)] } else { vec![] },
+            slowdowns: if coin() {
+                vec![(machines - 1, 3, 0)]
+            } else {
+                vec![]
+            },
+            resil: coin().then(|| ResilConfig::default().full()),
+            rebal: coin().then(RebalConfig::default),
+            scope: coin(),
+            ..ClusterConfig::default()
+        };
+        let what = format!("case {case} (seed {seed}): {cfg:?}");
+
+        let report = run_experiment(&cfg).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert!(report.failures.is_empty(), "{what}: {:?}", report.failures);
+        for o in &report.outcomes {
+            let m = &o.metrics;
+            let ended =
+                o.completed + m.counter("cluster.shed") + m.counter("resil.deadline_failures");
+            assert_eq!(ended, cfg.requests, "{what}: policy {}", o.policy);
+            assert_eq!(m.counter("cluster.requests"), cfg.requests, "{what}");
+        }
+        let again = run_experiment(&cfg).expect("replay runs").render();
+        assert_eq!(report.render(), again, "{what}: experiment replay diverged");
+
+        for (name, run) in [
+            ("chaos", run_chaos_matrix as fn(&_) -> _),
+            ("rebal", run_rebal_matrix),
+        ] {
+            let report = run(&cfg).unwrap_or_else(|e| panic!("{what}: {name}: {e}"));
+            assert!(report.failures.is_empty(), "{what}: {:?}", report.failures);
+            for row in &report.rows {
+                // A row without resilience has no deadline to miss: every
+                // request completes or is shed. With it, the remainder
+                // timed out (the scope ledger and the never-completed
+                // check, both in `failures`, account for those).
+                let ended = row.completed + row.shed;
+                assert!(ended <= row.requests, "{what}: {name} row {}", row.name);
+                if row.slo_ok.is_none() {
+                    assert_eq!(ended, cfg.requests, "{what}: {name} row {}", row.name);
+                }
+            }
+            let again = run(&cfg).expect("replay runs").render();
+            assert_eq!(report.render(), again, "{what}: {name} replay diverged");
+        }
     }
 }

@@ -4,71 +4,10 @@
 //! matrix, and turning scope on leaves every existing report
 //! byte-unchanged (observation only, zero virtual cycles).
 
-use hera_cluster::{run_chaos_matrix, run_experiment, ArrivalShape, ClusterConfig};
+use hera_cluster::{run_chaos_matrix, run_experiment, ClusterConfig};
+use hera_integration::fleets::{busy_fleet, small_e13, small_e15};
 use hera_integration::minijson::{parse, Value};
 use hera_trace::FlowKind;
-
-/// The busy two-machine fleet from `tests/cluster.rs`: bursty arrivals
-/// near saturation, so the crash catches jobs in flight (requeue flows)
-/// and the migration finds a job to move (migrate flows).
-fn busy_fleet() -> ClusterConfig {
-    ClusterConfig {
-        seed: 42,
-        machines: 2,
-        requests: 50,
-        threads: 2,
-        scale: 0.02,
-        num_spes: 2,
-        heap_bytes: 1 << 20,
-        arrival: ArrivalShape::Bursty { burst: 6 },
-        utilization_pct: 98,
-        crashes: vec![(1, 500)],
-        migrations: vec![(0, 700)],
-        ..ClusterConfig::default()
-    }
-}
-
-/// The debug-sized E13 chaos matrix from `tests/cluster.rs`.
-fn small_matrix() -> ClusterConfig {
-    ClusterConfig {
-        seed: 42,
-        machines: 2,
-        requests: 60,
-        threads: 2,
-        scale: 0.02,
-        num_spes: 2,
-        heap_bytes: 1 << 20,
-        utilization_pct: 60,
-        crashes: hera_cluster::crash_storm(42, 2, 1, 300, 700),
-        migrations: vec![],
-        slowdowns: vec![(0, 4, 0)],
-        ..ClusterConfig::default()
-    }
-}
-
-/// The debug-sized E15 matrix from `tests/cluster.rs`: a heterogeneous
-/// three-machine fleet under a straggler plus a crash, scope on.
-fn small_rebal_matrix() -> ClusterConfig {
-    ClusterConfig {
-        seed: 42,
-        machines: 3,
-        requests: 60,
-        threads: 2,
-        scale: 0.02,
-        num_spes: 2,
-        heap_bytes: 1 << 20,
-        utilization_pct: 75,
-        shapes: [2u8, 1, 2]
-            .iter()
-            .map(|&s| hera_cluster::MachineShape { spe_count: s })
-            .collect(),
-        crashes: hera_cluster::crash_storm(42, 3, 1, 300, 700),
-        migrations: vec![],
-        slowdowns: vec![(0, 4, 0)],
-        scope: true,
-        ..ClusterConfig::default()
-    }
-}
 
 fn records(doc: &Value) -> &[Value] {
     doc.get("traceEvents")
@@ -195,7 +134,7 @@ fn fleet_chrome_export_is_well_formed_and_causally_ordered() {
 fn span_ledger_reconciles_exactly_under_the_full_chaos_matrix() {
     let cfg = ClusterConfig {
         scope: true,
-        ..small_matrix()
+        ..small_e13()
     };
     let report = run_chaos_matrix(&cfg).expect("matrix runs");
     // `Scope::finish` pushes a failure for every ledger/counter mismatch,
@@ -256,10 +195,10 @@ fn scope_recording_leaves_every_report_byte_unchanged() {
 
     // Same for the chaos matrix, where scope hooks sit on every
     // resilience path (retries, hedges, breakers, shedding).
-    let off = run_chaos_matrix(&small_matrix()).expect("matrix runs");
+    let off = run_chaos_matrix(&small_e13()).expect("matrix runs");
     let on = run_chaos_matrix(&ClusterConfig {
         scope: true,
-        ..small_matrix()
+        ..small_e13()
     })
     .expect("matrix runs");
     assert_eq!(off.render(), on.render(), "scope perturbed the matrix");
@@ -271,7 +210,7 @@ fn scope_recording_leaves_every_report_byte_unchanged() {
 fn scope_replay_is_byte_identical() {
     let cfg = ClusterConfig {
         scope: true,
-        ..small_matrix()
+        ..small_e13()
     };
     let a = run_chaos_matrix(&cfg).expect("matrix runs");
     let b = run_chaos_matrix(&cfg).expect("matrix runs");
@@ -287,11 +226,11 @@ fn scope_replay_is_byte_identical() {
 /// in the kept recording.
 #[test]
 fn drain_ledger_reconciles_under_the_rebal_matrix() {
-    let cfg = small_rebal_matrix();
+    let cfg = small_e15();
     let report = hera_cluster::run_rebal_matrix(&cfg).expect("matrix runs");
     assert!(report.failures.is_empty(), "{:?}", report.failures);
     let scope = report.scope.as_ref().expect("scope on => matrix keeps one");
-    let stats = report.proactive_stats();
+    let stats = report.full_stats();
     assert_eq!(
         scope.metrics.counter("scope.flow.drains"),
         stats.drains,
@@ -327,7 +266,7 @@ fn small_fleet_exports_match_pinned_digests() {
     }
     let chaos = run_chaos_matrix(&ClusterConfig {
         scope: true,
-        ..small_matrix()
+        ..small_e13()
     })
     .expect("matrix runs");
     let scope = chaos.scope.as_ref().expect("scope on");
@@ -342,7 +281,7 @@ fn small_fleet_exports_match_pinned_digests() {
 
     // The report texts themselves, and the rebal matrix's kept recording:
     // a reordered metric or a moved column must not pass either.
-    let rebal = hera_cluster::run_rebal_matrix(&small_rebal_matrix()).expect("matrix runs");
+    let rebal = hera_cluster::run_rebal_matrix(&small_e15()).expect("matrix runs");
     let scope = rebal.scope.as_ref().expect("scope on");
     let got = [
         digest(report.render()),
