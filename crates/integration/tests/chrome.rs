@@ -115,3 +115,132 @@ fn real_workload_trace_round_trips() {
     };
     assert_eq!(count_ph("B"), count_ph("E"), "unbalanced B/E stream");
 }
+
+/// `main` fills the head of a 16 KiB byte array and hands it to the
+/// `writeFile` native.
+fn bypass_jni_program() -> hera_isa::Program {
+    use hera_frontend::*;
+    use hera_isa::{ElemTy, ProgramBuilder, Ty};
+    let mut pb = ProgramBuilder::new();
+    let api = hera_core::native::install_runtime(&mut pb);
+    let c = pb.add_class("Main", None);
+    let main = declare_static(&mut pb, c, "main", vec![], Some(Ty::Int));
+    let body = vec![
+        Stmt::Let("buf".into(), new_array(ElemTy::Byte, i32c(16 << 10))),
+        for_range(
+            "i",
+            i32c(0),
+            i32c(64),
+            vec![Stmt::SetIndex(local("buf"), local("i"), local("i"))],
+        ),
+        Stmt::Return(Some(call(
+            api.write_file,
+            vec![i32c(1), local("buf"), i32c(64)],
+        ))),
+    ];
+    define(&mut pb, main, vec![], body).expect("main compiles");
+    pb.finish_with_entry("Main", "main")
+        .expect("program resolves")
+}
+
+/// Byte-exact oracle for exporter refactors: `digest64` of the Chrome
+/// JSON and the text summary of real traces, captured on the commit
+/// before the exporters were rewritten. The runs are chosen so that every
+/// `TraceEvent` variant is exported at least once (asserted below), so no
+/// record shape can drift unnoticed.
+#[test]
+fn exports_match_pinned_digests() {
+    use hera_bench::{chaos_death_cycle, chaos_plan, chaos_workload, spe_config, trace_workload};
+    use hera_core::{HeraJvm, VmConfig};
+    use hera_workloads::Workload;
+    use std::collections::BTreeSet;
+
+    /// `(run, chrome_trace_json digest, text_summary digest)`.
+    const PINNED: &[(&str, u64, u64)] = &[
+        ("compress", 0x1b3d_bc02_b1fe_77e3, 0x85b9_d1c9_07bc_dcb9),
+        ("mpegaudio", 0x8397_5ef2_6629_9b99, 0x2f64_f312_3273_f25d),
+        ("mandelbrot", 0xce66_7e71_b2f8_a83b, 0xa99d_7d62_2ff9_319c),
+        ("sync", 0x71ae_b992_95a7_6585, 0x63cd_1442_a0b8_f3d7),
+        (
+            "mixed-annotated",
+            0x7221_1b91_c01c_1fec,
+            0xb6f2_5949_5549_dcd1,
+        ),
+        ("chaos", 0xf40d_2bf2_2039_aa4c, 0x306b_b8a2_19cd_a15a),
+        ("bypass-jni", 0x7cff_884f_47c2_00ed, 0x60c8_fe8c_4d4c_fa5c),
+        (
+            "gc-checkpoint",
+            0x14af_e167_8014_d227,
+            0x3e78_b60d_37fd_b084,
+        ),
+        ("restore", 0x9510_35c6_c683_ddb7, 0xfb13_61f9_e16e_5857),
+    ];
+    /// The symbolised export `figures trace` writes, on the mandelbrot run.
+    const PINNED_NAMED: u64 = 0x7eb2_e9bf_3835_206e;
+
+    let traced = |program, cfg: VmConfig| {
+        let vm = HeraJvm::new(program, cfg.with_tracing()).expect("constructs");
+        let out = vm.run().expect("runs");
+        assert!(out.is_clean(), "traps {:?}", out.traps);
+        out.trace
+    };
+    let mut runs = Vec::new();
+    let mut mandelbrot_names = Vec::new();
+    for w in Workload::ALL {
+        let (out, names) = trace_workload(w, 6, 0.1, VmConfig::pinned_spe(6));
+        if w == Workload::Mandelbrot {
+            mandelbrot_names = names;
+        }
+        runs.push(out.trace);
+    }
+    runs.push(traced(hera_bench::sync_program(6, 2000).0, spe_config(6)));
+    // The default policy is `Annotation`: threads migrate at annotated
+    // calls, and every other migration wait trips its watchdog.
+    let (mixed, _) = hera_bench::mixed_program(0.1, true);
+    let watchdogs = hera_cell::FaultPlan::seeded(0xC0FFEE).with_migration_faults(500_000);
+    runs.push(traced(mixed, VmConfig::default().with_faults(watchdogs)));
+    let plan = chaos_plan(0xC0FFEE, 2, chaos_death_cycle(0.1));
+    runs.push(chaos_workload(Workload::Compress, 0.1, plan).trace);
+    runs.push(traced(bypass_jni_program(), {
+        // An 8 KiB array block against a 4 KiB data cache: every access
+        // bypasses; `writeFile` from an SPE takes the JNI bridge.
+        let mut cfg = VmConfig::pinned_spe(1).with_cache_sizes(4 << 10, 8 << 10);
+        cfg.array_block_bytes = 8 << 10;
+        cfg
+    }));
+    let gc = hera_integration::gc_pressure_vm();
+    let gc = HeraJvm::new(gc.program().clone(), gc.config().with_tracing()).expect("constructs");
+    let full = gc.run().expect("runs");
+    let middle = &full.checkpoints[full.checkpoints.len() / 2];
+    let restored = gc.restore_bytes(&middle.bytes).expect("restores");
+    runs.push(full.trace);
+    runs.push(restored.trace);
+
+    let mut kinds = BTreeSet::new();
+    let mut got = Vec::new();
+    for (sink, (name, ..)) in runs.iter().zip(PINNED) {
+        kinds.extend(sink.iter_all().map(|(_, te)| te.event.kind_name()));
+        got.push((
+            *name,
+            hera_snap::digest64(chrome_trace_json(sink).as_bytes()),
+            hera_snap::digest64(hera_trace::text_summary(sink).as_bytes()),
+        ));
+    }
+    assert_eq!(
+        kinds.len(),
+        33,
+        "a TraceEvent variant is never exported: {kinds:?}"
+    );
+    assert_eq!(got, PINNED, "exported bytes changed (actual: {got:#018x?})");
+    let named = chrome_trace_json_with(&runs[2], &|m| {
+        mandelbrot_names
+            .get(m as usize)
+            .cloned()
+            .unwrap_or_else(|| format!("m{m}"))
+    });
+    let named = hera_snap::digest64(named.as_bytes());
+    assert_eq!(
+        named, PINNED_NAMED,
+        "symbolised export changed (actual: {named:#018x})"
+    );
+}

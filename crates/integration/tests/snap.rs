@@ -4,6 +4,7 @@
 
 use hera_core::{HeraJvm, RunOutcome, VmConfig, VmError};
 use hera_frontend::*;
+use hera_integration::gc_pressure_vm;
 use hera_isa::{ElemTy, ProgramBuilder, Trap, Ty, Value};
 use hera_snap::SnapError;
 
@@ -658,28 +659,6 @@ fn oversized_object_bypasses_data_cache_live_and_across_restore() {
 }
 
 // --------------------------------------------- OOM semantics + snapshot
-
-/// Allocation pressure with *dead* garbage on a 64 KiB heap: 3000 ×
-/// 256+ B of it, so the run survives only by collecting. Free spans keep
-/// their stale bytes, which is the heap image the snapshot must carry.
-fn gc_pressure_vm() -> HeraJvm {
-    let body = vec![
-        Stmt::Let("keep".into(), new_array(ElemTy::Int, i32c(64))),
-        for_range(
-            "i",
-            i32c(0),
-            i32c(3_000),
-            vec![
-                Stmt::Assign("keep".into(), new_array(ElemTy::Int, i32c(64))),
-                Stmt::SetIndex(local("keep"), i32c(0), local("i")),
-            ],
-        ),
-        Stmt::Return(Some(index(local("keep"), i32c(0)))),
-    ];
-    let mut cfg = VmConfig::pinned_ppe().with_checkpoint_every(200_000);
-    cfg.heap.size_bytes = 64 << 10;
-    HeraJvm::new(main_program(Some(Ty::Int), body), cfg).expect("constructs")
-}
 
 /// The allocator must GC and retry rather than trap, and the
 /// checkpointed run restores to the same outcome.
