@@ -43,6 +43,11 @@ cargo run --release -p hera-bench --bin figures -- perf-gate --reps 1 --workers 
 # (the command prints and checks the invariant) and write the folded
 # flamegraph output.
 cargo run --release -p hera-bench --bin figures -- profile mandelbrot --scale 0.25
+# Trace-export smoke: the Chrome exporter must be a pure function of the
+# trace (the subcommand exports twice and compares the documents byte for
+# byte) and must close every frame it opens (`"ph":"B"` and `"ph":"E"`
+# counts balance) — exit 1 otherwise; writes trace_mandelbrot.json.
+cargo run --release -p hera-bench --bin figures -- trace mandelbrot --scale 0.25
 # Chaos smoke: fixed seed, one workload, SPE-death schedule; the run
 # must recover (the harness asserts the checksum), replay byte-identically
 # under the same seed, and print the report — exit 1 on any divergence.

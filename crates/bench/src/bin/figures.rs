@@ -7,7 +7,9 @@
 //! EXPERIMENT: all | fig4a | fig4b | fig5 | fig6 | fig7
 //!           | ablate-data | ablate-jit | adaptive-cache | placement
 //!           | cellvm-sync
-//!           | trace [WORKLOAD]   (emit a Chrome/Perfetto trace + summary)
+//!           | trace [WORKLOAD]   (emit a Chrome/Perfetto trace + summary;
+//!                                 exported twice and byte-compared, B/E
+//!                                 records must balance — exit 1 otherwise)
 //!           | chaos [WORKLOAD]   (fault-injection run + recovery report)
 //!           | chaos-crash [WORKLOAD]  (kill the whole machine mid-run, restore
 //!                                     from the latest checkpoint, report the
@@ -223,12 +225,29 @@ fn trace_workload(name: &str, scale: f64) {
         w.name()
     ));
     let (out, names) = xb::trace_workload(w, 6, scale, xb::spe_config(6));
-    let json = hera_trace::chrome_trace_json_with(&out.trace, &|m| {
-        names
-            .get(m as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("m{m}"))
-    });
+    // The export is a pure function of the trace, and every frame it
+    // opens it closes. Only one document is held at a time (they reach
+    // hundreds of MB at scale 1.0), so the first is kept as a fingerprint.
+    let fingerprint = |json: &str| {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        json.hash(&mut h);
+        (json.len(), h.finish())
+    };
+    let first = fingerprint(&hera_trace::chrome_trace_json_named(&out.trace, &names));
+    let json = hera_trace::chrome_trace_json_named(&out.trace, &names);
+    let same = fingerprint(&json) == first;
+    let (begins, ends) = (
+        json.matches("\"ph\":\"B\"").count(),
+        json.matches("\"ph\":\"E\"").count(),
+    );
+    if !same || begins != ends {
+        eprintln!(
+            "trace export failed its checks: second export {}, {begins} B vs {ends} E records",
+            if same { "identical" } else { "differs" }
+        );
+        std::process::exit(1);
+    }
     let path = format!("trace_{}.json", w.name());
     std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
     print!("{}", hera_trace::text_summary(&out.trace));

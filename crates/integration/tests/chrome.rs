@@ -6,7 +6,7 @@
 //! that the hand-rolled writer emits well-formed JSON.
 
 use hera_integration::minijson::{parse, Value};
-use hera_trace::{chrome_trace_json, chrome_trace_json_with, TraceEvent, TraceSink};
+use hera_trace::{chrome_trace_json, chrome_trace_json_named, TraceEvent, TraceSink};
 
 /// Objects anywhere in the subtree (the old validator's record count).
 fn count_objects(v: &Value) -> usize {
@@ -71,7 +71,7 @@ fn hostile_method_names_are_escaped_and_round_trip() {
         "back\\slash\ttab\nnewline",
         "unicode-méthode-λ·メソッド",
     ];
-    let json = chrome_trace_json_with(&sink, &|m| names[m as usize].to_string());
+    let json = chrome_trace_json_named(&sink, &names);
     let doc = parse(&json).expect("hostile names must still produce valid JSON");
     // The decoded strings survive the writer's escaping intact.
     let strings = doc.strings();
@@ -92,12 +92,7 @@ fn real_workload_trace_round_trips() {
     use hera_bench::{spe_config, trace_workload};
     let (out, names) = trace_workload(hera_workloads::Workload::Mandelbrot, 6, 0.1, spe_config(6));
     assert!(out.trace.event_count() > 0);
-    let json = hera_trace::chrome_trace_json_with(&out.trace, &|m| {
-        names
-            .get(m as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("m{m}"))
-    });
+    let json = hera_trace::chrome_trace_json_named(&out.trace, &names);
     let doc = parse(&json).expect("workload export must be valid JSON");
     // Shell + one metadata record per lane + at least one record per event
     // is a loose lower bound (B/E pairs mean some events emit two).
@@ -179,8 +174,7 @@ fn exports_match_pinned_digests() {
     const PINNED_NAMED: u64 = 0x7eb2_e9bf_3835_206e;
 
     let traced = |program, cfg: VmConfig| {
-        let vm = HeraJvm::new(program, cfg.with_tracing()).expect("constructs");
-        let out = vm.run().expect("runs");
+        let out = hera_integration::run_program(program, cfg.with_tracing());
         assert!(out.is_clean(), "traps {:?}", out.traps);
         out.trace
     };
@@ -232,12 +226,7 @@ fn exports_match_pinned_digests() {
         "a TraceEvent variant is never exported: {kinds:?}"
     );
     assert_eq!(got, PINNED, "exported bytes changed (actual: {got:#018x?})");
-    let named = chrome_trace_json_with(&runs[2], &|m| {
-        mandelbrot_names
-            .get(m as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("m{m}"))
-    });
+    let named = chrome_trace_json_named(&runs[2], &mandelbrot_names);
     let named = hera_snap::digest64(named.as_bytes());
     assert_eq!(
         named, PINNED_NAMED,

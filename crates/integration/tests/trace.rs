@@ -171,12 +171,7 @@ fn migrations_trace_out_and_in_pairs() {
 #[test]
 fn chrome_export_is_valid_json_with_one_track_per_core() {
     let (out, names) = trace_workload(Workload::Mandelbrot, 2, SCALE, spe_config(2));
-    let json = hera_trace::chrome_trace_json_with(&out.trace, &|m| {
-        names
-            .get(m as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("m{m}"))
-    });
+    let json = hera_trace::chrome_trace_json_named(&out.trace, &names);
 
     assert_json_well_formed(&json);
     assert!(json.starts_with("{\"displayTimeUnit\":\"ns\",\"traceEvents\":["));

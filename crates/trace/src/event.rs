@@ -3,7 +3,9 @@
 //! Every event is `Copy` and carries only plain integers: the simulator maps
 //! its own ids (method indices, object handles, native ids, core indices)
 //! onto `u32` lanes/ids before emitting.  Exporters that want symbolic names
-//! accept a resolver closure (see [`crate::chrome_trace_json_with`]).
+//! accept a name table (see [`crate::chrome_trace_json_named`]).
+
+use crate::chrome::num;
 
 /// Which of the paper's three migration paths moved a thread between cores.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -224,172 +226,298 @@ pub enum TraceEvent {
     Restore { seq: u32 },
 }
 
-/// Export metadata for an event: its category plus the body of a JSON
-/// `args` object (no braces), e.g. `"bytes":128,"tag":"dcache-fill"`.
-pub struct TraceKindArgs {
+/// What every event of one kind shares.
+pub(crate) struct TraceKind {
+    /// Rank of `name` among all kinds' names: a per-kind array indexed by
+    /// it is in the order the text summary lists kinds in.
+    pub index: usize,
+    /// Stable short name for summaries and export `name` fields.
+    pub name: &'static str,
+    /// Chrome category.
     pub cat: &'static str,
-    pub args: String,
+}
+
+/// How many kinds there are (one per variant).
+pub(crate) const KINDS: usize = 33;
+
+/// `<key>"<label>"` for the static ASCII labels, which need no escaping.
+fn text(out: &mut String, key: &str, label: &str) {
+    out.push_str(key);
+    out.push('"');
+    out.push_str(label);
+    out.push('"');
 }
 
 impl TraceEvent {
-    /// Stable short name for summaries and export `name` fields.
-    pub fn kind_name(&self) -> &'static str {
+    /// The one table of event kinds, in name order.
+    pub(crate) fn kind(&self) -> TraceKind {
+        let kind = |index, name, cat| TraceKind { index, name, cat };
         match self {
-            TraceEvent::MethodInvoke { .. } => "method.invoke",
-            TraceEvent::MethodReturn { .. } => "method.return",
-            TraceEvent::MigrateOut { .. } => "migrate.out",
-            TraceEvent::MigrateIn { .. } => "migrate.in",
-            TraceEvent::Dma { .. } => "dma",
-            TraceEvent::EibStall { .. } => "eib.stall",
-            TraceEvent::DataCacheHit { .. } => "dcache.hit",
-            TraceEvent::DataCacheMiss { .. } => "dcache.miss",
-            TraceEvent::DataCacheWriteBack { .. } => "dcache.writeback",
-            TraceEvent::DataCachePurge { .. } => "dcache.purge",
-            TraceEvent::DataCacheBypass { .. } => "dcache.bypass",
-            TraceEvent::CodeCacheHit { .. } => "ccache.hit",
-            TraceEvent::CodeCacheMiss { .. } => "ccache.miss",
-            TraceEvent::CodeCacheTibHit { .. } => "ccache.tib_hit",
-            TraceEvent::CodeCacheTibMiss { .. } => "ccache.tib_miss",
-            TraceEvent::CodeCachePurge { .. } => "ccache.purge",
-            TraceEvent::JmmBarrier { .. } => "jmm.barrier",
-            TraceEvent::MonitorAcquire { .. } => "monitor.acquire",
-            TraceEvent::MonitorContended { .. } => "monitor.contended",
-            TraceEvent::MonitorRelease { .. } => "monitor.release",
-            TraceEvent::SyscallProxy { .. } => "native.syscall_proxy",
-            TraceEvent::JniBridge { .. } => "native.jni_bridge",
-            TraceEvent::GcBegin { .. } => "gc.begin",
-            TraceEvent::GcPhaseEnd { .. } => "gc.phase_end",
-            TraceEvent::GcEnd { .. } => "gc.end",
-            TraceEvent::ThreadSwitch { .. } => "thread.switch",
-            TraceEvent::MfcFault { .. } => "fault.mfc",
-            TraceEvent::MfcRetry { .. } => "fault.retry",
-            TraceEvent::WatchdogTimeout { .. } => "fault.watchdog",
-            TraceEvent::SpeFailed { .. } => "fault.spe_failed",
-            TraceEvent::SpeDrained { .. } => "fault.spe_drained",
-            TraceEvent::Checkpoint { .. } => "snap.checkpoint",
-            TraceEvent::Restore { .. } => "snap.restore",
+            TraceEvent::CodeCacheHit { .. } => kind(0, "ccache.hit", "ccache"),
+            TraceEvent::CodeCacheMiss { .. } => kind(1, "ccache.miss", "ccache"),
+            TraceEvent::CodeCachePurge { .. } => kind(2, "ccache.purge", "ccache"),
+            TraceEvent::CodeCacheTibHit { .. } => kind(3, "ccache.tib_hit", "ccache"),
+            TraceEvent::CodeCacheTibMiss { .. } => kind(4, "ccache.tib_miss", "ccache"),
+            TraceEvent::DataCacheBypass { .. } => kind(5, "dcache.bypass", "dcache"),
+            TraceEvent::DataCacheHit { .. } => kind(6, "dcache.hit", "dcache"),
+            TraceEvent::DataCacheMiss { .. } => kind(7, "dcache.miss", "dcache"),
+            TraceEvent::DataCachePurge { .. } => kind(8, "dcache.purge", "dcache"),
+            TraceEvent::DataCacheWriteBack { .. } => kind(9, "dcache.writeback", "dcache"),
+            TraceEvent::Dma { .. } => kind(10, "dma", "dma"),
+            TraceEvent::EibStall { .. } => kind(11, "eib.stall", "dma"),
+            TraceEvent::MfcFault { .. } => kind(12, "fault.mfc", "fault"),
+            TraceEvent::MfcRetry { .. } => kind(13, "fault.retry", "fault"),
+            TraceEvent::SpeDrained { .. } => kind(14, "fault.spe_drained", "fault"),
+            TraceEvent::SpeFailed { .. } => kind(15, "fault.spe_failed", "fault"),
+            TraceEvent::WatchdogTimeout { .. } => kind(16, "fault.watchdog", "fault"),
+            TraceEvent::GcBegin { .. } => kind(17, "gc.begin", "gc"),
+            TraceEvent::GcEnd { .. } => kind(18, "gc.end", "gc"),
+            TraceEvent::GcPhaseEnd { .. } => kind(19, "gc.phase_end", "gc"),
+            TraceEvent::JmmBarrier { .. } => kind(20, "jmm.barrier", "jmm"),
+            TraceEvent::MethodInvoke { .. } => kind(21, "method.invoke", "method"),
+            TraceEvent::MethodReturn { .. } => kind(22, "method.return", "method"),
+            TraceEvent::MigrateIn { .. } => kind(23, "migrate.in", "migration"),
+            TraceEvent::MigrateOut { .. } => kind(24, "migrate.out", "migration"),
+            TraceEvent::MonitorAcquire { .. } => kind(25, "monitor.acquire", "monitor"),
+            TraceEvent::MonitorContended { .. } => kind(26, "monitor.contended", "monitor"),
+            TraceEvent::MonitorRelease { .. } => kind(27, "monitor.release", "monitor"),
+            TraceEvent::JniBridge { .. } => kind(28, "native.jni_bridge", "native"),
+            TraceEvent::SyscallProxy { .. } => kind(29, "native.syscall_proxy", "native"),
+            TraceEvent::Checkpoint { .. } => kind(30, "snap.checkpoint", "snap"),
+            TraceEvent::Restore { .. } => kind(31, "snap.restore", "snap"),
+            TraceEvent::ThreadSwitch { .. } => kind(32, "thread.switch", "sched"),
         }
     }
 
-    /// Category and JSON `args` body used by the Chrome exporter for instant
-    /// events.  Duration events (method frames, GC) are handled separately.
-    pub fn kind_args(&self) -> TraceKindArgs {
-        let (cat, args) = match *self {
-            TraceEvent::MethodInvoke { method } | TraceEvent::MethodReturn { method } => {
-                ("method", format!("\"method\":{method}"))
-            }
+    /// Stable short name for summaries and export `name` fields.
+    pub fn kind_name(&self) -> &'static str {
+        self.kind().name
+    }
+
+    /// Append the body of this event's JSON `args` object (no braces),
+    /// e.g. `"addr":4096,"bytes":128`. Labels are static ASCII with
+    /// nothing JSON would escape.
+    pub(crate) fn write_args(&self, out: &mut String) {
+        match *self {
+            TraceEvent::MethodInvoke { method }
+            | TraceEvent::MethodReturn { method }
+            | TraceEvent::CodeCacheHit { method } => num(out, "\"method\":", method),
             TraceEvent::MigrateOut {
                 kind,
                 to_lane,
                 thread,
-            } => (
-                "migration",
-                format!(
-                    "\"kind\":\"{}\",\"to_lane\":{to_lane},\"thread\":{thread}",
-                    kind.label()
-                ),
-            ),
+            } => {
+                text(out, "\"kind\":", kind.label());
+                num(out, ",\"to_lane\":", to_lane);
+                num(out, ",\"thread\":", thread);
+            }
             TraceEvent::MigrateIn {
                 kind,
                 from_lane,
                 thread,
-            } => (
-                "migration",
-                format!(
-                    "\"kind\":\"{}\",\"from_lane\":{from_lane},\"thread\":{thread}",
-                    kind.label()
-                ),
-            ),
+            } => {
+                text(out, "\"kind\":", kind.label());
+                num(out, ",\"from_lane\":", from_lane);
+                num(out, ",\"thread\":", thread);
+            }
             TraceEvent::Dma {
                 tag,
                 bytes,
                 queue_cycles,
                 transfer_cycles,
-            } => (
-                "dma",
-                format!(
-                    "\"tag\":\"{}\",\"bytes\":{bytes},\"queue_cycles\":{queue_cycles},\"transfer_cycles\":{transfer_cycles}",
-                    tag.label()
-                ),
-            ),
-            TraceEvent::EibStall { cycles } => ("dma", format!("\"cycles\":{cycles}")),
-            TraceEvent::DataCacheHit { addr } => ("dcache", format!("\"addr\":{addr}")),
-            TraceEvent::DataCacheMiss { addr, bytes } => {
-                ("dcache", format!("\"addr\":{addr},\"bytes\":{bytes}"))
+            } => {
+                text(out, "\"tag\":", tag.label());
+                num(out, ",\"bytes\":", bytes);
+                num(out, ",\"queue_cycles\":", queue_cycles);
+                num(out, ",\"transfer_cycles\":", transfer_cycles);
             }
-            TraceEvent::DataCacheWriteBack { addr, bytes } => {
-                ("dcache", format!("\"addr\":{addr},\"bytes\":{bytes}"))
+            TraceEvent::EibStall { cycles } => num(out, "\"cycles\":", cycles),
+            TraceEvent::DataCacheHit { addr } => num(out, "\"addr\":", addr),
+            TraceEvent::DataCacheMiss { addr, bytes }
+            | TraceEvent::DataCacheWriteBack { addr, bytes }
+            | TraceEvent::DataCacheBypass { addr, bytes } => {
+                num(out, "\"addr\":", addr);
+                num(out, ",\"bytes\":", bytes);
             }
             TraceEvent::DataCachePurge { resident_units } => {
-                ("dcache", format!("\"resident_units\":{resident_units}"))
+                num(out, "\"resident_units\":", resident_units)
             }
-            TraceEvent::DataCacheBypass { addr, bytes } => {
-                ("dcache", format!("\"addr\":{addr},\"bytes\":{bytes}"))
-            }
-            TraceEvent::CodeCacheHit { method } => ("ccache", format!("\"method\":{method}")),
             TraceEvent::CodeCacheMiss { method, bytes } => {
-                ("ccache", format!("\"method\":{method},\"bytes\":{bytes}"))
+                num(out, "\"method\":", method);
+                num(out, ",\"bytes\":", bytes);
             }
-            TraceEvent::CodeCacheTibHit { class } => ("ccache", format!("\"class\":{class}")),
+            TraceEvent::CodeCacheTibHit { class } => num(out, "\"class\":", class),
             TraceEvent::CodeCacheTibMiss { class, bytes } => {
-                ("ccache", format!("\"class\":{class},\"bytes\":{bytes}"))
+                num(out, "\"class\":", class);
+                num(out, ",\"bytes\":", bytes);
             }
             TraceEvent::CodeCachePurge { bytes_in_use } => {
-                ("ccache", format!("\"bytes_in_use\":{bytes_in_use}"))
+                num(out, "\"bytes_in_use\":", bytes_in_use)
             }
-            TraceEvent::JmmBarrier { kind } => {
-                ("jmm", format!("\"kind\":\"{}\"", kind.label()))
-            }
+            TraceEvent::JmmBarrier { kind } => text(out, "\"kind\":", kind.label()),
             TraceEvent::MonitorAcquire { obj }
             | TraceEvent::MonitorContended { obj }
-            | TraceEvent::MonitorRelease { obj } => ("monitor", format!("\"obj\":{obj}")),
+            | TraceEvent::MonitorRelease { obj } => num(out, "\"obj\":", obj),
             TraceEvent::SyscallProxy { native } | TraceEvent::JniBridge { native } => {
-                ("native", format!("\"native\":{native}"))
+                num(out, "\"native\":", native)
             }
             TraceEvent::GcBegin { requester_lane } => {
-                ("gc", format!("\"requester_lane\":{requester_lane}"))
+                num(out, "\"requester_lane\":", requester_lane)
             }
             TraceEvent::GcPhaseEnd {
                 phase,
                 items,
                 bytes,
-            } => (
-                "gc",
-                format!(
-                    "\"phase\":\"{}\",\"items\":{items},\"bytes\":{bytes}",
-                    phase.label()
-                ),
-            ),
+            } => {
+                text(out, "\"phase\":", phase.label());
+                num(out, ",\"items\":", items);
+                num(out, ",\"bytes\":", bytes);
+            }
             TraceEvent::GcEnd {
                 freed_objects,
                 freed_bytes,
-            } => (
-                "gc",
-                format!("\"freed_objects\":{freed_objects},\"freed_bytes\":{freed_bytes}"),
-            ),
-            TraceEvent::ThreadSwitch { thread } => ("sched", format!("\"thread\":{thread}")),
-            TraceEvent::MfcFault { kind, attempt } => (
-                "fault",
-                format!("\"kind\":\"{}\",\"attempt\":{attempt}", kind.label()),
-            ),
+            } => {
+                num(out, "\"freed_objects\":", freed_objects);
+                num(out, ",\"freed_bytes\":", freed_bytes);
+            }
+            TraceEvent::ThreadSwitch { thread } => num(out, "\"thread\":", thread),
+            TraceEvent::MfcFault { kind, attempt } => {
+                text(out, "\"kind\":", kind.label());
+                num(out, ",\"attempt\":", attempt);
+            }
             TraceEvent::MfcRetry {
                 attempt,
                 backoff_cycles,
-            } => (
-                "fault",
-                format!("\"attempt\":{attempt},\"backoff_cycles\":{backoff_cycles}"),
-            ),
-            TraceEvent::WatchdogTimeout { kind, cycles } => (
-                "fault",
-                format!("\"kind\":\"{}\",\"cycles\":{cycles}", kind.label()),
-            ),
-            TraceEvent::SpeFailed { spe } => ("fault", format!("\"spe\":{spe}")),
-            TraceEvent::SpeDrained { threads } => ("fault", format!("\"threads\":{threads}")),
-            TraceEvent::Checkpoint { seq, bytes } => {
-                ("snap", format!("\"seq\":{seq},\"bytes\":{bytes}"))
+            } => {
+                num(out, "\"attempt\":", attempt);
+                num(out, ",\"backoff_cycles\":", backoff_cycles);
             }
-            TraceEvent::Restore { seq } => ("snap", format!("\"seq\":{seq}")),
-        };
-        TraceKindArgs { cat, args }
+            TraceEvent::WatchdogTimeout { kind, cycles } => {
+                text(out, "\"kind\":", kind.label());
+                num(out, ",\"cycles\":", cycles);
+            }
+            TraceEvent::SpeFailed { spe } => num(out, "\"spe\":", spe),
+            TraceEvent::SpeDrained { threads } => num(out, "\"threads\":", threads),
+            TraceEvent::Checkpoint { seq, bytes } => {
+                num(out, "\"seq\":", seq);
+                num(out, ",\"bytes\":", bytes);
+            }
+            TraceEvent::Restore { seq } => num(out, "\"seq\":", seq),
+        }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+
+    /// One event of every variant, in declaration order: `u32` fields set
+    /// to `a`, `u64` fields to `b`, label enums to their `pick`-th label
+    /// (modulo how many they have).
+    pub(crate) fn every_variant(a: u32, b: u64, pick: usize) -> [TraceEvent; 33] {
+        use TraceEvent::*;
+        let kind = [
+            MigrationKind::Annotation,
+            MigrationKind::Monitored,
+            MigrationKind::MarkerReturn,
+            MigrationKind::Failover,
+        ][pick % 4];
+        let fault = [
+            InjectedFault::MfcTransfer,
+            InjectedFault::EibGrantTimeout,
+            InjectedFault::LsCorruption,
+            InjectedFault::ProxyTimeout,
+            InjectedFault::MigrationTimeout,
+        ][pick % 5];
+        let tag = [
+            DmaTag::DataCacheFill,
+            DmaTag::DataCacheWriteBack,
+            DmaTag::CodeCacheLoad,
+            DmaTag::Bypass,
+            DmaTag::Other,
+        ][pick % 5];
+        let barrier = [BarrierKind::Acquire, BarrierKind::Release][pick % 2];
+        let phase = [GcPhase::Mark, GcPhase::Sweep][pick % 2];
+        [
+            MethodInvoke { method: a },
+            MethodReturn { method: a },
+            MigrateOut {
+                kind,
+                to_lane: a,
+                thread: a,
+            },
+            MigrateIn {
+                kind,
+                from_lane: a,
+                thread: a,
+            },
+            Dma {
+                tag,
+                bytes: a,
+                queue_cycles: b,
+                transfer_cycles: b,
+            },
+            EibStall { cycles: b },
+            DataCacheHit { addr: a },
+            DataCacheMiss { addr: a, bytes: a },
+            DataCacheWriteBack { addr: a, bytes: a },
+            DataCachePurge { resident_units: a },
+            DataCacheBypass { addr: a, bytes: a },
+            CodeCacheHit { method: a },
+            CodeCacheMiss {
+                method: a,
+                bytes: a,
+            },
+            CodeCacheTibHit { class: a },
+            CodeCacheTibMiss { class: a, bytes: a },
+            CodeCachePurge { bytes_in_use: a },
+            JmmBarrier { kind: barrier },
+            MonitorAcquire { obj: a },
+            MonitorContended { obj: a },
+            MonitorRelease { obj: a },
+            SyscallProxy { native: a },
+            JniBridge { native: a },
+            GcBegin { requester_lane: a },
+            GcPhaseEnd {
+                phase,
+                items: b,
+                bytes: b,
+            },
+            GcEnd {
+                freed_objects: b,
+                freed_bytes: b,
+            },
+            ThreadSwitch { thread: a },
+            MfcFault {
+                kind: fault,
+                attempt: a,
+            },
+            MfcRetry {
+                attempt: a,
+                backoff_cycles: b,
+            },
+            WatchdogTimeout {
+                kind: fault,
+                cycles: b,
+            },
+            SpeFailed { spe: a },
+            SpeDrained { threads: a },
+            Checkpoint { seq: a, bytes: a },
+            Restore { seq: a },
+        ]
+    }
+
+    /// The text summary lists kinds by `TraceKind::index` and used to list
+    /// them in `BTreeMap<&str, _>` order: every variant must have its own
+    /// index, and the indices must rank the names.
+    #[test]
+    fn kind_indices_rank_the_kind_names() {
+        let mut kinds: Vec<TraceKind> = every_variant(0, 0, 0)
+            .iter()
+            .map(TraceEvent::kind)
+            .collect();
+        kinds.sort_by_key(|k| k.index);
+        assert!(kinds.iter().map(|k| k.index).eq(0..KINDS));
+        assert!(kinds.windows(2).all(|w| w[0].name < w[1].name));
     }
 }

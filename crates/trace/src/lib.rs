@@ -11,8 +11,9 @@
 //! Three consumers ship with the crate:
 //! - [`MetricsRegistry`]: named counters and log2-bucketed histograms that
 //!   subsume the simulator's ad-hoc statistic structs;
-//! - [`chrome_trace_json`]: Chrome trace-event JSON (Perfetto /
-//!   chrome://tracing loadable, one track per core lane);
+//! - [`chrome_trace_json`] / [`chrome_trace_json_named`]: Chrome
+//!   trace-event JSON (Perfetto / chrome://tracing loadable, one track per
+//!   core lane), methods shown as `m<id>` or by a name table;
 //! - [`text_summary`]: a plain-text per-core digest.
 //!
 //! Tracing is zero-cost when disabled: every hook in the simulator is a
@@ -28,11 +29,9 @@ pub mod sink;
 pub mod span;
 pub mod summary;
 
-pub use chrome::{chrome_trace_json, chrome_trace_json_with, fleet_trace_json};
+pub use chrome::{chrome_trace_json, chrome_trace_json_named, fleet_trace_json};
 pub use cost::{CostClass, CostVec};
-pub use event::{
-    BarrierKind, DmaTag, GcPhase, InjectedFault, MigrationKind, TraceEvent, TraceKindArgs,
-};
+pub use event::{BarrierKind, DmaTag, GcPhase, InjectedFault, MigrationKind, TraceEvent};
 pub use metrics::{
     nearest_rank, ExactPercentiles, Histogram, MetricsRegistry, StreamingPercentile, TimeSeries,
 };

@@ -9,6 +9,8 @@
 //! determinism is the producer's job (the fleet allocates ids in event
 //! order, which is itself deterministic).
 
+use crate::chrome::push_u64;
+
 /// What a [`FleetSpan`] records. The kind implies everything static
 /// about the exported event — display label, Chrome category, `args`
 /// keys, and whether the name ends in the request id — so a recorded
@@ -105,12 +107,13 @@ pub struct FleetSpan {
 }
 
 impl FleetSpan {
-    /// Write the display name, e.g. `service req42` or `breaker.open`.
-    pub fn write_name(&self, out: &mut impl std::fmt::Write) -> std::fmt::Result {
-        match self.kind.parts() {
-            (label, false, ..) => out.write_str(label),
-            ("", true, ..) => write!(out, "req{}", self.req),
-            (label, true, ..) => write!(out, "{label} req{}", self.req),
+    /// Append the display name, e.g. `service req42` or `breaker.open`.
+    pub fn write_name(&self, out: &mut String) {
+        let (label, names_request, ..) = self.kind.parts();
+        out.push_str(label);
+        if names_request {
+            out.push_str(if label.is_empty() { "req" } else { " req" });
+            push_u64(out, self.req);
         }
     }
 }
@@ -228,7 +231,7 @@ mod tests {
                 args: [0; 4],
             };
             let mut rendered = String::new();
-            span.write_name(&mut rendered).expect("writing to a String");
+            span.write_name(&mut rendered);
             assert_eq!(rendered, name);
             assert_eq!(kind.parts().2, cat, "{name}");
             assert_eq!(kind.parts().3, keys, "{name}");

@@ -27,12 +27,7 @@ fn main() {
     print!("{}", hera_trace::text_summary(&out.trace));
 
     // Chrome trace-event export with method ids symbolised to names.
-    let json = hera_trace::chrome_trace_json_with(&out.trace, &|m| {
-        method_names
-            .get(m as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("m{m}"))
-    });
+    let json = hera_trace::chrome_trace_json_named(&out.trace, &method_names);
     let path = "trace_run.json";
     std::fs::write(path, &json).expect("write trace json");
     println!();
