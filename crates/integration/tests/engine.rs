@@ -846,3 +846,98 @@ fn restore_preserves_profiles_bit_identically() {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// Pinned final-heap digests.
+//
+// Every other `heap_digest` check compares two runs of the same build,
+// so a digest that changed self-consistently would pass them all. These
+// values were captured before the heap digest stopped reading the
+// never-written tail of the heap (ISSUE 19) and pin its *value* across
+// commits: kernels on both core kinds, on the 32 MB default heap and on
+// a heap whose size is not a multiple of the digest's 8-byte lane, a
+// lock-heavy run, a heap with stale bytes in freed spans, and runs
+// resumed from a checkpoint (same shape and cross-shape).
+
+/// A heap size that is not a multiple of 8.
+const ODD_HEAP_BYTES: u32 = (3 << 20) + 5;
+
+#[test]
+fn heap_digests_match_pinned_values() {
+    use hera_workloads::Workload;
+
+    let mut got: Vec<(String, u64)> = Vec::new();
+    for w in Workload::ALL {
+        for (core, threads, base) in [
+            ("ppe", 1, VmConfig::pinned_ppe()),
+            ("spe6", 6, VmConfig::pinned_spe(6)),
+        ] {
+            for (heap, bytes) in [("h32m", 32 << 20), ("hodd", ODD_HEAP_BYTES)] {
+                let (program, expected) = w.build(threads, 0.1);
+                let mut cfg = base;
+                cfg.heap.size_bytes = bytes;
+                let out = run_program(program, cfg);
+                assert_eq!(out.result, Some(Value::I32(expected)), "{}", w.name());
+                got.push((format!("{}/{core}/{heap}", w.name()), out.heap_digest));
+            }
+        }
+    }
+
+    let (program, expected) = hera_bench::sync_program(6, 500);
+    let out = run_program(program, VmConfig::pinned_spe(6));
+    assert_eq!(out.result, Some(Value::I32(expected)));
+    got.push(("sync6x500".into(), out.heap_digest));
+
+    let out = hera_integration::gc_pressure_vm().run().expect("runs");
+    assert!(out.stats.gc.collections > 0, "GC never ran");
+    got.push(("gc-pressure".into(), out.heap_digest));
+
+    // A checkpoint in the middle of compress on 6 SPEs, resumed on the
+    // same shape and adopted by a 2-SPE machine (whose drained threads
+    // legitimately end with a different heap image).
+    let (program, expected) = Workload::Compress.build(6, 0.1);
+    let mut six = VmConfig::pinned_spe(6);
+    six.heap.size_bytes = 2 << 20;
+    let mut two = VmConfig::pinned_spe(2);
+    two.heap.size_bytes = 2 << 20;
+    let wall = run_program(program.clone(), six).stats.wall_cycles;
+    let every = wall / 2;
+    let source = HeraJvm::new(program.clone(), six.with_checkpoint_every(every)).expect("builds");
+    let full = source.run().expect("checkpointed run");
+    let mid = &full.checkpoints.first().expect("one checkpoint").bytes;
+    let restored = source.restore_bytes(mid).expect("restores");
+    assert_eq!(restored.result, Some(Value::I32(expected)));
+    assert_eq!(restored.heap_digest, full.heap_digest);
+    got.push(("compress/restore".into(), restored.heap_digest));
+    let adopted = HeraJvm::new(program, two.with_checkpoint_every(every))
+        .expect("builds")
+        .adopt_bytes(mid)
+        .expect("adopts");
+    assert_eq!(adopted.result, Some(Value::I32(expected)));
+    assert!(adopted.is_clean(), "traps: {:?}", adopted.traps);
+    got.push(("compress/adopt-6to2".into(), adopted.heap_digest));
+
+    const PINNED: &[(&str, u64)] = &[
+        ("compress/ppe/h32m", 0x928a_59a4_7314_467b),
+        ("compress/ppe/hodd", 0x290e_ce13_064c_d62e),
+        ("compress/spe6/h32m", 0xb0a4_301d_79af_cb75),
+        ("compress/spe6/hodd", 0xcfa7_882a_94c0_5bb0),
+        ("mpegaudio/ppe/h32m", 0x9d63_eff5_d740_44ef),
+        ("mpegaudio/ppe/hodd", 0x87a8_599c_15a5_2102),
+        ("mpegaudio/spe6/h32m", 0x8877_1dbe_ec67_7f0a),
+        ("mpegaudio/spe6/hodd", 0xfab7_5586_bf52_170b),
+        ("mandelbrot/ppe/h32m", 0x1796_459f_8b68_fc75),
+        ("mandelbrot/ppe/hodd", 0xe8b3_3d49_88a7_f5e8),
+        ("mandelbrot/spe6/h32m", 0x5b2a_99f3_ef1d_009a),
+        ("mandelbrot/spe6/hodd", 0xc6a8_6ff4_215e_7c13),
+        ("sync6x500", 0x18ef_1a22_4752_f178),
+        ("gc-pressure", 0xdee3_06cf_1ff1_207b),
+        ("compress/restore", 0x55a1_9a39_b9df_cb75),
+        ("compress/adopt-6to2", 0x4b88_6976_6ce2_93f9),
+    ];
+    let pinned: Vec<(String, u64)> = PINNED.iter().map(|&(l, d)| (l.to_string(), d)).collect();
+    assert_eq!(
+        got, pinned,
+        "final heap digests changed (actual: {got:#018x?})"
+    );
+}
