@@ -19,14 +19,20 @@ for t in crates/integration/tests/*.rs; do
     cargo test -q -p hera-integration --test "$name"
     echo "== hera-integration --test $name: $(($(date +%s) - start)) s =="
 done
+# The release smokes below print their wall seconds the same way.
+timed() {
+    start=$(date +%s)
+    cargo run --release -p hera-bench --bin figures -- "$@"
+    echo "== $1: $(($(date +%s) - start)) s =="
+}
 # The perf harness must run end to end; one rep at a small scale keeps
 # this a smoke test, not a measurement.
-cargo run --release -p hera-bench --bin figures -- perf --reps 1 --scale 0.1
+timed perf --reps 1 --scale 0.1
 # Perf regression gate: the full-scale grid must reproduce the virtual
 # metrics (wall_cycles, guest_ops) committed in BENCH_interp.json
 # exactly; host wall-clock is not compared (`hostbench pairs` owns
 # host-time claims), so this cannot flake.
-cargo run --release -p hera-bench --bin figures -- perf-gate --reps 1
+timed perf-gate --reps 1
 # Parallel engine golden-grid smoke: the determinism suite re-runs the
 # workload grid at workers 1/2/4/8 (plus chaos, checkpoint, and crash
 # cells) asserting byte-identical traces, stats, profiles, and snapshot
@@ -38,44 +44,44 @@ cargo test --release -p hera-integration --test par
 # of virtual time). The >=2x mandelbrot/spe6 host speedup is enforced
 # when the host has >=4 CPUs and reported as skipped otherwise, so a
 # single-core container cannot flake it.
-cargo run --release -p hera-bench --bin figures -- perf-gate --reps 1 --workers 4
+timed perf-gate --reps 1 --workers 4
 # Profiler smoke: per-method attribution must reconcile with RunStats
 # (the command prints and checks the invariant) and write the folded
 # flamegraph output.
-cargo run --release -p hera-bench --bin figures -- profile mandelbrot --scale 0.25
+timed profile mandelbrot --scale 0.25
 # Trace-export smoke: the Chrome exporter must be a pure function of the
 # trace (the subcommand exports twice and compares the documents byte for
 # byte) and must close every frame it opens (`"ph":"B"` and `"ph":"E"`
 # counts balance) — exit 1 otherwise; writes trace_mandelbrot.json.
-cargo run --release -p hera-bench --bin figures -- trace mandelbrot --scale 0.25
+timed trace mandelbrot --scale 0.25
 # Chaos smoke: fixed seed, one workload, SPE-death schedule; the run
 # must recover (the harness asserts the checksum), replay byte-identically
 # under the same seed, and print the report — exit 1 on any divergence.
-cargo run --release -p hera-bench --bin figures -- chaos mandelbrot --scale 0.25
+timed chaos mandelbrot --scale 0.25
 # Snapshot round-trip smoke: crash the whole machine mid-run, restore
 # from the latest on-disk checkpoint, finish the workload, and verify
 # the recovered run is bit-identical to the uninterrupted one (the
 # format-version golden in tests/snap.rs separately pins the on-disk
 # encoding against silent drift).
-cargo run --release -p hera-bench --bin figures -- chaos-crash mandelbrot --scale 0.25
+timed chaos-crash mandelbrot --scale 0.25
 # Cluster smoke: a small fleet (4 machines) with one mid-trace machine
 # crash and one live migration; every recovery and migration must prove
 # bit-identical to the unmigrated run and the whole report must replay
 # byte-identically under the same seed — exit 1 on any divergence.
-cargo run --release -p hera-bench --bin figures -- cluster --requests 300
+timed cluster --requests 300
 # Resilience smoke: the full chaos matrix (straggler + crash storm,
 # every knob combination) must replay byte-identically and hold full
 # resilience's p99 within 2x of the fault-free baseline at >=90%
 # goodput — exit 1 otherwise.
-cargo run --release -p hera-bench --bin figures -- cluster-chaos
+timed cluster-chaos
 # Observability smoke: the E13 matrix with hera-scope on must reconcile
 # its span ledger exactly against the policy counters, replay the
 # report + Chrome trace + SLO table byte-identically, and write
 # fleet_trace.json / fleet_slo.txt — exit 1 on any divergence.
-cargo run --release -p hera-bench --bin figures -- fleet-trace
+timed fleet-trace
 # Proactive-degradation smoke: the E15 matrix (heterogeneous 2/4/6-SPE
 # fleet, breaker/slowdown drains, seeded rebalancer) must replay
 # byte-identically, prove every cross-shape adoption by replay
 # determinism, reconcile the drain ledger, and hold proactive p99 <=
 # reactive p99 at >= reactive goodput — exit 1 otherwise.
-cargo run --release -p hera-bench --bin figures -- cluster-rebal
+timed cluster-rebal

@@ -35,7 +35,8 @@ use crate::world::World;
 use hera_cell::{CoreId, CoreKind, CycleBreakdown, FaultPlan, OpClass, SpeDeath};
 use hera_isa::{ClassId, MethodId, ObjRef, Program, Slot, Trap, Value};
 use hera_snap::{
-    digest64, open, rle_decode, rle_encode, SnapError, SnapReader, SnapWriter, HEADER_LEN,
+    digest64, open, rle_decode, rle_decode_extent, rle_encode, rle_encode_zero_tail, SnapError,
+    SnapReader, SnapWriter, HEADER_LEN,
 };
 use hera_trace::{Histogram, MetricsRegistry, MigrationKind};
 use std::collections::{BTreeSet, VecDeque};
@@ -480,7 +481,7 @@ fn encode_core(w: &mut SnapWriter, world: &World<'_>) -> usize {
     }
 
     // ---- heap ----
-    rle_encode(w, world.heap.raw());
+    rle_encode_zero_tail(w, world.heap.raw(), world.heap.written_mark() as usize);
     w.u32(world.heap.objects_base());
     w.u32(world.heap.limit());
     w.u32(world.heap.statics_size());
@@ -1001,7 +1002,7 @@ pub fn restore_into(
         .map_err(|e| corrupt("fault injector", e))?;
 
     // ---- heap ----
-    let heap_bytes = rle_decode(&mut r, world.heap.raw().len())?;
+    let (heap_bytes, nonzero_end) = rle_decode_extent(&mut r, world.heap.raw().len())?;
     let objects_base = r.u32()?;
     let limit = r.u32()?;
     let statics_size = r.u32()?;
@@ -1024,6 +1025,7 @@ pub fn restore_into(
     };
     world.heap = hera_mem::Heap::from_raw_parts(
         heap_bytes,
+        nonzero_end as u32,
         objects_base,
         limit,
         free,

@@ -311,6 +311,9 @@ pub struct RunOutcome {
     /// Digest of the final heap image — a cheap end-state equality check
     /// for restore/differential tests.
     pub heap_digest: u64,
+    /// The heap's final written-mark: the bytes of the image the run could
+    /// have stored into, and all that `heap_digest` and a checkpoint read.
+    pub heap_written: u32,
     /// Every checkpoint taken during the run (empty unless the run used
     /// [`VmConfig::with_checkpoint_every`]).
     pub checkpoints: Vec<CheckpointBlob>,
@@ -528,7 +531,11 @@ impl HeraJvm {
                 trace.metrics.set(name, v);
             }
         }
-        let heap_digest = hera_snap::digest64(world.heap.raw());
+        // The digest of the whole image, read only up to the written-mark.
+        let image = world.heap.raw();
+        let heap_written = world.heap.written_mark();
+        let heap_digest =
+            hera_snap::digest64_zero_extended(&image[..heap_written as usize], image.len());
         Ok(RunEnd::Completed(Box::new(RunOutcome {
             result,
             output: world.output.clone(),
@@ -538,6 +545,7 @@ impl HeraJvm {
             trace,
             profile,
             heap_digest,
+            heap_written,
             checkpoints: std::mem::take(&mut world.checkpoints),
             par: world.par,
         })))

@@ -433,15 +433,20 @@ impl<'p> World<'p> {
         // 1. Flush + purge SPE caches (each SPE pays its own DMA time).
         //    Failed cores are skipped: their caches were salvaged and
         //    replaced at death, and their clocks must never advance.
-        for spe in 0..self.data_caches.len() {
+        let World {
+            data_caches,
+            heap,
+            machine,
+            ..
+        } = self;
+        for (spe, cache) in data_caches.iter_mut().enumerate() {
             let core = CoreId::Spe(spe as u8);
-            if self.machine.core_failed(core) {
+            if machine.core_failed(core) {
                 continue;
             }
-            let mut cache = std::mem::replace(&mut self.data_caches[spe], DataCache::new(0));
-            let res = cache.purge(&mut self.heap, &mut self.machine, core);
-            self.data_caches[spe] = cache;
-            res.map_err(|e| Trap::MachineCheck(format!("gc write-back on SPE {spe}: {e}")))?;
+            cache
+                .purge(heap, machine, core)
+                .map_err(|e| Trap::MachineCheck(format!("gc write-back on SPE {spe}: {e}")))?;
         }
 
         // 2. Gather exact roots from every thread stack.
@@ -626,7 +631,9 @@ impl<'p> World<'p> {
         if self.next_checkpoint_at.is_none() && crash.is_none() {
             return Ok(());
         }
-        let now = self.machine.makespan(&self.machine.cores());
+        // Runs every scheduling step: the latest clock, no `cores()` Vec.
+        let latest = |m: &CellMachine| m.clocks().iter().copied().max().unwrap_or(0);
+        let now = latest(&self.machine);
         if let Some(at) = self.next_checkpoint_at {
             if now >= at {
                 self.take_checkpoint(now)?;
@@ -636,7 +643,7 @@ impl<'p> World<'p> {
             // A whole-machine crash is a hard stop: no cost is charged and
             // no state is mutated, so the crashed run's history is a strict
             // prefix of the uninterrupted run's.
-            let now = self.machine.makespan(&self.machine.cores());
+            let now = latest(&self.machine);
             if now >= at {
                 return Err(VmError::MachineCrash { at_cycle: now });
             }

@@ -941,3 +941,72 @@ fn heap_digests_match_pinned_values() {
         "final heap digests changed (actual: {got:#018x?})"
     );
 }
+
+/// The written-mark a restore derives must cover objects that were
+/// allocated but still all zero at the checkpoint: they lie above the
+/// image's last non-zero byte and are stored into afterwards. (Deriving
+/// the mark from the image content alone loses those stores: debug
+/// builds trip the heap's store-past-the-mark assertion, release builds
+/// end with a digest that misses them.)
+#[test]
+fn restore_keeps_zero_objects_inside_the_written_mark() {
+    let body = vec![
+        Stmt::Let("small".into(), new_array(ElemTy::Int, i32c(16))),
+        Stmt::SetIndex(local("small"), i32c(3), i32c(99)),
+        // Allocated last, 200 KB, untouched until after the checkpoints.
+        Stmt::Let("big".into(), new_array(ElemTy::Int, i32c(50_000))),
+        Stmt::Let("acc".into(), i32c(1)),
+        for_range(
+            "i",
+            i32c(0),
+            i32c(20_000),
+            vec![Stmt::Assign(
+                "acc".into(),
+                bxor(mul(local("acc"), i32c(31)), local("i")),
+            )],
+        ),
+        Stmt::SetIndex(local("big"), i32c(49_999), local("acc")),
+        Stmt::SetIndex(local("big"), i32c(25_000), i32c(7)),
+        Stmt::Return(Some(add(
+            index(local("big"), i32c(49_999)),
+            index(local("small"), i32c(3)),
+        ))),
+    ];
+    for base in [VmConfig::pinned_ppe(), VmConfig::pinned_spe(1)] {
+        let mut cfg = base;
+        cfg.heap.size_bytes = 1 << 20;
+        let program = main_program(Some(Ty::Int), body.clone());
+        let plain = run_program(program.clone(), cfg);
+        assert!(plain.is_clean(), "traps: {:?}", plain.traps);
+        let every = plain.stats.wall_cycles / 4;
+        let vm = HeraJvm::new(program, cfg.with_checkpoint_every(every)).expect("constructs");
+        let full = vm.run().expect("runs");
+        assert_eq!(full.heap_digest, plain.heap_digest);
+        assert!(full.checkpoints.len() >= 2, "too few checkpoints");
+        for blob in &full.checkpoints {
+            let restored = vm.restore_bytes(&blob.bytes).expect("restores");
+            assert_eq!(restored.result, plain.result, "seq {}", blob.seq);
+            assert_eq!(restored.heap_digest, plain.heap_digest, "seq {}", blob.seq);
+            assert_eq!(
+                restored.heap_written, plain.heap_written,
+                "seq {}",
+                blob.seq
+            );
+        }
+    }
+}
+
+/// The point of the written-mark, as a deterministic number: a kernel
+/// that allocates a few hundred KB leaves the rest of the 32 MB default
+/// heap unread by the final digest and by every checkpoint.
+#[test]
+fn written_mark_stays_near_what_the_guest_allocated() {
+    let (program, expected) = hera_workloads::Workload::Mandelbrot.build(6, 0.1);
+    let out = run_program(program, VmConfig::pinned_spe(6));
+    assert_eq!(out.result, Some(Value::I32(expected)));
+    assert!(
+        out.heap_written < 1 << 20,
+        "written-mark at {} bytes of a 32 MB heap",
+        out.heap_written
+    );
+}

@@ -339,6 +339,64 @@ fn bad_magic_version_and_flags_are_typed_errors() {
     ));
 }
 
+/// A crafted snapshot — valid container, valid CRC — whose data-cache
+/// entry claims a dirty span reaching past its unit must be refused at
+/// restore: accepted, the next write-back would slice the SPE's local
+/// region out of range.
+#[test]
+fn crafted_dirty_span_outside_its_unit_is_rejected() {
+    // One object written on the SPE and never flushed: it is dirty in
+    // the data cache at every checkpoint of the spin loop.
+    let mut pb = ProgramBuilder::new();
+    let c = pb.add_class("Main", None);
+    let point = pb.add_class("Point", None);
+    let fx = pb.add_field(point, "x", Ty::Int);
+    pb.add_field(point, "y", Ty::Int);
+    let main = declare_static(&mut pb, c, "main", vec![], Some(Ty::Int));
+    let body = vec![
+        Stmt::Let("p".into(), Expr::New(point)),
+        Stmt::SetField(local("p"), fx, i32c(5)),
+        Stmt::Let("acc".into(), i32c(1)),
+        for_range(
+            "i",
+            i32c(0),
+            i32c(8_000),
+            vec![Stmt::Assign(
+                "acc".into(),
+                bxor(mul(local("acc"), i32c(31)), local("i")),
+            )],
+        ),
+        Stmt::Return(Some(add(local("acc"), field(local("p"), fx)))),
+    ];
+    define(&mut pb, main, vec![], body).expect("main should compile");
+    let program = pb.finish_with_entry("Main", "main").expect("resolves");
+    let vm = HeraJvm::new(program, tiny_spe_config().with_checkpoint_every(100_000))
+        .expect("constructs");
+    let full = vm.run().expect("runs");
+    let bytes = &full.checkpoints.first().expect("a checkpoint").bytes;
+    vm.restore_bytes(bytes)
+        .expect("the untouched blob restores");
+
+    // The entry's tail is `len = 16, dirty_lo = 8, dirty_hi = 12`.
+    let payload = hera_snap::open(bytes).expect("valid container");
+    let tail: Vec<u8> = [16u32, 8, 12]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    let hits: Vec<usize> = (0..payload.len() - tail.len())
+        .filter(|&i| payload[i..].starts_with(&tail))
+        .collect();
+    assert_eq!(hits.len(), 1, "expected exactly one dirty Point entry");
+    let mut crafted = payload.to_vec();
+    crafted[hits[0] + 8..hits[0] + 12].copy_from_slice(&0x0010_0000u32.to_le_bytes());
+    match vm.restore_bytes(&hera_snap::seal(&crafted)) {
+        Err(VmError::Snap(SnapError::Corrupt(msg))) => {
+            assert!(msg.contains("dirty span"), "unexpected message: {msg}")
+        }
+        other => panic!("expected a Corrupt rejection, got {other:?}"),
+    }
+}
+
 /// A structurally valid snapshot from a *different* machine or program
 /// must be refused up front (digest check), not half-applied.
 #[test]

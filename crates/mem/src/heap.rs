@@ -356,6 +356,11 @@ pub struct Heap {
     objects: BTreeSet<u32>,
     /// Statics block size.
     statics_size: u32,
+    /// The written-mark: every byte of `data` at or above it is still
+    /// zero. Statics sit below `objects_base`, where it starts, and every
+    /// other store lands inside an allocated object, so only `carve`
+    /// raises it; it never falls (freed spans keep their stale bytes).
+    written: u32,
     /// Allocation statistics.
     pub stats: AllocStats,
     /// `Some` only on a speculative fork, never on the real heap.
@@ -378,17 +383,24 @@ impl Heap {
             free: vec![(objects_base, size - objects_base)],
             objects: BTreeSet::new(),
             statics_size,
+            written: objects_base,
             stats: AllocStats::default(),
             spec: None,
         }
     }
 
-    /// Mutable view of the backing store. On the real heap this is an
-    /// `Arc::make_mut`, which is free (refcount 1) except while forks are
-    /// alive — and the engine never mutates the real heap while they are.
+    /// Mutable view of the backing store for a store that ends at byte
+    /// `end`. On the real heap this is an `Arc::make_mut`, which is free
+    /// (refcount 1) except while forks are alive — and the engine never
+    /// mutates the real heap while they are.
     #[inline]
-    fn data_mut(&mut self) -> &mut Vec<u8> {
+    fn data_mut(&mut self, end: usize) -> &mut Vec<u8> {
         debug_assert!(self.spec.is_none(), "direct mutation under overlay");
+        debug_assert!(
+            end <= self.written as usize,
+            "store ending at {end:#x} is past the written-mark {:#x}",
+            self.written
+        );
         Arc::make_mut(&mut self.data)
     }
 
@@ -426,6 +438,18 @@ impl Heap {
         &self.data
     }
 
+    /// The written-mark: every byte of [`Heap::raw`] at or above it is
+    /// zero, so a whole-image scan (digest, snapshot encode) can stop
+    /// there and account for the rest arithmetically.
+    pub fn written_mark(&self) -> u32 {
+        debug_assert!(
+            self.data[self.written as usize..].iter().all(|&b| b == 0),
+            "non-zero byte above the written-mark {:#x}",
+            self.written
+        );
+        self.written
+    }
+
     /// One past the last allocatable byte.
     pub fn limit(&self) -> u32 {
         self.limit
@@ -440,9 +464,18 @@ impl Heap {
     /// and object set are taken verbatim; basic shape invariants are
     /// validated so a corrupt snapshot cannot produce an out-of-bounds
     /// heap.
+    ///
+    /// `nonzero_end` is the caller's bound on the image's content: every
+    /// byte of `data` at or above it is zero (the snapshot decoder knows
+    /// where its last literal chunk ended). The written-mark is that
+    /// joined with the allocator frontier — the start of a final free
+    /// span reaching `limit`, else `limit` — because an object allocated
+    /// but still all zero lies above the last non-zero byte and will be
+    /// stored into later. Neither needs a scan of `data`.
     #[allow(clippy::too_many_arguments)]
     pub fn from_raw_parts(
         data: Vec<u8>,
+        nonzero_end: u32,
         objects_base: u32,
         limit: u32,
         free: Vec<(u32, u32)>,
@@ -452,6 +485,9 @@ impl Heap {
     ) -> Result<Heap, &'static str> {
         if limit as usize != data.len() {
             return Err("heap limit does not match data size");
+        }
+        if nonzero_end > limit {
+            return Err("heap content bound past the limit");
         }
         if objects_base != align8(Self::STATICS_BASE + statics_size) || objects_base > limit {
             return Err("heap objects_base inconsistent with statics block");
@@ -469,6 +505,10 @@ impl Heap {
         {
             return Err("heap object address out of bounds");
         }
+        let frontier = match free.last() {
+            Some(&(addr, size)) if addr + size == limit => addr,
+            _ => limit,
+        };
         Ok(Heap {
             data: Arc::new(data),
             objects_base,
@@ -476,6 +516,7 @@ impl Heap {
             free,
             objects,
             statics_size,
+            written: nonzero_end.max(frontier),
             stats,
             spec: None,
         })
@@ -495,6 +536,7 @@ impl Heap {
             free: self.free.clone(),
             objects: self.objects.clone(),
             statics_size: self.statics_size,
+            written: self.written,
             stats: self.stats,
             spec: Some(Box::default()),
         }
@@ -557,7 +599,7 @@ impl Heap {
             spec.writes.push((addr, l as u32));
             overlay_write(spec, &data, addr, src);
         } else {
-            self.data_mut()[a..a + l].copy_from_slice(src);
+            self.data_mut(a + l)[a..a + l].copy_from_slice(src);
         }
         Ok(())
     }
@@ -589,9 +631,10 @@ impl Heap {
             return Err(HeapError::SpecOverlayActive(addr));
         }
         let (a, l) = (addr as usize, len as usize);
-        self.data_mut()
-            .get_mut(a..a + l)
-            .ok_or(HeapError::BadAddress(addr))
+        if a + l > self.data.len() {
+            return Err(HeapError::BadAddress(addr));
+        }
+        Ok(&mut self.data_mut(a + l)[a..a + l])
     }
 
     /// Read a little-endian u32 (used for headers and ref slots).
@@ -620,7 +663,7 @@ impl Heap {
             return;
         }
         let a = addr as usize;
-        self.data_mut()[a..a + 4].copy_from_slice(&v.to_le_bytes());
+        self.data_mut(a + 4)[a..a + 4].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Typed read at an absolute address.
@@ -647,7 +690,8 @@ impl Heap {
                 .expect("typed write out of bounds");
             return;
         }
-        codec::write_value(self.data_mut(), addr as usize, ty, v)
+        let a = addr as usize;
+        codec::write_value(self.data_mut(a + codec::ty_width(ty)), a, ty, v)
     }
 
     /// Untagged read at an absolute address; `ty` selects width only.
@@ -674,7 +718,8 @@ impl Heap {
                 .expect("typed write out of bounds");
             return;
         }
-        codec::write_slot(self.data_mut(), addr as usize, ty, s)
+        let a = addr as usize;
+        codec::write_slot(self.data_mut(a + codec::ty_width(ty)), a, ty, s)
     }
 
     // ---- headers ----
@@ -757,12 +802,13 @@ impl Heap {
         } else {
             self.free[idx] = (addr + size, span - size);
         }
+        self.written = self.written.max(addr + size);
         Some(addr)
     }
 
     fn zero(&mut self, addr: u32, size: u32) {
         let a = addr as usize;
-        self.data_mut()[a..a + size as usize].fill(0);
+        self.data_mut(a + size as usize)[a..a + size as usize].fill(0);
     }
 
     /// Rebuild the free list from the set of surviving objects (called by
@@ -1008,6 +1054,45 @@ mod tests {
             codec::write_value(&mut buf, 4, ty, v);
             assert_eq!(codec::read_value(&buf, 4, ty), v, "{ty:?}");
         }
+    }
+
+    #[test]
+    fn written_mark_follows_allocation_and_joins_the_frontier_at_restore() {
+        let (mut heap, layout, c, f) = small_heap();
+        assert_eq!(heap.written_mark(), heap.objects_base());
+        let a = heap.alloc_object(&layout, c).unwrap();
+        heap.put_field(&layout, a, f, Value::I32(7));
+        assert_eq!(heap.written_mark(), a.0 + 16);
+        // An array whose body is still zero: the image's last non-zero
+        // byte is in its header, the frontier is its end.
+        let z = heap.alloc_array(ElemTy::Int, 100).unwrap();
+        let end = z.0 + array_byte_size(ElemTy::Int, 100);
+        assert_eq!(heap.written_mark(), end);
+        assert_eq!(heap.fork_for_spec().written, end);
+
+        let rebuild = |heap: &Heap, nonzero_end: u32, free: Vec<(u32, u32)>| {
+            Heap::from_raw_parts(
+                heap.raw().to_vec(),
+                nonzero_end,
+                heap.objects_base(),
+                heap.limit(),
+                free,
+                heap.objects().map(|r| r.0).collect(),
+                heap.statics_size(),
+                heap.stats,
+            )
+        };
+        let mut back = rebuild(&heap, z.0 + HEADER_BYTES, heap.free_spans().to_vec()).unwrap();
+        assert_eq!(back.written_mark(), end);
+        back.array_store(z, 99, Value::I32(1)).unwrap(); // inside the mark
+        assert_eq!(back.written_mark(), end);
+        // No free span reaches the limit: anything may be allocated.
+        let full = rebuild(&heap, z.0 + HEADER_BYTES, Vec::new()).unwrap();
+        assert_eq!(full.written_mark(), full.limit());
+        // Stale bytes in a freed span above the frontier still count.
+        let stale = rebuild(&heap, 2000, heap.free_spans().to_vec()).unwrap();
+        assert_eq!(stale.written, 2000);
+        assert!(rebuild(&heap, heap.limit() + 1, Vec::new()).is_err());
     }
 
     #[test]

@@ -160,19 +160,45 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// on-disk format — used for cheap equality checks of large buffers such as
 /// the final heap image or a trace lane.
 pub fn digest64(bytes: &[u8]) -> u64 {
+    digest64_zero_extended(bytes, bytes.len())
+}
+
+/// [`digest64`] of `prefix` followed by zero bytes up to `total` bytes in
+/// all, in time proportional to `prefix.len()`: a zero lane only
+/// multiplies the state by the FNV prime, so a run of them is one wrapping
+/// power.
+///
+/// # Panics
+///
+/// Panics when `prefix` is longer than `total`.
+pub fn digest64_zero_extended(prefix: &[u8], total: usize) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = OFFSET ^ (bytes.len() as u64).wrapping_mul(PRIME);
-    let mut chunks = bytes.chunks_exact(8);
+    assert!(prefix.len() <= total, "prefix longer than the buffer");
+    let mut h = OFFSET ^ (total as u64).wrapping_mul(PRIME);
+    let mut chunks = prefix.chunks_exact(8);
     for c in &mut chunks {
-        let v = u64::from_le_bytes(c.try_into().unwrap());
-        h = (h ^ v).wrapping_mul(PRIME);
+        h = (h ^ le_word(c)).wrapping_mul(PRIME);
     }
-    let mut tail = 0u64;
-    for (i, &b) in chunks.remainder().iter().enumerate() {
-        tail |= (b as u64) << (8 * i);
+    // The buffer is `total / 8` whole lanes plus a final partial one
+    // (folded in even when empty). The prefix filled `lanes` of them.
+    let mut lanes = prefix.len() / 8;
+    let rest = chunks.remainder();
+    if !rest.is_empty() {
+        let mut lane = [0u8; 8];
+        lane[..rest.len()].copy_from_slice(rest);
+        h = (h ^ u64::from_le_bytes(lane)).wrapping_mul(PRIME);
+        lanes += 1;
     }
-    (h ^ tail).wrapping_mul(PRIME)
+    let (mut zero_lanes, mut square, mut power) = (total / 8 + 1 - lanes, PRIME, 1u64);
+    while zero_lanes > 0 {
+        if zero_lanes & 1 == 1 {
+            power = power.wrapping_mul(square);
+        }
+        square = square.wrapping_mul(square);
+        zero_lanes >>= 1;
+    }
+    h.wrapping_mul(power)
 }
 
 /// Wrap a payload in the versioned, checksummed container header.
@@ -547,19 +573,43 @@ fn literal_end(data: &[u8], start: usize) -> usize {
 /// A zero chunk is a maximal zero run; a literal chunk ends at the first
 /// maximal zero run of at least [`MIN_ZERO_RUN`] bytes or at end of data.
 pub fn rle_encode(w: &mut SnapWriter, data: &[u8]) {
+    rle_encode_zero_tail(w, data, data.len());
+}
+
+/// [`rle_encode`] of a buffer the caller knows to be all zero from
+/// `written` on, in time proportional to `written`: only the head —
+/// the written prefix plus enough of the zero tail for the chunking rule
+/// to see a run that ends a literal — is scanned, and the zero chunk that
+/// reaches the head's end is lengthened by the bytes not looked at.
+///
+/// # Panics
+///
+/// Panics when `written` is past the end of `data`.
+pub fn rle_encode_zero_tail(w: &mut SnapWriter, data: &[u8], written: usize) {
+    assert!(written <= data.len(), "written mark past the buffer");
+    debug_assert!(
+        data[written..].iter().all(|&b| b == 0),
+        "non-zero byte in the tail"
+    );
+    let head = &data[..data.len().min((written + MIN_ZERO_RUN).next_multiple_of(8))];
+    let unscanned = data.len() - head.len();
     w.len_prefix(data.len());
     let mut i = 0;
-    while i < data.len() {
-        let zeros = zero_prefix(&data[i..]);
+    while i < head.len() {
+        let zeros = zero_prefix(&head[i..]);
         if zeros > 0 {
-            w.u8(RLE_ZERO);
-            w.len_prefix(zeros);
             i += zeros;
+            w.u8(RLE_ZERO);
+            w.len_prefix(if i == head.len() {
+                zeros + unscanned
+            } else {
+                zeros
+            });
         } else {
-            let end = literal_end(data, i);
+            let end = literal_end(head, i);
             w.u8(RLE_LITERAL);
             w.len_prefix(end - i);
-            w.raw(&data[i..end]);
+            w.raw(&head[i..end]);
             i = end;
         }
     }
@@ -568,6 +618,16 @@ pub fn rle_encode(w: &mut SnapWriter, data: &[u8]) {
 /// Decode a zero-run-length buffer, requiring its total length to equal
 /// `expected_len` exactly.
 pub fn rle_decode(r: &mut SnapReader<'_>, expected_len: usize) -> Result<Vec<u8>, SnapError> {
+    rle_decode_extent(r, expected_len).map(|(out, _)| out)
+}
+
+/// [`rle_decode`], also returning the end of the last literal chunk (0
+/// when there is none): every decoded byte at or past it is zero, which
+/// the caller then knows without scanning the buffer.
+pub fn rle_decode_extent(
+    r: &mut SnapReader<'_>,
+    expected_len: usize,
+) -> Result<(Vec<u8>, usize), SnapError> {
     let total = r.u64()? as usize;
     if total != expected_len {
         return Err(SnapError::Corrupt(format!(
@@ -575,7 +635,7 @@ pub fn rle_decode(r: &mut SnapReader<'_>, expected_len: usize) -> Result<Vec<u8>
         )));
     }
     let mut out = vec![0u8; total];
-    let mut filled = 0usize;
+    let (mut filled, mut literal_end) = (0usize, 0usize);
     while filled < total {
         let tag = r.u8()?;
         let run = r.u64()? as usize;
@@ -589,6 +649,7 @@ pub fn rle_decode(r: &mut SnapReader<'_>, expected_len: usize) -> Result<Vec<u8>
             RLE_LITERAL => {
                 let bytes = r.take(run)?;
                 out[filled..filled + run].copy_from_slice(bytes);
+                literal_end = filled + run;
             }
             other => {
                 return Err(SnapError::Corrupt(format!("invalid rle tag {other:#04x}")));
@@ -596,7 +657,7 @@ pub fn rle_decode(r: &mut SnapReader<'_>, expected_len: usize) -> Result<Vec<u8>
         }
         filled += run;
     }
-    Ok(out)
+    Ok((out, literal_end))
 }
 
 #[cfg(test)]
@@ -651,6 +712,24 @@ mod tests {
                 w.raw(&data[start..i]);
             }
         }
+    }
+
+    /// The lane-at-a-time digest over the whole buffer that `digest64`
+    /// was before it learnt to skip a zero tail.
+    fn digest64_reference(bytes: &[u8]) -> u64 {
+        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        const PRIME: u64 = 0x0000_0100_0000_01B3;
+        let mut h = OFFSET ^ (bytes.len() as u64).wrapping_mul(PRIME);
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            let v = u64::from_le_bytes(c.try_into().unwrap());
+            h = (h ^ v).wrapping_mul(PRIME);
+        }
+        let mut tail = 0u64;
+        for (i, &b) in chunks.remainder().iter().enumerate() {
+            tail |= (b as u64) << (8 * i);
+        }
+        (h ^ tail).wrapping_mul(PRIME)
     }
 
     /// `rle_encode(data)` must equal the reference byte for byte and
@@ -759,6 +838,84 @@ mod tests {
                 v[at] = 1 + rng.next_below(255) as u8;
             }
             assert_rle_matches_reference(&v, &format!("sparse case {case}"));
+        }
+    }
+
+    #[test]
+    fn zero_tail_rle_matches_reference_around_the_written_mark() {
+        // The written prefix ends in each interesting number of zero
+        // bytes (so the run that ends the last literal starts before,
+        // at or after the mark), the real tail is shorter than, equal
+        // to and longer than the head the encoder scans, and the slice
+        // starts at every offset mod 8 of its allocation.
+        let mut rng = SplitMix64::new(0x7A11);
+        for end_zeros in [0usize, 1, 7, 8, 23, 24, 25, 31, 32, 33] {
+            for tail in [0usize, 1, 31, 32, 33, 1 << 20] {
+                let mut v = vec![0xAAu8; 8]; // unaligned-start padding
+                v.extend(std::iter::repeat_n(0u8, rng.next_below(40) as usize));
+                let body = 1 + rng.next_below(90) as usize;
+                v.extend(nonzero_bytes(&mut rng, body));
+                v.extend(std::iter::repeat_n(0u8, rng.next_below(30) as usize));
+                let body = 1 + rng.next_below(9) as usize;
+                v.extend(nonzero_bytes(&mut rng, body));
+                v.extend(std::iter::repeat_n(0u8, end_zeros));
+                let written = v.len();
+                v.extend(std::iter::repeat_n(0u8, tail));
+                for skew in 0..8 {
+                    let what = format!("end zeros {end_zeros} tail {tail} skew {skew}");
+                    let data = &v[8 - skew..];
+                    let mut fast = SnapWriter::new();
+                    rle_encode_zero_tail(&mut fast, data, written - (8 - skew));
+                    let mut slow = SnapWriter::new();
+                    rle_encode_reference(&mut slow, data);
+                    assert!(fast.bytes() == slow.bytes(), "{what}: encoding differs");
+                    let mut r = SnapReader::new(fast.bytes());
+                    let (back, literal_end) = rle_decode_extent(&mut r, data.len()).unwrap();
+                    assert!(back == data, "{what}: round trip");
+                    // A trailing run too short to end the literal is
+                    // inside it; otherwise the literal ends exactly at
+                    // the last non-zero byte.
+                    let last_nonzero = written - (8 - skew) - end_zeros;
+                    let want = if end_zeros + tail < MIN_ZERO_RUN {
+                        data.len()
+                    } else {
+                        last_nonzero
+                    };
+                    assert_eq!(literal_end, want, "{what}: literal end");
+                }
+            }
+        }
+        // Nothing written at all, and a mark anywhere inside a zero buffer.
+        for (len, written) in [(0, 0), (5, 0), (24, 0), (4096, 0), (4096, 100), (40, 40)] {
+            let data = vec![0u8; len];
+            let mut fast = SnapWriter::new();
+            rle_encode_zero_tail(&mut fast, &data, written);
+            let mut slow = SnapWriter::new();
+            rle_encode_reference(&mut slow, &data);
+            assert_eq!(fast.bytes(), slow.bytes(), "zeros {len} written {written}");
+        }
+    }
+
+    #[test]
+    fn zero_extended_digest_matches_the_materialised_buffer() {
+        let mut rng = SplitMix64::new(0xD16E);
+        let prefix: Vec<u8> = (0..40).map(|_| 1 + rng.next_below(255) as u8).collect();
+        for total in [0usize, 1, 7, 8, 9, 15, 16, 17, 4096, 4099] {
+            for len in 0..=total.min(40) {
+                // The prefix as drawn, then with its last 1..=9 bytes
+                // zeroed (a written region that ends in zeros).
+                for zeroed in 0..=len.min(9) {
+                    let mut full = vec![0u8; total];
+                    full[..len - zeroed].copy_from_slice(&prefix[..len - zeroed]);
+                    let want = digest64_reference(&full);
+                    assert_eq!(
+                        digest64_zero_extended(&full[..len], total),
+                        want,
+                        "total {total} prefix {len} zeroed {zeroed}"
+                    );
+                    assert_eq!(digest64(&full), want, "total {total} whole buffer");
+                }
+            }
         }
     }
 

@@ -17,6 +17,14 @@
 //! actually written), which is how an MFC put of a modified region
 //! behaves; unsynchronised false sharing within a span can still clobber
 //! concurrent remote writes, exactly as on the real hardware.
+//!
+//! Purge and write-back run at every lock and unlock (the JMM barriers),
+//! usually with a handful of units resident, so neither walks the table:
+//! the cache keeps the occupied slot indices and the slots that went
+//! clean → dirty. Write-back visits the dirty slots in ascending
+//! table-slot order — the order a table walk finds them — because that
+//! order is the order of the DMAs, and with it of the EIB window ledger,
+//! the trace and the per-(core, site) fault-injector draws.
 
 use crate::CacheFault;
 use hera_cell::{CellMachine, CoreId, OpClass};
@@ -114,7 +122,11 @@ pub struct DataCache {
     bump: u32,
     local: Vec<u8>,
     table: Vec<Option<Entry>>,
-    entries: usize,
+    /// Indices of the occupied table slots, in insertion order.
+    occupied: Vec<usize>,
+    /// Indices of the slots holding a dirty unit, in the order they
+    /// became dirty (sorted before use).
+    dirty: Vec<usize>,
     max_entries: usize,
     /// Statistics.
     pub stats: DataCacheStats,
@@ -143,7 +155,8 @@ impl DataCache {
             bump: 0,
             local: vec![0; capacity as usize],
             table: vec![None; slots],
-            entries: 0,
+            occupied: Vec::new(),
+            dirty: Vec::new(),
             max_entries: slots * 3 / 4,
             stats: DataCacheStats::default(),
         }
@@ -200,8 +213,9 @@ impl DataCache {
         None
     }
 
-    /// Ensure `[main_addr, main_addr+len)` is cached; return the local
-    /// offset, or `None` when the unit cannot fit (bypass mode).
+    /// Ensure `[main_addr, main_addr+len)` is cached; return its table
+    /// slot and local offset, or `None` when the unit cannot fit (bypass
+    /// mode).
     ///
     /// Charges the probe (hit) cycles, and on a miss the DMA stall and
     /// insertion overhead, to `core`.
@@ -212,7 +226,7 @@ impl DataCache {
         core: CoreId,
         main_addr: u32,
         len: u32,
-    ) -> Result<Option<u32>, CacheFault> {
+    ) -> Result<Option<(usize, u32)>, CacheFault> {
         let hit_cycles = machine.cost_model().cache_hit_cycles as u64;
         machine.advance(core, hit_cycles, OpClass::LocalMemory);
 
@@ -223,7 +237,7 @@ impl DataCache {
                 debug_assert!(false, "probed slot {slot} has no entry");
                 return Err(CacheFault::Internal("probed slot has no entry"));
             };
-            return Ok(Some(e.local_off));
+            return Ok(Some((slot, e.local_off)));
         }
         self.stats.misses += 1;
         machine.emit(
@@ -248,7 +262,7 @@ impl DataCache {
         }
 
         // Make room: purge on region overflow or table saturation.
-        if self.bump + alen > self.capacity || self.entries >= self.max_entries {
+        if self.bump + alen > self.capacity || self.occupied.len() >= self.max_entries {
             self.purge(heap, machine, core)?;
         }
 
@@ -270,11 +284,11 @@ impl DataCache {
             dirty_lo: u32::MAX,
             dirty_hi: 0,
         });
-        self.entries += 1;
+        self.occupied.push(slot);
         let off = self.bump;
         self.bump += alen;
         machine.advance(core, INSERT_CYCLES, OpClass::LocalMemory);
-        Ok(Some(off))
+        Ok(Some((slot, off)))
     }
 
     /// Read an untagged slot from offset `off` inside the unit
@@ -292,7 +306,7 @@ impl DataCache {
         ty: Ty,
     ) -> Result<Slot, CacheFault> {
         match self.ensure(heap, machine, core, unit_addr, unit_len)? {
-            Some(local_off) => Ok(codec::read_slot(
+            Some((_, local_off)) => Ok(codec::read_slot(
                 &self.local,
                 (local_off + off) as usize,
                 ty,
@@ -320,12 +334,15 @@ impl DataCache {
         s: Slot,
     ) -> Result<(), CacheFault> {
         match self.ensure(heap, machine, core, unit_addr, unit_len)? {
-            Some(local_off) => {
+            Some((slot, local_off)) => {
                 codec::write_slot(&mut self.local, (local_off + off) as usize, ty, s);
-                let Some(e) = self.probe(unit_addr).and_then(|i| self.table[i].as_mut()) else {
+                let Some(e) = self.table[slot].as_mut() else {
                     debug_assert!(false, "unit vanished right after ensure");
                     return Err(CacheFault::Internal("unit vanished after ensure"));
                 };
+                if !e.is_dirty() {
+                    self.dirty.push(slot);
+                }
                 e.dirty_lo = e.dirty_lo.min(off);
                 e.dirty_hi = e.dirty_hi.max(off + ty.field_size());
                 Ok(())
@@ -385,43 +402,67 @@ impl DataCache {
     }
 
     /// Write all dirty spans back to main memory (release barrier /
-    /// pre-GC flush). Cached copies remain resident but clean.
+    /// pre-GC flush), in ascending table-slot order. Cached copies remain
+    /// resident but clean. A faulted transfer stops the walk with its unit
+    /// and every later one still dirty.
     pub fn write_back_dirty(
         &mut self,
         heap: &mut Heap,
         machine: &mut CellMachine,
         core: CoreId,
     ) -> Result<(), CacheFault> {
-        for slot in 0..self.table.len() {
-            let Some(e) = self.table[slot] else { continue };
-            if !e.is_dirty() {
-                continue;
+        self.dirty.sort_unstable();
+        for i in 0..self.dirty.len() {
+            if let Err(e) = self.write_back_slot(self.dirty[i], heap, machine, core) {
+                self.dirty.drain(..i);
+                return Err(e);
             }
-            debug_assert!(e.dirty_hi <= e.len, "dirty span exceeds unit");
-            let span = e.dirty_hi - e.dirty_lo;
-            machine.emit(
-                core,
-                TraceEvent::DataCacheWriteBack {
-                    addr: e.main_addr + e.dirty_lo,
-                    bytes: span,
-                },
-            );
-            machine.dma_tagged(core, span, DmaTag::DataCacheWriteBack)?;
-            let src_lo = (e.local_off + e.dirty_lo) as usize;
-            heap.copy_from(
-                e.main_addr + e.dirty_lo,
-                &self.local[src_lo..src_lo + span as usize],
-            )?;
-            self.stats.writebacks += 1;
-            self.stats.bytes_written_back += span as u64;
-            let Some(e) = self.table[slot].as_mut() else {
-                debug_assert!(false, "entry vanished during write-back");
-                return Err(CacheFault::Internal("entry vanished during write-back"));
-            };
-            e.dirty_lo = u32::MAX;
-            e.dirty_hi = 0;
         }
+        self.dirty.clear();
         Ok(())
+    }
+
+    fn write_back_slot(
+        &mut self,
+        slot: usize,
+        heap: &mut Heap,
+        machine: &mut CellMachine,
+        core: CoreId,
+    ) -> Result<(), CacheFault> {
+        let Some(e) = self.table[slot].as_mut() else {
+            debug_assert!(false, "dirty slot {slot} has no entry");
+            return Err(CacheFault::Internal("dirty slot has no entry"));
+        };
+        debug_assert!(e.is_dirty() && e.dirty_hi <= e.len, "bad dirty span");
+        let span = e.dirty_hi - e.dirty_lo;
+        machine.emit(
+            core,
+            TraceEvent::DataCacheWriteBack {
+                addr: e.main_addr + e.dirty_lo,
+                bytes: span,
+            },
+        );
+        machine.dma_tagged(core, span, DmaTag::DataCacheWriteBack)?;
+        let src_lo = (e.local_off + e.dirty_lo) as usize;
+        heap.copy_from(
+            e.main_addr + e.dirty_lo,
+            &self.local[src_lo..src_lo + span as usize],
+        )?;
+        self.stats.writebacks += 1;
+        self.stats.bytes_written_back += span as u64;
+        e.dirty_lo = u32::MAX;
+        e.dirty_hi = 0;
+        Ok(())
+    }
+
+    /// Invalidate every resident unit.
+    fn clear(&mut self) {
+        for slot in self.occupied.drain(..) {
+            self.table[slot] = None;
+        }
+        self.dirty.clear();
+        self.bump = 0;
+        self.stats.purges += 1;
     }
 
     /// Fail-over salvage: copy every dirty span straight into main memory
@@ -433,12 +474,13 @@ impl DataCache {
     /// core whatever recovery cost it models. Returns the bytes salvaged.
     pub fn salvage(&mut self, heap: &mut Heap) -> Result<u64, CacheFault> {
         let mut salvaged = 0u64;
-        for slot in 0..self.table.len() {
-            let Some(e) = self.table[slot] else { continue };
-            if !e.is_dirty() {
-                continue;
-            }
-            debug_assert!(e.dirty_hi <= e.len, "dirty span exceeds unit");
+        self.dirty.sort_unstable();
+        for &slot in &self.dirty {
+            let Some(e) = self.table[slot] else {
+                debug_assert!(false, "dirty slot {slot} has no entry");
+                return Err(CacheFault::Internal("dirty slot has no entry"));
+            };
+            debug_assert!(e.is_dirty() && e.dirty_hi <= e.len, "bad dirty span");
             let span = e.dirty_hi - e.dirty_lo;
             let src_lo = (e.local_off + e.dirty_lo) as usize;
             heap.copy_from(
@@ -449,10 +491,7 @@ impl DataCache {
             self.stats.writebacks += 1;
             self.stats.bytes_written_back += span as u64;
         }
-        self.table.iter_mut().for_each(|s| *s = None);
-        self.entries = 0;
-        self.bump = 0;
-        self.stats.purges += 1;
+        self.clear();
         Ok(salvaged)
     }
 
@@ -479,8 +518,9 @@ impl DataCache {
     }
 
     /// Restore the state captured by [`DataCache::export_state`]. Fails
-    /// if the shape does not match this cache's geometry, so a corrupt
-    /// snapshot cannot produce out-of-bounds local offsets.
+    /// if the shape does not match this cache's geometry or a unit's
+    /// dirty span reaches outside the unit, so a corrupt snapshot cannot
+    /// produce out-of-bounds local offsets.
     pub fn import_state(
         &mut self,
         bump: u32,
@@ -494,25 +534,35 @@ impl DataCache {
             return Err("data-cache allocator state out of range");
         }
         let mut table = vec![None; self.table.len()];
+        let (mut occupied, mut dirty) = (Vec::with_capacity(slots.len()), Vec::new());
         for &(slot, [main_addr, local_off, len, dirty_lo, dirty_hi]) in &slots {
             let i = slot as usize;
             if i >= table.len() || table[i].is_some() {
                 return Err("data-cache table slot invalid");
             }
-            if local_off as u64 + align8(len) as u64 > bump as u64 {
+            if local_off as u64 + ((len as u64 + 7) & !7) > bump as u64 {
                 return Err("data-cache unit outside allocated region");
             }
-            table[i] = Some(Entry {
+            let e = Entry {
                 main_addr,
                 local_off,
                 len,
                 dirty_lo,
                 dirty_hi,
-            });
+            };
+            if e.is_dirty() {
+                if dirty_hi > len || main_addr.checked_add(len).is_none() {
+                    return Err("data-cache dirty span outside its unit");
+                }
+                dirty.push(i);
+            }
+            occupied.push(i);
+            table[i] = Some(e);
         }
         self.bump = bump;
-        self.entries = slots.len();
         self.table = table;
+        self.occupied = occupied;
+        self.dirty = dirty;
         self.local = local;
         Ok(())
     }
@@ -529,13 +579,10 @@ impl DataCache {
         machine.emit(
             core,
             TraceEvent::DataCachePurge {
-                resident_units: self.entries as u32,
+                resident_units: self.occupied.len() as u32,
             },
         );
-        self.table.iter_mut().for_each(|s| *s = None);
-        self.entries = 0;
-        self.bump = 0;
-        self.stats.purges += 1;
+        self.clear();
         Ok(())
     }
 }
@@ -850,5 +897,282 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(dc.stats.hits - before, 200);
+    }
+
+    // ---- differential test against the whole-table walks ----
+
+    /// The walks over every table slot that the occupied / dirty lists
+    /// replaced, kept as the reference: what gets visited, and in which
+    /// order, is decided by scanning the table alone. Each ends by
+    /// rebuilding the lists from the table so the cache stays usable.
+    impl DataCache {
+        fn scan(&self, want: impl Fn(&Entry) -> bool) -> Vec<usize> {
+            (0..self.table.len())
+                .filter(|&i| self.table[i].as_ref().is_some_and(&want))
+                .collect()
+        }
+
+        fn relist_by_scan(&mut self) {
+            self.occupied = self.scan(|_| true);
+            self.dirty = self.scan(Entry::is_dirty);
+        }
+
+        fn write_back_dirty_reference(
+            &mut self,
+            heap: &mut Heap,
+            machine: &mut CellMachine,
+            core: CoreId,
+        ) -> Result<(), CacheFault> {
+            let res = (|| {
+                for slot in 0..self.table.len() {
+                    let Some(e) = self.table[slot] else { continue };
+                    if !e.is_dirty() {
+                        continue;
+                    }
+                    let span = e.dirty_hi - e.dirty_lo;
+                    machine.emit(
+                        core,
+                        TraceEvent::DataCacheWriteBack {
+                            addr: e.main_addr + e.dirty_lo,
+                            bytes: span,
+                        },
+                    );
+                    machine.dma_tagged(core, span, DmaTag::DataCacheWriteBack)?;
+                    let src_lo = (e.local_off + e.dirty_lo) as usize;
+                    heap.copy_from(
+                        e.main_addr + e.dirty_lo,
+                        &self.local[src_lo..src_lo + span as usize],
+                    )?;
+                    self.stats.writebacks += 1;
+                    self.stats.bytes_written_back += span as u64;
+                    let e = self.table[slot].as_mut().unwrap();
+                    e.dirty_lo = u32::MAX;
+                    e.dirty_hi = 0;
+                }
+                Ok(())
+            })();
+            self.relist_by_scan();
+            res
+        }
+
+        fn purge_reference(
+            &mut self,
+            heap: &mut Heap,
+            machine: &mut CellMachine,
+            core: CoreId,
+        ) -> Result<(), CacheFault> {
+            self.write_back_dirty_reference(heap, machine, core)?;
+            machine.emit(
+                core,
+                TraceEvent::DataCachePurge {
+                    resident_units: self.scan(|_| true).len() as u32,
+                },
+            );
+            self.table.iter_mut().for_each(|s| *s = None);
+            self.bump = 0;
+            self.stats.purges += 1;
+            self.relist_by_scan();
+            Ok(())
+        }
+
+        fn salvage_reference(&mut self, heap: &mut Heap) -> Result<u64, CacheFault> {
+            let mut salvaged = 0u64;
+            for slot in 0..self.table.len() {
+                let Some(e) = self.table[slot] else { continue };
+                if !e.is_dirty() {
+                    continue;
+                }
+                let span = e.dirty_hi - e.dirty_lo;
+                let src_lo = (e.local_off + e.dirty_lo) as usize;
+                heap.copy_from(
+                    e.main_addr + e.dirty_lo,
+                    &self.local[src_lo..src_lo + span as usize],
+                )?;
+                salvaged += span as u64;
+                self.stats.writebacks += 1;
+                self.stats.bytes_written_back += span as u64;
+            }
+            self.table.iter_mut().for_each(|s| *s = None);
+            self.bump = 0;
+            self.stats.purges += 1;
+            self.relist_by_scan();
+            Ok(salvaged)
+        }
+    }
+
+    /// One side of the differential run: its own heap, machine and cache.
+    struct Side {
+        heap: Heap,
+        machine: CellMachine,
+        dc: DataCache,
+        reference: bool,
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Read(u32, u32, u32),
+        Write(u32, u32, u32, i32),
+        WriteBack,
+        Purge,
+        Salvage,
+        ExportImport,
+    }
+
+    impl Side {
+        fn apply(&mut self, step: Step) -> String {
+            let (h, m, dc) = (&mut self.heap, &mut self.machine, &mut self.dc);
+            match step {
+                Step::Read(unit, len, off) => {
+                    format!("{:?}", dc.read(h, m, SPE, unit, len, off, Ty::Int))
+                }
+                Step::Write(unit, len, off, v) => {
+                    let v = Value::I32(v);
+                    format!("{:?}", dc.write(h, m, SPE, unit, len, off, Ty::Int, v))
+                }
+                Step::WriteBack if self.reference => {
+                    format!("{:?}", dc.write_back_dirty_reference(h, m, SPE))
+                }
+                Step::WriteBack => format!("{:?}", dc.write_back_dirty(h, m, SPE)),
+                Step::Purge if self.reference => format!("{:?}", dc.purge_reference(h, m, SPE)),
+                Step::Purge => format!("{:?}", dc.purge(h, m, SPE)),
+                Step::Salvage if self.reference => format!("{:?}", dc.salvage_reference(h)),
+                Step::Salvage => format!("{:?}", dc.salvage(h)),
+                Step::ExportImport => {
+                    let (bump, slots, local) = dc.export_state();
+                    let local = local.to_vec();
+                    let mut fresh = DataCache::new(dc.capacity());
+                    fresh.stats = dc.stats;
+                    let res = fresh.import_state(bump, slots, local);
+                    *dc = fresh;
+                    format!("{res:?}")
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lists_match_whole_table_walks_on_seeded_sequences() {
+        use hera_rng::SplitMix64;
+        // A quiet machine, and one whose transfers fault often enough to
+        // stop write-backs half way (five attempts at 60 % each).
+        let plans = [
+            hera_cell::FaultPlan::default(),
+            hera_cell::FaultPlan::seeded(7)
+                .with_mfc_faults(600_000, 0, 0)
+                .expect("valid"),
+        ];
+        let mut faulted_write_backs = 0;
+        for (p, plan) in plans.into_iter().enumerate() {
+            for seed in 0..6u64 {
+                let mut rng = SplitMix64::new(0xDA7A_CAC4E ^ (seed << 8) ^ p as u64);
+                let mut sides: Vec<Side> = [false, true]
+                    .into_iter()
+                    .map(|reference| {
+                        let f = fx();
+                        Side {
+                            heap: Heap::new(
+                                HeapConfig {
+                                    size_bytes: 64 << 10,
+                                },
+                                f.layout.statics.size,
+                            ),
+                            machine: CellMachine::new(CellConfig {
+                                trace: true,
+                                faults: plan,
+                                ..CellConfig::default()
+                            }),
+                            // 64 table slots, 48 usable: small objects
+                            // saturate the table, 1 KB blocks the region.
+                            dc: DataCache::new(4 << 10),
+                            reference,
+                        }
+                    })
+                    .collect();
+                // The same units on both heaps: 120 objects and a byte
+                // array cut into 1 KB blocks.
+                let f = fx();
+                let size = f.layout.object_size(f.class);
+                let mut units: Vec<(u32, u32)> = Vec::new();
+                for side in &mut sides {
+                    units.clear();
+                    for _ in 0..120 {
+                        let r = side.heap.alloc_object(&f.layout, f.class).unwrap();
+                        units.push((r.0, size));
+                    }
+                    let arr = side.heap.alloc_array(ElemTy::Byte, 12 << 10).unwrap();
+                    units.extend((0..12).map(|b| (arr.0 + b * 1024, 1024)));
+                }
+
+                for n in 0..1500 {
+                    let (unit, len) = units[rng.next_below(units.len() as u64) as usize];
+                    let off = 8 + 4 * rng.next_below((len as u64 - 8) / 4) as u32;
+                    let step = match rng.next_below(40) {
+                        0..=14 => Step::Read(unit, len, off),
+                        15..=33 => Step::Write(unit, len, off, rng.next_u64() as i32),
+                        34..=36 => Step::WriteBack,
+                        37 => Step::Purge,
+                        38 => Step::Salvage,
+                        _ => Step::ExportImport,
+                    };
+                    let what = format!("plan {p} seed {seed} step {n} {step:?}");
+                    let new = sides[0].apply(step);
+                    let old = sides[1].apply(step);
+                    assert_eq!(new, old, "{what}: result");
+                    faulted_write_backs +=
+                        usize::from(matches!(step, Step::WriteBack) && new.starts_with("Err"));
+                    let (a, b) = (&sides[0], &sides[1]);
+                    assert_eq!(a.dc.export_state(), b.dc.export_state(), "{what}: cache");
+                    assert_eq!(a.dc.stats, b.dc.stats, "{what}: stats");
+                    assert_eq!(a.machine.now(SPE), b.machine.now(SPE), "{what}: clock");
+                    assert!(a.heap.raw() == b.heap.raw(), "{what}: heap bytes");
+                    assert_eq!(
+                        a.machine.trace.event_count(),
+                        b.machine.trace.event_count(),
+                        "{what}: events"
+                    );
+                    let mut listed = (a.dc.occupied.clone(), a.dc.dirty.clone());
+                    listed.0.sort_unstable();
+                    listed.1.sort_unstable();
+                    assert_eq!(listed.0, a.dc.scan(|_| true), "{what}: occupied list");
+                    assert_eq!(listed.1, a.dc.scan(Entry::is_dirty), "{what}: dirty list");
+                }
+                // Write-back order is the order of the trace's records.
+                let lanes = sides[0].machine.trace.lanes();
+                for (new, old) in lanes.iter().zip(sides[1].machine.trace.lanes()) {
+                    let at = new.events.iter().zip(&old.events).position(|(a, b)| a != b);
+                    let pair = at.map(|i| (new.events[i], old.events[i]));
+                    assert_eq!(
+                        pair, None,
+                        "plan {p} seed {seed}: {} event {at:?}",
+                        new.name
+                    );
+                }
+                assert!(sides[0].dc.stats.writebacks > 100 && sides[0].dc.stats.purges > 10);
+            }
+        }
+        assert!(faulted_write_backs > 10, "{faulted_write_backs} faulted");
+    }
+
+    #[test]
+    fn import_rejects_a_dirty_span_outside_its_unit() {
+        let mut dc = DataCache::new(4 << 10);
+        let local = vec![0u8; 4 << 10];
+        // A 16-byte unit whose dirty span claims bytes 4..4096.
+        let bad = vec![(3, [64, 0, 16, 4, 4096])];
+        assert_eq!(
+            dc.import_state(16, bad, local.clone()),
+            Err("data-cache dirty span outside its unit")
+        );
+        let wraps = vec![(3, [u32::MAX - 7, 0, 16, 4, 8])];
+        assert!(dc.import_state(16, wraps, local.clone()).is_err());
+        let huge = vec![(3, [64, 0, u32::MAX, u32::MAX, 0])];
+        assert!(dc.import_state(16, huge, local.clone()).is_err());
+        // The same unit with its span inside is accepted, as dirty.
+        dc.import_state(16, vec![(3, [64, 0, 16, 4, 8])], local)
+            .unwrap();
+        assert_eq!(
+            (dc.occupied.as_slice(), dc.dirty.as_slice()),
+            (&[3][..], &[3][..])
+        );
     }
 }
