@@ -32,7 +32,7 @@ pub mod spe;
 pub use cost::{CostModel, DmaParams, ExecOp, OpCosts};
 pub use counters::{CycleBreakdown, OpClass};
 pub use eib::Eib;
-pub use hwcache::{HwCache, HwCacheParams};
+pub use hwcache::{HwCache, HwCacheParams, HwCacheStats};
 pub use machine::{
     CellConfig, CellMachine, CoreId, CoreKind, FaultStats, MfcFault, ProfScope, ProfScopeAll,
     SpecEibOp,

@@ -1,6 +1,6 @@
 //! Aggregated run statistics: everything the experiments report.
 
-use hera_cell::{CycleBreakdown, FaultStats, OpClass};
+use hera_cell::{CycleBreakdown, FaultStats, HwCacheStats, OpClass};
 use hera_jit::RegistryStats;
 use hera_softcache::{CodeCacheStats, DataCacheStats};
 use hera_trace::MetricsRegistry;
@@ -41,6 +41,8 @@ pub struct RunStats {
     pub spe: CycleBreakdown,
     /// Per-core total cycles, PPE first.
     pub per_core_cycles: Vec<u64>,
+    /// The PPE's hardware-cache (L1/L2) access statistics.
+    pub ppe_cache: HwCacheStats,
     /// Merged SPE data-cache statistics.
     pub data_cache: DataCacheStats,
     /// Merged SPE code-cache statistics.

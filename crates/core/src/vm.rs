@@ -559,6 +559,7 @@ impl HeraJvm {
             ppe: *machine.breakdown(CoreId::Ppe),
             spe: machine.spe_breakdown(),
             per_core_cycles: cores.iter().map(|&c| machine.now(c)).collect(),
+            ppe_cache: machine.ppe_cache.stats,
             data_cache: world.data_cache_stats(),
             code_cache: world.code_cache_stats(),
             gc: GcSummary {

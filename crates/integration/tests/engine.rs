@@ -1010,3 +1010,248 @@ fn written_mark_stays_near_what_the_guest_allocated() {
         out.heap_written
     );
 }
+
+// ---------------------------------------------------------------------
+// Pinned cycle breakdowns.
+//
+// The goldens above pin per-core cycle *totals*. These pin how the
+// totals split over the six operation classes, the per-class op counts
+// (what a host `work_per_s` is computed from) and the PPE hardware-cache
+// counters — captured before the hot tier began charging whole runs of
+// ops at once (ISSUE 20) — including two straggler runs whose slowdown
+// begins on an odd cycle in the middle of a block.
+
+/// `(label, result, wall_cycles, ppe (cycles, ops), spe (cycles, ops),
+/// PPE cache [accesses, l1_hits, l2_hits, memory_accesses])`.
+type BreakdownPin<L> = (
+    L,
+    i32,
+    u64,
+    ([u64; 6], [u64; 6]),
+    ([u64; 6], [u64; 6]),
+    [u64; 4],
+);
+
+#[test]
+fn cycle_breakdowns_match_pinned_values() {
+    use hera_cell::FaultPlan;
+    use hera_workloads::Workload;
+
+    let mut got: Vec<BreakdownPin<String>> = Vec::new();
+    let mut run = |label: String, program: hera_isa::Program, expected: i32, cfg: VmConfig| {
+        let out = run_program(program, cfg);
+        assert!(out.is_clean(), "{label}: traps: {:?}", out.traps);
+        assert_eq!(out.result, Some(Value::I32(expected)), "{label}");
+        let (pc, po) = out.stats.ppe.to_raw();
+        let (sc, so) = out.stats.spe.to_raw();
+        let hw = out.stats.ppe_cache;
+        got.push((
+            label,
+            expected,
+            out.stats.wall_cycles,
+            (pc, po),
+            (sc, so),
+            [hw.accesses, hw.l1_hits, hw.l2_hits, hw.memory_accesses],
+        ));
+    };
+
+    for w in Workload::ALL {
+        for (core, threads, cfg) in [
+            ("ppe", 1, VmConfig::pinned_ppe()),
+            ("spe1", 1, VmConfig::pinned_spe(1)),
+            ("spe6", 6, VmConfig::pinned_spe(6)),
+        ] {
+            let (program, expected) = w.build(threads, 0.1);
+            run(format!("{}/{core}", w.name()), program, expected, cfg);
+        }
+    }
+    let (program, expected) = hera_bench::sync_program(6, 500);
+    run(
+        "sync6x500".into(),
+        program,
+        expected,
+        VmConfig::pinned_spe(6),
+    );
+    let (program, expected) = hera_bench::mixed_program(0.1, true);
+    let annot = VmConfig {
+        policy: PlacementPolicy::Annotation,
+        ..VmConfig::default()
+    };
+    run("mixed-annot".into(), program, expected, annot);
+
+    // Stragglers: a 3x slowdown whose onset is an odd cycle about a third
+    // of the way into the unslowed run, so it lands inside a block.
+    for (core, threads, cfg, from) in [
+        ("ppe", 1, VmConfig::pinned_ppe(), STRAGGLER_FROM_PPE),
+        ("spe6", 6, VmConfig::pinned_spe(6), STRAGGLER_FROM_SPE6),
+    ] {
+        let (program, expected) = Workload::Compress.build(threads, 0.1);
+        let plan = FaultPlan::default().with_slowdown(3, from).expect("valid");
+        run(
+            format!("compress/{core}/slow3@{from}"),
+            program,
+            expected,
+            cfg.with_faults(plan),
+        );
+    }
+
+    let pinned: Vec<BreakdownPin<String>> = BREAKDOWN_PINS
+        .iter()
+        .map(|&(l, r, w, ppe, spe, hw)| (l.to_string(), r, w, ppe, spe, hw))
+        .collect();
+    assert_eq!(got, pinned, "cycle breakdowns changed (actual: {got:?})");
+}
+
+/// Onset cycles for the straggler pins: odd, and about a third of
+/// compress's unslowed wall clock on that configuration at scale 0.1.
+const STRAGGLER_FROM_PPE: u64 = 1_969_421;
+const STRAGGLER_FROM_SPE6: u64 = 809_875;
+
+const BREAKDOWN_PINS: &[BreakdownPin<&str>] = &[
+    (
+        "compress/ppe",
+        -777337679,
+        5908264,
+        (
+            [0, 1111630, 570721, 2518474, 812154, 895285],
+            [0, 474150, 362111, 1258831, 406077, 14826],
+        ),
+        ([0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]),
+        [420891, 406077, 13182, 1632],
+    ),
+    (
+        "compress/spe1",
+        -777337679,
+        12053635,
+        ([0, 0, 0, 0, 0, 5500], [0, 0, 0, 0, 0, 0]),
+        (
+            [0, 1608442, 1613771, 3490831, 2820232, 2520359],
+            [0, 684592, 362111, 1258831, 428287, 11633],
+        ),
+        [0, 0, 0, 0],
+    ),
+    (
+        "compress/spe6",
+        -2144493000,
+        2429623,
+        ([0, 0, 0, 0, 0, 33000], [0, 0, 0, 0, 0, 0]),
+        (
+            [0, 2114941, 2277088, 4615026, 3595882, 1332686],
+            [0, 934388, 527656, 1687443, 587588, 3941],
+        ),
+        [0, 0, 0, 0],
+    ),
+    (
+        "mpegaudio/ppe",
+        1810764046,
+        6073014,
+        (
+            [2042600, 1341832, 37140, 1837304, 773068, 41070],
+            [204260, 371032, 23357, 854148, 386534, 125],
+        ),
+        ([0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]),
+        [386650, 386534, 0, 116],
+    ),
+    (
+        "mpegaudio/spe1",
+        1810764046,
+        7126881,
+        ([0, 0, 0, 0, 0, 5500], [0, 0, 0, 0, 0, 0]),
+        (
+            [408520, 1727250, 106055, 2437858, 2420722, 26476],
+            [204260, 562588, 23357, 854148, 408065, 83],
+        ),
+        [0, 0, 0, 0],
+    ),
+    (
+        "mpegaudio/spe6",
+        -1948282595,
+        1815396,
+        ([0, 0, 0, 0, 0, 33000], [0, 0, 0, 0, 0, 0]),
+        (
+            [408520, 1727500, 106170, 2438643, 2426172, 131399],
+            [204260, 562688, 23382, 854368, 408265, 321],
+        ),
+        [0, 0, 0, 0],
+    ),
+    (
+        "mandelbrot/ppe",
+        46151,
+        7363781,
+        (
+            [4734344, 263504, 200483, 2123230, 10752, 31468],
+            [473430, 110798, 148837, 1012681, 5376, 90],
+        ),
+        ([0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]),
+        [5461, 5376, 0, 85],
+    ),
+    (
+        "mandelbrot/spe1",
+        46151,
+        4820458,
+        ([0, 0, 0, 0, 0, 5500], [0, 0, 0, 0, 0, 0]),
+        (
+            [946882, 268865, 458713, 3022366, 109020, 14612],
+            [473430, 113502, 148837, 1012681, 21680, 41],
+        ),
+        [0, 0, 0, 0],
+    ),
+    (
+        "mandelbrot/spe6",
+        46151,
+        867247,
+        ([0, 0, 0, 0, 0, 33000], [0, 0, 0, 0, 0, 0]),
+        (
+            [947032, 269075, 458828, 3023166, 112300, 75683],
+            [473450, 113602, 148862, 1012906, 21830, 201],
+        ),
+        [0, 0, 0, 0],
+    ),
+    (
+        "sync6x500",
+        3000,
+        2058928,
+        ([0, 0, 0, 0, 0, 33000], [0, 0, 0, 0, 0, 0]),
+        (
+            [0, 34178, 24152, 77425, 157012, 2260019],
+            [0, 12051, 6032, 27140, 9069, 14815],
+        ),
+        [0, 0, 0, 0],
+    ),
+    (
+        "mixed-annot",
+        524614228,
+        4198902,
+        (
+            [10, 887838, 241330, 1325880, 250914, 1200874],
+            [1, 257576, 160875, 659950, 125457, 35377],
+        ),
+        (
+            [48000, 19540, 64028, 149020, 40, 1828],
+            [24000, 8001, 16004, 56032, 8, 12],
+        ),
+        [160833, 125457, 34863, 513],
+    ),
+    (
+        "compress/ppe/slow3@1969421",
+        -777337679,
+        13785846,
+        (
+            [0, 2430370, 1375187, 6029782, 1988850, 1961657],
+            [0, 474150, 362111, 1258831, 406077, 14826],
+        ),
+        ([0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]),
+        [420891, 406077, 13182, 1632],
+    ),
+    (
+        "compress/spe6/slow3@809875",
+        -2144493000,
+        5452031,
+        ([0, 0, 0, 0, 0, 38000], [0, 0, 0, 0, 0, 0]),
+        (
+            [0, 4497611, 5203886, 10780234, 8169694, 2693409],
+            [0, 934388, 527656, 1687445, 587589, 3943],
+        ),
+        [0, 0, 0, 0],
+    ),
+];
