@@ -65,6 +65,7 @@ pub enum ExecOp {
 }
 
 /// The Figure 5 class an [`ExecOp`] is charged to.
+#[inline]
 pub fn exec_op_class(op: ExecOp) -> OpClass {
     use ExecOp::*;
     match op {
@@ -128,6 +129,7 @@ pub struct OpCosts {
 
 impl OpCosts {
     /// Cycles for one op.
+    #[inline]
     pub fn get(&self, op: ExecOp) -> u32 {
         use ExecOp::*;
         match op {
@@ -295,13 +297,19 @@ impl CostModel {
         }
     }
 
+    /// The operation cost table of a core kind.
+    #[inline]
+    pub fn costs(&self, kind: CoreKind) -> &OpCosts {
+        match kind {
+            CoreKind::Ppe => &self.ppe,
+            CoreKind::Spe => &self.spe,
+        }
+    }
+
     /// Cycles for `op` on a core of `kind`.
     #[inline]
     pub fn cost(&self, kind: CoreKind, op: ExecOp) -> u32 {
-        match kind {
-            CoreKind::Ppe => self.ppe.get(op),
-            CoreKind::Spe => self.spe.get(op),
-        }
+        self.costs(kind).get(op)
     }
 }
 

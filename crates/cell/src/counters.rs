@@ -187,6 +187,83 @@ impl AddAssign for CycleBreakdown {
     }
 }
 
+/// Charges one core accumulates over a straight-line run of guest ops
+/// before they reach its clock: the interpreter's hot tier adds into
+/// this and the machine applies it in one step
+/// ([`CellMachine::run_open`](crate::CellMachine::run_open) /
+/// [`CellMachine::run_settle`](crate::CellMachine::run_settle)).
+///
+/// Between two settles nothing else may read or move the core's clock,
+/// its breakdown or its profiler lane. The straggler stretch stays exact
+/// through `mult` and `horizon`: every charge is multiplied by `mult`,
+/// and the run asks to be settled ([`ChargeRun::due`]) once it holds
+/// `horizon` cycles — the point at which the next charge's clock would
+/// have reached the slowdown's onset and `mult` has to change.
+#[derive(Clone, Debug)]
+pub struct ChargeRun {
+    /// Index of the core being charged (0 = PPE, 1+n = SPE n).
+    pub(crate) lane: usize,
+    /// Stretched cycles accumulated since the last settle.
+    pub(crate) total: u64,
+    /// Charges accumulated since the last settle.
+    pub(crate) charges: u64,
+    /// The same cycles and charges, by class.
+    pub(crate) delta: CycleBreakdown,
+    /// 1, or the slowdown factor once the core's clock is past onset.
+    pub(crate) mult: u64,
+    /// Cycles left until onset (`u64::MAX` when none is coming).
+    pub(crate) horizon: u64,
+    /// What charging op by op would have produced (debug builds).
+    #[cfg(debug_assertions)]
+    pub(crate) shadow: ChargeShadow,
+}
+
+/// The per-op charging the run replaces, carried along in debug builds
+/// so every settle can check the batched result against it.
+#[cfg(debug_assertions)]
+#[derive(Clone, Debug)]
+pub(crate) struct ChargeShadow {
+    pub(crate) clock: u64,
+    pub(crate) breakdown: CycleBreakdown,
+    pub(crate) pending: hera_trace::CostVec,
+    pub(crate) slowdown: Option<(u64, u64)>,
+    /// The lane's profiler scope, `None` with profiling off.
+    pub(crate) scope: Option<hera_trace::CostClass>,
+}
+
+impl ChargeRun {
+    /// Charge `cycles` (and one retired operation) to `class`; returns
+    /// the cycles actually charged, i.e. after the straggler stretch.
+    #[inline(always)]
+    pub fn charge(&mut self, class: OpClass, cycles: impl Into<u64>) -> u64 {
+        let cycles: u64 = cycles.into();
+        #[cfg(debug_assertions)]
+        {
+            let sh = &mut self.shadow;
+            let c = match sh.slowdown {
+                Some((from, factor)) if sh.clock >= from => cycles.saturating_mul(factor),
+                _ => cycles,
+            };
+            sh.clock += c;
+            sh.breakdown.charge(class, c);
+            if let Some(scope) = sh.scope {
+                sh.pending.add(scope, c);
+            }
+        }
+        let cycles = cycles.saturating_mul(self.mult);
+        self.total += cycles;
+        self.charges += 1;
+        self.delta.charge(class, cycles);
+        cycles
+    }
+
+    /// Whether the run has to be settled before its next charge.
+    #[inline(always)]
+    pub fn due(&self) -> bool {
+        self.total >= self.horizon
+    }
+}
+
 impl fmt::Display for CycleBreakdown {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for class in OpClass::ALL {

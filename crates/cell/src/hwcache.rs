@@ -65,45 +65,105 @@ pub enum HitLevel {
 }
 
 /// One set-associative level with true-LRU replacement.
+///
+/// Indexing never divides on a power-of-two set count: callers pass
+/// line numbers (the address already shifted by `line_shift`) and the
+/// set is `line & set_mask`. `mru` remembers the slot of the last hit or
+/// install; a line lives in at most one way, so a tag match there is the
+/// hit the way scan would have found.
 #[derive(Clone)]
 struct Level {
     params: LevelParams,
     sets: u32,
+    /// `log2(params.line)`.
+    line_shift: u32,
+    /// `sets - 1` when the set count is a power of two, else `None` and
+    /// the set is `line % sets`.
+    set_mask: Option<u64>,
     /// `tags[set * ways + way]` = line tag, `u64::MAX` when invalid.
     tags: Vec<u64>,
     /// LRU stamps, larger = more recent.
     stamps: Vec<u64>,
     tick: u64,
+    /// Slot of the most recent hit or install. Only a hint: the tag
+    /// compare validates it, so it is neither exported nor imported.
+    mru: usize,
 }
 
 impl Level {
-    fn new(params: LevelParams) -> Level {
-        let sets = (params.capacity / (params.line * params.ways)).max(1);
-        let slots = (sets * params.ways) as usize;
+    fn new(name: &str, params: LevelParams) -> Level {
+        assert!(
+            params.line.is_power_of_two(),
+            "{name} line size must be a non-zero power of two, got {}",
+            params.line
+        );
+        assert!(params.ways >= 1, "{name} needs at least one way");
+        // A capacity below one full set still gets one set.
+        let set_bytes = params.line as u64 * params.ways as u64;
+        let sets = ((params.capacity as u64 / set_bytes) as u32).max(1);
+        let slots = sets as usize * params.ways as usize;
         Level {
             params,
             sets,
+            line_shift: params.line.trailing_zeros(),
+            set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
             tags: vec![u64::MAX; slots],
             stamps: vec![0; slots],
             tick: 0,
+            mru: 0,
         }
     }
 
     /// Returns true on hit; on miss the line is installed (evicting LRU).
-    fn access(&mut self, addr: u32) -> bool {
+    #[inline]
+    fn access(&mut self, line: u64) -> bool {
+        self.tick += 1;
+        if self.tags[self.mru] == line {
+            self.stamps[self.mru] = self.tick;
+            return true;
+        }
+        let set = match self.set_mask {
+            Some(mask) => line & mask,
+            None => line % self.sets as u64,
+        };
+        let ways = self.params.ways as usize;
+        let base = set as usize * ways;
+        let tags = &mut self.tags[base..base + ways];
+        let stamps = &mut self.stamps[base..base + ways];
+        // Hit?
+        if let Some(w) = tags.iter().position(|&t| t == line) {
+            stamps[w] = self.tick;
+            self.mru = base + w;
+            return true;
+        }
+        // Miss: install over LRU way (the first of equally old ones).
+        let mut victim = 0;
+        for w in 1..ways {
+            if stamps[w] < stamps[victim] {
+                victim = w;
+            }
+        }
+        tags[victim] = line;
+        stamps[victim] = self.tick;
+        self.mru = base + victim;
+        false
+    }
+
+    /// The access this level made before it indexed by shift and mask
+    /// and kept an MRU slot: the differential tests' reference.
+    #[cfg(test)]
+    fn access_reference(&mut self, addr: u32) -> bool {
         self.tick += 1;
         let line = (addr / self.params.line) as u64;
         let set = (line % self.sets as u64) as u32;
         let base = (set * self.params.ways) as usize;
         let ways = self.params.ways as usize;
-        // Hit?
         for w in 0..ways {
             if self.tags[base + w] == line {
                 self.stamps[base + w] = self.tick;
                 return true;
             }
         }
-        // Miss: install over LRU way.
         let mut victim = 0;
         for w in 1..ways {
             if self.stamps[base + w] < self.stamps[base + victim] {
@@ -152,11 +212,25 @@ pub struct HwCache {
 
 impl HwCache {
     /// Build a hierarchy from parameters.
+    ///
+    /// # Panics
+    ///
+    /// When a level's `line` is not a non-zero power of two, a level has
+    /// no ways, or the L2 line is smaller than the L1 line (an access
+    /// walks L1 lines and maps each onto the one L2 line holding it).
     pub fn new(params: HwCacheParams) -> HwCache {
+        let l1 = Level::new("L1", params.l1);
+        let l2 = Level::new("L2", params.l2);
+        assert!(
+            params.l2.line >= params.l1.line,
+            "L2 line ({}) must be at least the L1 line ({})",
+            params.l2.line,
+            params.l1.line
+        );
         HwCache {
             params,
-            l1: Level::new(params.l1),
-            l2: Level::new(params.l2),
+            l1,
+            l2,
             stats: HwCacheStats::default(),
         }
     }
@@ -165,7 +239,39 @@ impl HwCache {
     /// accesses touch each line; the returned cost is the worst level
     /// reached plus per-line hit costs, and the level is the deepest
     /// one touched.
+    #[inline]
     pub fn access(&mut self, addr: u32, len: u32) -> (u64, HitLevel) {
+        let shift = self.l1.line_shift;
+        let to_l2 = self.l2.line_shift - shift;
+        let first = addr >> shift;
+        let last = (addr + len.max(1) - 1) >> shift;
+        let mut cycles = 0u64;
+        let mut worst = HitLevel::L1;
+        for l in first..=last {
+            let line = l as u64;
+            self.stats.accesses += 1;
+            if self.l1.access(line) {
+                self.stats.l1_hits += 1;
+                cycles += self.params.l1.hit_cycles as u64;
+            } else if self.l2.access(line >> to_l2) {
+                self.stats.l2_hits += 1;
+                cycles += self.params.l2.hit_cycles as u64;
+                if worst == HitLevel::L1 {
+                    worst = HitLevel::L2;
+                }
+            } else {
+                self.stats.memory_accesses += 1;
+                cycles += self.params.memory_cycles as u64;
+                worst = HitLevel::Memory;
+            }
+        }
+        (cycles, worst)
+    }
+
+    /// [`HwCache::access`] as it was when every level divided the
+    /// address by its line size: the differential tests' reference.
+    #[cfg(test)]
+    fn access_reference(&mut self, addr: u32, len: u32) -> (u64, HitLevel) {
         let line = self.params.l1.line;
         let first = addr / line;
         let last = (addr + len.max(1) - 1) / line;
@@ -174,10 +280,10 @@ impl HwCache {
         for l in first..=last {
             let a = l * line;
             self.stats.accesses += 1;
-            if self.l1.access(a) {
+            if self.l1.access_reference(a) {
                 self.stats.l1_hits += 1;
                 cycles += self.params.l1.hit_cycles as u64;
-            } else if self.l2.access(a) {
+            } else if self.l2.access_reference(a) {
                 self.stats.l2_hits += 1;
                 cycles += self.params.l2.hit_cycles as u64;
                 if worst == HitLevel::L1 {
@@ -305,6 +411,215 @@ mod tests {
         let before = c.stats.accesses;
         c.access(100, 256); // straddles 3 lines
         assert_eq!(c.stats.accesses - before, 3);
+    }
+
+    /// A geometry with `sets` sets of `ways` 128-byte lines at both
+    /// levels (L2 four times the sets), default latencies.
+    fn geometry(sets: u32, ways: u32) -> HwCacheParams {
+        let mut p = HwCacheParams::default();
+        p.l1.ways = ways;
+        p.l1.capacity = sets * ways * p.l1.line;
+        p.l2.ways = ways;
+        p.l2.capacity = 4 * sets * ways * p.l2.line;
+        p
+    }
+
+    #[test]
+    fn three_line_straddle_costs_each_line_and_reports_the_deepest() {
+        let mut c = cache();
+        c.access(128, 4); // warm the middle line only
+        let (cycles, lvl) = c.access(100, 256); // lines 0, 1, 2
+        assert_eq!(lvl, HitLevel::Memory);
+        assert_eq!(cycles, 300 + 2 + 300);
+        assert_eq!(c.stats.accesses, 4);
+        assert_eq!(c.stats.l1_hits, 1);
+        assert_eq!(c.stats.memory_accesses, 3);
+        assert_eq!(c.access(100, 256), (6, HitLevel::L1));
+    }
+
+    #[test]
+    fn non_power_of_two_set_count_indexes_by_remainder() {
+        let mut c = HwCache::new(geometry(48, 8));
+        assert_eq!(c.l1.sets, 48);
+        assert_eq!(c.l1.set_mask, None);
+        // Lines 0, 48, 96, ... share set 0: nine of them overflow 8 ways.
+        let stride = 48 * 128;
+        for i in 0..9u32 {
+            c.access(i * stride, 4);
+        }
+        assert_eq!(c.access(0, 4).1, HitLevel::L2, "LRU line left L1");
+        // Line 47 is in a set of its own and still resident after the
+        // conflict burst next door.
+        c.access(47 * 128, 4);
+        for i in 0..9u32 {
+            c.access(i * stride, 4);
+        }
+        assert_eq!(c.access(47 * 128, 4).1, HitLevel::L1);
+    }
+
+    #[test]
+    fn one_way_level_is_direct_mapped() {
+        let mut c = HwCache::new(geometry(32, 1));
+        let conflict = 32 * 128;
+        assert_eq!(c.access(0, 4).1, HitLevel::Memory);
+        assert_eq!(c.access(0, 4).1, HitLevel::L1);
+        assert_eq!(c.access(conflict, 4).1, HitLevel::Memory);
+        // Evicted from the one L1 way; L2 has four times the sets.
+        assert_eq!(c.access(0, 4).1, HitLevel::L2);
+        assert_eq!(c.access(conflict, 4).1, HitLevel::L2);
+    }
+
+    #[test]
+    fn capacity_below_one_set_keeps_the_one_set_floor() {
+        let mut p = HwCacheParams::default();
+        p.l1.capacity = 100;
+        let c = HwCache::new(p);
+        assert_eq!(c.l1.sets, 1);
+        assert_eq!(c.l1.tags.len(), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "L1 line size must be a non-zero power of two")]
+    fn zero_line_is_rejected_by_name() {
+        let mut p = HwCacheParams::default();
+        p.l1.line = 0;
+        HwCache::new(p);
+    }
+
+    #[test]
+    #[should_panic(expected = "L2 line size must be a non-zero power of two")]
+    fn non_power_of_two_line_is_rejected_by_name() {
+        let mut p = HwCacheParams::default();
+        p.l2.line = 96;
+        HwCache::new(p);
+    }
+
+    #[test]
+    #[should_panic(expected = "L1 needs at least one way")]
+    fn zero_ways_is_rejected_by_name() {
+        let mut p = HwCacheParams::default();
+        p.l1.ways = 0;
+        HwCache::new(p);
+    }
+
+    #[test]
+    #[should_panic(expected = "L2 line (64) must be at least the L1 line (128)")]
+    fn l2_line_smaller_than_l1_line_is_rejected_by_name() {
+        let mut p = HwCacheParams::default();
+        p.l2.line = 64;
+        HwCache::new(p);
+    }
+
+    /// The four stream shapes the differential test drives.
+    #[derive(Clone, Copy, Debug)]
+    enum Stream {
+        Sequential,
+        Strided,
+        PointerChase,
+        RepeatedLine,
+    }
+
+    fn assert_same_state(new: &HwCache, old: &HwCache, at: &str) {
+        assert_eq!(new.export_state(), old.export_state(), "{at}: state");
+        let (n, o) = (new.stats, old.stats);
+        assert_eq!(
+            (n.accesses, n.l1_hits, n.l2_hits, n.memory_accesses),
+            (o.accesses, o.l1_hits, o.l2_hits, o.memory_accesses),
+            "{at}: stats"
+        );
+    }
+
+    /// Shift/mask indexing behind the MRU slot ≡ the divide-and-scan it
+    /// replaced: every access's `(cycles, level)`, the stats, and the
+    /// exported replacement state — also across an `import_state` into
+    /// a fresh cache (whose MRU hint then points at unrelated slots).
+    #[test]
+    fn shift_mask_mru_access_matches_the_dividing_reference() {
+        use hera_rng::SplitMix64;
+        let geometries = [
+            ("default", HwCacheParams::default()),
+            ("48-set", geometry(48, 8)),
+            ("1-way", geometry(32, 1)),
+            // L2 lines twice the L1 lines: the line-number shift between levels.
+            ("l2-256B", {
+                let mut p = geometry(16, 2);
+                p.l2.line = 256;
+                p
+            }),
+        ];
+        let mut seen = HwCacheStats::default();
+        for (gname, params) in geometries {
+            for shape in [
+                Stream::Sequential,
+                Stream::Strided,
+                Stream::PointerChase,
+                Stream::RepeatedLine,
+            ] {
+                for seed in 1..=6u64 {
+                    let at = format!("{gname}/{shape:?}/seed {seed}");
+                    let mut rng = SplitMix64::new(seed * 0x9e37 + shape as u64);
+                    let mut new = HwCache::new(params);
+                    let mut old = HwCache::new(params);
+                    // Working set sized against this geometry's L2 so
+                    // every level is exercised: some streams fit L1,
+                    // some spill to memory.
+                    let span = (params.l2.capacity * (1 + rng.next_below(3) as u32)).max(4096);
+                    let stride = 4 + 4 * rng.next_below(200) as u32;
+                    let mut addr = rng.next_below(span as u64) as u32;
+                    for step in 0..4000u32 {
+                        let len = 1 + rng.next_below(300) as u32;
+                        addr = match shape {
+                            Stream::Sequential => (addr + len) % span,
+                            Stream::Strided => (addr + stride) % span,
+                            Stream::PointerChase => rng.next_below(span as u64) as u32,
+                            Stream::RepeatedLine => {
+                                if rng.next_below(16) == 0 {
+                                    rng.next_below(span as u64) as u32
+                                } else {
+                                    (addr & !127) + rng.next_below(128) as u32
+                                }
+                            }
+                        };
+                        let len = if matches!(shape, Stream::RepeatedLine) {
+                            len.min(128 - (addr & 127))
+                        } else {
+                            len
+                        };
+                        assert_eq!(
+                            new.access(addr, len),
+                            old.access_reference(addr, len),
+                            "{at}: step {step} access({addr:#x}, {len})"
+                        );
+                        if rng.next_below(97) == 0 {
+                            assert_same_state(&new, &old, &format!("{at}: step {step}"));
+                        }
+                        if step == 2000 {
+                            // Round trip mid-stream, into a cache that
+                            // has been somewhere else entirely.
+                            let ((t1, s1, k1), (t2, s2, k2)) = new.export_state();
+                            let l1 = (t1.to_vec(), s1.to_vec(), k1);
+                            let l2 = (t2.to_vec(), s2.to_vec(), k2);
+                            let stats = new.stats;
+                            let mut fresh = HwCache::new(params);
+                            for a in (0..64u32).map(|i| i * 4096 + 12) {
+                                fresh.access(a, 8);
+                            }
+                            fresh.import_state(l1, l2).expect("same geometry");
+                            fresh.stats = stats;
+                            new = fresh;
+                        }
+                    }
+                    assert_same_state(&new, &old, &format!("{at}: end"));
+                    seen.l1_hits += new.stats.l1_hits;
+                    seen.l2_hits += new.stats.l2_hits;
+                    seen.memory_accesses += new.stats.memory_accesses;
+                }
+            }
+        }
+        assert!(
+            seen.l1_hits > 10_000 && seen.l2_hits > 10_000 && seen.memory_accesses > 10_000,
+            "streams left a level unexercised: {seen:?}"
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod machine;
 pub mod spe;
 
 pub use cost::{CostModel, DmaParams, ExecOp, OpCosts};
-pub use counters::{CycleBreakdown, OpClass};
+pub use counters::{ChargeRun, CycleBreakdown, OpClass};
 pub use eib::Eib;
 pub use hwcache::{HwCache, HwCacheParams, HwCacheStats};
 pub use machine::{

@@ -1,7 +1,9 @@
 //! The assembled machine: cores, clocks, bus, caches and accounting.
 
 use crate::cost::{exec_op_class, CostModel, ExecOp};
-use crate::counters::{CycleBreakdown, OpClass};
+#[cfg(debug_assertions)]
+use crate::counters::ChargeShadow;
+use crate::counters::{ChargeRun, CycleBreakdown, OpClass};
 use crate::eib::{Eib, EibGrant};
 use crate::hwcache::{HwCache, HwCacheParams};
 use crate::spe::{LocalStore, StorePartition};
@@ -722,6 +724,84 @@ impl CellMachine {
         self.prof_note(i, cycles);
     }
 
+    /// Open a charge run on `core`: an accumulator the caller charges
+    /// op by op and hands back to [`CellMachine::run_settle`]. While it
+    /// holds unsettled charges nothing else may read or move `core`'s
+    /// clock, breakdown or profiler lane — settle first.
+    #[inline]
+    pub fn run_open(&self, core: CoreId) -> ChargeRun {
+        let lane = self.idx(core);
+        let (mult, horizon) = self.run_stretch(lane);
+        ChargeRun {
+            lane,
+            total: 0,
+            charges: 0,
+            delta: CycleBreakdown::new(),
+            mult,
+            horizon,
+            #[cfg(debug_assertions)]
+            shadow: self.run_shadow(lane),
+        }
+    }
+
+    /// Apply a run's accumulated charges — one clock add, one breakdown
+    /// add, one profiler note; equal to having charged each op through
+    /// [`CellMachine::advance`] because the scope cannot change and the
+    /// stretch factor is constant inside a run — and re-arm it against
+    /// the clock as it now stands. Also the way to re-arm an empty run
+    /// after the clock moved by another route (a DMA, a stall).
+    #[inline]
+    pub fn run_settle(&mut self, run: &mut ChargeRun) {
+        let i = run.lane;
+        if run.charges != 0 {
+            self.clocks[i] += run.total;
+            self.breakdowns[i] += run.delta;
+            self.prof_note(i, run.total);
+            #[cfg(debug_assertions)]
+            {
+                let sh = &run.shadow;
+                debug_assert_eq!(self.clocks[i], sh.clock, "run clock != per-op clock");
+                debug_assert_eq!(self.breakdowns[i], sh.breakdown, "run breakdown != per-op");
+                debug_assert_eq!(self.prof_pending[i], sh.pending, "run profile != per-op");
+            }
+            run.total = 0;
+            run.charges = 0;
+            run.delta = CycleBreakdown::new();
+        }
+        (run.mult, run.horizon) = self.run_stretch(i);
+        #[cfg(debug_assertions)]
+        {
+            run.shadow = self.run_shadow(i);
+        }
+    }
+
+    /// The stretch factor charges on lane `i` take from its current
+    /// clock, and how many cycles that stays true for: [`stretched`]
+    /// multiplies once the clock has *reached* `from_cycle`, so a run
+    /// that starts short of it must stop at the distance left.
+    ///
+    /// [`stretched`]: CellMachine::stretched
+    #[inline]
+    fn run_stretch(&self, i: usize) -> (u64, u64) {
+        match self.slowdown {
+            Some((from, factor)) if self.clocks[i] >= from => (factor, u64::MAX),
+            Some((from, _)) => (1, from - self.clocks[i]),
+            None => (1, u64::MAX),
+        }
+    }
+
+    /// Lane `i` as per-op charging sees it now (debug builds).
+    #[cfg(debug_assertions)]
+    fn run_shadow(&self, i: usize) -> ChargeShadow {
+        ChargeShadow {
+            clock: self.clocks[i],
+            breakdown: self.breakdowns[i],
+            pending: self.prof_pending[i],
+            slowdown: self.slowdown,
+            scope: self.config.profiling.then(|| self.prof_scope[i]),
+        }
+    }
+
     /// Advance without counting a retired operation (stalls, waits).
     #[inline]
     pub fn stall(&mut self, core: CoreId, cycles: u64, class: OpClass) {
@@ -974,11 +1054,19 @@ impl CellMachine {
         }
     }
 
+    /// Run a PPE load/store through the L1/L2 model without charging it:
+    /// the unstretched cycles it costs and the class they belong to, for
+    /// a caller that charges them itself (a [`ChargeRun`]).
+    #[inline]
+    pub fn ppe_cache_probe(&mut self, addr: u32, len: u32) -> (u64, OpClass) {
+        let (cycles, level) = self.ppe_cache.access(addr, len);
+        (cycles, HwCache::class_for(level))
+    }
+
     /// A PPE load/store touching main memory through the L1/L2 model.
     /// Returns the cycles charged.
     pub fn ppe_mem_access(&mut self, addr: u32, len: u32) -> u64 {
-        let (cycles, level) = self.ppe_cache.access(addr, len);
-        let class = HwCache::class_for(level);
+        let (cycles, class) = self.ppe_cache_probe(addr, len);
         let i = self.idx(CoreId::Ppe);
         let cycles = self.stretched(i, cycles);
         self.clocks[i] += cycles;
@@ -1269,6 +1357,81 @@ mod tests {
         slow.idle_until(CoreId::Spe(1), 5_000);
         let slow_dma = slow.dma(CoreId::Spe(1), 1024).expect("slow dma post-onset");
         assert_eq!(slow_dma, clean_dma * 4);
+    }
+
+    /// A charge run ≡ the same charges through `advance`, op by op:
+    /// clock, breakdown and profiler lane, with a slowdown whose onset
+    /// falls inside the run, runs settled at random points, and stalls
+    /// charged directly between settles.
+    #[test]
+    fn charge_run_matches_per_op_charging_across_slowdown_onset() {
+        use hera_rng::SplitMix64;
+        const CLASSES: [OpClass; 4] = [
+            OpClass::Stack,
+            OpClass::Integer,
+            OpClass::FloatingPoint,
+            OpClass::Branch,
+        ];
+        for seed in 1..=6u64 {
+            for (factor, from) in [(1, 0), (3, 0), (3, 1), (3, 7_777), (5, 20_001)] {
+                let cfg = CellConfig {
+                    profiling: seed % 2 == 0,
+                    faults: FaultPlan::default()
+                        .with_slowdown(factor, from)
+                        .expect("valid"),
+                    ..CellConfig::default()
+                };
+                let core = CoreId::Spe(2);
+                let mut per_op = CellMachine::new(cfg);
+                let mut batched = CellMachine::new(cfg);
+                let scope = batched.prof_scope_begin(core, CostClass::Syscall);
+                let _ = per_op.prof_scope_begin(core, CostClass::Syscall);
+                let mut rng = SplitMix64::new(seed);
+                let mut run = batched.run_open(core);
+                for _ in 0..5_000 {
+                    let class = CLASSES[rng.next_below(4) as usize];
+                    let cycles = rng.next_below(12);
+                    let before = per_op.now(core);
+                    per_op.advance(core, cycles, class);
+                    assert_eq!(
+                        run.charge(class, cycles),
+                        per_op.now(core) - before,
+                        "stretched cycles of one charge"
+                    );
+                    if run.due() || rng.next_below(40) == 0 {
+                        batched.run_settle(&mut run);
+                        assert_eq!(batched.now(core), per_op.now(core));
+                    }
+                    if rng.next_below(100) == 0 {
+                        batched.run_settle(&mut run);
+                        batched.stall(core, 150, OpClass::MainMemory);
+                        per_op.stall(core, 150, OpClass::MainMemory);
+                        batched.run_settle(&mut run);
+                    }
+                }
+                batched.run_settle(&mut run);
+                batched.prof_scope_end(core, scope);
+                let at = format!("seed {seed}, x{factor} from {from}");
+                assert_eq!(batched.now(core), per_op.now(core), "{at}");
+                assert!(batched.now(core) > from, "{at}: onset never reached");
+                assert_eq!(batched.breakdown(core), per_op.breakdown(core), "{at}");
+                let lane = batched.lane(core);
+                assert_eq!(batched.prof_take(lane), per_op.prof_take(lane), "{at}");
+            }
+        }
+    }
+
+    /// The debug shadow is only an oracle if it fires: a clock moved by
+    /// another route while a run holds charges must fail the next settle.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "run clock != per-op clock")]
+    fn debug_shadow_catches_a_clock_moved_behind_an_open_run() {
+        let mut m = machine();
+        let mut run = m.run_open(CoreId::Ppe);
+        run.charge(OpClass::Stack, 2u32);
+        m.stall(CoreId::Ppe, 20, OpClass::MainMemory); // no settle first
+        m.run_settle(&mut run);
     }
 
     #[test]

@@ -33,7 +33,8 @@ use crate::thread::{
 };
 use crate::vm::VmError;
 use crate::world::{QuantumOutcome, World};
-use hera_cell::{CellMachine, CoreId, CoreKind, ExecOp, FaultSite, OpClass};
+use hera_cell::cost::exec_op_class;
+use hera_cell::{CellMachine, ChargeRun, CoreId, CoreKind, ExecOp, FaultSite, OpClass, OpCosts};
 use hera_isa::class::NativeKind;
 use hera_isa::{Kind, MethodDef, MethodId, ObjRef, Slot, Trap, Ty, Value};
 use hera_jit::{BranchKind, MachineOp};
@@ -338,14 +339,35 @@ fn trap_or_vm(w: &mut World<'_>, tid: ThreadId, e: StepError) -> Result<QuantumO
 /// The hot tier: retire straight-line ops of the current frame until
 /// the budget drains or a frame-changing op appears.
 ///
-/// The frame cursor (`pc`, `sp`) is mutated in place, so the thread is
-/// always in a consistent, GC-scannable state — including at the early
-/// returns a trap takes.
+/// Charges go into a [`ChargeRun`] and reach the core's clock when the
+/// run is settled — here, whichever way [`exec_block_run`] came back, so
+/// no early return can leave charges behind.
 fn exec_block(
     w: &mut World<'_>,
     t: usize,
     core: CoreId,
     budget: &mut u32,
+) -> Result<BlockExit, StepError> {
+    let mut run = w.machine.run_open(core);
+    let exit = exec_block_run(w, t, core, budget, &mut run);
+    w.machine.run_settle(&mut run);
+    exit
+}
+
+/// [`exec_block`]'s loop. Every hot-tier charge is an add on `run`;
+/// anything that reads or moves the clock by another route — the SPE
+/// data cache (hit stamps, DMAs, purges), the volatile sync stall — goes
+/// through `settled!`, which settles the run first and re-arms it after.
+///
+/// The frame cursor (`pc`, `sp`) is mutated in place, so the thread is
+/// always in a consistent, GC-scannable state — including at the early
+/// returns a trap takes.
+fn exec_block_run(
+    w: &mut World<'_>,
+    t: usize,
+    core: CoreId,
+    budget: &mut u32,
+    run: &mut ChargeRun,
 ) -> Result<BlockExit, StepError> {
     let World {
         program,
@@ -369,6 +391,35 @@ fn exec_block(
     let ops = code.ops.as_slice();
     let base = f.base as usize;
     let spe = spe_of(core);
+    let costs: OpCosts = *machine.cost_model().costs(core.kind());
+
+    // Charge one op to the run; the value is the stretched cycles. A run
+    // that has reached its horizon is settled before the next charge.
+    macro_rules! charge {
+        ($class:expr, $cycles:expr) => {{
+            let charged = run.charge($class, $cycles);
+            if run.due() {
+                machine.run_settle(run);
+            }
+            charged
+        }};
+    }
+    // A PPE load/store: through the cache model, charged to the run.
+    macro_rules! ppe_access {
+        ($addr:expr, $len:expr) => {{
+            let (cycles, class) = machine.ppe_cache_probe($addr, $len);
+            charge!(class, cycles)
+        }};
+    }
+    // Run `$body`, which charges the machine directly, outside the run.
+    macro_rules! settled {
+        ($body:expr) => {{
+            machine.run_settle(run);
+            let out = $body;
+            machine.run_settle(run);
+            out
+        }};
+    }
 
     macro_rules! pop {
         () => {{
@@ -405,36 +456,36 @@ fn exec_block(
 
         match op {
             PushI32(v) => {
-                machine.exec(core, ExecOp::StackOp);
+                charge!(OpClass::Stack, costs.stack_op);
                 push!(Slot::from_i32(v));
             }
             PushI64(v) => {
-                machine.exec(core, ExecOp::StackOp);
+                charge!(OpClass::Stack, costs.stack_op);
                 push!(Slot::from_i64(v));
             }
             PushF32(v) => {
-                machine.exec(core, ExecOp::StackOp);
+                charge!(OpClass::Stack, costs.stack_op);
                 push!(Slot::from_f32(v));
             }
             PushF64(v) => {
-                machine.exec(core, ExecOp::StackOp);
+                charge!(OpClass::Stack, costs.stack_op);
                 push!(Slot::from_f64(v));
             }
             PushNull => {
-                machine.exec(core, ExecOp::StackOp);
+                charge!(OpClass::Stack, costs.stack_op);
                 push!(Slot::from_ref(ObjRef::NULL));
             }
             Pop => {
-                machine.exec(core, ExecOp::StackOp);
+                charge!(OpClass::Stack, costs.stack_op);
                 f.sp -= 1;
             }
             Dup => {
-                machine.exec(core, ExecOp::StackOp);
+                charge!(OpClass::Stack, costs.stack_op);
                 let v = sget(arena, f.sp as usize - 1);
                 push!(v);
             }
             DupX1 => {
-                machine.exec(core, ExecOp::StackOp);
+                charge!(OpClass::Stack, costs.stack_op);
                 let a = pop!();
                 let b = pop!();
                 push!(a);
@@ -442,33 +493,32 @@ fn exec_block(
                 push!(a);
             }
             Swap => {
-                machine.exec(core, ExecOp::StackOp);
+                charge!(OpClass::Stack, costs.stack_op);
                 let a = pop!();
                 let b = pop!();
                 push!(a);
                 push!(b);
             }
             LoadLocal(s) => {
-                machine.exec(core, ExecOp::LocalAccess);
+                charge!(OpClass::Stack, costs.local_access);
                 push!(sget(arena, base + s as usize));
             }
             StoreLocal(s) => {
-                machine.exec(core, ExecOp::LocalAccess);
+                charge!(OpClass::Stack, costs.local_access);
                 let v = pop!();
                 sset(arena, base + s as usize, v);
             }
             IncLocal(s, d) => {
-                machine.exec(core, ExecOp::IntAlu);
+                charge!(OpClass::Integer, costs.int_alu);
                 let i = base + s as usize;
                 let old = sget(arena, i).i32();
                 sset(arena, i, Slot::from_i32(old.wrapping_add(d as i32)));
             }
             Arith(a) => {
-                machine.exec(core, a.exec_op());
-                if matches!(
-                    hera_cell::cost::exec_op_class(a.exec_op()),
-                    OpClass::FloatingPoint
-                ) {
+                let op = a.exec_op();
+                let class = exec_op_class(op);
+                charge!(class, costs.get(op));
+                if matches!(class, OpClass::FloatingPoint) {
                     window.fp_ops += 1;
                 }
                 if a.arity() == 1 {
@@ -504,14 +554,14 @@ fn exec_block(
                     }
                 };
                 if taken {
-                    machine.exec(core, ExecOp::BranchTaken);
+                    charge!(OpClass::Branch, costs.branch_taken);
                     f.pc = target;
                 } else {
-                    machine.exec(core, ExecOp::Branch);
+                    charge!(OpClass::Branch, costs.branch);
                 }
             }
             InstanceOf { class } => {
-                machine.exec(core, ExecOp::Check);
+                charge!(OpClass::Integer, costs.check);
                 let r = pop!().obj();
                 let yes = if r.is_null() {
                     false
@@ -530,12 +580,12 @@ fn exec_block(
                 ty,
                 volatile,
             } => {
-                machine.exec(core, ExecOp::Check);
+                charge!(OpClass::Integer, costs.check);
                 let r = pop_ref!();
-                let cycles = machine.ppe_mem_access(r.0 + offset, ty.field_size());
+                let cycles = ppe_access!(r.0 + offset, ty.field_size());
                 mem_monitor(window, cycles);
                 if volatile {
-                    volatile_sync(machine, core);
+                    settled!(volatile_sync(machine, core));
                 }
                 push!(heap.read_typed_slot(r.0 + offset, ty));
             }
@@ -544,13 +594,13 @@ fn exec_block(
                 ty,
                 volatile,
             } => {
-                machine.exec(core, ExecOp::Check);
+                charge!(OpClass::Integer, costs.check);
                 let v = pop!();
                 let r = pop_ref!();
-                let cycles = machine.ppe_mem_access(r.0 + offset, ty.field_size());
+                let cycles = ppe_access!(r.0 + offset, ty.field_size());
                 mem_monitor(window, cycles);
                 if volatile {
-                    volatile_sync(machine, core);
+                    settled!(volatile_sync(machine, core));
                 }
                 heap.write_typed_slot(r.0 + offset, ty, v);
             }
@@ -560,10 +610,10 @@ fn exec_block(
                 volatile,
             } => {
                 let addr = Heap::STATICS_BASE + offset;
-                let cycles = machine.ppe_mem_access(addr, ty.field_size());
+                let cycles = ppe_access!(addr, ty.field_size());
                 mem_monitor(window, cycles);
                 if volatile {
-                    volatile_sync(machine, core);
+                    settled!(volatile_sync(machine, core));
                 }
                 push!(heap.read_typed_slot(addr, ty));
             }
@@ -574,40 +624,40 @@ fn exec_block(
             } => {
                 let addr = Heap::STATICS_BASE + offset;
                 let v = pop!();
-                let cycles = machine.ppe_mem_access(addr, ty.field_size());
+                let cycles = ppe_access!(addr, ty.field_size());
                 mem_monitor(window, cycles);
                 if volatile {
-                    volatile_sync(machine, core);
+                    settled!(volatile_sync(machine, core));
                 }
                 heap.write_typed_slot(addr, ty, v);
             }
             ArrLenDirect => {
-                machine.exec(core, ExecOp::Check);
+                charge!(OpClass::Integer, costs.check);
                 let r = pop_ref!();
-                let cycles = machine.ppe_mem_access(r.0 + 4, 4);
+                let cycles = ppe_access!(r.0 + 4, 4);
                 mem_monitor(window, cycles);
                 let len = heap.array_length(r);
                 push!(Slot::from_i32(len as i32));
             }
             ArrLoadDirect { .. } => {
-                machine.exec(core, ExecOp::Check);
+                charge!(OpClass::Integer, costs.check);
                 let idx = pop!().i32();
                 let r = pop_ref!();
                 // Bounds check reads the length word through the caches too.
-                machine.ppe_mem_access(r.0 + 4, 4);
+                ppe_access!(r.0 + 4, 4);
                 let (addr, elem) = heap.elem_addr(r, idx)?;
-                let cycles = machine.ppe_mem_access(addr, elem.size());
+                let cycles = ppe_access!(addr, elem.size());
                 mem_monitor(window, cycles);
                 push!(heap.array_load_slot(r, idx)?);
             }
             ArrStoreDirect { .. } => {
-                machine.exec(core, ExecOp::Check);
+                charge!(OpClass::Integer, costs.check);
                 let v = pop!();
                 let idx = pop!().i32();
                 let r = pop_ref!();
-                machine.ppe_mem_access(r.0 + 4, 4);
+                ppe_access!(r.0 + 4, 4);
                 let (addr, elem) = heap.elem_addr(r, idx)?;
-                let cycles = machine.ppe_mem_access(addr, elem.size());
+                let cycles = ppe_access!(addr, elem.size());
                 mem_monitor(window, cycles);
                 heap.array_store_slot(r, idx, v)?;
             }
@@ -618,15 +668,17 @@ fn exec_block(
                 ty,
                 volatile,
             } => {
-                machine.exec(core, ExecOp::Check);
+                charge!(OpClass::Integer, costs.check);
                 let r = pop_ref!();
                 let cache = &mut data_caches[spe.expect("cached op on SPE")];
-                if volatile {
-                    // JMM acquire: purge before the read.
-                    cache_purge(cache, heap, machine, core)?;
-                }
-                let size = heap.header(r).size;
-                let v = cache_read(cache, heap, machine, window, core, r.0, size, offset, ty)?;
+                let v = settled!({
+                    if volatile {
+                        // JMM acquire: purge before the read.
+                        cache_purge(cache, heap, machine, core)?;
+                    }
+                    let size = heap.header(r).size;
+                    cache_read(cache, heap, machine, window, core, r.0, size, offset, ty)?
+                });
                 push!(v);
             }
             PutFieldCached {
@@ -634,16 +686,18 @@ fn exec_block(
                 ty,
                 volatile,
             } => {
-                machine.exec(core, ExecOp::Check);
+                charge!(OpClass::Integer, costs.check);
                 let v = pop!();
                 let r = pop_ref!();
                 let cache = &mut data_caches[spe.expect("cached op on SPE")];
                 let size = heap.header(r).size;
-                cache_write(cache, heap, machine, window, core, r.0, size, offset, ty, v)?;
-                if volatile {
-                    // JMM release: publish before anyone can acquire.
-                    cache_flush(cache, heap, machine, core)?;
-                }
+                settled!({
+                    cache_write(cache, heap, machine, window, core, r.0, size, offset, ty, v)?;
+                    if volatile {
+                        // JMM release: publish before anyone can acquire.
+                        cache_flush(cache, heap, machine, core)?;
+                    }
+                });
             }
             GetStaticCached {
                 offset,
@@ -651,12 +705,14 @@ fn exec_block(
                 volatile,
             } => {
                 let cache = &mut data_caches[spe.expect("cached op on SPE")];
-                if volatile {
-                    cache_purge(cache, heap, machine, core)?;
-                }
                 let unit = Heap::STATICS_BASE;
                 let len = layout.statics.size;
-                let v = cache_read(cache, heap, machine, window, core, unit, len, offset, ty)?;
+                let v = settled!({
+                    if volatile {
+                        cache_purge(cache, heap, machine, core)?;
+                    }
+                    cache_read(cache, heap, machine, window, core, unit, len, offset, ty)?
+                });
                 push!(v);
             }
             PutStaticCached {
@@ -668,33 +724,47 @@ fn exec_block(
                 let cache = &mut data_caches[spe.expect("cached op on SPE")];
                 let unit = Heap::STATICS_BASE;
                 let len = layout.statics.size;
-                cache_write(cache, heap, machine, window, core, unit, len, offset, ty, v)?;
-                if volatile {
-                    cache_flush(cache, heap, machine, core)?;
-                }
+                settled!({
+                    cache_write(cache, heap, machine, window, core, unit, len, offset, ty, v)?;
+                    if volatile {
+                        cache_flush(cache, heap, machine, core)?;
+                    }
+                });
             }
             ArrLenCached => {
-                machine.exec(core, ExecOp::Check);
+                charge!(OpClass::Integer, costs.check);
                 let r = pop_ref!();
                 let cache = &mut data_caches[spe.expect("cached op on SPE")];
-                let len = spe_array_len(cache, heap, machine, window, core, r)?;
+                let len = settled!(spe_array_len(cache, heap, machine, window, core, r)?);
                 push!(Slot::from_i32(len as i32));
             }
             ArrLoadCached { elem } => {
-                machine.exec(core, ExecOp::Check);
+                charge!(OpClass::Integer, costs.check);
                 let idx = pop!().i32();
                 let r = pop_ref!();
                 let cache = &mut data_caches[spe.expect("cached op on SPE")];
-                let v = spe_array_access(cache, heap, machine, window, core, r, idx, elem, None)?;
+                let v = settled!(spe_array_access(
+                    cache, heap, machine, window, core, r, idx, elem, None
+                )?);
                 push!(v.expect("load returns a value"));
             }
             ArrStoreCached { elem } => {
-                machine.exec(core, ExecOp::Check);
+                charge!(OpClass::Integer, costs.check);
                 let v = pop!();
                 let idx = pop!().i32();
                 let r = pop_ref!();
                 let cache = &mut data_caches[spe.expect("cached op on SPE")];
-                spe_array_access(cache, heap, machine, window, core, r, idx, elem, Some(v))?;
+                settled!(spe_array_access(
+                    cache,
+                    heap,
+                    machine,
+                    window,
+                    core,
+                    r,
+                    idx,
+                    elem,
+                    Some(v)
+                )?);
             }
 
             // ---- frame-changing ops: the slow tier runs these ----
@@ -1022,41 +1092,25 @@ fn spe_array_access(
     elem: hera_isa::ElemTy,
     store: Option<Slot>,
 ) -> Result<Option<Slot>, StepError> {
-    let hdr = heap.header(r);
-    let total = hdr.size;
-    let bb = cache.array_block_bytes();
-
-    let esize = elem.size();
-    let rel = hera_mem::layout::HEADER_BYTES + idx.max(0) as u32 * esize;
-    let block = rel / bb;
-    let unit = r.0 + block * bb;
-    let unit_len = (total - block * bb).min(bb);
-
-    // Length check: in block 0 the same cached unit holds the header, so
-    // compiled code reads length and element with one lookup; otherwise
-    // the header block is consulted first.
-    let len = if block == 0 {
-        cache_read(
-            cache,
-            heap,
-            machine,
-            window,
-            core,
-            unit,
-            unit_len,
-            4,
-            Ty::Int,
-        )?
-        .i32() as u32
-    } else {
-        spe_array_len(cache, heap, machine, window, core, r)?
-    };
+    // Length check first, on the header block (block 0 of the object):
+    // an element in block 0 then shares the cached unit just read, any
+    // other block is looked up next. The index is guest data — nothing
+    // is computed from it until it is known to be in bounds.
+    let len = spe_array_len(cache, heap, machine, window, core, r)?;
     machine.exec(core, ExecOp::Check);
     if idx < 0 || idx as u32 >= len {
         return Err(Trap::ArrayIndexOutOfBounds { index: idx, len }.into());
     }
 
-    let off = rel - block * bb;
+    // In bounds, so the element lies inside the object and every offset
+    // below is smaller than the object's size.
+    let total = heap.header(r).size;
+    let bb = cache.array_block_bytes();
+    let rel = hera_mem::layout::HEADER_BYTES + idx as u32 * elem.size();
+    let block_start = rel / bb * bb;
+    let unit = r.0 + block_start;
+    let unit_len = (total - block_start).min(bb);
+    let off = rel - block_start;
     let ty = match elem {
         hera_isa::ElemTy::Byte => Ty::Byte,
         hera_isa::ElemTy::Short => Ty::Short,

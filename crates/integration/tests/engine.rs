@@ -211,6 +211,53 @@ fn traps_terminate_the_thread_and_are_reported() {
     ));
 }
 
+/// An out-of-range index is guest data: whatever its size, both access
+/// paths must turn it into the same trap and never into host arithmetic
+/// that overflows (the SPE path used to locate the element's cache block
+/// before checking the index).
+#[test]
+fn wild_array_indices_trap_identically_on_both_core_kinds() {
+    for elem in [ElemTy::Int, ElemTy::Long] {
+        let mut spe_load_cycles = Vec::new();
+        for idx in [9, 100_000, 0x2000_0001, i32::MAX, -5] {
+            let load = vec![
+                Stmt::Let("a".into(), new_array(elem, i32c(4))),
+                Stmt::Let("x".into(), index(local("a"), i32c(idx))),
+                Stmt::Return(Some(i32c(0))),
+            ];
+            let store = vec![
+                Stmt::Let("a".into(), new_array(elem, i32c(4))),
+                Stmt::SetIndex(local("a"), i32c(idx), index(local("a"), i32c(0))),
+                Stmt::Return(Some(i32c(0))),
+            ];
+            for (what, body) in [("load", load), ("store", store)] {
+                for (on_spe, mut cfg) in [
+                    (true, VmConfig::pinned_spe(1)),
+                    (false, VmConfig::pinned_ppe()),
+                ] {
+                    cfg.heap.size_bytes = 1 << 20;
+                    let at = format!("{elem:?}[{idx}] {what} on {:?}", cfg.policy);
+                    let out = run_program(main_program(Some(Ty::Int), body.clone()), cfg);
+                    assert_eq!(out.result, None, "{at}");
+                    assert_eq!(out.traps.len(), 1, "{at}");
+                    assert_eq!(
+                        out.traps[0].1,
+                        Trap::ArrayIndexOutOfBounds { index: idx, len: 4 },
+                        "{at}"
+                    );
+                    if what == "load" && on_spe && idx > 0 {
+                        spe_load_cycles.push(out.stats.wall_cycles);
+                    }
+                }
+            }
+        }
+        // However far out the index, the SPE reads the header block,
+        // checks, and traps: one cost (the value a release build of the
+        // code before the fix charged, where the wrap was harmless).
+        assert_eq!(spe_load_cycles, [3246; 4], "{elem:?}");
+    }
+}
+
 #[test]
 fn division_by_zero_traps_on_spe_too() {
     let body = vec![
