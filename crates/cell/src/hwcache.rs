@@ -68,9 +68,7 @@ pub enum HitLevel {
 ///
 /// Indexing never divides on a power-of-two set count: callers pass
 /// line numbers (the address already shifted by `line_shift`) and the
-/// set is `line & set_mask`. `mru` remembers the slot of the last hit or
-/// install; a line lives in at most one way, so a tag match there is the
-/// hit the way scan would have found.
+/// set is `line & set_mask`.
 #[derive(Clone)]
 struct Level {
     params: LevelParams,
@@ -85,9 +83,6 @@ struct Level {
     /// LRU stamps, larger = more recent.
     stamps: Vec<u64>,
     tick: u64,
-    /// Slot of the most recent hit or install. Only a hint: the tag
-    /// compare validates it, so it is neither exported nor imported.
-    mru: usize,
 }
 
 impl Level {
@@ -110,7 +105,6 @@ impl Level {
             tags: vec![u64::MAX; slots],
             stamps: vec![0; slots],
             tick: 0,
-            mru: 0,
         }
     }
 
@@ -118,10 +112,6 @@ impl Level {
     #[inline]
     fn access(&mut self, line: u64) -> bool {
         self.tick += 1;
-        if self.tags[self.mru] == line {
-            self.stamps[self.mru] = self.tick;
-            return true;
-        }
         let set = match self.set_mask {
             Some(mask) => line & mask,
             None => line % self.sets as u64,
@@ -133,7 +123,6 @@ impl Level {
         // Hit?
         if let Some(w) = tags.iter().position(|&t| t == line) {
             stamps[w] = self.tick;
-            self.mru = base + w;
             return true;
         }
         // Miss: install over LRU way (the first of equally old ones).
@@ -145,12 +134,11 @@ impl Level {
         }
         tags[victim] = line;
         stamps[victim] = self.tick;
-        self.mru = base + victim;
         false
     }
 
-    /// The access this level made before it indexed by shift and mask
-    /// and kept an MRU slot: the differential tests' reference.
+    /// The access this level made before it indexed by shift and mask:
+    /// the differential tests' reference.
     #[cfg(test)]
     fn access_reference(&mut self, addr: u32) -> bool {
         self.tick += 1;
@@ -529,12 +517,12 @@ mod tests {
         );
     }
 
-    /// Shift/mask indexing behind the MRU slot ≡ the divide-and-scan it
-    /// replaced: every access's `(cycles, level)`, the stats, and the
-    /// exported replacement state — also across an `import_state` into
-    /// a fresh cache (whose MRU hint then points at unrelated slots).
+    /// Shift/mask indexing ≡ the divide-and-scan it replaced: every
+    /// access's `(cycles, level)`, the stats, and the exported
+    /// replacement state — also across an `import_state` into a fresh
+    /// cache that has been somewhere else.
     #[test]
-    fn shift_mask_mru_access_matches_the_dividing_reference() {
+    fn shift_mask_access_matches_the_dividing_reference() {
         use hera_rng::SplitMix64;
         let geometries = [
             ("default", HwCacheParams::default()),

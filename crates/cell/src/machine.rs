@@ -1067,12 +1067,9 @@ impl CellMachine {
     /// Returns the cycles charged.
     pub fn ppe_mem_access(&mut self, addr: u32, len: u32) -> u64 {
         let (cycles, class) = self.ppe_cache_probe(addr, len);
-        let i = self.idx(CoreId::Ppe);
-        let cycles = self.stretched(i, cycles);
-        self.clocks[i] += cycles;
-        self.breakdowns[i].charge(class, cycles);
-        self.prof_note(i, cycles);
-        cycles
+        let before = self.now(CoreId::Ppe);
+        self.advance(CoreId::Ppe, cycles, class);
+        self.now(CoreId::Ppe) - before
     }
 
     /// Borrow an SPE's local store.
