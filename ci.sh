@@ -33,18 +33,6 @@ timed perf --reps 1 --scale 0.1
 # exactly; host wall-clock is not compared (`hostbench pairs` owns
 # host-time claims), so this cannot flake.
 timed perf-gate --reps 1
-# Parallel engine golden-grid smoke: the determinism suite re-runs the
-# workload grid at workers 1/2/4/8 (plus chaos, checkpoint, and crash
-# cells) asserting byte-identical traces, stats, profiles, and snapshot
-# bytes. Already covered by `cargo test` above; run it by name so a
-# parallel-engine regression fails loudly under its own banner.
-cargo test --release -p hera-integration --test par
-# Parallel perf gate: the workers=4 grid must reproduce the virtual
-# metrics of BOTH committed snapshots exactly (worker-count independence
-# of virtual time). The >=2x mandelbrot/spe6 host speedup is enforced
-# when the host has >=4 CPUs and reported as skipped otherwise, so a
-# single-core container cannot flake it.
-timed perf-gate --reps 1 --workers 4
 # Profiler smoke: per-method attribution must reconcile with RunStats
 # (the command prints and checks the invariant) and write the folded
 # flamegraph output.

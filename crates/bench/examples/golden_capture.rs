@@ -8,6 +8,8 @@
 //! behaviour is known-good (they were first captured from the tagged
 //! `Value`-frame interpreter the slot engine replaced).
 
+#![forbid(unsafe_code)]
+
 use hera_bench::{host_cpus, ppe_config, run_workload, spe_config, DEFAULT_SCALE};
 use hera_core::WorkerPool;
 use hera_workloads::Workload;

@@ -14,17 +14,11 @@
 //!           | chaos-crash [WORKLOAD]  (kill the whole machine mid-run, restore
 //!                                     from the latest checkpoint, report the
 //!                                     recovery cost in virtual cycles)
-//!           | perf [--reps N] [--workers W]
-//!                     (host wall-clock bench; write BENCH_interp.json, or
-//!                      BENCH_par.json when W > 1 routes runs through the
-//!                      parallel host engine)
-//!           | perf-gate [--reps N] [--workers W]
+//!           | perf [--reps N]
+//!                     (host wall-clock bench; write BENCH_interp.json)
+//!           | perf-gate [--reps N]
 //!                     (compare a fresh perf run to the committed
-//!                      BENCH_interp.json; exit 1 if virtual metrics moved.
-//!                      With W > 1, also gate against BENCH_par.json: virtual
-//!                      metrics must match both snapshots, and on a host with
-//!                      ≥W CPUs the 6-SPE mandelbrot cell must be ≥2x faster
-//!                      than the committed sequential host time)
+//!                      BENCH_interp.json; exit 1 if virtual metrics moved)
 //!           | profile [WORKLOAD]       (per-method cost profile + collapsed stacks)
 //!           | profile-diff [WORKLOAD]  (diff the PPE profile against 6 SPEs)
 //!           | cluster [--machines N] [--requests N] [--seed S]
@@ -53,6 +47,8 @@
 //! Absolute cycle counts are simulator cycles (calibrated cost model,
 //! not hardware measurements); the claims under reproduction are the
 //! *shapes*: who wins, by roughly what factor, and where the knees fall.
+
+#![forbid(unsafe_code)]
 
 use hera_bench as xb;
 
@@ -83,7 +79,7 @@ const EXPERIMENTS: &[&str] = &[
 
 fn usage_lines() -> String {
     format!(
-        "usage: figures EXPERIMENT [--scale S] [--reps N] [--workers W] \
+        "usage: figures EXPERIMENT [--scale S] [--reps N] \
          [--machines N] [--requests N] [--seed S]\n\
          experiments: {}\n\
          trace/chaos/chaos-crash/profile/profile-diff take an optional WORKLOAD\n\
@@ -135,18 +131,12 @@ fn main() {
     let mut which: Option<&str> = None;
     let mut workload = "mandelbrot";
     let (mut scale, mut machines, mut requests) = (None, None, None);
-    let (mut reps, mut workers, mut seed) = (3u32, 1u32, 42u64);
+    let (mut reps, mut seed) = (3u32, 42u64);
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--scale" => scale = Some(flag_value(&args, &mut i, "a number")),
             "--reps" => reps = flag_value(&args, &mut i, "an integer"),
-            "--workers" => {
-                workers = flag_value(&args, &mut i, "an integer");
-                if workers == 0 {
-                    usage_and_exit("--workers must be at least 1");
-                }
-            }
             "--machines" => machines = Some(flag_value(&args, &mut i, "an integer")),
             "--requests" => requests = Some(flag_value(&args, &mut i, "an integer")),
             "--seed" => seed = flag_value(&args, &mut i, "an integer"),
@@ -184,8 +174,8 @@ fn main() {
         "trace" => trace_workload(workload, full_scale),
         "chaos" => chaos(workload, full_scale),
         "chaos-crash" => chaos_crash(workload, full_scale),
-        "perf" => perf(full_scale, reps, workers),
-        "perf-gate" => perf_gate(full_scale, reps, workers),
+        "perf" => perf(full_scale, reps),
+        "perf-gate" => perf_gate(full_scale, reps),
         "profile" => profile(workload, full_scale),
         "profile-diff" => profile_diff(workload, full_scale),
         "cluster" => cluster(fleet(4, 400, 0.05)),
@@ -623,43 +613,20 @@ fn fleet_trace((machines, requests, seed, scale): (usize, u64, u64, f64)) {
     });
 }
 
-fn perf(scale: f64, reps: u32, workers: u32) {
-    if workers > 1 {
-        header(&format!(
-            "parallel engine host performance ({workers} host workers on {} CPUs, \
-             best of {reps}; virtual cycles must not move)",
-            xb::host_cpus()
-        ));
-    } else {
-        header(&format!(
-            "engine host performance (best of {reps}; virtual cycles must not move)"
-        ));
-    }
+fn perf(scale: f64, reps: u32) {
+    header(&format!(
+        "engine host performance (best of {reps}; virtual cycles must not move)"
+    ));
     println!(
         "{:<11} {:<5} {:>14} {:>14} {:>12} {:>9} {:>9}",
         "benchmark", "cfg", "host ns", "virt cycles", "guest ops", "ns/op", "speedup"
     );
-    let seq_baseline: Vec<xb::BaselineRow> = if workers > 1 {
-        // The parallel table's speedup column is vs the committed
-        // sequential snapshot — the number the refactor exists to move.
-        std::fs::read_to_string("BENCH_interp.json")
-            .map(|s| xb::parse_bench_json(&s))
-            .unwrap_or_default()
-    } else {
-        Vec::new()
-    };
-    let rows = xb::perf_par(scale, reps, workers);
+    let rows = xb::perf_interp(scale, reps);
     for r in &rows {
         // The recorded baselines are full-scale numbers; comparing a
         // reduced-scale run against them would be meaningless.
         let speedup = if scale != xb::DEFAULT_SCALE {
             "-".into()
-        } else if workers > 1 {
-            seq_baseline
-                .iter()
-                .find(|b| b.workload == r.workload.name() && b.config == r.config)
-                .map(|b| format!("{:.2}x", b.host_ns as f64 / r.host_ns.max(1) as f64))
-                .unwrap_or_else(|| "-".into())
         } else {
             xb::perf_baseline_ns(r.workload.name(), r.config)
                 .map(|base| format!("{:.2}x", base as f64 / r.host_ns as f64))
@@ -676,14 +643,7 @@ fn perf(scale: f64, reps: u32, workers: u32) {
             speedup
         );
     }
-    if scale == xb::DEFAULT_SCALE && workers > 1 {
-        let json = xb::perf_par_json(&rows, workers, &seq_baseline);
-        std::fs::write("BENCH_par.json", &json)
-            .unwrap_or_else(|e| panic!("write BENCH_par.json: {e}"));
-        println!(
-            "(speedup is vs the committed sequential BENCH_interp.json; wrote BENCH_par.json)"
-        );
-    } else if scale == xb::DEFAULT_SCALE {
+    if scale == xb::DEFAULT_SCALE {
         let json = xb::perf_json(&rows);
         std::fs::write("BENCH_interp.json", &json)
             .unwrap_or_else(|e| panic!("write BENCH_interp.json: {e}"));
@@ -743,82 +703,46 @@ fn profile_diff(name: &str, scale: f64) {
     println!("(positive delta: the method costs more cycles in the 6-SPE configuration)");
 }
 
-/// Gate a fresh perf run against the committed snapshots: virtual
-/// metrics exact against `BENCH_interp.json`, and with `workers > 1` also
-/// against `BENCH_par.json` plus the parallel engine's speedup bound.
-fn perf_gate(scale: f64, reps: u32, workers: u32) {
+/// Gate a fresh perf run against the committed `BENCH_interp.json`:
+/// virtual metrics must match exactly.
+fn perf_gate(scale: f64, reps: u32) {
     if scale != xb::DEFAULT_SCALE {
         eprintln!(
-            "perf-gate compares against the committed full-scale snapshots; \
+            "perf-gate compares against the committed full-scale snapshot; \
              refusing to gate at scale {scale}"
         );
         std::process::exit(2);
     }
-    let par = workers > 1;
-    let (gate, against, regen) = if par {
-        header(&format!(
-            "parallel perf gate ({workers} host workers on {} CPUs, best of {reps} \
-             vs committed BENCH_interp.json + BENCH_par.json)",
-            xb::host_cpus()
-        ));
-        let against =
-            " against both snapshots, mandelbrot/spe6 speedup ≥2.0x where the host allows";
-        (
-            "parallel perf gate",
-            against,
-            format!(" --workers {workers}"),
-        )
-    } else {
-        header(&format!(
-            "perf regression gate (best of {reps} vs committed BENCH_interp.json)"
-        ));
-        ("perf gate", "", String::new())
-    };
-    let read = |path: &str| -> Vec<xb::BaselineRow> {
-        let committed = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("read {path}: {e} (run `figures -- perf` to create it)");
-            std::process::exit(2);
-        });
-        let rows = xb::parse_bench_json(&committed);
-        if rows.is_empty() {
-            eprintln!("{path} parsed to zero rows — regenerate with `figures -- perf`");
-            std::process::exit(2);
-        }
-        rows
-    };
-    let seq = read("BENCH_interp.json");
-    let committed_par = par.then(|| read("BENCH_par.json"));
-    let rows = xb::perf_par(scale, reps, workers);
-    let report = match &committed_par {
-        Some(par) => xb::perf_gate_par(&seq, par, &rows, workers, 2.0),
-        None => xb::perf_gate(&seq, &rows),
-    };
+    header(&format!(
+        "perf regression gate (best of {reps} vs committed BENCH_interp.json)"
+    ));
+    let path = "BENCH_interp.json";
+    let committed = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("read {path}: {e} (run `figures -- perf` to create it)");
+        std::process::exit(2);
+    });
+    let baseline = xb::parse_bench_json(&committed);
+    if baseline.is_empty() {
+        eprintln!("{path} parsed to zero rows — regenerate with `figures -- perf`");
+        std::process::exit(2);
+    }
+    let report = xb::perf_gate(&baseline, &xb::perf_interp(scale, reps));
     println!(
-        "checked {} cells: wall_cycles and guest_ops exact{against}",
+        "checked {} cells: wall_cycles and guest_ops exact",
         report.checked
     );
-    if let Some(skipped) = &report.skipped {
-        println!("warning: {skipped}");
-    }
     for f in &report.failures {
         println!("FAIL: {f}");
     }
     if !report.passed() {
         println!(
-            "{gate} FAILED ({} mismatches) — if the change is intentional, \
-             regenerate the snapshot with `figures -- perf{regen}`",
+            "perf gate FAILED ({} mismatches) — if the change is intentional, \
+             regenerate the snapshot with `figures -- perf`",
             report.failures.len()
         );
         std::process::exit(1);
     }
-    if par {
-        println!(
-            "{gate} passed — virtual time is worker-count independent \
-             and matches both committed snapshots"
-        );
-    } else {
-        println!("{gate} passed — virtual metrics identical to the committed snapshot");
-    }
+    println!("perf gate passed — virtual metrics identical to the committed snapshot");
 }
 
 fn fig4a(scale: f64) {

@@ -934,21 +934,6 @@ pub fn perf_baseline_ns(workload: &str, config: &str) -> Option<u64> {
 /// runs. Every run still asserts the workload checksum, so this doubles
 /// as a correctness sweep.
 pub fn perf_interp(scale: f64, reps: u32) -> Vec<PerfRow> {
-    perf_grid(scale, reps, 1)
-}
-
-/// [`perf_interp`] with the parallel host engine: the same grid, each
-/// run executing its quanta on `workers` host threads
-/// ([`VmConfig::with_host_workers`]). Virtual metrics are byte-identical
-/// to the sequential grid by construction; only `host_ns` may move.
-pub fn perf_par(scale: f64, reps: u32, workers: u32) -> Vec<PerfRow> {
-    perf_grid(scale, reps, workers)
-}
-
-/// Cells run one at a time even when each run is internally parallel —
-/// concurrent cells would contend for the host CPUs and corrupt the
-/// best-of-N wall-clock numbers.
-fn perf_grid(scale: f64, reps: u32, workers: u32) -> Vec<PerfRow> {
     let mut rows = Vec::new();
     for w in Workload::ALL {
         for (config, threads) in [("ppe", 1u32), ("spe1", 1), ("spe6", 6)] {
@@ -960,8 +945,7 @@ fn perf_grid(scale: f64, reps: u32, workers: u32) -> Vec<PerfRow> {
                     "ppe" => ppe_config(),
                     "spe1" => spe_config(1),
                     _ => spe_config(6),
-                }
-                .with_host_workers(workers);
+                };
                 let t0 = std::time::Instant::now();
                 let out = run_workload(w, threads, scale, cfg);
                 let dt = t0.elapsed().as_nanos() as u64;
@@ -1035,9 +1019,6 @@ pub struct GateReport {
     /// or a measured cell has no committed baseline. Deterministic —
     /// any entry here means the engine's simulated behaviour changed.
     pub failures: Vec<String>,
-    /// A check this host could not run (the parallel gate's speedup
-    /// bound on too few CPUs): reported, never silently passed.
-    pub skipped: Option<String>,
     /// Cells compared.
     pub checked: usize,
 }
@@ -1108,121 +1089,9 @@ pub fn perf_json(rows: &[PerfRow]) -> String {
     s
 }
 
-/// Render [`perf_par`] rows as the `BENCH_par.json` snapshot. Each row
-/// carries `speedup_vs_seq` — committed sequential host time
-/// (`BENCH_interp.json`) over this row's parallel host time — and the
-/// header records the worker count and how many host CPUs the numbers
-/// were measured on, so a snapshot taken on a single-core box is
-/// legible as such.
-pub fn perf_par_json(rows: &[PerfRow], workers: u32, seq: &[BaselineRow]) -> String {
-    let mut s = format!(
-        "{{\n  \"bench\": \"par\",\n  \"host_workers\": {workers},\n  \
-         \"host_cpus\": {},\n  \"rows\": [\n",
-        host_cpus()
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let speedup = seq
-            .iter()
-            .find(|b| b.workload == r.workload.name() && b.config == r.config)
-            .map(|b| format!("{:.2}", b.host_ns as f64 / r.host_ns.max(1) as f64))
-            .unwrap_or_else(|| "null".into());
-        s.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"config\": \"{}\", \"threads\": {}, \
-             \"host_ns\": {}, \"wall_cycles\": {}, \"guest_ops\": {}, \
-             \"ns_per_op\": {:.3}, \"speedup_vs_seq\": {}}}{}\n",
-            r.workload.name(),
-            r.config,
-            r.threads,
-            r.host_ns,
-            r.wall_cycles,
-            r.guest_ops,
-            r.ns_per_op,
-            speedup,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 /// Host CPUs actually available to this process.
 pub fn host_cpus() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Gate a fresh parallel-grid run against *both* committed snapshots.
-///
-/// Hard requirements (deterministic, can never flake):
-/// * wall cycles and guest ops exactly match the committed sequential
-///   `BENCH_interp.json` — worker-count independence of virtual time is
-///   the parallel engine's core claim;
-/// * the committed `BENCH_par.json` agrees on those same metrics (the
-///   two snapshots must never drift apart).
-///
-/// Host wall-clock enters in one place only: when the host really has
-/// `workers` CPUs, the 6-SPE mandelbrot cell must be at least
-/// `min_speedup`× faster than the committed sequential host time — the
-/// refactor's raison d'être. On smaller hosts (CI containers pinned to
-/// one core, where a threading speedup is physically impossible) the
-/// check is reported in `skipped` rather than silently passed.
-pub fn perf_gate_par(
-    seq: &[BaselineRow],
-    par: &[BaselineRow],
-    rows: &[PerfRow],
-    workers: u32,
-    min_speedup: f64,
-) -> GateReport {
-    let mut report = perf_gate(seq, rows);
-    for r in rows {
-        let cell = format!("{}/{}", r.workload.name(), r.config);
-        let Some(p) = par
-            .iter()
-            .find(|b| b.workload == r.workload.name() && b.config == r.config)
-        else {
-            report
-                .failures
-                .push(format!("{cell}: no committed BENCH_par.json row"));
-            continue;
-        };
-        if r.wall_cycles != p.wall_cycles || r.guest_ops != p.guest_ops {
-            report.failures.push(format!(
-                "{cell}: committed BENCH_par.json virtual metrics ({}, {}) disagree \
-                 with this run ({}, {}) — regenerate the snapshot",
-                p.wall_cycles, p.guest_ops, r.wall_cycles, r.guest_ops
-            ));
-        }
-    }
-    let speedup_cell = rows
-        .iter()
-        .find(|r| r.workload.name() == "mandelbrot" && r.config == "spe6")
-        .and_then(|r| {
-            seq.iter()
-                .find(|b| b.workload == "mandelbrot" && b.config == "spe6")
-                .map(|b| b.host_ns as f64 / r.host_ns.max(1) as f64)
-        });
-    match speedup_cell {
-        Some(speedup) if host_cpus() >= workers as usize => {
-            if speedup < min_speedup {
-                report.failures.push(format!(
-                    "mandelbrot/spe6: {speedup:.2}x over the sequential baseline \
-                     (need {min_speedup:.1}x with {workers} workers on {} CPUs)",
-                    host_cpus()
-                ));
-            }
-        }
-        Some(speedup) => {
-            report.skipped = Some(format!(
-                "mandelbrot/spe6 speedup check SKIPPED: host has {} CPU(s) < {workers} \
-                 workers, a threading speedup is physically impossible here \
-                 (measured {speedup:.2}x)",
-                host_cpus()
-            ));
-        }
-        None => report
-            .failures
-            .push("mandelbrot/spe6 cell missing from the fresh run".into()),
-    }
-    report
 }

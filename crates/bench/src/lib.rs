@@ -10,6 +10,8 @@
 //! counts from `hera-cell` — not host wall-clock, so results are
 //! deterministic and host-independent.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 
 pub use experiments::*;

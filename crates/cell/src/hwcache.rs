@@ -108,16 +108,21 @@ impl Level {
         }
     }
 
+    /// The set a line number indexes.
+    #[inline]
+    fn set_of(&self, line: u64) -> usize {
+        (match self.set_mask {
+            Some(mask) => line & mask,
+            None => line % self.sets as u64,
+        }) as usize
+    }
+
     /// Returns true on hit; on miss the line is installed (evicting LRU).
     #[inline]
     fn access(&mut self, line: u64) -> bool {
         self.tick += 1;
-        let set = match self.set_mask {
-            Some(mask) => line & mask,
-            None => line % self.sets as u64,
-        };
         let ways = self.params.ways as usize;
-        let base = set as usize * ways;
+        let base = self.set_of(line) * ways;
         let tags = &mut self.tags[base..base + ways];
         let stamps = &mut self.stamps[base..base + ways];
         // Hit?
@@ -135,6 +140,42 @@ impl Level {
         tags[victim] = line;
         stamps[victim] = self.tick;
         false
+    }
+
+    /// Adopt replacement state from a snapshot, rejecting what no run of
+    /// this geometry can have produced: [`Level::access`] counts `tick`
+    /// up by one and stamps with it, and installs a line only in the set
+    /// it indexes, and only when that set does not hold it already.
+    /// Invalid slots (`u64::MAX`) are legal anywhere.
+    fn import(&mut self, tags: Vec<u64>, stamps: Vec<u64>, tick: u64) -> Result<(), &'static str> {
+        if tags.len() != self.tags.len() || stamps.len() != self.stamps.len() {
+            return Err("hardware-cache geometry mismatch");
+        }
+        // No run lasts 2^63 accesses, and the next one must be countable.
+        if tick >= 1 << 63 {
+            return Err("hardware-cache tick out of range");
+        }
+        if stamps.iter().any(|&s| s > tick) {
+            return Err("hardware-cache LRU stamp ahead of the tick");
+        }
+        let ways = self.params.ways as usize;
+        for (set, slots) in tags.chunks(ways).enumerate() {
+            for (w, &tag) in slots.iter().enumerate() {
+                if tag == u64::MAX {
+                    continue;
+                }
+                if self.set_of(tag) != set {
+                    return Err("hardware-cache tag in a set its line does not index");
+                }
+                if slots[..w].contains(&tag) {
+                    return Err("hardware-cache tag twice in one set");
+                }
+            }
+        }
+        self.tags = tags;
+        self.stamps = stamps;
+        self.tick = tick;
+        Ok(())
     }
 
     /// The access this level made before it indexed by shift and mask:
@@ -298,21 +339,15 @@ impl HwCache {
     }
 
     /// Restore the replacement state captured by [`HwCache::export_state`].
-    /// Fails if the slot counts do not match this cache's geometry.
+    /// Fails if the slot counts do not match this cache's geometry or the
+    /// state is one no run could have reached (see `Level::import`).
     pub fn import_state(
         &mut self,
         l1: (Vec<u64>, Vec<u64>, u64),
         l2: (Vec<u64>, Vec<u64>, u64),
     ) -> Result<(), &'static str> {
-        for (level, (tags, stamps, tick)) in [(&mut self.l1, l1), (&mut self.l2, l2)] {
-            if tags.len() != level.tags.len() || stamps.len() != level.stamps.len() {
-                return Err("hardware-cache geometry mismatch");
-            }
-            level.tags = tags;
-            level.stamps = stamps;
-            level.tick = tick;
-        }
-        Ok(())
+        self.l1.import(l1.0, l1.1, l1.2)?;
+        self.l2.import(l2.0, l2.1, l2.2)
     }
 
     /// The operation class an access at `level` is charged to: L1 hits

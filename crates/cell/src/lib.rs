@@ -22,6 +22,8 @@
 //! Absolute constants are calibrated, not measured; see
 //! `DESIGN.md §4.6` and `EXPERIMENTS.md` for the calibration story.
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod counters;
 pub mod eib;
@@ -35,10 +37,9 @@ pub use eib::Eib;
 pub use hwcache::{HwCache, HwCacheParams, HwCacheStats};
 pub use machine::{
     CellConfig, CellMachine, CoreId, CoreKind, FaultStats, MfcFault, ProfScope, ProfScopeAll,
-    SpecEibOp,
 };
 pub use spe::{LocalStore, StorePartition};
 
 // Fault-plan types ride inside `CellConfig`; re-export them so consumers
 // configuring chaos runs don't need a direct `hera-faults` dependency.
-pub use hera_faults::{FaultKind, FaultPlan, FaultPlanError, FaultSite, SpeDeath, NUM_SITES};
+pub use hera_faults::{FaultKind, FaultPlan, FaultPlanError, FaultSite, SpeDeath};

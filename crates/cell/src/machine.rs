@@ -4,7 +4,7 @@ use crate::cost::{exec_op_class, CostModel, ExecOp};
 #[cfg(debug_assertions)]
 use crate::counters::ChargeShadow;
 use crate::counters::{ChargeRun, CycleBreakdown, OpClass};
-use crate::eib::{Eib, EibGrant};
+use crate::eib::Eib;
 use crate::hwcache::{HwCache, HwCacheParams};
 use crate::spe::{LocalStore, StorePartition};
 use hera_faults::{FaultInjector, FaultKind, FaultPlan, FaultSite, NUM_SITES};
@@ -172,24 +172,6 @@ impl FaultStats {
         self.total_injected() > 0 || !self.deaths.is_empty()
     }
 
-    /// Fold a committed speculative quantum's counters into this run's
-    /// totals. Deaths never occur inside a quantum, so `other.deaths` is
-    /// always empty; it is still appended defensively.
-    pub fn accumulate(&mut self, other: &FaultStats) {
-        self.injected_mfc_transfer += other.injected_mfc_transfer;
-        self.injected_eib_timeout += other.injected_eib_timeout;
-        self.injected_ls_corruption += other.injected_ls_corruption;
-        self.injected_proxy_timeout += other.injected_proxy_timeout;
-        self.injected_migration_timeout += other.injected_migration_timeout;
-        self.mfc_retries += other.mfc_retries;
-        self.backoff_cycles += other.backoff_cycles;
-        self.watchdog_cycles += other.watchdog_cycles;
-        self.unrecoverable += other.unrecoverable;
-        self.deaths.extend_from_slice(&other.deaths);
-        self.drained_threads += other.drained_threads;
-        self.salvaged_bytes += other.salvaged_bytes;
-    }
-
     fn bump(&mut self, kind: FaultKind) {
         match kind {
             FaultKind::MfcTransfer => self.injected_mfc_transfer += 1,
@@ -224,39 +206,6 @@ pub struct ProfScope(CostClass);
 #[derive(Clone, Debug)]
 pub struct ProfScopeAll(Vec<CostClass>);
 
-/// One speculative quantum's EIB interaction, in issue order. The
-/// parallel engine records these on a forked machine and replays them
-/// against the real bus at commit time: a grant that replays differently
-/// means another core's committed traffic changed the queueing this
-/// quantum observed, so the quantum must re-execute.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SpecEibOp {
-    /// `Eib::request(now, transfer_cycles, bytes)` returned `grant`.
-    Request {
-        /// Requested bus time.
-        now: u64,
-        /// Transfer cycles requested.
-        transfer: u64,
-        /// Payload size.
-        bytes: u64,
-        /// The grant the speculative run observed.
-        grant: EibGrant,
-    },
-    /// A retire pass ran while the issuing core's clock read `own_now`.
-    Retire {
-        /// The issuing core's clock at the retire pass.
-        own_now: u64,
-    },
-}
-
-/// Spec-mode bookkeeping on a forked machine: which core the fork runs
-/// and the EIB ops it has issued.
-#[derive(Clone, Debug)]
-struct SpecEib {
-    own: usize,
-    ops: Vec<SpecEibOp>,
-}
-
 /// The machine: per-core virtual clocks, the shared bus, the PPE cache
 /// hierarchy, SPE local stores, and per-core cycle breakdowns.
 pub struct CellMachine {
@@ -287,8 +236,6 @@ pub struct CellMachine {
     /// class. The profiler bills these to the active frame at each
     /// frame/quantum boundary.
     prof_pending: Vec<CostVec>,
-    /// `Some` only on a speculative fork (see [`CellMachine::fork_for_spec`]).
-    spec_eib: Option<Box<SpecEib>>,
     /// Cached straggler gate: `Some((from_cycle, factor))` when the fault
     /// plan stretches this machine (factor ≥ 2), `None` otherwise so the
     /// healthy path pays a single predictable branch per charge.
@@ -321,7 +268,6 @@ impl CellMachine {
             fault_stats: FaultStats::default(),
             prof_scope: vec![CostClass::Compute; cores],
             prof_pending: vec![CostVec::ZERO; cores],
-            spec_eib: None,
             slowdown: if config.faults.slowdown_active() {
                 Some((
                     config.faults.slowdown_from_cycle,
@@ -332,128 +278,6 @@ impl CellMachine {
             },
             config,
         }
-    }
-
-    // ---- speculative forks (the parallel host engine) ---------------------
-
-    /// Fork this machine for one speculative quantum on `own`.
-    ///
-    /// The fork sees every core's current clock (frozen for all but
-    /// `own`), a private copy of the bus and PPE cache, the injector's
-    /// draw counters, and an empty same-shape trace sink. Local stores
-    /// are zero-byte placeholders (only snapshots read them, and
-    /// snapshots never run on forks); fault stats start empty so the
-    /// commit can accumulate exactly what the quantum produced; profiler
-    /// pending lanes start zero so drained costs are attributable to the
-    /// quantum alone.
-    pub fn fork_for_spec(&self, own: CoreId) -> CellMachine {
-        let own_idx = self.idx(own);
-        CellMachine {
-            config: self.config,
-            clocks: self.clocks.clone(),
-            breakdowns: self.breakdowns.clone(),
-            eib: self.eib.clone(),
-            ppe_cache: self.ppe_cache.clone(),
-            local_stores: (0..self.config.num_spes)
-                .map(|_| LocalStore::placeholder(self.config.partition))
-                .collect(),
-            trace: self.trace.fork_empty(),
-            injector: self.injector.clone(),
-            failed: self.failed.clone(),
-            fault_stats: FaultStats::default(),
-            prof_scope: self.prof_scope.clone(),
-            prof_pending: vec![CostVec::ZERO; self.clocks.len()],
-            spec_eib: Some(Box::new(SpecEib {
-                own: own_idx,
-                ops: Vec::new(),
-            })),
-            slowdown: self.slowdown,
-        }
-    }
-
-    /// Whether this machine is a speculative fork.
-    #[inline]
-    pub fn is_spec(&self) -> bool {
-        self.spec_eib.is_some()
-    }
-
-    /// Take the fork's recorded EIB ops (commit harvest).
-    pub fn spec_take_eib_ops(&mut self) -> Vec<SpecEibOp> {
-        self.spec_eib.take().map(|s| s.ops).unwrap_or_default()
-    }
-
-    #[inline]
-    fn spec_log(&mut self, op: SpecEibOp) {
-        if let Some(s) = self.spec_eib.as_deref_mut() {
-            s.ops.push(op);
-        }
-    }
-
-    /// Replay a fork's EIB ops against the *current* bus state: returns
-    /// the bus as it would stand after this quantum ran sequentially, or
-    /// `None` when any grant differs from what the fork observed (the
-    /// quantum saw stale queueing and must re-execute).
-    ///
-    /// Retire bounds are recomputed from real clocks — with `own` at its
-    /// logged mid-quantum position — which is exactly the bound the
-    /// sequential scheduler would have used at that point.
-    pub fn replay_spec_eib(&self, own: CoreId, ops: &[SpecEibOp]) -> Option<Eib> {
-        let own_idx = self.idx(own);
-        let mut eib = self.eib.clone();
-        for op in ops {
-            match *op {
-                SpecEibOp::Request {
-                    now,
-                    transfer,
-                    bytes,
-                    grant,
-                } => {
-                    if eib.request(now, transfer, bytes) != grant {
-                        return None;
-                    }
-                }
-                SpecEibOp::Retire { own_now } => {
-                    let min = self
-                        .clocks
-                        .iter()
-                        .zip(self.failed.iter())
-                        .enumerate()
-                        .skip(1)
-                        .filter(|&(_, (_, &dead))| !dead)
-                        .map(|(i, (&c, _))| if i == own_idx { own_now } else { c })
-                        .min();
-                    if let Some(min) = min {
-                        eib.retire(min);
-                    }
-                }
-            }
-        }
-        Some(eib)
-    }
-
-    /// Adopt a committed quantum's clock and breakdown for `core` (all
-    /// other cores were frozen in the fork, so only `core` moved).
-    pub fn commit_core_clock(&mut self, core: CoreId, clock: u64, breakdown: CycleBreakdown) {
-        let i = self.idx(core);
-        debug_assert!(clock >= self.clocks[i], "commit rewinds core clock");
-        self.clocks[i] = clock;
-        self.breakdowns[i] = breakdown;
-    }
-
-    /// One core's injector draw counters.
-    pub fn injector_row(&self, core: CoreId) -> [u64; NUM_SITES] {
-        self.injector.counts()[self.idx(core)]
-    }
-
-    /// Adopt a committed quantum's injector draw counters for `core`
-    /// (speculative quanta only ever draw for their own core).
-    pub fn commit_injector_row(&mut self, core: CoreId, row: [u64; NUM_SITES]) {
-        let i = self.idx(core);
-        let mut counts = self.injector.counts().to_vec();
-        counts[i] = row;
-        self.injector
-            .set_counts(&counts)
-            .expect("row commit preserves shape");
     }
 
     /// Whether any fault source (rates or scheduled deaths) is configured.
@@ -875,10 +699,6 @@ impl CellMachine {
         if let Some(min) = min {
             self.eib.retire(min);
         }
-        if let Some(s) = self.spec_eib.as_deref() {
-            let own_now = self.clocks[s.own];
-            self.spec_log(SpecEibOp::Retire { own_now });
-        }
     }
 
     /// The unmodified (fault-free) DMA cost path: request the EIB, charge
@@ -891,12 +711,6 @@ impl CellMachine {
         let grant = self
             .eib
             .request(now + dma.setup_cycles as u64, transfer, bytes as u64);
-        self.spec_log(SpecEibOp::Request {
-            now: now + dma.setup_cycles as u64,
-            transfer,
-            bytes: bytes as u64,
-            grant,
-        });
         let total = dma.setup_cycles as u64 + dma.latency_cycles as u64 + grant.total();
         let i = self.idx(core);
         if self.trace.is_enabled() {
@@ -971,12 +785,6 @@ impl CellMachine {
                     let grant =
                         self.eib
                             .request(now + dma.setup_cycles as u64, transfer, bytes as u64);
-                    self.spec_log(SpecEibOp::Request {
-                        now: now + dma.setup_cycles as u64,
-                        transfer,
-                        bytes: bytes as u64,
-                        grant,
-                    });
                     dma.setup_cycles as u64
                         + dma.latency_cycles as u64
                         + grant.total()
@@ -992,12 +800,6 @@ impl CellMachine {
                     let grant =
                         self.eib
                             .request(now + dma.setup_cycles as u64, transfer, bytes as u64);
-                    self.spec_log(SpecEibOp::Request {
-                        now: now + dma.setup_cycles as u64,
-                        transfer,
-                        bytes: bytes as u64,
-                        grant,
-                    });
                     dma.setup_cycles as u64 + dma.latency_cycles as u64 + grant.total()
                 }
             };

@@ -75,16 +75,6 @@ impl LocalStore {
         }
     }
 
-    /// A zero-byte placeholder used by speculative machine forks: keeps
-    /// SPE indexing valid without allocating 256 KB per fork. Snapshots
-    /// (the only consumer of store contents) never run on forks.
-    pub(crate) fn placeholder(partition: StorePartition) -> LocalStore {
-        LocalStore {
-            bytes: Vec::new(),
-            partition,
-        }
-    }
-
     /// The partition in effect.
     pub fn partition(&self) -> StorePartition {
         self.partition

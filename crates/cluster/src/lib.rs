@@ -23,6 +23,8 @@
 //! `scope` (request tracing, observation only), `matrix` (runners and
 //! reports).
 
+#![forbid(unsafe_code)]
+
 pub mod policy;
 pub mod rebal;
 pub mod resil;

@@ -41,7 +41,7 @@ use hera_jit::{BranchKind, MachineOp};
 use hera_mem::{Heap, HeapKind};
 use hera_softcache::{CacheFault, DataCache};
 use hera_trace::{CostClass, MigrationKind, TraceEvent};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Control-flow outcome of one op.
 enum Flow {
@@ -86,12 +86,16 @@ fn volatile_sync(machine: &mut CellMachine, core: CoreId) {
 // not guest-reachable states. Debug builds keep the assertion.
 
 #[inline(always)]
+#[allow(unsafe_code)]
 fn sget(arena: &[Slot], i: usize) -> Slot {
     debug_assert!(i < arena.len(), "slot index {i} outside arena");
     #[cfg(debug_assertions)]
     {
         arena[i]
     }
+    // SAFETY: `i` is a frame base plus an offset below the method's
+    // verified `max_locals + max_stack`, and the frame push reserved that
+    // many arena slots, so `i < arena.len()`.
     #[cfg(not(debug_assertions))]
     unsafe {
         *arena.get_unchecked(i)
@@ -99,12 +103,15 @@ fn sget(arena: &[Slot], i: usize) -> Slot {
 }
 
 #[inline(always)]
+#[allow(unsafe_code)]
 fn sset(arena: &mut [Slot], i: usize, v: Slot) {
     debug_assert!(i < arena.len(), "slot index {i} outside arena");
     #[cfg(debug_assertions)]
     {
         arena[i] = v;
     }
+    // SAFETY: as `sget` — the verifier's `max_locals` / `max_stack` bound
+    // every local and operand index inside the slots the frame reserved.
     #[cfg(not(debug_assertions))]
     unsafe {
         *arena.get_unchecked_mut(i) = v;
@@ -112,12 +119,16 @@ fn sset(arena: &mut [Slot], i: usize, v: Slot) {
 }
 
 #[inline(always)]
+#[allow(unsafe_code)]
 fn op_at(ops: &[MachineOp], pc: u32) -> MachineOp {
     debug_assert!((pc as usize) < ops.len(), "pc {pc} outside op stream");
     #[cfg(debug_assertions)]
     {
         ops[pc as usize]
     }
+    // SAFETY: the verifier checks every branch target and fall-through
+    // against the op-stream bounds and every method ends in a return, so
+    // `pc` never leaves `ops`.
     #[cfg(not(debug_assertions))]
     unsafe {
         *ops.get_unchecked(pc as usize)
@@ -244,11 +255,6 @@ pub fn run_quantum(w: &mut World<'_>, tid: ThreadId) -> Result<QuantumOutcome, V
                 .last()
                 .expect("checked non-empty")
                 .method;
-            // First-compilation mutates the shared registry; speculative
-            // quanta only proceed on registry hits.
-            if w.spec.is_some() && !w.registry.is_compiled(method, core.kind()) {
-                return Err(VmError::SpecAbort);
-            }
             let (code, jit) = w
                 .registry
                 .get_or_compile(w.program, &w.layout, method, core.kind())
@@ -324,11 +330,6 @@ impl From<CacheFault> for StepError {
 fn trap_or_vm(w: &mut World<'_>, tid: ThreadId, e: StepError) -> Result<QuantumOutcome, VmError> {
     match e {
         StepError::Trap(trap) => {
-            // Thread death wakes joiners and hands off monitors — shared
-            // effects a speculative quantum (hera-par) must not apply.
-            if w.spec.is_some() {
-                return Err(VmError::SpecAbort);
-            }
             w.finish_thread(tid, Err(trap));
             Ok(QuantumOutcome::Finished)
         }
@@ -387,7 +388,7 @@ fn exec_block_run(
         ..
     } = th;
     let f: &mut Frame = frames.last_mut().expect("thread has a frame");
-    let code = Arc::clone(&f.code);
+    let code = Rc::clone(&f.code);
     let ops = code.ops.as_slice();
     let base = f.base as usize;
     let spe = spe_of(core);
@@ -786,17 +787,6 @@ fn step_slow(w: &mut World<'_>, tid: ThreadId, op: MachineOp) -> Result<Flow, St
     let core = w.threads[t].core;
 
     use MachineOp::*;
-    // Speculative quanta (hera-par) only run pure compute: allocation may
-    // trigger GC over shared state and monitors touch other threads, so
-    // both bail back to the sequential re-execution path.
-    if w.spec.is_some() {
-        match op {
-            NewObject { .. } | NewArray { .. } | MonitorEnter | MonitorExit => {
-                return Err(VmError::SpecAbort.into());
-            }
-            _ => {}
-        }
-    }
     match op {
         NewObject { class } => {
             w.machine.exec(core, ExecOp::AllocOverhead);
@@ -1148,9 +1138,6 @@ fn code_cache_lookup(w: &mut World<'_>, t: usize, method: MethodId) -> Result<()
     }
     let class = def.class;
     let tib_bytes = w.program.class(class).tib_bytes();
-    if w.spec.is_some() && !w.registry.is_compiled(method, CoreKind::Spe) {
-        return Err(VmError::SpecAbort.into());
-    }
     let (code, jit) = w
         .registry
         .get_or_compile(w.program, &w.layout, method, CoreKind::Spe)
@@ -1203,7 +1190,7 @@ fn push_marker(w: &mut World<'_>, t: usize, origin: CoreId) {
         // First activation of a thread: no marker needed.
         return;
     };
-    let code = Arc::clone(&top.code);
+    let code = Rc::clone(&top.code);
     let base = top.sp;
     th.frames.push(Frame {
         method: MethodId(u32::MAX),
@@ -1246,23 +1233,16 @@ fn prepare_activation(
     w: &mut World<'_>,
     tid: ThreadId,
     method: MethodId,
-) -> Result<Option<Arc<hera_jit::CompiledMethod>>, StepError> {
+) -> Result<Option<Rc<hera_jit::CompiledMethod>>, StepError> {
     let t = tid.0 as usize;
     let core = w.threads[t].core;
     if w.threads[t].frames.len() >= w.config.max_stack_depth {
-        // Thread death (joiner wakeups) is not speculable.
-        if w.spec.is_some() {
-            return Err(VmError::SpecAbort.into());
-        }
         // Kill the thread: drop its frames (and the arena they index)
         // so every caller's `frames.is_empty()` check sees it is gone.
         w.threads[t].frames.clear();
         w.threads[t].arena.clear();
         w.finish_thread(tid, Err(Trap::NativeError("stack overflow".into())));
         return Ok(None);
-    }
-    if w.spec.is_some() && !w.registry.is_compiled(method, core.kind()) {
-        return Err(VmError::SpecAbort.into());
     }
     let (code, jit) = w
         .registry
@@ -1381,11 +1361,6 @@ fn do_invoke(w: &mut World<'_>, tid: ThreadId, target: MethodId) -> Result<Flow,
     // Native methods never create frames; they take a bridge (and cross
     // the tagged-value boundary).
     if let hera_isa::MethodBody::Native(nid) = &def.body {
-        // Natives reach outside the world (console, files, thread
-        // spawn/join, the PPE proxy) — never speculable.
-        if w.spec.is_some() {
-            return Err(VmError::SpecAbort.into());
-        }
         let nid = *nid;
         let native_kind = def.native_kind.unwrap_or(NativeKind::FastSyscall);
         let args = pop_args_values(w, t, def, argc);
@@ -1411,11 +1386,6 @@ fn do_invoke(w: &mut World<'_>, tid: ThreadId, target: MethodId) -> Result<Flow,
 
     if let Some(kind) = annotation_kind {
         if kind != core.kind() {
-            // Migration re-homes the thread onto another core's queue —
-            // a scheduling decision only the real world may take.
-            if w.spec.is_some() {
-                return Err(VmError::SpecAbort.into());
-            }
             // Migrate: package parameters, drop a marker, move away.
             // Program order follows the thread: its dirty cached writes
             // are published on departure and its stale copies are
@@ -1449,9 +1419,6 @@ fn do_invoke(w: &mut World<'_>, tid: ThreadId, target: MethodId) -> Result<Flow,
     }
     if let Some(kind) = monitored_kind {
         if kind != core.kind() {
-            if w.spec.is_some() {
-                return Err(VmError::SpecAbort.into());
-            }
             // One-way re-homing: no marker, the thread stays until the
             // monitor says otherwise. Same departure-flush /
             // arrival-purge rule as annotation migration.
@@ -1526,10 +1493,6 @@ fn do_return(w: &mut World<'_>, tid: ThreadId, has_value: bool) -> Result<Flow, 
 
     // Deliver the return value.
     if w.threads[t].frames.is_empty() {
-        // Clean thread completion wakes joiners — not speculable.
-        if w.spec.is_some() {
-            return Err(VmError::SpecAbort.into());
-        }
         // JMM: a thread's termination happens-before any join on
         // it -- publish its writes before joiners observe the
         // finished state.
@@ -1556,9 +1519,6 @@ fn do_return(w: &mut World<'_>, tid: ThreadId, has_value: bool) -> Result<Flow, 
 
     match marker_origin {
         Some(origin) => {
-            if w.spec.is_some() {
-                return Err(VmError::SpecAbort.into());
-            }
             // Transparent migrate-back (paper §3.1: the thread "returns
             // to the migration marker placed on the stack"). Publish
             // this core's writes; refresh on arrival at an SPE.

@@ -39,11 +39,15 @@
 //! assert_eq!(outcome.result, Some(hera_isa::Value::I32(42)));
 //! ```
 
+// The interpreter's three arena / op-stream accessors are the repo's only
+// `unsafe`; each opts back in with `#[allow(unsafe_code)]`.
+#![deny(unsafe_code)]
+
 pub mod interp;
 pub mod monitor;
 pub mod native;
-pub mod par;
 pub mod policy;
+pub mod pool;
 pub mod snapshot;
 pub mod stats;
 pub mod thread;
@@ -51,8 +55,8 @@ pub mod vm;
 pub mod world;
 
 pub use native::StdNative;
-pub use par::WorkerPool;
 pub use policy::PlacementPolicy;
+pub use pool::WorkerPool;
 pub use snapshot::{CheckpointBlob, RestoreMode, SnapshotInfo};
 pub use stats::RunStats;
 pub use thread::{BlockReason, ThreadId, ThreadState};

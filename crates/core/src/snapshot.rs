@@ -40,7 +40,7 @@ use hera_snap::{
 };
 use hera_trace::{Histogram, MetricsRegistry, MigrationKind};
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// One checkpoint taken during a run: the sealed snapshot bytes plus
 /// where in virtual time it was taken.
@@ -1515,7 +1515,7 @@ fn decode_thread(
         let base = r.u32()?;
         let nlocals = r.u32()?;
         let sp = r.u32()?;
-        let code: Arc<hera_jit::CompiledMethod> = match code_source {
+        let code: Rc<hera_jit::CompiledMethod> = match code_source {
             Some(kind) => {
                 let (code, _) = world
                     .registry
@@ -1526,7 +1526,7 @@ fn decode_thread(
                 code
             }
             None => match frames.last() {
-                Some(below) => Arc::clone(&below.code),
+                Some(below) => Rc::clone(&below.code),
                 None => {
                     return Err(SnapError::Corrupt(
                         "migration marker as bottom frame".into(),

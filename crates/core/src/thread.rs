@@ -13,7 +13,7 @@ use hera_cell::CoreId;
 use hera_isa::{MethodId, ObjRef, Slot, Trap, Value};
 use hera_jit::CompiledMethod;
 use hera_trace::MigrationKind;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Identifier of a guest thread.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -67,7 +67,7 @@ pub struct Frame {
     /// The executing method.
     pub method: MethodId,
     /// Its compiled (core-specific) code.
-    pub code: Arc<CompiledMethod>,
+    pub code: Rc<CompiledMethod>,
     /// Next op index.
     pub pc: u32,
     /// Arena index of local slot 0.
@@ -149,11 +149,7 @@ impl BehaviourWindow {
 }
 
 /// A guest thread.
-///
-/// Cloning copies the frames, arena and pending state (compiled code is
-/// shared through `Arc`); the parallel engine clones the dispatched
-/// thread into a speculative world and commits the clone back on success.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct JavaThread {
     /// This thread's id.
     pub id: ThreadId,
@@ -296,7 +292,7 @@ mod tests {
 
     /// Compile a real method whose ref maps mark local 0 and (at pc 1,
     /// after the load) stack slot 0 as references.
-    fn ref_code() -> Arc<CompiledMethod> {
+    fn ref_code() -> Rc<CompiledMethod> {
         let mut b = ProgramBuilder::new();
         let c = b.add_class("C", None);
         let obj = Ty::Ref(c);
@@ -339,7 +335,7 @@ mod tests {
         t.arena = vec![Slot::from_ref(ObjRef(8)), Slot::from_i32(7)];
         t.frames.push(Frame {
             method: MethodId(0),
-            code: Arc::clone(&code),
+            code: Rc::clone(&code),
             pc: 0,
             base: 0,
             nlocals: 2,
@@ -349,7 +345,7 @@ mod tests {
         // A migration marker contributes nothing.
         t.frames.push(Frame {
             method: MethodId(u32::MAX),
-            code: Arc::clone(&code),
+            code: Rc::clone(&code),
             pc: 0,
             base: 2,
             nlocals: 0,

@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 /// One participant in a deadlock: where the thread lives and what it is
 /// waiting for. Cycles read directly off a list of these (thread A waits
 /// for a monitor held by B, B waits to join A, …), which is what makes a
-/// hung parallel-engine run debuggable from the error alone.
+/// deadlocked run debuggable from the error alone.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct StuckThread {
     /// The blocked thread.
@@ -81,12 +81,6 @@ pub enum VmError {
     },
     /// Simulator invariant violation (a bug, not a guest error).
     Internal(String),
-    /// Internal control-flow signal: a speculative quantum reached an
-    /// operation that must run on the real world (allocation, monitors,
-    /// natives, migration, thread death, JIT compilation). The parallel
-    /// engine catches this and re-executes the quantum sequentially; it
-    /// never escapes [`HeraJvm::run`].
-    SpecAbort,
 }
 
 impl fmt::Display for VmError {
@@ -107,15 +101,16 @@ impl fmt::Display for VmError {
                 write!(f, "whole-machine crash at cycle {at_cycle}")
             }
             VmError::Internal(msg) => write!(f, "internal error: {msg}"),
-            VmError::SpecAbort => write!(f, "speculative quantum aborted (internal signal)"),
         }
     }
 }
 
 impl std::error::Error for VmError {}
 
-/// VM configuration.
-#[derive(Clone, Copy)]
+/// VM configuration. The snapshot config digest is
+/// `digest64(format!("{config:?}"))`, so the derived `Debug` rendering is
+/// part of the checkpoint format (pinned by the format golden).
+#[derive(Clone, Copy, Debug)]
 pub struct VmConfig {
     /// Machine model configuration (SPE count, cache partition, costs).
     pub cell: CellConfig,
@@ -149,38 +144,6 @@ pub struct VmConfig {
     /// with and without checkpointing have different timings — but a
     /// restored run is bit-identical to the checkpointed run it came from.
     pub checkpoint_every: Option<u64>,
-    /// Host worker threads driving simulated cores (hera-par). `1` (the
-    /// default) is the classic sequential scheduler; `n > 1` runs up to
-    /// `n` quanta concurrently with speculative commit at deterministic
-    /// virtual-time barriers. Purely a host-side execution strategy:
-    /// virtual time, traces, profiles and snapshot bytes are bit-identical
-    /// for every value (it is excluded from the config digest for exactly
-    /// that reason — snapshots move freely between worker counts).
-    pub host_workers: u32,
-}
-
-// Hand-written so `host_workers` stays out of the rendering: the snapshot
-// config digest is `digest64(format!("{config:?}"))`, and a checkpoint
-// taken at workers=4 must restore under workers=1 (and vice versa). The
-// field order and format deliberately match what `#[derive(Debug)]`
-// produced before the field existed, keeping the format-golden digest
-// unchanged.
-impl fmt::Debug for VmConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("VmConfig")
-            .field("cell", &self.cell)
-            .field("heap", &self.heap)
-            .field("policy", &self.policy)
-            .field("quantum_ops", &self.quantum_ops)
-            .field("migration_cycles", &self.migration_cycles)
-            .field("thread_switch_cycles", &self.thread_switch_cycles)
-            .field("max_stack_depth", &self.max_stack_depth)
-            .field("array_block_bytes", &self.array_block_bytes)
-            .field("verify", &self.verify)
-            .field("cellvm_style_sync", &self.cellvm_style_sync)
-            .field("checkpoint_every", &self.checkpoint_every)
-            .finish()
-    }
 }
 
 impl Default for VmConfig {
@@ -197,7 +160,6 @@ impl Default for VmConfig {
             verify: true,
             cellvm_style_sync: false,
             checkpoint_every: None,
-            host_workers: 1,
         }
     }
 }
@@ -260,31 +222,25 @@ impl VmConfig {
         self
     }
 
-    /// Run scheduling quanta on up to `n` host worker threads (hera-par).
-    /// `n <= 1` keeps the sequential scheduler. See
-    /// [`VmConfig::host_workers`]; every value produces bit-identical
-    /// virtual time, traces, profiles and snapshots.
-    pub fn with_host_workers(mut self, n: u32) -> VmConfig {
-        self.host_workers = n.max(1);
+    /// No effect; kept only until the benchmark-correction PR removes
+    /// `kernels-par` (the frozen `hostbench` cells still call it).
+    pub fn with_host_workers(self, _n: u32) -> VmConfig {
         self
     }
 }
 
-/// Parallel-engine accounting ([`VmConfig::with_host_workers`]). Host-side
-/// observability only: deliberately kept out of [`RunStats`] and the trace
-/// metrics, both of which must stay byte-identical across worker counts.
+/// No effect; kept only until the benchmark-correction PR removes
+/// `kernels-par` (the frozen `hostbench` cells read these four counters).
+/// Always zero in [`RunOutcome::par`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ParStats {
-    /// Scheduling epochs that dispatched more than one speculative quantum.
+    /// Always zero.
     pub epochs: u64,
-    /// Speculative quanta whose commit validated cleanly.
+    /// Always zero.
     pub committed: u64,
-    /// Speculative quanta that diverged (shared-state conflict, grant
-    /// mismatch, or an abort on a non-speculable operation) and were
-    /// re-executed sequentially.
+    /// Always zero.
     pub reexec: u64,
-    /// Speculative quanta discarded without re-execution because an
-    /// earlier commit in their epoch changed the schedule.
+    /// Always zero.
     pub discarded: u64,
 }
 
@@ -317,9 +273,7 @@ pub struct RunOutcome {
     /// Every checkpoint taken during the run (empty unless the run used
     /// [`VmConfig::with_checkpoint_every`]).
     pub checkpoints: Vec<CheckpointBlob>,
-    /// Parallel-engine accounting (all zero under the sequential
-    /// scheduler). Host-side only — never part of [`RunStats`] or the
-    /// trace, which are bit-identical across worker counts.
+    /// Always zero; see [`ParStats`].
     pub par: ParStats,
 }
 
@@ -547,7 +501,7 @@ impl HeraJvm {
             heap_digest,
             heap_written,
             checkpoints: std::mem::take(&mut world.checkpoints),
-            par: world.par,
+            par: ParStats::default(),
         })))
     }
 

@@ -12,7 +12,7 @@ use crate::monitor::MonitorTable;
 use crate::policy::PlacementPolicy;
 use crate::snapshot::CheckpointBlob;
 use crate::thread::{BlockReason, FrameKind, JavaThread, ThreadId, ThreadState};
-use crate::vm::{ParStats, StuckThread, VmConfig, VmError};
+use crate::vm::{StuckThread, VmConfig, VmError};
 use hera_cell::{CellMachine, CoreId, CoreKind, OpClass};
 use hera_isa::{MethodId, ObjRef, Program, Trap, Value};
 use hera_jit::MethodRegistry;
@@ -109,13 +109,6 @@ pub struct World<'p> {
     /// cycles per core; the hooks below drain them to the active shadow
     /// frame at every frame/quantum boundary.
     pub profiler: Option<hera_prof::Profiler>,
-    /// Parallel-engine accounting (hera-par); all zero when
-    /// `VmConfig::host_workers <= 1`. Host-side only — never encoded in
-    /// snapshots, stats or traces.
-    pub par: ParStats,
-    /// Speculative-execution context: `Some` only inside a worker's
-    /// forked world, never on the real one. See `crate::par`.
-    pub(crate) spec: Option<Box<crate::par::SpecCtx>>,
 }
 
 impl<'p> World<'p> {
@@ -153,8 +146,6 @@ impl<'p> World<'p> {
             checkpoints: Vec::new(),
             checkpoint_dir: None,
             profiler: config.cell.profiling.then(hera_prof::Profiler::new),
-            par: ParStats::default(),
-            spec: None,
             config,
         }
     }
@@ -169,21 +160,7 @@ impl<'p> World<'p> {
 
     /// Bill everything charged since the last drain to `tid`'s innermost
     /// shadow frame, per core kind.
-    ///
-    /// In a speculative world there is no live profiler; the drained
-    /// vectors are recorded as an op log and replayed on the real
-    /// profiler at commit, preserving boundary-exact attribution.
     pub(crate) fn prof_flush_to_thread(&mut self, tid: ThreadId) {
-        if let Some(spec) = self.spec.as_deref_mut() {
-            if self.machine.profiling() {
-                for lane in 0..self.machine.prof_lanes() {
-                    if let Some(v) = self.machine.prof_take(lane) {
-                        spec.prof_ops.push(crate::par::ProfOp::Bill(tid, lane, v));
-                    }
-                }
-            }
-            return;
-        }
         let Some(p) = self.profiler.as_mut() else {
             return;
         };
@@ -197,16 +174,6 @@ impl<'p> World<'p> {
     /// Bill everything charged since the last drain to the synthetic
     /// `(runtime)` root (scheduler work, fail-over salvage, post-run).
     pub(crate) fn prof_flush_to_runtime(&mut self) {
-        if let Some(spec) = self.spec.as_deref_mut() {
-            if self.machine.profiling() {
-                for lane in 0..self.machine.prof_lanes() {
-                    if let Some(v) = self.machine.prof_take(lane) {
-                        spec.prof_ops.push(crate::par::ProfOp::BillRuntime(lane, v));
-                    }
-                }
-            }
-            return;
-        }
         let Some(p) = self.profiler.as_mut() else {
             return;
         };
@@ -221,15 +188,6 @@ impl<'p> World<'p> {
     /// everything accrued so far belongs to the caller; subsequent cycles
     /// belong to the callee.
     pub(crate) fn prof_enter(&mut self, tid: ThreadId, method: MethodId) {
-        if self.spec.is_some() {
-            if self.machine.profiling() {
-                self.prof_flush_to_thread(tid);
-                if let Some(spec) = self.spec.as_deref_mut() {
-                    spec.prof_ops.push(crate::par::ProfOp::Enter(tid, method));
-                }
-            }
-            return;
-        }
         if self.profiler.is_some() {
             self.prof_flush_to_thread(tid);
             if let Some(p) = self.profiler.as_mut() {
@@ -242,15 +200,6 @@ impl<'p> World<'p> {
     /// return overhead bills to the returning method, then the shadow
     /// stack pops.
     pub(crate) fn prof_leave(&mut self, tid: ThreadId) {
-        if self.spec.is_some() {
-            if self.machine.profiling() {
-                self.prof_flush_to_thread(tid);
-                if let Some(spec) = self.spec.as_deref_mut() {
-                    spec.prof_ops.push(crate::par::ProfOp::Leave(tid));
-                }
-            }
-            return;
-        }
         if self.profiler.is_some() {
             self.prof_flush_to_thread(tid);
             if let Some(p) = self.profiler.as_mut() {
@@ -262,10 +211,6 @@ impl<'p> World<'p> {
     /// A thread is done (normal completion, trap, or stack overflow):
     /// bill residue to its innermost frame and unwind the shadow stack.
     fn prof_thread_done(&mut self, tid: ThreadId) {
-        debug_assert!(
-            self.spec.is_none(),
-            "thread completion must abort speculation before unwinding"
-        );
         if self.profiler.is_some() {
             self.prof_flush_to_thread(tid);
             if let Some(p) = self.profiler.as_mut() {
@@ -511,7 +456,7 @@ impl<'p> World<'p> {
     /// Trigger any scheduled SPE deaths whose virtual deadline has
     /// passed. Checked between quanta, so a core dies at a safepoint:
     /// no thread is mid-op, every frame is scannable.
-    pub(crate) fn check_spe_deaths(&mut self) -> Result<(), VmError> {
+    fn check_spe_deaths(&mut self) -> Result<(), VmError> {
         if !self.machine.faults_active() {
             return Ok(());
         }
@@ -626,7 +571,7 @@ impl<'p> World<'p> {
     /// Order matters: the checkpoint fires *before* the machine-crash
     /// check, so a run crashing at cycle N still has every checkpoint due
     /// at or before N on disk to recover from.
-    pub(crate) fn safepoint_services(&mut self) -> Result<(), VmError> {
+    fn safepoint_services(&mut self) -> Result<(), VmError> {
         let crash = self.config.cell.faults.machine_crash_at;
         if self.next_checkpoint_at.is_none() && crash.is_none() {
             return Ok(());
@@ -720,78 +665,12 @@ impl<'p> World<'p> {
         crate::snapshot::encode(self)
     }
 
-    // ---- speculative forks (the parallel host engine) ----
-
-    /// Fork this world for one speculative quantum on `core` (hera-par).
-    ///
-    /// The fork shares the program, snapshots everything a quantum may
-    /// read, and layers logging state on the shared resources: the heap
-    /// gets a copy-on-write overlay recording read/write ranges, the
-    /// machine fork records EIB interactions, the trace sink starts
-    /// empty, and profiler billing goes to an op log ([`SpecCtx`]).
-    /// Foreign cores' software caches become zero-capacity placeholders —
-    /// a quantum never touches another core's cache, and the placeholders
-    /// keep indexing valid without copying megabytes per fork. Structures
-    /// a speculative quantum is forbidden to touch (monitors, GC, output,
-    /// join graph, checkpoints) start empty; the interpreter's
-    /// `VmError::SpecAbort` guards fire before any of them is reached.
-    pub(crate) fn fork_for_spec(&self, core: CoreId) -> World<'p> {
-        let num_spes = self.config.cell.num_spes as usize;
-        let own_spe = match core {
-            CoreId::Spe(n) => Some(n as usize),
-            CoreId::Ppe => None,
-        };
-        World {
-            program: self.program,
-            layout: self.layout.clone(),
-            config: self.config,
-            machine: self.machine.fork_for_spec(core),
-            heap: self.heap.fork_for_spec(),
-            registry: self.registry.clone(),
-            data_caches: (0..num_spes)
-                .map(|i| {
-                    if Some(i) == own_spe {
-                        self.data_caches[i].clone()
-                    } else {
-                        DataCache::new(0)
-                    }
-                })
-                .collect(),
-            code_caches: (0..num_spes)
-                .map(|i| {
-                    if Some(i) == own_spe {
-                        self.code_caches[i].clone()
-                    } else {
-                        CodeCache::new(0)
-                    }
-                })
-                .collect(),
-            threads: self.threads.clone(),
-            run_queues: self.run_queues.clone(),
-            monitors: MonitorTable::new(),
-            collector: Collector::new(),
-            output: Vec::new(),
-            files: HashMap::new(),
-            join_waiters: HashMap::new(),
-            gc: GcDriverStats::default(),
-            last_on_core: self.last_on_core.clone(),
-            thread_switches: 0,
-            next_checkpoint_at: None,
-            checkpoint_seq: 0,
-            checkpoints: Vec::new(),
-            checkpoint_dir: None,
-            profiler: None,
-            par: ParStats::default(),
-            spec: Some(Box::new(crate::par::SpecCtx::default())),
-        }
-    }
-
     // ---- the scheduler ----
 
     /// Pick the next (core, thread) pair: the queued thread with the
     /// earliest possible start time. Deterministic: ties break toward
     /// the lowest core index.
-    pub(crate) fn pick_next(&self) -> Option<(CoreId, ThreadId)> {
+    fn pick_next(&self) -> Option<(CoreId, ThreadId)> {
         let mut best: Option<(u64, usize, ThreadId)> = None;
         for (idx, q) in self.run_queues.iter().enumerate() {
             let Some(&tid) = q.front() else { continue };
@@ -810,7 +689,7 @@ impl<'p> World<'p> {
     /// Build the rich deadlock error: count unfinished threads and
     /// describe every blocked one (which monitor it waits on, or which
     /// thread it waits to join).
-    pub(crate) fn deadlock_error(&self) -> VmError {
+    fn deadlock_error(&self) -> VmError {
         let unfinished = self.threads.iter().filter(|t| !t.is_finished()).count();
         let stuck = self
             .threads
@@ -832,11 +711,8 @@ impl<'p> World<'p> {
 
     /// Dispatch one scheduling quantum for `tid` on `core`: pop it from
     /// its run queue, charge the context switch, wait out any arrival
-    /// latency, run one quantum, and re-enqueue. This is the single
-    /// shared body used verbatim by the sequential scheduler and by the
-    /// parallel engine's commit/re-execution path, so both produce
-    /// byte-identical traces.
-    pub(crate) fn dispatch_quantum(&mut self, core: CoreId, tid: ThreadId) -> Result<(), VmError> {
+    /// latency, run one quantum, and re-enqueue.
+    fn dispatch_quantum(&mut self, core: CoreId, tid: ThreadId) -> Result<(), VmError> {
         let idx = Self::core_index(core);
         self.run_queues[idx].pop_front();
 
@@ -881,22 +757,9 @@ impl<'p> World<'p> {
         Ok(())
     }
 
-    /// Run every thread to completion. With `host_workers <= 1` this is
-    /// the classic sequential scheduler; otherwise the epoch-parallel
-    /// engine runs the same schedule speculatively across host threads
-    /// and commits at virtual-time barriers, producing bit-identical
-    /// results.
+    /// Run every thread to completion: strictly one quantum at a time,
+    /// in earliest-virtual-start order.
     pub fn run_to_completion(&mut self) -> Result<(), VmError> {
-        if self.config.host_workers <= 1 {
-            self.run_sequential()
-        } else {
-            crate::par::run_parallel(self)
-        }
-    }
-
-    /// The reference scheduler: strictly one quantum at a time, in
-    /// earliest-virtual-start order.
-    pub(crate) fn run_sequential(&mut self) -> Result<(), VmError> {
         loop {
             self.safepoint_services()?;
             self.check_spe_deaths()?;

@@ -16,6 +16,8 @@
 //! [`FaultInjector::site_active`] and take their unmodified fast path, so a
 //! quiet plan is provably zero-cost in virtual time.
 
+#![forbid(unsafe_code)]
+
 // The RNG primitives live in `hera-rng` (shared with the cluster trace
 // generator); re-exported here so existing `hera_faults::splitmix64` /
 // `hera_faults::draw_word` callers keep working unchanged.

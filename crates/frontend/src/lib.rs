@@ -36,6 +36,8 @@
 //! hera_isa::verify_program(&program).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod codegen;
 

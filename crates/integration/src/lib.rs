@@ -4,6 +4,8 @@
 //! tests spanning the whole stack (frontend → ISA → JIT → runtime →
 //! machine model). The library itself only hosts small shared helpers.
 
+#![forbid(unsafe_code)]
+
 pub mod fleets;
 pub mod minijson;
 

@@ -5,6 +5,8 @@
 //! external dependencies, so these tests are the only thing checking
 //! that the hand-rolled writer emits well-formed JSON.
 
+#![forbid(unsafe_code)]
+
 use hera_integration::minijson::{parse, Value};
 use hera_trace::{chrome_trace_json, chrome_trace_json_named, TraceEvent, TraceSink};
 

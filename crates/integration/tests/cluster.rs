@@ -2,6 +2,8 @@
 //! crash-recovery requeue accounting, and the migration bit-identity
 //! proof — including the underlying snapshot-adoption API.
 
+#![forbid(unsafe_code)]
+
 use hera_cell::FaultPlan;
 use hera_cluster::{run_experiment, ArrivalShape, ClusterConfig};
 use hera_core::{HeraJvm, RunEnd, VmConfig};

@@ -2,6 +2,8 @@
 //! identical results on the PPE (direct heap access) and on SPE cores
 //! (software-cached access) — the paper's core transparency claim.
 
+#![forbid(unsafe_code)]
+
 use hera_core::{HeraJvm, PlacementPolicy, VmConfig};
 use hera_frontend::*;
 use hera_integration::{run_both, run_program};

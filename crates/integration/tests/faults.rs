@@ -2,6 +2,8 @@
 //! retry/backoff, and SPE fail-over must neither corrupt results nor
 //! break virtual-time determinism.
 
+#![forbid(unsafe_code)]
+
 use hera_bench::{chaos_death_cycle, chaos_plan, chaos_workload, run_workload, spe_config};
 use hera_cell::FaultPlan;
 use hera_core::{HeraJvm, RunEnd};

@@ -3,6 +3,8 @@
 //! determinism of the rendered artifacts, and a pinned flamegraph
 //! snapshot on a small hand-built program.
 
+#![forbid(unsafe_code)]
+
 use hera_bench::{chaos_death_cycle, ppe_config, profile_workload, spe_config};
 use hera_core::{RunOutcome, VmConfig};
 use hera_frontend::*;

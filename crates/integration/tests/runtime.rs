@@ -2,6 +2,8 @@
 //! isolation between threads, yield, virtual time, and configuration
 //! plumbing.
 
+#![forbid(unsafe_code)]
+
 use hera_core::native::install_runtime;
 use hera_core::{BlockReason, HeraJvm, VmConfig, VmError};
 use hera_frontend::*;

@@ -4,6 +4,8 @@
 //! matrix, and turning scope on leaves every existing report
 //! byte-unchanged (observation only, zero virtual cycles).
 
+#![forbid(unsafe_code)]
+
 use hera_cluster::{run_chaos_matrix, run_experiment, ClusterConfig};
 use hera_integration::fleets::{busy_fleet, small_e13, small_e15};
 use hera_integration::minijson::{parse, Value};

@@ -6,6 +6,8 @@
 //! repository — sizes are chosen to keep each under a few seconds in
 //! debug builds.
 
+#![forbid(unsafe_code)]
+
 use hera_core::{HeraJvm, PlacementPolicy, VmConfig};
 use hera_integration::run_program;
 use hera_isa::Value;

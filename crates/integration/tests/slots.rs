@@ -3,6 +3,8 @@
 //! argument repackaging across a migration (the one place mid-execution
 //! where slots are retagged into `Value`s and back).
 
+#![forbid(unsafe_code)]
+
 use hera_core::{PlacementPolicy, VmConfig};
 use hera_frontend::*;
 use hera_integration::{run_both, run_program};

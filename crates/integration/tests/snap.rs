@@ -2,6 +2,8 @@
 //! corrupted-snapshot hardening, and the allocation edge cases the
 //! snapshot must carry faithfully (cache bypasses, OOM traps).
 
+#![forbid(unsafe_code)]
+
 use hera_core::{HeraJvm, RunOutcome, VmConfig, VmError};
 use hera_frontend::*;
 use hera_integration::gc_pressure_vm;
@@ -394,6 +396,141 @@ fn crafted_dirty_span_outside_its_unit_is_rejected() {
             assert!(msg.contains("dirty span"), "unexpected message: {msg}")
         }
         other => panic!("expected a Corrupt rejection, got {other:?}"),
+    }
+}
+
+/// One level of the PPE cache model as a checkpoint payload carries it:
+/// the tags (stored inverted) and the LRU stamps, each RLE-coded, then
+/// the tick.
+#[derive(Clone)]
+struct CacheLevel {
+    at: std::ops::Range<usize>,
+    tags: Vec<u64>,
+    stamps: Vec<u64>,
+    tick: u64,
+}
+
+impl CacheLevel {
+    /// Decode a level of `slots` slots starting at `payload[start]`.
+    fn decode(payload: &[u8], start: usize, slots: usize) -> Option<CacheLevel> {
+        let mut r = hera_snap::SnapReader::new(&payload[start..]);
+        let mut words = || -> Option<Vec<u64>> {
+            let raw = hera_snap::rle_decode(&mut r, slots * 8).ok()?;
+            let words = raw.chunks_exact(8);
+            Some(
+                words
+                    .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+                    .collect(),
+            )
+        };
+        let tags = words()?.into_iter().map(|t| !t).collect();
+        let stamps = words()?;
+        let tick = r.u64().ok()?;
+        Some(CacheLevel {
+            at: start..start + r.position(),
+            tags,
+            stamps,
+            tick,
+        })
+    }
+
+    /// The sealed snapshot with this level written back in place.
+    fn spliced_into(&self, payload: &[u8]) -> Vec<u8> {
+        let mut w = hera_snap::SnapWriter::new();
+        for words in [self.tags.iter().map(|&t| !t).collect(), self.stamps.clone()] {
+            let bytes: Vec<u8> = words.iter().flat_map(|v: &u64| v.to_le_bytes()).collect();
+            hera_snap::rle_encode(&mut w, &bytes);
+        }
+        w.u64(self.tick);
+        // The payload opens with the CORE section's length, which counts
+        // the level: a re-coded level of another size moves it.
+        let core_len = u64::from_le_bytes(payload[..8].try_into().unwrap());
+        let core_len = core_len - self.at.len() as u64 + w.len() as u64;
+        let mut crafted = core_len.to_le_bytes().to_vec();
+        crafted.extend_from_slice(&payload[8..self.at.start]);
+        crafted.extend_from_slice(w.bytes());
+        crafted.extend_from_slice(&payload[self.at.end..]);
+        hera_snap::seal(&crafted)
+    }
+}
+
+/// `HwCache::import_state` must refuse replacement state no run can have
+/// produced, however valid the container around it: accepted, a saturated
+/// tick overflows on the resumed run's first PPE access, and the other
+/// three silently change which lines later accesses hit and evict.
+#[test]
+fn crafted_ppe_cache_state_is_rejected() {
+    let mut cfg = VmConfig::pinned_ppe().with_checkpoint_every(300_000);
+    cfg.heap.size_bytes = 128 << 10;
+    let vm = HeraJvm::new(mixing_program(40_000), cfg).expect("constructs");
+    let full = vm.run().expect("runs");
+    let bytes = &full.checkpoints.first().expect("a checkpoint").bytes;
+    let payload = hera_snap::open(bytes).expect("valid container");
+
+    // Find the L1 by shape: the L2 follows it and the four access counters
+    // follow that; every access ticks the L1 and every L1 miss the L2.
+    let slots = |l: hera_cell::hwcache::LevelParams| {
+        ((l.capacity / (l.line * l.ways)).max(1) * l.ways) as usize
+    };
+    let (l1_slots, l2_slots) = (slots(cfg.cell.hwcache.l1), slots(cfg.cell.hwcache.l2));
+    let found: Vec<CacheLevel> = (0..payload.len())
+        .filter_map(|start| {
+            let l1 = CacheLevel::decode(payload, start, l1_slots)?;
+            let l2 = CacheLevel::decode(payload, l1.at.end, l2_slots)?;
+            let mut counters = hera_snap::SnapReader::new(&payload[l2.at.end..]);
+            let [accesses, l1_hits, l2_hits, memory] =
+                [(); 4].map(|()| counters.u64().unwrap_or(0));
+            // Wrapping: a chance match elsewhere must not overflow.
+            (accesses > 0
+                && accesses == l1_hits.wrapping_add(l2_hits).wrapping_add(memory)
+                && l1.tick == accesses
+                && l2.tick == accesses.wrapping_sub(l1_hits))
+            .then_some(l1)
+        })
+        .collect();
+    let [l1] = &found[..] else {
+        panic!(
+            "expected exactly one PPE cache section, found {}",
+            found.len()
+        );
+    };
+    assert!(
+        l1.spliced_into(payload) == *bytes,
+        "writing the level back unchanged must reproduce the checkpoint"
+    );
+
+    let ways = cfg.cell.hwcache.l1.ways as usize;
+    let live = (l1.tags.iter())
+        .position(|&t| t != u64::MAX)
+        .expect("the run touched the L1");
+    let crafted = |mutate: &dyn Fn(&mut CacheLevel)| {
+        let mut level = l1.clone();
+        mutate(&mut level);
+        level.spliced_into(payload)
+    };
+    let cases: [(&str, Vec<u8>); 4] = [
+        ("saturated tick", crafted(&|l| l.tick = u64::MAX)),
+        (
+            "stamp ahead of the tick",
+            crafted(&|l| l.stamps[live] = l.tick + 1),
+        ),
+        // The next line number indexes the next set.
+        ("tag in the wrong set", crafted(&|l| l.tags[live] += 1)),
+        (
+            "tag twice in one set",
+            crafted(&|l| l.tags[live / ways * ways + (live + 1) % ways] = l.tags[live]),
+        ),
+    ];
+    for (what, snapshot) in &cases {
+        match vm.restore_bytes(snapshot) {
+            Err(VmError::Snap(SnapError::Corrupt(msg))) => {
+                assert!(
+                    msg.contains("ppe cache"),
+                    "{what}: unexpected message: {msg}"
+                )
+            }
+            other => panic!("{what}: expected a Corrupt rejection, got {other:?}"),
+        }
     }
 }
 

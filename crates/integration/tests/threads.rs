@@ -2,6 +2,8 @@
 //! spawn/join, monitors with contention, volatile publication, the
 //! native bridges, and annotation-driven migration.
 
+#![forbid(unsafe_code)]
+
 use hera_core::native::install_runtime;
 use hera_core::{PlacementPolicy, VmConfig};
 use hera_frontend::*;

@@ -2,6 +2,8 @@
 //! byte-exact DMA accounting against the aggregate statistics,
 //! migration out/in matching, export validity, and determinism.
 
+#![forbid(unsafe_code)]
+
 use hera_bench::{mixed_program, spe_config, trace_workload};
 use hera_core::{HeraJvm, PlacementPolicy, RunOutcome, VmConfig};
 use hera_isa::Value;

@@ -1,6 +1,8 @@
 //! The correctness anchor: every benchmark's guest checksum must equal
 //! the host reference bit-for-bit, on every core kind and thread count.
 
+#![forbid(unsafe_code)]
+
 use hera_core::VmConfig;
 use hera_integration::run_program;
 use hera_isa::Value;

@@ -22,6 +22,8 @@
 //! * Constant pool entries are resolved at build time; instructions carry
 //!   direct indices ([`program::MethodId`], [`program::FieldId`], …).
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod bytecode;
 pub mod class;

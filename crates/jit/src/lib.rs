@@ -21,6 +21,8 @@
 //! "compiled once per used core type" accounting meaningful — the claim
 //! behind the paper's low dual-architecture compilation overhead.
 
+#![forbid(unsafe_code)]
+
 pub mod compile;
 pub mod machine_op;
 pub mod registry;

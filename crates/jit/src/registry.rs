@@ -14,7 +14,7 @@ use hera_cell::CoreKind;
 use hera_isa::{MethodId, Program};
 use hera_mem::ProgramLayout;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A method compiled for one core kind.
 ///
@@ -74,12 +74,8 @@ pub struct RegistryStats {
 }
 
 /// Cache of compiled methods keyed by `(method, core kind)`.
-///
-/// Cloning is cheap (the compiled bodies are shared through `Arc`), which
-/// lets a speculative world carry a read-only view of the registry.
-#[derive(Clone)]
 pub struct MethodRegistry {
-    compiled: HashMap<(MethodId, CoreKind), Arc<CompiledMethod>>,
+    compiled: HashMap<(MethodId, CoreKind), Rc<CompiledMethod>>,
     stats: RegistryStats,
 }
 
@@ -104,11 +100,11 @@ impl MethodRegistry {
         layout: &ProgramLayout,
         method: MethodId,
         core: CoreKind,
-    ) -> Result<(Arc<CompiledMethod>, u64), CompileError> {
+    ) -> Result<(Rc<CompiledMethod>, u64), CompileError> {
         if let Some(hit) = self.compiled.get(&(method, core)) {
-            return Ok((Arc::clone(hit), 0));
+            return Ok((Rc::clone(hit), 0));
         }
-        let compiled = Arc::new(compile_method(program, layout, method, core)?);
+        let compiled = Rc::new(compile_method(program, layout, method, core)?);
         let cycles = compiled.compile_cycles;
         match core {
             CoreKind::Ppe => {
@@ -129,7 +125,7 @@ impl MethodRegistry {
         if self.compiled.contains_key(&(method, other)) {
             self.stats.dual_compiled += 1;
         }
-        self.compiled.insert((method, core), Arc::clone(&compiled));
+        self.compiled.insert((method, core), Rc::clone(&compiled));
         Ok((compiled, cycles))
     }
 

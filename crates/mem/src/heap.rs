@@ -16,8 +16,7 @@
 
 use crate::layout::{ProgramLayout, HEADER_BYTES};
 use hera_isa::{ClassId, ElemTy, ObjRef, Slot, Trap, Ty, Value};
-use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeSet;
 
 /// Heap configuration.
 #[derive(Clone, Copy, Debug)]
@@ -41,18 +40,12 @@ impl Default for HeapConfig {
 pub enum HeapError {
     /// Address/length outside the heap.
     BadAddress(u32),
-    /// A direct byte borrow was requested while a speculative overlay is
-    /// active; speculative callers must use `copy_to`/`copy_from`.
-    SpecOverlayActive(u32),
 }
 
 impl std::fmt::Display for HeapError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             HeapError::BadAddress(a) => write!(f, "bad heap address {a:#x}"),
-            HeapError::SpecOverlayActive(a) => {
-                write!(f, "byte borrow at {a:#x} under speculative overlay")
-            }
         }
     }
 }
@@ -256,96 +249,10 @@ pub struct AllocStats {
     pub bytes_allocated: u64,
 }
 
-/// Copy-on-write block size of the speculative overlay. Must divide the
-/// (4 KiB-aligned) heap size.
-const SPEC_BLOCK: u32 = 64;
-
-/// Speculative copy-on-write overlay (the parallel host engine's fork).
-///
-/// A forked heap shares the backing store via `Arc` and routes every
-/// write into private 64-byte block copies, logging precise `(addr, len)`
-/// read and write ranges. At commit time the engine checks the read log
-/// against earlier commits' write ranges and, when disjoint, applies the
-/// materialised write bytes to the real heap.
-///
-/// The read log sits behind a `Mutex` (not `RefCell`) because read paths
-/// take `&self` and the world must stay `Sync` so workers can fork from
-/// a shared reference; the lock is always uncontended (each forked heap
-/// is owned by exactly one worker).
-#[derive(Debug, Default)]
-pub struct SpecOverlay {
-    blocks: HashMap<u32, Box<[u8; SPEC_BLOCK as usize]>>,
-    reads: Mutex<Vec<(u32, u32)>>,
-    writes: Vec<(u32, u32)>,
-}
-
-/// One materialised speculative write: `(address, bytes)`.
-pub type SpecWrite = (u32, Vec<u8>);
-
-/// Coalesce `(addr, len)` ranges: sort by address and merge overlapping
-/// or adjacent spans.
-fn merge_ranges(mut v: Vec<(u32, u32)>) -> Vec<(u32, u32)> {
-    v.sort_unstable();
-    let mut out: Vec<(u32, u32)> = Vec::with_capacity(v.len().min(64));
-    for (addr, len) in v {
-        match out.last_mut() {
-            Some((a, l)) if addr <= *a + *l => {
-                let end = (addr as u64 + len as u64).max(*a as u64 + *l as u64);
-                *l = (end - *a as u64) as u32;
-            }
-            _ => out.push((addr, len)),
-        }
-    }
-    out
-}
-
-/// Fill `dst` from `addr`, preferring overlay blocks over the base.
-fn compose_read(spec: &SpecOverlay, base: &[u8], addr: u32, dst: &mut [u8]) {
-    let mut off = 0usize;
-    while off < dst.len() {
-        let a = addr + off as u32;
-        let block = a / SPEC_BLOCK;
-        let in_block = (a % SPEC_BLOCK) as usize;
-        let take = (SPEC_BLOCK as usize - in_block).min(dst.len() - off);
-        match spec.blocks.get(&block) {
-            Some(b) => dst[off..off + take].copy_from_slice(&b[in_block..in_block + take]),
-            None => {
-                let s = a as usize;
-                dst[off..off + take].copy_from_slice(&base[s..s + take]);
-            }
-        }
-        off += take;
-    }
-}
-
-/// Write `src` at `addr` into overlay blocks, copying each touched block
-/// in from the base on first touch.
-fn overlay_write(spec: &mut SpecOverlay, base: &[u8], addr: u32, src: &[u8]) {
-    let mut off = 0usize;
-    while off < src.len() {
-        let a = addr + off as u32;
-        let block = a / SPEC_BLOCK;
-        let in_block = (a % SPEC_BLOCK) as usize;
-        let take = (SPEC_BLOCK as usize - in_block).min(src.len() - off);
-        let b = spec.blocks.entry(block).or_insert_with(|| {
-            let mut buf = Box::new([0u8; SPEC_BLOCK as usize]);
-            let s = (block * SPEC_BLOCK) as usize;
-            let e = (s + SPEC_BLOCK as usize).min(base.len());
-            buf[..e - s].copy_from_slice(&base[s..e]);
-            buf
-        });
-        b[in_block..in_block + take].copy_from_slice(&src[off..off + take]);
-        off += take;
-    }
-}
-
 /// The guest heap.
 pub struct Heap {
-    /// Backing store. `Arc` so a speculative fork is O(1): forks share
-    /// the bytes and divert writes into their overlay; the real heap
-    /// only ever mutates via `Arc::make_mut` once all forks are dropped,
-    /// so it never deep-copies.
-    data: Arc<Vec<u8>>,
+    /// Backing store.
+    data: Vec<u8>,
     /// Start of the allocatable object region.
     objects_base: u32,
     /// One past the last allocatable byte.
@@ -363,8 +270,6 @@ pub struct Heap {
     written: u32,
     /// Allocation statistics.
     pub stats: AllocStats,
-    /// `Some` only on a speculative fork, never on the real heap.
-    spec: Option<Box<SpecOverlay>>,
 }
 
 impl Heap {
@@ -377,7 +282,7 @@ impl Heap {
         let size = config.size_bytes.max(4096);
         let objects_base = align8(Self::STATICS_BASE + statics_size);
         Heap {
-            data: Arc::new(vec![0; size as usize]),
+            data: vec![0; size as usize],
             objects_base,
             limit: size,
             free: vec![(objects_base, size - objects_base)],
@@ -385,23 +290,19 @@ impl Heap {
             statics_size,
             written: objects_base,
             stats: AllocStats::default(),
-            spec: None,
         }
     }
 
     /// Mutable view of the backing store for a store that ends at byte
-    /// `end`. On the real heap this is an `Arc::make_mut`, which is free
-    /// (refcount 1) except while forks are alive — and the engine never
-    /// mutates the real heap while they are.
+    /// `end` (debug builds check it against the written-mark).
     #[inline]
     fn data_mut(&mut self, end: usize) -> &mut Vec<u8> {
-        debug_assert!(self.spec.is_none(), "direct mutation under overlay");
         debug_assert!(
             end <= self.written as usize,
             "store ending at {end:#x} is past the written-mark {:#x}",
             self.written
         );
-        Arc::make_mut(&mut self.data)
+        &mut self.data
     }
 
     /// Size of the statics block.
@@ -431,10 +332,8 @@ impl Heap {
 
     // ---- snapshot support ----
 
-    /// The entire backing store (snapshot encode). Only meaningful on
-    /// the real heap — a fork's overlay is not reflected here.
+    /// The entire backing store (snapshot encode).
     pub fn raw(&self) -> &[u8] {
-        debug_assert!(self.spec.is_none(), "raw() on speculative fork");
         &self.data
     }
 
@@ -510,7 +409,7 @@ impl Heap {
             _ => limit,
         };
         Ok(Heap {
-            data: Arc::new(data),
+            data,
             objects_base,
             limit,
             free,
@@ -518,133 +417,42 @@ impl Heap {
             statics_size,
             written: nonzero_end.max(frontier),
             stats,
-            spec: None,
         })
     }
 
-    // ---- speculative overlay (parallel host engine) ----
+    // ---- raw access ----
 
-    /// Fork for speculative execution: shares the backing store, diverts
-    /// all writes into a fresh copy-on-write overlay, and logs every read
-    /// and write range for commit-time conflict detection.
-    pub fn fork_for_spec(&self) -> Heap {
-        debug_assert!(self.spec.is_none(), "fork of a fork");
-        Heap {
-            data: Arc::clone(&self.data),
-            objects_base: self.objects_base,
-            limit: self.limit,
-            free: self.free.clone(),
-            objects: self.objects.clone(),
-            statics_size: self.statics_size,
-            written: self.written,
-            stats: self.stats,
-            spec: Some(Box::default()),
-        }
-    }
-
-    /// Whether this heap is a speculative fork.
-    pub fn is_spec(&self) -> bool {
-        self.spec.is_some()
-    }
-
-    /// Harvest the overlay's logs: `(merged read ranges, materialised
-    /// write ranges)`. The write bytes are composed from the overlay so
-    /// the caller owns them outright — the fork can then be dropped,
-    /// returning the backing `Arc` to refcount 1 before commit.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on a non-speculative heap.
-    pub fn spec_take_log(&mut self) -> (Vec<(u32, u32)>, Vec<SpecWrite>) {
-        let mut spec = self.spec.take().expect("spec_take_log on real heap");
-        let reads = merge_ranges(std::mem::take(spec.reads.get_mut().unwrap()));
-        let writes = merge_ranges(spec.writes.clone())
-            .into_iter()
-            .map(|(addr, len)| {
-                let mut buf = vec![0u8; len as usize];
-                compose_read(&spec, &self.data, addr, &mut buf);
-                (addr, buf)
-            })
-            .collect();
-        (reads, writes)
-    }
-
-    /// Copy `dst.len()` bytes starting at `addr` out of the heap,
-    /// composing overlay and backing store and logging the read range
-    /// when speculative.
+    /// Copy `dst.len()` bytes starting at `addr` out of the heap (DMA
+    /// source copies).
     pub fn copy_to(&self, addr: u32, dst: &mut [u8]) -> Result<(), HeapError> {
         let (a, l) = (addr as usize, dst.len());
         if a.checked_add(l).is_none_or(|end| end > self.data.len()) {
             return Err(HeapError::BadAddress(addr));
         }
-        if let Some(spec) = self.spec.as_deref() {
-            spec.reads.lock().unwrap().push((addr, l as u32));
-            compose_read(spec, &self.data, addr, dst);
-        } else {
-            dst.copy_from_slice(&self.data[a..a + l]);
-        }
+        dst.copy_from_slice(&self.data[a..a + l]);
         Ok(())
     }
 
-    /// Copy `src` into the heap at `addr`, routing through the overlay
-    /// and logging the write range when speculative.
+    /// Copy `src` into the heap at `addr` (DMA write-back).
     pub fn copy_from(&mut self, addr: u32, src: &[u8]) -> Result<(), HeapError> {
         let (a, l) = (addr as usize, src.len());
         if a.checked_add(l).is_none_or(|end| end > self.data.len()) {
             return Err(HeapError::BadAddress(addr));
         }
-        if self.spec.is_some() {
-            let data = Arc::clone(&self.data);
-            let spec = self.spec.as_deref_mut().unwrap();
-            spec.writes.push((addr, l as u32));
-            overlay_write(spec, &data, addr, src);
-        } else {
-            self.data_mut(a + l)[a..a + l].copy_from_slice(src);
-        }
+        self.data_mut(a + l)[a..a + l].copy_from_slice(src);
         Ok(())
     }
 
-    /// Owned copy of `len` bytes starting at `addr` (overlay-aware).
+    /// Owned copy of `len` bytes starting at `addr`.
     pub fn read_bytes(&self, addr: u32, len: u32) -> Result<Vec<u8>, HeapError> {
         let mut buf = vec![0u8; len as usize];
         self.copy_to(addr, &mut buf)?;
         Ok(buf)
     }
 
-    // ---- raw access ----
-
-    /// Borrow `len` bytes starting at `addr` (for DMA source copies).
-    /// Unavailable on speculative forks — use [`Heap::copy_to`], which
-    /// composes the overlay and logs the read.
-    pub fn bytes(&self, addr: u32, len: u32) -> Result<&[u8], HeapError> {
-        if self.spec.is_some() {
-            return Err(HeapError::SpecOverlayActive(addr));
-        }
-        let (a, l) = (addr as usize, len as usize);
-        self.data.get(a..a + l).ok_or(HeapError::BadAddress(addr))
-    }
-
-    /// Mutably borrow `len` bytes starting at `addr` (for DMA write-back).
-    /// Unavailable on speculative forks — use [`Heap::copy_from`].
-    pub fn bytes_mut(&mut self, addr: u32, len: u32) -> Result<&mut [u8], HeapError> {
-        if self.spec.is_some() {
-            return Err(HeapError::SpecOverlayActive(addr));
-        }
-        let (a, l) = (addr as usize, len as usize);
-        if a + l > self.data.len() {
-            return Err(HeapError::BadAddress(addr));
-        }
-        Ok(&mut self.data_mut(a + l)[a..a + l])
-    }
-
     /// Read a little-endian u32 (used for headers and ref slots).
     #[inline]
     pub fn read_u32(&self, addr: u32) -> u32 {
-        if self.spec.is_some() {
-            let mut b = [0u8; 4];
-            self.copy_to(addr, &mut b).expect("read_u32 out of bounds");
-            return u32::from_le_bytes(b);
-        }
         let a = addr as usize;
         u32::from_le_bytes([
             self.data[a],
@@ -657,11 +465,6 @@ impl Heap {
     /// Write a little-endian u32.
     #[inline]
     pub fn write_u32(&mut self, addr: u32, v: u32) {
-        if self.spec.is_some() {
-            self.copy_from(addr, &v.to_le_bytes())
-                .expect("write_u32 out of bounds");
-            return;
-        }
         let a = addr as usize;
         self.data_mut(a + 4)[a..a + 4].copy_from_slice(&v.to_le_bytes());
     }
@@ -669,27 +472,12 @@ impl Heap {
     /// Typed read at an absolute address.
     #[inline]
     pub fn read_typed(&self, addr: u32, ty: Ty) -> Value {
-        if self.spec.is_some() {
-            let mut buf = [0u8; 8];
-            let w = codec::ty_width(ty);
-            self.copy_to(addr, &mut buf[..w])
-                .expect("typed read out of bounds");
-            return codec::read_value(&buf, 0, ty);
-        }
         codec::read_value(&self.data, addr as usize, ty)
     }
 
     /// Typed write at an absolute address.
     #[inline]
     pub fn write_typed(&mut self, addr: u32, ty: Ty, v: Value) {
-        if self.spec.is_some() {
-            let mut buf = [0u8; 8];
-            let w = codec::ty_width(ty);
-            codec::write_value(&mut buf, 0, ty, v);
-            self.copy_from(addr, &buf[..w])
-                .expect("typed write out of bounds");
-            return;
-        }
         let a = addr as usize;
         codec::write_value(self.data_mut(a + codec::ty_width(ty)), a, ty, v)
     }
@@ -697,27 +485,12 @@ impl Heap {
     /// Untagged read at an absolute address; `ty` selects width only.
     #[inline]
     pub fn read_typed_slot(&self, addr: u32, ty: Ty) -> Slot {
-        if self.spec.is_some() {
-            let mut buf = [0u8; 8];
-            let w = codec::ty_width(ty);
-            self.copy_to(addr, &mut buf[..w])
-                .expect("typed read out of bounds");
-            return codec::read_slot(&buf, 0, ty);
-        }
         codec::read_slot(&self.data, addr as usize, ty)
     }
 
     /// Untagged write at an absolute address; `ty` selects width only.
     #[inline]
     pub fn write_typed_slot(&mut self, addr: u32, ty: Ty, s: Slot) {
-        if self.spec.is_some() {
-            let mut buf = [0u8; 8];
-            let w = codec::ty_width(ty);
-            codec::write_slot(&mut buf, 0, ty, s);
-            self.copy_from(addr, &buf[..w])
-                .expect("typed write out of bounds");
-            return;
-        }
         let a = addr as usize;
         codec::write_slot(self.data_mut(a + codec::ty_width(ty)), a, ty, s)
     }
@@ -1068,7 +841,6 @@ mod tests {
         let z = heap.alloc_array(ElemTy::Int, 100).unwrap();
         let end = z.0 + array_byte_size(ElemTy::Int, 100);
         assert_eq!(heap.written_mark(), end);
-        assert_eq!(heap.fork_for_spec().written, end);
 
         let rebuild = |heap: &Heap, nonzero_end: u32, free: Vec<(u32, u32)>| {
             Heap::from_raw_parts(
@@ -1098,7 +870,7 @@ mod tests {
     #[test]
     fn bytes_out_of_range_is_error() {
         let (heap, _, _, _) = small_heap();
-        assert!(heap.bytes(4090, 100).is_err());
-        assert!(heap.bytes(0, 8).is_ok());
+        assert!(heap.read_bytes(4090, 100).is_err());
+        assert!(heap.read_bytes(0, 8).is_ok());
     }
 }

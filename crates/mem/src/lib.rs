@@ -16,6 +16,8 @@
 //! simulated DMA, so stale reads, write-back granularity and transfer
 //! sizes are all real data movement rather than abstractions.
 
+#![forbid(unsafe_code)]
+
 pub mod gc;
 pub mod heap;
 pub mod layout;

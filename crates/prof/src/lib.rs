@@ -41,6 +41,8 @@
 //!
 //! [`CycleBreakdown`]: https://docs.rs/hera-cell
 
+#![forbid(unsafe_code)]
+
 use hera_trace::{CostClass, CostVec};
 use std::collections::BTreeMap;
 

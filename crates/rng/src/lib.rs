@@ -15,6 +15,8 @@
 //! * [`SplitMix64`] — a tiny sequential stream for generators that consume
 //!   draws in one deterministic order (e.g. the cluster trace generator).
 
+#![forbid(unsafe_code)]
+
 /// The classic splitmix64 mixer: a bijective avalanche over `u64`.
 ///
 /// Good enough statistical quality for fault sampling and synthetic

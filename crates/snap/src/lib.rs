@@ -25,6 +25,8 @@
 //! and all semantic validation — lives in `hera-core::snapshot`, which
 //! bumps [`FORMAT_VERSION`] whenever the payload layout changes.
 
+#![forbid(unsafe_code)]
+
 /// Magic bytes at the start of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"HSNAP\0\0\0";
 /// Current on-disk format version. Bump whenever the payload layout changes.

@@ -23,6 +23,8 @@
 //! which is what makes the JMM conformance tests in `hera-core`
 //! meaningful.
 
+#![forbid(unsafe_code)]
+
 pub mod code_cache;
 pub mod data_cache;
 pub mod fault;

@@ -21,6 +21,8 @@
 //! charged for observation, so enabling tracing cannot perturb simulated
 //! time.
 
+#![forbid(unsafe_code)]
+
 pub mod chrome;
 pub mod cost;
 pub mod event;

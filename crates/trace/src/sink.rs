@@ -82,37 +82,6 @@ impl TraceSink {
         &self.lanes
     }
 
-    /// A fresh, empty sink with the same enabledness and lane names (the
-    /// parallel engine forks one per speculative quantum).
-    pub fn fork_empty(&self) -> TraceSink {
-        TraceSink {
-            enabled: self.enabled,
-            lanes: self
-                .lanes
-                .iter()
-                .map(|l| Lane {
-                    name: l.name.clone(),
-                    events: Vec::new(),
-                })
-                .collect(),
-            metrics: MetricsRegistry::default(),
-        }
-    }
-
-    /// Append another sink's events lane-by-lane and fold in its metrics
-    /// (committing a speculative quantum). Each lane's events must start
-    /// at or after this sink's last timestamp on that lane — true by
-    /// construction when commits happen in virtual-time order.
-    pub fn absorb(&mut self, other: TraceSink) {
-        if !self.enabled {
-            return;
-        }
-        for (l, o) in self.lanes.iter_mut().zip(other.lanes) {
-            l.events.extend(o.events);
-        }
-        self.metrics.merge(&other.metrics);
-    }
-
     /// Total events across all lanes.
     pub fn event_count(&self) -> usize {
         self.lanes.iter().map(|l| l.events.len()).sum()

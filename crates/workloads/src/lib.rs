@@ -24,6 +24,8 @@
 //! checksum that a host-side reference implementation reproduces
 //! *bit-exactly* — the correctness anchor for the whole stack.
 
+#![forbid(unsafe_code)]
+
 pub mod compress;
 pub mod kernels;
 pub mod mandelbrot;

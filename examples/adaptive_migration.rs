@@ -7,6 +7,8 @@
 //! cargo run --release -p hera-examples --example adaptive_migration
 //! ```
 
+#![forbid(unsafe_code)]
+
 use hera_core::{HeraJvm, PlacementPolicy, VmConfig};
 use hera_frontend::*;
 use hera_isa::{Annotation, ElemTy, ProgramBuilder, Ty, Value};

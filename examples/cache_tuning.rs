@@ -6,6 +6,8 @@
 //! cargo run --release -p hera-examples --example cache_tuning
 //! ```
 
+#![forbid(unsafe_code)]
+
 use hera_core::{HeraJvm, PlacementPolicy, VmConfig};
 use hera_workloads::Workload;
 

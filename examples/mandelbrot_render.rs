@@ -6,6 +6,8 @@
 //! cargo run --release -p hera-examples --example mandelbrot_render
 //! ```
 
+#![forbid(unsafe_code)]
+
 use hera_core::{HeraJvm, VmConfig};
 use hera_workloads::mandelbrot::{build_program, reference_checksum, Params};
 

@@ -5,6 +5,8 @@
 //! cargo run --release -p hera-examples --example quickstart
 //! ```
 
+#![forbid(unsafe_code)]
+
 use hera_core::{HeraJvm, VmConfig};
 use hera_frontend::*;
 use hera_isa::{ProgramBuilder, Ty};

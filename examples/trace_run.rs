@@ -9,6 +9,8 @@
 //! Tracing only observes — it never charges virtual cycles — so the run
 //! below finishes at exactly the same cycle count it would untraced.
 
+#![forbid(unsafe_code)]
+
 use hera_core::{HeraJvm, VmConfig};
 use hera_workloads::Workload;
 
