@@ -758,7 +758,29 @@ fn oversized_method_bypasses_code_cache_live_and_across_restore() {
 /// bypass on every block.
 #[test]
 fn oversized_array_bypasses_data_cache_live_and_across_restore() {
-    let body = vec![
+    let vm = HeraJvm::new(
+        main_program(Some(Ty::Int), bypass_array_body()),
+        bypass_array_config().with_checkpoint_every(200_000),
+    )
+    .expect("constructs");
+    let full = vm.run().expect("runs");
+    assert!(full.is_clean(), "traps: {:?}", full.traps);
+    assert_eq!(full.result, Some(Value::I32(4096 * 4095 / 2)));
+    assert!(
+        full.stats.data_cache.bypasses > 0,
+        "expected the oversized array to bypass the data cache: {:?}",
+        full.stats.data_cache
+    );
+    assert!(!full.checkpoints.is_empty(), "run took no checkpoints");
+    for blob in &full.checkpoints {
+        let restored = vm.restore_bytes(&blob.bytes).expect("restore succeeds");
+        assert_same_outcome(&full, &restored, "oversized-array restore");
+    }
+}
+
+/// Fill a 4096-int array, then sum it.
+fn bypass_array_body() -> Vec<Stmt> {
+    vec![
         Stmt::Let("a".into(), new_array(ElemTy::Int, i32c(4096))),
         Stmt::Let("s".into(), i32c(0)),
         for_range(
@@ -777,28 +799,50 @@ fn oversized_array_bypasses_data_cache_live_and_across_restore() {
             )],
         ),
         Stmt::Return(Some(local("s"))),
-    ];
+    ]
+}
+
+fn bypass_array_config() -> VmConfig {
     let mut cfg = VmConfig::pinned_spe(1).with_cache_sizes(4 << 10, 8 << 10);
     cfg.heap.size_bytes = 128 << 10;
     cfg.array_block_bytes = 8 << 10; // unit > cache capacity → bypass
+    cfg
+}
+
+/// The bypass cell's virtual time, pinned across commits: wall cycles,
+/// the SPE breakdown, the data cache's counters and the DMA count of a
+/// run in which every array access misses, bypasses and DMAs one element.
+#[test]
+fn bypass_cell_matches_pinned_values() {
     let vm = HeraJvm::new(
-        main_program(Some(Ty::Int), body),
-        cfg.with_checkpoint_every(200_000),
+        main_program(Some(Ty::Int), bypass_array_body()),
+        bypass_array_config(),
     )
     .expect("constructs");
-    let full = vm.run().expect("runs");
-    assert!(full.is_clean(), "traps: {:?}", full.traps);
-    assert_eq!(full.result, Some(Value::I32(4096 * 4095 / 2)));
-    assert!(
-        full.stats.data_cache.bypasses > 0,
-        "expected the oversized array to bypass the data cache: {:?}",
-        full.stats.data_cache
+    let out = vm.run().expect("runs");
+    assert!(out.is_clean(), "traps: {:?}", out.traps);
+    assert_eq!(out.result, Some(Value::I32(4096 * 4095 / 2)));
+    let dc = out.stats.data_cache;
+    assert_eq!(
+        (
+            out.stats.wall_cycles,
+            out.stats.spe.to_raw(),
+            [dc.hits, dc.misses, dc.purges, dc.writebacks, dc.bypasses],
+            [dc.bytes_fetched, dc.bytes_written_back],
+            out.stats.bus.transfers,
+        ),
+        (
+            3_190_209,
+            (
+                [0, 62564, 65550, 127051, 98354, 2836690],
+                [0, 28673, 16386, 45071, 16387, 16385],
+            ),
+            [3, 16381, 0, 1, 16380],
+            [8, 8],
+            16384,
+        ),
+        "bypass cell changed"
     );
-    assert!(!full.checkpoints.is_empty(), "run took no checkpoints");
-    for blob in &full.checkpoints {
-        let restored = vm.restore_bytes(&blob.bytes).expect("restore succeeds");
-        assert_same_outcome(&full, &restored, "oversized-array restore");
-    }
 }
 
 /// Objects are cached whole, so a single object larger than the data
