@@ -75,15 +75,17 @@ timed fleet-trace
 timed cluster-rebal
 # Release exactness smoke for the benchmark's own cells: the hot tier's
 # per-op charging oracle is a debug assertion, and `perf-gate` runs the
-# workloads at scale 1.0 while hostbench runs them at 0.25 — so run two
-# hostbench workloads the way the benchmark driver does. Each checks the
-# workload's summed virtual cycles against its pinned `virt.cycles` and
-# every cell's result, and exits non-zero on a mismatch or any failed
-# operation.
+# workloads at scale 1.0 while hostbench runs them at 0.25 — so run three
+# hostbench workloads the way the benchmark driver does (`kernels-spe`
+# is the one where every load is a data-cache hit charged into the run).
+# Each checks the workload's summed virtual cycles against its pinned
+# `virt.cycles` and every cell's result, and exits non-zero on a mismatch
+# or any failed operation.
 hostbench_smoke() {
     start=$(date +%s)
     cargo run --release -q -p hera-hostbench -- run --workload "$1" --seconds 2 --trace 0
     echo "== hostbench $1: $(($(date +%s) - start)) s =="
 }
 hostbench_smoke kernels-ppe
+hostbench_smoke kernels-spe
 hostbench_smoke sync-migrate

@@ -194,14 +194,19 @@ impl AddAssign for CycleBreakdown {
 /// [`CellMachine::run_settle`](crate::CellMachine::run_settle)).
 ///
 /// Between two settles nothing else may read or move the core's clock,
-/// its breakdown or its profiler lane. The straggler stretch stays exact
+/// its breakdown or its profiler lane; an event is stamped with the clock
+/// plus the run's total
+/// ([`CellMachine::run_emit`](crate::CellMachine::run_emit)), which is
+/// the clock per-op charging would show. The straggler stretch stays exact
 /// through `mult` and `horizon`: every charge is multiplied by `mult`,
 /// and the run asks to be settled ([`ChargeRun::due`]) once it holds
 /// `horizon` cycles — the point at which the next charge's clock would
 /// have reached the slowdown's onset and `mult` has to change.
 #[derive(Clone, Debug)]
 pub struct ChargeRun {
-    /// Index of the core being charged (0 = PPE, 1+n = SPE n).
+    /// The core being charged.
+    pub(crate) core: crate::CoreId,
+    /// Its index (0 = PPE, 1+n = SPE n).
     pub(crate) lane: usize,
     /// Stretched cycles accumulated since the last settle.
     pub(crate) total: u64,
@@ -232,6 +237,12 @@ pub(crate) struct ChargeShadow {
 }
 
 impl ChargeRun {
+    /// The core this run charges.
+    #[inline]
+    pub fn core(&self) -> crate::CoreId {
+        self.core
+    }
+
     /// Charge `cycles` (and one retired operation) to `class`; returns
     /// the cycles actually charged, i.e. after the straggler stretch.
     #[inline(always)]

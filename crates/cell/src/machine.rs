@@ -557,6 +557,7 @@ impl CellMachine {
         let lane = self.idx(core);
         let (mult, horizon) = self.run_stretch(lane);
         ChargeRun {
+            core,
             lane,
             total: 0,
             charges: 0,
@@ -596,6 +597,37 @@ impl CellMachine {
         #[cfg(debug_assertions)]
         {
             run.shadow = self.run_shadow(i);
+        }
+    }
+
+    /// Charge one op to `run` and settle it if that reached the run's
+    /// horizon (a straggler's onset): the one way to charge a run, so the
+    /// stretch factor changes at exactly the charge per-op charging would
+    /// change it at. Returns the stretched cycles.
+    #[inline(always)]
+    pub fn run_charge(
+        &mut self,
+        run: &mut ChargeRun,
+        class: OpClass,
+        cycles: impl Into<u64>,
+    ) -> u64 {
+        let charged = run.charge(class, cycles);
+        if run.due() {
+            self.run_settle(run);
+        }
+        charged
+    }
+
+    /// [`CellMachine::emit`] from inside a run: the event is stamped with
+    /// the clock per-op charging would have reached — the core's clock
+    /// plus what the run still holds — so tracing needs no settle.
+    #[inline]
+    pub fn run_emit(&mut self, run: &ChargeRun, event: TraceEvent) {
+        if self.trace.is_enabled() {
+            let at = self.clocks[run.lane] + run.total;
+            #[cfg(debug_assertions)]
+            debug_assert_eq!(at, run.shadow.clock, "run stamp != per-op clock");
+            self.trace.emit(run.lane, at, event);
         }
     }
 

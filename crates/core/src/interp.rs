@@ -355,9 +355,10 @@ fn exec_block(
     exit
 }
 
-/// [`exec_block`]'s loop. Every hot-tier charge is an add on `run`;
-/// anything that reads or moves the clock by another route — the SPE
-/// data cache (hit stamps, DMAs, purges), the volatile sync stall — goes
+/// [`exec_block`]'s loop. Every hot-tier charge is an add on `run`, an
+/// SPE data-cache hit included (the cache charges the run and settles it
+/// itself around a fill); what moves the clock by another route — a
+/// volatile access's cache purge or flush, the volatile sync stall — goes
 /// through `settled!`, which settles the run first and re-arms it after.
 ///
 /// The frame cursor (`pc`, `sp`) is mutated in place, so the thread is
@@ -394,16 +395,11 @@ fn exec_block_run(
     let spe = spe_of(core);
     let costs: OpCosts = *machine.cost_model().costs(core.kind());
 
-    // Charge one op to the run; the value is the stretched cycles. A run
-    // that has reached its horizon is settled before the next charge.
+    // Charge one op to the run; the value is the stretched cycles.
     macro_rules! charge {
-        ($class:expr, $cycles:expr) => {{
-            let charged = run.charge($class, $cycles);
-            if run.due() {
-                machine.run_settle(run);
-            }
-            charged
-        }};
+        ($class:expr, $cycles:expr) => {
+            machine.run_charge(run, $class, $cycles)
+        };
     }
     // A PPE load/store: through the cache model, charged to the run.
     macro_rules! ppe_access {
@@ -664,6 +660,9 @@ fn exec_block_run(
             }
 
             // ---- SPE software-cached heap access ----
+            //
+            // Each arm calls an out-of-line function: the lookup inlined
+            // here grows this loop enough to slow the PPE's ops too.
             GetFieldCached {
                 offset,
                 ty,
@@ -672,14 +671,12 @@ fn exec_block_run(
                 charge!(OpClass::Integer, costs.check);
                 let r = pop_ref!();
                 let cache = &mut data_caches[spe.expect("cached op on SPE")];
-                let v = settled!({
-                    if volatile {
-                        // JMM acquire: purge before the read.
-                        cache_purge(cache, heap, machine, core)?;
-                    }
-                    let size = heap.header(r).size;
-                    cache_read(cache, heap, machine, window, core, r.0, size, offset, ty)?
-                });
+                if volatile {
+                    // JMM acquire: purge before the read.
+                    settled!(cache_purge(cache, heap, machine, core)?);
+                }
+                let size = |h: &Heap| h.header(r).size;
+                let v = cache_read(cache, heap, machine, run, window, r.0, size, offset, ty)?;
                 push!(v);
             }
             PutFieldCached {
@@ -691,14 +688,12 @@ fn exec_block_run(
                 let v = pop!();
                 let r = pop_ref!();
                 let cache = &mut data_caches[spe.expect("cached op on SPE")];
-                let size = heap.header(r).size;
-                settled!({
-                    cache_write(cache, heap, machine, window, core, r.0, size, offset, ty, v)?;
-                    if volatile {
-                        // JMM release: publish before anyone can acquire.
-                        cache_flush(cache, heap, machine, core)?;
-                    }
-                });
+                let size = |h: &Heap| h.header(r).size;
+                cache_write(cache, heap, machine, run, window, r.0, size, offset, ty, v)?;
+                if volatile {
+                    // JMM release: publish before anyone can acquire.
+                    settled!(cache_flush(cache, heap, machine, core)?);
+                }
             }
             GetStaticCached {
                 offset,
@@ -708,12 +703,10 @@ fn exec_block_run(
                 let cache = &mut data_caches[spe.expect("cached op on SPE")];
                 let unit = Heap::STATICS_BASE;
                 let len = layout.statics.size;
-                let v = settled!({
-                    if volatile {
-                        cache_purge(cache, heap, machine, core)?;
-                    }
-                    cache_read(cache, heap, machine, window, core, unit, len, offset, ty)?
-                });
+                if volatile {
+                    settled!(cache_purge(cache, heap, machine, core)?);
+                }
+                let v = cache_read(cache, heap, machine, run, window, unit, |_| len, offset, ty)?;
                 push!(v);
             }
             PutStaticCached {
@@ -725,18 +718,27 @@ fn exec_block_run(
                 let cache = &mut data_caches[spe.expect("cached op on SPE")];
                 let unit = Heap::STATICS_BASE;
                 let len = layout.statics.size;
-                settled!({
-                    cache_write(cache, heap, machine, window, core, unit, len, offset, ty, v)?;
-                    if volatile {
-                        cache_flush(cache, heap, machine, core)?;
-                    }
-                });
+                cache_write(
+                    cache,
+                    heap,
+                    machine,
+                    run,
+                    window,
+                    unit,
+                    |_| len,
+                    offset,
+                    ty,
+                    v,
+                )?;
+                if volatile {
+                    settled!(cache_flush(cache, heap, machine, core)?);
+                }
             }
             ArrLenCached => {
                 charge!(OpClass::Integer, costs.check);
                 let r = pop_ref!();
                 let cache = &mut data_caches[spe.expect("cached op on SPE")];
-                let len = settled!(spe_array_len(cache, heap, machine, window, core, r)?);
+                let len = spe_array_len(cache, heap, machine, run, window, r)?;
                 push!(Slot::from_i32(len as i32));
             }
             ArrLoadCached { elem } => {
@@ -744,9 +746,7 @@ fn exec_block_run(
                 let idx = pop!().i32();
                 let r = pop_ref!();
                 let cache = &mut data_caches[spe.expect("cached op on SPE")];
-                let v = settled!(spe_array_access(
-                    cache, heap, machine, window, core, r, idx, elem, None
-                )?);
+                let v = spe_array_access(cache, heap, machine, run, window, r, idx, elem, None)?;
                 push!(v.expect("load returns a value"));
             }
             ArrStoreCached { elem } => {
@@ -755,17 +755,7 @@ fn exec_block_run(
                 let idx = pop!().i32();
                 let r = pop_ref!();
                 let cache = &mut data_caches[spe.expect("cached op on SPE")];
-                settled!(spe_array_access(
-                    cache,
-                    heap,
-                    machine,
-                    window,
-                    core,
-                    r,
-                    idx,
-                    elem,
-                    Some(v)
-                )?);
+                spe_array_access(cache, heap, machine, run, window, r, idx, elem, Some(v))?;
             }
 
             // ---- frame-changing ops: the slow tier runs these ----
@@ -836,18 +826,20 @@ fn step_slow(w: &mut World<'_>, tid: ThreadId, op: MachineOp) -> Result<Flow, St
                 }
                 Some(spe) => {
                     // The header word comes through the data cache.
-                    let size = w.heap.header(recv).size;
-                    cache_read(
+                    let mut run = w.machine.run_open(core);
+                    let read = cache_read(
                         &mut w.data_caches[spe],
                         &mut w.heap,
                         &mut w.machine,
+                        &mut run,
                         &mut w.threads[t].window,
-                        core,
                         recv.0,
-                        size,
+                        |h: &Heap| h.header(recv).size,
                         0,
                         Ty::Int,
-                    )?;
+                    );
+                    w.machine.run_settle(&mut run);
+                    read?;
                 }
             }
             let target = w.program.class(class).vtable[slot as usize];
@@ -1000,127 +992,138 @@ fn world_cache_flush(w: &mut World<'_>, spe: usize, core: CoreId) -> Result<(), 
     cache_flush(&mut w.data_caches[spe], &mut w.heap, &mut w.machine, core)
 }
 
+// The lookups charge the caller's run; `unit_len` is asked for the
+// unit's length only when the unit has to be filled, so a hit reads no
+// main-heap bytes. Every lookup that missed counts once in the behaviour
+// window (the adaptive policy's "main memory" signal).
+
+#[inline(never)]
 #[allow(clippy::too_many_arguments)]
 fn cache_read(
     cache: &mut DataCache,
     heap: &mut Heap,
     machine: &mut CellMachine,
+    run: &mut ChargeRun,
     window: &mut BehaviourWindow,
-    core: CoreId,
     unit: u32,
-    unit_len: u32,
+    unit_len: impl FnOnce(&Heap) -> u32,
     off: u32,
     ty: Ty,
 ) -> Result<Slot, StepError> {
-    let before = cache.stats.misses + cache.stats.bypasses;
-    let res = cache.read_slot(heap, machine, core, unit, unit_len, off, ty);
-    if cache.stats.misses + cache.stats.bypasses > before {
-        window.mem_ops += 1;
-    }
+    let before = cache.stats.misses;
+    let res = cache.read_slot(heap, machine, run, unit, unit_len, off, ty);
+    window.mem_ops += cache.stats.misses - before;
     res.map_err(StepError::from)
 }
 
+#[inline(never)]
 #[allow(clippy::too_many_arguments)]
 fn cache_write(
     cache: &mut DataCache,
     heap: &mut Heap,
     machine: &mut CellMachine,
+    run: &mut ChargeRun,
     window: &mut BehaviourWindow,
-    core: CoreId,
     unit: u32,
-    unit_len: u32,
+    unit_len: impl FnOnce(&Heap) -> u32,
     off: u32,
     ty: Ty,
     v: Slot,
 ) -> Result<(), StepError> {
-    let before = cache.stats.misses + cache.stats.bypasses;
-    let res = cache.write_slot(heap, machine, core, unit, unit_len, off, ty, v);
-    if cache.stats.misses + cache.stats.bypasses > before {
-        window.mem_ops += 1;
-    }
+    let before = cache.stats.misses;
+    let res = cache.write_slot(heap, machine, run, unit, unit_len, off, ty, v);
+    window.mem_ops += cache.stats.misses - before;
     res.map_err(StepError::from)
 }
 
-/// Read an array's length through the SPE data cache (block 0 holds the
-/// header).
+/// An array's length word, through block 0 of the array (which holds
+/// the header).
+#[inline(always)]
+fn array_len_cached(
+    cache: &mut DataCache,
+    heap: &mut Heap,
+    machine: &mut CellMachine,
+    run: &mut ChargeRun,
+    r: ObjRef,
+) -> Result<u32, CacheFault> {
+    let bb = cache.array_block_bytes();
+    let block0 = |h: &Heap| h.header(r).size.min(bb);
+    let len = cache.read_slot(heap, machine, run, r.0, block0, 4, Ty::Int)?;
+    Ok(len.i32() as u32)
+}
+
+/// Read an array's length through the SPE data cache.
+#[inline(never)]
 fn spe_array_len(
     cache: &mut DataCache,
     heap: &mut Heap,
     machine: &mut CellMachine,
+    run: &mut ChargeRun,
     window: &mut BehaviourWindow,
-    core: CoreId,
     r: ObjRef,
 ) -> Result<u32, StepError> {
-    let total = heap.header(r).size;
-    let bb = cache.array_block_bytes();
-    let unit_len = total.min(bb);
-    let v = cache_read(
-        cache,
-        heap,
-        machine,
-        window,
-        core,
-        r.0,
-        unit_len,
-        4,
-        Ty::Int,
-    )?;
-    Ok(v.i32() as u32)
+    let before = cache.stats.misses;
+    let len = array_len_cached(cache, heap, machine, run, r);
+    window.mem_ops += cache.stats.misses - before;
+    len.map_err(StepError::from)
 }
 
 /// Bounds-checked SPE array element access through block-granular
 /// caching. `store` = `Some(v)` writes, `None` reads.
+#[inline(never)]
 #[allow(clippy::too_many_arguments)]
 fn spe_array_access(
     cache: &mut DataCache,
     heap: &mut Heap,
     machine: &mut CellMachine,
+    run: &mut ChargeRun,
     window: &mut BehaviourWindow,
-    core: CoreId,
     r: ObjRef,
     idx: i32,
     elem: hera_isa::ElemTy,
     store: Option<Slot>,
 ) -> Result<Option<Slot>, StepError> {
-    // Length check first, on the header block (block 0 of the object):
-    // an element in block 0 then shares the cached unit just read, any
-    // other block is looked up next. The index is guest data — nothing
-    // is computed from it until it is known to be in bounds.
-    let len = spe_array_len(cache, heap, machine, window, core, r)?;
-    machine.exec(core, ExecOp::Check);
-    if idx < 0 || idx as u32 >= len {
-        return Err(Trap::ArrayIndexOutOfBounds { index: idx, len }.into());
-    }
-
-    // In bounds, so the element lies inside the object and every offset
-    // below is smaller than the object's size.
-    let total = heap.header(r).size;
-    let bb = cache.array_block_bytes();
-    let rel = hera_mem::layout::HEADER_BYTES + idx as u32 * elem.size();
-    let block_start = rel / bb * bb;
-    let unit = r.0 + block_start;
-    let unit_len = (total - block_start).min(bb);
-    let off = rel - block_start;
-    let ty = match elem {
-        hera_isa::ElemTy::Byte => Ty::Byte,
-        hera_isa::ElemTy::Short => Ty::Short,
-        hera_isa::ElemTy::Int => Ty::Int,
-        hera_isa::ElemTy::Long => Ty::Long,
-        hera_isa::ElemTy::Float => Ty::Float,
-        hera_isa::ElemTy::Double => Ty::Double,
-        hera_isa::ElemTy::Ref => Ty::Ref(hera_isa::ClassId(0)),
-    };
-    match store {
-        None => Ok(Some(cache_read(
-            cache, heap, machine, window, core, unit, unit_len, off, ty,
-        )?)),
-        Some(v) => {
-            cache_write(
-                cache, heap, machine, window, core, unit, unit_len, off, ty, v,
-            )?;
-            Ok(None)
+    let before = cache.stats.misses;
+    let res = (|| {
+        // Length check first, on the header block (block 0 of the
+        // object): an element in block 0 then shares the cached unit just
+        // read, any other block is looked up next. The index is guest
+        // data — nothing is computed from it until it is known to be in
+        // bounds.
+        let len = array_len_cached(cache, heap, machine, run, r)?;
+        let check = machine.cost_model().costs(run.core().kind()).check;
+        machine.run_charge(run, OpClass::Integer, check);
+        if idx < 0 || idx as u32 >= len {
+            return Err(Trap::ArrayIndexOutOfBounds { index: idx, len }.into());
         }
-    }
+
+        // In bounds, so the element lies inside the object and every
+        // offset below is smaller than the object's size.
+        let bb = cache.array_block_bytes();
+        let rel = hera_mem::layout::HEADER_BYTES + idx as u32 * elem.size();
+        let block_start = rel / bb * bb;
+        let unit = r.0 + block_start;
+        let unit_len = |h: &Heap| (h.header(r).size - block_start).min(bb);
+        let off = rel - block_start;
+        let ty = match elem {
+            hera_isa::ElemTy::Byte => Ty::Byte,
+            hera_isa::ElemTy::Short => Ty::Short,
+            hera_isa::ElemTy::Int => Ty::Int,
+            hera_isa::ElemTy::Long => Ty::Long,
+            hera_isa::ElemTy::Float => Ty::Float,
+            hera_isa::ElemTy::Double => Ty::Double,
+            hera_isa::ElemTy::Ref => Ty::Ref(hera_isa::ClassId(0)),
+        };
+        Ok(match store {
+            None => Some(cache.read_slot(heap, machine, run, unit, unit_len, off, ty)?),
+            Some(v) => {
+                cache.write_slot(heap, machine, run, unit, unit_len, off, ty, v)?;
+                None
+            }
+        })
+    })();
+    window.mem_ops += cache.stats.misses - before;
+    res
 }
 
 // ---- code-cache plumbing ----

@@ -414,7 +414,7 @@ fn encode_clocks(w: &mut SnapWriter, world: &World<'_>) {
 /// Returns the offset in `w` of the [`encode_clocks`] block.
 fn encode_core(w: &mut SnapWriter, world: &World<'_>) -> usize {
     w.u64(config_digest(&world.config));
-    w.u64(program_digest(world.program));
+    w.u64(world.program_digest());
     encode_fault_plan(w, &crashless(&world.config.cell.faults));
     w.u32(world.checkpoint_seq);
     let clocks_at = w.len();
@@ -801,7 +801,7 @@ pub fn restore_into(
     // configurations agree on everything *except* `num_spes`. Hold the
     // claimed digest and settle it right after the core count below.
     let claimed_config = r.u64()?;
-    if r.u64()? != program_digest(world.program) {
+    if r.u64()? != world.program_digest() {
         return Err(SnapError::Corrupt(
             "snapshot was taken of a different guest program".into(),
         ));

@@ -109,6 +109,9 @@ pub struct World<'p> {
     /// cycles per core; the hooks below drain them to the active shadow
     /// frame at every frame/quantum boundary.
     pub profiler: Option<hera_prof::Profiler>,
+    /// [`crate::snapshot::program_digest`] of `program`, rendered the
+    /// first time a checkpoint or a restore asks for it.
+    program_digest: std::cell::OnceCell<u64>,
 }
 
 impl<'p> World<'p> {
@@ -146,8 +149,17 @@ impl<'p> World<'p> {
             checkpoints: Vec::new(),
             checkpoint_dir: None,
             profiler: config.cell.profiling.then(hera_prof::Profiler::new),
+            program_digest: std::cell::OnceCell::new(),
             config,
         }
+    }
+
+    /// Digest of the guest program this world runs (every checkpoint
+    /// carries it, every restore checks it).
+    pub(crate) fn program_digest(&self) -> u64 {
+        *self
+            .program_digest
+            .get_or_init(|| crate::snapshot::program_digest(self.program))
     }
 
     // ---- profiler hooks ----

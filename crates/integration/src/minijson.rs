@@ -237,12 +237,23 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
+                Some(lead) => {
                     // Multi-byte UTF-8 passes through unescaped; consume
-                    // whole characters, not bytes.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|e| format!("invalid UTF-8 in string: {e}"))?;
-                    let c = rest.chars().next().unwrap();
+                    // whole characters, not bytes. The document came in
+                    // as a `&str`, so the lead byte gives the length and
+                    // only those bytes are decoded.
+                    let len = match lead {
+                        0x00..=0x7f => 1,
+                        0x80..=0xdf => 2,
+                        0xe0..=0xef => 3,
+                        0xf0..=0xff => 4,
+                    };
+                    let c = self
+                        .bytes
+                        .get(self.pos..self.pos + len)
+                        .and_then(|b| std::str::from_utf8(b).ok())
+                        .and_then(|s| s.chars().next())
+                        .ok_or_else(|| format!("invalid UTF-8 at byte {}", self.pos))?;
                     if (c as u32) < 0x20 {
                         return Err(format!("unescaped control char {c:?}"));
                     }
@@ -290,6 +301,36 @@ mod tests {
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_u64(), Some(42));
         assert_eq!(v.get("missing"), None);
         assert_eq!(v.strings(), vec!["two"]);
+    }
+
+    #[test]
+    fn multi_byte_characters_pass_through_whole() {
+        // 2, 3 and 4 bytes, next to ASCII and next to each other.
+        let v = parse("[\"caf\u{e9}s\", \"\u{20ac}5\", \"a\u{1f980}\u{e9}\u{20ac}z\"]").unwrap();
+        assert_eq!(
+            v.strings(),
+            ["caf\u{e9}s", "\u{20ac}5", "a\u{1f980}\u{e9}\u{20ac}z"]
+        );
+        // A multi-byte character as the last string byte of the document:
+        // nothing past the closing quote is there to be read.
+        for c in ['\u{e9}', '\u{20ac}', '\u{1f980}'] {
+            let doc = format!("\"x{c}\"");
+            assert_eq!(parse(&doc).unwrap().as_str(), Some(&doc[1..doc.len() - 1]));
+            // ... and cut off before its closing quote.
+            assert_eq!(
+                parse(&doc[..doc.len() - 1]),
+                Err("unterminated string".into())
+            );
+        }
+    }
+
+    #[test]
+    fn unescaped_control_characters_are_rejected() {
+        assert!(parse("\"a\u{1}b\"").unwrap_err().contains("control char"));
+        assert!(parse("\"line\nbreak\"")
+            .unwrap_err()
+            .contains("control char"));
+        assert_eq!(parse(r#""tab\tbed""#).unwrap().as_str(), Some("tab\tbed"));
     }
 
     #[test]

@@ -25,9 +25,16 @@
 //! table-slot order — the order a table walk finds them — because that
 //! order is the order of the DMAs, and with it of the EIB window ledger,
 //! the trace and the per-(core, site) fault-injector draws.
+//!
+//! A lookup is keyed by the unit's address alone and its hit is the
+//! commonest thing an SPE does, so a hit is a probe and a charge on the
+//! caller's [`ChargeRun`]. How long the unit is matters only to a fill:
+//! the caller passes it as a closure over the heap, asked on a miss —
+//! after the run is settled, because the fill's DMA moves the core's
+//! clock itself — and never on a hit, which reads no main-heap byte.
 
 use crate::CacheFault;
-use hera_cell::{CellMachine, CoreId, OpClass};
+use hera_cell::{CellMachine, ChargeRun, CoreId, OpClass};
 use hera_isa::{Slot, Ty, Value};
 use hera_mem::heap::codec;
 use hera_mem::Heap;
@@ -180,9 +187,7 @@ impl DataCache {
     /// Whether the cached unit at `main_addr` has unwritten local
     /// modifications (test hook).
     pub fn is_dirty(&self, main_addr: u32) -> bool {
-        self.probe(main_addr)
-            .map(|slot| self.table[slot].as_ref().is_some_and(Entry::is_dirty))
-            .unwrap_or(false)
+        self.probe(main_addr).is_some_and(|(_, e)| e.is_dirty())
     }
 
     fn hash(&self, addr: u32) -> usize {
@@ -190,11 +195,13 @@ impl DataCache {
         ((addr >> 3).wrapping_mul(0x9E37_79B9) as usize) & (self.table.len() - 1)
     }
 
-    fn probe(&self, addr: u32) -> Option<usize> {
+    /// The table slot and entry of the unit cached at `addr`.
+    #[inline]
+    fn probe(&self, addr: u32) -> Option<(usize, &Entry)> {
         let mut i = self.hash(addr);
         for _ in 0..self.table.len() {
             match &self.table[i] {
-                Some(e) if e.main_addr == addr => return Some(i),
+                Some(e) if e.main_addr == addr => return Some((i, e)),
                 Some(_) => i = (i + 1) & (self.table.len() - 1),
                 None => return None,
             }
@@ -213,32 +220,53 @@ impl DataCache {
         None
     }
 
-    /// Ensure `[main_addr, main_addr+len)` is cached; return its table
-    /// slot and local offset, or `None` when the unit cannot fit (bypass
-    /// mode).
+    /// The one lookup: ensure the unit at `main_addr` is cached; return
+    /// its table slot and local offset, or `None` when the unit cannot fit
+    /// (bypass mode, the touched `access_bytes` already DMAed).
     ///
-    /// Charges the probe (hit) cycles, and on a miss the DMA stall and
-    /// insertion overhead, to `core`.
+    /// The probe's cycles are a charge on the caller's `run`, and a hit
+    /// ends there: its event is stamped through the run and nothing is
+    /// settled. Only a miss settles the run, asks `unit_len` how long the
+    /// unit is, fills on the core's clock and settles again to re-arm.
+    #[inline(always)]
     fn ensure(
+        &mut self,
+        heap: &mut Heap,
+        machine: &mut CellMachine,
+        run: &mut ChargeRun,
+        main_addr: u32,
+        access_bytes: u32,
+        unit_len: impl FnOnce(&Heap) -> u32,
+    ) -> Result<Option<(usize, u32)>, CacheFault> {
+        let hit_cycles = machine.cost_model().cache_hit_cycles;
+        machine.run_charge(run, OpClass::LocalMemory, hit_cycles);
+        if let Some((slot, e)) = self.probe(main_addr) {
+            let local_off = e.local_off;
+            self.stats.hits += 1;
+            machine.run_emit(run, TraceEvent::DataCacheHit { addr: main_addr });
+            return Ok(Some((slot, local_off)));
+        }
+        machine.run_settle(run);
+        let len = unit_len(heap);
+        let filled = self.fill(heap, machine, run.core(), main_addr, len, access_bytes);
+        machine.run_settle(run);
+        filled
+    }
+
+    /// The miss path of [`DataCache::ensure`], on `core`'s settled clock:
+    /// DMA the unit in (purging first when the region or the table is
+    /// full) and charge the insertion, or — a unit larger than the whole
+    /// region — DMA just the touched bytes and report the bypass.
+    #[inline(never)]
+    fn fill(
         &mut self,
         heap: &mut Heap,
         machine: &mut CellMachine,
         core: CoreId,
         main_addr: u32,
         len: u32,
+        access_bytes: u32,
     ) -> Result<Option<(usize, u32)>, CacheFault> {
-        let hit_cycles = machine.cost_model().cache_hit_cycles as u64;
-        machine.advance(core, hit_cycles, OpClass::LocalMemory);
-
-        if let Some(slot) = self.probe(main_addr) {
-            self.stats.hits += 1;
-            machine.emit(core, TraceEvent::DataCacheHit { addr: main_addr });
-            let Some(e) = self.table[slot].as_ref() else {
-                debug_assert!(false, "probed slot {slot} has no entry");
-                return Err(CacheFault::Internal("probed slot has no entry"));
-            };
-            return Ok(Some((slot, e.local_off)));
-        }
         self.stats.misses += 1;
         machine.emit(
             core,
@@ -258,6 +286,7 @@ impl DataCache {
                     bytes: len,
                 },
             );
+            machine.dma_tagged(core, access_bytes, DmaTag::Bypass)?;
             return Ok(None);
         }
 
@@ -291,49 +320,47 @@ impl DataCache {
         Ok(Some((slot, off)))
     }
 
-    /// Read an untagged slot from offset `off` inside the unit
-    /// `[unit_addr, unit_addr+unit_len)`. This is the interpreter's hot
-    /// path; `ty` selects the transfer width only.
+    /// Read an untagged slot at offset `off` inside the unit at
+    /// `unit_addr`, charging `run`. This is the interpreter's hot path;
+    /// `ty` selects the transfer width only, and `unit_len` is asked for
+    /// the unit's length only if it has to be filled.
+    #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     pub fn read_slot(
         &mut self,
         heap: &mut Heap,
         machine: &mut CellMachine,
-        core: CoreId,
+        run: &mut ChargeRun,
         unit_addr: u32,
-        unit_len: u32,
+        unit_len: impl FnOnce(&Heap) -> u32,
         off: u32,
         ty: Ty,
     ) -> Result<Slot, CacheFault> {
-        match self.ensure(heap, machine, core, unit_addr, unit_len)? {
-            Some((_, local_off)) => Ok(codec::read_slot(
-                &self.local,
-                (local_off + off) as usize,
-                ty,
-            )),
-            None => {
-                // Bypass: DMA just the touched line, read through.
-                machine.dma_tagged(core, ty.field_size(), DmaTag::Bypass)?;
-                Ok(heap.read_typed_slot(unit_addr + off, ty))
-            }
-        }
+        let unit = self.ensure(heap, machine, run, unit_addr, ty.field_size(), unit_len)?;
+        Ok(match unit {
+            Some((_, local_off)) => codec::read_slot(&self.local, (local_off + off) as usize, ty),
+            // Bypass: read through.
+            None => heap.read_typed_slot(unit_addr + off, ty),
+        })
     }
 
     /// Write an untagged slot at offset `off` inside the unit, marking
-    /// the dirty span.
+    /// the dirty span; `run` and `unit_len` as in [`DataCache::read_slot`].
+    #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     pub fn write_slot(
         &mut self,
         heap: &mut Heap,
         machine: &mut CellMachine,
-        core: CoreId,
+        run: &mut ChargeRun,
         unit_addr: u32,
-        unit_len: u32,
+        unit_len: impl FnOnce(&Heap) -> u32,
         off: u32,
         ty: Ty,
         s: Slot,
     ) -> Result<(), CacheFault> {
-        match self.ensure(heap, machine, core, unit_addr, unit_len)? {
+        let unit = self.ensure(heap, machine, run, unit_addr, ty.field_size(), unit_len)?;
+        match unit {
             Some((slot, local_off)) => {
                 codec::write_slot(&mut self.local, (local_off + off) as usize, ty, s);
                 let Some(e) = self.table[slot].as_mut() else {
@@ -345,17 +372,15 @@ impl DataCache {
                 }
                 e.dirty_lo = e.dirty_lo.min(off);
                 e.dirty_hi = e.dirty_hi.max(off + ty.field_size());
-                Ok(())
             }
-            None => {
-                machine.dma_tagged(core, ty.field_size(), DmaTag::Bypass)?;
-                heap.write_typed_slot(unit_addr + off, ty, s);
-                Ok(())
-            }
+            // Bypass: write through.
+            None => heap.write_typed_slot(unit_addr + off, ty, s),
         }
+        Ok(())
     }
 
-    /// Read a tagged value (API-boundary convenience over [`read_slot`]).
+    /// Read a tagged value from a unit of `unit_len` bytes, in a run of
+    /// its own (API-boundary convenience over [`read_slot`]).
     ///
     /// [`read_slot`]: DataCache::read_slot
     #[allow(clippy::too_many_arguments)]
@@ -369,12 +394,14 @@ impl DataCache {
         off: u32,
         ty: Ty,
     ) -> Result<Value, CacheFault> {
-        self.read_slot(heap, machine, core, unit_addr, unit_len, off, ty)
-            .map(|s| s.to_value(ty.kind()))
+        let mut run = machine.run_open(core);
+        let res = self.read_slot(heap, machine, &mut run, unit_addr, |_| unit_len, off, ty);
+        machine.run_settle(&mut run);
+        res.map(|s| s.to_value(ty.kind()))
     }
 
-    /// Write a tagged value (API-boundary convenience over
-    /// [`write_slot`]).
+    /// Write a tagged value into a unit of `unit_len` bytes, in a run of
+    /// its own (API-boundary convenience over [`write_slot`]).
     ///
     /// [`write_slot`]: DataCache::write_slot
     #[allow(clippy::too_many_arguments)]
@@ -389,16 +416,11 @@ impl DataCache {
         ty: Ty,
         v: Value,
     ) -> Result<(), CacheFault> {
-        self.write_slot(
-            heap,
-            machine,
-            core,
-            unit_addr,
-            unit_len,
-            off,
-            ty,
-            Slot::from_value(v),
-        )
+        let mut run = machine.run_open(core);
+        let s = Slot::from_value(v);
+        let res = self.write_slot(heap, machine, &mut run, unit_addr, |_| unit_len, off, ty, s);
+        machine.run_settle(&mut run);
+        res
     }
 
     /// Write all dirty spans back to main memory (release barrier /
@@ -1151,6 +1173,317 @@ mod tests {
             }
         }
         assert!(faulted_write_backs > 10, "{faulted_write_backs} faulted");
+    }
+
+    // ---- differential test against the clock-charging lookup ----
+
+    /// The lookup as it was before it charged a run, kept as the
+    /// reference: the probe's cycles go straight to the core's clock,
+    /// every event is stamped by `machine.emit` with that clock, the unit
+    /// length is an argument and the bypass DMA is the caller's.
+    impl DataCache {
+        fn ensure_reference(
+            &mut self,
+            heap: &mut Heap,
+            machine: &mut CellMachine,
+            core: CoreId,
+            main_addr: u32,
+            len: u32,
+        ) -> Result<Option<(usize, u32)>, CacheFault> {
+            let hit_cycles = machine.cost_model().cache_hit_cycles as u64;
+            machine.advance(core, hit_cycles, OpClass::LocalMemory);
+
+            if let Some((slot, e)) = self.probe(main_addr) {
+                let local_off = e.local_off;
+                self.stats.hits += 1;
+                machine.emit(core, TraceEvent::DataCacheHit { addr: main_addr });
+                return Ok(Some((slot, local_off)));
+            }
+            self.stats.misses += 1;
+            machine.emit(
+                core,
+                TraceEvent::DataCacheMiss {
+                    addr: main_addr,
+                    bytes: len,
+                },
+            );
+
+            let alen = align8(len);
+            if alen > self.capacity {
+                self.stats.bypasses += 1;
+                machine.emit(
+                    core,
+                    TraceEvent::DataCacheBypass {
+                        addr: main_addr,
+                        bytes: len,
+                    },
+                );
+                return Ok(None);
+            }
+
+            if self.bump + alen > self.capacity || self.occupied.len() >= self.max_entries {
+                self.purge(heap, machine, core)?;
+            }
+
+            machine.dma_tagged(core, len, DmaTag::DataCacheFill)?;
+            let dst = self.bump as usize;
+            heap.copy_to(main_addr, &mut self.local[dst..dst + len as usize])?;
+            self.stats.bytes_fetched += len as u64;
+
+            let slot = self.free_slot(main_addr).expect("purge guarantees a slot");
+            self.table[slot] = Some(Entry {
+                main_addr,
+                local_off: self.bump,
+                len,
+                dirty_lo: u32::MAX,
+                dirty_hi: 0,
+            });
+            self.occupied.push(slot);
+            let off = self.bump;
+            self.bump += alen;
+            machine.advance(core, INSERT_CYCLES, OpClass::LocalMemory);
+            Ok(Some((slot, off)))
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn read_reference(
+            &mut self,
+            heap: &mut Heap,
+            machine: &mut CellMachine,
+            core: CoreId,
+            unit_addr: u32,
+            unit_len: u32,
+            off: u32,
+            ty: Ty,
+        ) -> Result<Slot, CacheFault> {
+            match self.ensure_reference(heap, machine, core, unit_addr, unit_len)? {
+                Some((_, local_off)) => Ok(codec::read_slot(
+                    &self.local,
+                    (local_off + off) as usize,
+                    ty,
+                )),
+                None => {
+                    machine.dma_tagged(core, ty.field_size(), DmaTag::Bypass)?;
+                    Ok(heap.read_typed_slot(unit_addr + off, ty))
+                }
+            }
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn write_reference(
+            &mut self,
+            heap: &mut Heap,
+            machine: &mut CellMachine,
+            core: CoreId,
+            unit_addr: u32,
+            unit_len: u32,
+            off: u32,
+            ty: Ty,
+            s: Slot,
+        ) -> Result<(), CacheFault> {
+            match self.ensure_reference(heap, machine, core, unit_addr, unit_len)? {
+                Some((slot, local_off)) => {
+                    codec::write_slot(&mut self.local, (local_off + off) as usize, ty, s);
+                    let e = self.table[slot].as_mut().expect("unit just ensured");
+                    if !e.is_dirty() {
+                        self.dirty.push(slot);
+                    }
+                    e.dirty_lo = e.dirty_lo.min(off);
+                    e.dirty_hi = e.dirty_hi.max(off + ty.field_size());
+                    Ok(())
+                }
+                None => {
+                    machine.dma_tagged(core, ty.field_size(), DmaTag::Bypass)?;
+                    heap.write_typed_slot(unit_addr + off, ty, s);
+                    Ok(())
+                }
+            }
+        }
+    }
+
+    /// What tracing recorded on `lane` (nothing when it is off).
+    fn lane_events(m: &CellMachine, lane: usize) -> &[hera_trace::TimedEvent] {
+        m.trace.lanes().get(lane).map_or(&[], |l| &l.events)
+    }
+
+    /// Drive the run-charging lookup and the reference with the same
+    /// seeded stream. The new side keeps one run open across steps —
+    /// hits pile up in it — and settles it at random points, where clock,
+    /// breakdown and profiler lane must equal the reference's; stats,
+    /// cache state and the trace lane (timestamps included: a hit's stamp
+    /// is the only witness of `clock + run.total`) are compared at every
+    /// step. Also run in release, where the run carries no debug shadow.
+    #[test]
+    fn run_charging_lookup_matches_clock_charging_reference() {
+        // No slowdown, an odd onset the stream crosses about a third of
+        // the way in, and slow from the first charge.
+        let onsets = [None, Some(MID_STREAM), Some(0)];
+        let mut hits_in_open_runs = 0;
+        for seed in 0..6u64 {
+            for (o, onset) in onsets.into_iter().enumerate() {
+                for (trace, profiling) in
+                    [(false, false), (true, false), (false, true), (true, true)]
+                {
+                    let rng = hera_rng::SplitMix64::new(0x5E77_1ED0 ^ (seed << 8) ^ o as u64);
+                    let cell = CellConfig {
+                        trace,
+                        profiling,
+                        faults: onset.map_or(hera_cell::FaultPlan::default(), |from| {
+                            hera_cell::FaultPlan::default()
+                                .with_slowdown(3, from)
+                                .expect("valid")
+                        }),
+                        ..CellConfig::default()
+                    };
+                    let what =
+                        format!("seed {seed} onset {onset:?} trace {trace} prof {profiling}");
+                    hits_in_open_runs += differential_stream(rng, cell, &what);
+                }
+            }
+        }
+        assert!(
+            hits_in_open_runs > 5_000,
+            "{hits_in_open_runs} hits joined an open run"
+        );
+    }
+
+    const MID_STREAM: u64 = 25_001;
+
+    /// One stream of [`run_charging_lookup_matches_clock_charging_reference`];
+    /// returns how many hits were charged into a run already holding one.
+    fn differential_stream(mut rng: hera_rng::SplitMix64, cell: CellConfig, what: &str) -> u64 {
+        const STEPS: usize = 700;
+        let f = fx();
+        let size = f.layout.object_size(f.class);
+        let mut sides = [(); 2].map(|()| {
+            let heap_config = HeapConfig {
+                size_bytes: 64 << 10,
+            };
+            (
+                Heap::new(heap_config, f.layout.statics.size),
+                CellMachine::new(cell),
+                DataCache::new(4 << 10),
+            )
+        });
+        // Objects, a 6 KB int array cut into 1 KB blocks (the last one
+        // short), and an 8 KB unit the 4 KB cache can only bypass.
+        let mut units: Vec<(u32, u32)> = Vec::new();
+        for (heap, ..) in &mut sides {
+            units.clear();
+            for _ in 0..60 {
+                let r = heap.alloc_object(&f.layout, f.class).unwrap();
+                units.push((r.0, size));
+            }
+            let arr = heap.alloc_array(ElemTy::Int, 1500).unwrap();
+            let total = heap.header(arr).size;
+            let blocks = (0..total.div_ceil(1024)).map(|b| b * 1024);
+            units.extend(blocks.map(|at| (arr.0 + at, (total - at).min(1024))));
+            let big = heap.alloc_array(ElemTy::Int, 2046).unwrap();
+            units.push((big.0, heap.header(big).size));
+        }
+
+        let [(h, m, dc), (rh, rm, rdc)] = &mut sides;
+        let lane = m.lane(SPE);
+        let mut run = m.run_open(SPE);
+        let (mut seen_events, mut profiled) = (0, 0);
+        let (mut open_hits, mut hits_in_open_runs) = (0u64, 0);
+        for n in 0..STEPS {
+            let what = format!("{what} step {n}");
+            // Mostly eight hot objects, so hits dominate; else any unit,
+            // the bypassing one included.
+            let pick = match rng.next_below(16) {
+                0 => units.len() as u64 - 1,
+                1..=3 => rng.next_below(units.len() as u64),
+                _ => rng.next_below(8),
+            };
+            let (unit, len) = units[pick as usize];
+            let off = 8 + 4 * rng.next_below((len as u64 - 8) / 4) as u32;
+            // The length is asked exactly when a fill needs it.
+            let asked = std::cell::Cell::new(0);
+            let unit_len = |_: &Heap| {
+                asked.set(asked.get() + 1);
+                len
+            };
+            let misses = dc.stats.misses;
+            let roll = rng.next_below(100);
+            let (got, want) = match roll {
+                0..=49 => {
+                    let got = dc.read_slot(h, m, &mut run, unit, unit_len, off, Ty::Int);
+                    let want = rdc.read_reference(rh, rm, SPE, unit, len, off, Ty::Int);
+                    (format!("{got:?}"), format!("{want:?}"))
+                }
+                50..=93 => {
+                    let v = Slot::from_i32(rng.next_u64() as i32);
+                    let got = dc.write_slot(h, m, &mut run, unit, unit_len, off, Ty::Int, v);
+                    let want = rdc.write_reference(rh, rm, SPE, unit, len, off, Ty::Int, v);
+                    (format!("{got:?}"), format!("{want:?}"))
+                }
+                // Write-backs and purges move the clock by their own
+                // DMAs: settle first, re-arm after.
+                _ => {
+                    m.run_settle(&mut run);
+                    let (got, want) = if roll < 99 {
+                        (
+                            dc.write_back_dirty(h, m, SPE),
+                            rdc.write_back_dirty(rh, rm, SPE),
+                        )
+                    } else {
+                        (dc.purge(h, m, SPE), rdc.purge(rh, rm, SPE))
+                    };
+                    m.run_settle(&mut run);
+                    (format!("{got:?}"), format!("{want:?}"))
+                }
+            };
+            assert_eq!(got, want, "{what}: result");
+            assert_eq!(
+                asked.get(),
+                dc.stats.misses - misses,
+                "{what}: length asked"
+            );
+            if roll < 94 && dc.stats.misses == misses {
+                open_hits += 1;
+                hits_in_open_runs += u64::from(open_hits > 1);
+            } else {
+                open_hits = 0;
+            }
+            assert_eq!(dc.stats, rdc.stats, "{what}: stats");
+            assert_eq!(dc.export_state(), rdc.export_state(), "{what}: cache");
+            assert!(h.raw() == rh.raw(), "{what}: heap bytes");
+            let (events, want) = (lane_events(m, lane), lane_events(rm, lane));
+            assert_eq!(events[seen_events..], want[seen_events..], "{what}: events");
+            seen_events = events.len();
+
+            if rng.next_below(3) == 0 || n + 1 == STEPS {
+                m.run_settle(&mut run);
+                open_hits = 0;
+                assert_eq!(m.now(SPE), rm.now(SPE), "{what}: clock");
+                assert_eq!(m.breakdown(SPE), rm.breakdown(SPE), "{what}: breakdown");
+                let pending = m.prof_take(lane);
+                assert_eq!(pending, rm.prof_take(lane), "{what}: profiler lane");
+                profiled += pending.map_or(0, |v| v.total());
+                // Draining the lane moved it under the run: re-arm.
+                m.run_settle(&mut run);
+            }
+        }
+        let st = dc.stats;
+        assert!(st.hits > 300 && st.bypasses > 5, "{what}: {st:?}");
+        assert!(st.purges > 0 && st.writebacks > 20, "{what}: {st:?}");
+        assert_eq!(
+            cell.trace,
+            seen_events > STEPS,
+            "{what}: {seen_events} events"
+        );
+        let charged = if cell.profiling {
+            m.breakdown(SPE).total_cycles()
+        } else {
+            0
+        };
+        assert_eq!(profiled, charged, "{what}: profiled cycles");
+        if cell.faults.slowdown_active() && cell.faults.slowdown_from_cycle == MID_STREAM {
+            let end = m.now(SPE);
+            assert!(end > 4 * MID_STREAM, "{what}: onset late, ended at {end}");
+        }
+        hits_in_open_runs
     }
 
     #[test]
