@@ -994,8 +994,21 @@ fn world_cache_flush(w: &mut World<'_>, spe: usize, core: CoreId) -> Result<(), 
 
 // The lookups charge the caller's run; `unit_len` is asked for the
 // unit's length only when the unit has to be filled, so a hit reads no
-// main-heap bytes. Every lookup that missed counts once in the behaviour
-// window (the adaptive policy's "main memory" signal).
+// main-heap bytes.
+
+/// Run `access` and count every lookup of its that missed in the
+/// behaviour window (the adaptive policy's "main memory" signal).
+#[inline(always)]
+fn counting_misses<T>(
+    cache: &mut DataCache,
+    window: &mut BehaviourWindow,
+    access: impl FnOnce(&mut DataCache) -> T,
+) -> T {
+    let before = cache.stats.misses;
+    let out = access(cache);
+    window.mem_ops += cache.stats.misses - before;
+    out
+}
 
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
@@ -1010,10 +1023,10 @@ fn cache_read(
     off: u32,
     ty: Ty,
 ) -> Result<Slot, StepError> {
-    let before = cache.stats.misses;
-    let res = cache.read_slot(heap, machine, run, unit, unit_len, off, ty);
-    window.mem_ops += cache.stats.misses - before;
-    res.map_err(StepError::from)
+    counting_misses(cache, window, |cache| {
+        cache.read_slot(heap, machine, run, unit, unit_len, off, ty)
+    })
+    .map_err(StepError::from)
 }
 
 #[inline(never)]
@@ -1030,10 +1043,10 @@ fn cache_write(
     ty: Ty,
     v: Slot,
 ) -> Result<(), StepError> {
-    let before = cache.stats.misses;
-    let res = cache.write_slot(heap, machine, run, unit, unit_len, off, ty, v);
-    window.mem_ops += cache.stats.misses - before;
-    res.map_err(StepError::from)
+    counting_misses(cache, window, |cache| {
+        cache.write_slot(heap, machine, run, unit, unit_len, off, ty, v)
+    })
+    .map_err(StepError::from)
 }
 
 /// An array's length word, through block 0 of the array (which holds
@@ -1062,10 +1075,10 @@ fn spe_array_len(
     window: &mut BehaviourWindow,
     r: ObjRef,
 ) -> Result<u32, StepError> {
-    let before = cache.stats.misses;
-    let len = array_len_cached(cache, heap, machine, run, r);
-    window.mem_ops += cache.stats.misses - before;
-    len.map_err(StepError::from)
+    counting_misses(cache, window, |cache| {
+        array_len_cached(cache, heap, machine, run, r)
+    })
+    .map_err(StepError::from)
 }
 
 /// Bounds-checked SPE array element access through block-granular
@@ -1083,8 +1096,7 @@ fn spe_array_access(
     elem: hera_isa::ElemTy,
     store: Option<Slot>,
 ) -> Result<Option<Slot>, StepError> {
-    let before = cache.stats.misses;
-    let res = (|| {
+    counting_misses(cache, window, |cache| {
         // Length check first, on the header block (block 0 of the
         // object): an element in block 0 then shares the cached unit just
         // read, any other block is looked up next. The index is guest
@@ -1121,9 +1133,7 @@ fn spe_array_access(
                 None
             }
         })
-    })();
-    window.mem_ops += cache.stats.misses - before;
-    res
+    })
 }
 
 // ---- code-cache plumbing ----

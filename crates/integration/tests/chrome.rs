@@ -243,38 +243,24 @@ fn exports_match_pinned_digests() {
 /// factor. Digests of the Chrome export and the collapsed profile.
 #[test]
 fn traced_straggler_matches_pinned_digests() {
-    use hera_core::{HeraJvm, VmConfig};
+    use hera_bench::trace_workload;
+    use hera_core::VmConfig;
     use hera_workloads::Workload;
 
     const PINNED_EXPORT: u64 = 0x49ac_de3f_717b_affa;
     const PINNED_COLLAPSED: u64 = 0x8a87_e617_f6bf_1fba;
 
-    let (program, expected) = Workload::Compress.build(6, 0.1);
-    let names: Vec<String> = program.methods.iter().map(|m| m.name.clone()).collect();
     let plan = hera_cell::FaultPlan::default()
         .with_slowdown(3, 809_875)
         .expect("valid");
-    let cfg = VmConfig::pinned_spe(6)
-        .with_faults(plan)
-        .with_tracing()
-        .with_profiling();
-    let out = HeraJvm::new(program, cfg)
-        .expect("constructs")
-        .run()
-        .expect("runs");
-    assert!(out.is_clean(), "traps {:?}", out.traps);
-    assert_eq!(out.result, Some(hera_isa::Value::I32(expected)));
+    let cfg = VmConfig::pinned_spe(6).with_faults(plan).with_profiling();
+    let (out, names) = trace_workload(Workload::Compress, 6, 0.1, cfg);
     let hits = out
         .trace
         .iter_all()
         .filter(|(_, te)| te.event.kind_name() == "dcache.hit");
-    let (before, after) = hits.fold((0, 0), |(b, a), (_, te)| {
-        if te.at < 809_875 {
-            (b + 1, a)
-        } else {
-            (b, a + 1)
-        }
-    });
+    let (before, after): (Vec<_>, Vec<_>) = hits.partition(|(_, te)| te.at < 809_875);
+    let (before, after) = (before.len(), after.len());
     assert!(before > 1000 && after > 1000, "hits {before} / {after}");
 
     let export = hera_snap::digest64(chrome_trace_json(&out.trace).as_bytes());
