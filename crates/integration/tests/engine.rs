@@ -1304,3 +1304,144 @@ const BREAKDOWN_PINS: &[BreakdownPin<&str>] = &[
         [0, 0, 0, 0],
     ),
 ];
+
+/// `(label, wall_cycles, ppe (cycles, ops), spe (cycles, ops),
+/// thread switches, digest64 of every checkpoint)`.
+type ShortQuantumPin<L, D> = (L, u64, ([u64; 6], [u64; 6]), ([u64; 6], [u64; 6]), u64, D);
+
+/// A 7-op quantum ends in the middle of every multi-op idiom the kernels
+/// retire (the default 4096 almost never does), so where quanta end —
+/// thread switches, the safepoints checkpoints are taken at, every
+/// checkpoint's bytes — is pinned here at a budget that cuts them.
+/// Captured on the 1:1 engine (ISSUE 23's first commit).
+#[test]
+fn short_quantum_runs_match_pinned_values() {
+    use hera_workloads::Workload;
+
+    let mut got: Vec<ShortQuantumPin<String, Vec<u64>>> = Vec::new();
+    for w in [Workload::Compress, Workload::Mandelbrot] {
+        for (core, threads, cfg) in [
+            ("ppe", 1, VmConfig::pinned_ppe()),
+            ("spe6", 6, VmConfig::pinned_spe(6)),
+        ] {
+            let label = format!("{}/{core}/q7", w.name());
+            let (program, expected) = w.build(threads, 0.05);
+            let cfg = VmConfig {
+                quantum_ops: 7,
+                ..cfg
+            };
+            let wall = run_program(program.clone(), cfg).stats.wall_cycles;
+            let out = run_program(program, cfg.with_checkpoint_every((wall / 4).max(1)));
+            assert!(out.is_clean(), "{label}: traps: {:?}", out.traps);
+            assert_eq!(out.result, Some(Value::I32(expected)), "{label}");
+            got.push((
+                label,
+                out.stats.wall_cycles,
+                out.stats.ppe.to_raw(),
+                out.stats.spe.to_raw(),
+                out.stats.thread_switches,
+                out.checkpoints
+                    .iter()
+                    .map(|c| hera_snap::digest64(&c.bytes))
+                    .collect(),
+            ));
+        }
+    }
+    let pinned: Vec<ShortQuantumPin<String, Vec<u64>>> = SHORT_QUANTUM_PINS
+        .iter()
+        .map(|&(l, w, ppe, spe, sw, d)| (l.to_string(), w, ppe, spe, sw, d.to_vec()))
+        .collect();
+    assert_eq!(
+        got, pinned,
+        "short-quantum runs changed (actual: {got:#x?})"
+    );
+}
+
+const SHORT_QUANTUM_PINS: &[ShortQuantumPin<&str, &[u64]>] = &[
+    (
+        "compress/ppe/q7",
+        3341292,
+        (
+            [0, 620358, 309311, 1347760, 441278, 622585],
+            [0, 254102, 197267, 672580, 220639, 6934],
+        ),
+        ([0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]),
+        8,
+        &[
+            0xa76b_0c1c_d6ec_de04,
+            0x689c_3579_de94_fb75,
+            0x60f8_233e_a2c1_338d,
+            0xbc09_1e01_dab9_1939,
+        ],
+    ),
+    (
+        "compress/spe6/q7",
+        1573482,
+        ([0, 0, 0, 0, 0, 173032], [0, 0, 0, 0, 0, 0]),
+        (
+            [0, 1397055, 1544885, 2989195, 2379306, 530103],
+            [0, 617399, 364175, 1100968, 392243, 1542],
+        ),
+        36,
+        &[
+            0xf415_1b29_f852_7589,
+            0xeb0d_7bfa_b863_704c,
+            0xe2dd_edff_ed51_fba6,
+            0x4d16_cb8f_b0ef_9ac7,
+        ],
+    ),
+    (
+        "mandelbrot/ppe/q7",
+        3764247,
+        (
+            [2403884, 146000, 101732, 1078168, 5386, 29077],
+            [240384, 56127, 75529, 513664, 2693, 48],
+        ),
+        ([0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]),
+        8,
+        &[
+            0x73c8_e4b9_760b_da63,
+            0x61f3_dc22_e104_6f48,
+            0x6005_a385_1677_4f03,
+            0x9b1b_4b05_78f1_41d4,
+        ],
+    ),
+    (
+        "mandelbrot/spe6/q7",
+        480828,
+        ([0, 0, 0, 0, 0, 43874], [0, 0, 0, 0, 0, 0]),
+        (
+            [480940, 148872, 232862, 1541121, 57222, 69293],
+            [240404, 57575, 75554, 513909, 10950, 161],
+        ),
+        28,
+        &[
+            0x118b_1c5e_cb86_b0c4,
+            0x7e7f_b498_87c0_2059,
+            0x3d39_db45_0953_dcfb,
+            0x7e6c_78e5_d56e_f208,
+        ],
+    ),
+];
+
+/// The adaptive policy decides at every invoke from the thread's
+/// behaviour window (`total_ops`, `fp_ops`, `mem_ops`): the unannotated
+/// mixed program's wall clock and migration count move if any of the
+/// three is counted differently. Captured on the 1:1 engine (ISSUE 23's
+/// first commit).
+#[test]
+fn adaptive_mixed_run_matches_pinned_values() {
+    let (program, expected) = hera_bench::mixed_program(0.05, false);
+    let cfg = VmConfig {
+        policy: PlacementPolicy::adaptive(),
+        ..VmConfig::default()
+    };
+    let out = run_program(program, cfg);
+    assert!(out.is_clean(), "traps: {:?}", out.traps);
+    assert_eq!(out.result, Some(Value::I32(expected)));
+    assert_eq!(
+        (out.stats.wall_cycles, out.stats.migrations),
+        (2_779_309, 1),
+        "adaptive mixed run changed"
+    );
+}

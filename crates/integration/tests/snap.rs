@@ -7,7 +7,7 @@
 use hera_core::{HeraJvm, RunOutcome, VmConfig, VmError};
 use hera_frontend::*;
 use hera_integration::gc_pressure_vm;
-use hera_isa::{ElemTy, ProgramBuilder, Trap, Ty, Value};
+use hera_isa::{ElemTy, Instr, ProgramBuilder, Trap, Ty, Value};
 use hera_snap::SnapError;
 
 /// A one-class program with a single static `main`.
@@ -1020,4 +1020,195 @@ fn restore_before_exhaustion_replays_the_same_oom() {
         let restored = vm.restore_bytes(&blob.bytes).expect("restore succeeds");
         assert_same_outcome(&full, &restored, "pre-OOM restore");
     }
+}
+
+// ------------------------------------- a thread dead mid-loop, in bytes
+
+/// `main` spawns a worker whose `run` is `setup` followed by a 100-pass
+/// loop over `step` (loop variable `i`), then spins allocation-free for
+/// long enough to be checkpointed well after the worker is gone.
+fn dying_worker_program(setup: Vec<Stmt>, step: Vec<Stmt>) -> hera_isa::Program {
+    use hera_core::native::install_runtime;
+    let mut pb = ProgramBuilder::new();
+    let api = install_runtime(&mut pb);
+    let worker = pb.add_class("Doomed", Some(api.thread_class));
+    let run = declare_virtual(&mut pb, worker, "run", vec![], None);
+    let mut body = setup;
+    body.push(for_range("i", i32c(0), i32c(100), step));
+    define(&mut pb, run, vec![("this", Ty::Ref(worker))], body).expect("run compiles");
+    let main_c = pb.add_class("Main", None);
+    let main = declare_static(&mut pb, main_c, "main", vec![], Some(Ty::Int));
+    define(
+        &mut pb,
+        main,
+        vec![],
+        vec![
+            Stmt::Expr(call(api.spawn, vec![Expr::New(worker)])),
+            Stmt::Let("s".into(), i32c(1)),
+            for_range(
+                "i",
+                i32c(0),
+                i32c(20_000),
+                vec![Stmt::Assign(
+                    "s".into(),
+                    bxor(mul(local("s"), i32c(31)), local("i")),
+                )],
+            ),
+            Stmt::Return(Some(local("s"))),
+        ],
+    )
+    .expect("main compiles");
+    pb.finish_with_entry("Main", "main").expect("resolves")
+}
+
+/// A thread that trapped in the middle of a loop stays in every later
+/// checkpoint — its frame's `pc` and `sp`, its behaviour window, its
+/// arena with whatever operands the trapping op had already popped — so
+/// those bytes pin how far a trapping op got. One worker per trap a
+/// three-op `Load Load X` sequence can end in: a zero divisor, an index
+/// past the end, a null array. Captured on the 1:1 engine (ISSUE 23's
+/// first commit).
+#[test]
+fn dead_thread_checkpoints_match_pinned_values() {
+    let int_array = Ty::Array(ElemTy::Int);
+    let cases: [(&str, Vec<Stmt>, Vec<Stmt>, Trap); 3] = [
+        (
+            "div",
+            vec![
+                Stmt::Let("n".into(), i32c(1000)),
+                Stmt::Let("d".into(), i32c(40)),
+                Stmt::Let("acc".into(), i32c(0)),
+            ],
+            vec![
+                Stmt::Let("q".into(), div(local("n"), local("d"))),
+                Stmt::Assign("acc".into(), add(local("acc"), local("q"))),
+                Stmt::Assign("d".into(), sub(local("d"), i32c(1))),
+            ],
+            Trap::DivisionByZero,
+        ),
+        (
+            "bounds",
+            vec![
+                Stmt::Let("a".into(), new_array(ElemTy::Int, i32c(40))),
+                Stmt::Let("acc".into(), i32c(0)),
+            ],
+            vec![
+                Stmt::Let("x".into(), index(local("a"), local("i"))),
+                Stmt::Assign("acc".into(), add(local("acc"), local("x"))),
+            ],
+            Trap::ArrayIndexOutOfBounds { index: 40, len: 40 },
+        ),
+        (
+            "null",
+            vec![
+                Stmt::Let("a".into(), new_array(ElemTy::Int, i32c(128))),
+                Stmt::Let("acc".into(), i32c(0)),
+            ],
+            vec![
+                Stmt::If(
+                    cmp_eq(local("i"), i32c(40)),
+                    vec![Stmt::Assign("a".into(), cast(int_array, Expr::Null))],
+                    vec![],
+                ),
+                Stmt::Let("x".into(), index(local("a"), local("i"))),
+                Stmt::Assign("acc".into(), add(local("acc"), local("x"))),
+            ],
+            Trap::NullPointer,
+        ),
+    ];
+    // (case/core, wall cycles, digest64 of each checkpoint)
+    const PINNED: [(&str, u64, &[u64]); 6] = [
+        (
+            "div/ppe",
+            520_601,
+            &[0x2b8a_3701_508a_4c45, 0xf764_39dd_b25f_b96e],
+        ),
+        (
+            "div/spe2",
+            709_985,
+            &[
+                0x575e_6863_5bc8_e068,
+                0xb842_7147_9c1b_e603,
+                0x1b0b_2f96_eef3_9720,
+            ],
+        ),
+        (
+            "bounds/ppe",
+            519_911,
+            &[0xb537_fa8f_6abc_22f1, 0xf57b_f198_80c4_52dd],
+        ),
+        (
+            "bounds/spe2",
+            709_985,
+            &[
+                0xd75c_64cd_4fbd_6bff,
+                0x1237_a859_d7dc_e814,
+                0xf8c0_1cf6_b9ff_896d,
+            ],
+        ),
+        (
+            "null/ppe",
+            520_884,
+            &[0x7acb_c9d1_25ae_b225, 0x9b75_09ca_e177_e9c3],
+        ),
+        (
+            "null/spe2",
+            709_985,
+            &[
+                0xddaa_19f1_d8bf_fc57,
+                0x5db8_0537_9f92_b65e,
+                0x4e2b_96f3_0348_78b7,
+            ],
+        ),
+    ];
+    let mut got = Vec::new();
+    for (name, setup, step, trap) in cases {
+        let program = dying_worker_program(setup, step);
+        let run = program
+            .method_by_name("Doomed", "run", 0)
+            .expect("worker has a run method");
+        let code = program.method(run).code().expect("bytecode");
+        assert!(
+            code.windows(3).any(|w| matches!(
+                w,
+                [
+                    Instr::Load(_),
+                    Instr::Load(_),
+                    Instr::IDiv | Instr::ALoad(_)
+                ]
+            )),
+            "{name}: the worker's loop holds a `Load Load X` sequence"
+        );
+        for (core, cfg) in [
+            ("ppe", VmConfig::pinned_ppe()),
+            ("spe2", VmConfig::pinned_spe(2)),
+        ] {
+            let mut cfg = cfg.with_checkpoint_every(200_000);
+            cfg.heap.size_bytes = 128 << 10;
+            let out = HeraJvm::new(program.clone(), cfg)
+                .expect("constructs")
+                .run()
+                .expect("runs");
+            let label = format!("{name}/{core}");
+            assert_eq!(
+                out.traps,
+                vec![(hera_core::ThreadId(1), trap.clone())],
+                "{label}: only the worker dies, of its own trap"
+            );
+            assert!(out.result.is_some(), "{label}: main completes");
+            assert!(
+                out.checkpoints.len() >= 2,
+                "{label}: main must be checkpointed after the worker died"
+            );
+            got.push((label, out.stats.wall_cycles, checkpoint_digests(&out)));
+        }
+    }
+    let pinned: Vec<(String, u64, Vec<u64>)> = PINNED
+        .iter()
+        .map(|&(l, w, d)| (l.to_string(), w, d.to_vec()))
+        .collect();
+    assert_eq!(
+        got, pinned,
+        "dead-thread checkpoints changed (actual: {got:#x?})"
+    );
 }
