@@ -18,7 +18,8 @@
 //!   (stack, locals, arithmetic, branches, and both the PPE-direct and
 //!   SPE-cached heap accesses) until the quantum drains or a
 //!   frame-changing op appears. No per-op re-borrowing, no tag
-//!   dispatch, no `Vec` push/pop.
+//!   dispatch, no `Vec` push/pop. A fused op retires two or three of
+//!   them in one dispatch (DESIGN.md §4.8 "Fused ops").
 //! * [`step_slow`] — the cold tier, taking `&mut World`: allocation
 //!   (may GC), invokes, returns, monitors. These are exactly the ops
 //!   where frames change or cross-subsystem state is touched.
@@ -120,18 +121,18 @@ fn sset(arena: &mut [Slot], i: usize, v: Slot) {
 
 #[inline(always)]
 #[allow(unsafe_code)]
-fn op_at(ops: &[MachineOp], pc: u32) -> MachineOp {
+fn op_at(ops: &[MachineOp], pc: u32) -> &MachineOp {
     debug_assert!((pc as usize) < ops.len(), "pc {pc} outside op stream");
     #[cfg(debug_assertions)]
     {
-        ops[pc as usize]
+        &ops[pc as usize]
     }
     // SAFETY: the verifier checks every branch target and fall-through
     // against the op-stream bounds and every method ends in a return, so
     // `pc` never leaves `ops`.
     #[cfg(not(debug_assertions))]
     unsafe {
-        *ops.get_unchecked(pc as usize)
+        ops.get_unchecked(pc as usize)
     }
 }
 
@@ -240,9 +241,10 @@ pub fn run_quantum(w: &mut World<'_>, tid: ThreadId) -> Result<QuantumOutcome, V
         }
 
         // Lazy rebind: a one-way (monitor-driven) migration can leave
-        // frames holding code compiled for the other core kind. The 1:1
-        // lowering keeps op indices stable, so swapping in this core's
-        // compilation at the same pc is a sound on-stack replacement.
+        // frames holding code compiled for the other core kind. Slot `i`
+        // of either compilation is bytecode pc `i` (that op, or a fused
+        // op starting with it), so swapping in this core's compilation
+        // at the same pc is a sound on-stack replacement.
         // The current frame only changes at slow-tier ops, so checking
         // once per block matches the per-op check it replaced.
         let needs_rebind = {
@@ -352,6 +354,8 @@ fn exec_block(
     let mut run = w.machine.run_open(core);
     let exit = exec_block_run(w, t, core, budget, &mut run);
     w.machine.run_settle(&mut run);
+    #[cfg(test)]
+    tests::on_block_exit(&w.threads[t], *budget);
     exit
 }
 
@@ -441,17 +445,105 @@ fn exec_block_run(
         }};
     }
 
+    macro_rules! local {
+        ($s:expr) => {
+            sget(arena, base + $s as usize)
+        };
+    }
+    // One `Arith`'s charge and its mark in the behaviour window.
+    macro_rules! charge_arith {
+        ($a:expr) => {{
+            let op = $a.exec_op();
+            let class = exec_op_class(op);
+            charge!(class, costs.get(op));
+            if matches!(class, OpClass::FloatingPoint) {
+                window.fp_ops += 1;
+            }
+        }};
+    }
+    // A binary `Arith` that is a fused op's last part: a trap leaves
+    // `f.sp` at `$sp`, below both operands, as the plain op's pops do.
+    macro_rules! apply_last {
+        ($a:expr, $x:expr, $b:expr, $sp:expr) => {
+            match $a.apply2_slot($x, $b) {
+                Ok(r) => r,
+                Err(trap) => {
+                    f.sp = $sp as u32;
+                    return Err(trap.into());
+                }
+            }
+        };
+    }
+    // One that is not: `MachineOp::fuse` keeps a trapping op last.
+    macro_rules! apply_inner {
+        ($a:expr, $x:expr, $b:expr) => {
+            match $a.apply2_slot($x, $b) {
+                Ok(r) => r,
+                Err(_) => unreachable!("a trapping Arith fused in non-final position"),
+            }
+        };
+    }
+    macro_rules! branch {
+        ($taken:expr, $target:expr) => {
+            if $taken {
+                charge!(OpClass::Branch, costs.branch_taken);
+                f.pc = $target;
+            } else {
+                charge!(OpClass::Branch, costs.branch);
+            }
+        };
+    }
+    // The array-load bodies, operands already popped; the value loaded.
+    macro_rules! arr_load_direct {
+        ($r:expr, $idx:expr) => {{
+            let (r, idx): (ObjRef, i32) = ($r, $idx);
+            if r.is_null() {
+                return Err(Trap::NullPointer.into());
+            }
+            // Bounds check reads the length word through the caches too.
+            ppe_access!(r.0 + 4, 4);
+            let (addr, elem) = heap.elem_addr(r, idx)?;
+            let cycles = ppe_access!(addr, elem.size());
+            mem_monitor(window, cycles);
+            heap.array_load_slot(r, idx)?
+        }};
+    }
+    macro_rules! arr_load_cached {
+        ($r:expr, $idx:expr, $elem:expr) => {{
+            let r: ObjRef = $r;
+            if r.is_null() {
+                return Err(Trap::NullPointer.into());
+            }
+            let cache = &mut data_caches[spe.expect("cached op on SPE")];
+            spe_array_access(cache, heap, machine, run, window, r, $idx, $elem, None)?
+                .expect("load returns a value")
+        }};
+    }
+
     use MachineOp::*;
     loop {
         if *budget == 0 {
             return Ok(BlockExit::Budget);
         }
-        let op = op_at(ops, f.pc);
-        f.pc += 1;
-        *budget -= 1;
-        window.total_ops += 1;
+        // A fused op retires `n` plain ops in this one dispatch. One the
+        // budget would cut runs as its head alone, so the quantum's tail
+        // is plain ops and ends on the pc it always has.
+        let mut op = op_at(ops, f.pc);
+        let mut n = op.parts();
+        let cut = n > *budget;
+        #[cfg(test)]
+        let cut = tests::on_fetch(op, cut);
+        let head;
+        if cut {
+            head = op.head();
+            op = &head;
+            n = 1;
+        }
+        f.pc += n;
+        *budget -= n;
+        window.total_ops += n as u64;
 
-        match op {
+        match *op {
             PushI32(v) => {
                 charge!(OpClass::Stack, costs.stack_op);
                 push!(Slot::from_i32(v));
@@ -498,7 +590,7 @@ fn exec_block_run(
             }
             LoadLocal(s) => {
                 charge!(OpClass::Stack, costs.local_access);
-                push!(sget(arena, base + s as usize));
+                push!(local!(s));
             }
             StoreLocal(s) => {
                 charge!(OpClass::Stack, costs.local_access);
@@ -512,12 +604,7 @@ fn exec_block_run(
                 sset(arena, i, Slot::from_i32(old.wrapping_add(d as i32)));
             }
             Arith(a) => {
-                let op = a.exec_op();
-                let class = exec_op_class(op);
-                charge!(class, costs.get(op));
-                if matches!(class, OpClass::FloatingPoint) {
-                    window.fp_ops += 1;
-                }
+                charge_arith!(a);
                 if a.arity() == 1 {
                     let x = pop!();
                     push!(a.apply1_slot(x));
@@ -550,12 +637,7 @@ fn exec_block_run(
                         a != b
                     }
                 };
-                if taken {
-                    charge!(OpClass::Branch, costs.branch_taken);
-                    f.pc = target;
-                } else {
-                    charge!(OpClass::Branch, costs.branch);
-                }
+                branch!(taken, target);
             }
             InstanceOf { class } => {
                 charge!(OpClass::Integer, costs.check);
@@ -639,13 +721,8 @@ fn exec_block_run(
             ArrLoadDirect { .. } => {
                 charge!(OpClass::Integer, costs.check);
                 let idx = pop!().i32();
-                let r = pop_ref!();
-                // Bounds check reads the length word through the caches too.
-                ppe_access!(r.0 + 4, 4);
-                let (addr, elem) = heap.elem_addr(r, idx)?;
-                let cycles = ppe_access!(addr, elem.size());
-                mem_monitor(window, cycles);
-                push!(heap.array_load_slot(r, idx)?);
+                let r = pop!().obj();
+                push!(arr_load_direct!(r, idx));
             }
             ArrStoreDirect { .. } => {
                 charge!(OpClass::Integer, costs.check);
@@ -744,10 +821,8 @@ fn exec_block_run(
             ArrLoadCached { elem } => {
                 charge!(OpClass::Integer, costs.check);
                 let idx = pop!().i32();
-                let r = pop_ref!();
-                let cache = &mut data_caches[spe.expect("cached op on SPE")];
-                let v = spe_array_access(cache, heap, machine, run, window, r, idx, elem, None)?;
-                push!(v.expect("load returns a value"));
+                let r = pop!().obj();
+                push!(arr_load_cached!(r, idx, elem));
             }
             ArrStoreCached { elem } => {
                 charge!(OpClass::Integer, costs.check);
@@ -756,6 +831,180 @@ fn exec_block_run(
                 let r = pop_ref!();
                 let cache = &mut data_caches[spe.expect("cached op on SPE")];
                 spe_array_access(cache, heap, machine, run, window, r, idx, elem, Some(v))?;
+            }
+
+            // ---- fused ops ----
+            //
+            // Each arm is its parts' bodies, one after another: every
+            // part charges for itself, in order; an operand slot one part
+            // pushes and a later part pops is still written (a checkpoint
+            // encodes the whole arena), but `f.sp` moves once; and only
+            // the last part can trap, leaving `f.sp` where its own pops
+            // would have (`pc` and the op counts already stand past it,
+            // as they do when the plain op traps).
+            LoadLocal2(x, y) => {
+                let sp = f.sp as usize;
+                charge!(OpClass::Stack, costs.local_access);
+                let a = local!(x);
+                sset(arena, sp, a);
+                charge!(OpClass::Stack, costs.local_access);
+                let b = local!(y);
+                sset(arena, sp + 1, b);
+                f.sp += 2;
+            }
+            LoadLocalArith(x, a) => {
+                let sp = f.sp as usize;
+                charge!(OpClass::Stack, costs.local_access);
+                let b = local!(x);
+                sset(arena, sp, b);
+                charge_arith!(a);
+                let r = apply_last!(a, sget(arena, sp - 1), b, sp - 1);
+                sset(arena, sp - 1, r);
+            }
+            PushArith(v, a) => {
+                let sp = f.sp as usize;
+                charge!(OpClass::Stack, costs.stack_op);
+                let b = Slot::from_i32(v);
+                sset(arena, sp, b);
+                charge_arith!(a);
+                let r = apply_last!(a, sget(arena, sp - 1), b, sp - 1);
+                sset(arena, sp - 1, r);
+            }
+            ArithStoreLocal(a, d) => {
+                let sp = f.sp as usize;
+                charge_arith!(a);
+                let r = apply_inner!(a, sget(arena, sp - 2), sget(arena, sp - 1));
+                sset(arena, sp - 2, r);
+                charge!(OpClass::Stack, costs.local_access);
+                sset(arena, base + d as usize, r);
+                f.sp -= 2;
+            }
+            LoadLocalStoreLocal(x, d) => {
+                charge!(OpClass::Stack, costs.local_access);
+                let v = local!(x);
+                sset(arena, f.sp as usize, v);
+                charge!(OpClass::Stack, costs.local_access);
+                sset(arena, base + d as usize, v);
+            }
+            Arith2(a, a2) => {
+                let sp = f.sp as usize;
+                charge_arith!(a);
+                let r = apply_inner!(a, sget(arena, sp - 2), sget(arena, sp - 1));
+                sset(arena, sp - 2, r);
+                charge_arith!(a2);
+                let r = apply_last!(a2, sget(arena, sp - 3), r, sp - 3);
+                sset(arena, sp - 3, r);
+                f.sp -= 2;
+            }
+            PushIfICmp(v, c, target) => {
+                charge!(OpClass::Stack, costs.stack_op);
+                sset(arena, f.sp as usize, Slot::from_i32(v));
+                f.sp -= 1;
+                let a = sget(arena, f.sp as usize).i32();
+                branch!(c.eval2(a, v), target);
+            }
+            IncLocalGoto(x, d, target) => {
+                charge!(OpClass::Integer, costs.int_alu);
+                let i = base + x as usize;
+                let old = sget(arena, i).i32();
+                sset(arena, i, Slot::from_i32(old.wrapping_add(d as i32)));
+                charge!(OpClass::Branch, costs.branch_taken);
+                f.pc = target;
+            }
+            LoadLocal2Arith(x, y, a) => {
+                let sp = f.sp as usize;
+                charge!(OpClass::Stack, costs.local_access);
+                let l = local!(x);
+                sset(arena, sp, l);
+                charge!(OpClass::Stack, costs.local_access);
+                let b = local!(y);
+                sset(arena, sp + 1, b);
+                charge_arith!(a);
+                let r = apply_last!(a, l, b, sp);
+                sset(arena, sp, r);
+                f.sp += 1;
+            }
+            LoadLocalPushArith(x, v, a) => {
+                let sp = f.sp as usize;
+                charge!(OpClass::Stack, costs.local_access);
+                let l = local!(x);
+                sset(arena, sp, l);
+                charge!(OpClass::Stack, costs.stack_op);
+                let b = Slot::from_i32(v);
+                sset(arena, sp + 1, b);
+                charge_arith!(a);
+                let r = apply_last!(a, l, b, sp);
+                sset(arena, sp, r);
+                f.sp += 1;
+            }
+            LoadLocalArithStoreLocal(x, a, d) => {
+                let sp = f.sp as usize;
+                charge!(OpClass::Stack, costs.local_access);
+                let b = local!(x);
+                sset(arena, sp, b);
+                charge_arith!(a);
+                let r = apply_inner!(a, sget(arena, sp - 1), b);
+                sset(arena, sp - 1, r);
+                charge!(OpClass::Stack, costs.local_access);
+                sset(arena, base + d as usize, r);
+                f.sp -= 1;
+            }
+            Arith2StoreLocal(a, a2, d) => {
+                let sp = f.sp as usize;
+                charge_arith!(a);
+                let r = apply_inner!(a, sget(arena, sp - 2), sget(arena, sp - 1));
+                sset(arena, sp - 2, r);
+                charge_arith!(a2);
+                let r = apply_inner!(a2, sget(arena, sp - 3), r);
+                sset(arena, sp - 3, r);
+                charge!(OpClass::Stack, costs.local_access);
+                sset(arena, base + d as usize, r);
+                f.sp -= 3;
+            }
+            LoadLocal2IfICmp(x, y, c, target) => {
+                let sp = f.sp as usize;
+                charge!(OpClass::Stack, costs.local_access);
+                let a = local!(x);
+                sset(arena, sp, a);
+                charge!(OpClass::Stack, costs.local_access);
+                let b = local!(y);
+                sset(arena, sp + 1, b);
+                branch!(c.eval2(a.i32(), b.i32()), target);
+            }
+            LoadLocalPushIfICmp(x, v, c, target) => {
+                let sp = f.sp as usize;
+                charge!(OpClass::Stack, costs.local_access);
+                let a = local!(x);
+                sset(arena, sp, a);
+                charge!(OpClass::Stack, costs.stack_op);
+                sset(arena, sp + 1, Slot::from_i32(v));
+                branch!(c.eval2(a.i32(), v), target);
+            }
+            LoadLocal2ArrLoadDirect(x, y, _) => {
+                let sp = f.sp as usize;
+                charge!(OpClass::Stack, costs.local_access);
+                let r = local!(x);
+                sset(arena, sp, r);
+                charge!(OpClass::Stack, costs.local_access);
+                let idx = local!(y);
+                sset(arena, sp + 1, idx);
+                charge!(OpClass::Integer, costs.check);
+                let v = arr_load_direct!(r.obj(), idx.i32());
+                sset(arena, sp, v);
+                f.sp += 1;
+            }
+            LoadLocal2ArrLoadCached(x, y, elem) => {
+                let sp = f.sp as usize;
+                charge!(OpClass::Stack, costs.local_access);
+                let r = local!(x);
+                sset(arena, sp, r);
+                charge!(OpClass::Stack, costs.local_access);
+                let idx = local!(y);
+                sset(arena, sp + 1, idx);
+                charge!(OpClass::Integer, costs.check);
+                let v = arr_load_cached!(r.obj(), idx.i32(), elem);
+                sset(arena, sp, v);
+                f.sp += 1;
             }
 
             // ---- frame-changing ops: the slow tier runs these ----
@@ -1744,4 +1993,228 @@ fn read_guest_bytes(w: &mut World<'_>, arr: ObjRef, len: i32) -> Result<Vec<u8>,
     }
     let base = arr.0 + hera_mem::layout::HEADER_BYTES;
     Ok(w.heap.read_bytes(base, len)?)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::native::install_runtime;
+    use crate::testgen::{idiom_method, DOOMS};
+    use crate::thread::ThreadState;
+    use crate::vm::VmConfig;
+    use hera_cell::FaultPlan;
+    use hera_isa::{Instr, MethodBody, Program, ProgramBuilder};
+    use std::cell::{Cell, RefCell};
+    use std::collections::HashMap;
+    use std::mem::{discriminant, Discriminant};
+
+    thread_local! {
+        /// Dispatch every op as its head: the 1:1 engine — no second
+        /// loop, the path a budget-cut op takes in every build.
+        static HEAD_ONLY: Cell<bool> = const { Cell::new(false) };
+        /// Per fused variant: `[dispatched whole, cut by the budget]`.
+        static FUSED: RefCell<HashMap<Discriminant<MachineOp>, [u64; 2]>> =
+            RefCell::new(HashMap::new());
+        /// Running digest of the thread at every exit from the hot tier.
+        static BLOCKS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// `exec_block`'s hook: fold where the block stopped (`pc`, `sp`, the
+    /// budget left), the behaviour window and the whole arena — dead
+    /// operand slots included — into the run's digest. With a budget of
+    /// 2 or 3 that is the state right after single fused ops.
+    pub(super) fn on_block_exit(th: &JavaThread, budget: u32) {
+        let f = th.frames.last().expect("a block ran in a frame");
+        let w = th.window;
+        let head = [
+            f.pc as u64,
+            f.sp as u64,
+            budget as u64,
+            w.total_ops,
+            w.fp_ops,
+            w.mem_ops,
+        ];
+        let slots = th.arena.iter().map(|s| s.raw());
+        let digest = head
+            .into_iter()
+            .chain(slots)
+            .fold(BLOCKS.get(), |h, v| hera_rng::splitmix64(h ^ v));
+        BLOCKS.set(digest);
+    }
+
+    /// `exec_block_run`'s hook: counts fused fetches, and forces the cut
+    /// when the reference engine is asked for.
+    pub(super) fn on_fetch(op: &MachineOp, cut: bool) -> bool {
+        if HEAD_ONLY.get() {
+            return true;
+        }
+        if op.parts() > 1 {
+            FUSED.with_borrow_mut(|m| m.entry(discriminant(op)).or_default()[cut as usize] += 1);
+        }
+        cut
+    }
+
+    /// Everything a run leaves behind that the guest, the cost model, a
+    /// trace consumer or a later restore can see.
+    #[derive(PartialEq, Debug)]
+    struct Observed {
+        result: Vec<String>,
+        output: Vec<String>,
+        wall: u64,
+        ppe: ([u64; 6], [u64; 6]),
+        spe: ([u64; 6], [u64; 6]),
+        heap_digest: u64,
+        blocks: u64,
+        lanes: Vec<hera_trace::Lane>,
+        snapshot: Vec<u8>,
+    }
+
+    fn observe(program: &Program, cfg: VmConfig, head_only: bool) -> Observed {
+        HEAD_ONLY.set(head_only);
+        BLOCKS.set(0);
+        let mut w = World::new(program, cfg);
+        let (kind, spe) = cfg.policy.initial_core_kind(0, cfg.cell.num_spes);
+        let core = match kind {
+            CoreKind::Ppe => CoreId::Ppe,
+            CoreKind::Spe => CoreId::Spe(spe),
+        };
+        w.spawn_thread(program.entry.expect("entry"), Vec::new(), core, 0);
+        w.run_to_completion().expect("no VM error");
+        HEAD_ONLY.set(false);
+        let image = w.heap.raw();
+        let written = w.heap.written_mark() as usize;
+        Observed {
+            result: w
+                .threads
+                .iter()
+                .map(|t| match &t.state {
+                    ThreadState::Finished(r) => format!("{r:?}"),
+                    other => panic!("thread left {other:?}"),
+                })
+                .collect(),
+            output: w.output.clone(),
+            wall: w.machine.makespan(&w.machine.cores()),
+            ppe: w.machine.breakdown(CoreId::Ppe).to_raw(),
+            spe: w.machine.spe_breakdown().to_raw(),
+            heap_digest: hera_snap::digest64_zero_extended(&image[..written], image.len()),
+            blocks: BLOCKS.get(),
+            lanes: w.machine.trace.lanes().to_vec(),
+            snapshot: w.checkpoint_now(),
+        }
+    }
+
+    /// A generated `main` plus a bytecode `emit(int)` it calls, which
+    /// prints its argument: blocks end in invokes, returns and a native.
+    fn program(seed: u64) -> Program {
+        let mut pb = ProgramBuilder::new();
+        let api = install_runtime(&mut pb);
+        let class = pb.add_class("Idioms", None);
+        let emit = pb.add_static_method(
+            class,
+            "emit",
+            vec![Ty::Int],
+            None,
+            1,
+            MethodBody::Bytecode(vec![
+                Instr::Load(0),
+                Instr::InvokeStatic(api.print_i32),
+                Instr::Return,
+            ]),
+        );
+        idiom_method(&mut pb, class, "main", seed, Some(emit));
+        pb.finish_with_entry("Idioms", "main").expect("resolves")
+    }
+
+    /// The fused engine against the 1:1 engine, on generated programs:
+    /// same result, traps, output, virtual time, per-class cycles *and op
+    /// counts*, heap image, trace and final checkpoint bytes — under every
+    /// budget that cuts fused ops, across a mid-block slowdown onset, on
+    /// both core kinds, traced and not. Release builds run it too, where
+    /// the per-op charge shadow is compiled out.
+    #[test]
+    fn fused_ops_match_head_by_head() {
+        FUSED.with_borrow_mut(|m| m.clear());
+        let (mut traps, mut ops) = (Vec::new(), 0);
+        for seed in 0..16 {
+            let program = program(seed);
+            for (core, base) in [
+                ("ppe", VmConfig::pinned_ppe()),
+                (
+                    "spe1",
+                    VmConfig::pinned_spe(1).with_cache_sizes(8 << 10, 32 << 10),
+                ),
+            ] {
+                let mut base = base;
+                base.heap.size_bytes = 256 << 10;
+                let plain = observe(&program, base, true);
+                traps.extend(
+                    plain
+                        .result
+                        .iter()
+                        .filter(|r| r.starts_with("Err"))
+                        .cloned(),
+                );
+                ops += plain.ppe.1.iter().chain(&plain.spe.1).sum::<u64>();
+                // An odd cycle about a third of the way in: inside a block.
+                let onset = (plain.wall / 3) | 1;
+                let slow = FaultPlan::default().with_slowdown(3, onset).expect("valid");
+                for faults in [FaultPlan::default(), slow] {
+                    for quantum_ops in [1, 2, 3, 5, 4096] {
+                        for traced in [false, true] {
+                            let mut cfg = base.with_faults(faults);
+                            cfg.quantum_ops = quantum_ops;
+                            cfg.cell.trace = traced;
+                            let at = format!(
+                                "seed {seed} {core} q{quantum_ops} traced={traced} slow={}",
+                                faults.slowdown_active()
+                            );
+                            let head = observe(&program, cfg, true);
+                            let fused = observe(&program, cfg, false);
+                            assert_eq!(fused.result, head.result, "{at}: results / traps");
+                            assert_eq!(fused.output, head.output, "{at}: output");
+                            assert_eq!(fused.wall, head.wall, "{at}: wall cycles");
+                            assert_eq!(fused.ppe, head.ppe, "{at}: PPE breakdown");
+                            assert_eq!(fused.spe, head.spe, "{at}: SPE breakdown");
+                            assert_eq!(fused.heap_digest, head.heap_digest, "{at}: heap");
+                            assert_eq!(fused.blocks, head.blocks, "{at}: state at block exits");
+                            assert_eq!(traced, head.lanes.iter().any(|l| !l.events.is_empty()));
+                            for (f, h) in fused.lanes.iter().zip(&head.lanes) {
+                                let first =
+                                    f.events.iter().zip(&h.events).position(|(a, b)| a != b);
+                                assert_eq!(first, None, "{at}: lane {} diverges", f.name);
+                                assert_eq!(f.events.len(), h.events.len(), "{at}: {}", f.name);
+                            }
+                            let first = fused
+                                .snapshot
+                                .iter()
+                                .zip(&head.snapshot)
+                                .position(|(a, b)| a != b);
+                            assert_eq!(first, None, "{at}: checkpoint bytes diverge");
+                            assert_eq!(fused.snapshot.len(), head.snapshot.len(), "{at}");
+                        }
+                    }
+                }
+            }
+        }
+        // The generator does its job: most programs run to the end, and
+        // every trap a fused op can end in kills one.
+        assert_eq!(traps.len(), 2 * DOOMS as usize, "{traps:?}");
+        for kind in ["DivisionByZero", "ArrayIndexOutOfBounds", "NullPointer"] {
+            assert!(
+                traps.iter().any(|t| t.contains(kind)),
+                "no {kind} in {traps:?}"
+            );
+        }
+        assert!(ops > 500_000, "only {ops} ops retired");
+        // Every fused variant ran whole and was cut by the budget.
+        FUSED.with_borrow(|m| {
+            assert_eq!(m.len(), 16, "fused variants dispatched: {m:?}");
+            for (shape, [whole, cut]) in m {
+                assert!(
+                    *whole > 0 && *cut > 0,
+                    "{shape:?}: {whole} whole, {cut} cut"
+                );
+            }
+        });
+    }
 }

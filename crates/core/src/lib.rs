@@ -54,6 +54,12 @@ pub mod thread;
 pub mod vm;
 pub mod world;
 
+/// `hera-jit`'s generator of fusion-dense methods, shared at source
+/// level: `interp::tests` runs its programs fused and head by head.
+#[cfg(test)]
+#[path = "../../jit/src/testgen.rs"]
+mod testgen;
+
 pub use native::StdNative;
 pub use policy::PlacementPolicy;
 pub use pool::WorkerPool;

@@ -1,9 +1,15 @@
 //! The baseline compiler: one pass, bytecode → machine ops, per core.
 //!
-//! The lowering is 1:1 (each guest instruction becomes exactly one
-//! machine op), so branch targets carry over unchanged. This mirrors the
-//! paper's use of the *baseline* (non-optimising) compiler for both PPE
-//! and SPE code in every experiment (§4).
+//! Slot *i* of the op stream is bytecode pc *i*: it holds that
+//! instruction's machine op, or a fused op whose [`MachineOp::head`] is
+//! that op and whose remaining parts are the ops of the slots after it
+//! (every slot is filled independently, so a branch into the middle of
+//! a fused sequence lands on a slot that is correct by itself). Branch
+//! targets, per-pc GC maps and snapshot pcs therefore carry over
+//! unchanged, and code size and compile cost are those of the 1:1
+//! lowering — the paper's *baseline* (non-optimising) compiler, used for
+//! both PPE and SPE code in every experiment (§4). What a fused op
+//! saves is host-side dispatch only.
 
 use crate::machine_op::{ArithOp, BranchKind, MachineOp};
 use crate::registry::CompiledMethod;
@@ -85,6 +91,11 @@ fn op_code_bytes(op: &MachineOp, core: CoreKind) -> u32 {
         }
         MachineOp::Return { .. } => 6,
         MachineOp::MonitorEnter | MachineOp::MonitorExit => 12,
+        fused => {
+            return (0..fused.parts())
+                .map(|i| op_code_bytes(&fused.part(i), core))
+                .sum()
+        }
     };
     instrs * unit
 }
@@ -107,8 +118,8 @@ pub fn compile_method(
     let def = program.method(method);
     let code = def.code().ok_or(CompileError::NativeMethod(method))?;
 
-    // Frame sizing and GC maps come from the verifier's dataflow; the
-    // 1:1 lowering below keeps its per-pc facts valid for the op stream.
+    // Frame sizing and GC maps come from the verifier's dataflow; one op
+    // slot per pc keeps its per-pc facts valid for the op stream.
     let info = hera_isa::verify_method(program, method).map_err(CompileError::Unverifiable)?;
 
     let mut ops = Vec::with_capacity(code.len());
@@ -116,8 +127,16 @@ pub fn compile_method(
         ops.push(lower(program, layout, instr, core)?);
     }
 
+    // The modelled compiler is the 1:1 one: size and cost come from the
+    // plain stream, before any slot is fused.
     let code_bytes: u32 = 32 + ops.iter().map(|op| op_code_bytes(op, core)).sum::<u32>();
     let compile_cycles = COMPILE_CYCLES_FIXED + COMPILE_CYCLES_PER_OP * ops.len() as u64;
+
+    // Fuse in place, front to back: slot `i` reads only plain ops, its
+    // own and those after it.
+    for i in 0..ops.len() {
+        ops[i] = MachineOp::fuse(&ops[i..]);
+    }
 
     Ok(CompiledMethod {
         method,
@@ -376,6 +395,127 @@ mod tests {
             })
             .collect();
         assert_eq!(volatiles, vec![false, true]);
+    }
+
+    type Variants = std::collections::HashSet<std::mem::Discriminant<MachineOp>>;
+
+    /// Compile every bytecode method of `program` for `core` and hold its
+    /// op stream against the 1:1 lowering; collects the fused variants.
+    fn check_streams(program: &Program, core: CoreKind, fused: &mut Variants) {
+        let layout = ProgramLayout::compute(program);
+        for m in (0..program.methods.len() as u32).map(MethodId) {
+            let Some(code) = program.method(m).code() else {
+                continue;
+            };
+            let c = compile_method(program, &layout, m, core).expect("compiles");
+            let plain: Vec<MachineOp> = code
+                .iter()
+                .map(|&i| lower(program, &layout, i, core).expect("lowers"))
+                .collect();
+            // The parent's formulae, over the parent's stream.
+            assert_eq!(
+                c.code_bytes,
+                32 + plain.iter().map(|op| op_code_bytes(op, core)).sum::<u32>()
+            );
+            assert_eq!(c.compile_cycles, 1500 + 120 * code.len() as u64);
+            assert_eq!(c.ops.len(), code.len(), "one slot per pc");
+            assert_eq!(c.ref_maps.len(), code.len());
+            for (i, op) in c.ops.iter().enumerate() {
+                assert_eq!(
+                    op.head(),
+                    plain[i],
+                    "slot {i} does not start with its own op"
+                );
+                let n = op.parts() as usize;
+                for k in 0..n {
+                    assert_eq!(
+                        op.part(k as u32),
+                        plain[i + k],
+                        "slot {i} part {k} of {op:?}"
+                    );
+                    // Nothing before the last part may branch, trap or
+                    // need the slow tier.
+                    assert!(
+                        k == n - 1
+                            || match plain[i + k] {
+                                MachineOp::Arith(a) => a.arity() == 2 && !a.may_trap(),
+                                MachineOp::LoadLocal(_)
+                                | MachineOp::PushI32(_)
+                                | MachineOp::IncLocal(..) => true,
+                                _ => false,
+                            },
+                        "slot {i}: {op:?} has {:?} before its end",
+                        plain[i + k]
+                    );
+                }
+                assert_eq!(
+                    MachineOp::fuse(&plain[i..]),
+                    *op,
+                    "slot {i} is not the longest"
+                );
+                if n > 1 {
+                    fused.insert(std::mem::discriminant(op));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_slot_holds_its_own_op_or_a_fusion_starting_with_it() {
+        for core in [CoreKind::Ppe, CoreKind::Spe] {
+            let mut fused = Variants::new();
+            for w in hera_workloads::Workload::ALL {
+                check_streams(&w.build(2, 0.05).0, core, &mut fused);
+            }
+            assert!(fused.len() >= 13, "{core:?}: the kernels hold {fused:?}");
+            for seed in 0..48 {
+                let mut pb = ProgramBuilder::new();
+                let class = pb.add_class("Idioms", None);
+                crate::testgen::idiom_method(&mut pb, class, "main", seed, None);
+                check_streams(&pb.finish().expect("resolves"), core, &mut fused);
+            }
+            // All 16, less the other core kind's array load.
+            assert_eq!(fused.len(), 15, "{core:?}: {fused:?}");
+            let foreign = match core {
+                CoreKind::Ppe => MachineOp::LoadLocal2ArrLoadCached(0, 0, hera_isa::ElemTy::Int),
+                CoreKind::Spe => MachineOp::LoadLocal2ArrLoadDirect(0, 0, hera_isa::ElemTy::Int),
+            };
+            assert!(!fused.contains(&std::mem::discriminant(&foreign)));
+        }
+    }
+
+    #[test]
+    fn a_trapping_or_unary_arith_fuses_only_where_it_may() {
+        use MachineOp::*;
+        let (div, neg, add) = (ArithOp::IDiv, ArithOp::INeg, ArithOp::IAdd);
+        // Last part: a division may end a fused op...
+        assert_eq!(
+            MachineOp::fuse(&[LoadLocal(1), LoadLocal(2), Arith(div)]),
+            LoadLocal2Arith(1, 2, div)
+        );
+        assert_eq!(
+            MachineOp::fuse(&[PushI32(0), Arith(div)]),
+            PushArith(0, div)
+        );
+        // ...but not sit in front of another part.
+        assert_eq!(MachineOp::fuse(&[Arith(div), StoreLocal(0)]), Arith(div));
+        assert_eq!(MachineOp::fuse(&[Arith(div), Arith(add)]), Arith(div));
+        assert_eq!(
+            MachineOp::fuse(&[LoadLocal(1), Arith(div), StoreLocal(0)]),
+            LoadLocalArith(1, div)
+        );
+        assert_eq!(
+            MachineOp::fuse(&[Arith(add), Arith(div), StoreLocal(0)]),
+            Arith2(add, div)
+        );
+        // Unary ops pop one operand: never part of a fused op.
+        assert_eq!(
+            MachineOp::fuse(&[LoadLocal(1), Arith(neg), StoreLocal(0)]),
+            LoadLocal(1)
+        );
+        assert_eq!(MachineOp::fuse(&[Arith(neg), StoreLocal(0)]), Arith(neg));
+        // A one-op window is that op.
+        assert_eq!(MachineOp::fuse(&[LoadLocal(3)]), LoadLocal(3));
     }
 
     #[test]

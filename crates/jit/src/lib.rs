@@ -26,6 +26,8 @@
 pub mod compile;
 pub mod machine_op;
 pub mod registry;
+#[cfg(test)]
+mod testgen;
 
 pub use compile::{compile_method, CompileError};
 pub use machine_op::{ArithOp, BranchKind, MachineOp};

@@ -129,6 +129,12 @@ impl ArithOp {
         }
     }
 
+    /// Whether applying this op can trap (a zero divisor).
+    pub fn may_trap(self) -> bool {
+        use ArithOp::*;
+        matches!(self, IDiv | IRem | LDiv | LRem)
+    }
+
     /// The abstract execution op this is charged as.
     pub fn exec_op(self) -> ExecOp {
         use ArithOp::*;
@@ -360,6 +366,12 @@ pub enum BranchKind {
 /// (SPE code — calls into the software data cache). The compiler emits
 /// exactly one flavour per compilation target, so a compiled method is
 /// usable only on its target core kind.
+///
+/// The variants after `MonitorExit` are *fused* ops: each stands for a
+/// sequence of two or three plain ops (its [`parts`](MachineOp::parts))
+/// that the engine retires in one dispatch. They are produced only by
+/// [`MachineOp::fuse`] and never change what the guest observes — see
+/// DESIGN.md §4.8 "Fused ops".
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum MachineOp {
     /// Push a constant.
@@ -531,10 +543,49 @@ pub enum MachineOp {
     MonitorEnter,
     /// Release the popped object's monitor.
     MonitorExit,
+
+    // ---- fused ops (binary `Arith` only; see `fuse`) ----
+    /// `LoadLocal LoadLocal`.
+    LoadLocal2(u16, u16),
+    /// `LoadLocal Arith`.
+    LoadLocalArith(u16, ArithOp),
+    /// `PushI32 Arith`.
+    PushArith(i32, ArithOp),
+    /// `Arith StoreLocal`.
+    ArithStoreLocal(ArithOp, u16),
+    /// `LoadLocal StoreLocal`.
+    LoadLocalStoreLocal(u16, u16),
+    /// `Arith Arith`.
+    Arith2(ArithOp, ArithOp),
+    /// `PushI32 Branch(IfICmp)`.
+    PushIfICmp(i32, Cond, u32),
+    /// `IncLocal Branch(Always)`.
+    IncLocalGoto(u16, i16, u32),
+    /// `LoadLocal LoadLocal Arith`.
+    LoadLocal2Arith(u16, u16, ArithOp),
+    /// `LoadLocal PushI32 Arith`.
+    LoadLocalPushArith(u16, i32, ArithOp),
+    /// `LoadLocal Arith StoreLocal`.
+    LoadLocalArithStoreLocal(u16, ArithOp, u16),
+    /// `Arith Arith StoreLocal`.
+    Arith2StoreLocal(ArithOp, ArithOp, u16),
+    /// `LoadLocal LoadLocal Branch(IfICmp)`.
+    LoadLocal2IfICmp(u16, u16, Cond, u32),
+    /// `LoadLocal PushI32 Branch(IfICmp)`.
+    LoadLocalPushIfICmp(u16, i32, Cond, u32),
+    /// PPE: `LoadLocal LoadLocal ArrLoadDirect`.
+    LoadLocal2ArrLoadDirect(u16, u16, ElemTy),
+    /// SPE: `LoadLocal LoadLocal ArrLoadCached`.
+    LoadLocal2ArrLoadCached(u16, u16, ElemTy),
 }
 
+// A fused op has to fit the slot of the op it starts at: the stream
+// keeps one 16-byte op per bytecode pc.
+const _: () = assert!(std::mem::size_of::<MachineOp>() == 16);
+
 impl MachineOp {
-    /// Whether this op is an SPE software-cache access.
+    /// Whether this op is (or, fused, ends in) an SPE software-cache
+    /// access.
     pub fn is_cached_access(&self) -> bool {
         matches!(
             self,
@@ -545,10 +596,11 @@ impl MachineOp {
                 | MachineOp::ArrLoadCached { .. }
                 | MachineOp::ArrStoreCached { .. }
                 | MachineOp::ArrLenCached
+                | MachineOp::LoadLocal2ArrLoadCached(..)
         )
     }
 
-    /// Whether this op is a PPE direct heap access.
+    /// Whether this op is (or, fused, ends in) a PPE direct heap access.
     pub fn is_direct_access(&self) -> bool {
         matches!(
             self,
@@ -559,7 +611,122 @@ impl MachineOp {
                 | MachineOp::ArrLoadDirect { .. }
                 | MachineOp::ArrStoreDirect { .. }
                 | MachineOp::ArrLenDirect
+                | MachineOp::LoadLocal2ArrLoadDirect(..)
         )
+    }
+
+    /// The longest fused op that stands for a prefix of `window` (plain
+    /// ops, `window[0]` at the pc being filled), or `window[0]` itself.
+    ///
+    /// Only a fused op's last part may trap or branch: the engine
+    /// advances `pc` and its op counters by [`parts`](MachineOp::parts)
+    /// before the op runs, which is what the 1:1 engine has done by the
+    /// time that last part runs. So an `Arith` that can trap fuses only
+    /// in final position, and only binary `Arith`s fuse at all.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty window.
+    pub fn fuse(window: &[MachineOp]) -> MachineOp {
+        use BranchKind::{Always, IfICmp};
+        use MachineOp::*;
+        let binary = |a: ArithOp| a.arity() == 2;
+        let inner = |a: ArithOp| a.arity() == 2 && !a.may_trap();
+        match *window {
+            [LoadLocal(x), LoadLocal(y), Arith(a), ..] if binary(a) => LoadLocal2Arith(x, y, a),
+            [LoadLocal(x), LoadLocal(y), Branch(IfICmp(c), t), ..] => LoadLocal2IfICmp(x, y, c, t),
+            [LoadLocal(x), LoadLocal(y), ArrLoadDirect { elem }, ..] => {
+                LoadLocal2ArrLoadDirect(x, y, elem)
+            }
+            [LoadLocal(x), LoadLocal(y), ArrLoadCached { elem }, ..] => {
+                LoadLocal2ArrLoadCached(x, y, elem)
+            }
+            [LoadLocal(x), PushI32(v), Arith(a), ..] if binary(a) => LoadLocalPushArith(x, v, a),
+            [LoadLocal(x), PushI32(v), Branch(IfICmp(c), t), ..] => LoadLocalPushIfICmp(x, v, c, t),
+            [LoadLocal(x), Arith(a), StoreLocal(d), ..] if inner(a) => {
+                LoadLocalArithStoreLocal(x, a, d)
+            }
+            [Arith(a), Arith(b), StoreLocal(d), ..] if inner(a) && inner(b) => {
+                Arith2StoreLocal(a, b, d)
+            }
+            [LoadLocal(x), LoadLocal(y), ..] => LoadLocal2(x, y),
+            [LoadLocal(x), Arith(a), ..] if binary(a) => LoadLocalArith(x, a),
+            [LoadLocal(x), StoreLocal(d), ..] => LoadLocalStoreLocal(x, d),
+            [PushI32(v), Arith(a), ..] if binary(a) => PushArith(v, a),
+            [PushI32(v), Branch(IfICmp(c), t), ..] => PushIfICmp(v, c, t),
+            [Arith(a), StoreLocal(d), ..] if inner(a) => ArithStoreLocal(a, d),
+            [Arith(a), Arith(b), ..] if inner(a) && binary(b) => Arith2(a, b),
+            [IncLocal(x, d), Branch(Always, t), ..] => IncLocalGoto(x, d, t),
+            [plain, ..] => plain,
+            [] => panic!("fuse of an empty window"),
+        }
+    }
+
+    /// How many plain ops this op stands for: 1 unless fused.
+    #[inline(always)]
+    pub fn parts(&self) -> u32 {
+        use MachineOp::*;
+        match self {
+            LoadLocal2(..)
+            | LoadLocalArith(..)
+            | PushArith(..)
+            | ArithStoreLocal(..)
+            | LoadLocalStoreLocal(..)
+            | Arith2(..)
+            | PushIfICmp(..)
+            | IncLocalGoto(..) => 2,
+            LoadLocal2Arith(..)
+            | LoadLocalPushArith(..)
+            | LoadLocalArithStoreLocal(..)
+            | Arith2StoreLocal(..)
+            | LoadLocal2IfICmp(..)
+            | LoadLocalPushIfICmp(..)
+            | LoadLocal2ArrLoadDirect(..)
+            | LoadLocal2ArrLoadCached(..) => 3,
+            _ => 1,
+        }
+    }
+
+    /// The `i`-th plain op this op stands for (itself when not fused).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.parts()`.
+    pub fn part(&self, i: u32) -> MachineOp {
+        use BranchKind::{Always, IfICmp};
+        use MachineOp::*;
+        let seq: [MachineOp; 3] = match *self {
+            LoadLocal2(x, y) => [LoadLocal(x), LoadLocal(y), Pop],
+            LoadLocalArith(x, a) => [LoadLocal(x), Arith(a), Pop],
+            PushArith(v, a) => [PushI32(v), Arith(a), Pop],
+            ArithStoreLocal(a, d) => [Arith(a), StoreLocal(d), Pop],
+            LoadLocalStoreLocal(x, d) => [LoadLocal(x), StoreLocal(d), Pop],
+            Arith2(a, b) => [Arith(a), Arith(b), Pop],
+            PushIfICmp(v, c, t) => [PushI32(v), Branch(IfICmp(c), t), Pop],
+            IncLocalGoto(x, d, t) => [IncLocal(x, d), Branch(Always, t), Pop],
+            LoadLocal2Arith(x, y, a) => [LoadLocal(x), LoadLocal(y), Arith(a)],
+            LoadLocalPushArith(x, v, a) => [LoadLocal(x), PushI32(v), Arith(a)],
+            LoadLocalArithStoreLocal(x, a, d) => [LoadLocal(x), Arith(a), StoreLocal(d)],
+            Arith2StoreLocal(a, b, d) => [Arith(a), Arith(b), StoreLocal(d)],
+            LoadLocal2IfICmp(x, y, c, t) => [LoadLocal(x), LoadLocal(y), Branch(IfICmp(c), t)],
+            LoadLocalPushIfICmp(x, v, c, t) => [LoadLocal(x), PushI32(v), Branch(IfICmp(c), t)],
+            LoadLocal2ArrLoadDirect(x, y, elem) => {
+                [LoadLocal(x), LoadLocal(y), ArrLoadDirect { elem }]
+            }
+            LoadLocal2ArrLoadCached(x, y, elem) => {
+                [LoadLocal(x), LoadLocal(y), ArrLoadCached { elem }]
+            }
+            plain => [plain, Pop, Pop],
+        };
+        assert!(i < self.parts(), "part {i} of {self:?}");
+        seq[i as usize]
+    }
+
+    /// The plain op at this op's own pc: what the 1:1 lowering put in
+    /// this slot. `ops.iter().map(MachineOp::head)` is that lowering.
+    #[inline]
+    pub fn head(&self) -> MachineOp {
+        self.part(0)
     }
 }
 

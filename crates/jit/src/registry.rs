@@ -21,8 +21,10 @@ use std::rc::Rc;
 /// Carries the verifier's frame facts (`max_stack`, `max_locals`,
 /// per-op [`RefMap`]s) so the runtime can carve fixed-size untagged
 /// frames out of a thread's slot arena and still scan GC roots exactly.
-/// The lowering is 1:1, so op indices coincide with bytecode pcs and
-/// the maps transfer unchanged to compiled code on both core kinds.
+/// Slot *i* of `ops` is bytecode pc *i* — that instruction's op, or a
+/// fused op whose [`MachineOp::head`] is that op — so op indices coincide
+/// with bytecode pcs and the maps transfer unchanged to compiled code on
+/// both core kinds.
 ///
 /// [`RefMap`]: hera_isa::RefMap
 #[derive(Clone, PartialEq, Debug)]
@@ -31,7 +33,7 @@ pub struct CompiledMethod {
     pub method: MethodId,
     /// Target core kind.
     pub core: CoreKind,
-    /// The op stream.
+    /// The op stream, one slot per bytecode pc.
     pub ops: Vec<MachineOp>,
     /// Estimated native code bytes (drives the SPE code cache).
     pub code_bytes: u32,
