@@ -260,6 +260,32 @@ fn wild_array_indices_trap_identically_on_both_core_kinds() {
     }
 }
 
+/// `new long[0x2000_0001]`: eight times that wraps 32 bits to 8, so an
+/// unchecked size made this a 16-byte array claiming half a billion
+/// elements — every heap byte readable and writable through it, and an
+/// index past the image a host panic. It is an allocation no heap can
+/// satisfy: the thread traps, on either core kind.
+#[test]
+fn array_length_whose_size_overflows_traps_out_of_memory() {
+    let body = vec![
+        Stmt::Let("a".into(), new_array(ElemTy::Long, i32c(0x2000_0001))),
+        Stmt::SetIndex(local("a"), i32c(100_000), i64c(-1)),
+        Stmt::Return(Some(length(local("a")))),
+    ];
+    let program = main_program(Some(Ty::Int), body);
+    for mut cfg in [VmConfig::pinned_ppe(), VmConfig::pinned_spe(1)] {
+        cfg.heap.size_bytes = 64 << 10;
+        let out = run_program(program.clone(), cfg);
+        assert_eq!(out.result, None);
+        assert_eq!(
+            out.traps,
+            vec![(hera_core::ThreadId(0), Trap::OutOfMemory)],
+            "{:?}",
+            cfg.policy
+        );
+    }
+}
+
 #[test]
 fn division_by_zero_traps_on_spe_too() {
     let body = vec![

@@ -399,6 +399,57 @@ fn crafted_dirty_span_outside_its_unit_is_rejected() {
     }
 }
 
+/// A heap image is input: an array header whose length no allocation
+/// can have written — here one whose byte size does not fit 32 bits —
+/// must be refused at restore, not multiplied at the resumed run's first
+/// access.
+#[test]
+fn crafted_array_length_is_rejected() {
+    // No byte of the length is zero, so all four sit in one literal
+    // chunk of the heap image's encoding and can be patched in place.
+    const LEN: i32 = 0x0101_0101;
+    let body = vec![
+        Stmt::Let("a".into(), new_array(ElemTy::Byte, i32c(LEN))),
+        Stmt::Let("acc".into(), i32c(1)),
+        for_range(
+            "i",
+            i32c(0),
+            i32c(8_000),
+            vec![Stmt::Assign(
+                "acc".into(),
+                bxor(mul(local("acc"), i32c(31)), local("i")),
+            )],
+        ),
+        Stmt::Return(Some(add(local("acc"), length(local("a"))))),
+    ];
+    let cfg = VmConfig::pinned_ppe().with_checkpoint_every(400_000);
+    let vm = HeraJvm::new(main_program(Some(Ty::Int), body), cfg).expect("constructs");
+    let full = vm.run().expect("runs");
+    let bytes = &full.checkpoints.first().expect("a checkpoint").bytes;
+    vm.restore_bytes(bytes)
+        .expect("the untouched blob restores");
+
+    // A `byte[]` header is `0x8000_0000` (array bit, element code 0),
+    // then the length; its three zero bytes end the zero run before it.
+    let payload = hera_snap::open(bytes).expect("valid container");
+    let header: Vec<u8> = [&[0x80][..], &LEN.to_le_bytes()].concat();
+    let hits: Vec<usize> = (0..payload.len() - header.len())
+        .filter(|&i| payload[i..].starts_with(&header))
+        .collect();
+    assert_eq!(hits.len(), 1, "expected exactly one byte[LEN] header");
+    let mut crafted = payload.to_vec();
+    crafted[hits[0] + 1..hits[0] + 5].copy_from_slice(&u32::MAX.to_le_bytes());
+    match vm.restore_bytes(&hera_snap::seal(&crafted)) {
+        Err(VmError::Snap(SnapError::Corrupt(msg))) => {
+            assert!(
+                msg.contains("outside the heap"),
+                "unexpected message: {msg}"
+            )
+        }
+        other => panic!("expected a Corrupt rejection, got {other:?}"),
+    }
+}
+
 /// One level of the PPE cache model as a checkpoint payload carries it:
 /// the tags (stored inverted) and the LRU stamps, each RLE-coded, then
 /// the tick.

@@ -88,7 +88,11 @@ fn elem_code(e: ElemTy) -> u32 {
 }
 
 fn code_elem(c: u32) -> ElemTy {
-    match c {
+    try_code_elem(c).unwrap_or_else(|| panic!("corrupt header: element code {c}"))
+}
+
+fn try_code_elem(c: u32) -> Option<ElemTy> {
+    Some(match c {
         0 => ElemTy::Byte,
         1 => ElemTy::Short,
         2 => ElemTy::Int,
@@ -96,17 +100,31 @@ fn code_elem(c: u32) -> ElemTy {
         4 => ElemTy::Float,
         5 => ElemTy::Double,
         6 => ElemTy::Ref,
-        other => panic!("corrupt header: element code {other}"),
-    }
+        _ => return None,
+    })
 }
 
 fn align8(v: u32) -> u32 {
     (v + 7) & !7
 }
 
-/// Byte size of an array with `len` elements of `elem`, header included.
+/// Byte size of an array with `len` elements of `elem`, header included;
+/// `None` when that does not fit the 32-bit address space. `len` is
+/// guest data wherever it comes from (a `NewArray` operand, a header in
+/// a snapshot's heap image), so this is the one place it is multiplied.
+pub fn checked_array_byte_size(elem: ElemTy, len: u32) -> Option<u32> {
+    let unaligned = len.checked_mul(elem.size())?.checked_add(HEADER_BYTES)?;
+    Some(unaligned.checked_add(7)? & !7)
+}
+
+/// [`checked_array_byte_size`] of an array that exists: allocation and
+/// restore have both refused a length whose size overflows.
+///
+/// # Panics
+///
+/// Panics if the size does not fit 32 bits.
 pub fn array_byte_size(elem: ElemTy, len: u32) -> u32 {
-    align8(HEADER_BYTES + len * elem.size())
+    checked_array_byte_size(elem, len).expect("array size fits the address space")
 }
 
 /// Typed raw-byte codecs shared by the heap and the SPE local store
@@ -404,6 +422,23 @@ impl Heap {
         {
             return Err("heap object address out of bounds");
         }
+        // Every header must describe an object that lies inside the heap:
+        // `header` and `elem_addr` compute with these words unchecked.
+        let word = |a: u32| {
+            let a = a as usize;
+            u32::from_le_bytes([data[a], data[a + 1], data[a + 2], data[a + 3]])
+        };
+        for &addr in &objects {
+            let (w0, w1) = (word(addr), word(addr + 4));
+            let size = if w0 & ARRAY_BIT != 0 {
+                try_code_elem((w0 >> 16) & 0xff).and_then(|e| checked_array_byte_size(e, w1))
+            } else {
+                Some(w1)
+            };
+            if !size.is_some_and(|s| s >= HEADER_BYTES && s as u64 + addr as u64 <= limit as u64) {
+                return Err("heap object header describes an object outside the heap");
+            }
+        }
         let frontier = match free.last() {
             Some(&(addr, size)) if addr + size == limit => addr,
             _ => limit,
@@ -553,9 +588,10 @@ impl Heap {
     }
 
     /// Allocate an array. `len` must be non-negative (the interpreter
-    /// traps on negative sizes before calling).
+    /// traps on negative sizes before calling). `None` when no free span
+    /// fits — as none can, for a length whose byte size overflows.
     pub fn alloc_array(&mut self, elem: ElemTy, len: u32) -> Option<ObjRef> {
-        let size = array_byte_size(elem, len);
+        let size = checked_array_byte_size(elem, len)?;
         let addr = self.carve(size)?;
         self.zero(addr, size);
         self.write_u32(addr, ARRAY_BIT | (elem_code(elem) << 16));
@@ -865,6 +901,69 @@ mod tests {
         let stale = rebuild(&heap, 2000, heap.free_spans().to_vec()).unwrap();
         assert_eq!(stale.written, 2000);
         assert!(rebuild(&heap, heap.limit() + 1, Vec::new()).is_err());
+    }
+
+    /// `len` is guest data: a length whose byte size wraps 32 bits must
+    /// not come back as a 16-byte array that claims half a billion
+    /// elements (every heap byte then lies "inside" it).
+    #[test]
+    fn array_sizes_that_overflow_are_refused() {
+        assert_eq!(checked_array_byte_size(ElemTy::Long, 0x2000_0001), None);
+        assert_eq!(checked_array_byte_size(ElemTy::Int, 0x4000_0000), None);
+        assert_eq!(checked_array_byte_size(ElemTy::Byte, u32::MAX - 8), None);
+        assert_eq!(
+            checked_array_byte_size(ElemTy::Byte, u32::MAX - 15),
+            Some(0xffff_fff8)
+        );
+        assert_eq!(checked_array_byte_size(ElemTy::Long, 3), Some(32));
+
+        let (mut heap, ..) = small_heap();
+        assert_eq!(heap.alloc_array(ElemTy::Long, 0x2000_0001), None);
+        assert_eq!(heap.alloc_array(ElemTy::Int, u32::MAX), None);
+        // The largest array that fits still allocates — exactly.
+        let (_, room) = heap.free_spans()[0];
+        let most = (room - HEADER_BYTES) / 8;
+        assert_eq!(heap.alloc_array(ElemTy::Long, most + 1), None);
+        let r = heap.alloc_array(ElemTy::Long, most).expect("fits");
+        assert_eq!(heap.array_length(r), most);
+        assert!(heap.elem_addr(r, most as i32 - 1).unwrap().0 + 8 <= heap.limit());
+        assert!(heap.elem_addr(r, most as i32).is_err());
+    }
+
+    /// A heap image is input too: a header whose length or element code
+    /// no allocation can have written is refused at restore, not
+    /// multiplied (or matched on) at the first access.
+    #[test]
+    fn restore_refuses_headers_that_leave_the_heap() {
+        let (mut heap, layout, c, _) = small_heap();
+        let obj = heap.alloc_object(&layout, c).unwrap();
+        let arr = heap.alloc_array(ElemTy::Long, 10).unwrap();
+        let rebuild = |data: Vec<u8>| {
+            Heap::from_raw_parts(
+                data,
+                heap.written_mark(),
+                heap.objects_base(),
+                heap.limit(),
+                heap.free_spans().to_vec(),
+                heap.objects().map(|r| r.0).collect(),
+                heap.statics_size(),
+                heap.stats,
+            )
+        };
+        assert!(rebuild(heap.raw().to_vec()).is_ok());
+        let crafted = |at: u32, word: u32| {
+            let mut data = heap.raw().to_vec();
+            data[at as usize..at as usize + 4].copy_from_slice(&word.to_le_bytes());
+            rebuild(data).err()
+        };
+        let refused = Some("heap object header describes an object outside the heap");
+        // Wraps to a 16-byte array; one element too many for the heap;
+        // an element code no `ElemTy` has; an object longer than the heap.
+        assert_eq!(crafted(arr.0 + 4, 0x2000_0001), refused);
+        assert_eq!(crafted(arr.0 + 4, (heap.limit() - arr.0) / 8), refused);
+        assert_eq!(crafted(arr.0, ARRAY_BIT | (7 << 16)), refused);
+        assert_eq!(crafted(obj.0 + 4, heap.limit()), refused);
+        assert_eq!(crafted(obj.0 + 4, 4), refused);
     }
 
     #[test]
