@@ -39,6 +39,7 @@ use hera_cell::{CellMachine, ChargeRun, CoreId, CoreKind, ExecOp, FaultSite, OpC
 use hera_isa::class::NativeKind;
 use hera_isa::{Kind, MethodDef, MethodId, ObjRef, Slot, Trap, Ty, Value};
 use hera_jit::{BranchKind, MachineOp};
+use hera_mem::heap::codec::elem_as_ty;
 use hera_mem::{Heap, HeapKind};
 use hera_softcache::{CacheFault, DataCache};
 use hera_trace::{CostClass, MigrationKind, TraceEvent};
@@ -505,7 +506,9 @@ fn exec_block_run(
             let (addr, elem) = heap.elem_addr(r, idx)?;
             let cycles = ppe_access!(addr, elem.size());
             mem_monitor(window, cycles);
-            heap.array_load_slot(r, idx)?
+            // The probe's address is the element's: no second decode of
+            // the header, no second bounds check.
+            heap.read_typed_slot(addr, elem_as_ty(elem))
         }};
     }
     macro_rules! arr_load_cached {
@@ -733,7 +736,7 @@ fn exec_block_run(
                 let (addr, elem) = heap.elem_addr(r, idx)?;
                 let cycles = ppe_access!(addr, elem.size());
                 mem_monitor(window, cycles);
-                heap.array_store_slot(r, idx, v)?;
+                heap.write_typed_slot(addr, elem_as_ty(elem), v);
             }
 
             // ---- SPE software-cached heap access ----

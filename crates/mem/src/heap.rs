@@ -684,14 +684,21 @@ impl Heap {
         )
     }
 
+    /// Element type and length of the array at `r`, `None` for an object:
+    /// the two header facts an element access needs, without the byte
+    /// size [`Heap::header`] also computes.
+    #[inline]
+    fn array_facts(&self, r: ObjRef) -> Option<(ElemTy, u32)> {
+        let w0 = self.read_u32(r.0);
+        (w0 & ARRAY_BIT != 0).then(|| (code_elem((w0 >> 16) & 0xff), self.read_u32(r.0 + 4)))
+    }
+
     /// Bounds-checked address of array element `idx`; the array's header
     /// is consulted for the length and element size.
     pub fn elem_addr(&self, r: ObjRef, idx: i32) -> Result<(u32, ElemTy), Trap> {
-        let hdr = self.header(r);
-        let (elem, len) = match hdr.kind {
-            HeapKind::Array(e, l) => (e, l),
-            HeapKind::Object(_) => panic!("elem_addr on non-array (verifier bug)"),
-        };
+        let (elem, len) = self
+            .array_facts(r)
+            .expect("elem_addr on non-array (verifier bug)");
         if idx < 0 || idx as u32 >= len {
             return Err(Trap::ArrayIndexOutOfBounds { index: idx, len });
         }
@@ -711,36 +718,16 @@ impl Heap {
         Ok(())
     }
 
-    /// Bounds-checked untagged array element load.
-    #[inline]
-    pub fn array_load_slot(&self, r: ObjRef, idx: i32) -> Result<Slot, Trap> {
-        let (addr, elem) = self.elem_addr(r, idx)?;
-        Ok(self.read_typed_slot(addr, codec::elem_as_ty(elem)))
-    }
-
-    /// Bounds-checked untagged array element store.
-    #[inline]
-    pub fn array_store_slot(&mut self, r: ObjRef, idx: i32, s: Slot) -> Result<(), Trap> {
-        let (addr, elem) = self.elem_addr(r, idx)?;
-        self.write_typed_slot(addr, codec::elem_as_ty(elem), s);
-        Ok(())
-    }
-
     /// Array length from the header.
     pub fn array_length(&self, r: ObjRef) -> u32 {
-        match self.header(r).kind {
-            HeapKind::Array(_, len) => len,
-            HeapKind::Object(_) => panic!("array_length on non-array (verifier bug)"),
-        }
+        self.try_array_length(r)
+            .expect("array_length on non-array (verifier bug)")
     }
 
     /// Array length, `None` when `r` is not an array (natives receive
     /// arbitrary verified refs, so this path must not panic).
     pub fn try_array_length(&self, r: ObjRef) -> Option<u32> {
-        match self.header(r).kind {
-            HeapKind::Array(_, len) => Some(len),
-            HeapKind::Object(_) => None,
-        }
+        self.array_facts(r).map(|(_, len)| len)
     }
 }
 
