@@ -8,6 +8,12 @@ cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release --workspace
 cargo test -q --workspace --exclude hera-integration
+# The seeded differential tests (fused dispatch against head-by-head in
+# hera-core, every fused slot against the plain lowering in hera-jit, the
+# run-charging data-cache lookup against its clock-charging reference in
+# hera-softcache) once more where the per-op charge shadow is compiled
+# out and arithmetic wraps instead of panicking.
+cargo test -q --release -p hera-jit -p hera-core -p hera-softcache
 # hera-integration's binaries are most of the suite's wall time (ROADMAP
 # aim 4e): build them once, then run them one at a time and print the
 # wall seconds each took, so a slow CI run explains itself.

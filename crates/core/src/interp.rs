@@ -2059,7 +2059,6 @@ mod tests {
 
     /// Everything a run leaves behind that the guest, the cost model, a
     /// trace consumer or a later restore can see.
-    #[derive(PartialEq, Debug)]
     struct Observed {
         result: Vec<String>,
         output: Vec<String>,

@@ -864,6 +864,12 @@ mod tests {
         assert!(cached.is_cached_access() && !cached.is_direct_access());
         assert!(direct.is_direct_access() && !direct.is_cached_access());
         assert!(!MachineOp::Pop.is_cached_access());
+        // A fused op is classified by the access it ends in.
+        let cached = MachineOp::LoadLocal2ArrLoadCached(0, 1, ElemTy::Int);
+        let direct = MachineOp::LoadLocal2ArrLoadDirect(0, 1, ElemTy::Int);
+        assert!(cached.is_cached_access() && !cached.is_direct_access());
+        assert!(direct.is_direct_access() && !direct.is_cached_access());
+        assert!(!MachineOp::LoadLocal2(0, 1).is_direct_access());
     }
 
     #[test]
