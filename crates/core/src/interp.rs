@@ -451,6 +451,30 @@ fn exec_block_run(
             sget(arena, base + $s as usize)
         };
     }
+    // `LoadLocal`, `PushI32` and `StoreLocal` as parts of a fused op:
+    // charged, and the operand slot `$at` written though `f.sp` skips it.
+    macro_rules! load {
+        ($x:expr, $at:expr) => {{
+            charge!(OpClass::Stack, costs.local_access);
+            let v = local!($x);
+            sset(arena, $at, v);
+            v
+        }};
+    }
+    macro_rules! push_i32 {
+        ($v:expr, $at:expr) => {{
+            charge!(OpClass::Stack, costs.stack_op);
+            let v = Slot::from_i32($v);
+            sset(arena, $at, v);
+            v
+        }};
+    }
+    macro_rules! store {
+        ($d:expr, $v:expr) => {{
+            charge!(OpClass::Stack, costs.local_access);
+            sset(arena, base + $d as usize, $v);
+        }};
+    }
     // One `Arith`'s charge and its mark in the behaviour window.
     macro_rules! charge_arith {
         ($a:expr) => {{
@@ -847,28 +871,20 @@ fn exec_block_run(
             // as they do when the plain op traps).
             LoadLocal2(x, y) => {
                 let sp = f.sp as usize;
-                charge!(OpClass::Stack, costs.local_access);
-                let a = local!(x);
-                sset(arena, sp, a);
-                charge!(OpClass::Stack, costs.local_access);
-                let b = local!(y);
-                sset(arena, sp + 1, b);
+                load!(x, sp);
+                load!(y, sp + 1);
                 f.sp += 2;
             }
             LoadLocalArith(x, a) => {
                 let sp = f.sp as usize;
-                charge!(OpClass::Stack, costs.local_access);
-                let b = local!(x);
-                sset(arena, sp, b);
+                let b = load!(x, sp);
                 charge_arith!(a);
                 let r = apply_last!(a, sget(arena, sp - 1), b, sp - 1);
                 sset(arena, sp - 1, r);
             }
             PushArith(v, a) => {
                 let sp = f.sp as usize;
-                charge!(OpClass::Stack, costs.stack_op);
-                let b = Slot::from_i32(v);
-                sset(arena, sp, b);
+                let b = push_i32!(v, sp);
                 charge_arith!(a);
                 let r = apply_last!(a, sget(arena, sp - 1), b, sp - 1);
                 sset(arena, sp - 1, r);
@@ -878,16 +894,12 @@ fn exec_block_run(
                 charge_arith!(a);
                 let r = apply_inner!(a, sget(arena, sp - 2), sget(arena, sp - 1));
                 sset(arena, sp - 2, r);
-                charge!(OpClass::Stack, costs.local_access);
-                sset(arena, base + d as usize, r);
+                store!(d, r);
                 f.sp -= 2;
             }
             LoadLocalStoreLocal(x, d) => {
-                charge!(OpClass::Stack, costs.local_access);
-                let v = local!(x);
-                sset(arena, f.sp as usize, v);
-                charge!(OpClass::Stack, costs.local_access);
-                sset(arena, base + d as usize, v);
+                let v = load!(x, f.sp as usize);
+                store!(d, v);
             }
             Arith2(a, a2) => {
                 let sp = f.sp as usize;
@@ -900,8 +912,7 @@ fn exec_block_run(
                 f.sp -= 2;
             }
             PushIfICmp(v, c, target) => {
-                charge!(OpClass::Stack, costs.stack_op);
-                sset(arena, f.sp as usize, Slot::from_i32(v));
+                push_i32!(v, f.sp as usize);
                 f.sp -= 1;
                 let a = sget(arena, f.sp as usize).i32();
                 branch!(c.eval2(a, v), target);
@@ -916,12 +927,8 @@ fn exec_block_run(
             }
             LoadLocal2Arith(x, y, a) => {
                 let sp = f.sp as usize;
-                charge!(OpClass::Stack, costs.local_access);
-                let l = local!(x);
-                sset(arena, sp, l);
-                charge!(OpClass::Stack, costs.local_access);
-                let b = local!(y);
-                sset(arena, sp + 1, b);
+                let l = load!(x, sp);
+                let b = load!(y, sp + 1);
                 charge_arith!(a);
                 let r = apply_last!(a, l, b, sp);
                 sset(arena, sp, r);
@@ -929,12 +936,8 @@ fn exec_block_run(
             }
             LoadLocalPushArith(x, v, a) => {
                 let sp = f.sp as usize;
-                charge!(OpClass::Stack, costs.local_access);
-                let l = local!(x);
-                sset(arena, sp, l);
-                charge!(OpClass::Stack, costs.stack_op);
-                let b = Slot::from_i32(v);
-                sset(arena, sp + 1, b);
+                let l = load!(x, sp);
+                let b = push_i32!(v, sp + 1);
                 charge_arith!(a);
                 let r = apply_last!(a, l, b, sp);
                 sset(arena, sp, r);
@@ -942,14 +945,11 @@ fn exec_block_run(
             }
             LoadLocalArithStoreLocal(x, a, d) => {
                 let sp = f.sp as usize;
-                charge!(OpClass::Stack, costs.local_access);
-                let b = local!(x);
-                sset(arena, sp, b);
+                let b = load!(x, sp);
                 charge_arith!(a);
                 let r = apply_inner!(a, sget(arena, sp - 1), b);
                 sset(arena, sp - 1, r);
-                charge!(OpClass::Stack, costs.local_access);
-                sset(arena, base + d as usize, r);
+                store!(d, r);
                 f.sp -= 1;
             }
             Arith2StoreLocal(a, a2, d) => {
@@ -960,37 +960,25 @@ fn exec_block_run(
                 charge_arith!(a2);
                 let r = apply_inner!(a2, sget(arena, sp - 3), r);
                 sset(arena, sp - 3, r);
-                charge!(OpClass::Stack, costs.local_access);
-                sset(arena, base + d as usize, r);
+                store!(d, r);
                 f.sp -= 3;
             }
             LoadLocal2IfICmp(x, y, c, target) => {
                 let sp = f.sp as usize;
-                charge!(OpClass::Stack, costs.local_access);
-                let a = local!(x);
-                sset(arena, sp, a);
-                charge!(OpClass::Stack, costs.local_access);
-                let b = local!(y);
-                sset(arena, sp + 1, b);
+                let a = load!(x, sp);
+                let b = load!(y, sp + 1);
                 branch!(c.eval2(a.i32(), b.i32()), target);
             }
             LoadLocalPushIfICmp(x, v, c, target) => {
                 let sp = f.sp as usize;
-                charge!(OpClass::Stack, costs.local_access);
-                let a = local!(x);
-                sset(arena, sp, a);
-                charge!(OpClass::Stack, costs.stack_op);
-                sset(arena, sp + 1, Slot::from_i32(v));
+                let a = load!(x, sp);
+                push_i32!(v, sp + 1);
                 branch!(c.eval2(a.i32(), v), target);
             }
             LoadLocal2ArrLoadDirect(x, y, _) => {
                 let sp = f.sp as usize;
-                charge!(OpClass::Stack, costs.local_access);
-                let r = local!(x);
-                sset(arena, sp, r);
-                charge!(OpClass::Stack, costs.local_access);
-                let idx = local!(y);
-                sset(arena, sp + 1, idx);
+                let r = load!(x, sp);
+                let idx = load!(y, sp + 1);
                 charge!(OpClass::Integer, costs.check);
                 let v = arr_load_direct!(r.obj(), idx.i32());
                 sset(arena, sp, v);
@@ -998,12 +986,8 @@ fn exec_block_run(
             }
             LoadLocal2ArrLoadCached(x, y, elem) => {
                 let sp = f.sp as usize;
-                charge!(OpClass::Stack, costs.local_access);
-                let r = local!(x);
-                sset(arena, sp, r);
-                charge!(OpClass::Stack, costs.local_access);
-                let idx = local!(y);
-                sset(arena, sp + 1, idx);
+                let r = load!(x, sp);
+                let idx = load!(y, sp + 1);
                 charge!(OpClass::Integer, costs.check);
                 let v = arr_load_cached!(r.obj(), idx.i32(), elem);
                 sset(arena, sp, v);

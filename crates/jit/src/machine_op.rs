@@ -695,6 +695,8 @@ impl MachineOp {
     pub fn part(&self, i: u32) -> MachineOp {
         use BranchKind::{Always, IfICmp};
         use MachineOp::*;
+        // `Pop` pads the shorter sequences; the assertion below keeps it
+        // from ever being returned.
         let seq: [MachineOp; 3] = match *self {
             LoadLocal2(x, y) => [LoadLocal(x), LoadLocal(y), Pop],
             LoadLocalArith(x, a) => [LoadLocal(x), Arith(a), Pop],

@@ -87,11 +87,7 @@ fn elem_code(e: ElemTy) -> u32 {
     }
 }
 
-fn code_elem(c: u32) -> ElemTy {
-    try_code_elem(c).unwrap_or_else(|| panic!("corrupt header: element code {c}"))
-}
-
-fn try_code_elem(c: u32) -> Option<ElemTy> {
+fn code_elem(c: u32) -> Option<ElemTy> {
     Some(match c {
         0 => ElemTy::Byte,
         1 => ElemTy::Short,
@@ -125,6 +121,23 @@ pub fn checked_array_byte_size(elem: ElemTy, len: u32) -> Option<u32> {
 /// Panics if the size does not fit 32 bits.
 pub fn array_byte_size(elem: ElemTy, len: u32) -> u32 {
     checked_array_byte_size(elem, len).expect("array size fits the address space")
+}
+
+/// Decode a header's two words; `None` for words no allocation can have
+/// written (an unknown element code, an array length whose byte size
+/// overflows).
+fn decode_header(w0: u32, w1: u32) -> Option<Header> {
+    let (kind, size) = if w0 & ARRAY_BIT != 0 {
+        let e = code_elem((w0 >> 16) & 0xff)?;
+        (HeapKind::Array(e, w1), checked_array_byte_size(e, w1)?)
+    } else {
+        (HeapKind::Object(ClassId((w0 & 0xffff) as u16)), w1)
+    };
+    Some(Header {
+        kind,
+        size,
+        marked: w0 & MARK_BIT != 0,
+    })
 }
 
 /// Typed raw-byte codecs shared by the heap and the SPE local store
@@ -422,28 +435,11 @@ impl Heap {
         {
             return Err("heap object address out of bounds");
         }
-        // Every header must describe an object that lies inside the heap:
-        // `header` and `elem_addr` compute with these words unchecked.
-        let word = |a: u32| {
-            let a = a as usize;
-            u32::from_le_bytes([data[a], data[a + 1], data[a + 2], data[a + 3]])
-        };
-        for &addr in &objects {
-            let (w0, w1) = (word(addr), word(addr + 4));
-            let size = if w0 & ARRAY_BIT != 0 {
-                try_code_elem((w0 >> 16) & 0xff).and_then(|e| checked_array_byte_size(e, w1))
-            } else {
-                Some(w1)
-            };
-            if !size.is_some_and(|s| s >= HEADER_BYTES && s as u64 + addr as u64 <= limit as u64) {
-                return Err("heap object header describes an object outside the heap");
-            }
-        }
         let frontier = match free.last() {
             Some(&(addr, size)) if addr + size == limit => addr,
             _ => limit,
         };
-        Ok(Heap {
+        let heap = Heap {
             data,
             objects_base,
             limit,
@@ -452,7 +448,18 @@ impl Heap {
             statics_size,
             written: nonzero_end.max(frontier),
             stats,
-        })
+        };
+        // Every header must decode to an object that lies inside the
+        // heap: `header` and `elem_addr` compute with these words unchecked.
+        let inside = |&addr: &u32| {
+            decode_header(heap.read_u32(addr), heap.read_u32(addr + 4)).is_some_and(|h| {
+                h.size >= HEADER_BYTES && h.size as u64 + addr as u64 <= limit as u64
+            })
+        };
+        if !heap.objects.iter().all(inside) {
+            return Err("heap object header describes an object outside the heap");
+        }
+        Ok(heap)
     }
 
     // ---- raw access ----
@@ -540,22 +547,7 @@ impl Heap {
     /// interpreter) null-check first, so this indicates a VM bug.
     pub fn header(&self, r: ObjRef) -> Header {
         debug_assert!(!r.is_null(), "header of null");
-        let w0 = self.read_u32(r.0);
-        let w1 = self.read_u32(r.0 + 4);
-        if w0 & ARRAY_BIT != 0 {
-            let e = code_elem((w0 >> 16) & 0xff);
-            Header {
-                kind: HeapKind::Array(e, w1),
-                size: array_byte_size(e, w1),
-                marked: w0 & MARK_BIT != 0,
-            }
-        } else {
-            Header {
-                kind: HeapKind::Object(ClassId((w0 & 0xffff) as u16)),
-                size: w1,
-                marked: w0 & MARK_BIT != 0,
-            }
-        }
+        decode_header(self.read_u32(r.0), self.read_u32(r.0 + 4)).expect("corrupt header")
     }
 
     /// Set or clear the GC mark bit. Returns the previous value.
@@ -690,7 +682,11 @@ impl Heap {
     #[inline]
     fn array_facts(&self, r: ObjRef) -> Option<(ElemTy, u32)> {
         let w0 = self.read_u32(r.0);
-        (w0 & ARRAY_BIT != 0).then(|| (code_elem((w0 >> 16) & 0xff), self.read_u32(r.0 + 4)))
+        if w0 & ARRAY_BIT == 0 {
+            return None;
+        }
+        let elem = code_elem((w0 >> 16) & 0xff).expect("corrupt header: element code");
+        Some((elem, self.read_u32(r.0 + 4)))
     }
 
     /// Bounds-checked address of array element `idx`; the array's header
