@@ -8,7 +8,7 @@
 #![forbid(unsafe_code)]
 
 use hera_integration::minijson::{parse, Value};
-use hera_trace::{chrome_trace_json, chrome_trace_json_named, TraceEvent, TraceSink};
+use hera_trace::{chrome_trace_json, chrome_trace_json_named, TimedEvent, TraceEvent, TraceSink};
 
 /// Objects anywhere in the subtree (the old validator's record count).
 fn count_objects(v: &Value) -> usize {
@@ -140,6 +140,50 @@ fn bypass_jni_program() -> hera_isa::Program {
         .expect("program resolves")
 }
 
+/// `sink` with its `dcache.hit` records left out: every other event
+/// re-emitted on its lane at its time.
+fn without_hits(sink: &TraceSink) -> TraceSink {
+    let mut rest = TraceSink::with_lanes(sink.lanes().iter().map(|l| l.name.as_str()));
+    for (lane, te) in sink.iter_all() {
+        if !matches!(te.event, TraceEvent::DataCacheHit { .. }) {
+            rest.emit(lane, te.at, te.event);
+        }
+    }
+    rest
+}
+
+/// `digest64` of where the hits are: lane by lane, every maximal run of
+/// consecutive `dcache.hit`s as (lane, hits, time of the first, time of
+/// the last).
+fn hit_runs_digest(sink: &TraceSink) -> u64 {
+    let is_hit = |te: &&TimedEvent| matches!(te.event, TraceEvent::DataCacheHit { .. });
+    let mut words = Vec::new();
+    for (lane, l) in sink.lanes().iter().enumerate() {
+        let mut events = l.events.iter().peekable();
+        while let Some(first) = events.next() {
+            if !is_hit(&first) {
+                continue;
+            }
+            let (mut hits, mut last) = (1u64, first.at);
+            while let Some(te) = events.next_if(is_hit) {
+                hits += 1;
+                last = te.at;
+            }
+            words.extend([lane as u64, hits, first.at, last]);
+        }
+    }
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    hera_snap::digest64(&bytes)
+}
+
+/// The two halves of a trace a change to how hits are *recorded* must
+/// leave alone: the export of everything that is not a hit, and where the
+/// hits are.
+fn split_digests(sink: &TraceSink) -> (u64, u64) {
+    let rest = chrome_trace_json(&without_hits(sink));
+    (hera_snap::digest64(rest.as_bytes()), hit_runs_digest(sink))
+}
+
 /// Byte-exact oracle for exporter refactors: `digest64` of the Chrome
 /// JSON and the text summary of real traces, captured on the commit
 /// before the exporters were rewritten. The runs are chosen so that every
@@ -174,6 +218,18 @@ fn exports_match_pinned_digests() {
     ];
     /// The symbolised export `figures trace` writes, on the mandelbrot run.
     const PINNED_NAMED: u64 = 0x7eb2_e9bf_3835_206e;
+    /// `split_digests` of the same runs, in the same order.
+    const PINNED_SPLIT: &[(u64, u64)] = &[
+        (0x79a5_2e20_d7a2_c46f, 0xddf2_1daf_e9ec_5e28),
+        (0x0162_90c9_48cd_8e95, 0x8dd8_3dbc_dc57_aa31),
+        (0xcc29_16c2_f208_44d1, 0x65bd_bcdb_54e9_b7bb),
+        (0x3f93_9f38_3c44_dda5, 0xedc4_39b1_bf99_d45a),
+        (0x7221_1b91_c01c_1fec, 0xaf63_bd4c_8601_b7df),
+        (0xb12f_d083_1ddb_3dab, 0x038a_33e5_1cee_e93d),
+        (0x7cff_884f_47c2_00ed, 0xaf63_bd4c_8601_b7df),
+        (0x14af_e167_8014_d227, 0xaf63_bd4c_8601_b7df),
+        (0x9510_35c6_c683_ddb7, 0xaf63_bd4c_8601_b7df),
+    ];
 
     let traced = |program, cfg: VmConfig| {
         let out = hera_integration::run_program(program, cfg.with_tracing());
@@ -228,6 +284,11 @@ fn exports_match_pinned_digests() {
         "a TraceEvent variant is never exported: {kinds:?}"
     );
     assert_eq!(got, PINNED, "exported bytes changed (actual: {got:#018x?})");
+    let split: Vec<_> = runs.iter().map(split_digests).collect();
+    assert_eq!(
+        split, PINNED_SPLIT,
+        "a non-hit record or a hit moved (actual: {split:#018x?})"
+    );
     let named = chrome_trace_json_named(&runs[2], &mandelbrot_names);
     let named = hera_snap::digest64(named.as_bytes());
     assert_eq!(
@@ -249,6 +310,7 @@ fn traced_straggler_matches_pinned_digests() {
 
     const PINNED_EXPORT: u64 = 0x49ac_de3f_717b_affa;
     const PINNED_COLLAPSED: u64 = 0x8a87_e617_f6bf_1fba;
+    const PINNED_SPLIT: (u64, u64) = (0x55cf_9551_37c0_6026, 0x7604_3796_17ea_19df);
 
     let plan = hera_cell::FaultPlan::default()
         .with_slowdown(3, 809_875)
@@ -271,5 +333,10 @@ fn traced_straggler_matches_pinned_digests() {
         (export, collapsed),
         (PINNED_EXPORT, PINNED_COLLAPSED),
         "straggler export / profile changed (actual: {export:#018x} / {collapsed:#018x})"
+    );
+    let split = split_digests(&out.trace);
+    assert_eq!(
+        split, PINNED_SPLIT,
+        "a non-hit record or a hit moved (actual: {split:#018x?})"
     );
 }
