@@ -6,6 +6,7 @@
 
 use hera_bench::{mixed_program, spe_config, trace_workload};
 use hera_core::{HeraJvm, PlacementPolicy, RunOutcome, VmConfig};
+use hera_integration::minijson::{parse, Value as Json};
 use hera_isa::Value;
 use hera_trace::{DmaTag, TraceEvent};
 use hera_workloads::Workload;
@@ -270,4 +271,110 @@ fn metrics_registry_subsumes_aggregate_stats() {
     let h = m.histogram("dma.bytes").expect("dma histogram recorded");
     assert_eq!(h.count, out.stats.bus.transfers);
     assert_eq!(h.sum, out.stats.bus.bytes_transferred);
+}
+
+/// What the sink's folding of consecutive hits must preserve, on `out`:
+/// no hit lost (the records' hits sum to the caches' own counter), every
+/// run well formed and ended by the next record, and an export whose
+/// complete events stay inside their track's order and whose frames
+/// balance. Fail-over replaces a dead SPE's cache, statistics and all, so
+/// the counter of a run that lost a core covers the lanes other than
+/// `dead_lane`.
+fn assert_hits_conserved_and_well_formed(out: &RunOutcome, what: &str, dead_lane: Option<usize>) {
+    let trace = &out.trace;
+    let is_hit = |ev: &TraceEvent| {
+        matches!(
+            ev,
+            TraceEvent::DataCacheHit { .. } | TraceEvent::DataCacheHitRun { .. }
+        )
+    };
+    let hits: u64 = trace
+        .iter_all()
+        .filter(|(lane, te)| Some(*lane) != dead_lane && is_hit(&te.event))
+        .map(|(_, te)| te.emitted())
+        .sum();
+    assert!(hits > 0, "{what}: no hits traced");
+    assert_eq!(
+        hits,
+        trace.metrics.counter("dcache.hits"),
+        "{what}: counter"
+    );
+    assert_eq!(hits, out.stats.data_cache.hits, "{what}: DataCacheStats");
+
+    for lane in trace.lanes() {
+        for te in &lane.events {
+            if let TraceEvent::DataCacheHitRun { hits, until, .. } = te.event {
+                assert!(hits >= 2, "{what} {}: run of {hits}", lane.name);
+                assert!(te.at <= until, "{what} {}: run ends first", lane.name);
+            }
+        }
+        for pair in lane.events.windows(2) {
+            assert!(
+                pair[0].end() <= pair[1].at,
+                "{what} {}: {pair:?} overlap",
+                lane.name
+            );
+            assert!(
+                !(is_hit(&pair[0].event) && is_hit(&pair[1].event)),
+                "{what} {}: {pair:?} not folded",
+                lane.name
+            );
+        }
+    }
+
+    let json = hera_trace::chrome_trace_json(trace);
+    let doc = parse(&json).unwrap_or_else(|e| panic!("{what}: export does not parse: {e}"));
+    let records = doc
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .expect("array");
+    // Where the last record of each track ended.
+    let mut ended = vec![0u64; trace.lanes().len()];
+    let (mut begins, mut ends, mut runs) = (0u64, 0u64, 0u64);
+    for r in records {
+        let field = |key: &str| r.get(key).and_then(Json::as_u64);
+        let ph = r.get("ph").and_then(Json::as_str).expect("ph");
+        if ph == "M" {
+            continue;
+        }
+        let (tid, ts) = (field("tid").expect("tid"), field("ts").expect("ts"));
+        assert!(ts >= ended[tid as usize], "{what}: track {tid} goes back");
+        ended[tid as usize] = ts;
+        match ph {
+            "B" => begins += 1,
+            "E" => ends += 1,
+            "X" => {
+                runs += 1;
+                ended[tid as usize] += field("dur").expect("X record has a dur");
+                let args = r.get("args").expect("args");
+                assert!(args.get("hits").and_then(Json::as_u64) >= Some(2));
+                assert!(args.get("addr").and_then(Json::as_u64).is_some());
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(begins, ends, "{what}: unbalanced B/E");
+    let run_records = trace
+        .iter_all()
+        .filter(|(_, te)| matches!(te.event, TraceEvent::DataCacheHitRun { .. }));
+    assert_eq!(runs, run_records.count() as u64, "{what}: X records");
+}
+
+#[test]
+fn folded_hits_are_conserved_and_well_formed() {
+    for w in Workload::ALL {
+        for spes in [1u8, 6] {
+            let (out, _) = trace_workload(w, spes.into(), 0.1, VmConfig::pinned_spe(spes));
+            assert_hits_conserved_and_well_formed(&out, &format!("{} x{spes}", w.name()), None);
+        }
+    }
+    let (sync, _) = hera_bench::sync_program(6, 2000);
+    let sync = hera_integration::run_program(sync, spe_config(6).with_tracing());
+    assert!(sync.is_clean(), "traps {:?}", sync.traps);
+    assert_hits_conserved_and_well_formed(&sync, "sync", None);
+    // SPE 2 dies mid-run; its lane (after the PPE's and two SPEs') keeps
+    // the hits it traced until then.
+    let plan = hera_bench::chaos_plan(0xC0FFEE, 2, hera_bench::chaos_death_cycle(0.1));
+    let chaos = hera_bench::chaos_workload(Workload::Compress, 0.1, plan);
+    assert_hits_conserved_and_well_formed(&chaos, "chaos", Some(3));
 }

@@ -2,8 +2,9 @@
 //!
 //! Emits the "JSON object format" understood by Perfetto and
 //! chrome://tracing: a `traceEvents` array of `B`/`E` duration events (method
-//! frames, GC), `i` instants (everything else) and `M` metadata records
-//! naming one track per core lane.  Timestamps are the simulator's virtual
+//! frames, GC), `X` complete events (runs of data-cache hits), `i` instants
+//! (everything else) and `M` metadata records naming one track per core
+//! lane.  Timestamps are the simulator's virtual
 //! cycles, written as microseconds — the absolute unit is meaningless for a
 //! simulator, only relative spacing matters.
 //!
@@ -14,10 +15,10 @@
 //! names need escaping.
 
 use crate::event::TraceEvent;
-use crate::sink::TraceSink;
+use crate::sink::{TimedEvent, TraceSink};
 use crate::span::{FleetSpan, FlowArrow};
 
-/// Upper bound on the bytes one event adds to a [`chrome_trace_json`]
+/// Upper bound on the bytes one record adds to a [`chrome_trace_json`]
 /// document: its own record (the longest is a `dma` instant with every
 /// field at its type's maximum, ~230 B) or, for an invoke, its `B` record
 /// plus the `E` that closes it.  Table-supplied method names are not
@@ -72,7 +73,7 @@ pub fn chrome_trace_json_named<S: AsRef<str>>(sink: &TraceSink, names: &[S]) -> 
         // balanced: a return with no open frame (the method was entered
         // before tracing looked, or on another lane after a migration)
         // degrades to an instant, and frames still open at the end of the
-        // lane are closed at the lane's last timestamp.  A lane exists per
+        // lane are closed where the lane's last record ends.  A lane exists per
         // track, so a metadata record precedes every record written here.
         let mut open = 0usize;
         for te in &lane.events {
@@ -110,8 +111,17 @@ pub fn chrome_trace_json_named<S: AsRef<str>>(sink: &TraceSink, names: &[S]) -> 
                     out.push_str(kind.name);
                     out.push_str("\",\"cat\":\"");
                     out.push_str(kind.cat);
-                    out.push_str("\",\"ph\":\"i\",\"s\":\"t\"");
-                    stamp(&mut out, te.at);
+                    // A run of hits is a complete event from its first hit
+                    // to its last: invoke and return end a run, so it
+                    // nests inside the enclosing frame.
+                    if let TraceEvent::DataCacheHitRun { until, .. } = *ev {
+                        out.push_str("\",\"ph\":\"X\"");
+                        stamp(&mut out, te.at);
+                        num(&mut out, ",\"dur\":", until.saturating_sub(te.at));
+                    } else {
+                        out.push_str("\",\"ph\":\"i\",\"s\":\"t\"");
+                        stamp(&mut out, te.at);
+                    }
                     // An orphan `gc.end` has never carried its args.
                     if !matches!(ev, TraceEvent::GcEnd { .. }) {
                         args(&mut out, ev);
@@ -121,7 +131,7 @@ pub fn chrome_trace_json_named<S: AsRef<str>>(sink: &TraceSink, names: &[S]) -> 
             out.push('}');
         }
         // Close any frames still open so Perfetto sees a balanced stream.
-        let last_ts = lane.events.last().map_or(0, |te| te.at);
+        let last_ts = lane.events.last().map_or(0, TimedEvent::end);
         for _ in 0..open {
             out.push_str(",{\"ph\":\"E\"");
             stamp(&mut out, last_ts);
@@ -301,6 +311,7 @@ mod tests {
             TraceEvent::Dma { .. } => "dma",
             TraceEvent::EibStall { .. } => "eib.stall",
             TraceEvent::DataCacheHit { .. } => "dcache.hit",
+            TraceEvent::DataCacheHitRun { .. } => "dcache.hit_run",
             TraceEvent::DataCacheMiss { .. } => "dcache.miss",
             TraceEvent::DataCacheWriteBack { .. } => "dcache.writeback",
             TraceEvent::DataCachePurge { .. } => "dcache.purge",
@@ -371,6 +382,9 @@ mod tests {
             ),
             TraceEvent::EibStall { cycles } => ("dma", format!("\"cycles\":{cycles}")),
             TraceEvent::DataCacheHit { addr } => ("dcache", format!("\"addr\":{addr}")),
+            TraceEvent::DataCacheHitRun { addr, hits, .. } => {
+                ("dcache", format!("\"addr\":{addr},\"hits\":{hits}"))
+            }
             TraceEvent::DataCacheMiss { addr, bytes } => {
                 ("dcache", format!("\"addr\":{addr},\"bytes\":{bytes}"))
             }
@@ -502,12 +516,25 @@ mod tests {
             // balanced: a return with no matching open frame (the method was
             // entered before tracing looked, or on another lane after a
             // migration) degrades to an instant, and frames still open at the
-            // end of the lane are closed at the lane's last timestamp.
+            // end of the lane are closed at the lane's last timestamp (the
+            // time of its last hit, when the lane ends on a run of them).
             let mut open: Vec<String> = Vec::new();
             let mut last_ts = 0u64;
             for te in &lane.events {
                 last_ts = te.at;
                 match te.event {
+                    TraceEvent::DataCacheHitRun { addr, hits, until } => {
+                        last_ts = until;
+                        push(
+                            &mut out,
+                            &mut first,
+                            &format!(
+                                "{{\"name\":\"dcache.hit_run\",\"cat\":\"dcache\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{},\"args\":{{\"addr\":{addr},\"hits\":{hits}}}}}",
+                                te.at,
+                                until.saturating_sub(te.at)
+                            ),
+                        );
+                    }
                     TraceEvent::MethodInvoke { method } => {
                         let name = json_string_reference(&method_name(method));
                         push(

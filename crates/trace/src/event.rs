@@ -160,6 +160,15 @@ pub enum TraceEvent {
     EibStall { cycles: u64 },
     /// Software data-cache hit at `addr`.
     DataCacheHit { addr: u32 },
+    /// `hits` ≥ 2 consecutive data-cache hits on this lane with nothing
+    /// else emitted between them: the first at `addr` at the record's
+    /// `at`, the last at virtual cycle `until`. Only [`TraceSink::emit`]
+    /// makes one, out of the [`TraceEvent::DataCacheHit`]s it is handed;
+    /// where the hits between the first and the last fell is not kept
+    /// (the exact totals are `dcache.hits` in the metrics registry).
+    ///
+    /// [`TraceSink::emit`]: crate::TraceSink::emit
+    DataCacheHitRun { addr: u32, hits: u32, until: u64 },
     /// Software data-cache miss at `addr`; `bytes` fetched from main memory.
     DataCacheMiss { addr: u32, bytes: u32 },
     /// Dirty span of `bytes` written back from the software data cache.
@@ -238,7 +247,7 @@ pub(crate) struct TraceKind {
 }
 
 /// How many kinds there are (one per variant).
-pub(crate) const KINDS: usize = 33;
+pub(crate) const KINDS: usize = 34;
 
 /// `<key>"<label>"` for the static ASCII labels, which need no escaping.
 fn text(out: &mut String, key: &str, label: &str) {
@@ -260,32 +269,33 @@ impl TraceEvent {
             TraceEvent::CodeCacheTibMiss { .. } => kind(4, "ccache.tib_miss", "ccache"),
             TraceEvent::DataCacheBypass { .. } => kind(5, "dcache.bypass", "dcache"),
             TraceEvent::DataCacheHit { .. } => kind(6, "dcache.hit", "dcache"),
-            TraceEvent::DataCacheMiss { .. } => kind(7, "dcache.miss", "dcache"),
-            TraceEvent::DataCachePurge { .. } => kind(8, "dcache.purge", "dcache"),
-            TraceEvent::DataCacheWriteBack { .. } => kind(9, "dcache.writeback", "dcache"),
-            TraceEvent::Dma { .. } => kind(10, "dma", "dma"),
-            TraceEvent::EibStall { .. } => kind(11, "eib.stall", "dma"),
-            TraceEvent::MfcFault { .. } => kind(12, "fault.mfc", "fault"),
-            TraceEvent::MfcRetry { .. } => kind(13, "fault.retry", "fault"),
-            TraceEvent::SpeDrained { .. } => kind(14, "fault.spe_drained", "fault"),
-            TraceEvent::SpeFailed { .. } => kind(15, "fault.spe_failed", "fault"),
-            TraceEvent::WatchdogTimeout { .. } => kind(16, "fault.watchdog", "fault"),
-            TraceEvent::GcBegin { .. } => kind(17, "gc.begin", "gc"),
-            TraceEvent::GcEnd { .. } => kind(18, "gc.end", "gc"),
-            TraceEvent::GcPhaseEnd { .. } => kind(19, "gc.phase_end", "gc"),
-            TraceEvent::JmmBarrier { .. } => kind(20, "jmm.barrier", "jmm"),
-            TraceEvent::MethodInvoke { .. } => kind(21, "method.invoke", "method"),
-            TraceEvent::MethodReturn { .. } => kind(22, "method.return", "method"),
-            TraceEvent::MigrateIn { .. } => kind(23, "migrate.in", "migration"),
-            TraceEvent::MigrateOut { .. } => kind(24, "migrate.out", "migration"),
-            TraceEvent::MonitorAcquire { .. } => kind(25, "monitor.acquire", "monitor"),
-            TraceEvent::MonitorContended { .. } => kind(26, "monitor.contended", "monitor"),
-            TraceEvent::MonitorRelease { .. } => kind(27, "monitor.release", "monitor"),
-            TraceEvent::JniBridge { .. } => kind(28, "native.jni_bridge", "native"),
-            TraceEvent::SyscallProxy { .. } => kind(29, "native.syscall_proxy", "native"),
-            TraceEvent::Checkpoint { .. } => kind(30, "snap.checkpoint", "snap"),
-            TraceEvent::Restore { .. } => kind(31, "snap.restore", "snap"),
-            TraceEvent::ThreadSwitch { .. } => kind(32, "thread.switch", "sched"),
+            TraceEvent::DataCacheHitRun { .. } => kind(7, "dcache.hit_run", "dcache"),
+            TraceEvent::DataCacheMiss { .. } => kind(8, "dcache.miss", "dcache"),
+            TraceEvent::DataCachePurge { .. } => kind(9, "dcache.purge", "dcache"),
+            TraceEvent::DataCacheWriteBack { .. } => kind(10, "dcache.writeback", "dcache"),
+            TraceEvent::Dma { .. } => kind(11, "dma", "dma"),
+            TraceEvent::EibStall { .. } => kind(12, "eib.stall", "dma"),
+            TraceEvent::MfcFault { .. } => kind(13, "fault.mfc", "fault"),
+            TraceEvent::MfcRetry { .. } => kind(14, "fault.retry", "fault"),
+            TraceEvent::SpeDrained { .. } => kind(15, "fault.spe_drained", "fault"),
+            TraceEvent::SpeFailed { .. } => kind(16, "fault.spe_failed", "fault"),
+            TraceEvent::WatchdogTimeout { .. } => kind(17, "fault.watchdog", "fault"),
+            TraceEvent::GcBegin { .. } => kind(18, "gc.begin", "gc"),
+            TraceEvent::GcEnd { .. } => kind(19, "gc.end", "gc"),
+            TraceEvent::GcPhaseEnd { .. } => kind(20, "gc.phase_end", "gc"),
+            TraceEvent::JmmBarrier { .. } => kind(21, "jmm.barrier", "jmm"),
+            TraceEvent::MethodInvoke { .. } => kind(22, "method.invoke", "method"),
+            TraceEvent::MethodReturn { .. } => kind(23, "method.return", "method"),
+            TraceEvent::MigrateIn { .. } => kind(24, "migrate.in", "migration"),
+            TraceEvent::MigrateOut { .. } => kind(25, "migrate.out", "migration"),
+            TraceEvent::MonitorAcquire { .. } => kind(26, "monitor.acquire", "monitor"),
+            TraceEvent::MonitorContended { .. } => kind(27, "monitor.contended", "monitor"),
+            TraceEvent::MonitorRelease { .. } => kind(28, "monitor.release", "monitor"),
+            TraceEvent::JniBridge { .. } => kind(29, "native.jni_bridge", "native"),
+            TraceEvent::SyscallProxy { .. } => kind(30, "native.syscall_proxy", "native"),
+            TraceEvent::Checkpoint { .. } => kind(31, "snap.checkpoint", "snap"),
+            TraceEvent::Restore { .. } => kind(32, "snap.restore", "snap"),
+            TraceEvent::ThreadSwitch { .. } => kind(33, "thread.switch", "sched"),
         }
     }
 
@@ -333,6 +343,10 @@ impl TraceEvent {
             }
             TraceEvent::EibStall { cycles } => num(out, "\"cycles\":", cycles),
             TraceEvent::DataCacheHit { addr } => num(out, "\"addr\":", addr),
+            TraceEvent::DataCacheHitRun { addr, hits, .. } => {
+                num(out, "\"addr\":", addr);
+                num(out, ",\"hits\":", hits);
+            }
             TraceEvent::DataCacheMiss { addr, bytes }
             | TraceEvent::DataCacheWriteBack { addr, bytes }
             | TraceEvent::DataCacheBypass { addr, bytes } => {
@@ -414,7 +428,7 @@ pub(crate) mod testing {
     /// One event of every variant, in declaration order: `u32` fields set
     /// to `a`, `u64` fields to `b`, label enums to their `pick`-th label
     /// (modulo how many they have).
-    pub(crate) fn every_variant(a: u32, b: u64, pick: usize) -> [TraceEvent; 33] {
+    pub(crate) fn every_variant(a: u32, b: u64, pick: usize) -> [TraceEvent; KINDS] {
         use TraceEvent::*;
         let kind = [
             MigrationKind::Annotation,
@@ -459,6 +473,11 @@ pub(crate) mod testing {
             },
             EibStall { cycles: b },
             DataCacheHit { addr: a },
+            DataCacheHitRun {
+                addr: a,
+                hits: a,
+                until: b,
+            },
             DataCacheMiss { addr: a, bytes: a },
             DataCacheWriteBack { addr: a, bytes: a },
             DataCachePurge { resident_units: a },

@@ -1,6 +1,6 @@
 //! Plain-text per-core trace digest.
 
-use crate::event::KINDS;
+use crate::event::{TraceEvent, KINDS};
 use crate::sink::TraceSink;
 use std::fmt::Write as _;
 
@@ -12,20 +12,25 @@ pub fn text_summary(sink: &TraceSink) -> String {
         out.push_str("trace: disabled (no events recorded)\n");
     }
     for lane in sink.lanes() {
-        let _ = writeln!(out, "lane {:<8} {:>8} events", lane.name, lane.events.len());
-        if lane.events.is_empty() {
-            continue;
-        }
-        let first = lane.events.first().unwrap().at;
-        let last = lane.events.last().unwrap().at;
-        let _ = writeln!(out, "  span: {first} .. {last} virtual cycles");
         // A kind's index is its name's rank, so the counts come out in
         // the order kinds are listed in.
         let mut by_kind = [("", 0u64); KINDS];
         for te in &lane.events {
-            let kind = te.event.kind();
-            by_kind[kind.index] = (kind.name, by_kind[kind.index].1 + 1);
+            // A run of hits counts as the hits it folded.
+            let kind = match te.event {
+                TraceEvent::DataCacheHitRun { addr, .. } => TraceEvent::DataCacheHit { addr },
+                event => event,
+            }
+            .kind();
+            by_kind[kind.index] = (kind.name, by_kind[kind.index].1 + te.emitted());
         }
+        let events: u64 = by_kind.iter().map(|(_, n)| n).sum();
+        let _ = writeln!(out, "lane {:<8} {:>8} events", lane.name, events);
+        let (Some(first), Some(last)) = (lane.events.first(), lane.events.last()) else {
+            continue;
+        };
+        let (first, last) = (first.at, last.end());
+        let _ = writeln!(out, "  span: {first} .. {last} virtual cycles");
         for (name, n) in by_kind {
             if n > 0 {
                 let _ = writeln!(out, "  {name:<24} {n:>10}");
@@ -45,18 +50,23 @@ pub fn text_summary(sink: &TraceSink) -> String {
 mod tests {
     use super::*;
     use crate::event::testing::every_variant;
-    use crate::event::TraceEvent;
+    use crate::sink::TimedEvent;
     use hera_rng::SplitMix64;
     use std::collections::BTreeMap;
 
-    /// The per-lane kind listing `text_summary` replaced: a string-keyed
-    /// map, so its order is the names' lexicographic order.
-    fn kind_lines_reference(sink: &TraceSink) -> Vec<String> {
+    /// The per-lane kind listing `text_summary` replaced, over the events
+    /// each lane was handed (before the sink folded any hits): a
+    /// string-keyed map, so its order is the names' lexicographic order.
+    fn kind_lines_reference(emitted: &[Vec<TraceEvent>]) -> Vec<String> {
         let mut lines = Vec::new();
-        for lane in sink.lanes() {
+        for lane in emitted {
             let mut by_kind: BTreeMap<&'static str, u64> = BTreeMap::new();
-            for te in &lane.events {
-                *by_kind.entry(te.event.kind_name()).or_insert(0) += 1;
+            for ev in lane {
+                let (kind, n) = match *ev {
+                    TraceEvent::DataCacheHitRun { hits, .. } => ("dcache.hit", hits.into()),
+                    ev => (ev.kind_name(), 1),
+                };
+                *by_kind.entry(kind).or_insert(0) += n;
             }
             for (kind, n) in by_kind {
                 lines.push(format!("  {kind:<24} {n:>10}"));
@@ -70,13 +80,15 @@ mod tests {
         for seed in 1..=8u64 {
             let mut rng = SplitMix64::new(seed);
             let mut sink = TraceSink::with_lanes(["ppe", "spe0", "spe1"]);
-            for lane in 0..3 {
+            let mut emitted = vec![Vec::new(); 3];
+            for (lane, emitted) in emitted.iter_mut().enumerate() {
                 // Some lanes see few kinds, some all of them, many times.
-                let events = every_variant(1, 2, 0);
+                let events = every_variant(3, 2, 0);
                 let kinds = 1 + rng.next_below(events.len() as u64);
                 for at in 0..rng.next_below(400) {
                     let ev = events[rng.next_below(kinds) as usize];
                     sink.emit(lane, at, ev);
+                    emitted.push(ev);
                 }
             }
             let text = text_summary(&sink);
@@ -84,8 +96,31 @@ mod tests {
                 .lines()
                 .filter(|l| l.starts_with("  ") && !l.starts_with("  span:"))
                 .collect();
-            assert_eq!(got, kind_lines_reference(&sink), "seed {seed}");
+            assert_eq!(got, kind_lines_reference(&emitted), "seed {seed}");
+            // Each lane's header counts what was emitted, not the records.
+            let headers = text.lines().filter(|l| l.starts_with("lane "));
+            for (header, emitted) in headers.zip(&emitted) {
+                let n: u64 = emitted
+                    .iter()
+                    .map(|&event| TimedEvent { at: 0, event }.emitted())
+                    .sum();
+                assert!(header.ends_with(&format!(" {n:>8} events")), "{header}");
+            }
         }
+    }
+
+    #[test]
+    fn a_lane_ending_on_a_run_spans_to_its_last_hit() {
+        let mut s = TraceSink::with_lanes(["spe0"]);
+        for at in [4, 6, 9] {
+            s.emit(0, at, TraceEvent::DataCacheHit { addr: 64 });
+        }
+        assert_eq!(s.event_count(), 1);
+        let t = text_summary(&s);
+        assert!(t.contains("       3 events"), "{t}");
+        assert!(t.contains("span: 4 .. 9 virtual"), "{t}");
+        assert!(t.contains("dcache.hit                        3"), "{t}");
+        assert!(!t.contains("hit_run"), "{t}");
     }
 
     #[test]
