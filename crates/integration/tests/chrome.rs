@@ -341,3 +341,46 @@ fn traced_straggler_matches_pinned_digests() {
         "a non-hit record or a hit moved (actual: {split:#018x?})"
     );
 }
+
+/// A span or an arrow on a track past the end of the name table is
+/// written on its unnamed `tid`: the document parses and drops nothing.
+#[test]
+fn fleet_export_writes_tracks_past_the_name_table() {
+    use hera_trace::{fleet_trace_json, FleetSpan, FlowArrow, FlowKind, SpanKind};
+    let span = FleetSpan {
+        kind: SpanKind::Service,
+        track: 7,
+        req: 3,
+        begin: 100,
+        dur: 50,
+        id: 1,
+        parent: 0,
+        args: [0; 4],
+    };
+    let arrow = FlowArrow {
+        kind: FlowKind::Hedge,
+        id: 5,
+        from_track: 0,
+        from_ts: 120,
+        to_track: 9,
+        to_ts: 130,
+    };
+    let names = [String::from("front-end"), String::from("m0")];
+    for tracks in [&names[..], &[]] {
+        let json = fleet_trace_json(tracks, &[span], &[arrow]);
+        let doc = parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+        let on_track = |ph: &str, tid: u64| {
+            let found = records(&doc).iter().filter(|r| {
+                r.get("ph").and_then(Value::as_str) == Some(ph)
+                    && r.get("tid").and_then(Value::as_u64) == Some(tid)
+            });
+            found.count()
+        };
+        assert_eq!(records(&doc).len(), tracks.len() + 3, "{json}");
+        assert_eq!(
+            (on_track("X", 7), on_track("s", 0), on_track("f", 9)),
+            (1, 1, 1),
+            "{json}"
+        );
+    }
+}

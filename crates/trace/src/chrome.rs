@@ -171,54 +171,54 @@ pub fn fleet_trace_json(tracks: &[String], spans: &[FleetSpan], flows: &[FlowArr
         write_track_name(&mut out, tid, name);
     }
 
-    // Bucket a `(timestamp, seq)` key per event onto its track and sort
-    // each track. `seq` is arrival order — spans first, then each arrow's
-    // start and finish — so it makes the sort total and names the event.
-    let mut lanes: Vec<Vec<(u64, usize)>> = vec![Vec::new(); tracks.len()];
-    for (i, s) in spans.iter().enumerate() {
-        lanes[s.track as usize].push((s.begin, i));
-    }
+    // One `(track, timestamp, seq)` key per event, sorted. `seq` is arrival
+    // order — spans first, then each arrow's start and finish — so it
+    // makes the sort total and names the event. A track past the end of
+    // `tracks` is written like any other, on its unnamed `tid`.
+    let mut keys: Vec<(u32, u64, usize)> = Vec::with_capacity(spans.len() + 2 * flows.len());
+    keys.extend(spans.iter().enumerate().map(|(i, s)| (s.track, s.begin, i)));
     for (i, f) in flows.iter().enumerate() {
-        lanes[f.from_track as usize].push((f.from_ts, spans.len() + 2 * i));
-        lanes[f.to_track as usize].push((f.to_ts, spans.len() + 2 * i + 1));
+        keys.push((f.from_track, f.from_ts, spans.len() + 2 * i));
+        keys.push((f.to_track, f.to_ts, spans.len() + 2 * i + 1));
     }
-    for (tid, lane) in lanes.iter_mut().enumerate() {
-        lane.sort_unstable();
-        for &(ts, seq) in lane.iter() {
-            // A lane exists per track, so a metadata record precedes this.
-            if let Some(s) = spans.get(seq) {
-                // Span labels are static ASCII: nothing to escape.
-                let (_, _, cat, keys) = s.kind.parts();
-                out.push_str(",{\"name\":\"");
-                s.write_name(&mut out);
-                out.push_str("\",\"cat\":\"");
-                out.push_str(cat);
-                num(&mut out, "\",\"ph\":\"X\",\"pid\":1,\"tid\":", tid as u64);
-                num(&mut out, ",\"ts\":", ts);
-                num(&mut out, ",\"dur\":", s.dur);
-                num(&mut out, ",\"args\":{\"span\":", s.id);
-                num(&mut out, ",\"parent\":", s.parent);
-                for (k, v) in keys.iter().zip(s.args) {
-                    out.push_str(",\"");
-                    out.push_str(k);
-                    num(&mut out, "\":", v);
-                }
-                out.push_str("}}");
-            } else {
-                let at = seq - spans.len();
-                let f = &flows[at / 2];
-                out.push_str(",{\"name\":\"");
-                out.push_str(f.kind.name());
-                out.push_str(if at.is_multiple_of(2) {
-                    "\",\"cat\":\"flow\",\"ph\":\"s\""
-                } else {
-                    "\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\""
-                });
-                num(&mut out, ",\"id\":", f.id);
-                num(&mut out, ",\"pid\":1,\"tid\":", tid as u64);
-                num(&mut out, ",\"ts\":", ts);
-                out.push('}');
+    keys.sort_unstable();
+    // Only a document with no named track starts on an event.
+    let mut sep = if tracks.is_empty() { "" } else { "," };
+    for (tid, ts, seq) in keys {
+        out.push_str(sep);
+        sep = ",";
+        if let Some(s) = spans.get(seq) {
+            // Span labels are static ASCII: nothing to escape.
+            let (_, _, cat, arg_names) = s.kind.parts();
+            out.push_str("{\"name\":\"");
+            s.write_name(&mut out);
+            out.push_str("\",\"cat\":\"");
+            out.push_str(cat);
+            num(&mut out, "\",\"ph\":\"X\",\"pid\":1,\"tid\":", tid);
+            num(&mut out, ",\"ts\":", ts);
+            num(&mut out, ",\"dur\":", s.dur);
+            num(&mut out, ",\"args\":{\"span\":", s.id);
+            num(&mut out, ",\"parent\":", s.parent);
+            for (k, v) in arg_names.iter().zip(s.args) {
+                out.push_str(",\"");
+                out.push_str(k);
+                num(&mut out, "\":", v);
             }
+            out.push_str("}}");
+        } else {
+            let at = seq - spans.len();
+            let f = &flows[at / 2];
+            out.push_str("{\"name\":\"");
+            out.push_str(f.kind.name());
+            out.push_str(if at.is_multiple_of(2) {
+                "\",\"cat\":\"flow\",\"ph\":\"s\""
+            } else {
+                "\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\""
+            });
+            num(&mut out, ",\"id\":", f.id);
+            num(&mut out, ",\"pid\":1,\"tid\":", tid);
+            num(&mut out, ",\"ts\":", ts);
+            out.push('}');
         }
     }
 
