@@ -81,9 +81,11 @@ timed fleet-trace
 timed cluster-rebal
 # Release exactness smoke for the benchmark's own cells: the hot tier's
 # per-op charging oracle is a debug assertion, and `perf-gate` runs the
-# workloads at scale 1.0 while hostbench runs them at 0.25 — so run three
+# workloads at scale 1.0 while hostbench runs them at 0.25 — so run four
 # hostbench workloads the way the benchmark driver does (`kernels-spe`
-# is the one where every load is a data-cache hit charged into the run).
+# is the one where every load is a data-cache hit charged into the run;
+# `observed` is the one that traces, exports and profiles, and checks that
+# every pass renders the same bytes).
 # Each checks the workload's summed virtual cycles against its pinned
 # `virt.cycles` and every cell's result, and exits non-zero on a mismatch
 # or any failed operation.
@@ -95,3 +97,4 @@ hostbench_smoke() {
 hostbench_smoke kernels-ppe
 hostbench_smoke kernels-spe
 hostbench_smoke sync-migrate
+hostbench_smoke observed

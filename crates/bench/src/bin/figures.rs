@@ -216,17 +216,9 @@ fn trace_workload(name: &str, scale: f64) {
     ));
     let (out, names) = xb::trace_workload(w, 6, scale, xb::spe_config(6));
     // The export is a pure function of the trace, and every frame it
-    // opens it closes. Only one document is held at a time (they reach
-    // hundreds of MB at scale 1.0), so the first is kept as a fingerprint.
-    let fingerprint = |json: &str| {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        json.hash(&mut h);
-        (json.len(), h.finish())
-    };
-    let first = fingerprint(&hera_trace::chrome_trace_json_named(&out.trace, &names));
+    // opens it closes.
     let json = hera_trace::chrome_trace_json_named(&out.trace, &names);
-    let same = fingerprint(&json) == first;
+    let same = hera_trace::chrome_trace_json_named(&out.trace, &names) == json;
     let (begins, ends) = (
         json.matches("\"ph\":\"B\"").count(),
         json.matches("\"ph\":\"E\"").count(),
@@ -243,8 +235,11 @@ fn trace_workload(name: &str, scale: f64) {
     print!("{}", hera_trace::text_summary(&out.trace));
     println!();
     println!(
-        "wrote {path} ({} bytes) — open in chrome://tracing or https://ui.perfetto.dev",
-        json.len()
+        "wrote {path} ({} bytes, {} records, {} data-cache hits) \
+         — open in chrome://tracing or https://ui.perfetto.dev",
+        json.len(),
+        out.trace.event_count(),
+        out.trace.metrics.counter("dcache.hits")
     );
 }
 
@@ -294,7 +289,7 @@ fn chaos(name: &str, scale: f64) {
         100.0 * (out.stats.wall_cycles as f64 / quiet.stats.wall_cycles as f64 - 1.0)
     );
     println!(
-        "trace: {} events across {} lanes (same seed ⇒ byte-identical rerun)",
+        "trace: {} records across {} lanes (same seed ⇒ byte-identical rerun)",
         out.trace.event_count(),
         out.trace.lanes().len()
     );

@@ -34,7 +34,7 @@ fn main() {
     std::fs::write(path, &json).expect("write trace json");
     println!();
     println!(
-        "wrote {path} ({} bytes, {} events) — open it at https://ui.perfetto.dev",
+        "wrote {path} ({} bytes, {} records) — open it at https://ui.perfetto.dev",
         json.len(),
         out.trace.event_count()
     );
