@@ -316,14 +316,14 @@ fn traced_straggler_matches_pinned_digests() {
     let cfg = VmConfig::pinned_spe(6).with_faults(plan).with_profiling();
     let (out, names) = trace_workload(Workload::Compress, 6, 0.1, cfg);
     // A run that straddles the onset counts on the side it began.
-    let hits_where = |side: fn(u64) -> bool| -> u64 {
-        let records = out.trace.iter_all().filter(|(_, te)| side(te.at));
-        records.map(|(_, te)| hits_of(te)).sum()
-    };
-    let (before, after) = (
-        hits_where(|at| at < 809_875),
-        hits_where(|at| at >= 809_875),
-    );
+    let (mut before, mut after) = (0, 0);
+    for (_, te) in out.trace.iter_all() {
+        *if te.at < 809_875 {
+            &mut before
+        } else {
+            &mut after
+        } += hits_of(te);
+    }
     assert!(before > 1000 && after > 1000, "hits {before} / {after}");
 
     let export = hera_snap::digest64(chrome_trace_json(&out.trace).as_bytes());

@@ -4,9 +4,9 @@
 //! chrome://tracing: a `traceEvents` array of `B`/`E` duration events (method
 //! frames, GC), `X` complete events (runs of data-cache hits), `i` instants
 //! (everything else) and `M` metadata records naming one track per core
-//! lane.  Timestamps are the simulator's virtual
-//! cycles, written as microseconds — the absolute unit is meaningless for a
-//! simulator, only relative spacing matters.
+//! lane.  Timestamps are the simulator's virtual cycles, written as
+//! microseconds — the absolute unit is meaningless for a simulator, only
+//! relative spacing matters.
 //!
 //! JSON is hand-rolled (the crate has zero dependencies) and every record
 //! is written once, straight into the output: static fragments with
