@@ -502,3 +502,150 @@ fn seeded_fleets_conserve_every_request_and_replay_identically() {
         }
     }
 }
+
+// ------------------------------------------------- doomed-run grid
+
+/// One VM of the doomed-run grid.
+struct GridVm {
+    name: String,
+    program: hera_isa::Program,
+    cfg: VmConfig,
+}
+
+/// The three kernels on the fleet's two machine sizes (2 SPEs on 1 MB,
+/// 6 SPEs on 2 MB) at the fleet's checkpoint cadence, plus mpegaudio on
+/// the PPE alone at a cadence below the 2 000-cycle base charge. On an
+/// SPE-pinned machine a checkpoint's PPE stall never moves the latest
+/// clock; on the PPE-only one it always does, and crosses the next due
+/// cycle.
+fn doomed_grid() -> Vec<GridVm> {
+    let machine = |cfg: VmConfig, every: u64, heap: u32| {
+        let mut cfg = cfg.with_checkpoint_every(every);
+        cfg.heap.size_bytes = heap;
+        cfg
+    };
+    let mut grid = Vec::new();
+    for w in Workload::ALL {
+        let (program, _) = w.build(2, 0.02);
+        for (spes, heap) in [(2, 1 << 20), (6, 2 << 20)] {
+            grid.push(GridVm {
+                name: format!("{} spe{spes}", w.name()),
+                program: program.clone(),
+                cfg: machine(VmConfig::pinned_spe(spes), 150_000, heap),
+            });
+        }
+    }
+    let (program, _) = Workload::MpegAudio.build(2, 0.02);
+    grid.push(GridVm {
+        name: "mpegaudio ppe".into(),
+        program,
+        cfg: machine(VmConfig::pinned_ppe(), 1_500, 1 << 20),
+    });
+    grid
+}
+
+/// `(seq, CORE bytes)` of every `Checkpoint` trace event, in order.
+fn checkpoint_events(run: &hera_core::RunOutcome) -> Vec<(u32, u32)> {
+    (run.trace.iter_all())
+        .filter_map(|(_, e)| match e.event {
+            hera_trace::TraceEvent::Checkpoint { seq, bytes } => Some((seq, bytes)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Where the grid crashes a VM, from its traced plain run: half-way
+/// through the interval after the middle checkpoint's next due cycle,
+/// exactly on that due cycle, and where the middle checkpoint's own
+/// write stall (`2000 + core_len / 16`) ends.
+fn crash_points(vm: &GridVm, plain: &hera_core::RunOutcome) -> [(&'static str, u64); 3] {
+    let every = vm.cfg.checkpoint_every.expect("grid VMs checkpoint");
+    let mid = &plain.checkpoints[plain.checkpoints.len() / 2];
+    let due = (mid.at_cycle / every + 1) * every;
+    let (_, core_len) = checkpoint_events(plain)[mid.seq as usize - 1];
+    [
+        ("mid-interval", due + every / 2),
+        ("on a due cycle", due),
+        (
+            "across the stall",
+            mid.at_cycle + 2_000 + core_len as u64 / 16,
+        ),
+    ]
+}
+
+/// `digest64` of how a surviving run ended: the crash cycle, then the
+/// freshest checkpoint's seq, trigger cycle and bytes (`u64::MAX` alone
+/// when the run completed).
+fn end_digest(end: RunEnd) -> u64 {
+    let RunEnd::Crashed {
+        at_cycle,
+        checkpoints,
+    } = end
+    else {
+        return hera_snap::digest64(&u64::MAX.to_le_bytes());
+    };
+    let mut bytes = at_cycle.to_le_bytes().to_vec();
+    if let Some(c) = checkpoints.last() {
+        bytes.extend(c.seq.to_le_bytes());
+        bytes.extend(c.at_cycle.to_le_bytes());
+        bytes.extend(&c.bytes);
+    }
+    hera_snap::digest64(&bytes)
+}
+
+/// Which checkpoint a doomed run hands recovery, pinned on the code that
+/// kept every checkpoint (`checkpoints.last()` of ISSUE 25's parent):
+/// per grid VM, `digest64` of its traced plain run's `(seq, core_len)`
+/// checkpoint events, then [`end_digest`] at each of [`crash_points`];
+/// last, a cross-shape `adopt_until_crash` of compress's middle 6-SPE
+/// checkpoint on the 2-SPE machine with the 2 MB heap.
+#[test]
+fn doomed_runs_keep_the_pinned_freshest_checkpoint() {
+    // Per VM: events, mid-interval, on a due cycle, across the stall.
+    #[rustfmt::skip]
+    const PINNED: [u64; 29] = [
+        0x5bd3_b328_9070_97e6, 0xabd3_3880_5feb_a3c3, 0x42b3_e5be_833b_14cd, 0xe2cd_08ad_eb25_a4b9,
+        0x114c_a578_9070_97e6, 0xe178_0e8e_c697_b597, 0xbae4_d677_c68c_f145, 0x8e15_16e5_c13f_5539,
+        0x5f0d_e2ac_68e0_35ee, 0x2ec6_549c_980b_270b, 0xd8cf_f471_341e_2e87, 0x2138_abb8_d05b_13a5,
+        0x0faa_194a_68e0_35ee, 0x6966_dd8c_e441_b011, 0x62a9_886a_656d_5a45, 0x9e7d_3d68_9f1e_9ecd,
+        0xaf23_4a8a_c3cf_4cf7, 0xc870_a6d2_bf91_0c24, 0x6ea1_7076_2ffe_a6d6, 0xef0a_ba4e_06a2_628d,
+        0x37b2_8cc5_c3cf_4cf7, 0x78ea_f103_534c_db53, 0x5bad_ff33_6831_8739, 0x446b_3226_6f60_ba87,
+        0xf327_5c1b_c4c6_d786, 0x9663_c459_17cc_bdd7, 0x9663_c459_17cc_bdd7, 0x9663_c459_17cc_bdd7,
+        0xb0d7_4c9a_e4dd_96ba,
+    ];
+    let mut got = Vec::new();
+    let mut adopt_from = None;
+    for vm in doomed_grid() {
+        let jvm = |cfg: VmConfig| HeraJvm::new(vm.program.clone(), cfg).expect("constructs");
+        let plain = jvm(vm.cfg.with_tracing()).run().expect("plain run");
+        let events: Vec<u8> = (checkpoint_events(&plain).iter())
+            .flat_map(|&(seq, bytes)| [seq.to_le_bytes(), bytes.to_le_bytes()].concat())
+            .collect();
+        got.push(hera_snap::digest64(&events));
+        for (case, at) in crash_points(&vm, &plain) {
+            let doomed = vm
+                .cfg
+                .with_faults(FaultPlan::default().with_machine_crash(at));
+            let end = jvm(doomed).run_until_crash().expect("doomed run");
+            assert!(matches!(end, RunEnd::Crashed { .. }), "{}: {case}", vm.name);
+            got.push(end_digest(end));
+        }
+        if vm.name == "compress spe6" {
+            adopt_from = Some(plain.checkpoints[plain.checkpoints.len() / 2].clone());
+        }
+    }
+    let mid = adopt_from.expect("compress spe6 is on the grid");
+    let (program, _) = Workload::Compress.build(2, 0.02);
+    let mut cfg = VmConfig::pinned_spe(2).with_checkpoint_every(150_000);
+    cfg.heap.size_bytes = 2 << 20;
+    // The snapshot's trace enablement is part of its configuration.
+    let cfg = cfg.with_tracing();
+    let at = (mid.at_cycle / 150_000 + 2) * 150_000 + 75_000;
+    let cfg = cfg.with_faults(FaultPlan::default().with_machine_crash(at));
+    let end = (HeraJvm::new(program, cfg).expect("constructs"))
+        .adopt_until_crash(&mid.bytes)
+        .expect("doomed adopted run");
+    assert!(matches!(end, RunEnd::Crashed { .. }), "adopted run");
+    got.push(end_digest(end));
+    assert_eq!(got, PINNED, "actual: {got:#018x?}");
+}
