@@ -81,11 +81,13 @@ timed fleet-trace
 timed cluster-rebal
 # Release exactness smoke for the benchmark's own cells: the hot tier's
 # per-op charging oracle is a debug assertion, and `perf-gate` runs the
-# workloads at scale 1.0 while hostbench runs them at 0.25 — so run four
+# workloads at scale 1.0 while hostbench runs them at 0.25 — so run five
 # hostbench workloads the way the benchmark driver does (`kernels-spe`
 # is the one where every load is a data-cache hit charged into the run;
 # `observed` is the one that traces, exports and profiles, and checks that
-# every pass renders the same bytes).
+# every pass renders the same bytes; `fleet-proofs` is the one whose VM
+# runs price their checkpoints and seal only what a recovery reads, and
+# counts its adoption proofs).
 # Each checks the workload's summed virtual cycles against its pinned
 # `virt.cycles` and every cell's result, and exits non-zero on a mismatch
 # or any failed operation.
@@ -98,3 +100,4 @@ hostbench_smoke kernels-ppe
 hostbench_smoke kernels-spe
 hostbench_smoke sync-migrate
 hostbench_smoke observed
+hostbench_smoke fleet-proofs

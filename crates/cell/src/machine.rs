@@ -911,11 +911,6 @@ impl CellMachine {
         &self.local_stores[spe as usize]
     }
 
-    /// Mutably borrow an SPE's local store.
-    pub fn local_store_mut(&mut self, spe: u8) -> &mut LocalStore {
-        &mut self.local_stores[spe as usize]
-    }
-
     /// A core's cycle breakdown.
     pub fn breakdown(&self, core: CoreId) -> &CycleBreakdown {
         &self.breakdowns[self.idx(core)]

@@ -45,9 +45,12 @@ impl StorePartition {
     }
 }
 
-/// One SPE's local store.
+/// One SPE's local store: its size and partition, not its bytes. The
+/// data-cache region's bytes live in `hera_softcache::DataCache`, the code
+/// cache models only its directory, and nothing else in the store is ever
+/// written, so a snapshot encodes each store as the all-zero buffer it is.
 pub struct LocalStore {
-    bytes: Vec<u8>,
+    size: u32,
     partition: StorePartition,
 }
 
@@ -69,10 +72,7 @@ impl LocalStore {
             partition.total(),
             size
         );
-        LocalStore {
-            bytes: vec![0; size as usize],
-            partition,
-        }
+        LocalStore { size, partition }
     }
 
     /// The partition in effect.
@@ -80,41 +80,9 @@ impl LocalStore {
         self.partition
     }
 
-    /// Offset of the data-cache region.
-    pub fn data_region_base(&self) -> u32 {
-        self.partition.resident_bytes
-    }
-
-    /// Borrow the data-cache region.
-    pub fn data_region(&self) -> &[u8] {
-        let base = self.partition.resident_bytes as usize;
-        &self.bytes[base..base + self.partition.data_cache_bytes as usize]
-    }
-
-    /// Mutably borrow the data-cache region.
-    pub fn data_region_mut(&mut self) -> &mut [u8] {
-        let base = self.partition.resident_bytes as usize;
-        &mut self.bytes[base..base + self.partition.data_cache_bytes as usize]
-    }
-
     /// Total store size in bytes.
     pub fn size(&self) -> u32 {
-        self.bytes.len() as u32
-    }
-
-    /// The full raw store contents (snapshot support).
-    pub fn raw(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Overwrite the full store contents from a snapshot. Fails if the
-    /// buffer size does not match this store.
-    pub fn restore_raw(&mut self, bytes: &[u8]) -> Result<(), &'static str> {
-        if bytes.len() != self.bytes.len() {
-            return Err("local-store size mismatch");
-        }
-        self.bytes.copy_from_slice(bytes);
-        Ok(())
+        self.size
     }
 }
 
@@ -133,18 +101,9 @@ mod tests {
     #[test]
     fn regions_are_disjoint_and_sized() {
         let ls = LocalStore::new(LocalStore::SIZE, StorePartition::default());
-        assert_eq!(ls.data_region().len(), 104 << 10);
-        assert_eq!(ls.data_region_base(), 64 << 10);
+        assert_eq!(ls.partition().data_cache_bytes, 104 << 10);
+        assert_eq!(ls.partition().resident_bytes, 64 << 10);
         assert_eq!(ls.size(), 256 << 10);
-    }
-
-    #[test]
-    fn data_region_is_writable() {
-        let mut ls = LocalStore::new(LocalStore::SIZE, StorePartition::default());
-        ls.data_region_mut()[0] = 0xAB;
-        ls.data_region_mut()[103 * 1024] = 0xCD;
-        assert_eq!(ls.data_region()[0], 0xAB);
-        assert_eq!(ls.data_region()[103 * 1024], 0xCD);
     }
 
     #[test]
@@ -165,7 +124,7 @@ mod tests {
         for kb in [8u32, 40, 104] {
             let p = StorePartition::with_caches(kb << 10, 88 << 10);
             let ls = LocalStore::new(LocalStore::SIZE, p);
-            assert_eq!(ls.data_region().len() as u32, kb << 10);
+            assert_eq!(ls.partition().data_cache_bytes, kb << 10);
         }
     }
 }

@@ -38,7 +38,7 @@ use crate::scope::ScopeOutcome;
 use crate::traffic::{self, Request};
 use crate::{ClusterConfig, ClusterError};
 use hera_cell::FaultPlan;
-use hera_core::{HeraJvm, RunOutcome, VmConfig, WorkerPool};
+use hera_core::{HeraJvm, RunEnd, RunOutcome, VmConfig, VmError, WorkerPool};
 use hera_isa::Value;
 use hera_rng::splitmix64;
 use hera_trace::{MetricsRegistry, SpanKind};
@@ -52,6 +52,7 @@ const MACHINE_SEED_SALT: u64 = 0x6d61_6368_696e_6531;
 // ------------------------------------------------------------- profiling
 
 /// One job class: a workload built at the experiment's scale.
+#[derive(Clone)]
 pub(crate) struct ClassProfile {
     pub workload: Workload,
     pub program: hera_isa::Program,
@@ -96,6 +97,23 @@ pub(crate) fn vm_err(what: &str, e: impl std::fmt::Debug) -> ClusterError {
     ClusterError::msg(format!("{what}: {e:?}"))
 }
 
+/// The outcome of a fleet VM run that must complete. Every VM run in the
+/// fleet is a surviving run (`run_until_crash` / `adopt_until_crash`),
+/// which seals only a checkpoint a recovery from a scheduled crash can
+/// read; a run with no crash scheduled therefore seals none, and a crash
+/// is a bug.
+pub(crate) fn completed(
+    end: Result<RunEnd, VmError>,
+    what: &str,
+) -> Result<RunOutcome, ClusterError> {
+    match end.map_err(|e| vm_err(what, e))? {
+        RunEnd::Completed(out) => Ok(*out),
+        RunEnd::Crashed { at_cycle, .. } => Err(ClusterError::msg(format!(
+            "{what}: crashed at cycle {at_cycle} with no crash scheduled"
+        ))),
+    }
+}
+
 /// The experiment's one host worker pool: reference-run cells and trace
 /// replays both fan out on it. Sized to the host, capped at a reference
 /// cell per class and machine (never fewer than the three policies);
@@ -106,18 +124,9 @@ pub(crate) fn experiment_pool(cfg: &ClusterConfig) -> WorkerPool {
     WorkerPool::new(cpus.min(cells).saturating_sub(1))
 }
 
-pub(crate) fn build_profile(
-    cfg: &ClusterConfig,
-    pool: &WorkerPool,
-) -> Result<FleetProfile, ClusterError> {
-    let classes = Workload::ALL.map(|workload| {
-        let (program, checksum) = workload.build(cfg.threads, cfg.scale);
-        ClassProfile {
-            workload,
-            program,
-            checksum,
-        }
-    });
+/// Per-machine fault plans: seeded transient faults when enabled, then
+/// the configured stragglers.
+fn machine_plans(cfg: &ClusterConfig) -> Vec<FaultPlan> {
     let mut plans: Vec<FaultPlan> = (0..cfg.machines)
         .map(|m| match cfg.fault_rates {
             Some((transfer, timeout, corrupt)) => {
@@ -133,29 +142,63 @@ pub(crate) fn build_profile(
             .with_slowdown(factor, from_cycle)
             .expect("cluster slowdowns validated by run_experiment");
     }
+    plans
+}
 
-    // Reference runs are keyed by (class, shape, fault plan): machines
-    // sharing a shape and a plan replay bit-identically, so one VM run
-    // serves them all — a uniform fleet costs exactly what it did before
-    // shapes existed. Each unique cell is an independent whole-VM
-    // execution, fanned out on the host worker pool.
-    let shapes: Vec<u8> = (0..cfg.machines).map(|m| cfg.shape_of(m)).collect();
+/// The fleet profile of each of `cfgs`, which must agree on everything a
+/// reference run reads besides its machine's shape and fault plan (the
+/// class programs, the heap, the checkpoint cadence).
+///
+/// Reference runs are keyed by (class, shape, fault plan): machines
+/// sharing a shape and a plan replay bit-identically, so one VM run
+/// serves them all, in every profile built here — a uniform fleet costs
+/// one run per class, and a matrix's fault-free and faulty profiles share
+/// the cells they have in common. Each unique cell is an independent
+/// whole-VM execution, fanned out on the host worker pool.
+pub(crate) fn build_profiles<const N: usize>(
+    cfgs: [&ClusterConfig; N],
+    pool: &WorkerPool,
+) -> Result<[FleetProfile; N], ClusterError> {
+    let read = |c: &ClusterConfig| {
+        (
+            c.threads,
+            c.scale.to_bits(),
+            c.heap_bytes,
+            c.checkpoint_every,
+        )
+    };
+    debug_assert!(
+        cfgs.windows(2).all(|w| read(w[0]) == read(w[1])),
+        "profiles built together must agree on what a reference run reads"
+    );
+    let cfg = cfgs[0];
+    let classes = Workload::ALL.map(|workload| {
+        let (program, checksum) = workload.build(cfg.threads, cfg.scale);
+        ClassProfile {
+            workload,
+            program,
+            checksum,
+        }
+    });
+    let plans = cfgs.map(machine_plans);
+    let shapes = cfgs.map(|c| (0..c.machines).map(|m| c.shape_of(m)).collect::<Vec<u8>>());
     let mut uniq: Vec<(u8, FaultPlan)> = Vec::new();
-    let mut cell_of: Vec<usize> = Vec::with_capacity(plans.len());
-    for m in 0..plans.len() {
-        let key = (shapes[m], plans[m]);
-        let idx = uniq.iter().position(|&k| k == key).unwrap_or_else(|| {
-            uniq.push(key);
-            uniq.len() - 1
-        });
-        cell_of.push(idx);
-    }
+    let cell_of: [Vec<usize>; N] = std::array::from_fn(|p| {
+        let keys = shapes[p].iter().copied().zip(plans[p].iter().copied());
+        keys.map(|key| {
+            uniq.iter().position(|&k| k == key).unwrap_or_else(|| {
+                uniq.push(key);
+                uniq.len() - 1
+            })
+        })
+        .collect()
+    });
     let outcomes = pool.map(classes.len() * uniq.len(), |i| {
         let class = &classes[i / uniq.len()];
         let (spes, plan) = uniq[i % uniq.len()];
         let vm = HeraJvm::new(class.program.clone(), machine_vm_config(cfg, plan, spes))
             .map_err(|e| vm_err("reference vm", e))?;
-        let out = vm.run().map_err(|e| vm_err("reference run", e))?;
+        let out = completed(vm.run_until_crash(), "reference run")?;
         if !out.is_clean() || out.result != Some(Value::I32(class.checksum)) {
             return Err(ClusterError::msg(format!(
                 "reference run of {} produced {:?} (traps {:?}), expected checksum {}",
@@ -171,43 +214,51 @@ pub(crate) fn build_profile(
         .into_iter()
         .map(|out| out.map(Arc::new))
         .collect::<Result<Vec<_>, _>>()?;
-    let reference: Vec<Vec<Arc<RunOutcome>>> = cells
-        .chunks(uniq.len())
-        .map(|per_cell| cell_of.iter().map(|&c| Arc::clone(&per_cell[c])).collect())
-        .collect();
-    let best_same_shape: Vec<Vec<u64>> = reference
-        .iter()
-        .map(|per_machine| {
-            (0..plans.len())
-                .map(|m| {
-                    (0..plans.len())
-                        .filter(|&p| shapes[p] == shapes[m])
-                        .map(|p| per_machine[p].stats.wall_cycles)
-                        .min()
-                        .unwrap_or(0)
-                })
-                .collect()
-        })
-        .collect();
+    Ok(std::array::from_fn(|p| {
+        let (plans, shapes) = (&plans[p], &shapes[p]);
+        let reference: Vec<Vec<Arc<RunOutcome>>> = cells
+            .chunks(uniq.len())
+            .map(|per_cell| {
+                cell_of[p]
+                    .iter()
+                    .map(|&c| Arc::clone(&per_cell[c]))
+                    .collect()
+            })
+            .collect();
+        let best_same_shape: Vec<Vec<u64>> = reference
+            .iter()
+            .map(|per_machine| {
+                (0..plans.len())
+                    .map(|m| {
+                        (0..plans.len())
+                            .filter(|&p| shapes[p] == shapes[m])
+                            .map(|p| per_machine[p].stats.wall_cycles)
+                            .min()
+                            .unwrap_or(0)
+                    })
+                    .collect()
+            })
+            .collect();
 
-    let mut weighted = 0u128;
-    let mut weight = 0u128;
-    for (c, per_machine) in reference.iter().enumerate() {
-        let avg: u64 =
-            per_machine.iter().map(|o| o.stats.wall_cycles).sum::<u64>() / per_machine.len() as u64;
-        let w = cfg.mix[c] as u128;
-        weighted += w * avg as u128;
-        weight += w;
-    }
-    let mean_service = weighted.checked_div(weight).unwrap_or(0) as u64;
-    Ok(FleetProfile {
-        classes: classes.into(),
-        plans,
-        shapes,
-        reference,
-        best_same_shape,
-        mean_service,
-    })
+        let mut weighted = 0u128;
+        let mut weight = 0u128;
+        for (c, per_machine) in reference.iter().enumerate() {
+            let avg: u64 = per_machine.iter().map(|o| o.stats.wall_cycles).sum::<u64>()
+                / per_machine.len() as u64;
+            let w = cfgs[p].mix[c] as u128;
+            weighted += w * avg as u128;
+            weight += w;
+        }
+        let mean_service = weighted.checked_div(weight).unwrap_or(0) as u64;
+        FleetProfile {
+            classes: classes.to_vec(),
+            plans: plans.clone(),
+            shapes: shapes.clone(),
+            reference,
+            best_same_shape,
+            mean_service,
+        }
+    }))
 }
 
 // --------------------------------------------------------------- results
@@ -799,7 +850,7 @@ mod tests {
             assert!(err.contains("crashes[1] = (1, 1001)"), "{err}");
         }
         // The mix must weight exactly the workload classes: a short one
-        // used to index out of bounds in `build_profile`, a long one made
+        // used to index out of bounds in `build_profiles`, a long one made
         // the traffic generator emit a class no profile has.
         for mix in [vec![1], vec![1, 1, 1, 5], vec![0, 0, 0], vec![]] {
             let cfg = ClusterConfig {
@@ -924,7 +975,7 @@ mod tests {
     fn replays_render_identically_on_any_pool() {
         let (sequential, wide) = (WorkerPool::new(0), WorkerPool::new(3));
         for (cfg, poisoned) in [(small_e15(), false), (small_e13(), true)] {
-            let mut profile = build_profile(&cfg, &wide).expect("profile builds");
+            let [mut profile] = build_profiles([&cfg], &wide).expect("profile builds");
             if poisoned {
                 // Every same-shape adoption proof now reports a divergence.
                 for reference in profile.reference.iter_mut().flatten() {

@@ -16,7 +16,9 @@
 //! once — so no job is resident twice on one machine and a resolved job
 //! is resident nowhere.
 
-use crate::fleet::{machine_vm_config, vm_err, CrashEvent, FleetProfile, MigrationEvent};
+use crate::fleet::{
+    completed, machine_vm_config, vm_err, CrashEvent, FleetProfile, MigrationEvent,
+};
 use crate::policy::BalancePolicy;
 use crate::scope::Scope;
 use crate::traffic::Request;
@@ -526,10 +528,9 @@ impl<'a> Kernel<'a> {
         let cross = r.shape != self.profile.shapes[m] || self.jobs[job].cross_shape;
         let vm_cfg = machine_vm_config(self.cfg, self.profile.plans[m], self.profile.shapes[m]);
         let adopt = |what: &str| {
-            HeraJvm::new(class.program.clone(), vm_cfg)
-                .map_err(|e| vm_err("adoption vm", e))?
-                .adopt_bytes(&r.bytes)
-                .map_err(|e| vm_err(what, e))
+            let vm = HeraJvm::new(class.program.clone(), vm_cfg)
+                .map_err(|e| vm_err("adoption vm", e))?;
+            completed(vm.adopt_until_crash(&r.bytes), what)
         };
         let out = adopt("adoption run")?;
         let (who, peer, versus) = if cross {
@@ -607,12 +608,12 @@ impl<'a> Kernel<'a> {
         };
         let RunEnd::Crashed {
             at_cycle,
-            checkpoints,
+            checkpoint,
         } = end?
         else {
             return Ok(None);
         };
-        if let Some(last) = checkpoints.into_iter().next_back() {
+        if let Some(last) = checkpoint {
             let info = hera_core::snapshot::inspect(&last.bytes)
                 .map_err(|e| vm_err("checkpoint inspect", e))?;
             let resume = Resume {

@@ -4,7 +4,7 @@
 //! [`run_rebal_matrix`] (E15) are row tables — which knobs each row turns
 //! on — handed to the one matrix runner.
 
-use crate::fleet::{build_profile, experiment_pool, jsq, paced_trace, replay_all};
+use crate::fleet::{build_profiles, experiment_pool, jsq, paced_trace, replay_all};
 use crate::fleet::{PolicyOutcome, Replay, POLICIES};
 use crate::scope::ScopeOutcome;
 use crate::{ClusterConfig, ClusterError, RebalConfig, ResilConfig};
@@ -95,7 +95,7 @@ impl ClusterReport {
 pub fn run_experiment(cfg: &ClusterConfig) -> Result<ClusterReport, ClusterError> {
     cfg.validate()?;
     let pool = experiment_pool(cfg);
-    let profile = build_profile(cfg, &pool)?;
+    let [profile] = build_profiles([cfg], &pool)?;
     let (mean_inter, trace, span) = paced_trace(cfg, profile.mean_service);
 
     let mut header = String::new();
@@ -386,8 +386,7 @@ fn run_matrix(cfg: &ClusterConfig, matrix: Matrix) -> Result<MatrixReport, Clust
         ..cfg.clone()
     };
     let pool = experiment_pool(cfg);
-    let base_profile = build_profile(&base_cfg, &pool)?;
-    let chaos_profile = build_profile(cfg, &pool)?;
+    let [base_profile, chaos_profile] = build_profiles([&base_cfg, cfg], &pool)?;
     let mean_service = base_profile.mean_service;
     let (mean_inter, trace, span) = paced_trace(cfg, mean_service);
 

@@ -35,8 +35,8 @@ use crate::world::World;
 use hera_cell::{CoreId, CoreKind, CycleBreakdown, FaultPlan, OpClass, SpeDeath};
 use hera_isa::{ClassId, MethodId, ObjRef, Program, Slot, Trap, Value};
 use hera_snap::{
-    digest64, open, rle_decode, rle_decode_extent, rle_encode, rle_encode_zero_tail, SnapError,
-    SnapReader, SnapWriter, HEADER_LEN,
+    digest64, open, rle_decode, rle_decode_extent, rle_encode, rle_encode_zero_tail,
+    rle_encode_zeros, rle_skip_extent, SnapError, SnapReader, SnapWriter, HEADER_LEN,
 };
 use hera_trace::{Histogram, MetricsRegistry, MigrationKind};
 use std::collections::{BTreeSet, VecDeque};
@@ -469,9 +469,8 @@ fn encode_core(w: &mut SnapWriter, world: &World<'_>) -> usize {
     for v in [hs.accesses, hs.l1_hits, hs.l2_hits, hs.memory_accesses] {
         w.u64(v);
     }
-    let num_spes = world.config.cell.num_spes;
-    for spe in 0..num_spes {
-        rle_encode(w, world.machine.local_store(spe).raw());
+    for spe in 0..world.config.cell.num_spes {
+        rle_encode_zeros(w, world.machine.local_store(spe).size() as usize);
     }
     w.len_prefix(world.machine.injector_counts().len());
     for row in world.machine.injector_counts() {
@@ -510,7 +509,7 @@ fn encode_core(w: &mut SnapWriter, world: &World<'_>) -> usize {
                 w.u32(f);
             }
         }
-        rle_encode(w, local);
+        rle_encode_zero_tail(w, local, dc.written_mark() as usize);
         let s = dc.stats;
         for v in [
             s.hits,
@@ -693,7 +692,8 @@ fn encode_obs(w: &mut SnapWriter, world: &World<'_>) {
 /// their old bytes, appends OBS and seals. Anything else that changes
 /// between the two steps is silently left out of the snapshot, which is
 /// why `World::take_checkpoint` checks the result against [`encode`] in
-/// debug builds.
+/// debug builds. A checkpoint nothing will read stops after the charge:
+/// [`Checkpoint::into_buffer`] hands the buffer back for the next one.
 pub(crate) struct Checkpoint {
     w: SnapWriter,
     clocks_at: usize,
@@ -704,10 +704,10 @@ impl Checkpoint {
     /// prefix.
     const CORE_AT: usize = HEADER_LEN + 8;
 
-    /// Encode CORE of `world` into a buffer with room for a snapshot of
-    /// `capacity` bytes (a hint: the previous checkpoint's length).
-    pub(crate) fn begin(world: &World<'_>, capacity: usize) -> Self {
-        let mut w = SnapWriter::sealed(capacity.saturating_sub(HEADER_LEN));
+    /// Encode CORE of `world` into `buf` (cleared first; its capacity is
+    /// kept).
+    pub(crate) fn begin(world: &World<'_>, buf: Vec<u8>) -> Self {
+        let mut w = SnapWriter::sealed_in(buf);
         w.len_prefix(0);
         let clocks_at = encode_core(&mut w, world);
         let mut checkpoint = Self { w, clocks_at };
@@ -729,11 +729,16 @@ impl Checkpoint {
         encode_obs(&mut self.w, world);
         self.w.seal()
     }
+
+    /// Abandon the snapshot, returning its buffer.
+    pub(crate) fn into_buffer(self) -> Vec<u8> {
+        self.w.into_inner()
+    }
 }
 
 /// Encode the complete sealed snapshot of `world`.
 pub fn encode(world: &World<'_>) -> Vec<u8> {
-    Checkpoint::begin(world, 0).finish(world)
+    Checkpoint::begin(world, Vec::new()).finish(world)
 }
 
 /// Header-level facts about a sealed snapshot without a full decode.
@@ -969,18 +974,12 @@ pub fn restore_into(
     world.machine.ppe_cache.stats.l2_hits = r.u64()?;
     world.machine.ppe_cache.stats.memory_accesses = r.u64()?;
     for spe in 0..src_spes {
-        // All local stores share one partition geometry (the configs
-        // agree on everything but the SPE count), so a dropped SPE's
-        // store decodes at the same expected length and is discarded —
-        // anything that mattered lives in its data cache, salvaged below.
-        let expected = world.machine.local_store(spe.min(dst_spes - 1)).raw().len();
-        let store = rle_decode(&mut r, expected)?;
-        if spe < dst_spes {
-            world
-                .machine
-                .local_store_mut(spe)
-                .restore_raw(&store)
-                .map_err(|e| corrupt("local store", e))?;
+        // A local store is encoded as the all-zero buffer it is (its
+        // data-cache region lives in the data cache, decoded below), and
+        // every store has the one size the configs agree on.
+        let size = world.machine.local_store(spe.min(dst_spes - 1)).size();
+        if rle_skip_extent(&mut r, size as usize)? != 0 {
+            return Err(corrupt("local store", "non-zero bytes"));
         }
     }
     let ninj = r.len_prefix(24)?;
@@ -1060,8 +1059,8 @@ pub fn restore_into(
         for _ in 0..nslots {
             slots.push((r.u32()?, [r.u32()?, r.u32()?, r.u32()?, r.u32()?, r.u32()?]));
         }
-        let local = rle_decode(&mut r, dc.capacity() as usize)?;
-        dc.import_state(bump, slots, local)
+        let (local, extent) = rle_decode_extent(&mut r, dc.capacity() as usize)?;
+        dc.import_state(bump, slots, local, extent)
             .map_err(|e| corrupt("data cache", e))?;
         dc.stats.hits = r.u64()?;
         dc.stats.misses = r.u64()?;

@@ -271,7 +271,8 @@ pub struct RunOutcome {
     /// have stored into, and all that `heap_digest` and a checkpoint read.
     pub heap_written: u32,
     /// Every checkpoint taken during the run (empty unless the run used
-    /// [`VmConfig::with_checkpoint_every`]).
+    /// [`VmConfig::with_checkpoint_every`]; always empty after a surviving
+    /// run, [`HeraJvm::run_until_crash`]).
     pub checkpoints: Vec<CheckpointBlob>,
     /// Always zero; see [`ParStats`].
     pub par: ParStats,
@@ -290,14 +291,15 @@ impl RunOutcome {
 pub enum RunEnd {
     /// The run finished; no scheduled crash fired (or none was scheduled).
     Completed(Box<RunOutcome>),
-    /// The scheduled machine crash fired. The in-memory checkpoints taken
-    /// before the crash are preserved — in fleet terms, the blobs that
-    /// had already streamed to the snapshot store when the machine died.
+    /// The scheduled machine crash fired. The freshest checkpoint taken
+    /// before it is preserved — in fleet terms, the blob a recovery reads
+    /// from the snapshot store the machine had streamed to.
     Crashed {
         /// Makespan at the safepoint where the crash fired.
         at_cycle: u64,
-        /// Checkpoints taken before the crash, in sequence order.
-        checkpoints: Vec<CheckpointBlob>,
+        /// The last checkpoint taken at or before the crash safepoint
+        /// (`None` when none was due by then).
+        checkpoint: Option<CheckpointBlob>,
     },
 }
 
@@ -380,11 +382,16 @@ impl HeraJvm {
     }
 
     /// Run from scratch, but treat a scheduled machine crash as an
-    /// *observation* rather than an error: the crashed run's in-memory
-    /// checkpoints are returned alongside the crash cycle. (In a fleet,
+    /// *observation* rather than an error: the crashed run's freshest
+    /// checkpoint is returned alongside the crash cycle. (In a fleet,
     /// checkpoints stream to a snapshot store as they are taken; this is
     /// that store for simulated machines.) Any other failure is still an
     /// `Err`.
+    ///
+    /// Only that checkpoint is sealed: every other one is priced — same
+    /// virtual charge, seq, schedule and trace event — but never built,
+    /// and a run that completes returns no checkpoints. With a checkpoint
+    /// directory every checkpoint is still sealed and written.
     pub fn run_until_crash(&self) -> Result<RunEnd, VmError> {
         self.run_mode(None, RestoreMode::Strict, true)
     }
@@ -414,6 +421,7 @@ impl HeraJvm {
         let entry = self.program.entry.ok_or(VmError::NoEntryPoint)?;
         let mut world = World::new(&self.program, self.config);
         world.checkpoint_dir = self.checkpoint_dir.clone();
+        world.surviving = survive_crash;
 
         match snapshot {
             None => {
@@ -443,7 +451,7 @@ impl HeraJvm {
             Err(VmError::MachineCrash { at_cycle }) if survive_crash => {
                 return Ok(RunEnd::Crashed {
                     at_cycle,
-                    checkpoints: std::mem::take(&mut world.checkpoints),
+                    checkpoint: world.checkpoints.pop(),
                 });
             }
             Err(e) => return Err(e),
@@ -500,7 +508,11 @@ impl HeraJvm {
             profile,
             heap_digest,
             heap_written,
-            checkpoints: std::mem::take(&mut world.checkpoints),
+            checkpoints: if survive_crash {
+                Vec::new()
+            } else {
+                std::mem::take(&mut world.checkpoints)
+            },
             par: ParStats::default(),
         })))
     }

@@ -10,7 +10,7 @@
 
 use crate::monitor::MonitorTable;
 use crate::policy::PlacementPolicy;
-use crate::snapshot::CheckpointBlob;
+use crate::snapshot::{Checkpoint, CheckpointBlob};
 use crate::thread::{BlockReason, FrameKind, JavaThread, ThreadId, ThreadState};
 use crate::vm::{StuckThread, VmConfig, VmError};
 use hera_cell::{CellMachine, CoreId, CoreKind, OpClass};
@@ -98,8 +98,16 @@ pub struct World<'p> {
     pub(crate) next_checkpoint_at: Option<u64>,
     /// Sequence number of the last checkpoint taken (0 = none yet).
     pub(crate) checkpoint_seq: u32,
-    /// Every checkpoint taken during this run, in order.
+    /// Every sealed checkpoint, in order; a surviving run keeps only the
+    /// freshest (see [`World::take_checkpoint`]).
     pub checkpoints: Vec<CheckpointBlob>,
+    /// Whether this is a surviving run (`HeraJvm::run_until_crash` /
+    /// `adopt_until_crash`): only a recovery from the scheduled crash
+    /// reads its checkpoints, so only the one it reads is sealed.
+    pub(crate) surviving: bool,
+    /// The buffer a checkpoint that is priced but not sealed encoded CORE
+    /// into, kept for the next one.
+    checkpoint_buf: Vec<u8>,
     /// When set, each checkpoint is also written to
     /// `<dir>/snap-<seq>.hsnap` (so checkpoints survive a machine crash
     /// that aborts the run and drops the in-memory world).
@@ -147,6 +155,8 @@ impl<'p> World<'p> {
             next_checkpoint_at: config.checkpoint_every.map(|e| e.max(1)),
             checkpoint_seq: 0,
             checkpoints: Vec::new(),
+            surviving: false,
+            checkpoint_buf: Vec::new(),
             checkpoint_dir: None,
             profiler: config.cell.profiling.then(hera_prof::Profiler::new),
             program_digest: std::cell::OnceCell::new(),
@@ -588,9 +598,7 @@ impl<'p> World<'p> {
         if self.next_checkpoint_at.is_none() && crash.is_none() {
             return Ok(());
         }
-        // Runs every scheduling step: the latest clock, no `cores()` Vec.
-        let latest = |m: &CellMachine| m.clocks().iter().copied().max().unwrap_or(0);
-        let now = latest(&self.machine);
+        let now = self.latest_clock();
         if let Some(at) = self.next_checkpoint_at {
             if now >= at {
                 self.take_checkpoint(now)?;
@@ -600,12 +608,36 @@ impl<'p> World<'p> {
             // A whole-machine crash is a hard stop: no cost is charged and
             // no state is mutated, so the crashed run's history is a strict
             // prefix of the uninterrupted run's.
-            let now = latest(&self.machine);
+            let now = self.latest_clock();
             if now >= at {
                 return Err(VmError::MachineCrash { at_cycle: now });
             }
         }
         Ok(())
+    }
+
+    /// The latest core clock. Runs every scheduling step, so it reads the
+    /// clocks in place (no `cores()` Vec).
+    fn latest_clock(&self) -> u64 {
+        self.machine.clocks().iter().copied().max().unwrap_or(0)
+    }
+
+    /// Whether the checkpoint just charged must be sealed. Every one is,
+    /// except in a surviving run without a checkpoint directory: there a
+    /// recovery reads only the freshest checkpoint taken before the crash
+    /// at `at`, and this one is superseded when the advanced schedule puts
+    /// the next checkpoint at or before `at` and its own stall did not
+    /// reach `at` — the run then meets another safepoint whose latest
+    /// clock is at least `at`, and there the checkpoint check runs before
+    /// the crash check. With no crash scheduled nothing is sealed.
+    fn seals_checkpoint(&self) -> bool {
+        if !self.surviving || self.checkpoint_dir.is_some() {
+            return true;
+        }
+        let Some(at) = self.config.cell.faults.machine_crash_at else {
+            return false;
+        };
+        self.next_checkpoint_at.is_none_or(|next| next > at) || self.latest_clock() >= at
     }
 
     /// Take one scheduled checkpoint at virtual time `now`.
@@ -618,6 +650,12 @@ impl<'p> World<'p> {
     /// derived from (no circularity). The schedule is advanced *before*
     /// encoding so a restored run never re-takes (or re-charges) the
     /// checkpoint it was restored from.
+    ///
+    /// A checkpoint no recovery can read ([`World::seals_checkpoint`]) is
+    /// priced, not built: seq, schedule, charge, event and metrics are
+    /// those of a sealed one, but the snapshot stops after CORE and its
+    /// buffer is kept for the next checkpoint. A surviving run's store
+    /// holds only the freshest sealed checkpoint.
     fn take_checkpoint(&mut self, now: u64) -> Result<(), VmError> {
         self.checkpoint_seq += 1;
         let seq = self.checkpoint_seq;
@@ -629,8 +667,11 @@ impl<'p> World<'p> {
             }
             self.next_checkpoint_at = Some(next);
         }
-        let capacity = self.checkpoints.last().map_or(0, |c| c.bytes.len());
-        let checkpoint = crate::snapshot::Checkpoint::begin(self, capacity);
+        let mut buf = std::mem::take(&mut self.checkpoint_buf);
+        if buf.capacity() == 0 {
+            buf.reserve_exact(self.checkpoints.last().map_or(0, |c| c.bytes.len()));
+        }
+        let checkpoint = Checkpoint::begin(self, buf);
         let core_len = checkpoint.core_len();
         let cost = CHECKPOINT_BASE_CYCLES + core_len / CHECKPOINT_BYTES_PER_CYCLE;
         self.machine.stall(CoreId::Ppe, cost, OpClass::MainMemory);
@@ -652,6 +693,15 @@ impl<'p> World<'p> {
                 .add("snap.bytes_written", core_len);
             self.machine.trace.metrics.add("snap.write_cycles", cost);
         }
+        if !self.seals_checkpoint() {
+            debug_assert_eq!(
+                Checkpoint::begin(self, Vec::new()).core_len(),
+                core_len,
+                "checkpoint {seq}: the priced CORE differs in length from a from-scratch encode"
+            );
+            self.checkpoint_buf = checkpoint.into_buffer();
+            return Ok(());
+        }
         let bytes = checkpoint.finish(self);
         debug_assert!(
             bytes == crate::snapshot::encode(self),
@@ -661,6 +711,9 @@ impl<'p> World<'p> {
             let path = dir.join(format!("snap-{seq:04}.hsnap"));
             std::fs::write(&path, &bytes)
                 .map_err(|e| VmError::Internal(format!("write checkpoint {path:?}: {e}")))?;
+        }
+        if self.surviving {
+            self.checkpoints.clear();
         }
         self.checkpoints.push(CheckpointBlob {
             seq,

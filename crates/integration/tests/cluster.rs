@@ -142,15 +142,13 @@ fn adoption_restores_across_fault_plans_strict_refuses() {
         .expect("constructs");
     let RunEnd::Crashed {
         at_cycle,
-        checkpoints,
+        checkpoint,
     } = doomed.run_until_crash().expect("doomed run")
     else {
         panic!("machine was scheduled to crash mid-run but completed");
     };
     assert!(at_cycle >= crash_at);
-    let last = checkpoints
-        .last()
-        .expect("at least one checkpoint survived");
+    let last = checkpoint.expect("at least one checkpoint survived");
 
     let vm_b = HeraJvm::new(program, base(plan_b)).expect("constructs");
     vm_b.restore_bytes(&last.bytes)
@@ -297,10 +295,10 @@ fn cross_shape_adoption_is_replay_deterministic_strict_refuses() {
         base(2).with_faults(FaultPlan::default().with_machine_crash(crash_at)),
     )
     .expect("constructs");
-    let RunEnd::Crashed { checkpoints, .. } = doomed.run_until_crash().expect("doomed run") else {
+    let RunEnd::Crashed { checkpoint, .. } = doomed.run_until_crash().expect("doomed run") else {
         panic!("machine was scheduled to crash mid-run but completed");
     };
-    let last = checkpoints.last().expect("a checkpoint survived");
+    let last = checkpoint.expect("a checkpoint survived");
 
     let vm_small = HeraJvm::new(program.clone(), base(1)).expect("constructs");
     vm_small
@@ -579,13 +577,13 @@ fn crash_points(vm: &GridVm, plain: &hera_core::RunOutcome) -> [(&'static str, u
 fn end_digest(end: RunEnd) -> u64 {
     let RunEnd::Crashed {
         at_cycle,
-        checkpoints,
+        checkpoint,
     } = end
     else {
         return hera_snap::digest64(&u64::MAX.to_le_bytes());
     };
     let mut bytes = at_cycle.to_le_bytes().to_vec();
-    if let Some(c) = checkpoints.last() {
+    if let Some(c) = checkpoint {
         bytes.extend(c.seq.to_le_bytes());
         bytes.extend(c.at_cycle.to_le_bytes());
         bytes.extend(&c.bytes);
@@ -648,4 +646,64 @@ fn doomed_runs_keep_the_pinned_freshest_checkpoint() {
     assert!(matches!(end, RunEnd::Crashed { .. }), "adopted run");
     got.push(end_digest(end));
     assert_eq!(got, PINNED, "actual: {got:#018x?}");
+}
+
+/// A surviving run is a plain run that seals less. With no crash it is a
+/// traced `run()` in everything observable — trace lanes, stats, heap,
+/// result — and hands back no checkpoint. With a crash its one checkpoint
+/// is the last the same run writes before the crash when given a
+/// checkpoint directory (where every checkpoint is sealed), and is byte
+/// for byte the plain run's checkpoint of that seq.
+#[test]
+fn surviving_runs_seal_only_the_checkpoint_recovery_reads() {
+    let dir = std::path::PathBuf::from(format!(
+        "target/cluster-test-{}-surviving",
+        std::process::id()
+    ));
+    for vm in doomed_grid() {
+        let jvm = |cfg: VmConfig| HeraJvm::new(vm.program.clone(), cfg).expect("constructs");
+        let traced = vm.cfg.with_tracing();
+        let plain = jvm(traced).run().expect("plain run");
+        let RunEnd::Completed(surviving) = jvm(traced).run_until_crash().expect("surviving run")
+        else {
+            panic!("{}: crashed with no crash scheduled", vm.name);
+        };
+        let name = &vm.name;
+        assert!(
+            surviving.trace.lanes() == plain.trace.lanes(),
+            "{name}: trace"
+        );
+        let stats = |o: &hera_core::RunOutcome| format!("{:?}", o.stats);
+        assert_eq!(stats(&surviving), stats(&plain), "{name}: stats");
+        assert_eq!(surviving.heap_digest, plain.heap_digest, "{name}: heap");
+        assert_eq!(surviving.result, plain.result, "{name}: result");
+        assert!(surviving.checkpoints.is_empty(), "{name}: kept checkpoints");
+
+        for (case, at) in crash_points(&vm, &plain) {
+            let doomed = traced.with_faults(FaultPlan::default().with_machine_crash(at));
+            let RunEnd::Crashed {
+                at_cycle,
+                checkpoint,
+            } = jvm(doomed).run_until_crash().expect("doomed run")
+            else {
+                panic!("{name}: {case}: completed");
+            };
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            let sealing = jvm(doomed).with_checkpoint_dir(&dir).run_until_crash();
+            let Ok(RunEnd::Crashed { at_cycle: also, .. }) = sealing else {
+                panic!("{name}: {case}: the sealing run did not crash");
+            };
+            assert_eq!(at_cycle, also, "{name}: {case}: crash cycle");
+            let written = std::fs::read_dir(&dir).expect("readdir").count() as u32;
+            let seq = checkpoint.as_ref().map_or(0, |c| c.seq);
+            assert_eq!(seq, written, "{name}: {case}: freshest checkpoint");
+            if let Some(c) = checkpoint {
+                let p = &plain.checkpoints[c.seq as usize - 1];
+                assert_eq!(c.at_cycle, p.at_cycle, "{name}: {case}: trigger cycle");
+                assert!(c.bytes == p.bytes, "{name}: {case}: bytes");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -585,6 +585,46 @@ fn crafted_ppe_cache_state_is_rejected() {
     }
 }
 
+/// An SPE local store is encoded as the all-zero buffer it always is
+/// (its data-cache region lives in the data cache): a CRC-valid snapshot
+/// whose store carries a byte is refused with a typed error.
+#[test]
+fn crafted_local_store_bytes_are_rejected() {
+    let (vm, bytes) = small_snapshot();
+    let payload = hera_snap::open(&bytes).expect("valid container");
+    // The one SPE's 256 KiB store: total, then a single zero chunk.
+    let size = hera_cell::LocalStore::SIZE as u64;
+    let zeros: Vec<u8> = [&size.to_le_bytes()[..], &[0], &size.to_le_bytes()].concat();
+    let hits: Vec<usize> = (0..payload.len() - zeros.len())
+        .filter(|&i| payload[i..].starts_with(&zeros))
+        .collect();
+    let [at] = hits[..] else {
+        panic!("expected one all-zero local store, found {}", hits.len());
+    };
+    // The same total as zeros then one literal 0xAB byte; CORE's length
+    // prefix at the head of the payload grows by the ten bytes added.
+    let mut store = hera_snap::SnapWriter::new();
+    store.u64(size);
+    store.u8(0);
+    store.u64(size - 1);
+    store.u8(1);
+    store.u64(1);
+    store.u8(0xAB);
+    let core_len = u64::from_le_bytes(payload[..8].try_into().unwrap());
+    let grown = core_len + (store.len() - zeros.len()) as u64;
+    let mut crafted = grown.to_le_bytes().to_vec();
+    crafted.extend_from_slice(&payload[8..at]);
+    crafted.extend_from_slice(store.bytes());
+    crafted.extend_from_slice(&payload[at + zeros.len()..]);
+    match vm.restore_bytes(&hera_snap::seal(&crafted)) {
+        Err(VmError::Snap(SnapError::Corrupt(msg))) => {
+            assert!(msg.contains("local store"), "unexpected message: {msg}")
+        }
+        Err(e) => panic!("expected a Corrupt rejection, got {e:?}"),
+        Ok(_) => panic!("a local store holding a byte restored"),
+    }
+}
+
 /// A structurally valid snapshot from a *different* machine or program
 /// must be refused up front (digest check), not half-applied.
 #[test]

@@ -270,9 +270,15 @@ impl SnapWriter {
     /// and [`SnapWriter::seal`] completes the header, so the payload is
     /// never copied.
     pub fn sealed(payload_capacity: usize) -> Self {
-        let mut w = Self {
-            buf: Vec::with_capacity(HEADER_LEN + payload_capacity),
-        };
+        Self::sealed_in(Vec::with_capacity(HEADER_LEN + payload_capacity))
+    }
+
+    /// [`SnapWriter::sealed`] over `buf`, cleared first: a caller that
+    /// encodes snapshots it does not keep hands the same allocation back
+    /// each time ([`SnapWriter::into_inner`] returns it).
+    pub fn sealed_in(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        let mut w = Self { buf };
         w.raw(&MAGIC);
         w.u32(FORMAT_VERSION);
         w.u32(0); // flags
@@ -617,6 +623,15 @@ pub fn rle_encode_zero_tail(w: &mut SnapWriter, data: &[u8], written: usize) {
     }
 }
 
+/// [`rle_encode`] of `len` zero bytes, without the buffer.
+pub fn rle_encode_zeros(w: &mut SnapWriter, len: usize) {
+    w.len_prefix(len);
+    if len > 0 {
+        w.u8(RLE_ZERO);
+        w.len_prefix(len);
+    }
+}
+
 /// Decode a zero-run-length buffer, requiring its total length to equal
 /// `expected_len` exactly.
 pub fn rle_decode(r: &mut SnapReader<'_>, expected_len: usize) -> Result<Vec<u8>, SnapError> {
@@ -630,13 +645,34 @@ pub fn rle_decode_extent(
     r: &mut SnapReader<'_>,
     expected_len: usize,
 ) -> Result<(Vec<u8>, usize), SnapError> {
+    let mut out = vec![0u8; expected_len];
+    let literal_end = rle_chunks(r, expected_len, |at, bytes| {
+        out[at..at + bytes.len()].copy_from_slice(bytes)
+    })?;
+    Ok((out, literal_end))
+}
+
+/// The literal end [`rle_decode_extent`] returns, with the chunks checked
+/// the same way but nothing allocated or copied: a caller that requires
+/// an all-zero buffer requires 0.
+pub fn rle_skip_extent(r: &mut SnapReader<'_>, expected_len: usize) -> Result<usize, SnapError> {
+    rle_chunks(r, expected_len, |_, _| {})
+}
+
+/// Walk a zero-run-length buffer of exactly `expected_len` bytes, handing
+/// `literal` each literal chunk and its offset; returns the end of the
+/// last literal chunk (0 when there is none).
+fn rle_chunks(
+    r: &mut SnapReader<'_>,
+    expected_len: usize,
+    mut literal: impl FnMut(usize, &[u8]),
+) -> Result<usize, SnapError> {
     let total = r.u64()? as usize;
     if total != expected_len {
         return Err(SnapError::Corrupt(format!(
             "rle buffer length {total} does not match expected {expected_len}"
         )));
     }
-    let mut out = vec![0u8; total];
     let (mut filled, mut literal_end) = (0usize, 0usize);
     while filled < total {
         let tag = r.u8()?;
@@ -649,8 +685,7 @@ pub fn rle_decode_extent(
         match tag {
             RLE_ZERO => {}
             RLE_LITERAL => {
-                let bytes = r.take(run)?;
-                out[filled..filled + run].copy_from_slice(bytes);
+                literal(filled, r.take(run)?);
                 literal_end = filled + run;
             }
             other => {
@@ -659,7 +694,7 @@ pub fn rle_decode_extent(
         }
         filled += run;
     }
-    Ok((out, literal_end))
+    Ok(literal_end)
 }
 
 #[cfg(test)]
@@ -899,6 +934,36 @@ mod tests {
     }
 
     #[test]
+    fn zeros_encode_like_a_zero_buffer_and_skip_to_extent_zero() {
+        for len in [0usize, 1, 7, 8, 24, 4096, 256 << 10] {
+            let mut fast = SnapWriter::new();
+            rle_encode_zeros(&mut fast, len);
+            let mut slow = SnapWriter::new();
+            rle_encode(&mut slow, &vec![0; len]);
+            assert_eq!(fast.bytes(), slow.bytes(), "{len} zeros");
+            let mut r = SnapReader::new(fast.bytes());
+            assert_eq!(rle_skip_extent(&mut r, len), Ok(0), "{len} zeros");
+            r.finish().unwrap();
+        }
+        // The skip checks what the decode checks and ends where it ends.
+        let data = [
+            0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9,
+        ];
+        let mut w = SnapWriter::new();
+        rle_encode(&mut w, &data[..3]);
+        rle_encode(&mut w, &data);
+        let mut r = SnapReader::new(w.bytes());
+        assert_eq!(rle_skip_extent(&mut r, 3), Ok(3));
+        assert_eq!(rle_skip_extent(&mut r, data.len()), Ok(data.len()));
+        r.finish().unwrap();
+        let mut r = SnapReader::new(w.bytes());
+        assert!(matches!(
+            rle_skip_extent(&mut r, 4),
+            Err(SnapError::Corrupt(_))
+        ));
+    }
+
+    #[test]
     fn zero_extended_digest_matches_the_materialised_buffer() {
         let mut rng = SplitMix64::new(0xD16E);
         let prefix: Vec<u8> = (0..40).map(|_| 1 + rng.next_below(255) as u8).collect();
@@ -946,6 +1011,10 @@ mod tests {
         let sealed = w.seal();
         assert_eq!(sealed, seal(b"header written last, payload never COPIED"));
         assert_eq!(open(&sealed).unwrap().len(), payload.len());
+        // A reused buffer starts over: its old bytes are not the payload.
+        let mut w = SnapWriter::sealed_in(sealed);
+        w.raw(b"second");
+        assert_eq!(w.seal(), seal(b"second"));
     }
 
     #[test]

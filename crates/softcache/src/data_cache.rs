@@ -127,6 +127,10 @@ pub struct DataCache {
     capacity: u32,
     array_block_bytes: u32,
     bump: u32,
+    /// Written-mark: every byte of `local` at or past it is zero. Only a
+    /// fill writes past the previous high-water `bump`, so a fill raises
+    /// it to `bump`; nothing lowers it.
+    written: u32,
     local: Vec<u8>,
     table: Vec<Option<Entry>>,
     /// Indices of the occupied table slots, in insertion order.
@@ -160,6 +164,7 @@ impl DataCache {
             capacity,
             array_block_bytes: array_block_bytes.max(16),
             bump: 0,
+            written: 0,
             local: vec![0; capacity as usize],
             table: vec![None; slots],
             occupied: Vec::new(),
@@ -316,6 +321,7 @@ impl DataCache {
         self.occupied.push(slot);
         let off = self.bump;
         self.bump += alen;
+        self.written = self.written.max(self.bump);
         machine.advance(core, INSERT_CYCLES, OpClass::LocalMemory);
         Ok(Some((slot, off)))
     }
@@ -517,6 +523,13 @@ impl DataCache {
         Ok(salvaged)
     }
 
+    /// The written-mark: every local byte at or past it is zero, so a
+    /// snapshot encodes the region with
+    /// `hera_snap::rle_encode_zero_tail(local, mark)`.
+    pub fn written_mark(&self) -> u32 {
+        self.written
+    }
+
     /// Full cache state for a snapshot: `(bump, occupied table slots,
     /// local region bytes)`. Each occupied slot is `(slot index,
     /// [main_addr, local_off, len, dirty_lo, dirty_hi])`; slots come out
@@ -539,17 +552,23 @@ impl DataCache {
         (self.bump, slots, &self.local)
     }
 
-    /// Restore the state captured by [`DataCache::export_state`]. Fails
-    /// if the shape does not match this cache's geometry or a unit's
-    /// dirty span reaches outside the unit, so a corrupt snapshot cannot
-    /// produce out-of-bounds local offsets.
+    /// Restore the state captured by [`DataCache::export_state`]; every
+    /// byte of `local` at or past `extent` is zero (the decoder's last
+    /// literal end). Fails if the shape does not match this cache's
+    /// geometry or a unit's dirty span reaches outside the unit, so a
+    /// corrupt snapshot cannot produce out-of-bounds local offsets.
+    ///
+    /// The written-mark becomes `max(bump, extent)`, not `extent`: a unit
+    /// below `bump` that was all zero when captured is written later
+    /// without a fill.
     pub fn import_state(
         &mut self,
         bump: u32,
         slots: Vec<(u32, [u32; 5])>,
         local: Vec<u8>,
+        extent: usize,
     ) -> Result<(), &'static str> {
-        if local.len() != self.local.len() {
+        if local.len() != self.local.len() || extent > local.len() {
             return Err("data-cache region size mismatch");
         }
         if bump > self.capacity || slots.len() > self.max_entries {
@@ -582,6 +601,7 @@ impl DataCache {
             table[i] = Some(e);
         }
         self.bump = bump;
+        self.written = bump.max(extent as u32);
         self.table = table;
         self.occupied = occupied;
         self.dirty = dirty;
@@ -1062,14 +1082,21 @@ mod tests {
                 Step::ExportImport => {
                     let (bump, slots, local) = dc.export_state();
                     let local = local.to_vec();
+                    let extent = nonzero_end(&local);
                     let mut fresh = DataCache::new(dc.capacity());
                     fresh.stats = dc.stats;
-                    let res = fresh.import_state(bump, slots, local);
+                    let res = fresh.import_state(bump, slots, local, extent);
                     *dc = fresh;
                     format!("{res:?}")
                 }
             }
         }
+    }
+
+    /// The smallest extent an import can be handed: one past the last
+    /// non-zero byte (a decoder's last literal ends there or later).
+    fn nonzero_end(local: &[u8]) -> usize {
+        local.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1)
     }
 
     #[test]
@@ -1157,6 +1184,10 @@ mod tests {
                     listed.1.sort_unstable();
                     assert_eq!(listed.0, a.dc.scan(|_| true), "{what}: occupied list");
                     assert_eq!(listed.1, a.dc.scan(Entry::is_dirty), "{what}: dirty list");
+                    assert!(
+                        a.dc.local[a.dc.written as usize..].iter().all(|&b| b == 0),
+                        "{what}: non-zero byte past the written-mark"
+                    );
                 }
                 // Write-back order is the order of the trace's records.
                 let lanes = sides[0].machine.trace.lanes();
@@ -1493,19 +1524,47 @@ mod tests {
         // A 16-byte unit whose dirty span claims bytes 4..4096.
         let bad = vec![(3, [64, 0, 16, 4, 4096])];
         assert_eq!(
-            dc.import_state(16, bad, local.clone()),
+            dc.import_state(16, bad, local.clone(), 0),
             Err("data-cache dirty span outside its unit")
         );
         let wraps = vec![(3, [u32::MAX - 7, 0, 16, 4, 8])];
-        assert!(dc.import_state(16, wraps, local.clone()).is_err());
+        assert!(dc.import_state(16, wraps, local.clone(), 0).is_err());
         let huge = vec![(3, [64, 0, u32::MAX, u32::MAX, 0])];
-        assert!(dc.import_state(16, huge, local.clone()).is_err());
+        assert!(dc.import_state(16, huge, local.clone(), 0).is_err());
         // The same unit with its span inside is accepted, as dirty.
-        dc.import_state(16, vec![(3, [64, 0, 16, 4, 8])], local)
+        dc.import_state(16, vec![(3, [64, 0, 16, 4, 8])], local, 0)
             .unwrap();
         assert_eq!(
             (dc.occupied.as_slice(), dc.dirty.as_slice()),
             (&[3][..], &[3][..])
         );
+    }
+
+    /// A unit cached while all zero leaves no literal in a snapshot, so
+    /// the decoded extent ends before it; written after the import it is
+    /// a hit, not a fill, so a mark set to the extent alone would have
+    /// the write land past it. The mark is `max(bump, extent)`.
+    #[test]
+    fn import_keeps_the_mark_at_bump_over_a_unit_captured_all_zero() {
+        let mut f = fx();
+        let arr = f.heap.alloc_array(ElemTy::Byte, 4 << 10).unwrap();
+        let (block, len) = (arr.0 + 1024, 1024);
+        let mut dc = DataCache::new(4 << 10);
+        let (h, m) = (&mut f.heap, &mut f.machine);
+        dc.read(h, m, SPE, block, len, 8, Ty::Int).unwrap();
+        assert_eq!(dc.written_mark(), 1024);
+        let (bump, slots, local) = dc.export_state();
+        let local = local.to_vec();
+        assert_eq!(nonzero_end(&local), 0, "the unit was captured all zero");
+        let mut adopted = DataCache::new(4 << 10);
+        adopted.import_state(bump, slots, local, 0).unwrap();
+        assert_eq!(adopted.written_mark(), 1024);
+        adopted
+            .write(h, m, SPE, block, len, 8, Ty::Int, Value::I32(-1))
+            .unwrap();
+        assert_eq!(adopted.stats.misses, 0, "the write hit the imported unit");
+        assert!(adopted.local[adopted.written_mark() as usize..]
+            .iter()
+            .all(|&b| b == 0));
     }
 }
