@@ -397,7 +397,9 @@ impl HeraJvm {
     }
 
     /// [`HeraJvm::adopt_bytes`], but surviving a scheduled machine crash
-    /// like [`HeraJvm::run_until_crash`] — for chained migrations.
+    /// like [`HeraJvm::run_until_crash`], and sealing only the checkpoint a
+    /// recovery reads — for chained migrations and the fleet's adoption
+    /// proofs.
     pub fn adopt_until_crash(&self, snapshot: &[u8]) -> Result<RunEnd, VmError> {
         self.run_mode(Some(snapshot), RestoreMode::Adopt, true)
     }
