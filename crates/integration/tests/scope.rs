@@ -6,7 +6,7 @@
 
 #![forbid(unsafe_code)]
 
-use hera_cluster::{run_chaos_matrix, run_experiment, ClusterConfig};
+use hera_cluster::{crash_storm, run_chaos_matrix, run_experiment, ClusterConfig, ResilConfig};
 use hera_integration::fleets::{busy_fleet, small_e13, small_e15};
 use hera_integration::minijson::{parse, Value};
 use hera_trace::FlowKind;
@@ -300,4 +300,74 @@ fn small_fleet_exports_match_pinned_digests() {
         0xce35_308b_c4cc_fa45,
     ];
     assert_eq!(got, want, "report bytes moved");
+}
+
+/// E13's chaos fleet at debug size with a deadline short enough that
+/// waves time out, retry, hedge, trip breakers and die: the other pinned
+/// fleets run at a deadline no wave reaches, so every `Timeout` event
+/// they schedule is popped stale.
+fn deadline_fleet() -> ClusterConfig {
+    ClusterConfig {
+        utilization_pct: 90,
+        crashes: crash_storm(42, 4, 4, 300, 700),
+        resil: Some(ResilConfig {
+            deadline_cycles: 4_000_000,
+            ..ResilConfig::default().full()
+        }),
+        scope: true,
+        ..ClusterConfig::e13(42, 4, 150, 0.02)
+    }
+}
+
+/// The report, and each policy's Chrome export and SLO table, of a fleet
+/// whose deadlines fire. Checks first that the run is not vacuous: every
+/// resilience path and every cancel / interrupt span kind occurs.
+#[test]
+fn live_deadline_fleet_matches_pinned_digests() {
+    let report = run_experiment(&deadline_fleet()).expect("experiment runs");
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    for counter in [
+        "resil.timeouts",
+        "resil.retries",
+        "resil.deadline_failures",
+        "resil.hedges",
+        "resil.breaker.trips",
+        "cluster.crash.requeued",
+    ] {
+        let most = report.outcomes.iter().map(|o| o.metrics.counter(counter));
+        assert!(most.max() > Some(0), "no policy counted {counter}");
+    }
+    let exports: Vec<String> = report
+        .outcomes
+        .iter()
+        .map(|o| o.scope.as_ref().expect("scope on").chrome_json())
+        .collect();
+    let docs: Vec<Value> = exports
+        .iter()
+        .map(|e| parse(e).expect("export is JSON"))
+        .collect();
+    for kind in ["queue.cancelled", "service.cancelled", "queue.interrupted"] {
+        let prefix = format!("{kind} req");
+        let named = |r: &Value| field_str(r, "name").starts_with(&prefix);
+        let found = docs.iter().any(|d| records(d).iter().any(named));
+        assert!(found, "no policy exported a {kind} span");
+    }
+
+    let digest = |s: &str| hera_snap::digest64(s.as_bytes());
+    let mut got = vec![digest(&report.render())];
+    for (outcome, export) in report.outcomes.iter().zip(&exports) {
+        let scope = outcome.scope.as_ref().expect("scope on");
+        got.push(digest(export));
+        got.push(digest(&scope.slo_report()));
+    }
+    let want = [
+        0x00d8_5e1d_61c9_a52d_u64,
+        0xe690_895f_9b88_890e,
+        0x6a9d_5047_c884_9985,
+        0x7e7c_1f71_2ba8_8093,
+        0x117b_4663_4c5d_d59c,
+        0x1389_d0b3_e0da_3782,
+        0x2390_0fc7_4018_d3dc,
+    ];
+    assert_eq!(got, want, "deadline fleet bytes moved");
 }
