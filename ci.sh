@@ -11,9 +11,10 @@ cargo test -q --workspace --exclude hera-integration
 # The seeded differential tests (fused dispatch against head-by-head in
 # hera-core, every fused slot against the plain lowering in hera-jit, the
 # run-charging data-cache lookup against its clock-charging reference in
-# hera-softcache) once more where the per-op charge shadow is compiled
+# hera-softcache, the fleet's event queue against its one-heap reference
+# in hera-cluster) once more where the per-op charge shadow is compiled
 # out and arithmetic wraps instead of panicking.
-cargo test -q --release -p hera-jit -p hera-core -p hera-softcache
+cargo test -q --release -p hera-jit -p hera-core -p hera-softcache -p hera-cluster
 # hera-integration's binaries are most of the suite's wall time (ROADMAP
 # aim 4e): build them once, then run them one at a time and print the
 # wall seconds each took, so a slow CI run explains itself.
@@ -81,13 +82,15 @@ timed fleet-trace
 timed cluster-rebal
 # Release exactness smoke for the benchmark's own cells: the hot tier's
 # per-op charging oracle is a debug assertion, and `perf-gate` runs the
-# workloads at scale 1.0 while hostbench runs them at 0.25 — so run five
+# workloads at scale 1.0 while hostbench runs them at 0.25 — so run six
 # hostbench workloads the way the benchmark driver does (`kernels-spe`
 # is the one where every load is a data-cache hit charged into the run;
 # `observed` is the one that traces, exports and profiles, and checks that
 # every pass renders the same bytes; `fleet-proofs` is the one whose VM
 # runs price their checkpoints and seal only what a recovery reads, and
-# counts its adoption proofs).
+# counts its adoption proofs; `fleet-loop` is the one whose pinned
+# `virt.cycles`, each policy's p99 at 100 000 requests, is the event
+# loop's and no other smoke reads).
 # Each checks the workload's summed virtual cycles against its pinned
 # `virt.cycles` and every cell's result, and exits non-zero on a mismatch
 # or any failed operation.
@@ -101,3 +104,4 @@ hostbench_smoke kernels-spe
 hostbench_smoke sync-migrate
 hostbench_smoke observed
 hostbench_smoke fleet-proofs
+hostbench_smoke fleet-loop

@@ -333,6 +333,9 @@ pub(crate) struct Sim<'a> {
     pub k: Kernel<'a>,
     pub resil: Option<Resil>,
     pub rebal: Option<Rebal>,
+    /// The machines the last [`Sim::fill_views`] let a policy pick from;
+    /// kept across dispatches so a dispatch allocates nothing.
+    views: Vec<MachineView>,
 }
 
 /// What [`Sim::route`] did with a job.
@@ -369,12 +372,19 @@ impl<'a> Sim<'a> {
         let resil = cfg
             .resil
             .map(|r| Resil::new(r, cfg.machines, profile.classes.len()));
-        Sim { k, resil, rebal }
+        Sim {
+            k,
+            resil,
+            rebal,
+            views: Vec::with_capacity(cfg.machines),
+        }
     }
 
-    /// The machines a policy may pick from: up, not excluded, and not
-    /// behind an open breaker.
-    fn views(&self, now: u64, exclude: &[usize]) -> Vec<MachineView> {
+    /// Fill `self.views` with the machines a policy may pick from: up,
+    /// not excluded, and not behind an open breaker.
+    fn fill_views(&mut self, now: u64, exclude: &[usize]) {
+        let mut views = std::mem::take(&mut self.views);
+        views.clear();
         let up = |m: &usize| self.k.machines[*m].up && !exclude.contains(m);
         let view = |m: usize| {
             let mach = &self.k.machines[m];
@@ -387,18 +397,14 @@ impl<'a> Sim<'a> {
             }
         };
         let all = 0..self.k.machines.len();
-        let v: Vec<MachineView> = all
-            .clone()
-            .filter(up)
-            .filter(|&m| !self.breaker_open(m))
-            .map(view)
-            .collect();
-        if !v.is_empty() {
-            return v;
+        let closed = all.clone().filter(up).filter(|&m| !self.breaker_open(m));
+        views.extend(closed.map(view));
+        if views.is_empty() {
+            // Breakers must never black-hole the fleet: when every up
+            // machine is open, degrade to routing among all of them.
+            views.extend(all.filter(up).map(view));
         }
-        // Breakers must never black-hole the fleet: when every up
-        // machine is open, degrade to routing among all of them.
-        all.filter(up).map(view).collect()
+        self.views = views;
     }
 
     /// Pick a machine for `job` through the balancing policy and place
@@ -412,15 +418,15 @@ impl<'a> Sim<'a> {
         hedge: bool,
     ) -> Result<Routed, ClusterError> {
         self.count_breaker_rejections(exclude);
-        let views = self.views(now, exclude);
-        if views.is_empty() {
+        self.fill_views(now, exclude);
+        if self.views.is_empty() {
             return Ok(Routed::NoMachine);
         }
-        if !hedge && self.refuses_admission(job, &views) {
+        if !hedge && self.refuses_admission(job, &self.views) {
             self.k.shed(job, now, "resil.shed.admission");
             return Ok(Routed::Handled);
         }
-        let m = self.k.policy.pick(&views);
+        let m = self.k.policy.pick(&self.views);
         if self.k.machines[m].queue().len() >= self.k.cfg.queue_cap {
             return Ok(Routed::QueueFull);
         }
@@ -498,8 +504,9 @@ impl<'a> Sim<'a> {
                 }
             }
         }
-        for job in self.k.evict(m) {
-            self.k.observe(|sc| sc.on_queue_interrupt(m, job, now));
+        for (job, enqueued) in self.k.evict(m) {
+            self.k
+                .observe(|sc| sc.on_queue_interrupt(m, job, enqueued, now));
             if self.k.jobs[job].placements().is_empty() {
                 requeue.push(job);
             } else {
@@ -548,8 +555,8 @@ impl<'a> Sim<'a> {
             return skip(self, "skipped_idle");
         };
         let job = run.job;
-        let views = self.views(now, &[m]);
-        if views.is_empty() {
+        self.fill_views(now, &[m]);
+        if self.views.is_empty() {
             return skip(self, "skipped_no_dest");
         }
         if self.k.jobs[job].placements().len() > 1 {
@@ -570,7 +577,7 @@ impl<'a> Sim<'a> {
         };
         // Detach from the source; its pending Done goes stale.
         self.k.detach_running(m);
-        let dest = self.k.policy.pick(&views);
+        let dest = self.k.policy.pick(&self.views);
         let bytes = resume.bytes.len() as u64;
         let transfer = self.k.transfer_cycles(bytes);
         self.k
@@ -794,7 +801,7 @@ pub(crate) fn paced_trace(cfg: &ClusterConfig, mean_service: u64) -> (u64, Vec<R
 mod tests {
     use super::*;
     use crate::{crash_storm, run_experiment, ClusterReport, MachineShape, RebalConfig};
-    use crate::{run_chaos_matrix, run_rebal_matrix, ResilConfig};
+    use crate::{run_chaos_matrix, run_rebal_matrix, ResilConfig, MAX_DELAY_CYCLES};
 
     fn tiny() -> ClusterConfig {
         ClusterConfig {
@@ -992,6 +999,113 @@ mod tests {
                 rendered[0]
             );
             assert_eq!(rendered, replayed_on(&wide, &cfg, &profile));
+        }
+    }
+
+    /// `tiny()` under `knobs`, through every runner: each must reject
+    /// `knob` as `cycles` ahead before it builds a profile.
+    fn rejected(knobs: ResilConfig, knob: &'static str, cycles: u64) {
+        let cfg = ClusterConfig {
+            resil: Some(knobs),
+            ..tiny()
+        };
+        let want = Some(ClusterError::InvalidDelay { knob, cycles });
+        assert_eq!(run_experiment(&cfg).err(), want);
+        assert_eq!(run_chaos_matrix(&cfg).err(), want);
+        assert_eq!(run_rebal_matrix(&cfg).err(), want);
+    }
+
+    #[test]
+    fn deadline_past_the_schedule_is_rejected() {
+        // Panicked in debug ("attempt to add with overflow" at the
+        // deadline push); wrapped to a deadline in the past in release.
+        let knob = "resil.deadline_cycles";
+        for cycles in [u64::MAX, MAX_DELAY_CYCLES + 1] {
+            let knobs = ResilConfig {
+                deadline_cycles: cycles,
+                ..ResilConfig::default()
+            };
+            rejected(knobs, knob, cycles);
+        }
+    }
+
+    #[test]
+    fn backoff_past_the_schedule_is_rejected() {
+        // `step + jitter` overflowed once the step saturated.
+        let knob = "resil.backoff_base_cycles";
+        let knobs = ResilConfig {
+            backoff_base_cycles: u64::MAX,
+            ..ResilConfig::default()
+        };
+        rejected(knobs, knob, u64::MAX);
+        // The step doubles per retry and a retry waits up to two steps:
+        // with three retries a quarter of the limit is already too much.
+        let knobs = ResilConfig {
+            backoff_base_cycles: MAX_DELAY_CYCLES / 4,
+            max_retries: 3,
+            ..knobs
+        };
+        rejected(knobs, knob, MAX_DELAY_CYCLES * 2);
+    }
+
+    #[test]
+    fn probe_past_the_schedule_is_rejected() {
+        // `step + jitter` in `probe_delay`, then `now + delay`, overflowed.
+        let knobs = ResilConfig {
+            probe_base_cycles: u64::MAX,
+            ..ResilConfig::default().full()
+        };
+        rejected(knobs, "resil.probe_base_cycles", u64::MAX);
+    }
+
+    #[test]
+    fn fleet_delays_past_the_schedule_are_rejected() {
+        let knobs: [(&str, fn(&mut ClusterConfig)); 3] = [
+            ("recovery_cycles", |c| c.recovery_cycles = u64::MAX),
+            ("dispatch_cycles", |c| c.dispatch_cycles = u64::MAX),
+            ("transfer_latency_cycles", |c| {
+                c.transfer_latency_cycles = u64::MAX
+            }),
+        ];
+        for (knob, set) in knobs {
+            let mut cfg = tiny();
+            set(&mut cfg);
+            let cycles = u64::MAX;
+            let want = ClusterError::InvalidDelay { knob, cycles };
+            assert!(want.to_string().contains(knob), "{want}");
+            assert_eq!(run_experiment(&cfg).err(), Some(want));
+        }
+    }
+
+    /// Delays at their limits are valid and run: a crash recovers, waves
+    /// time out and retry, and breakers trip, each up to the limit ahead.
+    #[test]
+    fn delays_at_the_limit_still_run() {
+        let cfg = ClusterConfig {
+            crashes: vec![(1, 500)],
+            slowdowns: vec![(0, 4, 0)],
+            recovery_cycles: MAX_DELAY_CYCLES,
+            resil: Some(ResilConfig {
+                deadline_cycles: 2_000_000,
+                // Two retries: a step of half the limit, a wait of up to two.
+                backoff_base_cycles: MAX_DELAY_CYCLES / 4,
+                // A step of 2^8 bases, a wait of up to 1.25 steps.
+                probe_base_cycles: MAX_DELAY_CYCLES / 256 / 5 * 4,
+                ..ResilConfig::default().full()
+            }),
+            ..tiny()
+        };
+        let report = run_experiment(&cfg).expect("delays at the limit are valid");
+        assert!(report.failures.is_empty(), "{:?}", report.failures);
+        let most = |name: &str| {
+            report
+                .outcomes
+                .iter()
+                .map(|o| o.metrics.counter(name))
+                .max()
+        };
+        for fired in ["cluster.recoveries", "resil.retries", "resil.breaker.trips"] {
+            assert!(most(fired) > Some(0), "no policy counted {fired}");
         }
     }
 

@@ -15,9 +15,13 @@
 //! every job resident on a machine is unresolved and booked there exactly
 //! once — so no job is resident twice on one machine and a resolved job
 //! is resident nowhere.
+//!
+//! A machine's queue holds each job with the fleet time it was queued,
+//! so the queue-wait start the scope's spans need travels with the job:
+//! `try_start`, `detach_queued` and `evict` hand it back.
 
 use crate::fleet::{
-    completed, machine_vm_config, vm_err, CrashEvent, FleetProfile, MigrationEvent,
+    completed, machine_vm_config, vm_err, ClassProfile, CrashEvent, FleetProfile, MigrationEvent,
 };
 use crate::policy::BalancePolicy;
 use crate::scope::Scope;
@@ -26,12 +30,15 @@ use crate::{ClusterConfig, ClusterError};
 use hera_core::{HeraJvm, RunEnd, RunOutcome};
 use hera_isa::Value;
 use hera_trace::MetricsRegistry;
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+/// An event. Only tests order two of them (the reference schedule); the
+/// kernel orders events by their `Keyed::key` alone.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[cfg_attr(test, derive(PartialOrd, Ord))]
 pub(crate) enum Ev {
     Arrive(usize),
     Done {
@@ -70,6 +77,87 @@ pub(crate) enum Ev {
     /// Periodic seeded rebalance tick (rebal only): compare expected
     /// drain times across machines and move queued work off the worst.
     Rebalance,
+}
+
+/// An event and its place in the schedule: `(time, insertion seq)`
+/// packed into one `u128`, so placing an event is one integer comparison
+/// that never looks at the `Ev`. The order is reversed, so the std
+/// max-heap pops the smallest key first.
+struct Keyed {
+    key: u128,
+    ev: Ev,
+}
+
+impl Keyed {
+    fn time(&self) -> u64 {
+        (self.key >> 64) as u64
+    }
+}
+
+impl Ord for Keyed {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.cmp(&self.key)
+    }
+}
+
+impl PartialOrd for Keyed {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Keyed {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for Keyed {}
+
+/// The schedule: events in `(time, insertion seq)` order, a total order
+/// because the seq is unique.
+///
+/// A `Timeout` is always pushed at `now + deadline_cycles`, and `now`
+/// never decreases, so deadlines arrive already in key order; they wait
+/// in a FIFO lane instead of the heap, and `pop` takes whichever of the
+/// lane's front and the heap's top has the smaller key. A deadline whose
+/// key is not above the lane's last goes to the heap, so the order is the
+/// heap's on any sequence of pushes — the lane only keeps a quarter of
+/// the fleet's events out of the heap.
+#[derive(Default)]
+struct Events {
+    heap: BinaryHeap<Keyed>,
+    deadlines: VecDeque<Keyed>,
+    seq: u64,
+}
+
+impl Events {
+    fn push(&mut self, time: u64, ev: Ev) {
+        self.seq += 1;
+        let next = Keyed {
+            key: (time as u128) << 64 | self.seq as u128,
+            ev,
+        };
+        let in_order = |last: &Keyed| last.key < next.key;
+        if matches!(ev, Ev::Timeout { .. }) && self.deadlines.back().is_none_or(in_order) {
+            self.deadlines.push_back(next);
+        } else {
+            self.heap.push(next);
+        }
+    }
+
+    fn pop(&mut self) -> Option<(u64, Ev)> {
+        let lane_first = match (self.deadlines.front(), self.heap.peek()) {
+            (Some(deadline), Some(top)) => deadline.key < top.key,
+            (deadline, _) => deadline.is_some(),
+        };
+        let next = if lane_first {
+            self.deadlines.pop_front()
+        } else {
+            self.heap.pop()
+        }?;
+        Some((next.time(), next.ev))
+    }
 }
 
 /// Snapshot state a job carries between machines.
@@ -150,7 +238,8 @@ pub(crate) struct Running {
 pub(crate) struct Mach {
     pub up: bool,
     epoch: u64,
-    queue: VecDeque<usize>,
+    /// Queued jobs, each with the fleet time it was queued here.
+    queue: VecDeque<(usize, u64)>,
     /// Sum of cost estimates of queued jobs (backlog for `LeastLoaded`).
     queued_cycles: u64,
     running: Option<Running>,
@@ -159,7 +248,7 @@ pub(crate) struct Mach {
 }
 
 impl Mach {
-    pub fn queue(&self) -> &VecDeque<usize> {
+    pub fn queue(&self) -> &VecDeque<(usize, u64)> {
         &self.queue
     }
 
@@ -192,11 +281,12 @@ pub(crate) struct Kernel<'a> {
     pub policy: Box<dyn BalancePolicy>,
     pub jobs: Vec<Job>,
     pub machines: Vec<Mach>,
-    heap: BinaryHeap<Reverse<(u64, u64, Ev)>>,
-    seq: u64,
+    events: Events,
     /// Jobs waiting at the front-end because no machine is up.
     pub pending: VecDeque<usize>,
     pub metrics: MetricsRegistry,
+    /// `cluster.latency.<class>` per class, named once per replay.
+    latency_names: Vec<String>,
     pub crash_events: Vec<CrashEvent>,
     pub migration_events: Vec<MigrationEvent>,
     pub failures: Vec<String>,
@@ -223,16 +313,17 @@ impl<'a> Kernel<'a> {
             ..Mach::default()
         });
         let class_names = profile.classes.iter().map(|c| c.workload.name().into());
+        let latency_name = |c: &ClassProfile| format!("cluster.latency.{}", c.workload.name());
         Kernel {
             cfg,
             profile,
             policy,
             jobs: jobs.collect(),
             machines: machines.collect(),
-            heap: BinaryHeap::new(),
-            seq: 0,
+            events: Events::default(),
             pending: VecDeque::new(),
             metrics: MetricsRegistry::default(),
+            latency_names: profile.classes.iter().map(latency_name).collect(),
             crash_events: Vec::new(),
             migration_events: Vec::new(),
             failures: Vec::new(),
@@ -244,12 +335,12 @@ impl<'a> Kernel<'a> {
 
     /// Schedule `ev` at `time`, after everything already scheduled then.
     pub fn push(&mut self, time: u64, ev: Ev) {
-        self.seq += 1;
-        self.heap.push(Reverse((time, self.seq, ev)));
+        self.events.push(time, ev);
     }
 
+    /// Take the next event in `(time, insertion seq)` order.
     pub fn pop(&mut self) -> Option<(u64, Ev)> {
-        self.heap.pop().map(|Reverse((now, _, ev))| (now, ev))
+        self.events.pop()
     }
 
     /// Run a hera-scope hook when scope is on.
@@ -304,7 +395,7 @@ impl<'a> Kernel<'a> {
         self.observe(|sc| sc.on_enqueue(m, job, now, hedge));
         let est = self.estimate(job, m);
         let mach = &mut self.machines[m];
-        mach.queue.push_back(job);
+        mach.queue.push_back((job, now));
         mach.queued_cycles += est;
         self.try_start(m, now)
     }
@@ -313,18 +404,17 @@ impl<'a> Kernel<'a> {
         self.jobs[job].placements.retain(|&(pm, _)| pm != m);
     }
 
-    /// Take queued `job` off machine `m`. Returns whether it was there.
-    pub fn detach_queued(&mut self, m: usize, job: usize) -> bool {
-        let Some(pos) = self.machines[m].queue.iter().position(|&q| q == job) else {
-            return false;
-        };
+    /// Take queued `job` off machine `m`. Returns when it was queued
+    /// there, or `None` when it was not there.
+    pub fn detach_queued(&mut self, m: usize, job: usize) -> Option<u64> {
+        let pos = self.machines[m].queue.iter().position(|&(q, _)| q == job)?;
         let est = self.estimate(job, m);
         let mach = &mut self.machines[m];
-        mach.queue.remove(pos);
+        let (_, enqueued) = mach.queue.remove(pos)?;
         mach.queued_cycles = mach.queued_cycles.saturating_sub(est);
         self.unbook(m, job);
         self.check(m);
-        true
+        Some(enqueued)
     }
 
     /// Take the running job off machine `m`; the epoch bump makes its
@@ -339,12 +429,13 @@ impl<'a> Kernel<'a> {
         Some(run)
     }
 
-    /// Take every queued job off machine `m`, in queue order.
-    pub fn evict(&mut self, m: usize) -> Vec<usize> {
+    /// Take every queued job off machine `m`, in queue order, each with
+    /// the time it was queued.
+    pub fn evict(&mut self, m: usize) -> Vec<(usize, u64)> {
         let mach = &mut self.machines[m];
-        let queued: Vec<usize> = mach.queue.drain(..).collect();
+        let queued: Vec<(usize, u64)> = mach.queue.drain(..).collect();
         mach.queued_cycles = 0;
-        for &job in &queued {
+        for &(job, _) in &queued {
             self.unbook(m, job);
         }
         self.check(m);
@@ -355,8 +446,8 @@ impl<'a> Kernel<'a> {
     /// or — if it is the running job — detach it and start the next
     /// queued job.
     pub fn cancel(&mut self, m: usize, job: usize, now: u64) -> Result<(), ClusterError> {
-        self.observe(|sc| sc.on_cancel(m, job, now));
         if self.machines[m].running().is_some_and(|r| r.job == job) {
+            self.observe(|sc| sc.on_cancel_running(m, now));
             let run = self
                 .detach_running(m)
                 .expect("the job was just seen running");
@@ -364,8 +455,14 @@ impl<'a> Kernel<'a> {
             self.metrics.record("resil.cancelled_cycles", wasted);
             return self.try_start(m, now);
         }
-        let found = self.detach_queued(m, job);
-        debug_assert!(found, "job {job} booked on machine {m} but not resident");
+        let enqueued = self.detach_queued(m, job);
+        debug_assert!(
+            enqueued.is_some(),
+            "job {job} booked on machine {m} but not resident"
+        );
+        if let Some(enqueued) = enqueued {
+            self.observe(|sc| sc.on_cancel_queued(m, job, enqueued, now));
+        }
         Ok(())
     }
 
@@ -377,7 +474,7 @@ impl<'a> Kernel<'a> {
         if !self.machines[m].up || self.machines[m].running.is_some() {
             return Ok(());
         }
-        let Some(job) = self.machines[m].queue.pop_front() else {
+        let Some((job, enqueued)) = self.machines[m].queue.pop_front() else {
             return Ok(());
         };
         let est = self.estimate(job, m);
@@ -411,7 +508,8 @@ impl<'a> Kernel<'a> {
         let completes = exec_start + exec_cycles;
         let hedge = self.jobs[job].placements.contains(&(m, true));
         let transfer = (exec_start - now).saturating_sub(self.cfg.dispatch_cycles);
-        self.observe(|sc| sc.on_start(m, job, now, exec_start, hedge, transfer));
+        let waited = (enqueued, now);
+        self.observe(|sc| sc.on_start(m, job, waited, exec_start, hedge, transfer));
         let mach = &mut self.machines[m];
         mach.running = Some(Running {
             job,
@@ -458,10 +556,9 @@ impl<'a> Kernel<'a> {
             wave_latency: now.saturating_sub(j.wave_start),
             was_hedge,
         };
-        let name = self.profile.classes[done.class].workload.name();
         self.metrics.record("cluster.latency", done.latency);
         self.metrics
-            .record(&format!("cluster.latency.{name}"), done.latency);
+            .record(&self.latency_names[done.class], done.latency);
         self.metrics.add("cluster.completed", 1);
         self.observe(|sc| sc.on_complete(job, m, now));
         self.check(m);
@@ -487,13 +584,13 @@ impl<'a> Kernel<'a> {
             return;
         }
         let mach = &self.machines[m];
-        let queued: u64 = mach.queue.iter().map(|&j| self.estimate(j, m)).sum();
+        let queued: u64 = mach.queue.iter().map(|&(j, _)| self.estimate(j, m)).sum();
         assert_eq!(
             mach.queued_cycles, queued,
             "machine {m}: queued_cycles out of step with its queue"
         );
         let running = mach.running.as_ref().map(|r| r.job);
-        for job in mach.queue.iter().copied().chain(running) {
+        for job in mach.queue.iter().map(|&(j, _)| j).chain(running) {
             let j = &self.jobs[job];
             let booked = &j.placements;
             assert!(
@@ -628,5 +725,94 @@ impl<'a> Kernel<'a> {
         }
         let reexec = at_cycle.saturating_sub(j.resume.as_ref().map_or(0, |old| old.restored_wall));
         Ok(Some((j.resume.clone(), reexec)))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hera_rng::SplitMix64;
+    use std::cmp::Reverse;
+
+    /// The schedule before the packed key and the deadline lane: one heap
+    /// in the derived `(time, seq, Ev)` tuple order.
+    #[derive(Default)]
+    struct ReferenceEvents {
+        heap: BinaryHeap<Reverse<(u64, u64, Ev)>>,
+        seq: u64,
+    }
+
+    impl ReferenceEvents {
+        fn push(&mut self, time: u64, ev: Ev) {
+            self.seq += 1;
+            self.heap.push(Reverse((time, self.seq, ev)));
+        }
+
+        fn pop(&mut self) -> Option<(u64, Ev)> {
+            self.heap.pop().map(|Reverse((now, _, ev))| (now, ev))
+        }
+    }
+
+    /// An event of any kind, its operands drawn small so equal events
+    /// recur.
+    fn any_event(rng: &mut SplitMix64) -> Ev {
+        let (a, gen) = (rng.next_below(3) as usize, rng.next_below(3) as u32);
+        match rng.next_below(10) {
+            0 => Ev::Arrive(a),
+            1 => Ev::Done {
+                machine: a,
+                epoch: gen as u64,
+            },
+            2 => Ev::Crash { machine: a },
+            3 => Ev::Migrate { machine: a },
+            4 => Ev::Recover { machine: a },
+            5 => Ev::Timeout { job: a, gen },
+            6 => Ev::Retry { job: a, gen },
+            7 => Ev::HedgeCheck { job: a, gen },
+            8 => Ev::Probe { machine: a },
+            _ => Ev::Rebalance,
+        }
+    }
+
+    /// Random interleavings of pushes and pops, the way the fleet makes
+    /// them — deadlines at `now + deadline`, every kind of event at or
+    /// near `now` (equal times included), deadlines at other times too —
+    /// pop in the reference heap's order.
+    #[test]
+    fn events_pop_in_the_reference_order() {
+        let mut lane_peak = 0;
+        for seed in 0..200u64 {
+            let mut rng = SplitMix64::new(seed);
+            let deadline = [0, 1, 3, 50][seed as usize % 4];
+            let (mut events, mut reference) = (Events::default(), ReferenceEvents::default());
+            let mut now = 0;
+            for step in 0..3_000 {
+                let (time, ev) = match rng.next_below(10) {
+                    0..=2 => {
+                        let (job, gen) = (rng.next_below(3) as usize, rng.next_below(3) as u32);
+                        (now + deadline, Ev::Timeout { job, gen })
+                    }
+                    3..=5 => (now + rng.next_below(4), any_event(&mut rng)),
+                    6 => (now + rng.next_below(100), any_event(&mut rng)),
+                    _ => {
+                        let popped = events.pop();
+                        assert_eq!(popped, reference.pop(), "seed {seed}, step {step}");
+                        now = popped.map_or(now, |(t, _)| t);
+                        continue;
+                    }
+                };
+                events.push(time, ev);
+                reference.push(time, ev);
+                lane_peak = lane_peak.max(events.deadlines.len());
+            }
+            loop {
+                let popped = events.pop();
+                assert_eq!(popped, reference.pop(), "seed {seed}, draining");
+                if popped.is_none() {
+                    break;
+                }
+            }
+        }
+        assert!(lane_peak > 1, "no deadline ever waited in the lane");
     }
 }

@@ -73,15 +73,39 @@ pub enum ClusterError {
         /// Workload classes the mix must weight, one entry each.
         classes: usize,
     },
+    /// A delay knob whose longest delay passes [`MAX_DELAY_CYCLES`]: the
+    /// event it schedules at `now + delay` could overflow fleet time (a
+    /// panic in debug builds, an event in the past in release).
+    InvalidDelay {
+        /// The knob, spelled as a `ClusterConfig` path
+        /// (`resil.deadline_cycles`, `recovery_cycles`, …).
+        knob: &'static str,
+        /// The longest delay the knob's value can produce, saturating.
+        cycles: u64,
+    },
     /// Any other invalid configuration, or a VM-level error that is a
     /// bug rather than a measured outcome.
     Config(String),
 }
 
+/// The furthest ahead a config knob may schedule an event: 2^48 cycles,
+/// about a day of fleet time at the Cell's 3.2 GHz, so that `now + delay`
+/// cannot overflow however long a run's fleet time grows.
+pub const MAX_DELAY_CYCLES: u64 = 1 << 48;
+
 impl ClusterError {
     /// Catch-all constructor for config/VM errors without a typed shape.
     pub(crate) fn msg(s: impl Into<String>) -> Self {
         ClusterError::Config(s.into())
+    }
+
+    /// Reject `knob` when the longest delay it can produce, `cycles`,
+    /// passes [`MAX_DELAY_CYCLES`].
+    pub(crate) fn check_delay(knob: &'static str, cycles: u64) -> Result<(), ClusterError> {
+        if cycles > MAX_DELAY_CYCLES {
+            return Err(ClusterError::InvalidDelay { knob, cycles });
+        }
+        Ok(())
     }
 }
 
@@ -102,6 +126,11 @@ impl std::fmt::Display for ClusterError {
                 f,
                 "mix {mix:?} must weight exactly the {classes} workload classes, \
                  at least one of them above zero"
+            ),
+            ClusterError::InvalidDelay { knob, cycles } => write!(
+                f,
+                "{knob} can schedule an event {cycles} cycles ahead, \
+                 past the limit of {MAX_DELAY_CYCLES} (2^48)"
             ),
             ClusterError::Config(s) => f.write_str(s),
         }
@@ -311,7 +340,13 @@ impl ClusterConfig {
                 ));
             }
         }
-        Ok(())
+        // A recovery is scheduled at `now + recovery_cycles`, a completion
+        // behind `now + dispatch_cycles + transfer`.
+        ClusterError::check_delay("recovery_cycles", self.recovery_cycles)?;
+        ClusterError::check_delay("dispatch_cycles", self.dispatch_cycles)?;
+        let transfer = self.transfer_latency_cycles;
+        ClusterError::check_delay("transfer_latency_cycles", transfer)?;
+        self.resil.as_ref().map_or(Ok(()), ResilConfig::validate)
     }
 }
 

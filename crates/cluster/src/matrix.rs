@@ -400,6 +400,7 @@ fn run_matrix(cfg: &ClusterConfig, matrix: Matrix) -> Result<MatrixReport, Clust
         probe_base_cycles: mean_service * 2,
         ..ResilConfig::default()
     });
+    resil_base.validate()?;
     let header = format!(
         "{}\nmean service {mean_service} cycles (healthy fleet), mean inter-arrival \
          {mean_inter} cycles (target utilization {}%), deadline {} cycles, slo {} cycles{}\n",

@@ -154,7 +154,8 @@ impl Rebal {
 fn movable(k: &Kernel, m: usize) -> Option<usize> {
     let free =
         |j: &usize| k.jobs[*j].placements().len() == 1 && k.jobs[*j].pending_migration.is_none();
-    k.machines[m].queue().iter().rev().copied().find(free)
+    let mut queued = k.machines[m].queue().iter().rev().map(|&(job, _)| job);
+    queued.find(free)
 }
 
 impl Sim<'_> {
@@ -212,15 +213,16 @@ impl Sim<'_> {
         // breaker state and advertised capacity, so they land on the
         // healthiest peers). Hedged twins just drop this attempt.
         let mut moved = 0u64;
-        for job in self.k.evict(m) {
+        for (job, enqueued) in self.k.evict(m) {
             if self.k.jobs[job].placements().is_empty() {
                 self.k.metrics.add("rebal.drains", 1);
                 moved += 1;
-                self.k.observe(|sc| sc.on_drain(m, job, now));
+                self.k.observe(|sc| sc.on_drain(m, job, enqueued, now));
                 self.dispatch(job, now, &[m])?;
             } else {
                 self.k.metrics.add("rebal.drain.dropped_hedged", 1);
-                self.k.observe(|sc| sc.on_queue_interrupt(m, job, now));
+                self.k
+                    .observe(|sc| sc.on_queue_interrupt(m, job, enqueued, now));
             }
         }
         // The in-flight job live-migrates through the standard
@@ -283,10 +285,13 @@ impl Sim<'_> {
             let Some((src, dst, job)) = next else {
                 break;
             };
-            self.k.detach_queued(src, job);
+            let enqueued = self
+                .k
+                .detach_queued(src, job)
+                .expect("a rebalance move takes a job queued on its source");
             self.k.metrics.add("rebal.moves", 1);
             self.k.metrics.add("rebal.drains", 1);
-            self.k.observe(|sc| sc.on_drain(src, job, now));
+            self.k.observe(|sc| sc.on_drain(src, job, enqueued, now));
             self.k.place(dst, job, false, now)?;
             if let Some(rb) = self.rebal.as_mut() {
                 rb.quiet_until[src] = now + rb.cooldown;

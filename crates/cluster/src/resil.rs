@@ -108,6 +108,24 @@ impl ResilConfig {
             ..self
         }
     }
+
+    /// Reject knobs that could schedule an event past the end of fleet
+    /// time: each longest delay must stay within
+    /// [`crate::MAX_DELAY_CYCLES`]. A deadline fires `deadline_cycles`
+    /// ahead; a retry less than two backoff steps ahead, the step the base
+    /// doubled per retry up to 2^16 times ([`backoff_cycles`]); a probe at
+    /// most 1.25 probe steps ahead, the step the base doubled per trip up
+    /// to 2^8 times ([`Breaker::probe_delay`]).
+    pub(crate) fn validate(&self) -> Result<(), ClusterError> {
+        let doublings = self.max_retries.saturating_sub(1).min(16);
+        let step = self.backoff_base_cycles.saturating_mul(1 << doublings);
+        let backoff = step.saturating_mul(2);
+        let step = self.probe_base_cycles.saturating_mul(1 << 8);
+        let probe = step.saturating_add(step / 4);
+        ClusterError::check_delay("resil.deadline_cycles", self.deadline_cycles)?;
+        ClusterError::check_delay("resil.backoff_base_cycles", backoff)?;
+        ClusterError::check_delay("resil.probe_base_cycles", probe)
+    }
 }
 
 /// Advertised capacity of a machine in per-mille of its healthy self,

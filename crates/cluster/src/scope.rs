@@ -27,7 +27,6 @@
 use hera_trace::{
     fleet_trace_json, ExactPercentiles, FleetSpan, FlowArrow, FlowKind, MetricsRegistry, SpanKind,
 };
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Track index of the front-end; machine `m` is track `m + 1`.
@@ -64,10 +63,11 @@ struct OpenService {
     transfer: u64,
 }
 
+/// A machine's open attempt and utilization window. Its queue-wait
+/// starts are not here: the kernel's queue carries each job's, and the
+/// hooks that end a wait are handed it.
 #[derive(Default)]
 struct MachScope {
-    /// Enqueue time per queued job (keys the queue-wait span).
-    queue_since: BTreeMap<usize, u64>,
     open: Option<OpenService>,
     /// Busy-interval start, advanced to the last sampler tick so each
     /// window's utilization counts its own cycles exactly once.
@@ -150,19 +150,12 @@ impl Scope {
         });
     }
 
-    /// Close `job`'s queue wait on machine `m`, if it has one, as `kind`.
-    fn close_queue(&mut self, m: usize, job: usize, now: u64, kind: SpanKind) {
-        if let Some(enq) = self.mach[m].queue_since.remove(&job) {
-            let wait = now.saturating_sub(enq);
-            self.span(
-                kind,
-                machine_track(m),
-                Some(job),
-                enq,
-                wait,
-                [m as u64, 0, 0, 0],
-            );
-        }
+    /// Close `job`'s queue wait on machine `m`, begun at `enqueued`, as
+    /// `kind`.
+    fn close_queue(&mut self, m: usize, job: usize, enqueued: u64, now: u64, kind: SpanKind) {
+        let wait = now.saturating_sub(enqueued);
+        let queued = [m as u64, 0, 0, 0];
+        self.span(kind, machine_track(m), Some(job), enqueued, wait, queued);
     }
 
     fn terminal(&mut self, job: usize, kind: SpanKind, now: u64) {
@@ -244,29 +237,20 @@ impl Scope {
                 to_ts: now,
             });
         }
-        self.mach[m].queue_since.insert(job, now);
     }
 
+    /// `job` starts on machine `m` at `now`, ending the queue wait it
+    /// began at `enqueued`.
     pub fn on_start(
         &mut self,
         m: usize,
         job: usize,
-        now: u64,
+        (enqueued, now): (u64, u64),
         exec_start: u64,
         hedge: bool,
         transfer: u64,
     ) {
-        let enq = self.mach[m].queue_since.remove(&job).unwrap_or(now);
-        let wait = now.saturating_sub(enq);
-        let queued = [m as u64, 0, 0, 0];
-        self.span(
-            SpanKind::Queue,
-            machine_track(m),
-            Some(job),
-            enq,
-            wait,
-            queued,
-        );
+        self.close_queue(m, job, enqueued, now, SpanKind::Queue);
         self.mach[m].open = Some(OpenService {
             job,
             started: now,
@@ -314,14 +298,15 @@ impl Scope {
         self.terminal(job, SpanKind::Completed, now);
     }
 
-    /// A deadline cancel reached machine `m`: close whichever form the
-    /// attempt is in (running or queued).
-    pub fn on_cancel(&mut self, m: usize, job: usize, now: u64) {
-        if self.mach[m].open.as_ref().is_some_and(|o| o.job == job) {
-            self.close_service(m, now, SpanKind::ServiceCancelled);
-        } else {
-            self.close_queue(m, job, now, SpanKind::QueueCancelled);
-        }
+    /// A deadline or a winning twin cancelled the attempt running on `m`.
+    pub fn on_cancel_running(&mut self, m: usize, now: u64) {
+        self.close_service(m, now, SpanKind::ServiceCancelled);
+    }
+
+    /// A deadline or a winning twin cancelled `job`'s attempt queued on
+    /// `m` since `enqueued`.
+    pub fn on_cancel_queued(&mut self, m: usize, job: usize, enqueued: u64, now: u64) {
+        self.close_queue(m, job, enqueued, now, SpanKind::QueueCancelled);
     }
 
     /// A crash (or migration detach) interrupted the running attempt.
@@ -329,16 +314,17 @@ impl Scope {
         self.close_service(m, now, SpanKind::ServiceInterrupted);
     }
 
-    /// A crash drained `job` out of machine `m`'s queue.
-    pub fn on_queue_interrupt(&mut self, m: usize, job: usize, now: u64) {
-        self.close_queue(m, job, now, SpanKind::QueueInterrupted);
+    /// A crash drained `job`, queued since `enqueued`, out of machine
+    /// `m`'s queue.
+    pub fn on_queue_interrupt(&mut self, m: usize, job: usize, enqueued: u64, now: u64) {
+        self.close_queue(m, job, enqueued, now, SpanKind::QueueInterrupted);
     }
 
-    /// A proactive drain pulled queued `job` out of machine `m`: close
-    /// its queue span and arm the [`FlowKind::Drain`] arrow the next
-    /// enqueue will consume.
-    pub fn on_drain(&mut self, m: usize, job: usize, now: u64) {
-        self.close_queue(m, job, now, SpanKind::QueueDrained);
+    /// A proactive drain pulled `job`, queued since `enqueued`, out of
+    /// machine `m`: close its queue span and arm the [`FlowKind::Drain`]
+    /// arrow the next enqueue will consume.
+    pub fn on_drain(&mut self, m: usize, job: usize, enqueued: u64, now: u64) {
+        self.close_queue(m, job, enqueued, now, SpanKind::QueueDrained);
         self.drains += 1;
         self.flow_from(job, FlowKind::Drain, machine_track(m), now);
     }
