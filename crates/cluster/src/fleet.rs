@@ -1060,17 +1060,31 @@ mod tests {
 
     #[test]
     fn fleet_delays_past_the_schedule_are_rejected() {
-        let knobs: [(&str, fn(&mut ClusterConfig)); 3] = [
-            ("recovery_cycles", |c| c.recovery_cycles = u64::MAX),
-            ("dispatch_cycles", |c| c.dispatch_cycles = u64::MAX),
-            ("transfer_latency_cycles", |c| {
-                c.transfer_latency_cycles = u64::MAX
-            }),
+        let cycles = u64::MAX;
+        let knobs = [
+            (
+                "recovery_cycles",
+                ClusterConfig {
+                    recovery_cycles: cycles,
+                    ..tiny()
+                },
+            ),
+            (
+                "dispatch_cycles",
+                ClusterConfig {
+                    dispatch_cycles: cycles,
+                    ..tiny()
+                },
+            ),
+            (
+                "transfer_latency_cycles",
+                ClusterConfig {
+                    transfer_latency_cycles: cycles,
+                    ..tiny()
+                },
+            ),
         ];
-        for (knob, set) in knobs {
-            let mut cfg = tiny();
-            set(&mut cfg);
-            let cycles = u64::MAX;
+        for (knob, cfg) in knobs {
             let want = ClusterError::InvalidDelay { knob, cycles };
             assert!(want.to_string().contains(knob), "{want}");
             assert_eq!(run_experiment(&cfg).err(), Some(want));

@@ -1,4 +1,4 @@
-//! The fleet kernel: the event heap, the jobs, the machines, and the one
+//! The fleet kernel: the event queue, the jobs, the machines, and the one
 //! placement interface through which a job gets onto and off a machine.
 //!
 //! A machine's residency state (`queue`, `queued_cycles`, `running`,
@@ -291,7 +291,7 @@ pub(crate) struct Kernel<'a> {
     pub migration_events: Vec<MigrationEvent>,
     pub failures: Vec<String>,
     /// Request-level tracing (`ClusterConfig::scope`); observation only,
-    /// never charges virtual cycles or touches the event heap.
+    /// never charges virtual cycles or touches the event queue.
     pub scope: Option<Scope>,
 }
 

@@ -17,7 +17,7 @@
 //! and final heap image — and the proof runs inside the experiment for
 //! every migration and every crash recovery.
 //!
-//! Module map: `kernel` (event heap, jobs, machines, the placement
+//! Module map: `kernel` (event queue, jobs, machines, the placement
 //! interface), `fleet` (fleet profile, event loop, replay seam),
 //! [`resil`] and [`rebal`] (the opt-in layers: knobs, state, handlers),
 //! `scope` (request tracing, observation only), `matrix` (runners and
@@ -73,9 +73,9 @@ pub enum ClusterError {
         /// Workload classes the mix must weight, one entry each.
         classes: usize,
     },
-    /// A delay knob whose longest delay passes [`MAX_DELAY_CYCLES`]: the
-    /// event it schedules at `now + delay` could overflow fleet time (a
-    /// panic in debug builds, an event in the past in release).
+    /// A delay knob whose longest delay passes 2^48 cycles: the event it
+    /// schedules at `now + delay` could overflow fleet time (a panic in
+    /// debug builds, an event in the past in release).
     InvalidDelay {
         /// The knob, spelled as a `ClusterConfig` path
         /// (`resil.deadline_cycles`, `recovery_cycles`, …).
@@ -91,7 +91,7 @@ pub enum ClusterError {
 /// The furthest ahead a config knob may schedule an event: 2^48 cycles,
 /// about a day of fleet time at the Cell's 3.2 GHz, so that `now + delay`
 /// cannot overflow however long a run's fleet time grows.
-pub const MAX_DELAY_CYCLES: u64 = 1 << 48;
+pub(crate) const MAX_DELAY_CYCLES: u64 = 1 << 48;
 
 impl ClusterError {
     /// Catch-all constructor for config/VM errors without a typed shape.

@@ -12,7 +12,7 @@
 //! Three properties the integration tests pin down:
 //!
 //! * **Zero virtual-cycle cost.** The scope only observes: it never
-//!   touches the event heap, the `seq` counter, or any virtual
+//!   touches the event queue, the `seq` counter, or any virtual
 //!   timestamp, so every report rendered with scope off is byte-for-byte
 //!   identical to the same config with scope on.
 //! * **Deterministic span ids.** Ids are allocated in event-processing
@@ -365,7 +365,7 @@ impl Scope {
     }
 
     /// An attempt wave hit its deadline (the wave's cancels follow via
-    /// [`Scope::on_cancel`]).
+    /// [`Scope::on_cancel_running`] and [`Scope::on_cancel_queued`]).
     pub fn on_wave_timeout(&mut self, job: usize, now: u64) {
         self.span(
             SpanKind::WaveTimeout,
@@ -393,7 +393,7 @@ impl Scope {
     /// state whenever a tick is due, it back-fills every tick up to
     /// `now`. Between events nothing changes, so the state observed at
     /// `now` *is* the state at each missed tick — the series is exact
-    /// without ever touching the event heap.
+    /// without ever touching the event queue.
     ///
     /// `views` is `(queue_len, in_flight, breaker_state)` per machine,
     /// breaker state coded 0 = closed, 1 = half-open, 2 = open.
