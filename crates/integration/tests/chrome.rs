@@ -213,6 +213,12 @@ fn exports_match_pinned_digests() {
             0x3e78_b60d_37fd_b084,
         ),
         ("restore", 0x9510_35c6_c683_ddb7, 0xfb13_61f9_e16e_5857),
+        ("sync-cellvm", 0x56d6_8784_d831_cc14, 0x0416_9e0e_954d_d963),
+        (
+            "mixed-adaptive",
+            0xadf6_42d6_e0d2_b500,
+            0xfa5e_7bac_392c_58c3,
+        ),
     ];
     /// The symbolised export `figures trace` writes, on the mandelbrot run.
     const PINNED_NAMED: u64 = 0xef62_00b5_fd1b_bb13;
@@ -227,6 +233,8 @@ fn exports_match_pinned_digests() {
         (0x7cff_884f_47c2_00ed, 0xaf63_bd4c_8601_b7df),
         (0x14af_e167_8014_d227, 0xaf63_bd4c_8601_b7df),
         (0x9510_35c6_c683_ddb7, 0xaf63_bd4c_8601_b7df),
+        (0xc12a_a90d_8f50_9a07, 0x8fe6_3b26_19df_8aa4),
+        (0xe523_5a28_f049_b217, 0x38a8_f1aa_4414_6679),
     ];
 
     let traced = |program, cfg: VmConfig| {
@@ -265,6 +273,23 @@ fn exports_match_pinned_digests() {
     let restored = gc.restore_bytes(&middle.bytes).expect("restores");
     runs.push(full.trace);
     runs.push(restored.trace);
+    // CellVM-style sync: every SPE monitor op round-trips through the PPE.
+    let mut cellvm = spe_config(6);
+    cellvm.cellvm_style_sync = true;
+    runs.push(traced(hera_bench::sync_program(6, 2000).0, cellvm));
+    // Runtime monitoring without annotations: one monitored migration.
+    let adaptive = VmConfig {
+        policy: hera_core::PlacementPolicy::adaptive(),
+        ..VmConfig::default()
+    };
+    let out = hera_integration::run_program(
+        hera_bench::mixed_program(0.1, false).0,
+        adaptive.with_tracing(),
+    );
+    assert!(out.is_clean(), "traps {:?}", out.traps);
+    assert_eq!(out.stats.migrations, 1, "one monitored migration");
+    assert_eq!(out.trace.metrics.counter("migrations.monitored"), 1);
+    runs.push(out.trace);
 
     let mut kinds = BTreeSet::new();
     let mut got = Vec::new();

@@ -141,6 +141,90 @@ fn runaway_recursion_traps_as_stack_overflow() {
     assert!(matches!(&out.traps[0].1, Trap::NativeError(m) if m.contains("stack overflow")));
 }
 
+/// `main` recurses `depth` frames down `f` and there calls the
+/// `@FloatIntensive` `fp`, which the default (annotation) policy runs on
+/// an SPE.
+fn annotated_call_at_depth(depth: i32) -> hera_isa::Program {
+    let mut pb = ProgramBuilder::new();
+    let cls = pb.add_class("Main", None);
+    let fp = declare_static(&mut pb, cls, "fp", vec![("x", Ty::Int)], Some(Ty::Int));
+    pb.annotate(fp, hera_isa::Annotation::FloatIntensive);
+    define(
+        &mut pb,
+        fp,
+        vec![("x", Ty::Int)],
+        vec![Stmt::Return(Some(mul(local("x"), i32c(3))))],
+    )
+    .unwrap();
+    let f = declare_static(&mut pb, cls, "f", vec![("n", Ty::Int)], Some(Ty::Int));
+    define(
+        &mut pb,
+        f,
+        vec![("n", Ty::Int)],
+        vec![Stmt::If(
+            cmp_eq(local("n"), i32c(0)),
+            vec![Stmt::Return(Some(call(fp, vec![i32c(7)])))],
+            vec![Stmt::Return(Some(call(f, vec![sub(local("n"), i32c(1))])))],
+        )],
+    )
+    .unwrap();
+    let main = declare_static(&mut pb, cls, "main", vec![], Some(Ty::Int));
+    define(
+        &mut pb,
+        main,
+        vec![],
+        vec![Stmt::Return(Some(call(f, vec![i32c(depth)])))],
+    )
+    .unwrap();
+    pb.finish_with_entry("Main", "main").unwrap()
+}
+
+/// An annotated call made with `max_stack_depth - 1` frames on the stack:
+/// the migration marker takes the last frame, so the callee's activation
+/// on arrival at the SPE overflows. A frame shallower, it runs. The dead
+/// thread's checkpoint (frames and arena dropped, marker gone with them)
+/// is pinned byte for byte.
+#[test]
+fn annotated_call_at_the_depth_limit_overflows_on_arrival() {
+    use hera_cell::CoreId;
+    use hera_core::world::World;
+    use hera_core::ThreadState;
+
+    const MAX_DEPTH: usize = 24;
+    const PINNED_CHECKPOINT: u64 = 0xc9a6_ab52_1560_4de5;
+    let cfg = VmConfig {
+        max_stack_depth: MAX_DEPTH,
+        ..VmConfig::default()
+    };
+    // `main` is frame 1 and `f(n)` frame `depth - n + 2`, so `f(0)` calls
+    // `fp` from frame `depth + 2`.
+    let calls_from = |frames: usize| (frames - 2) as i32;
+
+    let out = run_program(annotated_call_at_depth(calls_from(MAX_DEPTH - 2)), cfg);
+    assert!(out.is_clean(), "traps {:?}", out.traps);
+    assert_eq!(out.result, Some(Value::I32(21)));
+    assert_eq!(out.stats.migrations, 2, "there and back");
+
+    let program = annotated_call_at_depth(calls_from(MAX_DEPTH - 1));
+    let out = run_program(program.clone(), cfg);
+    assert_eq!(out.traps.len(), 1);
+    assert!(matches!(&out.traps[0].1, Trap::NativeError(m) if m.contains("stack overflow")));
+    assert_eq!(out.stats.migrations, 1, "the thread died on arrival");
+
+    let mut w = World::new(&program, cfg);
+    w.spawn_thread(program.entry.unwrap(), Vec::new(), CoreId::Ppe, 0);
+    w.run_to_completion().unwrap();
+    assert!(matches!(
+        &w.threads[0].state,
+        ThreadState::Finished(Err(Trap::NativeError(m))) if m.contains("stack overflow")
+    ));
+    let digest = hera_snap::digest64(&w.checkpoint_now());
+    assert_eq!(
+        digest, PINNED_CHECKPOINT,
+        "dead thread's checkpoint changed (actual: {digest:#018x})"
+    );
+}
+
 #[test]
 fn worker_trap_does_not_poison_other_threads() {
     let mut pb = ProgramBuilder::new();
