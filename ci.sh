@@ -59,6 +59,15 @@ timed chaos mandelbrot --scale 0.25
 # format-version golden in tests/snap.rs separately pins the on-disk
 # encoding against silent drift).
 timed chaos-crash mandelbrot --scale 0.25
+# Migration and proxying smokes: the mixed workload under all four
+# placement policies (annotation migration with markers, adaptive
+# one-way migration), and the sync workload on 1-6 SPEs with and without
+# CellVM-style PPE-proxied monitors. They are the release runs of those
+# slow-tier paths that assert every run's result (the `sync-migrate`
+# hostbench smoke below checks only its summed virtual cycles); a failed
+# assertion panics and fails the gate.
+timed placement --scale 0.25
+timed cellvm-sync
 # Cluster smoke: a small fleet (4 machines) with one mid-trace machine
 # crash and one live migration; every recovery and migration must prove
 # bit-identical to the unmigrated run and the whole report must replay

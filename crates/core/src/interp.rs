@@ -38,10 +38,10 @@ use hera_cell::cost::exec_op_class;
 use hera_cell::{CellMachine, ChargeRun, CoreId, CoreKind, ExecOp, FaultSite, OpClass, OpCosts};
 use hera_isa::class::NativeKind;
 use hera_isa::{Kind, MethodDef, MethodId, ObjRef, Slot, Trap, Ty, Value};
-use hera_jit::{BranchKind, MachineOp};
+use hera_jit::{BranchKind, CompiledMethod, MachineOp};
 use hera_mem::heap::codec::elem_as_ty;
 use hera_mem::{Heap, HeapKind};
-use hera_softcache::{CacheFault, DataCache};
+use hera_softcache::{jmm, CacheFault, DataCache};
 use hera_trace::{CostClass, MigrationKind, TraceEvent};
 use std::rc::Rc;
 
@@ -70,6 +70,9 @@ enum BlockExit {
 
 /// Extra PPE stall for a volatile access (sync instruction).
 const VOLATILE_SYNC_CYCLES: u64 = 20;
+
+/// PPE cycles to serve one proxied monitor op in CellVM-comparison mode.
+const CELLVM_PROXY_CYCLES: u64 = 200;
 
 /// Charge the volatile sync stall, classed as JMM-barrier time for the
 /// profiler (it is the memory-model fence the PPE pays in place of a
@@ -137,13 +140,6 @@ fn op_at(ops: &[MachineOp], pc: u32) -> &MachineOp {
     }
 }
 
-fn spe_of(core: CoreId) -> Option<usize> {
-    match core {
-        CoreId::Ppe => None,
-        CoreId::Spe(n) => Some(n as usize),
-    }
-}
-
 // ---- slow-tier stack helpers (cold paths only) ----
 
 #[inline]
@@ -202,28 +198,24 @@ pub fn run_quantum(w: &mut World<'_>, tid: ThreadId) -> Result<QuantumOutcome, V
     // Deferred JMM acquire (monitor handed over while blocked).
     if let Some(_obj) = w.threads[t].pending_acquire_barrier.take() {
         w.machine.exec(core, ExecOp::MonitorOp);
-        if let Some(spe) = spe_of(core) {
-            if let Err(e) = world_cache_purge(w, spe, core) {
-                return trap_or_vm(w, tid, e);
-            }
+        if let Err(e) = jmm_acquire(w, core) {
+            return trap_or_vm(w, tid, e);
         }
     }
 
     // Deferred code-cache re-lookup after a migrate-back onto an SPE.
     if let Some(m) = w.threads[t].pending_relookup.take() {
-        if spe_of(core).is_some() {
-            if let Err(e) = code_cache_lookup(w, t, m) {
-                return trap_or_vm(w, tid, e);
-            }
+        if let Err(e) = code_cache_lookup(w, t, m) {
+            return trap_or_vm(w, tid, e);
         }
     }
 
     // Deferred call (thread start or arrival after migration).
     if let Some(call) = w.threads[t].pending_call.take() {
         if let Some(origin) = call.marker_origin {
-            push_marker(w, t, origin);
+            push_marker(&mut w.threads[t], origin);
         }
-        if let Err(e) = push_frame(w, tid, call.method, call.args) {
+        if let Err(e) = push_frame(w, tid, call.method, Args::Tagged(call.args)) {
             return trap_or_vm(w, tid, e);
         }
         if w.threads[t].is_finished() {
@@ -248,32 +240,19 @@ pub fn run_quantum(w: &mut World<'_>, tid: ThreadId) -> Result<QuantumOutcome, V
         // at the same pc is a sound on-stack replacement.
         // The current frame only changes at slow-tier ops, so checking
         // once per block matches the per-op check it replaced.
-        let needs_rebind = {
-            let f = w.threads[t].frames.last().expect("checked non-empty");
-            f.code.core != core.kind()
-        };
-        if needs_rebind {
-            let method = w.threads[t]
-                .frames
-                .last()
-                .expect("checked non-empty")
-                .method;
-            let (code, jit) = w
-                .registry
-                .get_or_compile(w.program, &w.layout, method, core.kind())
-                .map_err(VmError::Compile)?;
-            if jit > 0 {
-                w.machine.advance(core, jit, OpClass::Integer);
-            }
-            w.threads[t]
-                .frames
-                .last_mut()
-                .expect("checked non-empty")
-                .code = code;
-            if spe_of(core).is_some() {
-                if let Err(e) = code_cache_lookup(w, t, method) {
-                    return trap_or_vm(w, tid, e);
-                }
+        let f = w.threads[t].frames.last().expect("checked non-empty");
+        if f.code.core != core.kind() {
+            let method = f.method;
+            let rebound = compile_for(w, core, method).and_then(|code| {
+                w.threads[t]
+                    .frames
+                    .last_mut()
+                    .expect("checked non-empty")
+                    .code = code;
+                code_cache_lookup(w, t, method)
+            });
+            if let Err(e) = rebound {
+                return trap_or_vm(w, tid, e);
             }
         }
 
@@ -397,7 +376,10 @@ fn exec_block_run(
     let code = Rc::clone(&f.code);
     let ops = code.ops.as_slice();
     let base = f.base as usize;
-    let spe = spe_of(core);
+    let spe = match core {
+        CoreId::Ppe => None,
+        CoreId::Spe(n) => Some(n as usize),
+    };
     let costs: OpCosts = *machine.cost_model().costs(core.kind());
 
     // Charge one op to the run; the value is the stretched cycles.
@@ -777,7 +759,7 @@ fn exec_block_run(
                 let cache = &mut data_caches[spe.expect("cached op on SPE")];
                 if volatile {
                     // JMM acquire: purge before the read.
-                    settled!(cache_purge(cache, heap, machine, core)?);
+                    settled!(jmm::acquire_barrier(cache, heap, machine, core)?);
                 }
                 let size = |h: &Heap| h.header(r).size;
                 let v = cache_read(cache, heap, machine, run, window, r.0, size, offset, ty)?;
@@ -796,7 +778,7 @@ fn exec_block_run(
                 cache_write(cache, heap, machine, run, window, r.0, size, offset, ty, v)?;
                 if volatile {
                     // JMM release: publish before anyone can acquire.
-                    settled!(cache_flush(cache, heap, machine, core)?);
+                    settled!(jmm::release_barrier(cache, heap, machine, core)?);
                 }
             }
             GetStaticCached {
@@ -808,7 +790,7 @@ fn exec_block_run(
                 let unit = Heap::STATICS_BASE;
                 let len = layout.statics.size;
                 if volatile {
-                    settled!(cache_purge(cache, heap, machine, core)?);
+                    settled!(jmm::acquire_barrier(cache, heap, machine, core)?);
                 }
                 let v = cache_read(cache, heap, machine, run, window, unit, |_| len, offset, ty)?;
                 push!(v);
@@ -835,7 +817,7 @@ fn exec_block_run(
                     v,
                 )?;
                 if volatile {
-                    settled!(cache_flush(cache, heap, machine, core)?);
+                    settled!(jmm::release_barrier(cache, heap, machine, core)?);
                 }
             }
             ArrLenCached => {
@@ -1013,6 +995,23 @@ fn step_slow(w: &mut World<'_>, tid: ThreadId, op: MachineOp) -> Result<Flow, St
     let core = w.threads[t].core;
 
     use MachineOp::*;
+    if matches!(op, MonitorEnter | MonitorExit) {
+        // CellVM-comparison mode: the SPE cannot lock locally and must
+        // round-trip through the PPE for every monitor op.
+        if w.config.cellvm_style_sync && core != CoreId::Ppe {
+            let mc = w
+                .machine
+                .prof_scope_begin(core, CostClass::MonitorContention);
+            let mp = w
+                .machine
+                .prof_scope_begin(CoreId::Ppe, CostClass::MonitorContention);
+            let reply = w.machine.cost_model().syscall_signal_cycles as u64;
+            ppe_round_trip(w, core, CELLVM_PROXY_CYCLES, reply);
+            w.machine.prof_scope_end(core, mc);
+            w.machine.prof_scope_end(CoreId::Ppe, mp);
+        }
+        w.machine.exec(core, ExecOp::MonitorOp);
+    }
     match op {
         NewObject { class } => {
             w.machine.exec(core, ExecOp::AllocOverhead);
@@ -1055,16 +1054,16 @@ fn step_slow(w: &mut World<'_>, tid: ThreadId, op: MachineOp) -> Result<Flow, St
                     return Err(Trap::NativeError("virtual call on array receiver".into()).into())
                 }
             };
-            match spe_of(core) {
-                None => {
+            match core {
+                CoreId::Ppe => {
                     let cycles = w.machine.ppe_mem_access(recv.0, 4);
                     mem_monitor(&mut w.threads[t].window, cycles);
                 }
-                Some(spe) => {
+                CoreId::Spe(spe) => {
                     // The header word comes through the data cache.
                     let mut run = w.machine.run_open(core);
                     let read = cache_read(
-                        &mut w.data_caches[spe],
+                        &mut w.data_caches[spe as usize],
                         &mut w.heap,
                         &mut w.machine,
                         &mut run,
@@ -1085,33 +1084,8 @@ fn step_slow(w: &mut World<'_>, tid: ThreadId, op: MachineOp) -> Result<Flow, St
             return do_return(w, tid, has_value);
         }
 
-        // ---- synchronisation ----
+        // ---- synchronisation (the `MonitorOp` charge is above) ----
         MonitorEnter => {
-            // CellVM-comparison mode: the SPE cannot lock locally and
-            // must round-trip through the PPE for every monitor op.
-            if w.config.cellvm_style_sync {
-                if let Some(_spe) = spe_of(core) {
-                    let mc = w
-                        .machine
-                        .prof_scope_begin(core, CostClass::MonitorContention);
-                    let mp = w
-                        .machine
-                        .prof_scope_begin(CoreId::Ppe, CostClass::MonitorContention);
-                    let start = w.machine.now(CoreId::Ppe).max(w.machine.now(core));
-                    w.machine.idle_until(CoreId::Ppe, start);
-                    w.machine.stall(CoreId::Ppe, 200, OpClass::MainMemory);
-                    let done = w.machine.now(CoreId::Ppe);
-                    w.machine.wait_until(core, done, OpClass::MainMemory);
-                    w.machine.stall(
-                        core,
-                        w.machine.cost_model().syscall_signal_cycles as u64,
-                        OpClass::MainMemory,
-                    );
-                    w.machine.prof_scope_end(core, mc);
-                    w.machine.prof_scope_end(CoreId::Ppe, mp);
-                }
-            }
-            w.machine.exec(core, ExecOp::MonitorOp);
             let r = pop_ref_slot(w, t)?;
             let now = w.machine.now(core);
             match w.monitors.acquire(r, tid, now) {
@@ -1126,10 +1100,7 @@ fn step_slow(w: &mut World<'_>, tid: ThreadId, op: MachineOp) -> Result<Flow, St
                     w.machine
                         .emit(core, TraceEvent::MonitorAcquire { obj: r.0 });
                     w.threads[t].held_monitors += 1;
-                    if let Some(spe) = spe_of(core) {
-                        // JMM acquire.
-                        world_cache_purge(w, spe, core)?;
-                    }
+                    jmm_acquire(w, core)?;
                 }
                 (crate::monitor::AcquireResult::Blocked, _) => {
                     w.machine
@@ -1143,34 +1114,9 @@ fn step_slow(w: &mut World<'_>, tid: ThreadId, op: MachineOp) -> Result<Flow, St
             }
         }
         MonitorExit => {
-            if w.config.cellvm_style_sync {
-                if let Some(_spe) = spe_of(core) {
-                    let mc = w
-                        .machine
-                        .prof_scope_begin(core, CostClass::MonitorContention);
-                    let mp = w
-                        .machine
-                        .prof_scope_begin(CoreId::Ppe, CostClass::MonitorContention);
-                    let start = w.machine.now(CoreId::Ppe).max(w.machine.now(core));
-                    w.machine.idle_until(CoreId::Ppe, start);
-                    w.machine.stall(CoreId::Ppe, 200, OpClass::MainMemory);
-                    let done = w.machine.now(CoreId::Ppe);
-                    w.machine.wait_until(core, done, OpClass::MainMemory);
-                    w.machine.stall(
-                        core,
-                        w.machine.cost_model().syscall_signal_cycles as u64,
-                        OpClass::MainMemory,
-                    );
-                    w.machine.prof_scope_end(core, mc);
-                    w.machine.prof_scope_end(CoreId::Ppe, mp);
-                }
-            }
-            w.machine.exec(core, ExecOp::MonitorOp);
             let r = pop_ref_slot(w, t)?;
-            if let Some(spe) = spe_of(core) {
-                // JMM release: publish before the lock is visible free.
-                world_cache_flush(w, spe, core)?;
-            }
+            // Publish before the lock is visible free.
+            jmm_release(w, core)?;
             let now = w.machine.now(core);
             let woken = w.monitors.release(r, tid, now)?;
             w.machine
@@ -1202,30 +1148,25 @@ fn mem_monitor(window: &mut BehaviourWindow, cycles: u64) {
 // fields, so both tiers pass them straight through — no take/replace
 // dance, no per-access allocation.
 
-fn cache_purge(
-    cache: &mut DataCache,
-    heap: &mut Heap,
-    machine: &mut CellMachine,
-    core: CoreId,
-) -> Result<(), StepError> {
-    hera_softcache::jmm::acquire_barrier(cache, heap, machine, core).map_err(StepError::from)
+/// The JMM acquire action (paper §3.2.1) for the slow tier: an SPE purges
+/// its data cache; the PPE's hardware cache is coherent, so it does
+/// nothing.
+fn jmm_acquire(w: &mut World<'_>, core: CoreId) -> Result<(), StepError> {
+    if let CoreId::Spe(n) = core {
+        let cache = &mut w.data_caches[n as usize];
+        jmm::acquire_barrier(cache, &mut w.heap, &mut w.machine, core)?;
+    }
+    Ok(())
 }
 
-fn cache_flush(
-    cache: &mut DataCache,
-    heap: &mut Heap,
-    machine: &mut CellMachine,
-    core: CoreId,
-) -> Result<(), StepError> {
-    hera_softcache::jmm::release_barrier(cache, heap, machine, core).map_err(StepError::from)
-}
-
-fn world_cache_purge(w: &mut World<'_>, spe: usize, core: CoreId) -> Result<(), StepError> {
-    cache_purge(&mut w.data_caches[spe], &mut w.heap, &mut w.machine, core)
-}
-
-fn world_cache_flush(w: &mut World<'_>, spe: usize, core: CoreId) -> Result<(), StepError> {
-    cache_flush(&mut w.data_caches[spe], &mut w.heap, &mut w.machine, core)
+/// The JMM release action: an SPE writes its dirty cached data back; the
+/// PPE does nothing.
+fn jmm_release(w: &mut World<'_>, core: CoreId) -> Result<(), StepError> {
+    if let CoreId::Spe(n) = core {
+        let cache = &mut w.data_caches[n as usize];
+        jmm::release_barrier(cache, &mut w.heap, &mut w.machine, core)?;
+    }
+    Ok(())
 }
 
 // The lookups charge the caller's run; `unit_len` is asked for the
@@ -1378,7 +1319,7 @@ fn spe_array_access(
 /// thread currently occupies.
 fn code_cache_lookup(w: &mut World<'_>, t: usize, method: MethodId) -> Result<(), StepError> {
     let core = w.threads[t].core;
-    let Some(spe) = spe_of(core) else {
+    let CoreId::Spe(spe) = core else {
         return Ok(());
     };
     let def = w.program.method(method);
@@ -1387,16 +1328,27 @@ fn code_cache_lookup(w: &mut World<'_>, t: usize, method: MethodId) -> Result<()
     }
     let class = def.class;
     let tib_bytes = w.program.class(class).tib_bytes();
+    let code_bytes = compile_for(w, core, method)?.code_bytes;
+    let cache = &mut w.code_caches[spe as usize];
+    cache.lookup(&mut w.machine, core, class, tib_bytes, method, code_bytes)?;
+    Ok(())
+}
+
+/// `core`'s compilation of `method`, compiled on first use with the JIT's
+/// cycles charged to `core`.
+fn compile_for(
+    w: &mut World<'_>,
+    core: CoreId,
+    method: MethodId,
+) -> Result<Rc<CompiledMethod>, StepError> {
     let (code, jit) = w
         .registry
-        .get_or_compile(w.program, &w.layout, method, CoreKind::Spe)
+        .get_or_compile(w.program, &w.layout, method, core.kind())
         .map_err(VmError::Compile)?;
     if jit > 0 {
         w.machine.advance(core, jit, OpClass::Integer);
     }
-    let code_bytes = code.code_bytes;
-    w.code_caches[spe].lookup(&mut w.machine, core, class, tib_bytes, method, code_bytes)?;
-    Ok(())
+    Ok(code)
 }
 
 // ---- frames, invocation, migration, return ----
@@ -1433,8 +1385,7 @@ pub(crate) fn trace_migration_out(
     }
 }
 
-fn push_marker(w: &mut World<'_>, t: usize, origin: CoreId) {
-    let th = &mut w.threads[t];
+fn push_marker(th: &mut JavaThread, origin: CoreId) {
     let Some(top) = th.frames.last() else {
         // First activation of a thread: no marker needed.
         return;
@@ -1475,114 +1426,68 @@ fn pop_args_values(w: &mut World<'_>, t: usize, def: &MethodDef, argc: usize) ->
     args
 }
 
-/// Shared tail of both frame-push paths: depth check, JIT, code-cache
-/// lookup and call-overhead charge. Returns the compiled code, or `None`
-/// when the depth check killed the thread.
-fn prepare_activation(
+/// Where a new activation's arguments come from.
+enum Args {
+    /// The top `argc` slots of the caller's operand stack: the callee's
+    /// frame base is placed exactly where they are, so they become its
+    /// first locals *in place* — the same-core invoke path never copies
+    /// or retags an argument.
+    OnStack(usize),
+    /// Tagged values (thread start and migration arrival — the
+    /// packaged-parameters boundary).
+    Tagged(Vec<Value>),
+}
+
+/// Push an activation of `method`: depth check, JIT, code-cache lookup,
+/// call-overhead charge, then the frame. A stack overflow kills the
+/// thread and leaves it without frames.
+fn push_frame(
     w: &mut World<'_>,
     tid: ThreadId,
     method: MethodId,
-) -> Result<Option<Rc<hera_jit::CompiledMethod>>, StepError> {
+    args: Args,
+) -> Result<(), StepError> {
     let t = tid.0 as usize;
     let core = w.threads[t].core;
+    let argc = match &args {
+        Args::OnStack(argc) => {
+            let f = w.threads[t]
+                .frames
+                .last_mut()
+                .expect("an invoke has a caller");
+            f.sp -= *argc as u32;
+            *argc
+        }
+        Args::Tagged(values) => values.len(),
+    };
     if w.threads[t].frames.len() >= w.config.max_stack_depth {
         // Kill the thread: drop its frames (and the arena they index)
         // so every caller's `frames.is_empty()` check sees it is gone.
         w.threads[t].frames.clear();
         w.threads[t].arena.clear();
         w.finish_thread(tid, Err(Trap::NativeError("stack overflow".into())));
-        return Ok(None);
+        return Ok(());
     }
-    let (code, jit) = w
-        .registry
-        .get_or_compile(w.program, &w.layout, method, core.kind())
-        .map_err(VmError::Compile)?;
-    if jit > 0 {
-        w.machine.advance(core, jit, OpClass::Integer);
-    }
-    if spe_of(core).is_some() {
-        code_cache_lookup(w, t, method)?;
-    }
+    let code = compile_for(w, core, method)?;
+    code_cache_lookup(w, t, method)?;
     w.machine.exec(core, ExecOp::CallOverhead);
-    Ok(Some(code))
-}
-
-/// Push an activation of `method` with tagged `args` (thread start and
-/// migration arrival — the packaged-parameters boundary).
-fn push_frame(
-    w: &mut World<'_>,
-    tid: ThreadId,
-    method: MethodId,
-    args: Vec<Value>,
-) -> Result<(), StepError> {
-    let t = tid.0 as usize;
-    let core = w.threads[t].core;
-    let Some(code) = prepare_activation(w, tid, method)? else {
-        return Ok(());
-    };
+    // Only now is the activation certain: a failed one must leave no
+    // argument slots behind in the arena a checkpoint encodes.
     let th = &mut w.threads[t];
-    let base = th.frames.last().map(|f| f.sp).unwrap_or(0) as usize;
-    let nlocals = (code.max_locals as usize).max(args.len());
-    let top = base + nlocals + code.max_stack as usize;
-    if th.arena.len() < top {
-        th.arena.resize(top, Slot::ZERO);
-    }
-    for (i, v) in args.iter().enumerate() {
-        th.arena[base + i] = Slot::from_value(*v);
-    }
-    for i in args.len()..nlocals {
-        th.arena[base + i] = Slot::ZERO;
-    }
-    th.frames.push(Frame {
-        method,
-        code,
-        pc: 0,
-        base: base as u32,
-        nlocals: nlocals as u32,
-        sp: (base + nlocals) as u32,
-        kind: FrameKind::Normal,
-    });
-    w.machine
-        .emit(core, TraceEvent::MethodInvoke { method: method.0 });
-    w.prof_enter(tid, method);
-    Ok(())
-}
-
-/// Push an activation whose `argc` arguments already sit on the caller's
-/// operand stack: the callee's frame base is placed exactly where the
-/// arguments are, so they become its first locals *in place* — the
-/// same-core invoke path never copies or retags an argument.
-fn push_frame_from_stack(
-    w: &mut World<'_>,
-    tid: ThreadId,
-    method: MethodId,
-    argc: usize,
-) -> Result<(), StepError> {
-    let t = tid.0 as usize;
-    let core = w.threads[t].core;
-    {
-        let f = w.threads[t]
-            .frames
-            .last_mut()
-            .expect("slot-path invoke has a caller");
-        f.sp -= argc as u32;
-    }
-    let Some(code) = prepare_activation(w, tid, method)? else {
-        return Ok(());
-    };
-    let th = &mut w.threads[t];
-    let base = th.frames.last().expect("caller survives").sp as usize;
+    let base = th.frames.last().map_or(0, |f| f.sp) as usize;
     let nlocals = (code.max_locals as usize).max(argc);
     let top = base + nlocals + code.max_stack as usize;
     if th.arena.len() < top {
         th.arena.resize(top, Slot::ZERO);
     }
-    // Arguments are already locals 0..argc; zero the rest (the verifier
-    // treats them as uninitialised, and the all-zero slot is the default
-    // of every kind).
-    for i in argc..nlocals {
-        th.arena[base + i] = Slot::ZERO;
+    if let Args::Tagged(values) = args {
+        for (slot, v) in th.arena[base..].iter_mut().zip(values) {
+            *slot = Slot::from_value(v);
+        }
     }
+    // The other locals are zeroed: the verifier treats them as
+    // uninitialised, and the all-zero slot is the default of every kind.
+    th.arena[base + argc..base + nlocals].fill(Slot::ZERO);
     th.frames.push(Frame {
         method,
         code,
@@ -1622,88 +1527,72 @@ fn do_invoke(w: &mut World<'_>, tid: ThreadId, target: MethodId) -> Result<Flow,
     // * scheduler-selected (runtime-monitoring) migration is one-way:
     //   the thread re-homes, and frames below rebind lazily.
     let policy = w.policy();
-    let annotation_kind = policy.annotation_target(def, core.kind());
-    let monitored_kind = if annotation_kind.is_none() {
-        policy.monitored_target(&w.threads[t].window, core.kind())
-    } else {
-        None
+    let target_kind = match policy.annotation_target(def, core.kind()) {
+        Some(kind) => Some((kind, MigrationKind::Annotation)),
+        None => policy
+            .monitored_target(&w.threads[t].window, core.kind())
+            .map(|kind| (kind, MigrationKind::Monitored)),
     };
     if w.threads[t].window.total_ops > 1_000_000 {
         // Keep windows bounded even without migrations.
         w.threads[t].window.reset();
     }
-
-    if let Some(kind) = annotation_kind {
-        if kind != core.kind() {
-            // Migrate: package parameters, drop a marker, move away.
-            // Program order follows the thread: its dirty cached writes
-            // are published on departure and its stale copies are
-            // dropped on arrival at an SPE.
-            let args = pop_args_values(w, t, def, argc);
-            let dest = w.pick_core(kind);
-            if let Some(spe) = spe_of(core) {
-                world_cache_flush(w, spe, core)?;
+    if let Some((kind, why)) = target_kind.filter(|&(kind, _)| kind != core.kind()) {
+        // Package the parameters; they are pushed again on arrival.
+        let args = pop_args_values(w, t, def, argc);
+        let dest = w.pick_core(kind);
+        return depart(w, t, core, dest, why, |th| {
+            if why == MigrationKind::Annotation {
+                push_marker(th, core);
             }
-            if matches!(dest, CoreId::Spe(_)) {
-                w.threads[t].pending_acquire_barrier = Some(ObjRef::NULL);
-            }
-            let ms = w.machine.prof_scope_begin(core, CostClass::Migration);
-            w.machine.watchdog_wait(core, FaultSite::Migration);
-            w.machine
-                .advance(core, w.config.migration_cycles as u64, OpClass::Stack);
-            w.machine.prof_scope_end(core, ms);
-            push_marker(w, t, core);
-            w.threads[t].pending_call = Some(PendingCall {
+            th.pending_call = Some(PendingCall {
                 method: target,
                 args,
                 marker_origin: None,
             });
-            w.threads[t].core = dest;
-            w.threads[t].available_at = w.machine.now(core) + w.config.migration_cycles as u64;
-            w.threads[t].migrations += 1;
-            w.threads[t].window.reset();
-            trace_migration_out(w, t, core, dest, MigrationKind::Annotation);
-            return Ok(Flow::Migrate);
-        }
-    }
-    if let Some(kind) = monitored_kind {
-        if kind != core.kind() {
-            // One-way re-homing: no marker, the thread stays until the
-            // monitor says otherwise. Same departure-flush /
-            // arrival-purge rule as annotation migration.
-            let args = pop_args_values(w, t, def, argc);
-            let dest = w.pick_core(kind);
-            if let Some(spe) = spe_of(core) {
-                world_cache_flush(w, spe, core)?;
-            }
-            if matches!(dest, CoreId::Spe(_)) {
-                w.threads[t].pending_acquire_barrier = Some(ObjRef::NULL);
-            }
-            let ms = w.machine.prof_scope_begin(core, CostClass::Migration);
-            w.machine.watchdog_wait(core, FaultSite::Migration);
-            w.machine
-                .advance(core, w.config.migration_cycles as u64, OpClass::Stack);
-            w.machine.prof_scope_end(core, ms);
-            w.threads[t].pending_call = Some(PendingCall {
-                method: target,
-                args,
-                marker_origin: None,
-            });
-            w.threads[t].core = dest;
-            w.threads[t].available_at = w.machine.now(core) + w.config.migration_cycles as u64;
-            w.threads[t].migrations += 1;
-            w.threads[t].window.reset();
-            trace_migration_out(w, t, core, dest, MigrationKind::Monitored);
-            return Ok(Flow::Migrate);
-        }
+            th.window.reset();
+        });
     }
 
-    push_frame_from_stack(w, tid, target, argc)?;
+    push_frame(w, tid, target, Args::OnStack(argc))?;
     if w.threads[t].frames.is_empty() {
         // The frame push turned a stack overflow into thread death.
         return Ok(Flow::Finish);
     }
     Ok(Flow::Continue)
+}
+
+/// Move thread `t` from `core` to `dest`, whichever of the three triggers
+/// (an annotated call, a monitoring decision, the return to a marker;
+/// §3.1) asked. Program order follows the thread: its dirty cached writes
+/// are published before it leaves and its stale copies are dropped on
+/// arrival at an SPE. `pack` leaves on the thread what the arrival needs
+/// and runs after the publish: a thread whose publish traps keeps the
+/// frames it had, and a checkpoint encodes those.
+fn depart(
+    w: &mut World<'_>,
+    t: usize,
+    core: CoreId,
+    dest: CoreId,
+    kind: MigrationKind,
+    pack: impl FnOnce(&mut JavaThread),
+) -> Result<Flow, StepError> {
+    jmm_release(w, core)?;
+    if matches!(dest, CoreId::Spe(_)) {
+        w.threads[t].pending_acquire_barrier = Some(ObjRef::NULL);
+    }
+    let cycles = w.config.migration_cycles as u64;
+    let ms = w.machine.prof_scope_begin(core, CostClass::Migration);
+    w.machine.watchdog_wait(core, FaultSite::Migration);
+    w.machine.advance(core, cycles, OpClass::Stack);
+    w.machine.prof_scope_end(core, ms);
+    let th = &mut w.threads[t];
+    pack(th);
+    th.core = dest;
+    th.available_at = w.machine.now(core) + cycles;
+    th.migrations += 1;
+    trace_migration_out(w, t, core, dest, kind);
+    Ok(Flow::Migrate)
 }
 
 /// Return from the current frame, handling migration markers and the
@@ -1745,9 +1634,7 @@ fn do_return(w: &mut World<'_>, tid: ThreadId, has_value: bool) -> Result<Flow, 
         // JMM: a thread's termination happens-before any join on
         // it -- publish its writes before joiners observe the
         // finished state.
-        if let Some(spe) = spe_of(core) {
-            world_cache_flush(w, spe, core)?;
-        }
+        jmm_release(w, core)?;
         // Thread boundary: retag the result from the entry method's
         // signature.
         let result = match (ret, &returning) {
@@ -1767,37 +1654,18 @@ fn do_return(w: &mut World<'_>, tid: ThreadId, has_value: bool) -> Result<Flow, 
     let caller_method = w.threads[t].frames.last().map(|f| f.method);
 
     match marker_origin {
-        Some(origin) => {
-            // Transparent migrate-back (paper §3.1: the thread "returns
-            // to the migration marker placed on the stack"). Publish
-            // this core's writes; refresh on arrival at an SPE.
-            if let Some(spe) = spe_of(core) {
-                world_cache_flush(w, spe, core)?;
-            }
+        // Transparent migrate-back (paper §3.1: the thread "returns to
+        // the migration marker placed on the stack").
+        Some(origin) => depart(w, t, core, origin, MigrationKind::MarkerReturn, |th| {
             if matches!(origin, CoreId::Spe(_)) {
-                w.threads[t].pending_acquire_barrier = Some(ObjRef::NULL);
+                th.pending_relookup = caller_method;
             }
-            let ms = w.machine.prof_scope_begin(core, CostClass::Migration);
-            w.machine.watchdog_wait(core, FaultSite::Migration);
-            w.machine
-                .advance(core, w.config.migration_cycles as u64, OpClass::Stack);
-            w.machine.prof_scope_end(core, ms);
-            w.threads[t].core = origin;
-            w.threads[t].available_at = w.machine.now(core) + w.config.migration_cycles as u64;
-            w.threads[t].migrations += 1;
-            if spe_of(origin).is_some() {
-                w.threads[t].pending_relookup = caller_method;
-            }
-            trace_migration_out(w, t, core, origin, MigrationKind::MarkerReturn);
-            Ok(Flow::Migrate)
-        }
+        }),
         None => {
             // Same-core return: on an SPE the caller's code may have
             // been purged while the callee ran — look it up again.
-            if spe_of(core).is_some() {
-                if let Some(m) = caller_method {
-                    code_cache_lookup(w, t, m)?;
-                }
+            if let Some(m) = caller_method {
+                code_cache_lookup(w, t, m)?;
             }
             Ok(Flow::Continue)
         }
@@ -1831,47 +1699,39 @@ fn native_call(
     };
     let body = native.base_cycles() + extra;
 
-    match spe_of(core) {
-        None => {
-            // Already on the PPE: just run it.
-            let sp = w.machine.prof_scope_begin(CoreId::Ppe, CostClass::Syscall);
-            w.machine.stall(CoreId::Ppe, body, OpClass::MainMemory);
-            w.machine.prof_scope_end(CoreId::Ppe, sp);
+    if core == CoreId::Ppe {
+        // Already on the PPE: just run it.
+        let sp = w.machine.prof_scope_begin(CoreId::Ppe, CostClass::Syscall);
+        w.machine.stall(CoreId::Ppe, body, OpClass::MainMemory);
+        w.machine.prof_scope_end(CoreId::Ppe, sp);
+    } else {
+        // The PPE must see this thread's writes (JNI) — and either
+        // bridge serialises on the PPE.
+        if kind == NativeKind::Jni {
+            jmm_release(w, core)?;
         }
-        Some(spe) => {
-            // The PPE must see this thread's writes (JNI) — and either
-            // bridge serialises on the PPE.
-            if kind == NativeKind::Jni {
-                world_cache_flush(w, spe, core)?;
+        let sc = w.machine.prof_scope_begin(core, CostClass::Syscall);
+        let sp = w.machine.prof_scope_begin(CoreId::Ppe, CostClass::Syscall);
+        let reply = match kind {
+            NativeKind::FastSyscall => {
+                w.machine
+                    .emit(core, TraceEvent::SyscallProxy { native: nid.0 });
+                // The proxy wait is a watchdog-guarded rendezvous: an
+                // injected lost signal costs a timeout + retry.
+                w.machine.watchdog_wait(core, FaultSite::SyscallProxy);
+                w.machine.cost_model().syscall_signal_cycles as u64
             }
-            let sc = w.machine.prof_scope_begin(core, CostClass::Syscall);
-            let sp = w.machine.prof_scope_begin(CoreId::Ppe, CostClass::Syscall);
-            let overhead = match kind {
-                NativeKind::FastSyscall => {
-                    w.machine
-                        .emit(core, TraceEvent::SyscallProxy { native: nid.0 });
-                    // The proxy wait is a watchdog-guarded rendezvous:
-                    // an injected lost signal costs a timeout + retry.
-                    w.machine.watchdog_wait(core, FaultSite::SyscallProxy);
-                    w.machine.cost_model().syscall_signal_cycles as u64
-                }
-                NativeKind::Jni => {
-                    w.machine
-                        .emit(core, TraceEvent::JniBridge { native: nid.0 });
-                    w.threads[t].migrations += 2;
-                    2 * w.config.migration_cycles as u64
-                }
-            };
-            let start = w.machine.now(CoreId::Ppe).max(w.machine.now(core));
-            w.machine.idle_until(CoreId::Ppe, start);
-            w.machine.stall(CoreId::Ppe, body, OpClass::MainMemory);
-            let done = w.machine.now(CoreId::Ppe);
-            w.machine.wait_until(core, done, OpClass::MainMemory);
-            w.machine.stall(core, overhead, OpClass::MainMemory);
-            w.machine.prof_scope_end(core, sc);
-            w.machine.prof_scope_end(CoreId::Ppe, sp);
-            w.threads[t].window.mem_ops += 1;
-        }
+            NativeKind::Jni => {
+                w.machine
+                    .emit(core, TraceEvent::JniBridge { native: nid.0 });
+                w.threads[t].migrations += 2;
+                2 * w.config.migration_cycles as u64
+            }
+        };
+        ppe_round_trip(w, core, body, reply);
+        w.machine.prof_scope_end(core, sc);
+        w.machine.prof_scope_end(CoreId::Ppe, sp);
+        w.threads[t].window.mem_ops += 1;
     }
 
     // Semantics.
@@ -1897,9 +1757,7 @@ fn native_call(
         StdNative::SpawnThread => {
             // JMM: everything before Thread.start() happens-before the
             // new thread's first action -- publish this core's writes.
-            if let Some(spe) = spe_of(core) {
-                world_cache_flush(w, spe, core)?;
-            }
+            jmm_release(w, core)?;
             let obj = args[0].as_ref();
             if obj.is_null() {
                 return Err(Trap::NullPointer.into());
@@ -1941,9 +1799,7 @@ fn native_call(
             }
             // The joined thread's effects must be visible (happens-
             // before edge): purge this SPE's stale cache.
-            if let Some(spe) = spe_of(core) {
-                world_cache_purge(w, spe, core)?;
-            }
+            jmm_acquire(w, core)?;
         }
         StdNative::WriteFile => {
             let fd = args[0].as_i32();
@@ -1957,6 +1813,18 @@ fn native_call(
         }
     }
     Ok(Flow::Continue)
+}
+
+/// An SPE's round trip through the PPE (paper §3.2.3): the PPE serves
+/// the request once both clocks have reached it, spending `body` cycles,
+/// and the SPE waits for the answer and spends `reply` cycles taking it.
+fn ppe_round_trip(w: &mut World<'_>, core: CoreId, body: u64, reply: u64) {
+    let start = w.machine.now(CoreId::Ppe).max(w.machine.now(core));
+    w.machine.idle_until(CoreId::Ppe, start);
+    w.machine.stall(CoreId::Ppe, body, OpClass::MainMemory);
+    let done = w.machine.now(CoreId::Ppe);
+    w.machine.wait_until(core, done, OpClass::MainMemory);
+    w.machine.stall(core, reply, OpClass::MainMemory);
 }
 
 /// Read `len` bytes of a guest byte array (native, runs on the PPE with

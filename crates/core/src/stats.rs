@@ -6,7 +6,8 @@ use hera_softcache::{CodeCacheStats, DataCacheStats};
 use hera_trace::MetricsRegistry;
 use std::fmt;
 
-/// GC summary.
+/// GC statistics: the world keeps them as it collects, a run reports them
+/// whole.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GcSummary {
     /// Collections performed.

@@ -3,7 +3,7 @@
 
 use crate::policy::PlacementPolicy;
 use crate::snapshot::{CheckpointBlob, RestoreMode};
-use crate::stats::{BusSummary, GcSummary, RunStats};
+use crate::stats::{BusSummary, RunStats};
 use crate::thread::{BlockReason, ThreadId, ThreadState};
 use crate::world::World;
 use hera_cell::{CellConfig, CoreId, CoreKind};
@@ -530,12 +530,7 @@ impl HeraJvm {
             ppe_cache: machine.ppe_cache.stats,
             data_cache: world.data_cache_stats(),
             code_cache: world.code_cache_stats(),
-            gc: GcSummary {
-                collections: world.gc.collections,
-                ppe_cycles: world.gc.ppe_cycles,
-                objects_freed: world.gc.objects_freed,
-                bytes_freed: world.gc.bytes_freed,
-            },
+            gc: world.gc,
             registry: world.registry.stats(),
             bus: BusSummary {
                 bytes_transferred: machine.eib.bytes_transferred,

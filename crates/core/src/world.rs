@@ -11,6 +11,7 @@
 use crate::monitor::MonitorTable;
 use crate::policy::PlacementPolicy;
 use crate::snapshot::{Checkpoint, CheckpointBlob};
+use crate::stats::GcSummary;
 use crate::thread::{BlockReason, FrameKind, JavaThread, ThreadId, ThreadState};
 use crate::vm::{StuckThread, VmConfig, VmError};
 use hera_cell::{CellMachine, CoreId, CoreKind, OpClass};
@@ -40,19 +41,6 @@ pub enum QuantumOutcome {
     Finished,
     /// The thread moved to another core's queue.
     Migrated,
-}
-
-/// GC accounting.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GcDriverStats {
-    /// Collections performed.
-    pub collections: u64,
-    /// PPE cycles spent marking and sweeping.
-    pub ppe_cycles: u64,
-    /// Objects reclaimed in total.
-    pub objects_freed: u64,
-    /// Bytes reclaimed in total.
-    pub bytes_freed: u64,
 }
 
 /// The complete mutable state of one VM run.
@@ -88,7 +76,7 @@ pub struct World<'p> {
     /// Threads waiting in `join`, keyed by the joined thread.
     pub join_waiters: HashMap<ThreadId, Vec<ThreadId>>,
     /// GC statistics.
-    pub gc: GcDriverStats,
+    pub gc: GcSummary,
     /// Last thread that ran on each core (for context-switch costs).
     pub(crate) last_on_core: Vec<Option<ThreadId>>,
     /// Context switches performed.
@@ -149,7 +137,7 @@ impl<'p> World<'p> {
             output: Vec::new(),
             files: HashMap::new(),
             join_waiters: HashMap::new(),
-            gc: GcDriverStats::default(),
+            gc: GcSummary::default(),
             last_on_core: vec![None; cores],
             thread_switches: 0,
             next_checkpoint_at: config.checkpoint_every.map(|e| e.max(1)),
@@ -844,7 +832,7 @@ impl<'p> World<'p> {
     pub fn data_cache_stats(&self) -> hera_softcache::DataCacheStats {
         let mut total = hera_softcache::DataCacheStats::default();
         for c in &self.data_caches {
-            total.merge(&c.stats);
+            total += c.stats;
         }
         total
     }
@@ -853,7 +841,7 @@ impl<'p> World<'p> {
     pub fn code_cache_stats(&self) -> hera_softcache::CodeCacheStats {
         let mut total = hera_softcache::CodeCacheStats::default();
         for c in &self.code_caches {
-            total.merge(&c.stats);
+            total += c.stats;
         }
         total
     }

@@ -56,12 +56,6 @@ impl std::ops::AddAssign for CodeCacheStats {
 }
 
 impl CodeCacheStats {
-    /// Fold another cache's counters into this one (the per-SPE → whole
-    /// machine aggregation).
-    pub fn merge(&mut self, other: &CodeCacheStats) {
-        *self += *other;
-    }
-
     /// Method hit rate.
     pub fn method_hit_rate(&self) -> f64 {
         let total = self.method_hits + self.method_misses;

@@ -72,12 +72,6 @@ impl std::ops::AddAssign for DataCacheStats {
 }
 
 impl DataCacheStats {
-    /// Fold another cache's counters into this one (the per-SPE → whole
-    /// machine aggregation).
-    pub fn merge(&mut self, other: &DataCacheStats) {
-        *self += *other;
-    }
-
     /// Hit rate over cacheable accesses.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
