@@ -6,7 +6,8 @@
 
 #![forbid(unsafe_code)]
 
-use hera_cluster::{crash_storm, run_chaos_matrix, run_experiment, ClusterConfig, ResilConfig};
+use hera_cluster::{crash_storm, run_chaos_matrix, run_experiment, ArrivalShape, ClusterConfig};
+use hera_cluster::{PolicyOutcome, RebalConfig, ResilConfig};
 use hera_integration::fleets::{busy_fleet, small_e13, small_e15};
 use hera_integration::minijson::{parse, Value};
 use hera_trace::FlowKind;
@@ -370,4 +371,55 @@ fn live_deadline_fleet_matches_pinned_digests() {
         0x2390_0fc7_4018_d3dc,
     ];
     assert_eq!(got, want, "deadline fleet bytes moved");
+}
+
+/// The proactive layer on two fleets no other pin covers: the deadline
+/// fleet, where breakers trip and so drain machines, and a hot bursty E13
+/// fleet, where a rebalance tick finds more than one job to move. Checks
+/// first that both paths run: a drain that no slow streak triggered, and
+/// rebalance moves under every policy.
+#[test]
+fn rebal_fleets_match_pinned_digests() {
+    let digest = |s: &str| hera_snap::digest64(s.as_bytes());
+    let report = run_experiment(&ClusterConfig {
+        rebal: Some(RebalConfig::default()),
+        ..deadline_fleet()
+    })
+    .expect("experiment runs");
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    let counter = |o: &PolicyOutcome, name: &str| o.metrics.counter(name);
+    let breaker_drain = |o: &PolicyOutcome| {
+        counter(o, "rebal.drain.events") > counter(o, "rebal.drain.slow_triggers")
+    };
+    assert!(
+        report.outcomes.iter().any(breaker_drain),
+        "no policy drained a machine on a breaker trip"
+    );
+    let mut got = vec![digest(&report.render())];
+    for outcome in &report.outcomes {
+        let scope = outcome.scope.as_ref().expect("scope on");
+        got.push(digest(&scope.chrome_json()));
+    }
+
+    let report = run_experiment(&ClusterConfig {
+        rebal: Some(RebalConfig::default()),
+        utilization_pct: 95,
+        arrival: ArrivalShape::Bursty { burst: 8 },
+        ..ClusterConfig::e13(42, 6, 200, 0.02)
+    })
+    .expect("experiment runs");
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    for outcome in &report.outcomes {
+        let moves = counter(outcome, "rebal.moves");
+        assert!(moves > 0, "policy {} moved nothing", outcome.policy);
+    }
+    got.push(digest(&report.render()));
+    let want = [
+        0xe1c5_9fc1_ade1_def6_u64,
+        0xef6d_414b_dd7f_a4af,
+        0x0e45_9049_d7ea_c462,
+        0x55e8_397f_4d00_a94d,
+        0x2150_4221_75b4_438e,
+    ];
+    assert_eq!(got, want, "rebal fleet bytes moved");
 }
