@@ -6,6 +6,11 @@ set -eux
 
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
+# Doc links cannot rot: an intra-doc link to a deleted item (a field, a
+# constant, a function) fails the gate. Links from public docs to private
+# items are allowed, since every item is documented here.
+RUSTDOCFLAGS="-D warnings -A rustdoc::private_intra_doc_links" \
+    cargo doc --no-deps --workspace --exclude hera-hostbench --document-private-items
 cargo build --release --workspace
 cargo test -q --workspace --exclude hera-integration
 # The seeded differential tests (fused dispatch against head-by-head in

@@ -26,7 +26,8 @@ use crate::fleet::{
 use crate::policy::BalancePolicy;
 use crate::scope::Scope;
 use crate::traffic::Request;
-use crate::{ClusterConfig, ClusterError};
+use crate::{ClusterConfig, ClusterError, DISPATCH_CYCLES};
+use crate::{TRANSFER_BYTES_PER_CYCLE, TRANSFER_LATENCY_CYCLES};
 use hera_core::{HeraJvm, RunEnd, RunOutcome};
 use hera_isa::Value;
 use hera_trace::MetricsRegistry;
@@ -356,7 +357,7 @@ impl<'a> Kernel<'a> {
     }
 
     pub fn transfer_cycles(&self, bytes: u64) -> u64 {
-        self.cfg.transfer_latency_cycles + bytes / self.cfg.transfer_bytes_per_cycle.max(1)
+        TRANSFER_LATENCY_CYCLES + bytes / TRANSFER_BYTES_PER_CYCLE
     }
 
     /// Estimated cost of `job` if placed on `machine` now: dispatch
@@ -367,14 +368,11 @@ impl<'a> Kernel<'a> {
         match &j.resume {
             Some(r) => {
                 let wall = self.ref_outcome(job, machine).stats.wall_cycles;
-                self.cfg.dispatch_cycles
+                DISPATCH_CYCLES
                     + self.transfer_cycles(r.bytes.len() as u64)
                     + wall.saturating_sub(r.restored_wall)
             }
-            None => {
-                self.cfg.dispatch_cycles
-                    + self.profile.reference[j.class][machine].stats.wall_cycles
-            }
+            None => DISPATCH_CYCLES + self.profile.reference[j.class][machine].stats.wall_cycles,
         }
     }
 
@@ -484,7 +482,7 @@ impl<'a> Kernel<'a> {
             Some(r) => {
                 let wall = self.prove_adoption(job, m, &r)?;
                 (
-                    now + self.cfg.dispatch_cycles + self.transfer_cycles(r.bytes.len() as u64),
+                    now + DISPATCH_CYCLES + self.transfer_cycles(r.bytes.len() as u64),
                     r.restored_wall,
                     wall.saturating_sub(r.restored_wall),
                 )
@@ -499,7 +497,7 @@ impl<'a> Kernel<'a> {
                 // straggler's stretch, and vice versa.)
                 self.jobs[job].origin = Some(m);
                 (
-                    now + self.cfg.dispatch_cycles,
+                    now + DISPATCH_CYCLES,
                     0,
                     self.ref_outcome(job, m).stats.wall_cycles,
                 )
@@ -507,7 +505,7 @@ impl<'a> Kernel<'a> {
         };
         let completes = exec_start + exec_cycles;
         let hedge = self.jobs[job].placements.contains(&(m, true));
-        let transfer = (exec_start - now).saturating_sub(self.cfg.dispatch_cycles);
+        let transfer = (exec_start - now).saturating_sub(DISPATCH_CYCLES);
         let waited = (enqueued, now);
         self.observe(|sc| sc.on_start(m, job, waited, exec_start, hedge, transfer));
         let mach = &mut self.machines[m];

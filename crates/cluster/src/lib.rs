@@ -65,20 +65,12 @@ pub enum ClusterError {
         /// Fleet size the entry was validated against.
         machines: usize,
     },
-    /// `ClusterConfig::mix` does not weight exactly the workload classes
-    /// (it is indexed by class), or weights them all zero.
-    InvalidMix {
-        /// The offending mix.
-        mix: Vec<u32>,
-        /// Workload classes the mix must weight, one entry each.
-        classes: usize,
-    },
     /// A delay knob whose longest delay passes 2^48 cycles: the event it
     /// schedules at `now + delay` could overflow fleet time (a panic in
     /// debug builds, an event in the past in release).
     InvalidDelay {
         /// The knob, spelled as a `ClusterConfig` path
-        /// (`resil.deadline_cycles`, `recovery_cycles`, …).
+        /// (`resil.deadline_cycles`, `resil.backoff_base_cycles`, …).
         knob: &'static str,
         /// The longest delay the knob's value can produce, saturating.
         cycles: u64,
@@ -92,6 +84,18 @@ pub enum ClusterError {
 /// about a day of fleet time at the Cell's 3.2 GHz, so that `now + delay`
 /// cannot overflow however long a run's fleet time grows.
 pub(crate) const MAX_DELAY_CYCLES: u64 = 1 << 48;
+
+/// Workload-class mix weights (compress, mpegaudio, mandelbrot): the
+/// classes arrive in equal shares.
+pub(crate) const MIX: [u32; 3] = [1, 1, 1];
+/// Front-end dispatch overhead per placement, in cycles.
+pub(crate) const DISPATCH_CYCLES: u64 = 2_000;
+/// Fixed latency of a snapshot transfer between machines.
+pub(crate) const TRANSFER_LATENCY_CYCLES: u64 = 5_000;
+/// Snapshot bytes moved per virtual cycle during a transfer.
+pub(crate) const TRANSFER_BYTES_PER_CYCLE: u64 = 16;
+/// Downtime of a crashed machine before it rejoins the fleet.
+pub(crate) const RECOVERY_CYCLES: u64 = 1_000_000;
 
 impl ClusterError {
     /// Catch-all constructor for config/VM errors without a typed shape.
@@ -121,11 +125,6 @@ impl std::fmt::Display for ClusterError {
                 f,
                 "migrations[{index}] = (machine {machine}, {permille}‰) is invalid for a \
                  {machines}-machine fleet (machine must be < {machines}, permille <= 1000)"
-            ),
-            ClusterError::InvalidMix { mix, classes } => write!(
-                f,
-                "mix {mix:?} must weight exactly the {classes} workload classes, \
-                 at least one of them above zero"
             ),
             ClusterError::InvalidDelay { knob, cycles } => write!(
                 f,
@@ -176,22 +175,12 @@ pub struct ClusterConfig {
     /// Target fleet utilization (1..=100); sets the mean arrival rate
     /// relative to the measured mean service time.
     pub utilization_pct: u32,
-    /// Workload-class mix weights (compress, mpegaudio, mandelbrot).
-    pub mix: Vec<u32>,
     /// Transient-fault rates `(mfc_transfer, eib_timeout, ls_corruption)`
     /// in ppm, seeded per machine; `None` runs a fault-free fleet.
     pub fault_rates: Option<(u32, u32, u32)>,
     /// Checkpoint interval in VM cycles (feeds crash recovery and
     /// migration; smaller ⇒ less re-execution, more write stalls).
     pub checkpoint_every: u64,
-    /// Front-end dispatch overhead per placement, in cycles.
-    pub dispatch_cycles: u64,
-    /// Fixed latency of a snapshot transfer between machines.
-    pub transfer_latency_cycles: u64,
-    /// Snapshot bytes moved per virtual cycle during a transfer.
-    pub transfer_bytes_per_cycle: u64,
-    /// Downtime of a crashed machine before it rejoins the fleet.
-    pub recovery_cycles: u64,
     /// Machine crashes as `(machine, permille)`: the crash fires at that
     /// per-mille point of the trace's arrival span.
     pub crashes: Vec<(usize, u32)>,
@@ -219,9 +208,9 @@ pub struct ClusterConfig {
     /// (and the whole fleet when it is empty — the default) use
     /// [`ClusterConfig::num_spes`], so existing configs are untouched.
     pub shapes: Vec<MachineShape>,
-    /// Proactive-degradation knobs (breaker-triggered drain, sustained
-    /// slowdown drain, periodic rebalancing); `None` — the default —
-    /// disables the whole layer and adds zero virtual-cycle cost.
+    /// The proactive-degradation layer (breaker-triggered drain, sustained
+    /// slowdown drain, periodic rebalancing at the configured period);
+    /// `None` — the default — disables it and adds zero virtual-cycle cost.
     pub rebal: Option<rebal::RebalConfig>,
 }
 
@@ -282,13 +271,6 @@ impl ClusterConfig {
                 "queue cap must be at least 1 (0 would shed everything)",
             ));
         }
-        let classes = hera_workloads::Workload::ALL.len();
-        if self.mix.len() != classes || self.mix.iter().all(|&w| w == 0) {
-            return Err(ClusterError::InvalidMix {
-                mix: self.mix.clone(),
-                classes,
-            });
-        }
         // Both schedules fire at per-mille points of the trace span.
         let bad = |&(machine, permille): &(usize, u32)| machine >= machines || permille > 1000;
         if let Some(index) = self.crashes.iter().position(bad) {
@@ -340,12 +322,6 @@ impl ClusterConfig {
                 ));
             }
         }
-        // A recovery is scheduled at `now + recovery_cycles`, a completion
-        // behind `now + dispatch_cycles + transfer`.
-        ClusterError::check_delay("recovery_cycles", self.recovery_cycles)?;
-        ClusterError::check_delay("dispatch_cycles", self.dispatch_cycles)?;
-        let transfer = self.transfer_latency_cycles;
-        ClusterError::check_delay("transfer_latency_cycles", transfer)?;
         self.resil.as_ref().map_or(Ok(()), ResilConfig::validate)
     }
 }
@@ -386,13 +362,8 @@ impl Default for ClusterConfig {
             heap_bytes: 2 << 20,
             arrival: ArrivalShape::Exponential,
             utilization_pct: 70,
-            mix: vec![1, 1, 1],
             fault_rates: None,
             checkpoint_every: 150_000,
-            dispatch_cycles: 2_000,
-            transfer_latency_cycles: 5_000,
-            transfer_bytes_per_cycle: 16,
-            recovery_cycles: 1_000_000,
             crashes: vec![(1, 350)],
             migrations: vec![(0, 600)],
             slowdowns: vec![],

@@ -6,8 +6,11 @@
 
 use crate::fleet::{build_profiles, experiment_pool, jsq, paced_trace, replay_all};
 use crate::fleet::{PolicyOutcome, Replay, POLICIES};
+use crate::rebal::{COOLDOWN_PERMILLE, MAX_CONCURRENT_DRAINS, SKEW_THRESHOLD_PERMILLE};
+use crate::rebal::{SLOW_AFTER, SLOW_FACTOR_PERMILLE};
+use crate::resil::MAX_RETRIES;
 use crate::scope::ScopeOutcome;
-use crate::{ClusterConfig, ClusterError, RebalConfig, ResilConfig};
+use crate::{ClusterConfig, ClusterError, RebalConfig, ResilConfig, MIX};
 use hera_trace::nearest_rank;
 use std::fmt::Write as _;
 
@@ -107,7 +110,7 @@ pub fn run_experiment(cfg: &ClusterConfig) -> Result<ClusterReport, ClusterError
         cfg.requests,
         cfg.seed,
         cfg.arrival.label(),
-        cfg.mix
+        MIX
     );
     let _ = writeln!(
         header,
@@ -138,19 +141,18 @@ pub fn run_experiment(cfg: &ClusterConfig) -> Result<ClusterReport, ClusterError
         );
     }
     if let Some(rb) = &cfg.rebal {
-        let _ =
-            writeln!(
+        let _ = writeln!(
             header,
-            "rebal: drain_on_break {} drain_on_slow {} rebalance_every {}permille skew {}permille",
-            rb.drain_on_break, rb.drain_on_slow, rb.rebalance_every_permille,
-            rb.skew_threshold_permille
+            "rebal: drain_on_break true drain_on_slow true rebalance_every {}permille \
+             skew {SKEW_THRESHOLD_PERMILLE}permille",
+            rb.rebalance_every_permille
         );
     }
     if let Some(r) = &cfg.resil {
         let _ = writeln!(
             header,
             "resil: deadline {} retries {} hedging {} breakers {} shedding {}",
-            r.deadline_cycles, r.max_retries, r.hedging, r.breakers, r.shedding
+            r.deadline_cycles, MAX_RETRIES, r.hedging, r.breakers, r.shedding
         );
     }
 
@@ -514,10 +516,9 @@ pub fn run_chaos_matrix(cfg: &ClusterConfig) -> Result<MatrixReport, ClusterErro
             cfg.rebal,
         ));
     }
-    let retries = cfg.resil.unwrap_or_default().max_retries;
     let matrix = Matrix {
         title,
-        header_tail: format!(", max retries {retries}"),
+        header_tail: format!(", max retries {MAX_RETRIES}"),
         rows,
         migrations: false,
         ledger: false,
@@ -540,14 +541,10 @@ pub fn run_rebal_matrix(cfg: &ClusterConfig) -> Result<MatrixReport, ClusterErro
         cfg.machines, shapes, cfg.requests, cfg.seed, cfg.slowdowns, cfg.crashes, cfg.migrations
     );
     let header_tail = format!(
-        "\nrebal: slow_after {} slow_factor {}permille max_drains {} \
-         rebalance_every {}permille skew {}permille cooldown {}permille",
-        rebal.slow_after,
-        rebal.slow_factor_permille,
-        rebal.max_concurrent_drains,
-        rebal.rebalance_every_permille,
-        rebal.skew_threshold_permille,
-        rebal.cooldown_permille
+        "\nrebal: slow_after {SLOW_AFTER} slow_factor {SLOW_FACTOR_PERMILLE}permille \
+         max_drains {MAX_CONCURRENT_DRAINS} rebalance_every {}permille \
+         skew {SKEW_THRESHOLD_PERMILLE}permille cooldown {COOLDOWN_PERMILLE}permille",
+        rebal.rebalance_every_permille
     );
     let full = Some([true; 3]);
     let rows = vec![

@@ -1,5 +1,5 @@
-//! Proactive-degradation knobs: breaker-triggered drain, sustained
-//! slowdown detection, and the periodic auto-rebalancer.
+//! Proactive degradation: breaker-triggered drain, sustained slowdown
+//! detection, and the periodic auto-rebalancer.
 //!
 //! hera-resil is *reactive* — it waits for a deadline to blow or a
 //! machine to crash before routing around it, and every request resident
@@ -23,7 +23,7 @@
 //! (`None`) none of this code runs and every golden report is
 //! byte-identical to the previous release.
 //!
-//! Below the knobs is the layer as the fleet runs it: [`Rebal`] and its
+//! Below its constants and its one knob is the layer as the fleet runs it: [`Rebal`] and its
 //! handlers, written against the kernel's placement interface — a drain
 //! is an `evict` plus `dispatch`es and a live migration, a rebalance
 //! move a `detach_queued` plus a `place`. `Sim::rebal` being `Some` is
@@ -37,53 +37,39 @@ use hera_rng::splitmix64;
 /// Salt for rebalance-tick jitter draws.
 const REBAL_SALT: u64 = 0x7265_6261_6c2d_7469; // "rebal-ti"
 
-/// Knobs for the proactive-degradation layer. All thresholds are in
-/// per-mille of fleet-relative quantities so they stay meaningful across
-/// workload scales.
+/// Consecutive slow completions before a sustained-slowdown drain fires.
+pub(crate) const SLOW_AFTER: u32 = 2;
+/// A completion counts as "slow" when the machine's reference wall for
+/// the class is at least `best_same_shape_wall * this / 1000`.
+pub(crate) const SLOW_FACTOR_PERMILLE: u64 = 2_000;
+/// Upper bound on machines draining at once; further drain triggers are
+/// counted and skipped.
+pub(crate) const MAX_CONCURRENT_DRAINS: usize = 2;
+/// A queued job moves only when the worst machine's expected drain time
+/// exceeds `best * this / 1000`.
+pub(crate) const SKEW_THRESHOLD_PERMILLE: u64 = 2_000;
+/// After a rebalance move, both participants sit out further moves for
+/// this per-mille fraction of the span (hysteresis).
+pub(crate) const COOLDOWN_PERMILLE: u64 = 100;
+/// Most queued jobs one rebalance tick may move.
+const MAX_MOVES_PER_EVENT: usize = 2;
+
+/// The proactive-degradation layer's one knob. A machine drains the
+/// moment its breaker opens and after [`SLOW_AFTER`] slow completions,
+/// whatever the config; the config sets how often the periodic
+/// rebalancer runs.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct RebalConfig {
-    /// Drain a machine the moment its breaker opens, instead of letting
-    /// resident requests discover the sickness one timeout at a time.
-    pub drain_on_break: bool,
-    /// Drain a machine when its completions are persistently slower
-    /// than the best same-shape peer (see `slow_factor_permille`).
-    pub drain_on_slow: bool,
-    /// Consecutive slow completions before a sustained-slowdown drain
-    /// fires (clamped to at least 1).
-    pub slow_after: u32,
-    /// A completion counts as "slow" when the machine's reference wall
-    /// for the class is at least `best_same_shape_wall * this / 1000`.
-    pub slow_factor_permille: u64,
-    /// Upper bound on machines draining at once (clamped to at least 1);
-    /// further drain triggers are counted and skipped.
-    pub max_concurrent_drains: usize,
     /// Rebalance-tick period as a per-mille fraction of the trace's
     /// arrival span; 0 disables the periodic rebalancer (drains still
     /// fire).
     pub rebalance_every_permille: u32,
-    /// A queued job moves only when the worst machine's expected drain
-    /// time exceeds `best * this / 1000`.
-    pub skew_threshold_permille: u64,
-    /// After a rebalance move, both participants sit out further moves
-    /// for this per-mille fraction of the span (hysteresis).
-    pub cooldown_permille: u32,
-    /// Most queued jobs one rebalance tick may move (clamped to at
-    /// least 1).
-    pub max_moves_per_event: usize,
 }
 
 impl Default for RebalConfig {
     fn default() -> Self {
         RebalConfig {
-            drain_on_break: true,
-            drain_on_slow: true,
-            slow_after: 2,
-            slow_factor_permille: 2_000,
-            max_concurrent_drains: 2,
             rebalance_every_permille: 50,
-            skew_threshold_permille: 2_000,
-            cooldown_permille: 100,
-            max_moves_per_event: 2,
         }
     }
 }
@@ -94,7 +80,6 @@ impl RebalConfig {
     pub fn drains_only() -> Self {
         RebalConfig {
             rebalance_every_permille: 0,
-            ..RebalConfig::default()
         }
     }
 }
@@ -111,7 +96,7 @@ pub(crate) struct Rebal {
     slow_streak: Vec<u32>,
     /// Per-machine rebalance cooldown deadline (fleet-virtual time).
     quiet_until: Vec<u64>,
-    /// Post-move cooldown in cycles (`cooldown_permille` of the span).
+    /// Post-move cooldown in cycles ([`COOLDOWN_PERMILLE`] of the span).
     cooldown: u64,
 }
 
@@ -122,7 +107,7 @@ impl Rebal {
             draining: vec![false; machines],
             slow_streak: vec![0; machines],
             quiet_until: vec![0; machines],
-            cooldown: span / 1000 * cfg.cooldown_permille as u64,
+            cooldown: span / 1000 * COOLDOWN_PERMILLE,
         }
     }
 
@@ -161,8 +146,8 @@ fn movable(k: &Kernel, m: usize) -> Option<usize> {
 impl Sim<'_> {
     /// Sustained-slowdown health signal: a completion on `m` counts as
     /// "slow" when the machine's reference wall for the class is at
-    /// least `slow_factor_permille` of the best same-shape peer's (shape
-    /// differences are expected, sickness is not). `slow_after`
+    /// least [`SLOW_FACTOR_PERMILLE`] of the best same-shape peer's (shape
+    /// differences are expected, sickness is not). [`SLOW_AFTER`]
     /// consecutive slow completions trigger a proactive drain.
     pub(crate) fn observe_slowness(
         &mut self,
@@ -173,15 +158,14 @@ impl Sim<'_> {
         let Some(rb) = self.rebal.as_mut() else {
             return Ok(());
         };
-        if !rb.cfg.drain_on_slow || rb.draining[m] {
+        if rb.draining[m] {
             return Ok(());
         }
         let mine = self.k.profile.reference[class][m].stats.wall_cycles;
         let best = self.k.profile.best_same_shape[class][m];
-        let slow =
-            mine.saturating_mul(1000) >= best.saturating_mul(rb.cfg.slow_factor_permille.max(1));
+        let slow = mine.saturating_mul(1000) >= best.saturating_mul(SLOW_FACTOR_PERMILLE);
         rb.slow_streak[m] = if slow { rb.slow_streak[m] + 1 } else { 0 };
-        if rb.slow_streak[m] >= rb.cfg.slow_after.max(1) {
+        if rb.slow_streak[m] >= SLOW_AFTER {
             rb.slow_streak[m] = 0;
             self.k.metrics.add("rebal.drain.slow_triggers", 1);
             self.proactive_drain(m, now)?;
@@ -192,7 +176,7 @@ impl Sim<'_> {
     /// Proactively drain machine `m`: requeue its queued jobs onto the
     /// healthiest peers immediately and live-migrate the in-flight job,
     /// instead of letting every resident request discover the sickness
-    /// one timeout at a time. Bounded by `max_concurrent_drains`; a
+    /// one timeout at a time. Bounded by [`MAX_CONCURRENT_DRAINS`]; a
     /// machine drains at most once per episode (the flag resets when its
     /// breaker closes or it recovers from a crash), so drain storms are
     /// structurally impossible.
@@ -203,7 +187,7 @@ impl Sim<'_> {
         if rb.draining[m] || !self.k.machines[m].up {
             return Ok(());
         }
-        if rb.draining.iter().filter(|&&d| d).count() >= rb.cfg.max_concurrent_drains.max(1) {
+        if rb.draining.iter().filter(|&&d| d).count() >= MAX_CONCURRENT_DRAINS {
             self.k.metrics.add("rebal.drain.skipped_concurrent", 1);
             return Ok(());
         }
@@ -232,7 +216,7 @@ impl Sim<'_> {
             // The episode moved nothing (the machine was idle, or every
             // resident was a hedged twin): release the latch so a later
             // trigger can catch a real queue. Re-arming still costs
-            // `slow_after` further slow completions, so this cannot
+            // `SLOW_AFTER` further slow completions, so this cannot
             // thrash.
             let rb = self
                 .rebal
@@ -267,7 +251,7 @@ impl Sim<'_> {
             }
         }
         let ((src, src_e, job), (dst, dst_e)) = worst.zip(best)?;
-        let skewed = src_e > dst_e.saturating_mul(rb.cfg.skew_threshold_permille.max(1)) / 1000;
+        let skewed = src_e > dst_e.saturating_mul(SKEW_THRESHOLD_PERMILLE) / 1000;
         (src != dst && skewed).then_some((src, dst, job))
     }
 
@@ -276,11 +260,11 @@ impl Sim<'_> {
     /// and receivers then sit out `cooldown` cycles, so a job can never
     /// ping-pong between two machines.
     pub(crate) fn rebalance(&mut self, now: u64) -> Result<(), ClusterError> {
-        let Some(moves) = self.rebal.as_ref().map(|rb| rb.cfg.max_moves_per_event) else {
+        if self.rebal.is_none() {
             return Ok(());
-        };
+        }
         self.k.metrics.add("rebal.ticks", 1);
-        for _ in 0..moves.max(1) {
+        for _ in 0..MAX_MOVES_PER_EVENT {
             let next = self.rebal.as_ref().and_then(|rb| self.next_move(rb, now));
             let Some((src, dst, job)) = next else {
                 break;

@@ -43,6 +43,18 @@ const BACKOFF_SALT: u64 = 0x7265_7369_6c2d_626f; // "resil-bo"
 /// Salt for breaker probe-schedule jitter draws.
 const PROBE_SALT: u64 = 0x7265_7369_6c2d_7072; // "resil-pr"
 
+/// Retry waves after the first; a request that times out on its last
+/// wave ends `TimedOut`.
+pub(crate) const MAX_RETRIES: u32 = 2;
+/// Jitter added to each backoff, as a per-mille fraction of the backoff
+/// step, drawn deterministically from the seed.
+const JITTER_PERMILLE: u64 = 250;
+/// Minimum attempt-latency samples for a class before hedging may
+/// trigger (an empty histogram has no p95 worth trusting).
+const HEDGE_MIN_SAMPLES: usize = 20;
+/// Consecutive wave timeouts on one machine that trip its breaker.
+const BREAKER_TRIP_TIMEOUTS: u32 = 3;
+
 /// Request-resilience knobs. `ClusterConfig::resil` is `None` by
 /// default: the fleet behaves exactly as before — no deadlines, no
 /// breakers, zero added virtual cycles.
@@ -51,27 +63,16 @@ pub struct ResilConfig {
     /// Fleet-virtual cycles an attempt wave may take (dispatch to
     /// completion) before it is cancelled and retried.
     pub deadline_cycles: u64,
-    /// Retry waves after the first; a request that times out on its
-    /// last wave ends `TimedOut`.
-    pub max_retries: u32,
     /// Base of the exponential retry backoff (cycles).
     pub backoff_base_cycles: u64,
-    /// Jitter added to each backoff, as a per-mille fraction of the
-    /// backoff step, drawn deterministically from the seed.
-    pub jitter_permille: u32,
     /// End-to-end latency SLO (arrival to completion) used for the
     /// attainment figure in reports.
     pub slo_cycles: u64,
     /// Dispatch a duplicate attempt when a wave outlives its class's
     /// observed p95 attempt latency.
     pub hedging: bool,
-    /// Minimum attempt-latency samples for a class before hedging may
-    /// trigger (an empty histogram has no p95 worth trusting).
-    pub hedge_min_samples: u64,
     /// Per-machine circuit breakers + health-weighted balancing.
     pub breakers: bool,
-    /// Consecutive wave timeouts on one machine that trip its breaker.
-    pub breaker_trip_timeouts: u32,
     /// Base delay before an open breaker probes (half-open), doubled
     /// per consecutive trip, plus seeded jitter.
     pub probe_base_cycles: u64,
@@ -84,14 +85,10 @@ impl Default for ResilConfig {
     fn default() -> Self {
         ResilConfig {
             deadline_cycles: 40_000_000,
-            max_retries: 2,
             backoff_base_cycles: 100_000,
-            jitter_permille: 250,
             slo_cycles: 80_000_000,
             hedging: false,
-            hedge_min_samples: 20,
             breakers: false,
-            breaker_trip_timeouts: 3,
             probe_base_cycles: 2_000_000,
             shedding: false,
         }
@@ -113,12 +110,13 @@ impl ResilConfig {
     /// time: each longest delay must stay within
     /// [`crate::MAX_DELAY_CYCLES`]. A deadline fires `deadline_cycles`
     /// ahead; a retry less than two backoff steps ahead, the step the base
-    /// doubled per retry up to 2^16 times ([`backoff_cycles`]); a probe at
+    /// doubled per retry after the first ([`backoff_cycles`]); a probe at
     /// most 1.25 probe steps ahead, the step the base doubled per trip up
     /// to 2^8 times ([`Breaker::probe_delay`]).
     pub(crate) fn validate(&self) -> Result<(), ClusterError> {
-        let doublings = self.max_retries.saturating_sub(1).min(16);
-        let step = self.backoff_base_cycles.saturating_mul(1 << doublings);
+        let step = self
+            .backoff_base_cycles
+            .saturating_mul(1 << (MAX_RETRIES - 1));
         let backoff = step.saturating_mul(2);
         let step = self.probe_base_cycles.saturating_mul(1 << 8);
         let probe = step.saturating_add(step / 4);
@@ -156,7 +154,7 @@ pub fn backoff_cycles(cfg: &ResilConfig, seed: u64, job: usize, retry: u32) -> u
     let step = cfg
         .backoff_base_cycles
         .saturating_mul(1u64 << (retry - 1).min(16));
-    let span = step / 1000 * cfg.jitter_permille.min(1000) as u64;
+    let span = step / 1000 * JITTER_PERMILLE;
     let jitter = if span == 0 {
         0
     } else {
@@ -229,7 +227,7 @@ impl Breaker {
             BreakerState::HalfOpen => self.trip(cfg, seed, machine, now),
             BreakerState::Closed => {
                 self.consecutive_timeouts += 1;
-                (self.consecutive_timeouts >= cfg.breaker_trip_timeouts)
+                (self.consecutive_timeouts >= BREAKER_TRIP_TIMEOUTS)
                     .then(|| self.trip(cfg, seed, machine, now))
                     .flatten()
             }
@@ -378,7 +376,7 @@ impl Sim<'_> {
         self.k
             .push(now + r.cfg.deadline_cycles, Ev::Timeout { job, gen });
         let p95 = &r.class_p95[self.k.jobs[job].class];
-        if r.cfg.hedging && p95.len() as u64 >= r.cfg.hedge_min_samples {
+        if r.cfg.hedging && p95.len() >= HEDGE_MIN_SAMPLES {
             self.k
                 .push(now + p95.value().max(1), Ev::HedgeCheck { job, gen });
         }
@@ -463,16 +461,14 @@ impl Sim<'_> {
                 self.breaker_tripped(m, at, now);
                 // Proactive degradation: don't wait for every resident
                 // request to time out — drain the machine now.
-                if self.rebal.as_ref().is_some_and(|rb| rb.cfg.drain_on_break) {
-                    self.proactive_drain(m, now)?;
-                }
+                self.proactive_drain(m, now)?;
             }
         }
         // A wave held at the front-end has no placements but still
         // occupies the pending queue.
         self.k.pending.retain(|&p| p != job);
         let j = &mut self.k.jobs[job];
-        if j.retries < cfg.max_retries {
+        if j.retries < MAX_RETRIES {
             j.retries += 1;
             let (retry, gen) = (j.retries, j.gen);
             let backoff = backoff_cycles(&cfg, seed, job, retry);
@@ -577,10 +573,7 @@ mod tests {
 
     #[test]
     fn breaker_trips_after_consecutive_timeouts_and_probes_on_schedule() {
-        let cfg = ResilConfig {
-            breaker_trip_timeouts: 3,
-            ..ResilConfig::default()
-        };
+        let cfg = ResilConfig::default();
         let mut b = Breaker::new();
         assert_eq!(b.on_timeout(&cfg, 9, 0, 100), None);
         assert_eq!(b.on_timeout(&cfg, 9, 0, 200), None);

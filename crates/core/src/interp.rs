@@ -212,9 +212,6 @@ pub fn run_quantum(w: &mut World<'_>, tid: ThreadId) -> Result<QuantumOutcome, V
 
     // Deferred call (thread start or arrival after migration).
     if let Some(call) = w.threads[t].pending_call.take() {
-        if let Some(origin) = call.marker_origin {
-            push_marker(&mut w.threads[t], origin);
-        }
         if let Err(e) = push_frame(w, tid, call.method, Args::Tagged(call.args)) {
             return trap_or_vm(w, tid, e);
         }
@@ -1548,7 +1545,6 @@ fn do_invoke(w: &mut World<'_>, tid: ThreadId, target: MethodId) -> Result<Flow,
             th.pending_call = Some(PendingCall {
                 method: target,
                 args,
-                marker_origin: None,
             });
             th.window.reset();
         });
@@ -1618,7 +1614,7 @@ fn do_return(w: &mut World<'_>, tid: ThreadId, has_value: bool) -> Result<Flow, 
     let returning = w.threads[t].frames.pop();
 
     // A migration marker directly below? Pop it and migrate back.
-    let marker_origin = match w.threads[t].frames.last() {
+    let marker = match w.threads[t].frames.last() {
         Some(f) => match f.kind {
             FrameKind::MigrationMarker { origin } => {
                 w.threads[t].frames.pop();
@@ -1653,7 +1649,7 @@ fn do_return(w: &mut World<'_>, tid: ThreadId, has_value: bool) -> Result<Flow, 
     }
     let caller_method = w.threads[t].frames.last().map(|f| f.method);
 
-    match marker_origin {
+    match marker {
         // Transparent migrate-back (paper §3.1: the thread "returns to
         // the migration marker placed on the stack").
         Some(origin) => depart(w, t, core, origin, MigrationKind::MarkerReturn, |th| {

@@ -32,7 +32,7 @@ use crate::thread::{
 };
 use crate::vm::VmConfig;
 use crate::world::World;
-use hera_cell::{CoreId, CoreKind, CycleBreakdown, FaultPlan, OpClass, SpeDeath};
+use hera_cell::{CoreId, CoreKind, CycleBreakdown, FaultPlan, SpeDeath};
 use hera_isa::{ClassId, MethodId, ObjRef, Program, Slot, Trap, Value};
 use hera_snap::{
     digest64, open, rle_decode, rle_decode_extent, rle_encode, rle_encode_zero_tail,
@@ -332,13 +332,9 @@ fn encode_thread(w: &mut SnapWriter, scratch: &mut Vec<u8>, t: &JavaThread) {
             for v in &p.args {
                 encode_value(w, v);
             }
-            match p.marker_origin {
-                None => w.u8(0),
-                Some(c) => {
-                    w.u8(1);
-                    w.u8(core_tag(c));
-                }
-            }
+            // Format v3 ends a pending call with a byte that is always 0
+            // (`decode_thread` rejects any other value).
+            w.u8(0);
         }
     }
     w.opt_u32(t.pending_relookup.map(|m| m.0));
@@ -1073,14 +1069,7 @@ pub fn restore_into(
             let salvaged = dc.salvage(&mut world.heap).map_err(|e| {
                 SnapError::Corrupt(format!("adopt-drain salvage of SPE {spe}: {e}"))
             })?;
-            world.machine.fault_stats.salvaged_bytes += salvaged;
-            let scope = world
-                .machine
-                .prof_scope_begin(CoreId::Ppe, hera_trace::CostClass::Migration);
-            world
-                .machine
-                .stall(CoreId::Ppe, 200 + salvaged / 16, OpClass::MainMemory);
-            world.machine.prof_scope_end(CoreId::Ppe, scope);
+            world.charge_salvage(salvaged);
         }
     }
     if r.len_prefix(4)? != src_spes as usize {
@@ -1182,13 +1171,6 @@ pub fn restore_into(
         for t in world.threads.iter_mut() {
             for f in &mut t.frames {
                 if let FrameKind::MigrationMarker { origin } = &mut f.kind {
-                    if dropped(*origin) {
-                        *origin = CoreId::Ppe;
-                    }
-                }
-            }
-            if let Some(pc) = &mut t.pending_call {
-                if let Some(origin) = &mut pc.marker_origin {
                     if dropped(*origin) {
                         *origin = CoreId::Ppe;
                     }
@@ -1403,16 +1385,11 @@ fn decode_thread(
             for _ in 0..nargs {
                 args.push(decode_value(r)?);
             }
-            let marker_origin = match r.u8()? {
-                0 => None,
-                1 => Some(decode_core_id(r.u8()?, num_spes)?),
+            match r.u8()? {
+                0 => {}
                 n => return Err(SnapError::Corrupt(format!("origin tag {n} unknown"))),
-            };
-            Some(PendingCall {
-                method,
-                args,
-                marker_origin,
-            })
+            }
+            Some(PendingCall { method, args })
         }
         n => return Err(SnapError::Corrupt(format!("pending-call tag {n} unknown"))),
     };
@@ -1573,4 +1550,41 @@ fn decode_thread(
         migrations,
         held_monitors,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The byte that ends a pending call is always 0; any other value is
+    /// a corrupt snapshot.
+    #[test]
+    fn a_pending_call_ending_in_a_nonzero_byte_is_corrupt() {
+        let program = Program::default();
+        let mut world = World::new(&program, VmConfig::default());
+        let thread = JavaThread::new(ThreadId(0), CoreId::Ppe, MethodId(0), Vec::new());
+        let mut w = SnapWriter::new();
+        encode_thread(&mut w, &mut Vec::new(), &thread);
+        let mut bytes = w.into_inner();
+        let decode = |bytes: &[u8], world: &mut World<'_>| {
+            decode_thread(&mut SnapReader::new(bytes), world, 0, 1, 0).map(|t| t.pending_call)
+        };
+        let call = decode(&bytes, &mut world).expect("the encoding round-trips");
+        assert_eq!(
+            call.map(|c| (c.method, c.args.len())),
+            Some((MethodId(0), 0))
+        );
+
+        // Id, core, state, clock, call tag, method, argument count.
+        let mut r = SnapReader::new(&bytes);
+        let _ = (r.u32(), r.u8(), r.u8(), r.u64(), r.u8(), r.u32());
+        assert_eq!(r.len_prefix(9), Ok(0));
+        let origin = r.position();
+        assert_eq!(bytes[origin], 0);
+        bytes[origin] = 1;
+        match decode(&bytes, &mut world) {
+            Err(SnapError::Corrupt(what)) => assert!(what.contains("origin tag 1"), "{what}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
 }

@@ -95,19 +95,17 @@ impl Frame {
     }
 }
 
-/// A deferred method call, carried across a migration: the paper's
-/// "parameters of the method are packaged and a marker is placed on the
-/// stack". Arguments are *tagged* here — migration repackaging is one of
-/// the few API boundaries where `Value` survives.
+/// A deferred method call: a thread's first activation, or a call carried
+/// across a migration — the paper's "parameters of the method are
+/// packaged and a marker is placed on the stack" (the invoke path pushes
+/// the marker before it departs). Arguments are *tagged* here — migration
+/// repackaging is one of the few API boundaries where `Value` survives.
 #[derive(Clone, Debug)]
 pub struct PendingCall {
     /// The method to invoke on arrival.
     pub method: MethodId,
     /// Packaged arguments (receiver first for instance methods).
     pub args: Vec<Value>,
-    /// Where the thread came from (origin of the migration marker), or
-    /// `None` when this is the thread's very first activation.
-    pub marker_origin: Option<CoreId>,
 }
 
 /// Windowed behaviour counters for runtime monitoring (paper §3: "these
@@ -201,11 +199,7 @@ impl JavaThread {
             state: ThreadState::Ready,
             core,
             available_at: 0,
-            pending_call: Some(PendingCall {
-                method,
-                args,
-                marker_origin: None,
-            }),
+            pending_call: Some(PendingCall { method, args }),
             pending_relookup: None,
             pending_acquire_barrier: None,
             pending_migrate_in: None,
@@ -218,11 +212,6 @@ impl JavaThread {
     /// Whether the thread has finished.
     pub fn is_finished(&self) -> bool {
         matches!(self.state, ThreadState::Finished(_))
-    }
-
-    /// The current (innermost) frame.
-    pub fn top_frame(&self) -> Option<&Frame> {
-        self.frames.last()
     }
 
     /// All references reachable from this thread's stack — exact GC

@@ -484,6 +484,21 @@ impl<'p> World<'p> {
         Ok(())
     }
 
+    /// Account `salvaged` bytes rescued from a dead SPE's data cache. The
+    /// PPE drives the rescue: a fixed setup plus per-line copy. Fail-over
+    /// reuses the migration machinery, so its cost is migration time in
+    /// the profile (billed to `(runtime)` — the drain happens between
+    /// quanta, outside any guest frame).
+    pub(crate) fn charge_salvage(&mut self, salvaged: u64) {
+        self.machine.fault_stats.salvaged_bytes += salvaged;
+        let scope = self
+            .machine
+            .prof_scope_begin(CoreId::Ppe, hera_trace::CostClass::Migration);
+        self.machine
+            .stall(CoreId::Ppe, 200 + salvaged / 16, OpClass::MainMemory);
+        self.machine.prof_scope_end(CoreId::Ppe, scope);
+    }
+
     /// Hard SPE death: blacklist the core and drain it.
     ///
     /// Recovery reuses the migration machinery (paper §3.1): every
@@ -507,17 +522,7 @@ impl<'p> World<'p> {
         let ccap = self.config.cell.partition.code_cache_bytes;
         self.data_caches[si] = DataCache::with_block_size(dcap, self.config.array_block_bytes);
         self.code_caches[si] = CodeCache::new(ccap);
-        self.machine.fault_stats.salvaged_bytes += salvaged;
-        // The PPE drives the rescue: a fixed setup plus per-line copy.
-        // Fail-over reuses the migration machinery, so its cost is
-        // migration time in the profile (billed to `(runtime)` — the
-        // drain happens between quanta, outside any guest frame).
-        let scope = self
-            .machine
-            .prof_scope_begin(CoreId::Ppe, hera_trace::CostClass::Migration);
-        self.machine
-            .stall(CoreId::Ppe, 200 + salvaged / 16, OpClass::MainMemory);
-        self.machine.prof_scope_end(CoreId::Ppe, scope);
+        self.charge_salvage(salvaged);
 
         // 2. Rewrite migration markers that would return a thread to
         //    the dead core.

@@ -174,19 +174,17 @@ fn adoption_restores_across_fault_plans_strict_refuses() {
 #[test]
 fn tripped_breaker_probe_schedule_is_deterministic() {
     use hera_cluster::{Breaker, ResilConfig};
-    let cfg = ResilConfig {
-        breaker_trip_timeouts: 2,
-        ..ResilConfig::default()
-    };
+    let cfg = ResilConfig::default();
     let drive = |seed: u64| -> Vec<u64> {
         let mut b = Breaker::new();
         let mut probes = Vec::new();
-        // Two timeouts trip it; probe, fail the trial, probe again,
+        // Three timeouts trip it; probe, fail the trial, probe again,
         // recover, then a crash trips it once more.
         assert!(b.on_timeout(&cfg, seed, 1, 1_000).is_none());
+        assert!(b.on_timeout(&cfg, seed, 1, 2_000).is_none());
         let first = b
-            .on_timeout(&cfg, seed, 1, 2_000)
-            .expect("second timeout trips");
+            .on_timeout(&cfg, seed, 1, 3_000)
+            .expect("third timeout trips");
         probes.push(first);
         b.on_probe(first);
         let second = b

@@ -153,11 +153,6 @@ impl Program {
         }
         out
     }
-
-    /// Total number of methods with bytecode bodies.
-    pub fn bytecode_method_count(&self) -> usize {
-        self.methods.iter().filter(|m| m.code().is_some()).count()
-    }
 }
 
 /// Pending method registration inside the builder.

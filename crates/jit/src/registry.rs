@@ -47,14 +47,6 @@ pub struct CompiledMethod {
     pub ref_maps: Vec<hera_isa::RefMap>,
 }
 
-impl CompiledMethod {
-    /// Total slots one frame of this method occupies in the arena.
-    #[inline]
-    pub fn frame_slots(&self) -> usize {
-        self.max_locals as usize + self.max_stack as usize
-    }
-}
-
 /// Aggregate registry statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RegistryStats {

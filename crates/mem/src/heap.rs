@@ -205,28 +205,6 @@ pub mod codec {
         }
     }
 
-    /// Element-typed read (arrays).
-    pub fn read_elem(buf: &[u8], off: usize, e: ElemTy) -> Value {
-        read_value(buf, off, elem_as_ty(e))
-    }
-
-    /// Element-typed write (arrays).
-    pub fn write_elem(buf: &mut [u8], off: usize, e: ElemTy, v: Value) {
-        write_value(buf, off, elem_as_ty(e), v)
-    }
-
-    /// Element-typed untagged read (arrays).
-    #[inline]
-    pub fn read_elem_slot(buf: &[u8], off: usize, e: ElemTy) -> Slot {
-        read_slot(buf, off, elem_as_ty(e))
-    }
-
-    /// Element-typed untagged write (arrays).
-    #[inline]
-    pub fn write_elem_slot(buf: &mut [u8], off: usize, e: ElemTy, s: Slot) {
-        write_slot(buf, off, elem_as_ty(e), s)
-    }
-
     /// Field width in bytes of a typed access (the number of heap bytes
     /// `read_value`/`write_value` touch for `ty`).
     #[inline]
