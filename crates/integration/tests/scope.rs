@@ -423,3 +423,107 @@ fn rebal_fleets_match_pinned_digests() {
     ];
     assert_eq!(got, want, "rebal fleet bytes moved");
 }
+
+/// The exports the pins above cover, between them, record every span
+/// kind and every args value a kind carries: all 21 kinds, a migration and
+/// a drain that moved bytes, a hedged attempt and a dispatch with a
+/// snapshot transfer. Without this, a pinned digest could miss a change
+/// to a shape no pinned fleet records.
+#[test]
+fn pinned_fleets_export_every_span_kind() {
+    let mut exports = Vec::new();
+    let rebal_deadline = ClusterConfig {
+        rebal: Some(RebalConfig::default()),
+        ..deadline_fleet()
+    };
+    let busy = ClusterConfig {
+        scope: true,
+        ..busy_fleet()
+    };
+    for cfg in [busy, deadline_fleet(), rebal_deadline] {
+        let report = run_experiment(&cfg).expect("experiment runs");
+        for outcome in &report.outcomes {
+            exports.push(outcome.scope.as_ref().expect("scope on").chrome_json());
+        }
+    }
+    let chaos = run_chaos_matrix(&ClusterConfig {
+        scope: true,
+        ..small_e13()
+    })
+    .expect("matrix runs");
+    exports.push(chaos.scope.expect("scope on").chrome_json());
+    let rebal = hera_cluster::run_rebal_matrix(&small_e15()).expect("matrix runs");
+    exports.push(rebal.scope.expect("scope on").chrome_json());
+
+    let docs: Vec<Value> = exports
+        .iter()
+        .map(|e| parse(e).expect("export is JSON"))
+        .collect();
+    // Every span record, by its kind's label: the name up to " req<id>",
+    // and "request" for a root span, whose name is "req<id>" alone.
+    let spans: Vec<(&str, &Value)> = docs
+        .iter()
+        .flat_map(|d| records(d).iter())
+        .filter(|r| field_str(r, "ph") == "X")
+        .map(|r| {
+            let name = field_str(r, "name");
+            let label = match name.split_once(" req") {
+                Some((label, _)) => label,
+                None if field_str(r, "cat") == "request" => "request",
+                None => name,
+            };
+            (label, r.get("args").expect("span has args"))
+        })
+        .collect();
+    let kinds: std::collections::BTreeSet<&str> = spans.iter().map(|&(k, _)| k).collect();
+    let every_kind = [
+        "request",
+        "completed",
+        "shed",
+        "timedout",
+        "queue",
+        "queue.cancelled",
+        "queue.interrupted",
+        "queue.drained",
+        "dispatch",
+        "service",
+        "service.cancelled",
+        "service.interrupted",
+        "service.migrated",
+        "migrate",
+        "drain",
+        "wave.timeout",
+        "crash",
+        "recover",
+        "breaker.open",
+        "breaker.half_open",
+        "breaker.closed",
+    ];
+    let missing: Vec<_> = every_kind.iter().filter(|k| !kinds.contains(*k)).collect();
+    assert!(missing.is_empty(), "no pinned fleet exports {missing:?}");
+    assert_eq!(kinds.len(), every_kind.len(), "unknown kinds in {kinds:?}");
+
+    // A migration's `reexec` reads 0 in every fleet this repository runs
+    // (the snapshot it moves is taken where the job stands), so here it is
+    // only exported; `hera-trace`'s exporter differential covers its value.
+    let arg = |args: &Value, key: &str| field_u64(args, key);
+    let count =
+        |pred: &dyn Fn(&str, &Value) -> bool| spans.iter().filter(|&&(k, a)| pred(k, a)).count();
+    let moved = |kind: &'static str| {
+        move |k: &str, a: &Value| {
+            k == kind && arg(a, "bytes") > 0 && arg(a, "transfer") > 0 && arg(a, "reexec") == 0
+        }
+    };
+    let hedged = |k: &str, a: &Value| k.starts_with("service") && arg(a, "hedge") == 1;
+    let transferred = |k: &str, a: &Value| k == "dispatch" && arg(a, "transfer") > 0;
+    assert_eq!(
+        [
+            count(&moved("migrate")),
+            count(&moved("drain")),
+            count(&hedged),
+            count(&transferred)
+        ],
+        [3, 1, 27, 21],
+        "migrations and drains that moved bytes, hedged attempts, dispatches with a transfer"
+    );
+}
