@@ -17,9 +17,10 @@ cargo test -q --workspace --exclude hera-integration
 # hera-core, every fused slot against the plain lowering in hera-jit, the
 # run-charging data-cache lookup against its clock-charging reference in
 # hera-softcache, the fleet's event queue against its one-heap reference
-# in hera-cluster) once more where the per-op charge shadow is compiled
-# out and arithmetic wraps instead of panicking.
-cargo test -q --release -p hera-jit -p hera-core -p hera-softcache -p hera-cluster
+# in hera-cluster, the fleet-trace exporter against the 80-byte span
+# record and its writer in hera-trace) once more where the per-op charge
+# shadow is compiled out and arithmetic wraps instead of panicking.
+cargo test -q --release -p hera-jit -p hera-core -p hera-softcache -p hera-cluster -p hera-trace
 # hera-integration's binaries are most of the suite's wall time (ROADMAP
 # aim 4e): build them once, then run them one at a time and print the
 # wall seconds each took, so a slow CI run explains itself.

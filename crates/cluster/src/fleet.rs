@@ -846,6 +846,36 @@ mod tests {
         let mut cfg = tiny();
         cfg.machines = 0;
         assert!(run_experiment(&cfg).is_err());
+        // Fleets whose span tracks or request ids would not fit the span
+        // record are rejected up front, naming the field; the limits pass.
+        let limits = ClusterConfig {
+            machines: usize::from(u16::MAX),
+            requests: u64::from(u32::MAX),
+            ..tiny()
+        };
+        assert!(limits.validate().is_ok());
+        for (cfg, field) in [
+            (
+                ClusterConfig {
+                    machines: limits.machines + 1,
+                    ..tiny()
+                },
+                "machines = 65536",
+            ),
+            (
+                ClusterConfig {
+                    requests: limits.requests + 1,
+                    ..tiny()
+                },
+                "requests = 4294967296",
+            ),
+        ] {
+            match run_experiment(&cfg) {
+                Err(ClusterError::Config(msg)) => assert!(msg.starts_with(field), "{msg}"),
+                Err(e) => panic!("expected a Config error, got {e:?}"),
+                Ok(_) => panic!("expected a Config error, got a report"),
+            }
+        }
         let mut cfg = tiny();
         cfg.crashes = vec![(9, 500)];
         assert!(run_experiment(&cfg).is_err());

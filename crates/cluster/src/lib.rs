@@ -266,6 +266,20 @@ impl ClusterConfig {
         if machines == 0 {
             return Err(ClusterError::msg("cluster needs at least one machine"));
         }
+        // A recorded span names its track in 16 bits and its request in 32.
+        if machines > usize::from(u16::MAX) {
+            return Err(ClusterError::msg(format!(
+                "machines = {machines} exceeds {} (fleet span tracks are 16-bit)",
+                u16::MAX
+            )));
+        }
+        if self.requests > u64::from(u32::MAX) {
+            return Err(ClusterError::msg(format!(
+                "requests = {} exceeds {} (fleet span request ids are 32-bit)",
+                self.requests,
+                u32::MAX
+            )));
+        }
         if self.queue_cap == 0 {
             return Err(ClusterError::msg(
                 "queue cap must be at least 1 (0 would shed everything)",

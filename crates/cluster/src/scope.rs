@@ -30,10 +30,14 @@ use hera_trace::{
 use std::fmt::Write as _;
 
 /// Track index of the front-end; machine `m` is track `m + 1`.
-pub const FRONTEND_TRACK: u32 = 0;
+pub const FRONTEND_TRACK: u16 = 0;
 
-fn machine_track(m: usize) -> u32 {
-    m as u32 + 1
+fn machine_track(m: usize) -> u16 {
+    u16::try_from(m + 1).expect("validated: machines <= u16::MAX")
+}
+
+fn request(job: usize) -> u32 {
+    u32::try_from(job).expect("validated: requests <= u32::MAX")
 }
 
 /// Samples the fixed-cadence sampler aims for over the trace span.
@@ -50,7 +54,7 @@ struct JobScope {
     terminal: Option<SpanKind>,
     /// Causal arrow armed by a retry/hedge/requeue/migration, consumed by
     /// the next enqueue of this job (dropped if the attempt never lands).
-    pending_flow: Option<(FlowKind, u32, u64)>,
+    pending_flow: Option<(FlowKind, u16, u64)>,
 }
 
 struct OpenService {
@@ -82,6 +86,7 @@ pub(crate) struct Scope {
     class_names: Vec<String>,
     next_id: u64,
     spans: Vec<FleetSpan>,
+    moves: Vec<[u64; 4]>,
     flows: Vec<FlowArrow>,
     jobs: Vec<JobScope>,
     mach: Vec<MachScope>,
@@ -111,7 +116,10 @@ impl Scope {
             class_names,
             // Root, terminal, queue, dispatch and service per request, with
             // headroom for retry and hedge attempts: recording never has
-            // to move the spans while doubling.
+            // to move the spans while doubling. At 48 bytes a span this
+            // stays under glibc's 32 MiB mmap threshold up to ~116 k
+            // requests, so a later replay reuses pages an earlier one
+            // already faulted in (DESIGN §4.15).
             spans: Vec::with_capacity(njobs * 6),
             jobs: Vec::with_capacity(njobs),
             mach: (0..machines).map(|_| MachScope::default()).collect(),
@@ -126,36 +134,37 @@ impl Scope {
         self.next_id
     }
 
-    /// Record a span of `kind` under a fresh id. `job` is `None` for
+    /// Record a span of `kind` under a fresh id, with its first args
+    /// value `arg` and hedge flag (see [`FleetSpan`]). `job` is `None` for
     /// machine-wide markers, which hang off no request.
     fn span(
         &mut self,
         kind: SpanKind,
-        track: u32,
+        track: u16,
         job: Option<usize>,
-        begin: u64,
-        dur: u64,
-        args: [u64; 4],
+        (begin, dur): (u64, u64),
+        arg: u64,
+        hedge: bool,
     ) {
         let id = self.alloc();
         self.spans.push(FleetSpan {
-            kind,
-            track,
-            req: job.map_or(0, |j| j as u64),
             begin,
             dur,
             id,
             parent: job.map_or(0, |j| self.jobs[j].root),
-            args,
+            arg,
+            req: job.map_or(0, request),
+            track,
+            kind,
+            hedge,
         });
     }
 
     /// Close `job`'s queue wait on machine `m`, begun at `enqueued`, as
     /// `kind`.
     fn close_queue(&mut self, m: usize, job: usize, enqueued: u64, now: u64, kind: SpanKind) {
-        let wait = now.saturating_sub(enqueued);
-        let queued = [m as u64, 0, 0, 0];
-        self.span(kind, machine_track(m), Some(job), enqueued, wait, queued);
+        let wait = (enqueued, now.saturating_sub(enqueued));
+        self.span(kind, machine_track(m), Some(job), wait, m as u64, false);
     }
 
     fn terminal(&mut self, job: usize, kind: SpanKind, now: u64) {
@@ -164,16 +173,17 @@ impl Scope {
         j.terminal = Some(kind);
         // The root span carries the id reserved at arrival, not a fresh one.
         self.spans.push(FleetSpan {
-            kind: SpanKind::Request,
-            track: FRONTEND_TRACK,
-            req: job as u64,
             begin: j.arrival,
             dur: now.saturating_sub(j.arrival),
             id: j.root,
             parent: 0,
-            args: [j.class as u64, 0, 0, 0],
+            arg: j.class as u64,
+            req: request(job),
+            track: FRONTEND_TRACK,
+            kind: SpanKind::Request,
+            hedge: false,
         });
-        self.span(kind, FRONTEND_TRACK, Some(job), now, 0, [0; 4]);
+        self.span(kind, FRONTEND_TRACK, Some(job), (now, 0), 0, false);
     }
 
     // ------------------------------------------------------------ hooks
@@ -197,7 +207,7 @@ impl Scope {
     }
 
     /// Arm the causal arrow the next enqueue of `job` will consume.
-    pub fn flow_from(&mut self, job: usize, kind: FlowKind, from_track: u32, from_ts: u64) {
+    pub fn flow_from(&mut self, job: usize, kind: FlowKind, from_track: u16, from_ts: u64) {
         self.jobs[job].pending_flow = Some((kind, from_track, from_ts));
     }
 
@@ -231,9 +241,9 @@ impl Scope {
             self.flows.push(FlowArrow {
                 kind,
                 id,
-                from_track,
+                from_track: from_track.into(),
                 from_ts,
-                to_track: machine_track(m),
+                to_track: machine_track(m).into(),
                 to_ts: now,
             });
         }
@@ -272,19 +282,18 @@ impl Scope {
         }
         let (track, job) = (machine_track(m), Some(open.job));
         let dispatch = open.exec_start.min(now).saturating_sub(open.started);
-        let transfer = [open.transfer, 0, 0, 0];
+        let dispatch = (open.started, dispatch);
         self.span(
             SpanKind::Dispatch,
             track,
             job,
-            open.started,
             dispatch,
-            transfer,
+            open.transfer,
+            false,
         );
         if now > open.exec_start {
-            let attempt = [m as u64, open.hedge as u64, 0, 0];
-            let ran = now - open.exec_start;
-            self.span(outcome, track, job, open.exec_start, ran, attempt);
+            let ran = (open.exec_start, now - open.exec_start);
+            self.span(outcome, track, job, ran, m as u64, open.hedge);
         }
         Some(open.job)
     }
@@ -332,7 +341,7 @@ impl Scope {
     /// A machine-wide marker on machine `m`: `kind` is `Crash`, `Recover`
     /// or one of the three `SpanKind::Breaker*` transitions.
     pub fn on_machine(&mut self, m: usize, kind: SpanKind, now: u64) {
-        self.span(kind, machine_track(m), None, now, 0, [0; 4]);
+        self.span(kind, machine_track(m), None, (now, 0), 0, false);
     }
 
     /// A live migration detached `job` from `m`: close the source
@@ -358,8 +367,9 @@ impl Scope {
         } else {
             (SpanKind::Migrate, FlowKind::Migrate)
         };
-        let moved = [dest as u64, bytes, transfer, reexec];
-        self.span(span, machine_track(m), Some(job), now, 0, moved);
+        let at = self.moves.len() as u64;
+        self.moves.push([dest as u64, bytes, transfer, reexec]);
+        self.span(span, machine_track(m), Some(job), (now, 0), at, false);
         self.migrations += 1;
         self.flow_from(job, flow, machine_track(m), now);
     }
@@ -371,9 +381,9 @@ impl Scope {
             SpanKind::WaveTimeout,
             FRONTEND_TRACK,
             Some(job),
-            now,
+            (now, 0),
             0,
-            [0; 4],
+            false,
         );
     }
 
@@ -508,6 +518,7 @@ impl Scope {
             policy,
             tracks,
             spans: self.spans,
+            moves: self.moves,
             flows: self.flows,
             metrics: self.metrics,
             class_latencies,
@@ -526,6 +537,9 @@ pub struct ScopeOutcome {
     pub tracks: Vec<String>,
     /// Every span, in allocation (= event-processing) order.
     pub spans: Vec<FleetSpan>,
+    /// What each `Migrate` / `Drain` span moved, `[dest, bytes, transfer,
+    /// reexec]`, indexed by its [`FleetSpan::arg`], in allocation order.
+    pub moves: Vec<[u64; 4]>,
     /// Every causal arrow, in allocation order.
     pub flows: Vec<FlowArrow>,
     /// Sampler time series plus `scope.*` ledger counters. Kept separate
@@ -542,7 +556,7 @@ impl ScopeOutcome {
     /// One unified Chrome trace: a track per machine, spans as duration
     /// events, flow arrows for cross-track causality.
     pub fn chrome_json(&self) -> String {
-        fleet_trace_json(&self.tracks, &self.spans, &self.flows)
+        fleet_trace_json(&self.tracks, &self.spans, &self.moves, &self.flows)
     }
 
     /// Exact per-class latency percentiles (nearest-rank over every

@@ -373,14 +373,15 @@ fn traced_straggler_matches_pinned_digests() {
 fn fleet_export_writes_tracks_past_the_name_table() {
     use hera_trace::{fleet_trace_json, FleetSpan, FlowArrow, FlowKind, SpanKind};
     let span = FleetSpan {
-        kind: SpanKind::Service,
-        track: 7,
-        req: 3,
         begin: 100,
         dur: 50,
         id: 1,
         parent: 0,
-        args: [0; 4],
+        arg: 0,
+        req: 3,
+        track: 7,
+        kind: SpanKind::Service,
+        hedge: false,
     };
     let arrow = FlowArrow {
         kind: FlowKind::Hedge,
@@ -392,7 +393,7 @@ fn fleet_export_writes_tracks_past_the_name_table() {
     };
     let names = [String::from("front-end"), String::from("m0")];
     for tracks in [&names[..], &[]] {
-        let json = fleet_trace_json(tracks, &[span], &[arrow]);
+        let json = fleet_trace_json(tracks, &[span], &[], &[arrow]);
         let doc = parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
         let on_track = |ph: &str, tid: u64| {
             let found = records(&doc).iter().filter(|r| {

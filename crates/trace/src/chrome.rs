@@ -158,13 +158,19 @@ fn write_track_name(out: &mut String, tid: usize, name: &str) {
 /// Export a fleet trace: one named track per entry of `tracks`, spans as
 /// `X` complete events, and causal arrows as `s`/`f` flow-event pairs
 /// (the `f` carries `bp:"e"` so the arrow binds to the enclosing slice).
+/// `moves` is the table the `Migrate` / `Drain` spans index.
 ///
 /// Events are emitted grouped by track, each track in non-decreasing
 /// timestamp order with ties broken by input order — so the export is a
 /// pure function of its arguments and per-track timestamps are monotone,
 /// which the integration tests assert. Timestamps are fleet-virtual
 /// cycles written as microseconds, same convention as the VM exporter.
-pub fn fleet_trace_json(tracks: &[String], spans: &[FleetSpan], flows: &[FlowArrow]) -> String {
+pub fn fleet_trace_json(
+    tracks: &[String],
+    spans: &[FleetSpan],
+    moves: &[[u64; 4]],
+    flows: &[FlowArrow],
+) -> String {
     let mut out = String::with_capacity(64 + 160 * (spans.len() + 2 * flows.len()));
     out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
     for (tid, name) in tracks.iter().enumerate() {
@@ -176,7 +182,12 @@ pub fn fleet_trace_json(tracks: &[String], spans: &[FleetSpan], flows: &[FlowArr
     // makes the sort total and names the event. A track past the end of
     // `tracks` is written like any other, on its unnamed `tid`.
     let mut keys: Vec<(u32, u64, usize)> = Vec::with_capacity(spans.len() + 2 * flows.len());
-    keys.extend(spans.iter().enumerate().map(|(i, s)| (s.track, s.begin, i)));
+    keys.extend(
+        spans
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.track.into(), s.begin, i)),
+    );
     for (i, f) in flows.iter().enumerate() {
         keys.push((f.from_track, f.from_ts, spans.len() + 2 * i));
         keys.push((f.to_track, f.to_ts, spans.len() + 2 * i + 1));
@@ -189,21 +200,16 @@ pub fn fleet_trace_json(tracks: &[String], spans: &[FleetSpan], flows: &[FlowArr
         sep = ",";
         if let Some(s) = spans.get(seq) {
             // Span labels are static ASCII: nothing to escape.
-            let (_, _, cat, arg_names) = s.kind.parts();
             out.push_str("{\"name\":\"");
             s.write_name(&mut out);
             out.push_str("\",\"cat\":\"");
-            out.push_str(cat);
+            out.push_str(s.kind.parts().2);
             num(&mut out, "\",\"ph\":\"X\",\"pid\":1,\"tid\":", tid);
             num(&mut out, ",\"ts\":", ts);
             num(&mut out, ",\"dur\":", s.dur);
             num(&mut out, ",\"args\":{\"span\":", s.id);
             num(&mut out, ",\"parent\":", s.parent);
-            for (k, v) in arg_names.iter().zip(s.args) {
-                out.push_str(",\"");
-                out.push_str(k);
-                num(&mut out, "\":", v);
-            }
+            s.write_args(moves, &mut out);
             out.push_str("}}");
         } else {
             let at = seq - spans.len();
@@ -295,6 +301,7 @@ pub fn json_string(s: &str) -> String {
 mod tests {
     use super::*;
     use crate::event::testing::every_variant;
+    use crate::span::{FlowKind, SpanKind};
     use hera_rng::SplitMix64;
 
     // The exporter this module's `chrome_trace_json_named` replaced, kept
@@ -829,18 +836,18 @@ mod tests {
 
     #[test]
     fn fleet_export_orders_each_track_by_timestamp() {
-        use crate::span::{FlowKind, SpanKind};
         let tracks = vec![String::from("front-end"), String::from("m0")];
         // Spans deliberately out of time order on track 1.
         let span = |kind, track, begin, dur, id, parent, arg| FleetSpan {
-            kind,
-            track,
-            req: 0,
             begin,
             dur,
             id,
             parent,
-            args: [arg, 0, 0, 0],
+            arg,
+            req: 0,
+            track,
+            kind,
+            hedge: false,
         };
         let spans = vec![
             span(SpanKind::Service, 1, 500, 100, 2, 1, 0),
@@ -855,7 +862,7 @@ mod tests {
             to_track: 1,
             to_ts: 450,
         }];
-        let j = fleet_trace_json(&tracks, &spans, &flows);
+        let j = fleet_trace_json(&tracks, &spans, &[], &flows);
         assert_eq!(j.matches("\"ph\":\"M\"").count(), 2);
         assert_eq!(j.matches("\"ph\":\"X\"").count(), 3);
         assert_eq!(j.matches("\"ph\":\"s\"").count(), 1);
@@ -866,7 +873,215 @@ mod tests {
         assert!(queue < service, "track 1 must be sorted by ts: {j}");
         assert!(j.contains("\"span\":2,\"parent\":1,\"machine\":0,\"hedge\":0"));
         assert!(j.contains("\"span\":1,\"parent\":0,\"class\":2}"));
-        assert_eq!(fleet_trace_json(&tracks, &spans, &flows), j);
+        assert_eq!(fleet_trace_json(&tracks, &spans, &[], &flows), j);
+    }
+
+    // The 80-byte span record `FleetSpan` replaced and the writer that
+    // exported it, kept as the reference for the differential test below:
+    // every args value inline, named by a per-kind key list.
+    #[derive(Clone, Copy, Debug)]
+    struct FleetSpanReference {
+        kind: SpanKind,
+        track: u32,
+        req: u64,
+        begin: u64,
+        dur: u64,
+        id: u64,
+        parent: u64,
+        args: [u64; 4],
+    }
+
+    fn span_keys_reference(kind: SpanKind) -> &'static [&'static str] {
+        use SpanKind::*;
+        match kind {
+            Request => &["class"],
+            Queue | QueueCancelled | QueueInterrupted | QueueDrained => &["machine"],
+            Dispatch => &["transfer"],
+            Service | ServiceCancelled | ServiceInterrupted | ServiceMigrated => {
+                &["machine", "hedge"]
+            }
+            Migrate | Drain => &["dest", "bytes", "transfer", "reexec"],
+            _ => &[],
+        }
+    }
+
+    fn fleet_trace_json_reference(
+        tracks: &[String],
+        spans: &[FleetSpanReference],
+        flows: &[FlowArrow],
+    ) -> String {
+        let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
+        for (tid, name) in tracks.iter().enumerate() {
+            write_track_name(&mut out, tid, name);
+        }
+        let mut keys: Vec<(u32, u64, usize)> = Vec::new();
+        keys.extend(spans.iter().enumerate().map(|(i, s)| (s.track, s.begin, i)));
+        for (i, f) in flows.iter().enumerate() {
+            keys.push((f.from_track, f.from_ts, spans.len() + 2 * i));
+            keys.push((f.to_track, f.to_ts, spans.len() + 2 * i + 1));
+        }
+        keys.sort_unstable();
+        let mut sep = if tracks.is_empty() { "" } else { "," };
+        for (tid, ts, seq) in keys {
+            out.push_str(sep);
+            sep = ",";
+            if let Some(s) = spans.get(seq) {
+                let (label, names_request, cat) = s.kind.parts();
+                out.push_str("{\"name\":\"");
+                out.push_str(label);
+                if names_request {
+                    out.push_str(if label.is_empty() { "req" } else { " req" });
+                    push_u64(&mut out, s.req);
+                }
+                out.push_str("\",\"cat\":\"");
+                out.push_str(cat);
+                num(&mut out, "\",\"ph\":\"X\",\"pid\":1,\"tid\":", tid);
+                num(&mut out, ",\"ts\":", ts);
+                num(&mut out, ",\"dur\":", s.dur);
+                num(&mut out, ",\"args\":{\"span\":", s.id);
+                num(&mut out, ",\"parent\":", s.parent);
+                for (k, v) in span_keys_reference(s.kind).iter().zip(s.args) {
+                    out.push_str(",\"");
+                    out.push_str(k);
+                    num(&mut out, "\":", v);
+                }
+                out.push_str("}}");
+            } else {
+                let at = seq - spans.len();
+                let f = &flows[at / 2];
+                out.push_str("{\"name\":\"");
+                out.push_str(f.kind.name());
+                out.push_str(if at.is_multiple_of(2) {
+                    "\",\"cat\":\"flow\",\"ph\":\"s\""
+                } else {
+                    "\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\""
+                });
+                num(&mut out, ",\"id\":", f.id);
+                num(&mut out, ",\"pid\":1,\"tid\":", tid);
+                num(&mut out, ",\"ts\":", ts);
+                out.push('}');
+            }
+        }
+        out.push_str("]}");
+        out
+    }
+
+    /// What a recorder stores for `old` in the 48-byte record: the first
+    /// args value inline — a `Migrate` / `Drain` span's four go to the
+    /// moves table and it keeps their index — and a hedge bit.
+    fn convert(old: &[FleetSpanReference]) -> (Vec<FleetSpan>, Vec<[u64; 4]>) {
+        let mut moves = Vec::new();
+        let mut spans = Vec::new();
+        for o in old {
+            let arg = if matches!(o.kind, SpanKind::Migrate | SpanKind::Drain) {
+                moves.push(o.args);
+                moves.len() as u64 - 1
+            } else {
+                o.args[0]
+            };
+            spans.push(FleetSpan {
+                begin: o.begin,
+                dur: o.dur,
+                id: o.id,
+                parent: o.parent,
+                arg,
+                req: u32::try_from(o.req).expect("request id fits"),
+                track: u16::try_from(o.track).expect("track fits"),
+                kind: o.kind,
+                hedge: o.args[1] % 2 == 1,
+            });
+        }
+        (spans, moves)
+    }
+
+    /// A span in the old form that the new record can hold (track in 16
+    /// bits, request in 32, a `Service*` hedge of 0 or 1), its numbers at
+    /// zero, small, full-width or `u64::MAX` in turn.
+    fn reference_span(rng: &mut SplitMix64, kind: SpanKind, tracks: u64) -> FleetSpanReference {
+        let mut wide = || match rng.next_below(4) {
+            0 => 0,
+            1 => rng.next_below(1000),
+            2 => rng.next_u64(),
+            _ => u64::MAX,
+        };
+        let mut args = [wide(), wide(), wide(), wide()];
+        let (begin, dur, id, parent) = (wide(), wide(), wide(), wide());
+        use SpanKind::*;
+        if matches!(
+            kind,
+            Service | ServiceCancelled | ServiceInterrupted | ServiceMigrated
+        ) {
+            args[1] = rng.next_below(2);
+        }
+        let req = match rng.next_below(3) {
+            0 => u64::from(u32::MAX),
+            _ => rng.next_below(1 << 20),
+        };
+        let track = match rng.next_below(8) {
+            0 => u32::from(u16::MAX),
+            _ => rng.next_below(tracks) as u32,
+        };
+        FleetSpanReference {
+            kind,
+            track,
+            req,
+            begin,
+            dur,
+            id,
+            parent,
+            args,
+        }
+    }
+
+    /// The new record and writer export exactly the bytes the old ones
+    /// did: every kind, field extremes, tracks past the name table, and
+    /// empty inputs.
+    #[test]
+    fn fleet_export_matches_the_reference_record_and_writer() {
+        let flow_kinds = [
+            FlowKind::Retry,
+            FlowKind::Hedge,
+            FlowKind::Requeue,
+            FlowKind::Migrate,
+            FlowKind::Drain,
+        ];
+        for seed in 1..=32u64 {
+            let mut rng = SplitMix64::new(seed);
+            // Up to three named tracks; spans and arrows reach three past.
+            let named = rng.next_below(4) as usize;
+            let tracks: Vec<String> = (0..named).map(|t| format!("machine {t}")).collect();
+            let on_tracks = named as u64 + 3;
+            // Every kind once, then random kinds.
+            let mut old: Vec<FleetSpanReference> = SpanKind::ALL
+                .iter()
+                .map(|&kind| reference_span(&mut rng, kind, on_tracks))
+                .collect();
+            for _ in 0..rng.next_below(200) {
+                let kind = SpanKind::ALL[rng.next_below(21) as usize];
+                old.push(reference_span(&mut rng, kind, on_tracks));
+            }
+            let flows: Vec<FlowArrow> = (0..rng.next_below(20))
+                .map(|i| FlowArrow {
+                    kind: flow_kinds[rng.next_below(5) as usize],
+                    id: i + 1,
+                    from_track: rng.next_below(on_tracks) as u32,
+                    from_ts: rng.next_u64() >> (8 * rng.next_below(8)),
+                    to_track: rng.next_below(on_tracks) as u32,
+                    to_ts: rng.next_u64() >> (8 * rng.next_below(8)),
+                })
+                .collect();
+            let (spans, moves) = convert(&old);
+            assert_same_document(
+                &fleet_trace_json(&tracks, &spans, &moves, &flows),
+                &fleet_trace_json_reference(&tracks, &old, &flows),
+                &format!("seed {seed}"),
+            );
+        }
+        let names = [String::from("front-end")];
+        for tracks in [&names[..], &[]] {
+            let doc = fleet_trace_json(tracks, &[], &[], &[]);
+            assert_eq!(doc, fleet_trace_json_reference(tracks, &[], &[]));
+        }
     }
 
     #[test]

@@ -147,33 +147,19 @@ pub fn nearest_rank(sorted: &[u64], q_permille: u64) -> u64 {
 /// SLO bound. `ExactPercentiles` keeps every sample, sorted, and answers
 /// nearest-rank queries exactly. Memory is linear in the sample count.
 ///
-/// Costs: a query is O(1); [`ExactPercentiles::from_samples`] is one
-/// O(n log n) sort; [`ExactPercentiles::record`] is an O(n) insert, so
-/// filling a set one `record` at a time is O(n²). A per-request path
-/// collects its samples unsorted and calls `from_samples` once, or —
-/// when one quantile must be read between inserts — keeps a
-/// [`StreamingPercentile`].
+/// Costs: a query is O(1); the set is built once, by
+/// [`ExactPercentiles::from_samples`]'s one O(n log n) sort. A path that
+/// must read one quantile between inserts keeps a [`StreamingPercentile`].
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct ExactPercentiles {
     sorted: Vec<u64>,
 }
 
 impl ExactPercentiles {
-    pub fn new() -> ExactPercentiles {
-        ExactPercentiles::default()
-    }
-
     /// Build the set from unsorted samples with one sort.
     pub fn from_samples(mut samples: Vec<u64>) -> ExactPercentiles {
         samples.sort_unstable();
         ExactPercentiles { sorted: samples }
-    }
-
-    /// Insert `v`, keeping the sample set sorted: O(n) element moves per
-    /// call. For occasional inserts into small sets only.
-    pub fn record(&mut self, v: u64) {
-        let at = self.sorted.partition_point(|&x| x <= v);
-        self.sorted.insert(at, v);
     }
 
     pub fn len(&self) -> usize {
@@ -563,10 +549,7 @@ mod tests {
 
     #[test]
     fn exact_percentiles_match_nearest_rank_regardless_of_insert_order() {
-        let mut e = ExactPercentiles::new();
-        for v in [90, 10, 50, 70, 30, 20, 80, 40, 100, 60] {
-            e.record(v);
-        }
+        let e = ExactPercentiles::from_samples(vec![90, 10, 50, 70, 30, 20, 80, 40, 100, 60]);
         assert_eq!(e.as_slice(), &[10, 20, 30, 40, 50, 60, 70, 80, 90, 100]);
         assert_eq!(e.p50(), 50);
         assert_eq!(e.p95(), 100);
@@ -574,6 +557,7 @@ mod tests {
         assert_eq!(e.max(), 100);
         assert_eq!(e.count_at_most(55), 5);
         assert_eq!(e.count_at_most(5), 0);
+        assert!(ExactPercentiles::from_samples(Vec::new()).is_empty());
     }
 
     #[test]
@@ -581,13 +565,12 @@ mod tests {
         // 99 fast samples and one straggler: the log2 histogram places
         // p50 somewhere in the [64, 128) bucket, the exact answer is 100.
         let mut h = Histogram::default();
-        let mut e = ExactPercentiles::new();
-        for _ in 0..99 {
-            h.record(100);
-            e.record(100);
+        let mut samples = vec![100; 99];
+        samples.push(1 << 20);
+        for &v in &samples {
+            h.record(v);
         }
-        h.record(1 << 20);
-        e.record(1 << 20);
+        let e = ExactPercentiles::from_samples(samples);
         assert_eq!(e.p50(), 100);
         assert!(h.p50() >= e.p50(), "histogram p50 is an upper bound");
     }
@@ -623,18 +606,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn from_samples_equals_repeated_record() {
-        for seq in sample_sequences() {
-            let mut one_by_one = ExactPercentiles::new();
-            for &v in &seq {
-                one_by_one.record(v);
-            }
-            assert_eq!(ExactPercentiles::from_samples(seq), one_by_one);
-        }
-        assert!(ExactPercentiles::from_samples(Vec::new()).is_empty());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! determinism is the producer's job (the fleet allocates ids in event
 //! order, which is itself deterministic).
 
-use crate::chrome::push_u64;
+use crate::chrome::{num, push_u64};
 
 /// What a [`FleetSpan`] records. The kind implies everything static
 /// about the exported event — display label, Chrome category, `args`
@@ -50,49 +50,73 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
-    /// `(label, names a request, Chrome category, args keys)`; the keys
-    /// are parallel to [`FleetSpan::args`]. Labels are plain ASCII with
-    /// nothing JSON would escape.
-    pub fn parts(self) -> (&'static str, bool, &'static str, &'static [&'static str]) {
+    /// `(label, names a request, Chrome category)`. Labels are plain
+    /// ASCII with nothing JSON would escape; the kind's `args` keys are
+    /// written by [`FleetSpan::write_args`].
+    pub fn parts(self) -> (&'static str, bool, &'static str) {
         use SpanKind::*;
-        const MACHINE: &[&str] = &["machine"];
-        const ATTEMPT: &[&str] = &["machine", "hedge"];
-        const MOVED: &[&str] = &["dest", "bytes", "transfer", "reexec"];
         match self {
-            Request => ("", true, "request", &["class"]),
-            Completed => ("completed", true, "terminal", &[]),
-            Shed => ("shed", true, "terminal", &[]),
-            TimedOut => ("timedout", true, "terminal", &[]),
-            Queue => ("queue", true, "queue", MACHINE),
-            QueueCancelled => ("queue.cancelled", true, "queue", MACHINE),
-            QueueInterrupted => ("queue.interrupted", true, "queue", MACHINE),
-            QueueDrained => ("queue.drained", true, "queue", MACHINE),
-            Dispatch => ("dispatch", true, "dispatch", &["transfer"]),
-            Service => ("service", true, "service", ATTEMPT),
-            ServiceCancelled => ("service.cancelled", true, "service", ATTEMPT),
-            ServiceInterrupted => ("service.interrupted", true, "service", ATTEMPT),
-            ServiceMigrated => ("service.migrated", true, "service", ATTEMPT),
-            Migrate => ("migrate", true, "migration", MOVED),
-            Drain => ("drain", true, "migration", MOVED),
-            WaveTimeout => ("wave.timeout", true, "resil", &[]),
-            Crash => ("crash", false, "fault", &[]),
-            Recover => ("recover", false, "fault", &[]),
-            BreakerOpen => ("breaker.open", false, "breaker", &[]),
-            BreakerHalfOpen => ("breaker.half_open", false, "breaker", &[]),
-            BreakerClosed => ("breaker.closed", false, "breaker", &[]),
+            Request => ("", true, "request"),
+            Completed => ("completed", true, "terminal"),
+            Shed => ("shed", true, "terminal"),
+            TimedOut => ("timedout", true, "terminal"),
+            Queue => ("queue", true, "queue"),
+            QueueCancelled => ("queue.cancelled", true, "queue"),
+            QueueInterrupted => ("queue.interrupted", true, "queue"),
+            QueueDrained => ("queue.drained", true, "queue"),
+            Dispatch => ("dispatch", true, "dispatch"),
+            Service => ("service", true, "service"),
+            ServiceCancelled => ("service.cancelled", true, "service"),
+            ServiceInterrupted => ("service.interrupted", true, "service"),
+            ServiceMigrated => ("service.migrated", true, "service"),
+            Migrate => ("migrate", true, "migration"),
+            Drain => ("drain", true, "migration"),
+            WaveTimeout => ("wave.timeout", true, "resil"),
+            Crash => ("crash", false, "fault"),
+            Recover => ("recover", false, "fault"),
+            BreakerOpen => ("breaker.open", false, "breaker"),
+            BreakerHalfOpen => ("breaker.half_open", false, "breaker"),
+            BreakerClosed => ("breaker.closed", false, "breaker"),
         }
     }
 }
 
+#[cfg(test)]
+impl SpanKind {
+    /// Every kind, in declaration order.
+    pub(crate) const ALL: [SpanKind; 21] = {
+        use SpanKind::*;
+        [
+            Request,
+            Completed,
+            Shed,
+            TimedOut,
+            Queue,
+            QueueCancelled,
+            QueueInterrupted,
+            QueueDrained,
+            Dispatch,
+            Service,
+            ServiceCancelled,
+            ServiceInterrupted,
+            ServiceMigrated,
+            Migrate,
+            Drain,
+            WaveTimeout,
+            Crash,
+            Recover,
+            BreakerOpen,
+            BreakerHalfOpen,
+            BreakerClosed,
+        ]
+    };
+}
+
 /// One span on a fleet track, in fleet-virtual time. Plain numbers, no
-/// heap allocation: five of these are recorded per simulated request.
+/// heap allocation, 48 bytes: about six of these are recorded per
+/// simulated request.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct FleetSpan {
-    pub kind: SpanKind,
-    /// Track index (the exporter names tracks from a parallel list).
-    pub track: u32,
-    /// Request the span belongs to (0 for machine-wide kinds).
-    pub req: u64,
     /// Begin timestamp (fleet-virtual cycles).
     pub begin: u64,
     /// Duration in fleet-virtual cycles (0 renders as an instant-like
@@ -102,18 +126,61 @@ pub struct FleetSpan {
     pub id: u64,
     /// Parent span id; 0 marks a root span.
     pub parent: u64,
-    /// Values for the kind's args keys, in order; the rest stay 0.
-    pub args: [u64; 4],
+    /// The kind's first `args` value: `class` for `Request`, `machine`
+    /// for the `Queue*` and `Service*` kinds, `transfer` for `Dispatch`.
+    /// A `Migrate` / `Drain` span has four values, `[dest, bytes,
+    /// transfer, reexec]`, kept in a table beside the spans so that the
+    /// rare spans with four values do not size every span; its `arg` is
+    /// the row. Unused (0) for the kinds without args.
+    pub arg: u64,
+    /// Request the span belongs to (0 for machine-wide kinds).
+    pub req: u32,
+    /// Track index (the exporter names tracks from a parallel list).
+    pub track: u16,
+    pub kind: SpanKind,
+    /// The `Service*` kinds' second value: the attempt is a hedge.
+    pub hedge: bool,
 }
+
+const _: () = assert!(std::mem::size_of::<FleetSpan>() == 48);
 
 impl FleetSpan {
     /// Append the display name, e.g. `service req42` or `breaker.open`.
     pub fn write_name(&self, out: &mut String) {
-        let (label, names_request, ..) = self.kind.parts();
+        let (label, names_request, _) = self.kind.parts();
         out.push_str(label);
         if names_request {
             out.push_str(if label.is_empty() { "req" } else { " req" });
-            push_u64(out, self.req);
+            push_u64(out, self.req.into());
+        }
+    }
+
+    /// Append the kind's `args` entries, each after a comma, e.g.
+    /// `,"machine":1,"hedge":0`. A `Migrate` / `Drain` span reads its
+    /// four values from `moves`, and writes zeros when its index is past
+    /// the end of the table.
+    pub fn write_args(&self, moves: &[[u64; 4]], out: &mut String) {
+        use SpanKind::*;
+        match self.kind {
+            Request => num(out, ",\"class\":", self.arg),
+            Queue | QueueCancelled | QueueInterrupted | QueueDrained => {
+                num(out, ",\"machine\":", self.arg);
+            }
+            Dispatch => num(out, ",\"transfer\":", self.arg),
+            Service | ServiceCancelled | ServiceInterrupted | ServiceMigrated => {
+                num(out, ",\"machine\":", self.arg);
+                num(out, ",\"hedge\":", self.hedge);
+            }
+            Migrate | Drain => {
+                let moved = usize::try_from(self.arg).ok().and_then(|i| moves.get(i));
+                let [dest, bytes, transfer, reexec] = moved.copied().unwrap_or_default();
+                num(out, ",\"dest\":", dest);
+                num(out, ",\"bytes\":", bytes);
+                num(out, ",\"transfer\":", transfer);
+                num(out, ",\"reexec\":", reexec);
+            }
+            Completed | Shed | TimedOut | WaveTimeout | Crash | Recover | BreakerOpen
+            | BreakerHalfOpen | BreakerClosed => {}
         }
     }
 }
@@ -164,33 +231,42 @@ pub struct FlowArrow {
 mod tests {
     use super::*;
 
-    /// The names, categories and `args` keys the recorder used to build
-    /// with `format!` at every span, now rendered from the kind.
+    fn span(kind: SpanKind, arg: u64) -> FleetSpan {
+        FleetSpan {
+            begin: 0,
+            dur: 0,
+            id: 1,
+            parent: 0,
+            arg,
+            req: 42,
+            track: 0,
+            kind,
+            hedge: true,
+        }
+    }
+
+    /// The names, categories and `args` the recorder used to build with
+    /// `format!` at every span, now rendered from the kind.
     #[test]
     fn every_span_kind_renders_its_recorded_name() {
         use SpanKind::*;
-        let moved = &["dest", "bytes", "transfer", "reexec"][..];
-        let attempt = &["machine", "hedge"][..];
-        let expected: [(SpanKind, &str, &str, &[&str]); 21] = [
-            (Request, "req42", "request", &["class"]),
-            (Completed, "completed req42", "terminal", &[]),
-            (Shed, "shed req42", "terminal", &[]),
-            (TimedOut, "timedout req42", "terminal", &[]),
-            (Queue, "queue req42", "queue", &["machine"]),
-            (
-                QueueCancelled,
-                "queue.cancelled req42",
-                "queue",
-                &["machine"],
-            ),
+        let (machine, attempt) = (",\"machine\":1", ",\"machine\":1,\"hedge\":1");
+        let moved = ",\"dest\":5,\"bytes\":6,\"transfer\":7,\"reexec\":8";
+        let expected: [(SpanKind, &str, &str, &str); 21] = [
+            (Request, "req42", "request", ",\"class\":1"),
+            (Completed, "completed req42", "terminal", ""),
+            (Shed, "shed req42", "terminal", ""),
+            (TimedOut, "timedout req42", "terminal", ""),
+            (Queue, "queue req42", "queue", machine),
+            (QueueCancelled, "queue.cancelled req42", "queue", machine),
             (
                 QueueInterrupted,
                 "queue.interrupted req42",
                 "queue",
-                &["machine"],
+                machine,
             ),
-            (QueueDrained, "queue.drained req42", "queue", &["machine"]),
-            (Dispatch, "dispatch req42", "dispatch", &["transfer"]),
+            (QueueDrained, "queue.drained req42", "queue", machine),
+            (Dispatch, "dispatch req42", "dispatch", ",\"transfer\":1"),
             (Service, "service req42", "service", attempt),
             (
                 ServiceCancelled,
@@ -212,36 +288,34 @@ mod tests {
             ),
             (Migrate, "migrate req42", "migration", moved),
             (Drain, "drain req42", "migration", moved),
-            (WaveTimeout, "wave.timeout req42", "resil", &[]),
-            (Crash, "crash", "fault", &[]),
-            (Recover, "recover", "fault", &[]),
-            (BreakerOpen, "breaker.open", "breaker", &[]),
-            (BreakerHalfOpen, "breaker.half_open", "breaker", &[]),
-            (BreakerClosed, "breaker.closed", "breaker", &[]),
+            (WaveTimeout, "wave.timeout req42", "resil", ""),
+            (Crash, "crash", "fault", ""),
+            (Recover, "recover", "fault", ""),
+            (BreakerOpen, "breaker.open", "breaker", ""),
+            (BreakerHalfOpen, "breaker.half_open", "breaker", ""),
+            (BreakerClosed, "breaker.closed", "breaker", ""),
         ];
-        for (kind, name, cat, keys) in expected {
-            let span = FleetSpan {
-                kind,
-                track: 0,
-                req: 42,
-                begin: 0,
-                dur: 0,
-                id: 1,
-                parent: 0,
-                args: [0; 4],
-            };
-            let mut rendered = String::new();
-            span.write_name(&mut rendered);
+        assert_eq!(expected.map(|(kind, ..)| kind), SpanKind::ALL);
+        let moves = [[0; 4], [5, 6, 7, 8]];
+        for (kind, name, cat, args) in expected {
+            let (mut rendered, mut written) = (String::new(), String::new());
+            span(kind, 1).write_name(&mut rendered);
+            span(kind, 1).write_args(&moves, &mut written);
             assert_eq!(rendered, name);
             assert_eq!(kind.parts().2, cat, "{name}");
-            assert_eq!(kind.parts().3, keys, "{name}");
+            assert_eq!(written, args, "{name}");
             assert_eq!(crate::chrome::json_string(name), format!("\"{name}\""));
         }
     }
 
     #[test]
-    fn a_span_is_plain_numbers_within_its_size_target() {
-        assert!(std::mem::size_of::<FleetSpan>() <= 80);
+    fn a_move_index_past_the_table_writes_zeros() {
+        let zeros = ",\"dest\":0,\"bytes\":0,\"transfer\":0,\"reexec\":0";
+        for (moves, arg) in [(&[][..], 0), (&[[1; 4]][..], 1), (&[[1; 4]][..], u64::MAX)] {
+            let mut written = String::new();
+            span(SpanKind::Drain, arg).write_args(moves, &mut written);
+            assert_eq!(written, zeros);
+        }
     }
 
     #[test]
