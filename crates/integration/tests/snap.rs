@@ -1303,3 +1303,129 @@ fn dead_thread_checkpoints_match_pinned_values() {
         "dead-thread checkpoints changed (actual: {got:#x?})"
     );
 }
+
+/// Every counter of every stats struct the CORE section carries survives
+/// a checkpoint, in its own field. Each counter gets a distinct non-zero
+/// value, so a dropped, swapped or misplaced counter changes the pinned
+/// digest or fails a comparison — which the real-run digests cannot see
+/// for counters a run leaves at zero.
+#[test]
+fn every_counter_survives_a_checkpoint() {
+    use hera_core::snapshot::{restore_into, RestoreMode};
+    use hera_core::world::World;
+    const PINNED: u64 = 0x0556_82ed_80d8_9753;
+
+    let program = mixing_program(10);
+    let cfg = VmConfig::pinned_spe(2);
+    let mut w = World::new(&program, cfg);
+    let mut next = 1000u64;
+    let mut v = || {
+        next += 7919;
+        next
+    };
+    let fs = &mut w.machine.fault_stats;
+    for c in [
+        &mut fs.injected_mfc_transfer,
+        &mut fs.injected_eib_timeout,
+        &mut fs.injected_ls_corruption,
+        &mut fs.injected_proxy_timeout,
+        &mut fs.injected_migration_timeout,
+        &mut fs.mfc_retries,
+        &mut fs.backoff_cycles,
+        &mut fs.watchdog_cycles,
+        &mut fs.unrecoverable,
+        &mut fs.drained_threads,
+        &mut fs.salvaged_bytes,
+    ] {
+        *c = v();
+    }
+    fs.deaths = vec![(1, v())];
+    let hs = &mut w.machine.ppe_cache.stats;
+    for c in [
+        &mut hs.accesses,
+        &mut hs.l1_hits,
+        &mut hs.l2_hits,
+        &mut hs.memory_accesses,
+    ] {
+        *c = v();
+    }
+    w.heap.stats.allocations = v();
+    w.heap.stats.bytes_allocated = v();
+    for dc in &mut w.data_caches {
+        let s = &mut dc.stats;
+        for c in [
+            &mut s.hits,
+            &mut s.misses,
+            &mut s.purges,
+            &mut s.writebacks,
+            &mut s.bytes_fetched,
+            &mut s.bytes_written_back,
+            &mut s.bypasses,
+        ] {
+            *c = v();
+        }
+    }
+    for cc in &mut w.code_caches {
+        let s = &mut cc.stats;
+        for c in [
+            &mut s.method_hits,
+            &mut s.method_misses,
+            &mut s.tib_hits,
+            &mut s.tib_misses,
+            &mut s.purges,
+            &mut s.bytes_loaded,
+            &mut s.toc_lookups,
+            &mut s.bypasses,
+        ] {
+            *c = v();
+        }
+    }
+    let mut rs = w.registry.stats();
+    for c in [
+        &mut rs.ppe_compilations,
+        &mut rs.spe_compilations,
+        &mut rs.dual_compiled,
+        &mut rs.ppe_compile_cycles,
+        &mut rs.spe_compile_cycles,
+        &mut rs.ppe_code_bytes,
+        &mut rs.spe_code_bytes,
+    ] {
+        *c = v();
+    }
+    w.registry.set_stats(rs);
+    let gc = &mut w.gc;
+    for c in [
+        &mut gc.collections,
+        &mut gc.ppe_cycles,
+        &mut gc.objects_freed,
+        &mut gc.bytes_freed,
+    ] {
+        *c = v();
+    }
+
+    let bytes = w.checkpoint_now();
+    let digest = hera_snap::digest64(&bytes);
+    assert_eq!(
+        digest, PINNED,
+        "counter checkpoint changed (actual: {digest:#018x})"
+    );
+    let mut back = World::new(&program, cfg);
+    restore_into(&mut back, &bytes, RestoreMode::Strict).expect("restores");
+    assert_eq!(back.machine.fault_stats, w.machine.fault_stats);
+    assert_eq!(
+        format!("{:?}", back.machine.ppe_cache.stats),
+        format!("{:?}", w.machine.ppe_cache.stats)
+    );
+    assert_eq!(
+        format!("{:?}", back.heap.stats),
+        format!("{:?}", w.heap.stats)
+    );
+    for (b, a) in back.data_caches.iter().zip(&w.data_caches) {
+        assert_eq!(b.stats, a.stats);
+    }
+    for (b, a) in back.code_caches.iter().zip(&w.code_caches) {
+        assert_eq!(b.stats, a.stats);
+    }
+    assert_eq!(back.registry.stats(), w.registry.stats());
+    assert_eq!(format!("{:?}", back.gc), format!("{:?}", w.gc));
+}
