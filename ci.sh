@@ -38,14 +38,11 @@ timed() {
     cargo run --release -p hera-bench --bin figures -- "$@"
     echo "== $1: $(($(date +%s) - start)) s =="
 }
-# The perf harness must run end to end; one rep at a small scale keeps
-# this a smoke test, not a measurement.
-timed perf --reps 1 --scale 0.1
-# Perf regression gate: the full-scale grid must reproduce the virtual
-# metrics (wall_cycles, guest_ops) committed in BENCH_interp.json
+# Perf regression gate: nine full-scale cells must reproduce the virtual
+# metrics (wall_cycles, guest_ops) pinned in hera-bench's PERF_GATE_PINS
 # exactly; host wall-clock is not compared (`hostbench pairs` owns
 # host-time claims), so this cannot flake.
-timed perf-gate --reps 1
+timed perf-gate
 # Profiler smoke: per-method attribution must reconcile with RunStats
 # (the command prints and checks the invariant) and write the folded
 # flamegraph output.

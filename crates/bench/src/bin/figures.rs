@@ -14,11 +14,8 @@
 //!           | chaos-crash [WORKLOAD]  (kill the whole machine mid-run, restore
 //!                                     from the latest checkpoint, report the
 //!                                     recovery cost in virtual cycles)
-//!           | perf [--reps N]
-//!                     (host wall-clock bench; write BENCH_interp.json)
-//!           | perf-gate [--reps N]
-//!                     (compare a fresh perf run to the committed
-//!                      BENCH_interp.json; exit 1 if virtual metrics moved)
+//!           | perf-gate          (rerun nine full-scale cells; exit 1 if a
+//!                                 virtual metric moved from its pin)
 //!           | profile [WORKLOAD]       (per-method cost profile + collapsed stacks)
 //!           | profile-diff [WORKLOAD]  (diff the PPE profile against 6 SPEs)
 //!           | cluster [--machines N] [--requests N] [--seed S]
@@ -67,7 +64,6 @@ const EXPERIMENTS: &[&str] = &[
     "trace",
     "chaos",
     "chaos-crash",
-    "perf",
     "perf-gate",
     "profile",
     "profile-diff",
@@ -79,7 +75,7 @@ const EXPERIMENTS: &[&str] = &[
 
 fn usage_lines() -> String {
     format!(
-        "usage: figures EXPERIMENT [--scale S] [--reps N] \
+        "usage: figures EXPERIMENT [--scale S] \
          [--machines N] [--requests N] [--seed S]\n\
          experiments: {}\n\
          trace/chaos/chaos-crash/profile/profile-diff take an optional WORKLOAD\n\
@@ -131,12 +127,11 @@ fn main() {
     let mut which: Option<&str> = None;
     let mut workload = "mandelbrot";
     let (mut scale, mut machines, mut requests) = (None, None, None);
-    let (mut reps, mut seed) = (3u32, 42u64);
+    let mut seed = 42u64;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--scale" => scale = Some(flag_value(&args, &mut i, "a number")),
-            "--reps" => reps = flag_value(&args, &mut i, "an integer"),
             "--machines" => machines = Some(flag_value(&args, &mut i, "an integer")),
             "--requests" => requests = Some(flag_value(&args, &mut i, "an integer")),
             "--seed" => seed = flag_value(&args, &mut i, "an integer"),
@@ -174,8 +169,7 @@ fn main() {
         "trace" => trace_workload(workload, full_scale),
         "chaos" => chaos(workload, full_scale),
         "chaos-crash" => chaos_crash(workload, full_scale),
-        "perf" => perf(full_scale, reps),
-        "perf-gate" => perf_gate(full_scale, reps),
+        "perf-gate" => perf_gate(full_scale),
         "profile" => profile(workload, full_scale),
         "profile-diff" => profile_diff(workload, full_scale),
         "cluster" => cluster(fleet(4, 400, 0.05)),
@@ -608,49 +602,6 @@ fn fleet_trace((machines, requests, seed, scale): (usize, u64, u64, f64)) {
     });
 }
 
-fn perf(scale: f64, reps: u32) {
-    header(&format!(
-        "engine host performance (best of {reps}; virtual cycles must not move)"
-    ));
-    println!(
-        "{:<11} {:<5} {:>14} {:>14} {:>12} {:>9} {:>9}",
-        "benchmark", "cfg", "host ns", "virt cycles", "guest ops", "ns/op", "speedup"
-    );
-    let rows = xb::perf_interp(scale, reps);
-    for r in &rows {
-        // The recorded baselines are full-scale numbers; comparing a
-        // reduced-scale run against them would be meaningless.
-        let speedup = if scale != xb::DEFAULT_SCALE {
-            "-".into()
-        } else {
-            xb::perf_baseline_ns(r.workload.name(), r.config)
-                .map(|base| format!("{:.2}x", base as f64 / r.host_ns as f64))
-                .unwrap_or_else(|| "-".into())
-        };
-        println!(
-            "{:<11} {:<5} {:>14} {:>14} {:>12} {:>9.3} {:>9}",
-            r.workload.name(),
-            r.config,
-            r.host_ns,
-            r.wall_cycles,
-            r.guest_ops,
-            r.ns_per_op,
-            speedup
-        );
-    }
-    if scale == xb::DEFAULT_SCALE {
-        let json = xb::perf_json(&rows);
-        std::fs::write("BENCH_interp.json", &json)
-            .unwrap_or_else(|e| panic!("write BENCH_interp.json: {e}"));
-        println!("(speedup is vs the tagged Value-frame engine; wrote BENCH_interp.json)");
-    } else {
-        println!(
-            "(speedup columns compare full-scale snapshots; \
-             snapshot not written at scale {scale})"
-        );
-    }
-}
-
 fn profile(name: &str, scale: f64) {
     let w = find_workload(name);
     header(&format!(
@@ -698,46 +649,30 @@ fn profile_diff(name: &str, scale: f64) {
     println!("(positive delta: the method costs more cycles in the 6-SPE configuration)");
 }
 
-/// Gate a fresh perf run against the committed `BENCH_interp.json`:
-/// virtual metrics must match exactly.
-fn perf_gate(scale: f64, reps: u32) {
+/// Rerun the pinned full-scale cells: virtual metrics must match exactly.
+fn perf_gate(scale: f64) {
     if scale != xb::DEFAULT_SCALE {
-        eprintln!(
-            "perf-gate compares against the committed full-scale snapshot; \
-             refusing to gate at scale {scale}"
-        );
+        eprintln!("perf-gate's pins are full-scale; refusing to gate at scale {scale}");
         std::process::exit(2);
     }
-    header(&format!(
-        "perf regression gate (best of {reps} vs committed BENCH_interp.json)"
-    ));
-    let path = "BENCH_interp.json";
-    let committed = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("read {path}: {e} (run `figures -- perf` to create it)");
-        std::process::exit(2);
-    });
-    let baseline = xb::parse_bench_json(&committed);
-    if baseline.is_empty() {
-        eprintln!("{path} parsed to zero rows — regenerate with `figures -- perf`");
-        std::process::exit(2);
-    }
-    let report = xb::perf_gate(&baseline, &xb::perf_interp(scale, reps));
+    header("perf regression gate (virtual metrics vs the pins in hera-bench)");
+    let failures = xb::perf_gate();
     println!(
         "checked {} cells: wall_cycles and guest_ops exact",
-        report.checked
+        xb::PERF_GATE_PINS.len()
     );
-    for f in &report.failures {
+    for f in &failures {
         println!("FAIL: {f}");
     }
-    if !report.passed() {
+    if !failures.is_empty() {
         println!(
             "perf gate FAILED ({} mismatches) — if the change is intentional, \
-             regenerate the snapshot with `figures -- perf`",
-            report.failures.len()
+             re-pin PERF_GATE_PINS in hera-bench",
+            failures.len()
         );
         std::process::exit(1);
     }
-    println!("perf gate passed — virtual metrics identical to the committed snapshot");
+    println!("perf gate passed — virtual metrics identical to the pins");
 }
 
 fn fig4a(scale: f64) {

@@ -770,11 +770,10 @@ pub fn verify_recovery(reference: &RunOutcome, recovered: &RunOutcome) -> Result
             recovered.heap_digest, reference.heap_digest
         ));
     }
-    let stats = format!("{:?}", recovered.stats);
-    let ref_stats = format!("{:?}", reference.stats);
-    if stats != ref_stats {
+    if recovered.stats != reference.stats {
         return Err(format!(
-            "RunStats diverged:\n  {stats}\n  vs\n  {ref_stats}"
+            "RunStats diverged:\n  {:?}\n  vs\n  {:?}",
+            recovered.stats, reference.stats
         ));
     }
     if recovered.trace.metrics != reference.trace.metrics {
@@ -884,209 +883,50 @@ pub fn crash_and_recover(
     })
 }
 
-// ------------------------------------------------------------- perf bench
+// ------------------------------------------------------------- perf gate
 
-/// One row of the interpreter host-performance benchmark.
-#[derive(Clone, Debug)]
-pub struct PerfRow {
-    /// Workload under measurement.
-    pub workload: Workload,
-    /// Configuration label (`ppe`, `spe1`, `spe6`).
-    pub config: &'static str,
-    /// Guest threads.
-    pub threads: u32,
-    /// Best-of-N host wall-clock for the whole run (nanoseconds).
-    pub host_ns: u64,
-    /// Virtual wall-clock of the run (simulated cycles) — must not move
-    /// when the engine is optimised; only `host_ns` may.
-    pub wall_cycles: u64,
-    /// Machine operations retired across all cores.
-    pub guest_ops: u64,
-    /// Host nanoseconds per retired guest operation.
-    pub ns_per_op: f64,
-}
-
-/// Host wall-clock of the tagged `Value`-frame engine this slot engine
-/// replaced, best of 3 on the reference machine (same workload/config
-/// grid as [`perf_interp`]). Kept as the denominator for the speedup
-/// column so regressions against the rewrite's baseline are visible.
-pub const PERF_BASELINE_NS: [(&str, &str, u64); 9] = [
-    ("compress", "ppe", 264_718_404),
-    ("compress", "spe1", 519_884_304),
-    ("compress", "spe6", 553_526_167),
-    ("mpegaudio", "ppe", 229_151_364),
-    ("mpegaudio", "spe1", 471_754_582),
-    ("mpegaudio", "spe6", 477_487_980),
-    ("mandelbrot", "ppe", 211_165_321),
-    ("mandelbrot", "spe1", 221_549_425),
-    ("mandelbrot", "spe6", 216_655_875),
+/// The virtual metrics `figures perf-gate` holds the engine to: each
+/// workload on the PPE, one SPE and six SPEs at [`DEFAULT_SCALE`], as
+/// (workload, config, wall cycles, guest ops retired). Host time is not
+/// gated: `hostbench pairs` owns host-time claims.
+pub const PERF_GATE_PINS: [(Workload, &str, u64, u64); 9] = [
+    (Workload::Compress, "ppe", 51_218_448, 23_073_103),
+    (Workload::Compress, "spe1", 104_157_613, 25_086_888),
+    (Workload::Compress, "spe6", 21_694_664, 26_537_483),
+    (Workload::MpegAudio, "ppe", 52_467_546, 17_655_840),
+    (Workload::MpegAudio, "spe1", 63_664_857, 19_761_693),
+    (Workload::MpegAudio, "spe6", 11_238_908, 19_762_488),
+    (Workload::Mandelbrot, "ppe", 75_873_340, 18_110_821),
+    (Workload::Mandelbrot, "spe1", 49_489_220, 18_304_714),
+    (Workload::Mandelbrot, "spe6", 8_442_299, 18_305_692),
 ];
 
-/// Baseline host time for one workload/config cell, if recorded.
-pub fn perf_baseline_ns(workload: &str, config: &str) -> Option<u64> {
-    PERF_BASELINE_NS
-        .iter()
-        .find(|(w, c, _)| *w == workload && *c == config)
-        .map(|&(_, _, ns)| ns)
-}
-
-/// Measure host wall-clock per workload/config cell, best of `reps`
-/// runs. Every run still asserts the workload checksum, so this doubles
-/// as a correctness sweep.
-pub fn perf_interp(scale: f64, reps: u32) -> Vec<PerfRow> {
-    let mut rows = Vec::new();
-    for w in Workload::ALL {
-        for (config, threads) in [("ppe", 1u32), ("spe1", 1), ("spe6", 6)] {
-            let mut best_ns = u64::MAX;
-            let mut wall_cycles = 0;
-            let mut guest_ops = 0;
-            for _ in 0..reps.max(1) {
-                let cfg = match config {
-                    "ppe" => ppe_config(),
-                    "spe1" => spe_config(1),
-                    _ => spe_config(6),
-                };
-                let t0 = std::time::Instant::now();
-                let out = run_workload(w, threads, scale, cfg);
-                let dt = t0.elapsed().as_nanos() as u64;
-                best_ns = best_ns.min(dt);
-                wall_cycles = out.stats.wall_cycles;
-                guest_ops = out.stats.ppe.total_ops() + out.stats.spe.total_ops();
-            }
-            rows.push(PerfRow {
-                workload: w,
-                config,
-                threads,
-                host_ns: best_ns,
-                wall_cycles,
-                guest_ops,
-                ns_per_op: best_ns as f64 / guest_ops.max(1) as f64,
-            });
-        }
-    }
-    rows
-}
-
-/// One row parsed back out of a committed `BENCH_interp.json` snapshot.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BaselineRow {
-    pub workload: String,
-    pub config: String,
-    pub host_ns: u64,
-    pub wall_cycles: u64,
-    pub guest_ops: u64,
-}
-
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let s = line.find(&pat)? + pat.len();
-    let e = line[s..].find('"')?;
-    Some(line[s..s + e].to_string())
-}
-
-fn json_u64_field(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\": ");
-    let s = line.find(&pat)? + pat.len();
-    let rest = &line[s..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Parse a committed snapshot written by [`perf_json`] (one row object
-/// per line — the reader is matched to that writer, not to general
-/// JSON).
-pub fn parse_bench_json(json: &str) -> Vec<BaselineRow> {
-    json.lines()
-        .filter_map(|line| {
-            Some(BaselineRow {
-                workload: json_str_field(line, "workload")?,
-                config: json_str_field(line, "config")?,
-                host_ns: json_u64_field(line, "host_ns")?,
-                wall_cycles: json_u64_field(line, "wall_cycles")?,
-                guest_ops: json_u64_field(line, "guest_ops")?,
-            })
-        })
-        .collect()
-}
-
-/// The verdict of comparing a fresh perf run against the committed
-/// snapshot.
-#[derive(Clone, Debug, Default)]
-pub struct GateReport {
-    /// Hard failures: a virtual metric (wall cycles, guest ops) moved,
-    /// or a measured cell has no committed baseline. Deterministic —
-    /// any entry here means the engine's simulated behaviour changed.
-    pub failures: Vec<String>,
-    /// Cells compared.
-    pub checked: usize,
-}
-
-impl GateReport {
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-/// Compare fresh [`perf_interp`] rows against the committed baseline.
-/// Virtual-cycle metrics must match *exactly* (the simulator is
-/// deterministic). Host wall-clock is not compared here: `hostbench
-/// pairs` is the only accepted host-time claim.
-pub fn perf_gate(baseline: &[BaselineRow], rows: &[PerfRow]) -> GateReport {
-    let mut report = GateReport::default();
-    for r in rows {
-        let cell = format!("{}/{}", r.workload.name(), r.config);
-        let Some(b) = baseline
-            .iter()
-            .find(|b| b.workload == r.workload.name() && b.config == r.config)
-        else {
-            report
-                .failures
-                .push(format!("{cell}: no committed baseline row"));
-            continue;
+/// Rerun every [`PERF_GATE_PINS`] cell (each asserts its checksum) and
+/// describe each virtual metric that moved; empty means the gate passed.
+pub fn perf_gate() -> Vec<String> {
+    let mut failures = Vec::new();
+    for (w, config, wall_cycles, guest_ops) in PERF_GATE_PINS {
+        let (threads, cfg) = match config {
+            "ppe" => (1, ppe_config()),
+            "spe1" => (1, spe_config(1)),
+            _ => (6, spe_config(6)),
         };
-        report.checked += 1;
-        if r.wall_cycles != b.wall_cycles {
-            report.failures.push(format!(
-                "{cell}: wall_cycles {} != committed {} (virtual time moved)",
-                r.wall_cycles, b.wall_cycles
+        let stats = run_workload(w, threads, DEFAULT_SCALE, cfg).stats;
+        let cell = format!("{}/{config}", w.name());
+        if stats.wall_cycles != wall_cycles {
+            failures.push(format!(
+                "{cell}: wall_cycles {} != pinned {wall_cycles} (virtual time moved)",
+                stats.wall_cycles
             ));
         }
-        if r.guest_ops != b.guest_ops {
-            report.failures.push(format!(
-                "{cell}: guest_ops {} != committed {} (retired op count moved)",
-                r.guest_ops, b.guest_ops
+        let ops = stats.ppe.total_ops() + stats.spe.total_ops();
+        if ops != guest_ops {
+            failures.push(format!(
+                "{cell}: guest_ops {ops} != pinned {guest_ops} (retired op count moved)"
             ));
         }
     }
-    report
-}
-
-/// Render [`perf_interp`] rows as the `BENCH_interp.json` snapshot.
-pub fn perf_json(rows: &[PerfRow]) -> String {
-    let mut s = String::from("{\n  \"bench\": \"interp\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let speedup = perf_baseline_ns(r.workload.name(), r.config)
-            .map(|base| format!("{:.2}", base as f64 / r.host_ns as f64))
-            .unwrap_or_else(|| "null".into());
-        s.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"config\": \"{}\", \"threads\": {}, \
-             \"host_ns\": {}, \"wall_cycles\": {}, \"guest_ops\": {}, \
-             \"ns_per_op\": {:.3}, \"speedup_vs_tagged\": {}}}{}\n",
-            r.workload.name(),
-            r.config,
-            r.threads,
-            r.host_ns,
-            r.wall_cycles,
-            r.guest_ops,
-            r.ns_per_op,
-            speedup,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    failures
 }
 
 /// Host CPUs actually available to this process.

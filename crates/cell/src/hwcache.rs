@@ -205,17 +205,18 @@ impl Level {
     }
 }
 
-/// Per-level access statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct HwCacheStats {
-    /// Accesses presented to the hierarchy.
-    pub accesses: u64,
-    /// L1 hits.
-    pub l1_hits: u64,
-    /// L2 hits.
-    pub l2_hits: u64,
-    /// Misses to main memory.
-    pub memory_accesses: u64,
+hera_trace::counters! {
+    /// Per-level access statistics.
+    pub struct HwCacheStats {
+        /// Accesses presented to the hierarchy.
+        pub accesses: u64,
+        /// L1 hits.
+        pub l1_hits: u64,
+        /// L2 hits.
+        pub l2_hits: u64,
+        /// Misses to main memory.
+        pub memory_accesses: u64,
+    }
 }
 
 impl HwCacheStats {
@@ -544,12 +545,7 @@ mod tests {
 
     fn assert_same_state(new: &HwCache, old: &HwCache, at: &str) {
         assert_eq!(new.export_state(), old.export_state(), "{at}: state");
-        let (n, o) = (new.stats, old.stats);
-        assert_eq!(
-            (n.accesses, n.l1_hits, n.l2_hits, n.memory_accesses),
-            (o.accesses, o.l1_hits, o.l2_hits, o.memory_accesses),
-            "{at}: stats"
-        );
+        assert_eq!(new.stats, old.stats, "{at}: stats");
     }
 
     /// Shift/mask indexing ≡ the divide-and-scan it replaced: every
@@ -633,9 +629,7 @@ mod tests {
                         }
                     }
                     assert_same_state(&new, &old, &format!("{at}: end"));
-                    seen.l1_hits += new.stats.l1_hits;
-                    seen.l2_hits += new.stats.l2_hits;
-                    seen.memory_accesses += new.stats.memory_accesses;
+                    seen += new.stats;
                 }
             }
         }

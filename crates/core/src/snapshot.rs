@@ -27,17 +27,21 @@
 //! lets [`Checkpoint`] encode CORE once, before the stall, and re-encode
 //! just the clocks after it.
 
+use crate::stats::GcSummary;
 use crate::thread::{
     BlockReason, Frame, FrameKind, JavaThread, PendingCall, ThreadId, ThreadState,
 };
 use crate::vm::VmConfig;
 use crate::world::World;
-use hera_cell::{CoreId, CoreKind, CycleBreakdown, FaultPlan, SpeDeath};
+use hera_cell::{CoreId, CoreKind, CycleBreakdown, FaultPlan, HwCacheStats, SpeDeath};
 use hera_isa::{ClassId, MethodId, ObjRef, Program, Slot, Trap, Value};
+use hera_jit::RegistryStats;
+use hera_mem::heap::AllocStats;
 use hera_snap::{
     digest64, open, rle_decode, rle_decode_extent, rle_encode, rle_encode_zero_tail,
     rle_encode_zeros, rle_skip_extent, SnapError, SnapReader, SnapWriter, HEADER_LEN,
 };
+use hera_softcache::{CodeCacheStats, DataCacheStats};
 use hera_trace::{Histogram, MetricsRegistry, MigrationKind};
 use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
@@ -461,10 +465,7 @@ fn encode_core(w: &mut SnapWriter, world: &World<'_>) -> usize {
         rle_encode_words(w, &mut scratch, stamps.iter().copied());
         w.u64(tick);
     }
-    let hs = world.machine.ppe_cache.stats;
-    for v in [hs.accesses, hs.l1_hits, hs.l2_hits, hs.memory_accesses] {
-        w.u64(v);
-    }
+    w.u64s(&world.machine.ppe_cache.stats.to_array());
     for spe in 0..world.config.cell.num_spes {
         rle_encode_zeros(w, world.machine.local_store(spe).size() as usize);
     }
@@ -490,8 +491,7 @@ fn encode_core(w: &mut SnapWriter, world: &World<'_>) -> usize {
     for a in objects {
         w.u32(a);
     }
-    w.u64(world.heap.stats.allocations);
-    w.u64(world.heap.stats.bytes_allocated);
+    w.u64s(&world.heap.stats.to_array());
 
     // ---- software caches ----
     w.len_prefix(world.data_caches.len());
@@ -506,18 +506,7 @@ fn encode_core(w: &mut SnapWriter, world: &World<'_>) -> usize {
             }
         }
         rle_encode_zero_tail(w, local, dc.written_mark() as usize);
-        let s = dc.stats;
-        for v in [
-            s.hits,
-            s.misses,
-            s.purges,
-            s.writebacks,
-            s.bytes_fetched,
-            s.bytes_written_back,
-            s.bypasses,
-        ] {
-            w.u64(v);
-        }
+        w.u64s(&dc.stats.to_array());
     }
     w.len_prefix(world.code_caches.len());
     for cc in &world.code_caches {
@@ -533,19 +522,7 @@ fn encode_core(w: &mut SnapWriter, world: &World<'_>) -> usize {
             w.u16(c.0);
             w.u32(base);
         }
-        let s = cc.stats;
-        for v in [
-            s.method_hits,
-            s.method_misses,
-            s.tib_hits,
-            s.tib_misses,
-            s.purges,
-            s.bytes_loaded,
-            s.toc_lookups,
-            s.bypasses,
-        ] {
-            w.u64(v);
-        }
+        w.u64s(&cc.stats.to_array());
     }
 
     // ---- JIT registry (keys only; code is recompiled at restore) ----
@@ -555,18 +532,7 @@ fn encode_core(w: &mut SnapWriter, world: &World<'_>) -> usize {
         w.u32(m.0);
         w.u8((kind == CoreKind::Spe) as u8);
     }
-    let rs = world.registry.stats();
-    for v in [
-        rs.ppe_compilations,
-        rs.spe_compilations,
-        rs.dual_compiled,
-        rs.ppe_compile_cycles,
-        rs.spe_compile_cycles,
-        rs.ppe_code_bytes,
-        rs.spe_code_bytes,
-    ] {
-        w.u64(v);
-    }
+    w.u64s(&world.registry.stats().to_array());
 
     // ---- threads / scheduler ----
     w.len_prefix(world.threads.len());
@@ -619,14 +585,7 @@ fn encode_core(w: &mut SnapWriter, world: &World<'_>) -> usize {
         w.u32(*fd as u32);
         w.blob(data);
     }
-    for v in [
-        world.gc.collections,
-        world.gc.ppe_cycles,
-        world.gc.objects_freed,
-        world.gc.bytes_freed,
-    ] {
-        w.u64(v);
-    }
+    w.u64s(&world.gc.to_array());
     w.opt_u64(world.next_checkpoint_at);
     clocks_at
 }
@@ -965,10 +924,7 @@ pub fn restore_into(
         .ppe_cache
         .import_state(l1, l2)
         .map_err(|e| corrupt("ppe cache", e))?;
-    world.machine.ppe_cache.stats.accesses = r.u64()?;
-    world.machine.ppe_cache.stats.l1_hits = r.u64()?;
-    world.machine.ppe_cache.stats.l2_hits = r.u64()?;
-    world.machine.ppe_cache.stats.memory_accesses = r.u64()?;
+    world.machine.ppe_cache.stats = HwCacheStats::from_array(r.u64s()?);
     for spe in 0..src_spes {
         // A local store is encoded as the all-zero buffer it is (its
         // data-cache region lives in the data cache, decoded below), and
@@ -1014,10 +970,7 @@ pub fn restore_into(
     for _ in 0..nobjects {
         objects.insert(r.u32()?);
     }
-    let heap_stats = hera_mem::heap::AllocStats {
-        allocations: r.u64()?,
-        bytes_allocated: r.u64()?,
-    };
+    let heap_stats = AllocStats::from_array(r.u64s()?);
     world.heap = hera_mem::Heap::from_raw_parts(
         heap_bytes,
         nonzero_end as u32,
@@ -1058,13 +1011,7 @@ pub fn restore_into(
         let (local, extent) = rle_decode_extent(&mut r, dc.capacity() as usize)?;
         dc.import_state(bump, slots, local, extent)
             .map_err(|e| corrupt("data cache", e))?;
-        dc.stats.hits = r.u64()?;
-        dc.stats.misses = r.u64()?;
-        dc.stats.purges = r.u64()?;
-        dc.stats.writebacks = r.u64()?;
-        dc.stats.bytes_fetched = r.u64()?;
-        dc.stats.bytes_written_back = r.u64()?;
-        dc.stats.bypasses = r.u64()?;
+        dc.stats = DataCacheStats::from_array(r.u64s()?);
         if spe >= dst_spes {
             let salvaged = dc.salvage(&mut world.heap).map_err(|e| {
                 SnapError::Corrupt(format!("adopt-drain salvage of SPE {spe}: {e}"))
@@ -1089,22 +1036,12 @@ pub fn restore_into(
         for _ in 0..ntibs {
             tibs.push((ClassId(r.u16()?), r.u32()?));
         }
+        let stats = CodeCacheStats::from_array(r.u64s()?);
         if spe < dst_spes {
             let cc = &mut world.code_caches[spe as usize];
             cc.import_state(bump, methods, tibs)
                 .map_err(|e| corrupt("code cache", e))?;
-            cc.stats.method_hits = r.u64()?;
-            cc.stats.method_misses = r.u64()?;
-            cc.stats.tib_hits = r.u64()?;
-            cc.stats.tib_misses = r.u64()?;
-            cc.stats.purges = r.u64()?;
-            cc.stats.bytes_loaded = r.u64()?;
-            cc.stats.toc_lookups = r.u64()?;
-            cc.stats.bypasses = r.u64()?;
-        } else {
-            for _ in 0..8 {
-                r.u64()?;
-            }
+            cc.stats = stats;
         }
     }
 
@@ -1129,15 +1066,7 @@ pub fn restore_into(
             .get_or_compile(world.program, &world.layout, m, kind)
             .map_err(|_| SnapError::Corrupt(format!("method {} fails to compile", m.0)))?;
     }
-    let registry_stats = hera_jit::RegistryStats {
-        ppe_compilations: r.u64()?,
-        spe_compilations: r.u64()?,
-        dual_compiled: r.u64()?,
-        ppe_compile_cycles: r.u64()?,
-        spe_compile_cycles: r.u64()?,
-        ppe_code_bytes: r.u64()?,
-        spe_code_bytes: r.u64()?,
-    };
+    let registry_stats = RegistryStats::from_array(r.u64s()?);
 
     // ---- threads ----
     let nthreads = r.len_prefix(1)?;
@@ -1268,10 +1197,7 @@ pub fn restore_into(
         let fd = r.u32()? as i32;
         world.files.insert(fd, r.blob()?.to_vec());
     }
-    world.gc.collections = r.u64()?;
-    world.gc.ppe_cycles = r.u64()?;
-    world.gc.objects_freed = r.u64()?;
-    world.gc.bytes_freed = r.u64()?;
+    world.gc = GcSummary::from_array(r.u64s()?);
     world.next_checkpoint_at = r.opt_u64()?;
     world.checkpoint_seq = seq;
     r.finish()?;

@@ -6,22 +6,23 @@ use hera_softcache::{CodeCacheStats, DataCacheStats};
 use hera_trace::MetricsRegistry;
 use std::fmt;
 
-/// GC statistics: the world keeps them as it collects, a run reports them
-/// whole.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GcSummary {
-    /// Collections performed.
-    pub collections: u64,
-    /// PPE cycles spent collecting.
-    pub ppe_cycles: u64,
-    /// Total objects reclaimed.
-    pub objects_freed: u64,
-    /// Total bytes reclaimed.
-    pub bytes_freed: u64,
+hera_trace::counters! {
+    /// GC statistics: the world keeps them as it collects, a run reports them
+    /// whole.
+    pub struct GcSummary as "gc" {
+        /// Collections performed.
+        pub collections: u64,
+        /// PPE cycles spent collecting.
+        pub ppe_cycles: u64,
+        /// Total objects reclaimed.
+        pub objects_freed: u64,
+        /// Total bytes reclaimed.
+        pub bytes_freed: u64,
+    }
 }
 
 /// Bus summary.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BusSummary {
     /// Bytes moved over the shared memory interface.
     pub bytes_transferred: u64,
@@ -32,7 +33,7 @@ pub struct BusSummary {
 }
 
 /// Everything measured during one run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunStats {
     /// Wall-clock finish time: the maximum core clock (cycles).
     pub wall_cycles: u64,
@@ -92,10 +93,7 @@ impl RunStats {
         self.spe.fill_metrics("spe", &mut reg);
         self.data_cache.fill_metrics(&mut reg);
         self.code_cache.fill_metrics(&mut reg);
-        reg.set("gc.collections", self.gc.collections);
-        reg.set("gc.ppe_cycles", self.gc.ppe_cycles);
-        reg.set("gc.objects_freed", self.gc.objects_freed);
-        reg.set("gc.bytes_freed", self.gc.bytes_freed);
+        self.gc.fill_metrics(&mut reg);
         reg.set("jit.ppe_compilations", self.registry.ppe_compilations);
         reg.set("jit.spe_compilations", self.registry.spe_compilations);
         reg.set("jit.dual_compiled", self.registry.dual_compiled);

@@ -352,20 +352,28 @@ impl HeraJvm {
 
     /// Run the program to completion (all threads).
     pub fn run(&self) -> Result<RunOutcome, VmError> {
-        self.run_with(None)
+        match self.run_mode(None, RestoreMode::Strict, false)? {
+            RunEnd::Completed(o) => Ok(*o),
+            RunEnd::Crashed { .. } => unreachable!("crash surfaces as Err unless surviving"),
+        }
     }
 
     /// Resume from a snapshot file written by a previous checkpointed
-    /// run of the *same* program under the *same* configuration.
+    /// run of the *same* program under the *same* configuration. The
+    /// resumed run's later trace events and per-core cycle counts are
+    /// bit-identical to the uninterrupted run's.
     pub fn restore(&self, path: &Path) -> Result<RunOutcome, VmError> {
         let bytes = std::fs::read(path)
             .map_err(|e| VmError::Snap(SnapError::Io(format!("{}: {e}", path.display()))))?;
-        self.run_with(Some(&bytes))
+        self.restore_bytes(&bytes)
     }
 
     /// Resume from in-memory snapshot bytes (see [`HeraJvm::restore`]).
     pub fn restore_bytes(&self, snapshot: &[u8]) -> Result<RunOutcome, VmError> {
-        self.run_with(Some(snapshot))
+        match self.run_mode(Some(snapshot), RestoreMode::Strict, false)? {
+            RunEnd::Completed(o) => Ok(*o),
+            RunEnd::Crashed { .. } => unreachable!("crash surfaces as Err unless surviving"),
+        }
     }
 
     /// Resume from snapshot bytes taken on a *different* machine:
@@ -402,16 +410,6 @@ impl HeraJvm {
     /// proofs.
     pub fn adopt_until_crash(&self, snapshot: &[u8]) -> Result<RunEnd, VmError> {
         self.run_mode(Some(snapshot), RestoreMode::Adopt, true)
-    }
-
-    /// Run to completion, either from scratch (`None`) or resuming from
-    /// a snapshot. A resumed run's subsequent trace events and per-core
-    /// cycle counts are bit-identical to the uninterrupted run's.
-    pub fn run_with(&self, snapshot: Option<&[u8]>) -> Result<RunOutcome, VmError> {
-        match self.run_mode(snapshot, RestoreMode::Strict, false)? {
-            RunEnd::Completed(o) => Ok(*o),
-            RunEnd::Crashed { .. } => unreachable!("crash surfaces as Err unless surviving"),
-        }
     }
 
     fn run_mode(

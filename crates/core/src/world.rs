@@ -835,20 +835,12 @@ impl<'p> World<'p> {
 
     /// Merged data-cache statistics over all SPEs.
     pub fn data_cache_stats(&self) -> hera_softcache::DataCacheStats {
-        let mut total = hera_softcache::DataCacheStats::default();
-        for c in &self.data_caches {
-            total += c.stats;
-        }
-        total
+        self.data_caches.iter().map(|c| c.stats).sum()
     }
 
     /// Merged code-cache statistics over all SPEs.
     pub fn code_cache_stats(&self) -> hera_softcache::CodeCacheStats {
-        let mut total = hera_softcache::CodeCacheStats::default();
-        for c in &self.code_caches {
-            total += c.stats;
-        }
-        total
+        self.code_caches.iter().map(|c| c.stats).sum()
     }
 
     /// Total migrations across all threads.

@@ -762,11 +762,7 @@ fn check_restore_cell(
             full.stats.per_core_cycles, restored.stats.per_core_cycles,
             "{tag}: per-core cycle counts diverged"
         );
-        assert_eq!(
-            format!("{:?}", full.stats),
-            format!("{:?}", restored.stats),
-            "{tag}: RunStats diverged"
-        );
+        assert_eq!(full.stats, restored.stats, "{tag}: RunStats diverged");
         assert_eq!(
             full.trace.metrics, restored.trace.metrics,
             "{tag}: final metrics diverged"
@@ -914,8 +910,7 @@ fn restore_preserves_profiles_bit_identically() {
             blob.seq
         );
         assert_eq!(
-            format!("{:?}", full.stats),
-            format!("{:?}", restored.stats),
+            full.stats, restored.stats,
             "seq {}: RunStats diverged",
             blob.seq
         );

@@ -61,11 +61,7 @@ fn assert_same_outcome(full: &RunOutcome, restored: &RunOutcome, what: &str) {
         full.heap_digest, restored.heap_digest,
         "{what}: final heap image diverged"
     );
-    assert_eq!(
-        format!("{:?}", full.stats),
-        format!("{:?}", restored.stats),
-        "{what}: RunStats diverged"
-    );
+    assert_eq!(full.stats, restored.stats, "{what}: RunStats diverged");
 }
 
 #[test]
@@ -1412,14 +1408,8 @@ fn every_counter_survives_a_checkpoint() {
     let mut back = World::new(&program, cfg);
     restore_into(&mut back, &bytes, RestoreMode::Strict).expect("restores");
     assert_eq!(back.machine.fault_stats, w.machine.fault_stats);
-    assert_eq!(
-        format!("{:?}", back.machine.ppe_cache.stats),
-        format!("{:?}", w.machine.ppe_cache.stats)
-    );
-    assert_eq!(
-        format!("{:?}", back.heap.stats),
-        format!("{:?}", w.heap.stats)
-    );
+    assert_eq!(back.machine.ppe_cache.stats, w.machine.ppe_cache.stats);
+    assert_eq!(back.heap.stats, w.heap.stats);
     for (b, a) in back.data_caches.iter().zip(&w.data_caches) {
         assert_eq!(b.stats, a.stats);
     }
@@ -1427,5 +1417,5 @@ fn every_counter_survives_a_checkpoint() {
         assert_eq!(b.stats, a.stats);
     }
     assert_eq!(back.registry.stats(), w.registry.stats());
-    assert_eq!(format!("{:?}", back.gc), format!("{:?}", w.gc));
+    assert_eq!(back.gc, w.gc);
 }

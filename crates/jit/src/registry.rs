@@ -47,24 +47,25 @@ pub struct CompiledMethod {
     pub ref_maps: Vec<hera_isa::RefMap>,
 }
 
-/// Aggregate registry statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RegistryStats {
-    /// Methods compiled for the PPE.
-    pub ppe_compilations: u64,
-    /// Methods compiled for the SPE.
-    pub spe_compilations: u64,
-    /// Methods compiled for *both* core kinds (the dual-compilation
-    /// overlap the paper argues stays small).
-    pub dual_compiled: u64,
-    /// Total compiler cycles spent, per core kind.
-    pub ppe_compile_cycles: u64,
-    /// Total compiler cycles spent on SPE code.
-    pub spe_compile_cycles: u64,
-    /// Total estimated code bytes, PPE.
-    pub ppe_code_bytes: u64,
-    /// Total estimated code bytes, SPE.
-    pub spe_code_bytes: u64,
+hera_trace::counters! {
+    /// Aggregate registry statistics.
+    pub struct RegistryStats {
+        /// Methods compiled for the PPE.
+        pub ppe_compilations: u64,
+        /// Methods compiled for the SPE.
+        pub spe_compilations: u64,
+        /// Methods compiled for *both* core kinds (the dual-compilation
+        /// overlap the paper argues stays small).
+        pub dual_compiled: u64,
+        /// Total compiler cycles spent, per core kind.
+        pub ppe_compile_cycles: u64,
+        /// Total compiler cycles spent on SPE code.
+        pub spe_compile_cycles: u64,
+        /// Total estimated code bytes, PPE.
+        pub ppe_code_bytes: u64,
+        /// Total estimated code bytes, SPE.
+        pub spe_code_bytes: u64,
+    }
 }
 
 /// Cache of compiled methods keyed by `(method, core kind)`.

@@ -249,13 +249,14 @@ pub mod codec {
     }
 }
 
-/// Allocation statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AllocStats {
-    /// Number of successful allocations.
-    pub allocations: u64,
-    /// Bytes handed out (including headers).
-    pub bytes_allocated: u64,
+hera_trace::counters! {
+    /// Allocation statistics.
+    pub struct AllocStats {
+        /// Number of successful allocations.
+        pub allocations: u64,
+        /// Bytes handed out (including headers).
+        pub bytes_allocated: u64,
+    }
 }
 
 /// The guest heap.

@@ -349,6 +349,13 @@ impl SnapWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// A fixed-length run of `u64`s, with no length prefix.
+    pub fn u64s(&mut self, vs: &[u64]) {
+        for &v in vs {
+            self.u64(v);
+        }
+    }
+
     /// Length prefix. Fixed-width u64 so lengths never change encoding size.
     pub fn len_prefix(&mut self, n: usize) {
         self.u64(n as u64);
@@ -466,6 +473,15 @@ impl<'a> SnapReader<'a> {
 
     pub fn i64(&mut self) -> Result<i64, SnapError> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    /// Read `N` `u64`s written by [`SnapWriter::u64s`].
+    pub fn u64s<const N: usize>(&mut self) -> Result<[u64; N], SnapError> {
+        let mut vs = [0; N];
+        for v in &mut vs {
+            *v = self.u64()?;
+        }
+        Ok(vs)
     }
 
     /// Read a length prefix that counts elements of `elem_size` bytes each,

@@ -21,37 +21,25 @@ use std::collections::HashMap;
 /// Cycles to follow a cached TIB entry (one local-memory indirection).
 const TIB_READ_CYCLES: u64 = 4;
 
-/// Statistics for one code cache.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CodeCacheStats {
-    /// Method lookups served from local memory.
-    pub method_hits: u64,
-    /// Method lookups that had to DMA the method body.
-    pub method_misses: u64,
-    /// TIB lookups served from local memory.
-    pub tib_hits: u64,
-    /// TIB lookups that had to DMA the TIB.
-    pub tib_misses: u64,
-    /// Complete purges.
-    pub purges: u64,
-    /// Bytes of code + TIBs DMAed in.
-    pub bytes_loaded: u64,
-    /// TOC consultations (every lookup does one).
-    pub toc_lookups: u64,
-    /// Lookups of methods too large to cache at the configured size.
-    pub bypasses: u64,
-}
-
-impl std::ops::AddAssign for CodeCacheStats {
-    fn add_assign(&mut self, rhs: CodeCacheStats) {
-        self.method_hits += rhs.method_hits;
-        self.method_misses += rhs.method_misses;
-        self.tib_hits += rhs.tib_hits;
-        self.tib_misses += rhs.tib_misses;
-        self.purges += rhs.purges;
-        self.bytes_loaded += rhs.bytes_loaded;
-        self.toc_lookups += rhs.toc_lookups;
-        self.bypasses += rhs.bypasses;
+hera_trace::counters! {
+    /// Statistics for one code cache.
+    pub struct CodeCacheStats as "ccache" {
+        /// Method lookups served from local memory.
+        pub method_hits: u64,
+        /// Method lookups that had to DMA the method body.
+        pub method_misses: u64,
+        /// TIB lookups served from local memory.
+        pub tib_hits: u64,
+        /// TIB lookups that had to DMA the TIB.
+        pub tib_misses: u64,
+        /// Complete purges.
+        pub purges: u64,
+        /// Bytes of code + TIBs DMAed in.
+        pub bytes_loaded: u64,
+        /// TOC consultations (every lookup does one).
+        pub toc_lookups: u64,
+        /// Lookups of methods too large to cache at the configured size.
+        pub bypasses: u64,
     }
 }
 
@@ -64,19 +52,6 @@ impl CodeCacheStats {
         } else {
             self.method_hits as f64 / total as f64
         }
-    }
-
-    /// Snapshot these counters into a metrics registry under
-    /// `ccache.*` names (the shared counting substrate).
-    pub fn fill_metrics(&self, reg: &mut hera_trace::MetricsRegistry) {
-        reg.set("ccache.method_hits", self.method_hits);
-        reg.set("ccache.method_misses", self.method_misses);
-        reg.set("ccache.tib_hits", self.tib_hits);
-        reg.set("ccache.tib_misses", self.tib_misses);
-        reg.set("ccache.purges", self.purges);
-        reg.set("ccache.bytes_loaded", self.bytes_loaded);
-        reg.set("ccache.toc_lookups", self.toc_lookups);
-        reg.set("ccache.bypasses", self.bypasses);
     }
 }
 

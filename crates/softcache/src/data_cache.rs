@@ -40,34 +40,23 @@ use hera_mem::heap::codec;
 use hera_mem::Heap;
 use hera_trace::{DmaTag, TraceEvent};
 
-/// Statistics for one data cache.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DataCacheStats {
-    /// Lookups that found their unit cached.
-    pub hits: u64,
-    /// Lookups that had to DMA.
-    pub misses: u64,
-    /// Whole-cache purges (fills, lock acquires, volatile reads, GC).
-    pub purges: u64,
-    /// Dirty units written back.
-    pub writebacks: u64,
-    /// Bytes DMAed in.
-    pub bytes_fetched: u64,
-    /// Bytes DMAed out (write-backs).
-    pub bytes_written_back: u64,
-    /// Accesses that bypassed the cache (unit larger than the region).
-    pub bypasses: u64,
-}
-
-impl std::ops::AddAssign for DataCacheStats {
-    fn add_assign(&mut self, rhs: DataCacheStats) {
-        self.hits += rhs.hits;
-        self.misses += rhs.misses;
-        self.purges += rhs.purges;
-        self.writebacks += rhs.writebacks;
-        self.bytes_fetched += rhs.bytes_fetched;
-        self.bytes_written_back += rhs.bytes_written_back;
-        self.bypasses += rhs.bypasses;
+hera_trace::counters! {
+    /// Statistics for one data cache.
+    pub struct DataCacheStats as "dcache" {
+        /// Lookups that found their unit cached.
+        pub hits: u64,
+        /// Lookups that had to DMA.
+        pub misses: u64,
+        /// Whole-cache purges (fills, lock acquires, volatile reads, GC).
+        pub purges: u64,
+        /// Dirty units written back.
+        pub writebacks: u64,
+        /// Bytes DMAed in.
+        pub bytes_fetched: u64,
+        /// Bytes DMAed out (write-backs).
+        pub bytes_written_back: u64,
+        /// Accesses that bypassed the cache (unit larger than the region).
+        pub bypasses: u64,
     }
 }
 
@@ -80,18 +69,6 @@ impl DataCacheStats {
         } else {
             self.hits as f64 / total as f64
         }
-    }
-
-    /// Snapshot these counters into a metrics registry under
-    /// `dcache.*` names (the shared counting substrate).
-    pub fn fill_metrics(&self, reg: &mut hera_trace::MetricsRegistry) {
-        reg.set("dcache.hits", self.hits);
-        reg.set("dcache.misses", self.misses);
-        reg.set("dcache.purges", self.purges);
-        reg.set("dcache.writebacks", self.writebacks);
-        reg.set("dcache.bytes_fetched", self.bytes_fetched);
-        reg.set("dcache.bytes_written_back", self.bytes_written_back);
-        reg.set("dcache.bypasses", self.bypasses);
     }
 }
 

@@ -9,8 +9,9 @@
 //! the bottom of the dependency graph with zero external dependencies.
 //!
 //! Three consumers ship with the crate:
-//! - [`MetricsRegistry`]: named counters and log2-bucketed histograms that
-//!   subsume the simulator's ad-hoc statistic structs;
+//! - [`MetricsRegistry`]: named counters and log2-bucketed histograms;
+//!   the simulator's typed stats structs are declared through
+//!   [`counters!`], which exports their counters into it;
 //! - [`chrome_trace_json`] / [`chrome_trace_json_named`]: Chrome
 //!   trace-event JSON (Perfetto / chrome://tracing loadable, one track per
 //!   core lane), methods shown as `m<id>` or by a name table;

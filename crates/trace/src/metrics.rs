@@ -440,6 +440,100 @@ impl MetricsRegistry {
     }
 }
 
+/// Declare a struct of `u64` counters once; everything that walks its
+/// counters is generated from that one list.
+///
+/// The struct derives `Clone, Copy, Debug, Default, PartialEq, Eq` and
+/// keeps its typed fields, so a hot-path `stats.hits += 1` is a plain
+/// add. It also gets `AddAssign` and `Sum` (the merge of per-core
+/// stats), `to_array` / `from_array` (the counters as `[u64; LEN]` in
+/// declaration order, which is also their order in a checkpoint) and,
+/// when declared `as "prefix"`, `fill_metrics`, which sets one
+/// [`MetricsRegistry`] counter `prefix.field` per field.
+///
+/// ```
+/// hera_trace::counters! {
+///     /// Lookup statistics.
+///     pub struct LookupStats as "lookup" {
+///         /// Lookups that found their key.
+///         pub hits: u64,
+///         /// Lookups that did not.
+///         pub misses: u64,
+///     }
+/// }
+/// let mut total: LookupStats = [LookupStats { hits: 1, misses: 2 }; 2].into_iter().sum();
+/// total += LookupStats::from_array([3, 4]);
+/// assert_eq!(total.to_array(), [5, 8]);
+/// let mut reg = hera_trace::MetricsRegistry::default();
+/// total.fill_metrics(&mut reg);
+/// assert_eq!(reg.counter("lookup.misses"), 8);
+/// ```
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident as $prefix:literal {
+            $($(#[$fmeta:meta])* pub $field:ident: u64),* $(,)?
+        }
+    ) => {
+        $crate::counters! {
+            $(#[$meta])*
+            $vis struct $name { $($(#[$fmeta])* pub $field: u64),* }
+        }
+
+        impl $name {
+            /// Set one counter per field, named
+            #[doc = concat!("`", $prefix, ".<field>`,")]
+            /// on `reg`.
+            pub fn fill_metrics(&self, reg: &mut $crate::MetricsRegistry) {
+                $(reg.set(concat!($prefix, ".", stringify!($field)), self.$field);)*
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* pub $field:ident: u64),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        $vis struct $name {
+            $($(#[$fmeta])* pub $field: u64,)*
+        }
+
+        impl $name {
+            /// Number of counters.
+            pub const LEN: usize = [$(stringify!($field)),*].len();
+
+            /// The counters in declaration order.
+            pub fn to_array(self) -> [u64; Self::LEN] {
+                [$(self.$field),*]
+            }
+
+            /// The inverse of `to_array`.
+            pub fn from_array([$($field),*]: [u64; Self::LEN]) -> Self {
+                $name { $($field),* }
+            }
+        }
+
+        impl ::std::ops::AddAssign for $name {
+            fn add_assign(&mut self, rhs: $name) {
+                $(self.$field += rhs.$field;)*
+            }
+        }
+
+        impl ::std::iter::Sum for $name {
+            fn sum<I: Iterator<Item = $name>>(iter: I) -> $name {
+                iter.fold($name::default(), |mut total, s| {
+                    total += s;
+                    total
+                })
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
