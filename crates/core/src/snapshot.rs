@@ -190,6 +190,25 @@ fn decode_core_id(tag: u8, num_spes: u8) -> Result<CoreId, SnapError> {
     }
 }
 
+/// `raw` as the id of one of `program`'s methods: compiling, calling or
+/// looking up any other id would index past the method table.
+fn method_id(raw: u32, program: &Program) -> Result<MethodId, SnapError> {
+    if (raw as usize) < program.methods.len() {
+        Ok(MethodId(raw))
+    } else {
+        Err(SnapError::Corrupt(format!("method id {raw} out of range")))
+    }
+}
+
+/// `raw` as the id of one of `program`'s classes.
+fn class_id(raw: u16, program: &Program) -> Result<ClassId, SnapError> {
+    if (raw as usize) < program.classes.len() {
+        Ok(ClassId(raw))
+    } else {
+        Err(SnapError::Corrupt(format!("class id {raw} out of range")))
+    }
+}
+
 fn encode_value(w: &mut SnapWriter, v: &Value) {
     match *v {
         Value::I32(x) => {
@@ -1029,12 +1048,12 @@ pub fn restore_into(
         let nmethods = r.len_prefix(8)?;
         let mut methods = Vec::with_capacity(nmethods);
         for _ in 0..nmethods {
-            methods.push((MethodId(r.u32()?), r.u32()?));
+            methods.push((method_id(r.u32()?, world.program)?, r.u32()?));
         }
         let ntibs = r.len_prefix(6)?;
         let mut tibs = Vec::with_capacity(ntibs);
         for _ in 0..ntibs {
-            tibs.push((ClassId(r.u16()?), r.u32()?));
+            tibs.push((class_id(r.u16()?, world.program)?, r.u32()?));
         }
         let stats = CodeCacheStats::from_array(r.u64s()?);
         if spe < dst_spes {
@@ -1052,7 +1071,7 @@ pub fn restore_into(
     let nkeys = r.len_prefix(5)?;
     let mut keys = Vec::with_capacity(nkeys);
     for _ in 0..nkeys {
-        let m = MethodId(r.u32()?);
+        let m = method_id(r.u32()?, world.program)?;
         let kind = if r.u8()? == 0 {
             CoreKind::Ppe
         } else {
@@ -1305,7 +1324,7 @@ fn decode_thread(
     let pending_call = match r.u8()? {
         0 => None,
         1 => {
-            let method = MethodId(r.u32()?);
+            let method = method_id(r.u32()?, world.program)?;
             let nargs = r.len_prefix(9)?;
             let mut args = Vec::with_capacity(nargs);
             for _ in 0..nargs {
@@ -1319,7 +1338,9 @@ fn decode_thread(
         }
         n => return Err(SnapError::Corrupt(format!("pending-call tag {n} unknown"))),
     };
-    let pending_relookup = r.opt_u32()?.map(MethodId);
+    let pending_relookup = (r.opt_u32()?)
+        .map(|m| method_id(m, world.program))
+        .transpose()?;
     let pending_acquire_barrier = match r.u8()? {
         0 => None,
         1 => Some(ObjRef(r.u32()?)),
@@ -1412,7 +1433,7 @@ fn decode_thread(
             }
             n => return Err(SnapError::Corrupt(format!("frame tag {n} unknown"))),
         };
-        let method = MethodId(r.u32()?);
+        let method = method_id(r.u32()?, world.program)?;
         let pc = r.u32()?;
         let base = r.u32()?;
         let nlocals = r.u32()?;
@@ -1486,7 +1507,12 @@ mod tests {
     /// a corrupt snapshot.
     #[test]
     fn a_pending_call_ending_in_a_nonzero_byte_is_corrupt() {
-        let program = Program::default();
+        // A pending call names a method, so the program needs one.
+        let mut pb = hera_isa::ProgramBuilder::new();
+        let class = pb.add_class("Main", None);
+        let body = hera_isa::MethodBody::Bytecode(vec![hera_isa::Instr::Return]);
+        pb.add_static_method(class, "main", vec![], None, 0, body);
+        let program = pb.finish_with_entry("Main", "main").expect("resolves");
         let mut world = World::new(&program, VmConfig::default());
         let thread = JavaThread::new(ThreadId(0), CoreId::Ppe, MethodId(0), Vec::new());
         let mut w = SnapWriter::new();

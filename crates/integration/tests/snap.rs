@@ -621,6 +621,46 @@ fn crafted_local_store_bytes_are_rejected() {
     }
 }
 
+/// A method id is an index into the program's method table: a CRC-valid
+/// snapshot whose JIT key set names a method the program does not have is
+/// refused with a typed error, not compiled (which indexed past the table
+/// and panicked).
+#[test]
+fn crafted_method_id_is_rejected() {
+    let mut cfg = VmConfig::pinned_ppe().with_checkpoint_every(100_000);
+    cfg.heap.size_bytes = 32 << 10;
+    let program = mixing_program(8_000);
+    let main = program.entry.expect("an entry point");
+    let vm = HeraJvm::new(program, cfg).expect("constructs");
+    let full = vm.run().expect("runs");
+    let bytes = &full.checkpoints.first().expect("a checkpoint").bytes;
+    let payload = hera_snap::open(bytes).expect("valid container");
+
+    // Find the key set by shape: one key, `main` compiled for the PPE; the
+    // registry counters follow it, then the thread count (one) and thread
+    // 0 on the PPE.
+    let key = [&1u64.to_le_bytes()[..], &main.0.to_le_bytes(), &[0]].concat();
+    let thread = [&1u64.to_le_bytes()[..], &0u32.to_le_bytes(), &[0]].concat();
+    let stats = 8 * hera_jit::RegistryStats::LEN;
+    let hits: Vec<usize> = (0..payload.len() - key.len() - stats - thread.len())
+        .filter(|&i| {
+            payload[i..].starts_with(&key) && payload[i + key.len() + stats..].starts_with(&thread)
+        })
+        .collect();
+    let [at] = hits[..] else {
+        panic!("expected one JIT key set, found {}", hits.len());
+    };
+    let mut crafted = payload.to_vec();
+    crafted[at + 8..at + 12].copy_from_slice(&0x00FF_0000u32.to_le_bytes());
+    match vm.restore_bytes(&hera_snap::seal(&crafted)) {
+        Err(VmError::Snap(SnapError::Corrupt(msg))) => {
+            assert!(msg.contains("method id"), "unexpected message: {msg}")
+        }
+        Err(e) => panic!("expected a Corrupt rejection, got {e:?}"),
+        Ok(_) => panic!("a snapshot naming a missing method restored"),
+    }
+}
+
 /// A structurally valid snapshot from a *different* machine or program
 /// must be refused up front (digest check), not half-applied.
 #[test]
