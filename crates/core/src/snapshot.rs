@@ -1539,4 +1539,153 @@ mod tests {
             other => panic!("expected Corrupt, got {other:?}"),
         }
     }
+
+    /// A mid-run checkpoint of two workers taking turns on one lock on
+    /// two SPEs: monitors with owners and waiters, joins, run queues and
+    /// both software caches are all live in it.
+    fn contended_checkpoint() -> (Program, VmConfig, Vec<u8>) {
+        use crate::native::install_runtime;
+        use hera_frontend::*;
+        use hera_isa::{ElemTy, ProgramBuilder, Ty};
+
+        let mut pb = ProgramBuilder::new();
+        let api = install_runtime(&mut pb);
+        let shared = pb.add_class("Shared", None);
+        let count = pb.add_field(shared, "count", Ty::Int);
+        let worker = pb.add_class("Worker", Some(api.thread_class));
+        let fshared = pb.add_field(worker, "shared", Ty::Ref(shared));
+        let run = declare_virtual(&mut pb, worker, "run", vec![], None);
+        let bump = add(field(local("s"), count), i32c(1));
+        let body = vec![
+            Stmt::Let("s".into(), field(local("this"), fshared)),
+            for_range(
+                "i",
+                i32c(0),
+                i32c(60),
+                vec![Stmt::Sync(
+                    local("s"),
+                    vec![Stmt::SetField(local("s"), count, bump)],
+                )],
+            ),
+        ];
+        define(&mut pb, run, vec![("this", Ty::Ref(worker))], body).expect("run compiles");
+        let main_class = pb.add_class("Main", None);
+        let main = declare_static(&mut pb, main_class, "main", vec![], Some(Ty::Int));
+        let spawn = vec![
+            Stmt::Let("w".into(), Expr::New(worker)),
+            Stmt::SetField(local("w"), fshared, local("s")),
+            Stmt::SetIndex(local("t"), local("i"), call(api.spawn, vec![local("w")])),
+        ];
+        let join = vec![Stmt::Expr(call(
+            api.join,
+            vec![index(local("t"), local("j"))],
+        ))];
+        let body = vec![
+            Stmt::Let("s".into(), Expr::New(shared)),
+            Stmt::Let("t".into(), new_array(ElemTy::Int, i32c(2))),
+            for_range("i", i32c(0), i32c(2), spawn),
+            for_range("j", i32c(0), i32c(2), join),
+            Stmt::Return(Some(field(local("s"), count))),
+        ];
+        define(&mut pb, main, vec![], body).expect("main compiles");
+        let program = pb.finish_with_entry("Main", "main").expect("resolves");
+
+        let mut cfg = VmConfig::pinned_spe(2)
+            .with_cache_sizes(4 << 10, 8 << 10)
+            .with_checkpoint_every(40_000);
+        cfg.heap.size_bytes = 32 << 10;
+        let vm = crate::HeraJvm::new(program.clone(), cfg).expect("constructs");
+        let run = vm.run().expect("runs");
+        assert_eq!(run.result, Some(Value::I32(120)));
+        let mid = &run.checkpoints[run.checkpoints.len() / 2];
+        (program, cfg, mid.bytes.clone())
+    }
+
+    /// `bytes` restored into a fresh world of `cfg`: the world's own
+    /// encoding, or the typed rejection.
+    fn restored(
+        program: &Program,
+        cfg: VmConfig,
+        bytes: &[u8],
+        mode: RestoreMode,
+    ) -> Result<Vec<u8>, SnapError> {
+        let mut world = World::new(program, cfg);
+        restore_into(&mut world, bytes, mode).map(|_| encode(&world))
+    }
+
+    /// Resealed single-byte mutations of a checkpoint's payload, each
+    /// restored the same-shape strict way and adopted onto one and three
+    /// SPEs: every one is a typed rejection or a restore, never a panic.
+    /// The digest pins each outcome — a rejection's variant and fields
+    /// (not a `Corrupt`'s wording), or the restored world's encoding — so
+    /// a decoder rewrite that changes an accept/reject decision or what a
+    /// restore builds fails it.
+    #[test]
+    fn resealed_payload_mutations_never_panic() {
+        let (program, cfg, bytes) = contended_checkpoint();
+        let payload = open(&bytes).expect("valid container");
+        let destinations = [
+            (2, RestoreMode::Strict),
+            (1, RestoreMode::Adopt),
+            (3, RestoreMode::Adopt),
+        ]
+        .map(|(spes, mode)| {
+            let mut dst = cfg;
+            dst.cell.num_spes = spes;
+            (dst, mode)
+        });
+        for &(dst, mode) in &destinations {
+            restored(&program, dst, &bytes, mode).expect("the checkpoint itself restores");
+        }
+        let mut rng = hera_rng::SplitMix64::new(0x5eed_0038);
+        let (mut digest, mut rejected, mut accepted) = (0u64, 0u32, 0u32);
+        let mut panicked = Vec::new();
+        for at in 0..payload.len() {
+            if rng.next_below(5) >= 2 {
+                continue; // a seeded two-fifths of the bytes
+            }
+            for mask in [0x01u8, 0xFF] {
+                let mut mutated = payload.to_vec();
+                mutated[at] ^= mask;
+                let sealed = hera_snap::seal(&mutated);
+                for &(dst, mode) in &destinations {
+                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        restored(&program, dst, &sealed, mode)
+                    }));
+                    let line = match outcome {
+                        Err(_) => {
+                            panicked.push((at, mask, dst.cell.num_spes));
+                            continue;
+                        }
+                        Ok(Ok(encoded)) => {
+                            accepted += 1;
+                            format!("restored {:016x}", digest64(&encoded))
+                        }
+                        Ok(Err(SnapError::Corrupt(_))) => {
+                            rejected += 1;
+                            "corrupt".to_string()
+                        }
+                        Ok(Err(e)) => {
+                            rejected += 1;
+                            format!("{e:?}")
+                        }
+                    };
+                    digest = digest64(format!("{digest:016x} {at} {mask} {line}").as_bytes());
+                }
+            }
+        }
+        assert!(
+            panicked.is_empty(),
+            "(byte, mask, SPEs) that panicked: {panicked:?}"
+        );
+        assert!(
+            rejected > 0 && accepted > 0,
+            "{rejected} rejected, {accepted} restored"
+        );
+        assert_eq!(
+            (payload.len(), rejected, accepted, digest),
+            (2553, 1752, 4422, 0xc8b6_b967_14af_00c3),
+            "mutation outcomes moved"
+        );
+    }
 }
