@@ -38,8 +38,8 @@ use hera_isa::{ClassId, MethodId, ObjRef, Program, Slot, Trap, Value};
 use hera_jit::RegistryStats;
 use hera_mem::heap::AllocStats;
 use hera_snap::{
-    digest64, open, rle_decode, rle_decode_extent, rle_encode, rle_encode_zero_tail,
-    rle_encode_zeros, rle_skip_extent, SnapError, SnapReader, SnapWriter, HEADER_LEN,
+    digest64, open, rle_decode_extent, rle_decode_words, rle_encode_words, rle_encode_zero_tail,
+    rle_encode_zeros, rle_skip_extent, RleLen, SnapError, SnapReader, SnapWriter, HEADER_LEN,
 };
 use hera_softcache::{CodeCacheStats, DataCacheStats};
 use hera_trace::{Histogram, MetricsRegistry, MigrationKind};
@@ -309,17 +309,6 @@ fn decode_migration_kind(tag: u8) -> Result<MigrationKind, SnapError> {
             "migration kind tag {n} unknown"
         ))),
     }
-}
-
-/// Zero-RLE `words` as little-endian bytes, staged in `scratch` (reused
-/// from call to call so one checkpoint stages every word array in one
-/// allocation).
-fn rle_encode_words(w: &mut SnapWriter, scratch: &mut Vec<u8>, words: impl Iterator<Item = u64>) {
-    scratch.clear();
-    for v in words {
-        scratch.extend_from_slice(&v.to_le_bytes());
-    }
-    rle_encode(w, scratch);
 }
 
 fn encode_thread(w: &mut SnapWriter, scratch: &mut Vec<u8>, t: &JavaThread) {
@@ -924,16 +913,9 @@ pub fn restore_into(
     };
     let mut levels = Vec::with_capacity(2);
     for (ntags, nstamps) in geometry {
-        let raw = rle_decode(&mut r, ntags * 8)?;
-        let tags: Vec<u64> = raw
-            .chunks_exact(8)
-            .map(|c| !u64::from_le_bytes(c.try_into().expect("exact chunk")))
-            .collect();
-        let raw = rle_decode(&mut r, nstamps * 8)?;
-        let stamps: Vec<u64> = raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("exact chunk")))
-            .collect();
+        let mut tags = rle_decode_words(&mut r, RleLen::Exactly(ntags * 8))?;
+        tags.iter_mut().for_each(|t| *t = !*t); // stored inverted
+        let stamps = rle_decode_words(&mut r, RleLen::Exactly(nstamps * 8))?;
         levels.push((tags, stamps, r.u64()?));
     }
     let l2 = levels.pop().unwrap();
@@ -1362,49 +1344,12 @@ fn decode_thread(
     };
     let migrations = r.u64()?;
     let held_monitors = r.u32()?;
-    // The arena is variable-size, so its RLE total *is* the expected
-    // length ([`rle_decode`] wants it up front for fixed-size buffers);
-    // read the total here and decode the chunk stream inline. The total
-    // counts *uncompressed* bytes, so it can legitimately exceed the
-    // remaining payload — cap it explicitly instead so a corrupt length
-    // cannot trigger a huge allocation.
+    // The arena is variable-size: the snapshot declares its length, capped
+    // so a corrupt one cannot trigger a huge allocation.
     const ARENA_CAP: usize = 256 << 20;
-    let declared = r.u64()? as usize;
-    if declared > ARENA_CAP {
-        return Err(SnapError::Corrupt(format!(
-            "arena byte length {declared} exceeds sanity cap"
-        )));
-    }
-    if !declared.is_multiple_of(8) {
-        return Err(SnapError::Corrupt(format!(
-            "arena byte length {declared} is not slot-aligned"
-        )));
-    }
-    let mut arena_raw = vec![0u8; declared];
-    let mut filled = 0usize;
-    while filled < declared {
-        let tag = r.u8()?;
-        let run = r.u64()? as usize;
-        if run == 0 || run > declared - filled {
-            return Err(SnapError::Corrupt(format!(
-                "arena rle run of {run} bytes overflows buffer ({filled}/{declared} filled)"
-            )));
-        }
-        match tag {
-            0 => {}
-            1 => {
-                let bytes = r.take(run)?;
-                arena_raw[filled..filled + run].copy_from_slice(bytes);
-            }
-            other => {
-                return Err(SnapError::Corrupt(format!("invalid rle tag {other:#04x}")));
-            }
-        }
-        filled += run;
-    }
-    let arena: Vec<Slot> = arena_raw
-        .chunks_exact(8)
-        .map(|c| Slot::from_raw(u64::from_le_bytes(c.try_into().unwrap())))
+    let arena: Vec<Slot> = rle_decode_words(r, RleLen::Words { cap: ARENA_CAP })?
+        .into_iter()
+        .map(Slot::from_raw)
         .collect();
     let nframes = r.len_prefix(22)?;
     let mut frames: Vec<Frame> = Vec::with_capacity(nframes);

@@ -500,6 +500,22 @@ impl<'a> SnapReader<'a> {
         Ok(n as usize)
     }
 
+    /// A counted list: a [`SnapReader::len_prefix`] whose elements take at
+    /// least `min_elem_bytes` each, then that many elements, each read by
+    /// `read`. The vector is reserved once, for the checked count.
+    pub fn list<T>(
+        &mut self,
+        min_elem_bytes: usize,
+        mut read: impl FnMut(&mut Self) -> Result<T, SnapError>,
+    ) -> Result<Vec<T>, SnapError> {
+        let n = self.len_prefix(min_elem_bytes)?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(read(self)?);
+        }
+        Ok(items)
+    }
+
     /// Length-prefixed byte string.
     pub fn blob(&mut self) -> Result<&'a [u8], SnapError> {
         let n = self.len_prefix(1)?;
@@ -639,12 +655,54 @@ pub fn rle_encode_zero_tail(w: &mut SnapWriter, data: &[u8], written: usize) {
     }
 }
 
+/// [`rle_encode`] of `words` as little-endian bytes, staged in `scratch`
+/// (reused from call to call, so one snapshot stages every word array in
+/// one allocation). [`rle_decode_words`] reads it back.
+pub fn rle_encode_words(
+    w: &mut SnapWriter,
+    scratch: &mut Vec<u8>,
+    words: impl Iterator<Item = u64>,
+) {
+    scratch.clear();
+    for v in words {
+        scratch.extend_from_slice(&v.to_le_bytes());
+    }
+    rle_encode(w, scratch);
+}
+
 /// [`rle_encode`] of `len` zero bytes, without the buffer.
 pub fn rle_encode_zeros(w: &mut SnapWriter, len: usize) {
     w.len_prefix(len);
     if len > 0 {
         w.u8(RLE_ZERO);
         w.len_prefix(len);
+    }
+}
+
+/// The total a zero-run-length buffer must declare before it is decoded.
+#[derive(Clone, Copy, Debug)]
+pub enum RleLen {
+    /// Exactly this many bytes: a buffer whose size the reader knows.
+    Exactly(usize),
+    /// Whole 8-byte words, at most `cap` bytes: a word array whose size
+    /// only the snapshot knows. The total counts uncompressed bytes, so
+    /// the remaining payload does not bound it and the cap must.
+    Words { cap: usize },
+}
+
+impl RleLen {
+    /// The declared total, read from `r` and checked against the rule.
+    fn read_total(self, r: &mut SnapReader<'_>) -> Result<usize, SnapError> {
+        let total = r.u64()?;
+        let fault = match self {
+            RleLen::Exactly(n) if total != n as u64 => format!("does not match expected {n}"),
+            RleLen::Words { cap } if total > cap as u64 => format!("exceeds the cap of {cap}"),
+            RleLen::Words { .. } if total % 8 != 0 => "is not whole words".to_string(),
+            _ => return Ok(total as usize),
+        };
+        Err(SnapError::Corrupt(format!(
+            "rle buffer length {total} {fault}"
+        )))
     }
 }
 
@@ -661,8 +719,20 @@ pub fn rle_decode_extent(
     r: &mut SnapReader<'_>,
     expected_len: usize,
 ) -> Result<(Vec<u8>, usize), SnapError> {
-    let mut out = vec![0u8; expected_len];
-    let literal_end = rle_chunks(r, expected_len, |at, bytes| {
+    rle_decode_len(r, RleLen::Exactly(expected_len))
+}
+
+/// The words [`rle_encode_words`] wrote, their total checked by `len`
+/// (an [`RleLen::Exactly`] counts bytes, eight to a word).
+pub fn rle_decode_words(r: &mut SnapReader<'_>, len: RleLen) -> Result<Vec<u64>, SnapError> {
+    let (bytes, _) = rle_decode_len(r, len)?;
+    Ok(bytes.chunks_exact(8).map(le_word).collect())
+}
+
+fn rle_decode_len(r: &mut SnapReader<'_>, len: RleLen) -> Result<(Vec<u8>, usize), SnapError> {
+    let total = len.read_total(r)?;
+    let mut out = vec![0u8; total];
+    let literal_end = rle_chunks(r, total, |at, bytes| {
         out[at..at + bytes.len()].copy_from_slice(bytes)
     })?;
     Ok((out, literal_end))
@@ -672,23 +742,19 @@ pub fn rle_decode_extent(
 /// the same way but nothing allocated or copied: a caller that requires
 /// an all-zero buffer requires 0.
 pub fn rle_skip_extent(r: &mut SnapReader<'_>, expected_len: usize) -> Result<usize, SnapError> {
-    rle_chunks(r, expected_len, |_, _| {})
+    let total = RleLen::Exactly(expected_len).read_total(r)?;
+    rle_chunks(r, total, |_, _| {})
 }
 
-/// Walk a zero-run-length buffer of exactly `expected_len` bytes, handing
-/// `literal` each literal chunk and its offset; returns the end of the
-/// last literal chunk (0 when there is none).
+/// Walk the chunks of a zero-run-length buffer of `total` bytes (its
+/// declared total already read), handing `literal` each literal chunk and
+/// its offset; returns the end of the last literal chunk (0 when there is
+/// none).
 fn rle_chunks(
     r: &mut SnapReader<'_>,
-    expected_len: usize,
+    total: usize,
     mut literal: impl FnMut(usize, &[u8]),
 ) -> Result<usize, SnapError> {
-    let total = r.u64()? as usize;
-    if total != expected_len {
-        return Err(SnapError::Corrupt(format!(
-            "rle buffer length {total} does not match expected {expected_len}"
-        )));
-    }
     let (mut filled, mut literal_end) = (0usize, 0usize);
     while filled < total {
         let tag = r.u8()?;
@@ -1206,6 +1272,42 @@ mod tests {
         let buf = w.into_inner();
         let mut r = SnapReader::new(&buf);
         assert!(matches!(rle_decode(&mut r, 4), Err(SnapError::Corrupt(_))));
+    }
+
+    #[test]
+    fn words_round_trip_and_a_word_array_is_whole_words_under_its_cap() {
+        let words = [0u64, 0, 7, u64::MAX, 0, 0, 0, 0, 1 << 40];
+        let mut w = SnapWriter::new();
+        rle_encode_words(&mut w, &mut Vec::new(), words.iter().copied());
+        for len in [RleLen::Exactly(72), RleLen::Words { cap: 72 }] {
+            let mut r = SnapReader::new(w.bytes());
+            assert_eq!(rle_decode_words(&mut r, len), Ok(words.to_vec()));
+            r.finish().unwrap();
+        }
+        let mut r = SnapReader::new(w.bytes());
+        let over = rle_decode_words(&mut r, RleLen::Words { cap: 64 });
+        assert!(matches!(over, Err(SnapError::Corrupt(_))), "{over:?}");
+        let mut w = SnapWriter::new();
+        rle_encode(&mut w, &[1, 2, 3]);
+        let mut r = SnapReader::new(w.bytes());
+        let ragged = rle_decode_words(&mut r, RleLen::Words { cap: 64 });
+        assert!(matches!(ragged, Err(SnapError::Corrupt(_))), "{ragged:?}");
+    }
+
+    #[test]
+    fn a_list_reads_its_count_then_its_elements_and_checks_the_count() {
+        let mut w = SnapWriter::new();
+        w.len_prefix(3);
+        for v in [5u32, 6, 7] {
+            w.u32(v);
+        }
+        let mut r = SnapReader::new(w.bytes());
+        assert_eq!(r.list(4, SnapReader::u32), Ok(vec![5, 6, 7]));
+        r.finish().unwrap();
+        // Three elements of at least five bytes do not fit in twelve.
+        let mut r = SnapReader::new(w.bytes());
+        let long = r.list(5, SnapReader::u32);
+        assert!(matches!(long, Err(SnapError::Corrupt(_))), "{long:?}");
     }
 
     #[test]
