@@ -43,7 +43,6 @@ use hera_snap::{
 };
 use hera_softcache::{CodeCacheStats, DataCacheStats};
 use hera_trace::{Histogram, MetricsRegistry, MigrationKind};
-use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
 
 /// One checkpoint taken during a run: the sealed snapshot bytes plus
@@ -187,6 +186,15 @@ fn decode_core_id(tag: u8, num_spes: u8) -> Result<CoreId, SnapError> {
         0 => Ok(CoreId::Ppe),
         n if n <= num_spes => Ok(CoreId::Spe(n - 1)),
         n => Err(SnapError::Corrupt(format!("core tag {n} out of range"))),
+    }
+}
+
+/// `raw` as the id of one of a snapshot's `nthreads` threads.
+fn thread_id(raw: u32, nthreads: usize) -> Result<ThreadId, SnapError> {
+    if (raw as usize) < nthreads {
+        Ok(ThreadId(raw))
+    } else {
+        Err(SnapError::Corrupt(format!("thread id {raw} out of range")))
     }
 }
 
@@ -704,28 +712,65 @@ pub fn encode(world: &World<'_>) -> Vec<u8> {
     Checkpoint::begin(world, Vec::new()).finish(world)
 }
 
+/// The head of CORE, read by [`inspect`] and [`restore_into`] alike: the
+/// digests and fault plan a restore checks, then the facts `inspect`
+/// reports.
+struct CoreHead {
+    config: u64,
+    program: u64,
+    plan: FaultPlan,
+    info: SnapshotInfo,
+}
+
+/// Open a sealed snapshot and read its CORE head. Returns the head, a
+/// reader over the rest of CORE and one over OBS.
+fn read_core_head(bytes: &[u8]) -> Result<(CoreHead, SnapReader<'_>, SnapReader<'_>), SnapError> {
+    let payload = open(bytes)?;
+    let mut obs = SnapReader::new(payload);
+    let core_len = obs.len_prefix(1)?;
+    let mut core = SnapReader::new(obs.take(core_len)?);
+    let head = CoreHead {
+        config: core.u64()?,
+        program: core.u64()?,
+        plan: decode_fault_plan(&mut core)?,
+        info: SnapshotInfo {
+            seq: core.u32()?,
+            wall_cycles: core.u64()?,
+            core_len: core_len as u64,
+            payload_len: payload.len(),
+        },
+    };
+    Ok((head, core, obs))
+}
+
 /// Header-level facts about a sealed snapshot without a full decode.
 pub fn inspect(bytes: &[u8]) -> Result<SnapshotInfo, SnapError> {
-    let payload = open(bytes)?;
-    let mut r = SnapReader::new(payload);
-    let core_len = r.len_prefix(1)?;
-    let core = r.take(core_len)?;
-    let mut cr = SnapReader::new(core);
-    let _config = cr.u64()?;
-    let _program = cr.u64()?;
-    let _plan = decode_fault_plan(&mut cr)?;
-    let seq = cr.u32()?;
-    let wall_cycles = cr.u64()?;
-    Ok(SnapshotInfo {
-        seq,
-        wall_cycles,
-        core_len: core_len as u64,
-        payload_len: payload.len(),
-    })
+    read_core_head(bytes).map(|(head, _, _)| head.info)
 }
 
 fn corrupt(ctx: &str, detail: &'static str) -> SnapError {
     SnapError::Corrupt(format!("{ctx}: {detail}"))
+}
+
+/// Per-core rows written at the source's `src` cores, read at the
+/// destination's `dst`: rows of cores the destination does not have are
+/// read and dropped, rows of cores the source did not have start at the
+/// default.
+fn per_core<'a, T: Default>(
+    r: &mut SnapReader<'a>,
+    src: usize,
+    dst: usize,
+    mut read: impl FnMut(&mut SnapReader<'a>) -> Result<T, SnapError>,
+) -> Result<Vec<T>, SnapError> {
+    let mut rows = Vec::with_capacity(dst);
+    for i in 0..src {
+        let row = read(r)?;
+        if i < dst {
+            rows.push(row);
+        }
+    }
+    rows.resize_with(dst, T::default);
+    Ok(rows)
 }
 
 /// How a restore treats the fault plan carried in the snapshot.
@@ -757,54 +802,36 @@ pub fn restore_into(
     bytes: &[u8],
     mode: RestoreMode,
 ) -> Result<u32, SnapError> {
-    let payload = open(bytes)?;
-    let mut outer = SnapReader::new(payload);
-    let core_len = outer.len_prefix(1)?;
-    let core = outer.take(core_len)?;
-    let mut r = SnapReader::new(core);
-
-    // The config digest folds in the core count, so it cannot be checked
-    // until the snapshot's own core count is known: a cross-shape adoption
-    // (6-SPE snapshot onto a 2-SPE machine) is legitimate as long as the
-    // configurations agree on everything *except* `num_spes`. Hold the
-    // claimed digest and settle it right after the core count below.
-    let claimed_config = r.u64()?;
-    if r.u64()? != world.program_digest() {
+    let (head, mut r, mut outer) = read_core_head(bytes)?;
+    let program = world.program;
+    if head.program != world.program_digest() {
         return Err(SnapError::Corrupt(
             "snapshot was taken of a different guest program".into(),
         ));
     }
-    let carried = decode_fault_plan(&mut r)?;
     match mode {
         RestoreMode::Strict => {
-            if carried != crashless(&world.config.cell.faults) {
+            if head.plan != crashless(&world.config.cell.faults) {
                 return Err(SnapError::Corrupt(
                     "snapshot was taken under a different fault plan".into(),
                 ));
             }
         }
         RestoreMode::Adopt => {
-            let mut plan = carried;
+            let mut plan = head.plan;
             plan.machine_crash_at = world.config.cell.faults.machine_crash_at;
             world.config.cell.faults = plan;
             world.machine.adopt_fault_plan(plan);
         }
     }
-    let seq = r.u32()?;
-    let _wall = r.u64()?;
-    let cores = world.machine.cores();
-    let ncores = cores.len();
+    // The config digest folds in the core count, so it is checked against
+    // the snapshot's own core count: a cross-shape adoption (6-SPE
+    // snapshot onto a 2-SPE machine) is legitimate as long as the
+    // configurations agree on everything *except* `num_spes`.
+    let ncores = world.machine.cores().len();
     let src_ncores = r.u32()? as usize;
-    if src_ncores == ncores {
-        if claimed_config != config_digest(&world.config) {
-            return Err(SnapError::Corrupt(
-                "snapshot was taken under a different VM configuration".into(),
-            ));
-        }
-    } else {
-        // Cross-shape restore: only adoption may reshape, and the source
-        // configuration must match the destination's in every respect
-        // other than its SPE count.
+    let mut src_cfg = world.config;
+    if src_ncores != ncores {
         if mode != RestoreMode::Adopt {
             return Err(SnapError::Corrupt("core count mismatch".into()));
         }
@@ -813,13 +840,12 @@ pub fn restore_into(
                 "snapshot core count {src_ncores} out of range"
             )));
         }
-        let mut src_cfg = world.config;
         src_cfg.cell.num_spes = (src_ncores - 1) as u8;
-        if claimed_config != config_digest(&src_cfg) {
-            return Err(SnapError::Corrupt(
-                "snapshot was taken under a different VM configuration".into(),
-            ));
-        }
+    }
+    if head.config != config_digest(&src_cfg) {
+        return Err(SnapError::Corrupt(
+            "snapshot was taken under a different VM configuration".into(),
+        ));
     }
     let src_spes = (src_ncores - 1) as u8;
     let dst_spes = world.config.cell.num_spes;
@@ -830,49 +856,22 @@ pub fn restore_into(
     }
 
     // ---- machine ----
-    // Per-core rows decode at the *source* shape. Rows for SPEs the
-    // destination does not have are folded away (their threads drain to
-    // the PPE below); rows for SPEs the source did not have start fresh.
-    let mut clocks = vec![0u64; ncores];
-    for c in clocks.iter_mut().take(src_ncores) {
-        *c = r.u64()?;
-    }
-    for _ in ncores..src_ncores {
-        let _ = r.u64()?; // dropped cores: clock dies with the core
-    }
+    // Per-core rows decode at the *source* shape: a dropped SPE's clock
+    // and counters die with it (its threads drain to the PPE below), an
+    // added SPE starts fresh.
+    let clocks = per_core(&mut r, src_ncores, ncores, SnapReader::u64)?;
     world
         .machine
         .set_clocks(&clocks)
         .map_err(|e| corrupt("machine clocks", e))?;
-    let mut breakdowns = Vec::with_capacity(ncores);
-    for i in 0..src_ncores.max(ncores) {
-        if i >= src_ncores {
-            breakdowns.push(CycleBreakdown::from_raw([0; 6], [0; 6]));
-            continue;
-        }
-        let mut cycles = [0u64; 6];
-        let mut ops = [0u64; 6];
-        for v in cycles.iter_mut() {
-            *v = r.u64()?;
-        }
-        for v in ops.iter_mut() {
-            *v = r.u64()?;
-        }
-        if i < ncores {
-            breakdowns.push(CycleBreakdown::from_raw(cycles, ops));
-        }
-    }
+    let breakdowns = per_core(&mut r, src_ncores, ncores, |r| {
+        Ok(CycleBreakdown::from_raw(r.u64s()?, r.u64s()?))
+    })?;
     world
         .machine
         .set_breakdowns(&breakdowns)
         .map_err(|e| corrupt("machine breakdowns", e))?;
-    let mut failed = vec![false; ncores];
-    for f in failed.iter_mut().take(src_ncores) {
-        *f = r.bool()?;
-    }
-    for _ in ncores..src_ncores {
-        let _ = r.bool()?;
-    }
+    let failed = per_core(&mut r, src_ncores, ncores, SnapReader::bool)?;
     world
         .machine
         .set_failed_flags(&failed)
@@ -888,20 +887,11 @@ pub fn restore_into(
         fs.backoff_cycles = r.u64()?;
         fs.watchdog_cycles = r.u64()?;
         fs.unrecoverable = r.u64()?;
+        fs.deaths = r.list(9, |r| Ok((r.u8()?, r.u64()?)))?;
+        fs.drained_threads = r.u64()?;
+        fs.salvaged_bytes = r.u64()?;
     }
-    let ndeaths = r.len_prefix(9)?;
-    let mut deaths = Vec::with_capacity(ndeaths);
-    for _ in 0..ndeaths {
-        deaths.push((r.u8()?, r.u64()?));
-    }
-    world.machine.fault_stats.deaths = deaths;
-    world.machine.fault_stats.drained_threads = r.u64()?;
-    world.machine.fault_stats.salvaged_bytes = r.u64()?;
-    let nwindows = r.len_prefix(16)?;
-    let mut windows = Vec::with_capacity(nwindows);
-    for _ in 0..nwindows {
-        windows.push((r.u64()?, r.u64()?));
-    }
+    let windows = r.list(16, |r| Ok((r.u64()?, r.u64()?)))?;
     let retired_below = r.u64()?;
     world.machine.eib.import_state(windows, retired_below);
     world.machine.eib.bytes_transferred = r.u64()?;
@@ -935,42 +925,28 @@ pub fn restore_into(
             return Err(corrupt("local store", "non-zero bytes"));
         }
     }
-    let ninj = r.len_prefix(24)?;
-    if ninj != src_ncores {
+    if r.len_prefix(24)? != src_ncores {
         return Err(SnapError::Corrupt(
             "fault-injector row count mismatch".into(),
         ));
     }
-    let mut inj = vec![[0u64; 3]; ncores];
-    for row in inj.iter_mut().take(src_ncores) {
-        *row = [r.u64()?, r.u64()?, r.u64()?];
-    }
-    for _ in ncores..src_ncores {
-        let _ = [r.u64()?, r.u64()?, r.u64()?];
-    }
+    let inj = per_core(&mut r, src_ncores, ncores, SnapReader::u64s)?;
     world
         .machine
         .set_injector_counts(&inj)
         .map_err(|e| corrupt("fault injector", e))?;
 
     // ---- heap ----
-    let (heap_bytes, nonzero_end) = rle_decode_extent(&mut r, world.heap.raw().len())?;
+    let (heap_bytes, nonzero_end) =
+        rle_decode_extent(&mut r, RleLen::Exactly(world.heap.raw().len()))?;
     let objects_base = r.u32()?;
     let limit = r.u32()?;
     let statics_size = r.u32()?;
     if statics_size != world.heap.statics_size() {
         return Err(SnapError::Corrupt("heap statics size mismatch".into()));
     }
-    let nfree = r.len_prefix(8)?;
-    let mut free = Vec::with_capacity(nfree);
-    for _ in 0..nfree {
-        free.push((r.u32()?, r.u32()?));
-    }
-    let nobjects = r.len_prefix(4)?;
-    let mut objects = BTreeSet::new();
-    for _ in 0..nobjects {
-        objects.insert(r.u32()?);
-    }
+    let free = r.list(8, |r| Ok((r.u32()?, r.u32()?)))?;
+    let objects = r.list(4, SnapReader::u32)?.into_iter().collect();
     let heap_stats = AllocStats::from_array(r.u64s()?);
     world.heap = hera_mem::Heap::from_raw_parts(
         heap_bytes,
@@ -1004,12 +980,10 @@ pub fn restore_into(
             &mut scratch
         };
         let bump = r.u32()?;
-        let nslots = r.len_prefix(24)?;
-        let mut slots = Vec::with_capacity(nslots);
-        for _ in 0..nslots {
-            slots.push((r.u32()?, [r.u32()?, r.u32()?, r.u32()?, r.u32()?, r.u32()?]));
-        }
-        let (local, extent) = rle_decode_extent(&mut r, dc.capacity() as usize)?;
+        let slots = r.list(24, |r| {
+            Ok((r.u32()?, [r.u32()?, r.u32()?, r.u32()?, r.u32()?, r.u32()?]))
+        })?;
+        let (local, extent) = rle_decode_extent(&mut r, RleLen::Exactly(dc.capacity() as usize))?;
         dc.import_state(bump, slots, local, extent)
             .map_err(|e| corrupt("data cache", e))?;
         dc.stats = DataCacheStats::from_array(r.u64s()?);
@@ -1027,16 +1001,8 @@ pub fn restore_into(
         // Dropped SPEs' code caches are clean (code is re-fetchable) and
         // simply discarded.
         let bump = r.u32()?;
-        let nmethods = r.len_prefix(8)?;
-        let mut methods = Vec::with_capacity(nmethods);
-        for _ in 0..nmethods {
-            methods.push((method_id(r.u32()?, world.program)?, r.u32()?));
-        }
-        let ntibs = r.len_prefix(6)?;
-        let mut tibs = Vec::with_capacity(ntibs);
-        for _ in 0..ntibs {
-            tibs.push((class_id(r.u16()?, world.program)?, r.u32()?));
-        }
+        let methods = r.list(8, |r| Ok((method_id(r.u32()?, program)?, r.u32()?)))?;
+        let tibs = r.list(6, |r| Ok((class_id(r.u16()?, program)?, r.u32()?)))?;
         let stats = CodeCacheStats::from_array(r.u64s()?);
         if spe < dst_spes {
             let cc = &mut world.code_caches[spe as usize];
@@ -1050,40 +1016,31 @@ pub fn restore_into(
     // Recompile exactly the snapshot's key set eagerly (compilation is
     // deterministic, so the code is identical to the original run's),
     // then overwrite the stats below so compile costs are not repaid.
-    let nkeys = r.len_prefix(5)?;
-    let mut keys = Vec::with_capacity(nkeys);
-    for _ in 0..nkeys {
-        let m = method_id(r.u32()?, world.program)?;
+    let keys = r.list(5, |r| {
+        let m = method_id(r.u32()?, program)?;
         let kind = if r.u8()? == 0 {
             CoreKind::Ppe
         } else {
             CoreKind::Spe
         };
-        keys.push((m, kind));
-    }
-    for &(m, kind) in &keys {
+        Ok((m, kind))
+    })?;
+    for (m, kind) in keys {
         world
             .registry
-            .get_or_compile(world.program, &world.layout, m, kind)
+            .get_or_compile(program, &world.layout, m, kind)
             .map_err(|_| SnapError::Corrupt(format!("method {} fails to compile", m.0)))?;
     }
     let registry_stats = RegistryStats::from_array(r.u64s()?);
 
     // ---- threads ----
     let nthreads = r.len_prefix(1)?;
-    let check_tid = |tid: u32| -> Result<ThreadId, SnapError> {
-        if (tid as usize) < nthreads {
-            Ok(ThreadId(tid))
-        } else {
-            Err(SnapError::Corrupt(format!("thread id {tid} out of range")))
-        }
-    };
-    let mut threads = Vec::with_capacity(nthreads);
-    for i in 0..nthreads {
-        let t = decode_thread(&mut r, world, i as u32, nthreads, src_spes)?;
-        threads.push(t);
-    }
-    world.threads = threads;
+    let tid = |r: &mut SnapReader<'_>| thread_id(r.u32()?, nthreads);
+    let opt_tid =
+        |r: &mut SnapReader<'_>| (r.opt_u32()?).map(|t| thread_id(t, nthreads)).transpose();
+    world.threads = (0..nthreads)
+        .map(|i| decode_thread(&mut r, world, i as u32, nthreads, src_spes))
+        .collect::<Result<_, _>>()?;
     world.registry.set_stats(registry_stats);
 
     // ---- dead-at-adopt drain ----
@@ -1124,37 +1081,19 @@ pub fn restore_into(
     }
 
     // ---- monitors / scheduler ----
-    let nmon = r.len_prefix(8)?;
-    let mut rows = Vec::with_capacity(nmon);
-    for _ in 0..nmon {
-        let obj = ObjRef(r.u32()?);
-        let owner = match r.opt_u32()? {
-            None => None,
-            Some(t) => Some(check_tid(t)?),
-        };
-        let count = r.u32()?;
-        let nwaiters = r.len_prefix(4)?;
-        let mut waiters = Vec::with_capacity(nwaiters);
-        for _ in 0..nwaiters {
-            waiters.push(check_tid(r.u32()?)?);
-        }
-        rows.push((obj, owner, count, waiters, r.u64()?));
-    }
+    let rows = r.list(8, |r| {
+        let (obj, owner, count) = (ObjRef(r.u32()?), opt_tid(r)?, r.u32()?);
+        Ok((obj, owner, count, r.list(4, tid)?, r.u64()?))
+    })?;
     world.monitors.import_state(rows);
     world.monitors.contended_acquires = r.u64()?;
     world.monitors.acquisitions = r.u64()?;
     if r.len_prefix(8)? != src_ncores {
         return Err(SnapError::Corrupt("run queue count mismatch".into()));
     }
-    let mut queues: Vec<VecDeque<ThreadId>> = Vec::with_capacity(src_ncores);
-    for _ in 0..src_ncores {
-        let n = r.len_prefix(4)?;
-        let mut queue = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            queue.push_back(check_tid(r.u32()?)?);
-        }
-        queues.push(queue);
-    }
+    let mut queues = (0..src_ncores)
+        .map(|_| r.list(4, tid))
+        .collect::<Result<Vec<_>, _>>()?;
     // Dropped cores' queues fold into the PPE's in core order — the same
     // motion as `fail_spe` merging a dead core's queue.
     let extra: Vec<ThreadId> = queues
@@ -1163,44 +1102,19 @@ pub fn restore_into(
         .flatten()
         .collect();
     for (q, src) in world.run_queues.iter_mut().zip(queues) {
-        *q = src;
+        *q = src.into();
     }
     world.run_queues[0].extend(extra);
-    for i in 0..src_ncores {
-        let slot = match r.opt_u32()? {
-            None => None,
-            Some(t) => Some(check_tid(t)?),
-        };
-        if i < ncores {
-            world.last_on_core[i] = slot;
-        }
-    }
+    world.last_on_core = per_core(&mut r, src_ncores, ncores, opt_tid)?;
     world.thread_switches = r.u64()?;
-    let njoins = r.len_prefix(12)?;
-    world.join_waiters.clear();
-    for _ in 0..njoins {
-        let target = check_tid(r.u32()?)?;
-        let n = r.len_prefix(4)?;
-        let mut waiters = Vec::with_capacity(n);
-        for _ in 0..n {
-            waiters.push(check_tid(r.u32()?)?);
-        }
-        world.join_waiters.insert(target, waiters);
-    }
-    let nout = r.len_prefix(8)?;
-    world.output = Vec::with_capacity(nout);
-    for _ in 0..nout {
-        world.output.push(r.str()?);
-    }
-    let nfiles = r.len_prefix(12)?;
-    world.files.clear();
-    for _ in 0..nfiles {
-        let fd = r.u32()? as i32;
-        world.files.insert(fd, r.blob()?.to_vec());
-    }
+    let joins = r.list(12, |r| Ok((tid(r)?, r.list(4, tid)?)))?;
+    world.join_waiters = joins.into_iter().collect();
+    world.output = r.list(8, SnapReader::str)?;
+    let files = r.list(12, |r| Ok((r.u32()? as i32, r.blob()?.to_vec())))?;
+    world.files = files.into_iter().collect();
     world.gc = GcSummary::from_array(r.u64s()?);
     world.next_checkpoint_at = r.opt_u64()?;
-    world.checkpoint_seq = seq;
+    world.checkpoint_seq = head.info.seq;
     r.finish()?;
 
     // ---- OBS: observability state ----
@@ -1209,24 +1123,24 @@ pub fn restore_into(
         return Err(SnapError::Corrupt("trace enablement mismatch".into()));
     }
     let mut metrics = MetricsRegistry::default();
-    let ncounters = outer.len_prefix(8)?;
-    for _ in 0..ncounters {
-        let name = outer.str()?;
-        metrics.set(&name, outer.u64()?);
+    for (name, v) in outer.list(8, |r| Ok((r.str()?, r.u64()?)))? {
+        metrics.set(&name, v);
     }
-    let nhists = outer.len_prefix(8)?;
-    for _ in 0..nhists {
-        let name = outer.str()?;
+    let hists = outer.list(8, |r| {
+        let name = r.str()?;
         let mut h = Histogram {
-            count: outer.u64()?,
-            sum: outer.u64()?,
-            min: outer.u64()?,
-            max: outer.u64()?,
+            count: r.u64()?,
+            sum: r.u64()?,
+            min: r.u64()?,
+            max: r.u64()?,
             ..Histogram::default()
         };
         for b in h.buckets.iter_mut() {
-            *b = outer.u64()?;
+            *b = r.u64()?;
         }
+        Ok((name, h))
+    })?;
+    for (name, h) in hists {
         metrics.set_histogram(&name, h);
     }
     world.machine.trace.metrics = metrics;
@@ -1244,24 +1158,15 @@ pub fn restore_into(
                     "snapshot has profiler state but profiling is off".into(),
                 ));
             }
-            let nnodes = outer.len_prefix(8)?;
-            let mut nodes = Vec::with_capacity(nnodes);
-            for _ in 0..nnodes {
-                let method = outer.u32()?;
-                let parent = outer.u32()?;
+            let nodes = outer.list(8, |r| {
+                let (method, parent) = (r.u32()?, r.u32()?);
                 let mut cost = [[0u64; hera_trace::CostClass::COUNT]; hera_prof::KindLane::COUNT];
-                for lane in cost.iter_mut() {
-                    for v in lane.iter_mut() {
-                        *v = outer.u64()?;
-                    }
+                for v in cost.iter_mut().flatten() {
+                    *v = r.u64()?;
                 }
-                nodes.push((method, parent, cost));
-            }
-            let ncursors = outer.len_prefix(8)?;
-            let mut current = Vec::with_capacity(ncursors);
-            for _ in 0..ncursors {
-                current.push((outer.u32()?, outer.u32()?));
-            }
+                Ok((method, parent, cost))
+            })?;
+            let current = outer.list(8, |r| Ok((r.u32()?, r.u32()?)))?;
             let p = hera_prof::Profiler::from_state(nodes, current)
                 .map_err(|e| corrupt("profiler", e))?;
             world.profiler = Some(p);
@@ -1269,7 +1174,7 @@ pub fn restore_into(
         n => return Err(SnapError::Corrupt(format!("profiler tag {n} unknown"))),
     }
     outer.finish()?;
-    Ok(seq)
+    Ok(head.info.seq)
 }
 
 fn decode_thread(
@@ -1286,17 +1191,10 @@ fn decode_thread(
         )));
     }
     let core = decode_core_id(r.u8()?, num_spes)?;
-    let check_tid = |tid: u32| -> Result<ThreadId, SnapError> {
-        if (tid as usize) < nthreads {
-            Ok(ThreadId(tid))
-        } else {
-            Err(SnapError::Corrupt(format!("thread id {tid} out of range")))
-        }
-    };
     let state = match r.u8()? {
         0 => ThreadState::Ready,
         1 => ThreadState::Blocked(BlockReason::Monitor(ObjRef(r.u32()?))),
-        2 => ThreadState::Blocked(BlockReason::Join(check_tid(r.u32()?)?)),
+        2 => ThreadState::Blocked(BlockReason::Join(thread_id(r.u32()?, nthreads)?)),
         3 => ThreadState::Finished(Ok(None)),
         4 => ThreadState::Finished(Ok(Some(decode_value(r)?))),
         5 => ThreadState::Finished(Err(decode_trap(r)?)),
@@ -1307,11 +1205,7 @@ fn decode_thread(
         0 => None,
         1 => {
             let method = method_id(r.u32()?, world.program)?;
-            let nargs = r.len_prefix(9)?;
-            let mut args = Vec::with_capacity(nargs);
-            for _ in 0..nargs {
-                args.push(decode_value(r)?);
-            }
+            let args = r.list(9, decode_value)?;
             match r.u8()? {
                 0 => {}
                 n => return Err(SnapError::Corrupt(format!("origin tag {n} unknown"))),
@@ -1351,27 +1245,19 @@ fn decode_thread(
         .into_iter()
         .map(Slot::from_raw)
         .collect();
-    let nframes = r.len_prefix(22)?;
-    let mut frames: Vec<Frame> = Vec::with_capacity(nframes);
-    for fi in 0..nframes {
-        let tag = r.u8()?;
-        let (kind, code_source) = match tag {
-            0 => {
-                let spe_code = r.u8()?;
-                if spe_code > 1 {
+    // A migration marker runs on the code of the frame below it.
+    let mut below: Option<Rc<hera_jit::CompiledMethod>> = None;
+    let frames = r.list(22, |r| {
+        let (kind, code_kind) = match r.u8()? {
+            0 => match r.u8()? {
+                0 => (FrameKind::Normal, Some(CoreKind::Ppe)),
+                1 => (FrameKind::Normal, Some(CoreKind::Spe)),
+                n => {
                     return Err(SnapError::Corrupt(format!(
-                        "frame code-kind tag {spe_code} unknown"
-                    )));
+                        "frame code-kind tag {n} unknown"
+                    )))
                 }
-                (
-                    FrameKind::Normal,
-                    Some(if spe_code == 1 {
-                        CoreKind::Spe
-                    } else {
-                        CoreKind::Ppe
-                    }),
-                )
-            }
+            },
             1 => {
                 let origin = decode_core_id(r.u8()?, num_spes)?;
                 (FrameKind::MigrationMarker { origin }, None)
@@ -1379,45 +1265,43 @@ fn decode_thread(
             n => return Err(SnapError::Corrupt(format!("frame tag {n} unknown"))),
         };
         let method = method_id(r.u32()?, world.program)?;
-        let pc = r.u32()?;
-        let base = r.u32()?;
-        let nlocals = r.u32()?;
-        let sp = r.u32()?;
-        let code: Rc<hera_jit::CompiledMethod> = match code_source {
-            Some(kind) => {
-                let (code, _) = world
-                    .registry
-                    .get_or_compile(world.program, &world.layout, method, kind)
+        let [pc, base, nlocals, sp] = [r.u32()?, r.u32()?, r.u32()?, r.u32()?];
+        let code = match (code_kind, &below) {
+            (Some(kind), _) => {
+                let compiled =
+                    world
+                        .registry
+                        .get_or_compile(world.program, &world.layout, method, kind);
+                compiled
                     .map_err(|_| {
                         SnapError::Corrupt(format!("frame method {} fails to compile", method.0))
-                    })?;
-                code
+                    })?
+                    .0
             }
-            None => match frames.last() {
-                Some(below) => Rc::clone(&below.code),
-                None => {
-                    return Err(SnapError::Corrupt(
-                        "migration marker as bottom frame".into(),
-                    ))
-                }
-            },
+            (None, Some(below)) => Rc::clone(below),
+            (None, None) => {
+                return Err(SnapError::Corrupt(
+                    "migration marker as bottom frame".into(),
+                ))
+            }
         };
         if matches!(kind, FrameKind::Normal) {
             if (pc as usize) >= code.ops.len() {
                 return Err(SnapError::Corrupt(format!(
-                    "frame {fi} pc {pc} out of range for method {}",
+                    "frame pc {pc} out of range for method {}",
                     method.0
                 )));
             }
             let end = base as u64 + nlocals as u64;
             if end > sp as u64 || (sp as usize) > arena.len() {
                 return Err(SnapError::Corrupt(format!(
-                    "frame {fi} cursors (base {base}, nlocals {nlocals}, sp {sp}) exceed arena {}",
+                    "frame cursors (base {base}, nlocals {nlocals}, sp {sp}) exceed arena {}",
                     arena.len()
                 )));
             }
         }
-        frames.push(Frame {
+        below = Some(Rc::clone(&code));
+        Ok(Frame {
             method,
             code,
             pc,
@@ -1425,8 +1309,8 @@ fn decode_thread(
             nlocals,
             sp,
             kind,
-        });
-    }
+        })
+    })?;
     Ok(JavaThread {
         id: ThreadId(id),
         frames,

@@ -709,33 +709,30 @@ impl RleLen {
 /// Decode a zero-run-length buffer, requiring its total length to equal
 /// `expected_len` exactly.
 pub fn rle_decode(r: &mut SnapReader<'_>, expected_len: usize) -> Result<Vec<u8>, SnapError> {
-    rle_decode_extent(r, expected_len).map(|(out, _)| out)
+    rle_decode_extent(r, RleLen::Exactly(expected_len)).map(|(out, _)| out)
 }
 
-/// [`rle_decode`], also returning the end of the last literal chunk (0
-/// when there is none): every decoded byte at or past it is zero, which
-/// the caller then knows without scanning the buffer.
+/// Decode a zero-run-length buffer whose declared total meets `len`, also
+/// returning the end of the last literal chunk (0 when there is none):
+/// every decoded byte at or past it is zero, which the caller then knows
+/// without scanning the buffer.
 pub fn rle_decode_extent(
     r: &mut SnapReader<'_>,
-    expected_len: usize,
+    len: RleLen,
 ) -> Result<(Vec<u8>, usize), SnapError> {
-    rle_decode_len(r, RleLen::Exactly(expected_len))
-}
-
-/// The words [`rle_encode_words`] wrote, their total checked by `len`
-/// (an [`RleLen::Exactly`] counts bytes, eight to a word).
-pub fn rle_decode_words(r: &mut SnapReader<'_>, len: RleLen) -> Result<Vec<u64>, SnapError> {
-    let (bytes, _) = rle_decode_len(r, len)?;
-    Ok(bytes.chunks_exact(8).map(le_word).collect())
-}
-
-fn rle_decode_len(r: &mut SnapReader<'_>, len: RleLen) -> Result<(Vec<u8>, usize), SnapError> {
     let total = len.read_total(r)?;
     let mut out = vec![0u8; total];
     let literal_end = rle_chunks(r, total, |at, bytes| {
         out[at..at + bytes.len()].copy_from_slice(bytes)
     })?;
     Ok((out, literal_end))
+}
+
+/// The words [`rle_encode_words`] wrote, their total checked by `len`
+/// (which counts bytes, eight to a word).
+pub fn rle_decode_words(r: &mut SnapReader<'_>, len: RleLen) -> Result<Vec<u64>, SnapError> {
+    let (bytes, _) = rle_decode_extent(r, len)?;
+    Ok(bytes.chunks_exact(8).map(le_word).collect())
 }
 
 /// The literal end [`rle_decode_extent`] returns, with the chunks checked
@@ -989,7 +986,8 @@ mod tests {
                     rle_encode_reference(&mut slow, data);
                     assert!(fast.bytes() == slow.bytes(), "{what}: encoding differs");
                     let mut r = SnapReader::new(fast.bytes());
-                    let (back, literal_end) = rle_decode_extent(&mut r, data.len()).unwrap();
+                    let (back, literal_end) =
+                        rle_decode_extent(&mut r, RleLen::Exactly(data.len())).unwrap();
                     assert!(back == data, "{what}: round trip");
                     // A trailing run too short to end the literal is
                     // inside it; otherwise the literal ends exactly at
