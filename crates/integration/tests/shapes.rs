@@ -192,8 +192,7 @@ fn fig7_code_cache_sensitivity() {
 /// than Hera-JVM's local SPE synchronisation on lock-heavy code.
 #[test]
 fn cellvm_style_sync_is_slower() {
-    use hera_bench_shim::sync_program;
-    let (program, expected) = sync_program(3, 120);
+    let (program, expected) = hera_bench::sync_program(3, 120);
     let hera = {
         let out = run_program(program.clone(), spe_cfg(3));
         assert_eq!(out.result, Some(Value::I32(expected)));
@@ -211,84 +210,4 @@ fn cellvm_style_sync_is_slower() {
         cellvm as f64 > 1.5 * hera as f64,
         "PPE-proxied sync should cost much more: {cellvm} vs {hera}"
     );
-}
-
-/// Local copy of the sync-heavy program builder (the bench crate is not
-/// a dependency of the test crate).
-mod hera_bench_shim {
-    use hera_core::native::install_runtime;
-    use hera_frontend::*;
-    use hera_isa::{ElemTy, ProgramBuilder, Ty};
-
-    pub fn sync_program(threads: i32, reps: i32) -> (hera_isa::Program, i32) {
-        let mut pb = ProgramBuilder::new();
-        let api = install_runtime(&mut pb);
-        let shared = pb.add_class("Shared", None);
-        let fcount = pb.add_field(shared, "count", Ty::Int);
-        let worker = pb.add_class("W", Some(api.thread_class));
-        let fshared = pb.add_field(worker, "shared", Ty::Ref(shared));
-        let run = declare_virtual(&mut pb, worker, "run", vec![], None);
-        define(
-            &mut pb,
-            run,
-            vec![("this", Ty::Ref(worker))],
-            vec![
-                Stmt::Let("s".into(), field(local("this"), fshared)),
-                for_range(
-                    "i",
-                    i32c(0),
-                    i32c(reps),
-                    vec![Stmt::Sync(
-                        local("s"),
-                        vec![Stmt::SetField(
-                            local("s"),
-                            fcount,
-                            add(field(local("s"), fcount), i32c(1)),
-                        )],
-                    )],
-                ),
-            ],
-        )
-        .expect("run compiles");
-        let main_c = pb.add_class("Main", None);
-        let main = declare_static(&mut pb, main_c, "main", vec![], Some(Ty::Int));
-        define(
-            &mut pb,
-            main,
-            vec![],
-            vec![
-                Stmt::Let("s".into(), Expr::New(shared)),
-                Stmt::Let("tids".into(), new_array(ElemTy::Int, i32c(threads))),
-                for_range(
-                    "i",
-                    i32c(0),
-                    i32c(threads),
-                    vec![
-                        Stmt::Let("w".into(), Expr::New(worker)),
-                        Stmt::SetField(local("w"), fshared, local("s")),
-                        Stmt::SetIndex(
-                            local("tids"),
-                            local("i"),
-                            call(api.spawn, vec![local("w")]),
-                        ),
-                    ],
-                ),
-                for_range(
-                    "j",
-                    i32c(0),
-                    i32c(threads),
-                    vec![Stmt::Expr(call(
-                        api.join,
-                        vec![index(local("tids"), local("j"))],
-                    ))],
-                ),
-                Stmt::Return(Some(field(local("s"), fcount))),
-            ],
-        )
-        .expect("main compiles");
-        (
-            pb.finish_with_entry("Main", "main").expect("resolves"),
-            threads * reps,
-        )
-    }
 }

@@ -10,79 +10,9 @@ use hera_frontend::*;
 use hera_integration::run_program;
 use hera_isa::{Annotation, ElemTy, ProgramBuilder, Ty, Value};
 
-/// Program: N worker threads each add `reps` times into a shared cell
-/// under a lock; main joins them and returns the total.
-fn locked_counter_program(workers: i32, reps: i32) -> hera_isa::Program {
-    let mut pb = ProgramBuilder::new();
-    let api = install_runtime(&mut pb);
-
-    let shared = pb.add_class("Shared", None);
-    let fcount = pb.add_field(shared, "count", Ty::Int);
-
-    let worker = pb.add_class("Worker", Some(api.thread_class));
-    let fshared = pb.add_field(worker, "shared", Ty::Ref(shared));
-    let run = declare_virtual(&mut pb, worker, "run", vec![], None);
-    define(
-        &mut pb,
-        run,
-        vec![("this", Ty::Ref(worker))],
-        vec![
-            Stmt::Let("s".into(), field(local("this"), fshared)),
-            for_range(
-                "i",
-                i32c(0),
-                i32c(reps),
-                vec![Stmt::Sync(
-                    local("s"),
-                    vec![Stmt::SetField(
-                        local("s"),
-                        fcount,
-                        add(field(local("s"), fcount), i32c(1)),
-                    )],
-                )],
-            ),
-        ],
-    )
-    .unwrap();
-
-    let main_c = pb.add_class("Main", None);
-    let main = declare_static(&mut pb, main_c, "main", vec![], Some(Ty::Int));
-    define(
-        &mut pb,
-        main,
-        vec![],
-        vec![
-            Stmt::Let("s".into(), Expr::New(shared)),
-            Stmt::Let("tids".into(), new_array(ElemTy::Int, i32c(workers))),
-            for_range(
-                "i",
-                i32c(0),
-                i32c(workers),
-                vec![
-                    Stmt::Let("w".into(), Expr::New(worker)),
-                    Stmt::SetField(local("w"), fshared, local("s")),
-                    Stmt::SetIndex(local("tids"), local("i"), call(api.spawn, vec![local("w")])),
-                ],
-            ),
-            for_range(
-                "j",
-                i32c(0),
-                i32c(workers),
-                vec![Stmt::Expr(call(
-                    api.join,
-                    vec![index(local("tids"), local("j"))],
-                ))],
-            ),
-            Stmt::Return(Some(field(local("s"), fcount))),
-        ],
-    )
-    .unwrap();
-    pb.finish_with_entry("Main", "main").unwrap()
-}
-
 #[test]
 fn locked_counter_is_exact_on_ppe() {
-    let out = run_program(locked_counter_program(4, 200), VmConfig::pinned_ppe());
+    let out = run_program(hera_bench::sync_program(4, 200).0, VmConfig::pinned_ppe());
     assert!(out.is_clean(), "traps: {:?}", out.traps);
     assert_eq!(out.result, Some(Value::I32(800)));
     assert_eq!(out.stats.threads, 5);
@@ -93,7 +23,7 @@ fn locked_counter_is_exact_across_spe_cores() {
     // The JMM purge/write-back at monitor enter/exit is what makes this
     // correct: each SPE's cached copy of `count` must be refreshed under
     // the lock and published at release.
-    let out = run_program(locked_counter_program(6, 150), VmConfig::pinned_spe(6));
+    let out = run_program(hera_bench::sync_program(6, 150).0, VmConfig::pinned_spe(6));
     assert!(out.is_clean(), "traps: {:?}", out.traps);
     assert_eq!(out.result, Some(Value::I32(900)));
     assert!(out.stats.contended_acquires > 0, "expected lock contention");
