@@ -499,6 +499,92 @@ fn seeded_fleets_conserve_every_request_and_replay_identically() {
     }
 }
 
+// ------------------------------------------------- hostbench's fleets
+
+/// The two fleets `hostbench`'s `fleet-proofs` workload times: the default
+/// experiment, and the E15 rebal matrix at 1 500 requests (`e13` plus
+/// `e15`'s shapes, migrations and scope over a two-crash storm). Pins the
+/// rendered bytes of each, and each row's adoption proof count, so a change
+/// to how the fleet's VM runs are scheduled cannot move either.
+#[test]
+fn fleet_proofs_cells_match_pinned_digests() {
+    let digest = |s: &str| hera_snap::digest64(s.as_bytes());
+    let default = run_experiment(&ClusterConfig::default()).expect("experiment runs");
+    assert!(default.failures.is_empty(), "{:?}", default.failures);
+    let rebal_cfg = ClusterConfig::e15(42, 6, 1_500, 0.02);
+    assert_eq!(
+        rebal_cfg.crashes,
+        hera_cluster::crash_storm(42, 6, 2, 300, 700)
+    );
+    let rebal = hera_cluster::run_rebal_matrix(&rebal_cfg).expect("matrix runs");
+    assert!(rebal.failures.is_empty(), "{:?}", rebal.failures);
+
+    let proofs = |o: &hera_cluster::PolicyOutcome| o.metrics.counter("cluster.adoption.proofs");
+    let got = (
+        [digest(&default.render()), digest(&rebal.render())],
+        default.outcomes.iter().map(proofs).collect::<Vec<_>>(),
+        rebal
+            .stats
+            .iter()
+            .map(|s| s.adoption_proofs)
+            .collect::<Vec<_>>(),
+    );
+    let want = (
+        [0x8c20_d8a6_b31f_bf91_u64, 0xfad7_f963_d338_d2fa],
+        vec![2, 2, 2],
+        vec![0, 3, 3, 3],
+    );
+    assert_eq!(got, want, "fleet-proofs bytes moved");
+}
+
+/// Three 2-SPE machines, machine 0 a straggler from cycle 400 000, so
+/// lightly loaded that one job is in flight at a time. Machines 0 and 1
+/// crash at one instant, while job 1 runs on machine 1 under round-robin
+/// and on machine 0 under the other two policies: two doomed runs of one
+/// class that start together and stop at the same cycle, under different
+/// fault plans. Job 1 then resumes on machine 2 from the snapshot its
+/// policy's doomed run left, and machine 2 crashes too: two more doomed
+/// runs at one cycle, from snapshots that differ only in the plan they
+/// carry.
+fn straggler_twin_fleet() -> ClusterConfig {
+    ClusterConfig {
+        seed: 42,
+        machines: 3,
+        requests: 10,
+        threads: 2,
+        scale: 0.02,
+        num_spes: 2,
+        heap_bytes: 1 << 20,
+        arrival: ArrivalShape::Uniform,
+        utilization_pct: 5,
+        crashes: vec![(0, 241), (1, 241), (2, 244)],
+        migrations: vec![],
+        slowdowns: vec![(0, 4, 400_000)],
+        ..ClusterConfig::default()
+    }
+}
+
+/// The twin fleet's report. Checks first that the runs it is there for
+/// happen: the two first doomed runs re-execute the same cycles, and the
+/// two second ones, from different snapshots, do not.
+#[test]
+fn straggler_twin_fleet_matches_pinned_digest() {
+    let report = run_experiment(&straggler_twin_fleet()).expect("experiment runs");
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    let crashes = |policy: usize| {
+        let events = &report.outcomes[policy].crash_events;
+        assert_eq!(events.len(), 3, "policy {policy}: {events:?}");
+        assert!(events[2].resumed_from_checkpoint, "policy {policy}");
+        events.clone()
+    };
+    let (rr, jsq) = (crashes(0), crashes(1));
+    assert!(rr[1].resumed_from_checkpoint && jsq[0].resumed_from_checkpoint);
+    assert_eq!(rr[1].reexec_cycles, jsq[0].reexec_cycles);
+    assert_ne!(rr[2].reexec_cycles, jsq[2].reexec_cycles);
+    let got = hera_snap::digest64(report.render().as_bytes());
+    assert_eq!(got, 0xe5cc_cc43_c0c4_fe98, "twin fleet bytes moved");
+}
+
 // ------------------------------------------------- doomed-run grid
 
 /// One VM of the doomed-run grid.
