@@ -18,11 +18,13 @@ cargo test -q --workspace --exclude hera-integration
 # run-charging data-cache lookup against its clock-charging reference in
 # hera-softcache, the fleet's event queue against its one-heap reference
 # in hera-cluster, the fleet-trace exporter against the 80-byte span
-# record and its writer in hera-trace) and hera-core's resealed-payload
-# mutation sweep over the snapshot decoder once more where the per-op
-# charge shadow is compiled out and arithmetic wraps instead of
-# panicking: a decoder check that leans on an overflow panic shows up
-# there as a restore the sweep's pinned digest does not expect.
+# record and its writer in hera-trace), hera-cluster's run table
+# executing each VM re-run once per experiment on pools of 0, 1 and 3
+# extra threads (replays_render_identically_on_any_pool) and hera-core's
+# resealed-payload mutation sweep over the snapshot decoder once more
+# where the per-op charge shadow is compiled out and arithmetic wraps
+# instead of panicking: a decoder check that leans on an overflow panic
+# shows up there as a restore the sweep's pinned digest does not expect.
 cargo test -q --release -p hera-jit -p hera-core -p hera-softcache -p hera-cluster -p hera-trace
 # hera-integration's binaries are most of the suite's wall time (ROADMAP
 # aim 4e): build them once, then run them one at a time and print the

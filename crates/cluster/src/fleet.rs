@@ -13,7 +13,10 @@
 //! live migration re-executes the affected job for real (doomed run →
 //! checkpoints → adoption on the destination), and every adopted resume
 //! is compared against the unmigrated reference — the bit-identity
-//! proof runs *inside* the experiment, for every recovery and migration.
+//! proof runs *inside* the experiment. Those runs are deterministic too,
+//! so the experiment's run table (`runs`) executes each once: every
+//! unique (snapshot, destination) is proven once per experiment, and
+//! every recovery and migration is checked against that proof.
 //!
 //! ## Event loop invariants
 //!
@@ -34,6 +37,7 @@ use crate::kernel::{Ev, Job, Kernel, Outcome};
 use crate::policy::{BalancePolicy, MachineView};
 use crate::rebal::Rebal;
 use crate::resil::Resil;
+use crate::runs::Reruns;
 use crate::scope::ScopeOutcome;
 use crate::traffic::{self, Request};
 use crate::{ClusterConfig, ClusterError, MIX, RECOVERY_CYCLES};
@@ -352,11 +356,12 @@ impl<'a> Sim<'a> {
     fn new(
         cfg: &'a ClusterConfig,
         profile: &'a FleetProfile,
+        runs: &'a Reruns,
         policy: Box<dyn BalancePolicy>,
         trace: &[Request],
         span: u64,
     ) -> Self {
-        let mut k = Kernel::new(cfg, profile, policy, trace, span);
+        let mut k = Kernel::new(cfg, profile, runs, policy, trace, span);
         // Faults and migrations are scheduled as per-mille points of the
         // trace's arrival span, so configs stay meaningful across scales.
         for &(machine, permille) in &cfg.crashes {
@@ -758,18 +763,22 @@ pub(crate) const POLICIES: [fn() -> Box<dyn BalancePolicy>; 3] = [
 pub(crate) type Replayed = (Vec<PolicyOutcome>, Vec<String>);
 
 /// Run every replay on `pool`. The replays read one immutable profile
-/// and trace and share nothing mutable, so each is the same pure function
-/// of its inputs on any thread; collecting in row order makes the result
-/// independent of the pool's size and scheduling.
+/// and trace; the one thing they share that changes is `runs`, the
+/// experiment's table of VM re-executions, whose values are pure
+/// functions of their keys. So each replay is the same pure function of
+/// its inputs on any thread, whichever replay fills an entry; collecting
+/// in row order makes the result independent of the pool's size and
+/// scheduling.
 pub(crate) fn replay_all(
     pool: &WorkerPool,
     trace: &[Request],
     span: u64,
     rows: &[Replay],
+    runs: &Reruns,
 ) -> Result<Replayed, ClusterError> {
     let replayed = pool.map(rows.len(), |i| {
         let row = &rows[i];
-        let mut sim = Sim::new(&row.cfg, row.profile, (row.policy)(), trace, span);
+        let mut sim = Sim::new(&row.cfg, row.profile, runs, (row.policy)(), trace, span);
         sim.run(trace)?;
         let (mut outcome, failures) = sim.finish(trace.len() as u64);
         if !row.keep_scope {
@@ -800,6 +809,7 @@ pub(crate) fn paced_trace(cfg: &ClusterConfig, mean_service: u64) -> (u64, Vec<R
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runs::{RunKey, Tally, DROPPED};
     use crate::{crash_storm, run_experiment, ClusterReport, MachineShape, RebalConfig};
     use crate::{run_chaos_matrix, run_rebal_matrix, ResilConfig, MAX_DELAY_CYCLES};
 
@@ -966,9 +976,15 @@ mod tests {
     }
 
     /// Replay the three policies (scope kept) plus a fourth row whose
-    /// scope nobody reads, and return every byte a caller can read: the
-    /// report, then each kept recording's Chrome export and SLO table.
-    fn replayed_on(pool: &WorkerPool, cfg: &ClusterConfig, profile: &FleetProfile) -> Vec<String> {
+    /// scope nobody reads, sharing `runs`, and return every byte a caller
+    /// can read: the report, then each kept recording's Chrome export and
+    /// SLO table.
+    fn replayed_on(
+        pool: &WorkerPool,
+        cfg: &ClusterConfig,
+        profile: &FleetProfile,
+        runs: &Reruns,
+    ) -> Vec<String> {
         let (_, trace, span) = paced_trace(cfg, profile.mean_service);
         let row = |policy, keep_scope| Replay {
             cfg: cfg.clone(),
@@ -978,7 +994,8 @@ mod tests {
         };
         let [rr, jsq_kept, ll] = POLICIES.map(|policy| row(policy, true));
         let rows = [rr, jsq_kept, ll, row(jsq, false)];
-        let (outcomes, failures) = replay_all(pool, &trace, span, &rows).expect("replays run");
+        let (outcomes, failures) =
+            replay_all(pool, &trace, span, &rows, runs).expect("replays run");
         assert!(outcomes[3].scope.is_none(), "an unread recording was kept");
         assert_eq!(outcomes[3].latencies, outcomes[1].latencies);
         let report = ClusterReport {
@@ -995,11 +1012,35 @@ mod tests {
         rendered
     }
 
+    /// Whether two tables ran the same runs, in any order, each of them
+    /// exactly once.
+    fn same_runs(a: &[Tally; 2], b: &[Tally; 2]) -> bool {
+        let keys = |tally: &[Tally; 2]| {
+            let entries = tally.iter().flatten();
+            for (key, asks, runs) in entries.clone() {
+                assert_eq!(
+                    *runs, 1,
+                    "class {} replay {}: asked {asks}",
+                    key.class, key.replay
+                );
+            }
+            entries.map(|(key, ..)| key.clone()).collect::<Vec<_>>()
+        };
+        let (a, b) = (keys(a), keys(b));
+        a.len() == b.len() && a.iter().all(|key| b.contains(key))
+    }
+
+    /// The replays render the same bytes on a pool of 0, 1 and 3 extra
+    /// threads, each with its own run table, and every run in a table
+    /// executes once however many replays ask for it. Each cross-shape
+    /// proof still adopts its snapshot twice, and two `run_experiment`
+    /// calls each run every one of their runs themselves.
     #[test]
     fn replays_render_identically_on_any_pool() {
-        let (sequential, wide) = (WorkerPool::new(0), WorkerPool::new(3));
+        let pools = [0, 1, 3].map(WorkerPool::new);
+        let mut shared = false;
         for (cfg, poisoned) in [(small_e15(), false), (small_e13(), true)] {
-            let [mut profile] = build_profiles([&cfg], &wide).expect("profile builds");
+            let [mut profile] = build_profiles([&cfg], &pools[2]).expect("profile builds");
             if poisoned {
                 // Every same-shape adoption proof now reports a divergence.
                 for reference in profile.reference.iter_mut().flatten() {
@@ -1008,15 +1049,49 @@ mod tests {
                     *reference = Arc::new(wrong);
                 }
             }
-            let rendered = replayed_on(&sequential, &cfg, &profile);
-            assert_eq!(
-                rendered[0].contains("FAILURES (5)"),
-                poisoned,
-                "{}",
-                rendered[0]
-            );
-            assert_eq!(rendered, replayed_on(&wide, &cfg, &profile));
+            let mut per_pool = Vec::new();
+            for pool in &pools {
+                let runs = Reruns::default();
+                let rendered = replayed_on(pool, &cfg, &profile, &runs);
+                assert_eq!(
+                    rendered[0].contains("FAILURES (5)"),
+                    poisoned,
+                    "{}",
+                    rendered[0]
+                );
+                per_pool.push((rendered, runs.tally()));
+            }
+            let (rendered, tally) = &per_pool[0];
+            shared |= tally.iter().flatten().any(|&(_, asks, _)| asks > 1);
+            for (other, other_tally) in &per_pool[1..] {
+                assert_eq!(rendered, other);
+                assert!(same_runs(tally, other_tally), "pools ran different runs");
+            }
+            // A second adoption of each cross-shape snapshot, its own run.
+            let [_, adopted] = tally;
+            let replays = adopted.iter().filter(|(key, ..)| key.replay == 1);
+            let twin = |key: &RunKey| RunKey {
+                replay: 0,
+                ..key.clone()
+            };
+            for (key, ..) in replays.clone() {
+                assert!(adopted.iter().any(|(k, ..)| *k == twin(key)));
+            }
+            assert_eq!(replays.count() > 0, !poisoned, "cross-shape proofs");
         }
+        assert!(shared, "no run was asked for twice");
+
+        DROPPED.take();
+        let cfg = small_e13();
+        let first = run_experiment(&cfg).expect("experiment runs").render();
+        assert_eq!(first, run_experiment(&cfg).expect("replay runs").render());
+        let dropped = DROPPED.take();
+        assert_eq!(dropped.len(), 2, "one table per call");
+        assert!(!dropped[0].iter().all(Vec::is_empty), "nothing re-executed");
+        assert!(
+            same_runs(&dropped[0], &dropped[1]),
+            "the calls ran different runs"
+        );
     }
 
     /// `tiny()` under `knobs`, through every runner: each must reject

@@ -20,20 +20,18 @@
 //! so the queue-wait start the scope's spans need travels with the job:
 //! `try_start`, `detach_queued` and `evict` hand it back.
 
-use crate::fleet::{
-    completed, machine_vm_config, vm_err, ClassProfile, CrashEvent, FleetProfile, MigrationEvent,
-};
+use crate::fleet::{machine_vm_config, ClassProfile, CrashEvent, FleetProfile, MigrationEvent};
 use crate::policy::BalancePolicy;
+use crate::runs::{Doomed, Reruns, RunKey};
 use crate::scope::Scope;
 use crate::traffic::Request;
 use crate::{ClusterConfig, ClusterError, DISPATCH_CYCLES};
 use crate::{TRANSFER_BYTES_PER_CYCLE, TRANSFER_LATENCY_CYCLES};
-use hera_core::{HeraJvm, RunEnd, RunOutcome};
+use hera_core::RunOutcome;
 use hera_isa::Value;
 use hera_trace::MetricsRegistry;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// An event. Only tests order two of them (the reference schedule); the
@@ -163,8 +161,10 @@ impl Events {
 
 /// Snapshot state a job carries between machines.
 #[derive(Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 pub(crate) struct Resume {
-    pub bytes: Rc<Vec<u8>>,
+    /// The sealed snapshot, shared with the run table that sealed it.
+    pub bytes: Arc<Vec<u8>>,
     /// VM wall clock the snapshot resumes at.
     pub restored_wall: u64,
     /// SPE count of the machine whose run captured the snapshot; an
@@ -279,6 +279,8 @@ pub(crate) struct Completion {
 pub(crate) struct Kernel<'a> {
     pub cfg: &'a ClusterConfig,
     pub profile: &'a FleetProfile,
+    /// The experiment's VM re-executions, shared with every other replay.
+    runs: &'a Reruns,
     pub policy: Box<dyn BalancePolicy>,
     pub jobs: Vec<Job>,
     pub machines: Vec<Mach>,
@@ -300,6 +302,7 @@ impl<'a> Kernel<'a> {
     pub fn new(
         cfg: &'a ClusterConfig,
         profile: &'a FleetProfile,
+        runs: &'a Reruns,
         policy: Box<dyn BalancePolicy>,
         trace: &[Request],
         span: u64,
@@ -318,6 +321,7 @@ impl<'a> Kernel<'a> {
         Kernel {
             cfg,
             profile,
+            runs,
             policy,
             jobs: jobs.collect(),
             machines: machines.collect(),
@@ -618,18 +622,23 @@ impl<'a> Kernel<'a> {
     /// the class checksum with no traps. Returns the proven run's wall
     /// cycles (the reference wall for same-shape, the reshaped run's own
     /// wall for cross-shape), which prices the job's remaining service.
+    ///
+    /// The adoption runs come from the experiment's run table: a snapshot
+    /// adopted on one machine configuration runs once per experiment,
+    /// however many replays resume from it, and its two cross-shape
+    /// adoptions are two entries. The checks against this job's reference
+    /// and its failures, counters and migration record are this job's.
     fn prove_adoption(&mut self, job: usize, m: usize, r: &Resume) -> Result<u64, ClusterError> {
-        let class = &self.profile.classes[self.jobs[job].class];
+        let class = self.jobs[job].class;
         let cross = r.shape != self.profile.shapes[m] || self.jobs[job].cross_shape;
         let vm_cfg = machine_vm_config(self.cfg, self.profile.plans[m], self.profile.shapes[m]);
-        let adopt = |what: &str| {
-            let vm = HeraJvm::new(class.program.clone(), vm_cfg)
-                .map_err(|e| vm_err("adoption vm", e))?;
-            completed(vm.adopt_until_crash(&r.bytes), what)
+        let adopt = |replay| {
+            let key = RunKey::new(class, replay, vm_cfg, Some(Arc::clone(&r.bytes)));
+            self.runs.adopted(&self.profile.classes, key)
         };
-        let out = adopt("adoption run")?;
+        let out = adopt(0)?;
         let (who, peer, versus) = if cross {
-            let replay = Arc::new(adopt("adoption replay")?);
+            let replay = adopt(1)?;
             let versus = "between two replays of the same snapshot";
             ("cross-shape adopted", replay, versus)
         } else {
@@ -655,7 +664,7 @@ impl<'a> Kernel<'a> {
             }
         }
         if cross {
-            let checksum = class.checksum;
+            let checksum = self.profile.classes[class].checksum;
             if !out.is_clean() || out.result != Some(Value::I32(checksum)) {
                 ok = false;
                 self.failures.push(format!(
@@ -675,12 +684,14 @@ impl<'a> Kernel<'a> {
     }
 
     /// Interrupt `run` on machine `m` at `now`: re-execute the job for
-    /// real with a machine crash at the VM cycle it had reached, and
-    /// capture the freshest snapshot that had streamed out before the
-    /// machine died — the doomed run's last checkpoint, else the snapshot
-    /// the job was already resuming from. Returns the new resume state
-    /// (`None`: full restart) and the re-executed cycles; or `None` when
-    /// the crash fell after the last safepoint and the job finished first.
+    /// real with a machine crash at the VM cycle it had reached (a run
+    /// from the experiment's table, shared with every replay that crashes
+    /// the same job state there), and take the freshest snapshot that had
+    /// streamed out before the machine died — the doomed run's last
+    /// checkpoint, else the snapshot the job was already resuming from.
+    /// Returns the new resume state (`None`: full restart) and the
+    /// re-executed cycles; or `None` when the crash fell after the last
+    /// safepoint and the job finished first.
     pub fn interrupt(
         &self,
         run: &Running,
@@ -690,39 +701,19 @@ impl<'a> Kernel<'a> {
         let j = &self.jobs[run.job];
         let abs = run.vm_base + (now - run.exec_start);
         let plan = self.profile.plans[m].with_machine_crash(abs);
-        let vm = HeraJvm::new(
-            self.profile.classes[j.class].program.clone(),
-            machine_vm_config(self.cfg, plan, self.profile.shapes[m]),
-        )
-        .map_err(|e| vm_err("doomed vm", e))?;
-        let end = match &j.resume {
-            None => vm.run_until_crash().map_err(|e| vm_err("doomed run", e)),
-            Some(r) => vm
-                .adopt_until_crash(&r.bytes)
-                .map_err(|e| vm_err("doomed adopted run", e)),
-        };
-        let RunEnd::Crashed {
+        let vm_cfg = machine_vm_config(self.cfg, plan, self.profile.shapes[m]);
+        let start = j.resume.as_ref().map(|r| Arc::clone(&r.bytes));
+        let key = RunKey::new(j.class, 0, vm_cfg, start);
+        let Doomed::Crashed {
             at_cycle,
             checkpoint,
-        } = end?
+        } = self.runs.doomed(&self.profile.classes, key)?
         else {
             return Ok(None);
         };
-        if let Some(last) = checkpoint {
-            let info = hera_core::snapshot::inspect(&last.bytes)
-                .map_err(|e| vm_err("checkpoint inspect", e))?;
-            let resume = Resume {
-                bytes: Rc::new(last.bytes),
-                restored_wall: info.wall_cycles,
-                shape: self.profile.shapes[m],
-            };
-            return Ok(Some((
-                Some(resume),
-                at_cycle.saturating_sub(info.wall_cycles),
-            )));
-        }
-        let reexec = at_cycle.saturating_sub(j.resume.as_ref().map_or(0, |old| old.restored_wall));
-        Ok(Some((j.resume.clone(), reexec)))
+        let resume = checkpoint.or_else(|| j.resume.clone());
+        let reexec = at_cycle.saturating_sub(resume.as_ref().map_or(0, |r| r.restored_wall));
+        Ok(Some((resume, reexec)))
     }
 }
 

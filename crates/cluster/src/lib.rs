@@ -14,11 +14,13 @@
 //! machines mid-flight (checkpoint on the source, virtual transfer
 //! charged by snapshot size, adoption on the destination) is proven
 //! bit-identical to the run that never moved — result, traps, output,
-//! and final heap image — and the proof runs inside the experiment for
-//! every migration and every crash recovery.
+//! and final heap image — and the proof runs inside the experiment: each
+//! unique (snapshot, destination) is adopted once per experiment, and
+//! every migration and every crash recovery is checked against it.
 //!
 //! Module map: `kernel` (event queue, jobs, machines, the placement
-//! interface), `fleet` (fleet profile, event loop, replay seam),
+//! interface), `fleet` (fleet profile, event loop, replay seam), `runs`
+//! (the experiment's doomed and adoption runs, each executed once),
 //! [`resil`] and [`rebal`] (the opt-in layers: knobs, state, handlers),
 //! `scope` (request tracing, observation only), `matrix` (runners and
 //! reports).
@@ -33,6 +35,7 @@ pub mod traffic;
 mod fleet;
 mod kernel;
 mod matrix;
+mod runs;
 mod scope;
 
 pub use fleet::{CrashEvent, MigrationEvent, PolicyOutcome};

@@ -9,6 +9,7 @@ use crate::fleet::{PolicyOutcome, Replay, POLICIES};
 use crate::rebal::{COOLDOWN_PERMILLE, MAX_CONCURRENT_DRAINS, SKEW_THRESHOLD_PERMILLE};
 use crate::rebal::{SLOW_AFTER, SLOW_FACTOR_PERMILLE};
 use crate::resil::MAX_RETRIES;
+use crate::runs::Reruns;
 use crate::scope::ScopeOutcome;
 use crate::{ClusterConfig, ClusterError, RebalConfig, ResilConfig, MIX};
 use hera_trace::nearest_rank;
@@ -162,7 +163,7 @@ pub fn run_experiment(cfg: &ClusterConfig) -> Result<ClusterReport, ClusterError
         policy,
         keep_scope: true,
     });
-    let (mut outcomes, failures) = replay_all(&pool, &trace, span, &rows)?;
+    let (mut outcomes, failures) = replay_all(&pool, &trace, span, &rows, &Reruns::default())?;
     for outcome in &mut outcomes {
         outcome
             .metrics
@@ -438,7 +439,7 @@ fn run_matrix(cfg: &ClusterConfig, matrix: Matrix) -> Result<MatrixReport, Clust
             }
         })
         .collect();
-    let (mut outcomes, failures) = replay_all(&pool, &trace, span, &replays)?;
+    let (mut outcomes, failures) = replay_all(&pool, &trace, span, &replays, &Reruns::default())?;
     let scope = outcomes.last_mut().and_then(|o| o.scope.take());
 
     let (mut rows, mut stats) = (Vec::new(), Vec::new());
