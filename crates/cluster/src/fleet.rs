@@ -1077,7 +1077,8 @@ mod tests {
             for (key, ..) in replays.clone() {
                 assert!(adopted.iter().any(|(k, ..)| *k == twin(key)));
             }
-            assert_eq!(replays.count() > 0, !poisoned, "cross-shape proofs");
+            let heterogeneous = !cfg.shapes.is_empty();
+            assert_eq!(replays.count() > 0, heterogeneous, "cross-shape proofs");
         }
         assert!(shared, "no run was asked for twice");
 
