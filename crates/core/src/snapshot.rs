@@ -1332,16 +1332,143 @@ fn decode_thread(
 mod tests {
     use super::*;
 
+    /// A program whose one method, `Main.main`, is a bare `return`.
+    fn one_method_program() -> Program {
+        let mut pb = hera_isa::ProgramBuilder::new();
+        let class = pb.add_class("Main", None);
+        let body = hera_isa::MethodBody::Bytecode(vec![hera_isa::Instr::Return]);
+        pb.add_static_method(class, "main", vec![], None, 0, body);
+        pb.finish_with_entry("Main", "main").expect("resolves")
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Every variant of every tagged union a thread carries encodes to
+    /// the bytes pinned here and decodes back to what was encoded.
+    #[test]
+    fn tagged_union_variants_match_pinned_bytes() {
+        let values = [
+            (Value::I32(-2), "00feffffff00000000"),
+            (Value::I64(-3), "01fdffffffffffffff"),
+            (Value::F32(1.5), "020000c03f00000000"),
+            (Value::F64(-0.25), "03000000000000d0bf"),
+            (Value::Ref(ObjRef(0x1234)), "043412000000000000"),
+        ];
+        for (v, want) in values {
+            let mut w = SnapWriter::new();
+            encode_value(&mut w, &v);
+            assert_eq!(hex(w.bytes()), want, "{v:?}");
+            let mut r = SnapReader::new(w.bytes());
+            assert_eq!(decode_value(&mut r), Ok(v));
+            r.finish().unwrap();
+        }
+        let traps = [
+            (Trap::NullPointer, "00"),
+            (
+                Trap::ArrayIndexOutOfBounds { index: -1, len: 3 },
+                "01ffffffff03000000",
+            ),
+            (Trap::DivisionByZero, "02"),
+            (Trap::NegativeArraySize(-4), "03fcffffff"),
+            (Trap::OutOfMemory, "04"),
+            (Trap::IllegalMonitorState, "05"),
+            (Trap::NativeError("io".into()), "060200000000000000696f"),
+            (Trap::MachineCheck("mc".into()), "0702000000000000006d63"),
+        ];
+        for (t, want) in traps {
+            let mut w = SnapWriter::new();
+            encode_trap(&mut w, &t);
+            assert_eq!(hex(w.bytes()), want, "{t:?}");
+            let mut r = SnapReader::new(w.bytes());
+            assert_eq!(decode_trap(&mut r), Ok(t));
+            r.finish().unwrap();
+        }
+
+        // Six threads of a two-SPE machine: thread i is in the i-th
+        // state, migrates in by the i-th kind (none for the first and
+        // last), has no pending call, one without and one with arguments
+        // in turn, and holds a normal frame (PPE code, then SPE code in
+        // turn) under a migration marker.
+        let program = one_method_program();
+        let mut cfg = VmConfig::default();
+        cfg.cell.num_spes = 2;
+        let mut world = World::new(&program, cfg);
+        let states = [
+            ThreadState::Ready,
+            ThreadState::Blocked(BlockReason::Monitor(ObjRef(9))),
+            ThreadState::Blocked(BlockReason::Join(ThreadId(1))),
+            ThreadState::Finished(Ok(None)),
+            ThreadState::Finished(Ok(Some(Value::I32(7)))),
+            ThreadState::Finished(Err(Trap::OutOfMemory)),
+        ];
+        let kinds = [
+            None,
+            Some(MigrationKind::Annotation),
+            Some(MigrationKind::Monitored),
+            Some(MigrationKind::MarkerReturn),
+            Some(MigrationKind::Failover),
+            None,
+        ];
+        let pinned = [
+            "0000000000006400000000000000000001030000000000000000000000000000000000000000000000000000000000000000000000000000000010000000000000000110000000000000000700000000000000000000000000000002000000000000000000000000000000000000000000000000000100000001020000000000000000010000000000000001000000",
+            "010000000101090000006500000000000000010000000000000000000000000001000000000001020000000000000000000000000000000000000000000000000000000000000000000000000010000000000000000110000000000000000700000000000000000000000000000002000000000000000001000000000000000000000000000000000100000001020000000000000000010000000000000001000000",
+            "020000000202010000006600000000000000010000000002000000000000000105000000000000000402000000000000000000010300000001020100000000000000000000000000000000000000000000000000000000000000000000000010000000000000000110000000000000000700000000000000000000000000000002000000000000000000000000000000000000000000000000000100000001020000000000000000010000000000000001000000",
+            "03000000000367000000000000000001000000000001020200000000000000000000000000000000000000000000000000000000000000000000000010000000000000000110000000000000000700000000000000000000000000000002000000000000000001000000000000000000000000000000000100000001020000000000000000010000000000000001000000",
+            "0400000001040007000000000000006800000000000000010000000000000000000000000000010300000001020300000000000000000000000000000000000000000000000000000000000000000000000010000000000000000110000000000000000700000000000000000000000000000002000000000000000000000000000000000000000000000000000100000001020000000000000000010000000000000001000000",
+            "05000000020504690000000000000001000000000200000000000000010500000000000000040200000000000000000100000000000000000000000000000000000000000000000000000000000000000000000000000000000010000000000000000110000000000000000700000000000000000000000000000002000000000000000001000000000000000000000000000000000100000001020000000000000000010000000000000001000000",
+        ];
+        for (i, (state, kind)) in states.into_iter().zip(kinds).enumerate() {
+            let core = [CoreId::Ppe, CoreId::Spe(0), CoreId::Spe(1)][i % 3];
+            let args = vec![Value::I64(5), Value::Ref(ObjRef(2))];
+            let mut t = JavaThread::new(ThreadId(i as u32), core, MethodId(0), args);
+            match i % 3 {
+                0 => t.pending_call = None,
+                1 => t.pending_call.as_mut().unwrap().args.clear(),
+                _ => {}
+            }
+            t.state = state;
+            t.pending_migrate_in = kind.map(|k| (CoreId::Spe(1), k));
+            t.pending_relookup = Some(MethodId(0)).filter(|_| i % 2 == 1);
+            t.pending_acquire_barrier = Some(ObjRef(3)).filter(|_| i % 2 == 0);
+            t.available_at = 100 + i as u64;
+            t.arena = vec![Slot::from_raw(7), Slot::from_raw(0)];
+            let code_kind = [CoreKind::Ppe, CoreKind::Spe][i % 2];
+            let code = world
+                .registry
+                .get_or_compile(&program, &world.layout, MethodId(0), code_kind)
+                .expect("compiles")
+                .0;
+            let frame = |kind, base| Frame {
+                method: MethodId(0),
+                code: Rc::clone(&code),
+                pc: 0,
+                base,
+                nlocals: 0,
+                sp: 1,
+                kind,
+            };
+            let marker = FrameKind::MigrationMarker {
+                origin: CoreId::Spe(1),
+            };
+            t.frames = vec![frame(FrameKind::Normal, 0), frame(marker, 1)];
+            let mut w = SnapWriter::new();
+            encode_thread(&mut w, &mut Vec::new(), &t);
+            assert_eq!(hex(w.bytes()), pinned[i], "thread {i}");
+            let mut r = SnapReader::new(w.bytes());
+            let back = decode_thread(&mut r, &mut world, i as u32, 6, 2);
+            assert_eq!(format!("{back:?}"), format!("{:?}", Ok::<_, SnapError>(t)));
+            r.finish().unwrap();
+        }
+    }
+
     /// The byte that ends a pending call is always 0; any other value is
     /// a corrupt snapshot.
     #[test]
     fn a_pending_call_ending_in_a_nonzero_byte_is_corrupt() {
         // A pending call names a method, so the program needs one.
-        let mut pb = hera_isa::ProgramBuilder::new();
-        let class = pb.add_class("Main", None);
-        let body = hera_isa::MethodBody::Bytecode(vec![hera_isa::Instr::Return]);
-        pb.add_static_method(class, "main", vec![], None, 0, body);
-        let program = pb.finish_with_entry("Main", "main").expect("resolves");
+        let program = one_method_program();
         let mut world = World::new(&program, VmConfig::default());
         let thread = JavaThread::new(ThreadId(0), CoreId::Ppe, MethodId(0), Vec::new());
         let mut w = SnapWriter::new();
@@ -1372,7 +1499,7 @@ mod tests {
     /// A mid-run checkpoint of two workers taking turns on one lock on
     /// two SPEs: monitors with owners and waiters, joins, run queues and
     /// both software caches are all live in it.
-    fn contended_checkpoint() -> (Program, VmConfig, Vec<u8>) {
+    fn contended_checkpoint(observed: bool) -> (Program, VmConfig, Vec<u8>) {
         use crate::native::install_runtime;
         use hera_frontend::*;
         use hera_isa::{ElemTy, ProgramBuilder, Ty};
@@ -1423,6 +1550,9 @@ mod tests {
             .with_cache_sizes(4 << 10, 8 << 10)
             .with_checkpoint_every(40_000);
         cfg.heap.size_bytes = 32 << 10;
+        if observed {
+            cfg = cfg.with_tracing().with_profiling();
+        }
         let vm = crate::HeraJvm::new(program.clone(), cfg).expect("constructs");
         let run = vm.run().expect("runs");
         assert_eq!(run.result, Some(Value::I32(120)));
@@ -1442,17 +1572,23 @@ mod tests {
         restore_into(&mut world, bytes, mode).map(|_| encode(&world))
     }
 
-    /// Resealed single-byte mutations of a checkpoint's payload, each
-    /// restored the same-shape strict way and adopted onto one and three
-    /// SPEs: every one is a typed rejection or a restore, never a panic.
-    /// The digest pins each outcome — a rejection's variant and fields
-    /// (not a `Corrupt`'s wording), or the restored world's encoding — so
-    /// a decoder rewrite that changes an accept/reject decision or what a
-    /// restore builds fails it.
-    #[test]
-    fn resealed_payload_mutations_never_panic() {
-        let (program, cfg, bytes) = contended_checkpoint();
-        let payload = open(&bytes).expect("valid container");
+    /// Resealed single-byte mutations of `bytes` at a seeded two-fifths
+    /// of the payload offsets in `span`, each restored the same-shape
+    /// strict way and adopted onto one and three SPEs: every one must be a
+    /// typed rejection or a restore, never a panic. Returns the payload
+    /// length, the rejection and restore counts, and a digest of every
+    /// outcome — a rejection's variant and fields (not a `Corrupt`'s
+    /// wording), or the restored world's encoding — so a decoder rewrite
+    /// that changes an accept/reject decision or what a restore builds
+    /// moves it.
+    fn mutation_sweep(
+        program: &Program,
+        cfg: VmConfig,
+        bytes: &[u8],
+        span: std::ops::Range<usize>,
+        seed: u64,
+    ) -> (usize, u32, u32, u64) {
+        let payload = open(bytes).expect("valid container");
         let destinations = [
             (2, RestoreMode::Strict),
             (1, RestoreMode::Adopt),
@@ -1464,12 +1600,12 @@ mod tests {
             (dst, mode)
         });
         for &(dst, mode) in &destinations {
-            restored(&program, dst, &bytes, mode).expect("the checkpoint itself restores");
+            restored(program, dst, bytes, mode).expect("the checkpoint itself restores");
         }
-        let mut rng = hera_rng::SplitMix64::new(0x5eed_0038);
+        let mut rng = hera_rng::SplitMix64::new(seed);
         let (mut digest, mut rejected, mut accepted) = (0u64, 0u32, 0u32);
         let mut panicked = Vec::new();
-        for at in 0..payload.len() {
+        for at in span {
             if rng.next_below(5) >= 2 {
                 continue; // a seeded two-fifths of the bytes
             }
@@ -1479,7 +1615,7 @@ mod tests {
                 let sealed = hera_snap::seal(&mutated);
                 for &(dst, mode) in &destinations {
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        restored(&program, dst, &sealed, mode)
+                        restored(program, dst, &sealed, mode)
                     }));
                     let line = match outcome {
                         Err(_) => {
@@ -1511,9 +1647,34 @@ mod tests {
             rejected > 0 && accepted > 0,
             "{rejected} rejected, {accepted} restored"
         );
+        (payload.len(), rejected, accepted, digest)
+    }
+
+    /// The sweep over the whole payload of an untraced, unprofiled
+    /// checkpoint: its OBS section is a few bytes, so this is the CORE
+    /// decoder's pin.
+    #[test]
+    fn resealed_payload_mutations_never_panic() {
+        let (program, cfg, bytes) = contended_checkpoint(false);
+        let whole = 0..inspect(&bytes).expect("inspects").payload_len;
         assert_eq!(
-            (payload.len(), rejected, accepted, digest),
+            mutation_sweep(&program, cfg, &bytes, whole, 0x5eed_0038),
             (2553, 1752, 4422, 0xc8b6_b967_14af_00c3),
+            "mutation outcomes moved"
+        );
+    }
+
+    /// The sweep over the OBS section of a traced and profiled
+    /// checkpoint: metric counters, histograms, profiler nodes and
+    /// shadow-stack cursors, which the untraced sweep never reaches.
+    #[test]
+    fn resealed_obs_mutations_of_an_observed_checkpoint_never_panic() {
+        let (program, cfg, bytes) = contended_checkpoint(true);
+        let info = inspect(&bytes).expect("inspects");
+        let obs = 8 + info.core_len as usize..info.payload_len;
+        assert_eq!(
+            mutation_sweep(&program, cfg, &bytes, obs, 0x5eed_0041),
+            (4534, 450, 4320, 0xd198_a98a_6131_f5b5),
             "mutation outcomes moved"
         );
     }
