@@ -25,24 +25,33 @@
 //! the head of CORE — changes neither its length nor the offset of
 //! anything in it. That breaks the cost-depends-on-size circularity and
 //! lets [`Checkpoint`] encode CORE once, before the stall, and re-encode
-//! just the clocks after it.
+//! just the head and clocks after it.
+//!
+//! ## One walk per struct
+//!
+//! Each struct's fields are listed once, in a walk generic over
+//! [`Codec`]: run with a [`SnapWriter`] it encodes, run with a
+//! [`SnapReader`] it decodes, so a field cannot be written and not read
+//! back. The checks only decoding needs (ids, core tags, counts) run in
+//! the walk, on the reader only; the world-level walks run over a
+//! [`Target`], and what only a restore does — install decoded state,
+//! recompile, salvage and drain dropped SPEs — is a [`Target::restore`]
+//! step at the point of the walk where the decoded values are complete.
 
 use crate::stats::GcSummary;
 use crate::thread::{
-    BlockReason, Frame, FrameKind, JavaThread, PendingCall, ThreadId, ThreadState,
+    BehaviourWindow, BlockReason, Frame, FrameKind, JavaThread, PendingCall, ThreadId, ThreadState,
 };
 use crate::vm::VmConfig;
 use crate::world::World;
-use hera_cell::{CoreId, CoreKind, CycleBreakdown, FaultPlan, HwCacheStats, SpeDeath};
+use hera_cell::{CoreId, CoreKind, CycleBreakdown, FaultPlan, FaultStats, HwCacheStats, SpeDeath};
 use hera_isa::{ClassId, MethodId, ObjRef, Program, Slot, Trap, Value};
 use hera_jit::RegistryStats;
 use hera_mem::heap::AllocStats;
-use hera_snap::{
-    digest64, open, rle_decode_extent, rle_decode_words, rle_encode_words, rle_encode_zero_tail,
-    rle_encode_zeros, rle_skip_extent, RleLen, SnapError, SnapReader, SnapWriter, HEADER_LEN,
-};
+use hera_snap::{digest64, open, Codec, RleLen, SnapError, SnapReader, SnapWriter, HEADER_LEN};
 use hera_softcache::{CodeCacheStats, DataCacheStats};
 use hera_trace::{Histogram, MetricsRegistry, MigrationKind};
+use std::ops::Deref;
 use std::rc::Rc;
 
 /// One checkpoint taken during a run: the sealed snapshot bytes plus
@@ -73,83 +82,15 @@ pub struct SnapshotInfo {
 
 /// Digest of the *machine* configuration: the run configuration with the
 /// whole fault plan zeroed. The fault plan is carried in the snapshot
-/// explicitly (see [`encode_fault_plan`]) rather than folded into the
-/// digest, so that a checkpoint can be restored on a machine whose own
-/// plan differs — cross-machine migration in a fleet where every machine
-/// has its own fault seed. Strict restores still compare the carried plan
-/// against the destination's; adoption installs the carried plan instead.
+/// explicitly (see [`fault_plan`]) rather than folded into the digest, so
+/// that a checkpoint can be restored on a machine whose own plan differs
+/// — cross-machine migration in a fleet where every machine has its own
+/// fault seed. Strict restores still compare the carried plan against the
+/// destination's; adoption installs the carried plan instead.
 pub fn config_digest(config: &VmConfig) -> u64 {
     let mut cfg = *config;
     cfg.cell.faults = FaultPlan::default();
     digest64(format!("{cfg:?}").as_bytes())
-}
-
-/// Encode `plan` with `machine_crash_at` zeroed. The crash schedule is a
-/// run-local kill switch, not VM state: a checkpoint taken by a doomed
-/// run must be byte-identical to the same-seq checkpoint of the clean
-/// run, so the crash must not appear in the bytes.
-fn encode_fault_plan(w: &mut SnapWriter, plan: &FaultPlan) {
-    w.u64(plan.seed);
-    for rate in [
-        plan.mfc_transfer_ppm,
-        plan.eib_timeout_ppm,
-        plan.ls_corruption_ppm,
-        plan.proxy_timeout_ppm,
-        plan.migration_timeout_ppm,
-        plan.max_retries,
-        plan.backoff_base_cycles,
-        plan.eib_timeout_cycles,
-        plan.checksum_cycles,
-        plan.watchdog_cycles,
-    ] {
-        w.u32(rate);
-    }
-    w.u32(plan.slowdown_factor);
-    w.u64(plan.slowdown_from_cycle);
-    for slot in &plan.spe_deaths {
-        match slot {
-            Some(d) => {
-                w.u8(1);
-                w.u8(d.spe);
-                w.u64(d.at_cycle);
-            }
-            None => {
-                w.u8(0);
-                w.u8(0);
-                w.u64(0);
-            }
-        }
-    }
-}
-
-/// Decode the plan written by [`encode_fault_plan`]. `machine_crash_at`
-/// is always `None` — the crash schedule never travels with a snapshot.
-fn decode_fault_plan(r: &mut SnapReader<'_>) -> Result<FaultPlan, SnapError> {
-    let mut plan = FaultPlan {
-        seed: r.u64()?,
-        ..FaultPlan::default()
-    };
-    plan.mfc_transfer_ppm = r.u32()?;
-    plan.eib_timeout_ppm = r.u32()?;
-    plan.ls_corruption_ppm = r.u32()?;
-    plan.proxy_timeout_ppm = r.u32()?;
-    plan.migration_timeout_ppm = r.u32()?;
-    plan.max_retries = r.u32()?;
-    plan.backoff_base_cycles = r.u32()?;
-    plan.eib_timeout_cycles = r.u32()?;
-    plan.checksum_cycles = r.u32()?;
-    plan.watchdog_cycles = r.u32()?;
-    plan.slowdown_factor = r.u32()?;
-    plan.slowdown_from_cycle = r.u64()?;
-    for slot in plan.spe_deaths.iter_mut() {
-        let present = r.u8()? != 0;
-        let spe = r.u8()?;
-        let at_cycle = r.u64()?;
-        if present {
-            *slot = Some(SpeDeath { spe, at_cycle });
-        }
-    }
-    Ok(plan)
 }
 
 /// `plan` with the crash schedule removed — the shape that is compared
@@ -174,484 +115,905 @@ pub fn program_digest(program: &Program) -> u64 {
     )
 }
 
-fn core_tag(core: CoreId) -> u8 {
-    match core {
-        CoreId::Ppe => 0,
-        CoreId::Spe(n) => 1 + n,
-    }
-}
-
-fn decode_core_id(tag: u8, num_spes: u8) -> Result<CoreId, SnapError> {
-    match tag {
-        0 => Ok(CoreId::Ppe),
-        n if n <= num_spes => Ok(CoreId::Spe(n - 1)),
-        n => Err(SnapError::Corrupt(format!("core tag {n} out of range"))),
-    }
-}
-
-/// `raw` as the id of one of a snapshot's `nthreads` threads.
-fn thread_id(raw: u32, nthreads: usize) -> Result<ThreadId, SnapError> {
-    if (raw as usize) < nthreads {
-        Ok(ThreadId(raw))
+/// A decode-time check: `Corrupt(what())` when a decoded value fails
+/// `ok`. A writer's values come from a live VM and are not checked.
+fn ensure<C: Codec>(ok: bool, what: impl FnOnce() -> String) -> Result<(), SnapError> {
+    if C::READS && !ok {
+        Err(SnapError::Corrupt(what()))
     } else {
-        Err(SnapError::Corrupt(format!("thread id {raw} out of range")))
+        Ok(())
     }
 }
 
-/// `raw` as the id of one of `program`'s methods: compiling, calling or
-/// looking up any other id would index past the method table.
-fn method_id(raw: u32, program: &Program) -> Result<MethodId, SnapError> {
-    if (raw as usize) < program.methods.len() {
+/// A count that must equal `want`, the source's own.
+fn count<C: Codec>(
+    c: &mut C,
+    n: usize,
+    want: usize,
+    min_elem_bytes: usize,
+    what: &str,
+) -> Result<(), SnapError> {
+    let n = c.len_prefix(n, min_elem_bytes)?;
+    ensure::<C>(n == want, || format!("{what} count mismatch"))
+}
+
+/// What the decode-time checks hold ids and core tags to: the program's
+/// method and class tables, the snapshot's thread count and SPE count.
+#[derive(Clone, Copy)]
+struct Ids<'p> {
+    program: &'p Program,
+    threads: usize,
+    spes: u8,
+}
+
+impl Ids<'_> {
+    /// A method id: compiling, calling or looking up any other would
+    /// index past the method table.
+    fn method<C: Codec>(&self, c: &mut C, m: MethodId) -> Result<MethodId, SnapError> {
+        let raw = c.u32(m.0)?;
+        let ok = (raw as usize) < self.program.methods.len();
+        ensure::<C>(ok, || format!("method id {raw} out of range"))?;
         Ok(MethodId(raw))
-    } else {
-        Err(SnapError::Corrupt(format!("method id {raw} out of range")))
     }
-}
 
-/// `raw` as the id of one of `program`'s classes.
-fn class_id(raw: u16, program: &Program) -> Result<ClassId, SnapError> {
-    if (raw as usize) < program.classes.len() {
+    fn class<C: Codec>(&self, c: &mut C, k: ClassId) -> Result<ClassId, SnapError> {
+        let raw = c.u16(k.0)?;
+        let ok = (raw as usize) < self.program.classes.len();
+        ensure::<C>(ok, || format!("class id {raw} out of range"))?;
         Ok(ClassId(raw))
-    } else {
-        Err(SnapError::Corrupt(format!("class id {raw} out of range")))
     }
-}
 
-fn encode_value(w: &mut SnapWriter, v: &Value) {
-    match *v {
-        Value::I32(x) => {
-            w.u8(0);
-            w.u64(x as u32 as u64);
-        }
-        Value::I64(x) => {
-            w.u8(1);
-            w.u64(x as u64);
-        }
-        Value::F32(x) => {
-            w.u8(2);
-            w.u64(x.to_bits() as u64);
-        }
-        Value::F64(x) => {
-            w.u8(3);
-            w.u64(x.to_bits());
-        }
-        Value::Ref(r) => {
-            w.u8(4);
-            w.u64(r.0 as u64);
-        }
+    fn thread<C: Codec>(&self, c: &mut C, t: ThreadId) -> Result<ThreadId, SnapError> {
+        let raw = c.u32(t.0)?;
+        let ok = (raw as usize) < self.threads;
+        ensure::<C>(ok, || format!("thread id {raw} out of range"))?;
+        Ok(ThreadId(raw))
     }
-}
 
-fn decode_value(r: &mut SnapReader<'_>) -> Result<Value, SnapError> {
-    let tag = r.u8()?;
-    let bits = r.u64()?;
-    match tag {
-        0 => Ok(Value::I32(bits as u32 as i32)),
-        1 => Ok(Value::I64(bits as i64)),
-        2 => Ok(Value::F32(f32::from_bits(bits as u32))),
-        3 => Ok(Value::F64(f64::from_bits(bits))),
-        4 => Ok(Value::Ref(ObjRef(bits as u32))),
-        n => Err(SnapError::Corrupt(format!("value tag {n} unknown"))),
-    }
-}
-
-fn encode_trap(w: &mut SnapWriter, t: &Trap) {
-    match t {
-        Trap::NullPointer => w.u8(0),
-        Trap::ArrayIndexOutOfBounds { index, len } => {
-            w.u8(1);
-            w.u32(*index as u32);
-            w.u32(*len);
-        }
-        Trap::DivisionByZero => w.u8(2),
-        Trap::NegativeArraySize(n) => {
-            w.u8(3);
-            w.u32(*n as u32);
-        }
-        Trap::OutOfMemory => w.u8(4),
-        Trap::IllegalMonitorState => w.u8(5),
-        Trap::NativeError(msg) => {
-            w.u8(6);
-            w.str(msg);
-        }
-        Trap::MachineCheck(msg) => {
-            w.u8(7);
-            w.str(msg);
-        }
-    }
-}
-
-fn decode_trap(r: &mut SnapReader<'_>) -> Result<Trap, SnapError> {
-    match r.u8()? {
-        0 => Ok(Trap::NullPointer),
-        1 => Ok(Trap::ArrayIndexOutOfBounds {
-            index: r.u32()? as i32,
-            len: r.u32()?,
-        }),
-        2 => Ok(Trap::DivisionByZero),
-        3 => Ok(Trap::NegativeArraySize(r.u32()? as i32)),
-        4 => Ok(Trap::OutOfMemory),
-        5 => Ok(Trap::IllegalMonitorState),
-        6 => Ok(Trap::NativeError(r.str()?)),
-        7 => Ok(Trap::MachineCheck(r.str()?)),
-        n => Err(SnapError::Corrupt(format!("trap tag {n} unknown"))),
-    }
-}
-
-fn migration_kind_tag(k: MigrationKind) -> u8 {
-    match k {
-        MigrationKind::Annotation => 0,
-        MigrationKind::Monitored => 1,
-        MigrationKind::MarkerReturn => 2,
-        MigrationKind::Failover => 3,
-    }
-}
-
-fn decode_migration_kind(tag: u8) -> Result<MigrationKind, SnapError> {
-    match tag {
-        0 => Ok(MigrationKind::Annotation),
-        1 => Ok(MigrationKind::Monitored),
-        2 => Ok(MigrationKind::MarkerReturn),
-        3 => Ok(MigrationKind::Failover),
-        n => Err(SnapError::Corrupt(format!(
-            "migration kind tag {n} unknown"
-        ))),
-    }
-}
-
-fn encode_thread(w: &mut SnapWriter, scratch: &mut Vec<u8>, t: &JavaThread) {
-    w.u32(t.id.0);
-    w.u8(core_tag(t.core));
-    match &t.state {
-        ThreadState::Ready => w.u8(0),
-        ThreadState::Blocked(BlockReason::Monitor(obj)) => {
-            w.u8(1);
-            w.u32(obj.0);
-        }
-        ThreadState::Blocked(BlockReason::Join(tid)) => {
-            w.u8(2);
-            w.u32(tid.0);
-        }
-        ThreadState::Finished(Ok(None)) => w.u8(3),
-        ThreadState::Finished(Ok(Some(v))) => {
-            w.u8(4);
-            encode_value(w, v);
-        }
-        ThreadState::Finished(Err(trap)) => {
-            w.u8(5);
-            encode_trap(w, trap);
-        }
-    }
-    w.u64(t.available_at);
-    match &t.pending_call {
-        None => w.u8(0),
-        Some(p) => {
-            w.u8(1);
-            w.u32(p.method.0);
-            w.len_prefix(p.args.len());
-            for v in &p.args {
-                encode_value(w, v);
-            }
-            // Format v3 ends a pending call with a byte that is always 0
-            // (`decode_thread` rejects any other value).
-            w.u8(0);
-        }
-    }
-    w.opt_u32(t.pending_relookup.map(|m| m.0));
-    match t.pending_acquire_barrier {
-        None => w.u8(0),
-        Some(obj) => {
-            w.u8(1);
-            w.u32(obj.0);
-        }
-    }
-    match t.pending_migrate_in {
-        None => w.u8(0),
-        Some((origin, kind)) => {
-            w.u8(1);
-            w.u8(core_tag(origin));
-            w.u8(migration_kind_tag(kind));
-        }
-    }
-    w.u64(t.window.fp_ops);
-    w.u64(t.window.mem_ops);
-    w.u64(t.window.total_ops);
-    w.u64(t.migrations);
-    w.u32(t.held_monitors);
-    // The untagged slot arena, as raw little-endian u64 cells (mostly
-    // zero above the live watermark, hence the zero-RLE codec).
-    rle_encode_words(w, scratch, t.arena.iter().map(|s| s.raw()));
-    w.len_prefix(t.frames.len());
-    for f in &t.frames {
-        match f.kind {
-            FrameKind::Normal => {
-                w.u8(0);
-                // The code is re-derived at restore from (method, kind):
-                // a migrated thread's lower frames hold other-kind code.
-                w.u8((f.code.core == CoreKind::Spe) as u8);
-            }
-            FrameKind::MigrationMarker { origin } => {
-                w.u8(1);
-                w.u8(core_tag(origin));
+    /// A core as its tag: the PPE is 0, SPE n is 1 + n.
+    fn core<C: Codec>(&self, c: &mut C, core: CoreId) -> Result<CoreId, SnapError> {
+        match c.u8(match core {
+            CoreId::Ppe => 0,
+            CoreId::Spe(n) => 1 + n,
+        })? {
+            0 => Ok(CoreId::Ppe),
+            n => {
+                ensure::<C>(n <= self.spes, || format!("core tag {n} out of range"))?;
+                Ok(CoreId::Spe(n - 1))
             }
         }
-        w.u32(f.method.0);
-        w.u32(f.pc);
-        w.u32(f.base);
-        w.u32(f.nlocals);
-        w.u32(f.sp);
     }
 }
 
-/// Encode the clocks: makespan, core count, per-core clocks and cycle
-/// breakdowns. This is all of CORE that charging a stall can move, and
-/// for a given machine shape it is fixed-width, which is what lets a
-/// [`Checkpoint`] overwrite it in place after the write stall.
-fn encode_clocks(w: &mut SnapWriter, world: &World<'_>) {
-    let cores = world.machine.cores();
-    w.u64(world.machine.makespan(&cores));
-    w.u32(cores.len() as u32);
-    for &c in world.machine.clocks() {
-        w.u64(c);
+/// The fault plan a snapshot carries, without `machine_crash_at`. The
+/// crash schedule is a run-local kill switch, not VM state: a checkpoint
+/// taken by a doomed run must be byte-identical to the same-seq
+/// checkpoint of the clean run, so the crash must not appear in the
+/// bytes, and a decoded plan has none.
+fn fault_plan<C: Codec>(c: &mut C, p: &FaultPlan) -> Result<FaultPlan, SnapError> {
+    let mut plan = FaultPlan {
+        seed: c.u64(p.seed)?,
+        mfc_transfer_ppm: c.u32(p.mfc_transfer_ppm)?,
+        eib_timeout_ppm: c.u32(p.eib_timeout_ppm)?,
+        ls_corruption_ppm: c.u32(p.ls_corruption_ppm)?,
+        proxy_timeout_ppm: c.u32(p.proxy_timeout_ppm)?,
+        migration_timeout_ppm: c.u32(p.migration_timeout_ppm)?,
+        max_retries: c.u32(p.max_retries)?,
+        backoff_base_cycles: c.u32(p.backoff_base_cycles)?,
+        eib_timeout_cycles: c.u32(p.eib_timeout_cycles)?,
+        checksum_cycles: c.u32(p.checksum_cycles)?,
+        watchdog_cycles: c.u32(p.watchdog_cycles)?,
+        slowdown_factor: c.u32(p.slowdown_factor)?,
+        slowdown_from_cycle: c.u64(p.slowdown_from_cycle)?,
+        spe_deaths: p.spe_deaths,
+        machine_crash_at: None,
+    };
+    // Every slot is written, an empty one as zeros; a non-zero flag
+    // byte reads as a death.
+    for slot in &mut plan.spe_deaths {
+        let d = slot.unwrap_or(SpeDeath {
+            spe: 0,
+            at_cycle: 0,
+        });
+        let present = c.u8(slot.is_some() as u8)? != 0;
+        let d = SpeDeath {
+            spe: c.u8(d.spe)?,
+            at_cycle: c.u64(d.at_cycle)?,
+        };
+        *slot = present.then_some(d);
     }
-    for b in world.machine.breakdowns() {
+    Ok(plan)
+}
+
+/// A value as its tag and 64 payload bits.
+fn value<C: Codec>(c: &mut C, v: Value) -> Result<Value, SnapError> {
+    let (tag, bits) = match v {
+        Value::I32(x) => (0, x as u32 as u64),
+        Value::I64(x) => (1, x as u64),
+        Value::F32(x) => (2, x.to_bits() as u64),
+        Value::F64(x) => (3, x.to_bits()),
+        Value::Ref(r) => (4, r.0 as u64),
+    };
+    let (tag, bits) = (c.u8(tag)?, c.u64(bits)?);
+    Ok(match tag {
+        0 => Value::I32(bits as u32 as i32),
+        1 => Value::I64(bits as i64),
+        2 => Value::F32(f32::from_bits(bits as u32)),
+        3 => Value::F64(f64::from_bits(bits)),
+        4 => Value::Ref(ObjRef(bits as u32)),
+        n => return Err(SnapError::Corrupt(format!("value tag {n} unknown"))),
+    })
+}
+
+fn trap<C: Codec>(c: &mut C, t: &Trap) -> Result<Trap, SnapError> {
+    // The payload each variant carries, zero where `t` carries none.
+    let (tag, a, b, msg) = match t {
+        Trap::NullPointer => (0, 0, 0, ""),
+        Trap::ArrayIndexOutOfBounds { index, len } => (1, *index as u32, *len, ""),
+        Trap::DivisionByZero => (2, 0, 0, ""),
+        Trap::NegativeArraySize(n) => (3, *n as u32, 0, ""),
+        Trap::OutOfMemory => (4, 0, 0, ""),
+        Trap::IllegalMonitorState => (5, 0, 0, ""),
+        Trap::NativeError(m) => (6, 0, 0, m.as_str()),
+        Trap::MachineCheck(m) => (7, 0, 0, m.as_str()),
+    };
+    Ok(match c.u8(tag)? {
+        0 => Trap::NullPointer,
+        1 => Trap::ArrayIndexOutOfBounds {
+            index: c.u32(a)? as i32,
+            len: c.u32(b)?,
+        },
+        2 => Trap::DivisionByZero,
+        3 => Trap::NegativeArraySize(c.u32(a)? as i32),
+        4 => Trap::OutOfMemory,
+        5 => Trap::IllegalMonitorState,
+        6 => Trap::NativeError(c.str(msg)?),
+        7 => Trap::MachineCheck(c.str(msg)?),
+        n => return Err(SnapError::Corrupt(format!("trap tag {n} unknown"))),
+    })
+}
+
+/// Migration kinds in tag order.
+const MIGRATION_KINDS: [MigrationKind; 4] = [
+    MigrationKind::Annotation,
+    MigrationKind::Monitored,
+    MigrationKind::MarkerReturn,
+    MigrationKind::Failover,
+];
+
+fn migration_kind<C: Codec>(c: &mut C, k: MigrationKind) -> Result<MigrationKind, SnapError> {
+    let tag = MIGRATION_KINDS.iter().position(|&x| x == k);
+    let tag = c.u8(tag.expect("every migration kind has a tag") as u8)?;
+    MIGRATION_KINDS
+        .get(tag as usize)
+        .copied()
+        .ok_or_else(|| SnapError::Corrupt(format!("migration kind tag {tag} unknown")))
+}
+
+fn thread_state<C: Codec>(
+    c: &mut C,
+    s: &ThreadState,
+    ids: &Ids<'_>,
+) -> Result<ThreadState, SnapError> {
+    // The payload each state carries, zero where `s` carries none.
+    let (tag, raw, v, t) = match s {
+        ThreadState::Ready => (0, 0, None, None),
+        ThreadState::Blocked(BlockReason::Monitor(obj)) => (1, obj.0, None, None),
+        ThreadState::Blocked(BlockReason::Join(tid)) => (2, tid.0, None, None),
+        ThreadState::Finished(Ok(None)) => (3, 0, None, None),
+        ThreadState::Finished(Ok(Some(v))) => (4, 0, Some(*v), None),
+        ThreadState::Finished(Err(t)) => (5, 0, None, Some(t)),
+    };
+    Ok(match c.u8(tag)? {
+        0 => ThreadState::Ready,
+        1 => ThreadState::Blocked(BlockReason::Monitor(ObjRef(c.u32(raw)?))),
+        2 => ThreadState::Blocked(BlockReason::Join(ids.thread(c, ThreadId(raw))?)),
+        3 => ThreadState::Finished(Ok(None)),
+        4 => ThreadState::Finished(Ok(Some(value(c, v.unwrap_or(Value::I32(0)))?))),
+        5 => ThreadState::Finished(Err(trap(c, t.unwrap_or(&Trap::NullPointer))?)),
+        n => return Err(SnapError::Corrupt(format!("thread state tag {n} unknown"))),
+    })
+}
+
+/// A frame as a snapshot carries it. The code is re-derived at restore
+/// from (method, kind) — a migrated thread's lower frames hold other-kind
+/// code — so a normal frame carries only whether its code is the SPE's,
+/// and a migration marker runs on the code of the frame below it.
+struct FrameRow {
+    kind: FrameKind,
+    spe_code: bool,
+    method: MethodId,
+    cursors: [u32; 4],
+}
+
+fn frame<C: Codec>(c: &mut C, f: Option<&Frame>, ids: &Ids<'_>) -> Result<FrameRow, SnapError> {
+    let (kind, spe_code, method, cursors) =
+        f.map_or((FrameKind::Normal, false, MethodId(0), [0; 4]), |f| {
+            let spe_code = f.code.core == CoreKind::Spe;
+            (f.kind, spe_code, f.method, [f.pc, f.base, f.nlocals, f.sp])
+        });
+    let origin = match kind {
+        FrameKind::Normal => None,
+        FrameKind::MigrationMarker { origin } => Some(origin),
+    };
+    let (kind, spe_code) = match c.u8(origin.is_some() as u8)? {
+        0 => (FrameKind::Normal, c.bool(spe_code)?),
+        1 => {
+            let origin = ids.core(c, origin.unwrap_or(CoreId::Ppe))?;
+            (FrameKind::MigrationMarker { origin }, false)
+        }
+        n => return Err(SnapError::Corrupt(format!("frame tag {n} unknown"))),
+    };
+    let method = ids.method(c, method)?;
+    let mut row = FrameRow {
+        kind,
+        spe_code,
+        method,
+        cursors,
+    };
+    for v in &mut row.cursors {
+        *v = c.u32(*v)?;
+    }
+    Ok(row)
+}
+
+/// The arena a snapshot may declare: capped, so a corrupt length cannot
+/// trigger a huge allocation.
+const ARENA_CAP: usize = 256 << 20;
+
+/// Thread `i`, with its frames as the rows [`frames`] turns back into
+/// frames at restore.
+fn thread<C: Codec>(
+    c: &mut C,
+    t: &JavaThread,
+    i: u32,
+    ids: &Ids<'_>,
+) -> Result<(JavaThread, Vec<FrameRow>), SnapError> {
+    let id = c.u32(t.id.0)?;
+    ensure::<C>(id == i, || format!("thread {i} stored under id {id}"))?;
+    let core = ids.core(c, t.core)?;
+    let state = thread_state(c, &t.state, ids)?;
+    let available_at = c.u64(t.available_at)?;
+    let call = t.pending_call.as_ref().map(|p| (p.method.0, &p.args[..]));
+    let pending_call = c.opt(call, |c, (method, args)| {
+        let method = ids.method(c, MethodId(method))?;
+        let args = c.list(args.iter().map(|&v| Some(v)), 9, |c, v| {
+            value(c, v.unwrap_or(Value::I32(0)))
+        })?;
+        // Format v3 ends a pending call with a byte that is always 0.
+        let end = c.u8(0)?;
+        ensure::<C>(end == 0, || format!("origin tag {end} unknown"))?;
+        Ok(PendingCall { method, args })
+    })?;
+    let relookup = t.pending_relookup.map(|m| m.0);
+    let barrier = t.pending_acquire_barrier.map(|obj| obj.0);
+    let thread = JavaThread {
+        id: ThreadId(id),
+        frames: Vec::new(),
+        state,
+        core,
+        available_at,
+        pending_call,
+        pending_relookup: c.opt(relookup, |c, m| ids.method(c, MethodId(m)))?,
+        pending_acquire_barrier: c.opt(barrier, |c, obj| Ok(ObjRef(c.u32(obj)?)))?,
+        pending_migrate_in: c.opt(t.pending_migrate_in.map(Some), |c, m| {
+            let (origin, kind) = m.unwrap_or((CoreId::Ppe, MigrationKind::Annotation));
+            Ok((ids.core(c, origin)?, migration_kind(c, kind)?))
+        })?,
+        window: BehaviourWindow {
+            fp_ops: c.u64(t.window.fp_ops)?,
+            mem_ops: c.u64(t.window.mem_ops)?,
+            total_ops: c.u64(t.window.total_ops)?,
+        },
+        migrations: c.u64(t.migrations)?,
+        held_monitors: c.u32(t.held_monitors)?,
+        // The untagged slot arena as raw words: mostly zero above the
+        // live watermark, hence the zero-RLE codec.
+        arena: (c.words(
+            t.arena.iter().map(|s| s.raw()),
+            RleLen::Words { cap: ARENA_CAP },
+        )?)
+        .into_iter()
+        .map(Slot::from_raw)
+        .collect(),
+    };
+    let frames = c.list(t.frames.iter().map(Some), 22, |c, f| frame(c, f, ids))?;
+    Ok((thread, frames))
+}
+
+/// A restored thread's frames: each normal frame's code recompiled
+/// (compilation is deterministic, so it is the original run's) and its
+/// pc and cursors checked against that code and the thread's arena.
+fn frames(
+    world: &mut World<'_>,
+    rows: Vec<FrameRow>,
+    arena: usize,
+) -> Result<Vec<Frame>, SnapError> {
+    let mut frames: Vec<Frame> = Vec::with_capacity(rows.len());
+    for FrameRow {
+        kind,
+        spe_code,
+        method,
+        cursors: [pc, base, nlocals, sp],
+    } in rows
+    {
+        let code = match (kind, frames.last()) {
+            (FrameKind::Normal, _) => {
+                let core = if spe_code {
+                    CoreKind::Spe
+                } else {
+                    CoreKind::Ppe
+                };
+                let compiled =
+                    (world.registry).get_or_compile(world.program, &world.layout, method, core);
+                compiled
+                    .map_err(|_| {
+                        SnapError::Corrupt(format!("frame method {} fails to compile", method.0))
+                    })?
+                    .0
+            }
+            (FrameKind::MigrationMarker { .. }, Some(below)) => Rc::clone(&below.code),
+            (FrameKind::MigrationMarker { .. }, None) => {
+                return Err(SnapError::Corrupt(
+                    "migration marker as bottom frame".into(),
+                ))
+            }
+        };
+        if kind == FrameKind::Normal {
+            if (pc as usize) >= code.ops.len() {
+                return Err(SnapError::Corrupt(format!(
+                    "frame pc {pc} out of range for method {}",
+                    method.0
+                )));
+            }
+            if base as u64 + nlocals as u64 > sp as u64 || (sp as usize) > arena {
+                return Err(SnapError::Corrupt(format!(
+                    "frame cursors (base {base}, nlocals {nlocals}, sp {sp}) exceed arena {arena}"
+                )));
+            }
+        }
+        frames.push(Frame {
+            method,
+            code,
+            pc,
+            base,
+            nlocals,
+            sp,
+            kind,
+        });
+    }
+    Ok(frames)
+}
+
+/// The world a CORE or OBS walk runs over: the source when encoding;
+/// when restoring, the fresh destination, which the walk reads only for
+/// its shapes (cache geometry, heap and store sizes) and which
+/// [`Target::restore`] then overwrites.
+trait Target<'p>: Deref<Target = World<'p>> {
+    /// Restore-only work on the destination; an encode skips it.
+    fn restore<R: Default>(
+        &mut self,
+        f: impl FnOnce(&mut World<'p>) -> Result<R, SnapError>,
+    ) -> Result<R, SnapError>;
+}
+
+impl<'p> Target<'p> for &World<'p> {
+    fn restore<R: Default>(
+        &mut self,
+        _: impl FnOnce(&mut World<'p>) -> Result<R, SnapError>,
+    ) -> Result<R, SnapError> {
+        Ok(R::default())
+    }
+}
+
+impl<'p> Target<'p> for &mut World<'p> {
+    fn restore<R: Default>(
+        &mut self,
+        f: impl FnOnce(&mut World<'p>) -> Result<R, SnapError>,
+    ) -> Result<R, SnapError> {
+        f(self)
+    }
+}
+
+fn corrupt(ctx: &str, detail: &'static str) -> SnapError {
+    SnapError::Corrupt(format!("{ctx}: {detail}"))
+}
+
+/// Per-core rows, written at the source's `src` cores and read at the
+/// destination's, one per element of `rows`: rows of cores the
+/// destination does not have are read and dropped, rows of cores the
+/// source did not have start at the default.
+fn per_core<C: Codec, T: Copy + Default>(
+    c: &mut C,
+    rows: &[T],
+    src: usize,
+    mut walk: impl FnMut(&mut C, T) -> Result<T, SnapError>,
+) -> Result<Vec<T>, SnapError> {
+    let mut out = c.rows(src, |c, i| {
+        walk(c, rows.get(i).copied().unwrap_or_default())
+    })?;
+    if C::READS {
+        out.resize(rows.len(), T::default());
+    }
+    Ok(out)
+}
+
+/// The head of CORE: what a restore checks before anything else, and what
+/// [`inspect`] reports.
+#[derive(Clone, Copy, Default)]
+struct CoreHead {
+    config: u64,
+    program: u64,
+    plan: FaultPlan,
+    seq: u32,
+    /// The makespan.
+    wall_cycles: u64,
+    ncores: u32,
+}
+
+impl CoreHead {
+    fn of(world: &World<'_>) -> CoreHead {
+        CoreHead {
+            config: config_digest(&world.config),
+            program: world.program_digest(),
+            plan: world.config.cell.faults,
+            seq: world.checkpoint_seq,
+            ..CoreHead::default()
+        }
+        .clocked(world)
+    }
+
+    /// `self` with the fields a stall can move read off `world` as it is.
+    fn clocked(self, world: &World<'_>) -> CoreHead {
+        let cores = world.machine.cores();
+        CoreHead {
+            wall_cycles: world.machine.makespan(&cores),
+            ncores: cores.len() as u32,
+            ..self
+        }
+    }
+
+    fn walk<C: Codec>(&self, c: &mut C) -> Result<CoreHead, SnapError> {
+        Ok(CoreHead {
+            config: c.u64(self.config)?,
+            program: c.u64(self.program)?,
+            plan: fault_plan(c, &self.plan)?,
+            seq: c.u32(self.seq)?,
+            wall_cycles: c.u64(self.wall_cycles)?,
+            ncores: c.u32(self.ncores)?,
+        })
+    }
+}
+
+/// Per-core clocks and cycle breakdowns at the source's `src` cores. With
+/// the head before them, this is all of CORE that charging a stall can
+/// move, and for a given machine shape it is fixed-width, which is what
+/// lets a [`Checkpoint`] overwrite it in place after the write stall.
+fn clocks<'p, C: Codec, W: Target<'p>>(c: &mut C, w: &mut W, src: usize) -> Result<(), SnapError> {
+    let clocks = per_core(c, w.machine.clocks(), src, |c, v| c.u64(v))?;
+    let breakdowns = per_core(c, w.machine.breakdowns(), src, |c, b| {
         let (cycles, ops) = b.to_raw();
-        for v in cycles {
-            w.u64(v);
-        }
-        for v in ops {
-            w.u64(v);
-        }
-    }
+        Ok(CycleBreakdown::from_raw(c.u64s(cycles)?, c.u64s(ops)?))
+    })?;
+    w.restore(|world| {
+        (world.machine.set_clocks(&clocks)).map_err(|e| corrupt("machine clocks", e))?;
+        (world.machine.set_breakdowns(&breakdowns)).map_err(|e| corrupt("machine breakdowns", e))
+    })
 }
 
-/// Append the CORE section to `w`: every byte of state that virtual time
-/// depends on. Its length — not its content — sets the checkpoint cost.
-/// Returns the offset in `w` of the [`encode_clocks`] block.
-fn encode_core(w: &mut SnapWriter, world: &World<'_>) -> usize {
-    w.u64(config_digest(&world.config));
-    w.u64(world.program_digest());
-    encode_fault_plan(w, &crashless(&world.config.cell.faults));
-    w.u32(world.checkpoint_seq);
-    let clocks_at = w.len();
-    encode_clocks(w, world);
+/// One level of the PPE cache: tags, LRU stamps, tick. Untouched slots
+/// hold tag `u64::MAX` / stamp 0: storing the tags *inverted* turns both
+/// arrays into mostly-zero byte runs the RLE codec collapses (the L2
+/// alone is 64 KiB raw).
+#[allow(clippy::type_complexity)]
+fn ppe_level<C: Codec>(
+    c: &mut C,
+    (tags, stamps, tick): (&[u64], &[u64], u64),
+) -> Result<(Vec<u64>, Vec<u64>, u64), SnapError> {
+    let mut tags = c.words(tags.iter().map(|&t| !t), RleLen::Exactly(tags.len() * 8))?;
+    tags.iter_mut().for_each(|t| *t = !*t);
+    let stamps = c.words(stamps.iter().copied(), RleLen::Exactly(stamps.len() * 8))?;
+    Ok((tags, stamps, c.u64(tick)?))
+}
+
+/// The CORE section after its head, for a source of `src` cores: every
+/// byte of state that virtual time depends on. Its length — not its
+/// content — sets the checkpoint cost.
+fn core<'p, C: Codec, W: Target<'p>>(c: &mut C, w: &mut W, src: usize) -> Result<(), SnapError> {
+    // Per-core rows decode at the *source* shape: a dropped SPE's clock
+    // and counters die with it (its threads drain to the PPE below), an
+    // added SPE starts fresh.
+    let (src_spes, dst) = (src - 1, w.machine.clocks().len());
+    let dst_spes = w.config.cell.num_spes as usize;
+    let mut ids = Ids {
+        program: w.program,
+        threads: 0,
+        spes: src_spes as u8,
+    };
 
     // ---- machine ----
-    for &f in world.machine.failed_flags() {
-        w.bool(f);
-    }
-    let fs = &world.machine.fault_stats;
-    for v in [
-        fs.injected_mfc_transfer,
-        fs.injected_eib_timeout,
-        fs.injected_ls_corruption,
-        fs.injected_proxy_timeout,
-        fs.injected_migration_timeout,
-        fs.mfc_retries,
-        fs.backoff_cycles,
-        fs.watchdog_cycles,
-        fs.unrecoverable,
-    ] {
-        w.u64(v);
-    }
-    w.len_prefix(fs.deaths.len());
-    for &(spe, at) in &fs.deaths {
-        w.u8(spe);
-        w.u64(at);
-    }
-    w.u64(fs.drained_threads);
-    w.u64(fs.salvaged_bytes);
-    let (windows, retired_below) = world.machine.eib.export_state();
-    w.len_prefix(windows.len());
-    for (win, cycles) in windows {
-        w.u64(win);
-        w.u64(cycles);
-    }
-    w.u64(retired_below);
-    w.u64(world.machine.eib.bytes_transferred);
-    w.u64(world.machine.eib.transfers);
-    w.u64(world.machine.eib.queue_cycles_total);
-    let mut scratch = Vec::new();
-    let (l1, l2) = world.machine.ppe_cache.export_state();
-    for (tags, stamps, tick) in [l1, l2] {
-        // Untouched slots hold tag `u64::MAX` / stamp 0: storing the
-        // tags *inverted* turns both arrays into mostly-zero byte runs
-        // the RLE codec collapses (the L2 alone is 64 KiB raw).
-        rle_encode_words(w, &mut scratch, tags.iter().map(|&t| !t));
-        rle_encode_words(w, &mut scratch, stamps.iter().copied());
-        w.u64(tick);
-    }
-    w.u64s(&world.machine.ppe_cache.stats.to_array());
-    for spe in 0..world.config.cell.num_spes {
-        rle_encode_zeros(w, world.machine.local_store(spe).size() as usize);
-    }
-    w.len_prefix(world.machine.injector_counts().len());
-    for row in world.machine.injector_counts() {
-        for &v in row {
-            w.u64(v);
+    clocks(c, w, src)?;
+    let failed = per_core(c, w.machine.failed_flags(), src, |c, f| c.bool(f))?;
+    let fs = &w.machine.fault_stats;
+    let fault_stats = FaultStats {
+        injected_mfc_transfer: c.u64(fs.injected_mfc_transfer)?,
+        injected_eib_timeout: c.u64(fs.injected_eib_timeout)?,
+        injected_ls_corruption: c.u64(fs.injected_ls_corruption)?,
+        injected_proxy_timeout: c.u64(fs.injected_proxy_timeout)?,
+        injected_migration_timeout: c.u64(fs.injected_migration_timeout)?,
+        mfc_retries: c.u64(fs.mfc_retries)?,
+        backoff_cycles: c.u64(fs.backoff_cycles)?,
+        watchdog_cycles: c.u64(fs.watchdog_cycles)?,
+        unrecoverable: c.u64(fs.unrecoverable)?,
+        deaths: c.list(fs.deaths.iter().copied(), 9, |c, (spe, at)| {
+            Ok((c.u8(spe)?, c.u64(at)?))
+        })?,
+        drained_threads: c.u64(fs.drained_threads)?,
+        salvaged_bytes: c.u64(fs.salvaged_bytes)?,
+    };
+    let (windows, retired_below) = w.machine.eib.export_state();
+    let windows = c.list(windows.into_iter(), 16, |c, (win, cycles)| {
+        Ok((c.u64(win)?, c.u64(cycles)?))
+    })?;
+    let retired_below = c.u64(retired_below)?;
+    let eib = &w.machine.eib;
+    let eib_counters = [
+        c.u64(eib.bytes_transferred)?,
+        c.u64(eib.transfers)?,
+        c.u64(eib.queue_cycles_total)?,
+    ];
+    w.restore(|world| {
+        let machine = &mut world.machine;
+        machine
+            .set_failed_flags(&failed)
+            .map_err(|e| corrupt("machine blacklist", e))?;
+        machine.fault_stats = fault_stats;
+        machine.eib.import_state(windows, retired_below);
+        let eib = &mut machine.eib;
+        [eib.bytes_transferred, eib.transfers, eib.queue_cycles_total] = eib_counters;
+        Ok(())
+    })?;
+    let (l1, l2) = w.machine.ppe_cache.export_state();
+    let (l1, l2) = (ppe_level(c, l1)?, ppe_level(c, l2)?);
+    w.restore(|world| {
+        (world.machine.ppe_cache.import_state(l1, l2)).map_err(|e| corrupt("ppe cache", e))
+    })?;
+    let ppe_stats = HwCacheStats::from_array(c.u64s(w.machine.ppe_cache.stats.to_array())?);
+    for spe in 0..src_spes {
+        // A local store is encoded as the all-zero buffer it is (its
+        // data-cache region lives in the data cache, walked below), and
+        // every store has the one size the configs agree on.
+        let size = w.machine.local_store(spe.min(dst_spes - 1) as u8).size();
+        if c.zeros(size as usize)? != 0 {
+            return Err(corrupt("local store", "non-zero bytes"));
         }
     }
+    let injector = w.machine.injector_counts();
+    count(c, injector.len(), src, 24, "fault-injector row")?;
+    let injector = per_core(c, injector, src, |c, row| c.u64s(row))?;
+    w.restore(|world| {
+        world.machine.ppe_cache.stats = ppe_stats;
+        (world.machine.set_injector_counts(&injector)).map_err(|e| corrupt("fault injector", e))
+    })?;
 
     // ---- heap ----
-    rle_encode_zero_tail(w, world.heap.raw(), world.heap.written_mark() as usize);
-    w.u32(world.heap.objects_base());
-    w.u32(world.heap.limit());
-    w.u32(world.heap.statics_size());
-    w.len_prefix(world.heap.free_spans().len());
-    for &(addr, size) in world.heap.free_spans() {
-        w.u32(addr);
-        w.u32(size);
-    }
-    let objects: Vec<u32> = world.heap.objects().map(|r| r.0).collect(); // BTreeSet order
-    w.len_prefix(objects.len());
-    for a in objects {
-        w.u32(a);
-    }
-    w.u64s(&world.heap.stats.to_array());
+    let heap = &w.heap;
+    let (bytes, nonzero_end) = c.rle(heap.raw(), heap.written_mark() as usize)?;
+    let objects_base = c.u32(heap.objects_base())?;
+    let limit = c.u32(heap.limit())?;
+    let statics_size = c.u32(heap.statics_size())?;
+    let ok = statics_size == heap.statics_size();
+    ensure::<C>(ok, || "heap statics size mismatch".into())?;
+    let free = c.list(heap.free_spans().iter().copied(), 8, |c, (addr, size)| {
+        Ok((c.u32(addr)?, c.u32(size)?))
+    })?;
+    let objects: Vec<u32> = heap.objects().map(|r| r.0).collect(); // BTreeSet order
+    let objects = c.list(objects.into_iter(), 4, Codec::u32)?;
+    let heap_stats = AllocStats::from_array(c.u64s(heap.stats.to_array())?);
+    w.restore(|world| {
+        world.heap = hera_mem::Heap::from_raw_parts(
+            bytes,
+            nonzero_end as u32,
+            objects_base,
+            limit,
+            free,
+            objects.into_iter().collect(),
+            statics_size,
+            heap_stats,
+        )
+        .map_err(|e| corrupt("heap", e))?;
+        Ok(())
+    })?;
 
     // ---- software caches ----
-    w.len_prefix(world.data_caches.len());
-    for dc in &world.data_caches {
+    count(c, w.data_caches.len(), src_spes, 4, "data-cache")?;
+    for spe in 0..src_spes {
+        let dc = &w.data_caches[spe.min(dst_spes - 1)];
         let (bump, slots, local) = dc.export_state();
-        w.u32(bump);
-        w.len_prefix(slots.len());
-        for (slot, fields) in slots {
-            w.u32(slot);
-            for f in fields {
-                w.u32(f);
+        let bump = c.u32(bump)?;
+        let slots = c.list(slots.into_iter(), 24, |c, (slot, mut fields)| {
+            let slot = c.u32(slot)?;
+            for f in &mut fields {
+                *f = c.u32(*f)?;
             }
-        }
-        rle_encode_zero_tail(w, local, dc.written_mark() as usize);
-        w.u64s(&dc.stats.to_array());
+            Ok((slot, fields))
+        })?;
+        let (local, extent) = c.rle(local, dc.written_mark() as usize)?;
+        let stats = DataCacheStats::from_array(c.u64s(dc.stats.to_array())?);
+        w.restore(|world| {
+            // A dropped SPE is dead-at-adopt: decode its cache into a
+            // scratch copy and salvage the dirty lines straight into main
+            // memory, exactly as `fail_spe` rescues a core that died
+            // mid-run. The rescue DMA is charged to the PPE under the
+            // migration cost class.
+            let mut scratch;
+            let dc = if spe < dst_spes {
+                &mut world.data_caches[spe]
+            } else {
+                scratch = hera_softcache::DataCache::with_block_size(
+                    world.config.cell.partition.data_cache_bytes,
+                    world.config.array_block_bytes,
+                );
+                &mut scratch
+            };
+            (dc.import_state(bump, slots, local, extent)).map_err(|e| corrupt("data cache", e))?;
+            dc.stats = stats;
+            if spe >= dst_spes {
+                let salvaged = dc.salvage(&mut world.heap).map_err(|e| {
+                    SnapError::Corrupt(format!("adopt-drain salvage of SPE {spe}: {e}"))
+                })?;
+                world.charge_salvage(salvaged);
+            }
+            Ok(())
+        })?;
     }
-    w.len_prefix(world.code_caches.len());
-    for cc in &world.code_caches {
+    count(c, w.code_caches.len(), src_spes, 4, "code-cache")?;
+    for spe in 0..src_spes {
+        // Dropped SPEs' code caches are clean (code is re-fetchable) and
+        // simply discarded.
+        let cc = &w.code_caches[spe.min(dst_spes - 1)];
         let (bump, methods, tibs) = cc.export_state();
-        w.u32(bump);
-        w.len_prefix(methods.len());
-        for (m, base) in methods {
-            w.u32(m.0);
-            w.u32(base);
-        }
-        w.len_prefix(tibs.len());
-        for (c, base) in tibs {
-            w.u16(c.0);
-            w.u32(base);
-        }
-        w.u64s(&cc.stats.to_array());
+        let bump = c.u32(bump)?;
+        let methods = methods.into_iter().map(|(m, base)| (m.0, base));
+        let methods = c.list(methods, 8, |c, (m, base)| {
+            Ok((ids.method(c, MethodId(m))?, c.u32(base)?))
+        })?;
+        let tibs = tibs.into_iter().map(|(k, base)| (k.0, base));
+        let tibs = c.list(tibs, 6, |c, (k, base)| {
+            Ok((ids.class(c, ClassId(k))?, c.u32(base)?))
+        })?;
+        let stats = CodeCacheStats::from_array(c.u64s(cc.stats.to_array())?);
+        w.restore(|world| {
+            if let Some(cc) = world.code_caches.get_mut(spe).filter(|_| spe < dst_spes) {
+                (cc.import_state(bump, methods, tibs)).map_err(|e| corrupt("code cache", e))?;
+                cc.stats = stats;
+            }
+            Ok(())
+        })?;
     }
 
-    // ---- JIT registry (keys only; code is recompiled at restore) ----
-    let keys = world.registry.compiled_keys();
-    w.len_prefix(keys.len());
-    for (m, kind) in keys {
-        w.u32(m.0);
-        w.u8((kind == CoreKind::Spe) as u8);
-    }
-    w.u64s(&world.registry.stats().to_array());
+    // ---- JIT registry ----
+    // Keys only: the snapshot's key set is recompiled eagerly
+    // (compilation is deterministic, so the code is the original run's),
+    // and the stats are installed after the threads' frames compile, so
+    // compile costs are not repaid.
+    let keys = w.registry.compiled_keys().into_iter();
+    let keys = c.list(
+        keys.map(|(m, kind)| (m.0, kind == CoreKind::Spe)),
+        5,
+        |c, (m, spe)| {
+            let m = ids.method(c, MethodId(m))?;
+            // Any non-zero byte is the SPE.
+            let kind = [CoreKind::Ppe, CoreKind::Spe][(c.u8(spe as u8)? != 0) as usize];
+            Ok((m, kind))
+        },
+    )?;
+    w.restore(|world| {
+        for (m, kind) in keys {
+            (world.registry)
+                .get_or_compile(world.program, &world.layout, m, kind)
+                .map_err(|_| SnapError::Corrupt(format!("method {} fails to compile", m.0)))?;
+        }
+        Ok(())
+    })?;
+    let registry_stats = RegistryStats::from_array(c.u64s(w.registry.stats().to_array())?);
 
-    // ---- threads / scheduler ----
-    w.len_prefix(world.threads.len());
-    for t in &world.threads {
-        encode_thread(w, &mut scratch, t);
-    }
-    let rows = world.monitors.export_state();
-    w.len_prefix(rows.len());
-    for (obj, owner, count, waiters, free_at) in rows {
-        w.u32(obj.0);
-        w.opt_u32(owner.map(|t| t.0));
-        w.u32(count);
-        w.len_prefix(waiters.len());
-        for t in waiters {
-            w.u32(t.0);
-        }
-        w.u64(free_at);
-    }
-    w.u64(world.monitors.contended_acquires);
-    w.u64(world.monitors.acquisitions);
-    w.len_prefix(world.run_queues.len());
-    for q in &world.run_queues {
-        w.len_prefix(q.len());
-        for t in q {
-            w.u32(t.0);
-        }
-    }
-    for slot in &world.last_on_core {
-        w.opt_u32(slot.map(|t| t.0));
-    }
-    w.u64(world.thread_switches);
-    let mut joins: Vec<(&ThreadId, &Vec<ThreadId>)> = world.join_waiters.iter().collect();
-    joins.sort_unstable_by_key(|(k, _)| k.0);
-    w.len_prefix(joins.len());
-    for (k, waiters) in joins {
-        w.u32(k.0);
-        w.len_prefix(waiters.len());
-        for t in waiters {
-            w.u32(t.0);
-        }
-    }
-    w.len_prefix(world.output.len());
-    for line in &world.output {
-        w.str(line);
-    }
-    let mut files: Vec<(&i32, &Vec<u8>)> = world.files.iter().collect();
-    files.sort_unstable_by_key(|(k, _)| **k);
-    w.len_prefix(files.len());
-    for (fd, data) in files {
-        w.u32(*fd as u32);
-        w.blob(data);
-    }
-    w.u64s(&world.gc.to_array());
-    w.opt_u64(world.next_checkpoint_at);
-    clocks_at
-}
-
-/// Encode the OBS section: observability-only state. Nothing in here may
-/// influence virtual time or the checkpoint cost. Trace lane event
-/// counts and restore markers are deliberately *not* captured, so later
-/// checkpoints of a resumed run stay byte-identical to the full run's.
-fn encode_obs(w: &mut SnapWriter, world: &World<'_>) {
-    w.bool(world.machine.trace.is_enabled());
-    let counters: Vec<(&str, u64)> = world.machine.trace.metrics.counters().collect();
-    w.len_prefix(counters.len());
-    for (name, v) in counters {
-        w.str(name);
-        w.u64(v);
-    }
-    let hists: Vec<(&str, &Histogram)> = world.machine.trace.metrics.histograms().collect();
-    w.len_prefix(hists.len());
-    for (name, h) in hists {
-        w.str(name);
-        w.u64(h.count);
-        w.u64(h.sum);
-        w.u64(h.min);
-        w.u64(h.max);
-        for b in h.buckets {
-            w.u64(b);
-        }
-    }
-    match &world.profiler {
-        None => w.u8(0),
-        Some(p) => {
-            w.u8(1);
-            let (nodes, current) = p.export_state();
-            w.len_prefix(nodes.len());
-            for (method, parent, cost) in nodes {
-                w.u32(method);
-                w.u32(parent);
-                for lane in cost {
-                    for v in lane {
-                        w.u64(v);
+    // ---- threads ----
+    ids.threads = c.len_prefix(w.threads.len(), 1)?;
+    let blank = JavaThread::new(ThreadId(0), CoreId::Ppe, MethodId(0), Vec::new());
+    let threads = c.rows(ids.threads, |c, i| {
+        let (t, rows) = thread(c, w.threads.get(i).unwrap_or(&blank), i as u32, &ids)?;
+        let frames = w.restore(|world| frames(world, rows, t.arena.len()))?;
+        Ok(JavaThread { frames, ..t })
+    })?;
+    w.restore(|world| {
+        world.threads = threads;
+        world.registry.set_stats(registry_stats);
+        // ---- dead-at-adopt drain ----
+        // Threads homed on SPEs the destination does not have are
+        // drained to the PPE through the same motions as `fail_spe`:
+        // migration markers that would return a thread to a missing core
+        // are rewritten, and every unfinished resident thread re-homes to
+        // the PPE paying one migration charge. Finished threads re-home
+        // too (no charge) so the next checkpoint encodes only cores this
+        // machine actually has.
+        if src_spes > dst_spes {
+            let ppe_now = world.machine.now(CoreId::Ppe);
+            let migration = world.config.migration_cycles as u64;
+            let dropped = |c: CoreId| matches!(c, CoreId::Spe(n) if n as usize >= dst_spes);
+            let mut drained = 0u64;
+            for t in world.threads.iter_mut() {
+                for f in &mut t.frames {
+                    if let FrameKind::MigrationMarker { origin } = &mut f.kind {
+                        if dropped(*origin) {
+                            *origin = CoreId::Ppe;
+                        }
+                    }
+                }
+                if let Some((origin, _)) = &mut t.pending_migrate_in {
+                    if dropped(*origin) {
+                        *origin = CoreId::Ppe;
+                    }
+                }
+                if dropped(t.core) {
+                    t.core = CoreId::Ppe;
+                    if !t.is_finished() {
+                        t.available_at = t.available_at.max(ppe_now) + migration;
+                        t.migrations += 1;
+                        drained += 1;
                     }
                 }
             }
-            w.len_prefix(current.len());
-            for (tid, node) in current {
-                w.u32(tid);
-                w.u32(node);
-            }
+            world.machine.fault_stats.drained_threads += drained;
         }
-    }
+        Ok(())
+    })?;
+
+    // ---- monitors / scheduler ----
+    let rows = w.monitors.export_state().into_iter();
+    let rows =
+        rows.map(|(obj, owner, count, waiters, free_at)| (obj.0, owner, count, waiters, free_at));
+    let monitors = c.list(rows, 8, |c, (obj, owner, count, waiters, free_at)| {
+        Ok((
+            ObjRef(c.u32(obj)?),
+            c.opt(owner, |c, t| ids.thread(c, t))?,
+            c.u32(count)?,
+            c.list(waiters.into_iter(), 4, |c, t| ids.thread(c, t))?,
+            c.u64(free_at)?,
+        ))
+    })?;
+    let monitor_counters = [
+        c.u64(w.monitors.contended_acquires)?,
+        c.u64(w.monitors.acquisitions)?,
+    ];
+    count(c, w.run_queues.len(), src, 8, "run queue")?;
+    let mut queues = c.rows(src, |c, i| {
+        let q = w.run_queues[i.min(dst - 1)].iter().copied();
+        c.list(q, 4, |c, t| ids.thread(c, t))
+    })?;
+    let last_on_core = per_core(c, &w.last_on_core, src, |c, t| {
+        c.opt(t, |c, t| ids.thread(c, t))
+    })?;
+    let thread_switches = c.u64(w.thread_switches)?;
+    let mut joins: Vec<(ThreadId, &[ThreadId])> =
+        (w.join_waiters.iter()).map(|(&k, v)| (k, &v[..])).collect();
+    joins.sort_unstable_by_key(|(k, _)| k.0);
+    let joins = c.list(joins.into_iter(), 12, |c, (k, waiters)| {
+        let waiters = waiters.iter().copied();
+        Ok((
+            ids.thread(c, k)?,
+            c.list(waiters, 4, |c, t| ids.thread(c, t))?,
+        ))
+    })?;
+    let output = c.list(w.output.iter().map(|s| s.as_str()), 8, |c, s| c.str(s))?;
+    let mut files: Vec<(i32, &[u8])> = w.files.iter().map(|(&fd, d)| (fd, &d[..])).collect();
+    files.sort_unstable_by_key(|&(fd, _)| fd);
+    let files = c.list(files.into_iter(), 12, |c, (fd, data)| {
+        Ok((c.u32(fd as u32)? as i32, c.blob(data)?))
+    })?;
+    let gc = GcSummary::from_array(c.u64s(w.gc.to_array())?);
+    let next_checkpoint_at = c.opt(w.next_checkpoint_at, |c, v| c.u64(v))?;
+    w.restore(|world| {
+        world.monitors.import_state(monitors);
+        [
+            world.monitors.contended_acquires,
+            world.monitors.acquisitions,
+        ] = monitor_counters;
+        // Dropped cores' queues fold into the PPE's in core order — the
+        // same motion as `fail_spe` merging a dead core's queue.
+        let extra: Vec<ThreadId> = queues
+            .split_off(src.min(dst))
+            .into_iter()
+            .flatten()
+            .collect();
+        for (q, src) in world.run_queues.iter_mut().zip(queues) {
+            *q = src.into();
+        }
+        world.run_queues[0].extend(extra);
+        world.last_on_core = last_on_core;
+        world.thread_switches = thread_switches;
+        world.join_waiters = joins.into_iter().collect();
+        world.output = output;
+        world.files = files.into_iter().collect();
+        world.gc = gc;
+        world.next_checkpoint_at = next_checkpoint_at;
+        Ok(())
+    })
+}
+
+/// The OBS section: observability-only state. Nothing in here may
+/// influence virtual time or the checkpoint cost. Trace lane event
+/// counts and restore markers are deliberately *not* captured, so later
+/// checkpoints of a resumed run stay byte-identical to the full run's.
+fn obs<'p, C: Codec, W: Target<'p>>(c: &mut C, w: &mut W) -> Result<(), SnapError> {
+    let traced = c.bool(w.machine.trace.is_enabled())?;
+    w.restore(|world| {
+        if traced == world.machine.trace.is_enabled() {
+            Ok(())
+        } else {
+            Err(SnapError::Corrupt("trace enablement mismatch".into()))
+        }
+    })?;
+    let metrics = &w.machine.trace.metrics;
+    let counters: Vec<(&str, u64)> = metrics.counters().collect();
+    let counters = c.list(counters.into_iter(), 8, |c, (name, v)| {
+        Ok((c.str(name)?, c.u64(v)?))
+    })?;
+    let hists: Vec<(&str, Histogram)> = metrics.histograms().map(|(n, h)| (n, h.clone())).collect();
+    let hists = c.list(hists.into_iter(), 8, |c, (name, h)| {
+        let name = c.str(name)?;
+        let h = Histogram {
+            count: c.u64(h.count)?,
+            sum: c.u64(h.sum)?,
+            min: c.u64(h.min)?,
+            max: c.u64(h.max)?,
+            buckets: c.u64s(h.buckets)?,
+        };
+        Ok((name, h))
+    })?;
+    w.restore(|world| {
+        let mut metrics = MetricsRegistry::default();
+        for (name, v) in counters {
+            metrics.set(&name, v);
+        }
+        for (name, h) in hists {
+            metrics.set_histogram(&name, h);
+        }
+        world.machine.trace.metrics = metrics;
+        Ok(())
+    })?;
+    let profiler = w.profiler.as_ref().map(|p| p.export_state());
+    let profiler = c.opt(profiler, |c, (nodes, current)| {
+        w.restore(|world| match world.profiler {
+            Some(_) => Ok(()),
+            None => Err(SnapError::Corrupt(
+                "snapshot has profiler state but profiling is off".into(),
+            )),
+        })?;
+        let nodes = c.list(nodes.into_iter(), 8, |c, (method, parent, mut cost)| {
+            let (method, parent) = (c.u32(method)?, c.u32(parent)?);
+            for lane in &mut cost {
+                *lane = c.u64s(*lane)?;
+            }
+            Ok((method, parent, cost))
+        })?;
+        let current = c.list(current.into_iter(), 8, |c, (t, node)| {
+            Ok((c.u32(t)?, c.u32(node)?))
+        })?;
+        Ok((nodes, current))
+    })?;
+    w.restore(|world| match (profiler, &world.profiler) {
+        (None, Some(_)) => Err(SnapError::Corrupt(
+            "snapshot is missing profiler state".into(),
+        )),
+        (None, None) => Ok(()),
+        (Some((nodes, current)), _) => {
+            let p = hera_prof::Profiler::from_state(nodes, current)
+                .map_err(|e| corrupt("profiler", e))?;
+            world.profiler = Some(p);
+            Ok(())
+        }
+    })
 }
 
 /// A snapshot being written in place, in two steps so that a scheduled
@@ -659,16 +1021,21 @@ fn encode_obs(w: &mut SnapWriter, world: &World<'_>) {
 /// encodes CORE straight into the final buffer (container header and
 /// `core_len` slot in front of it); the caller reads the write cost off
 /// [`Checkpoint::core_len`] and charges it; [`Checkpoint::finish`] then
-/// re-encodes the clocks — the only part of CORE the charge moved — over
-/// their old bytes, appends OBS and seals. Anything else that changes
-/// between the two steps is silently left out of the snapshot, which is
-/// why `World::take_checkpoint` checks the result against [`encode`] in
-/// debug builds. A checkpoint nothing will read stops after the charge:
-/// [`Checkpoint::into_buffer`] hands the buffer back for the next one.
+/// re-encodes CORE's head and clocks — the only part of CORE the charge
+/// moved — over their old bytes, appends OBS and seals. Anything else
+/// that changes between the two steps is silently left out of the
+/// snapshot, which is why `World::take_checkpoint` checks the result
+/// against [`encode`] in debug builds. A checkpoint nothing will read
+/// stops after the charge: [`Checkpoint::into_buffer`] hands the buffer
+/// back for the next one.
 pub(crate) struct Checkpoint {
     w: SnapWriter,
-    clocks_at: usize,
+    head: CoreHead,
 }
+
+/// Why an encode's `Result` is never an error: a writer's walk checks
+/// nothing and its tags always name a variant.
+const WRITE: &str = "encoding a world cannot fail";
 
 impl Checkpoint {
     /// Offset of CORE in the sealed buffer: header, then the `core_len`
@@ -680,8 +1047,10 @@ impl Checkpoint {
     pub(crate) fn begin(world: &World<'_>, buf: Vec<u8>) -> Self {
         let mut w = SnapWriter::sealed_in(buf);
         w.len_prefix(0);
-        let clocks_at = encode_core(&mut w, world);
-        let mut checkpoint = Self { w, clocks_at };
+        let head = CoreHead::of(world);
+        head.walk(&mut w).expect(WRITE);
+        core(&mut w, &mut &*world, head.ncores as usize).expect(WRITE);
+        let mut checkpoint = Self { w, head };
         let core_len = checkpoint.core_len();
         checkpoint.w.patch(HEADER_LEN, &core_len.to_le_bytes());
         checkpoint
@@ -694,10 +1063,12 @@ impl Checkpoint {
 
     /// Complete the sealed snapshot against `world` as it is now.
     pub(crate) fn finish(mut self, world: &World<'_>) -> Vec<u8> {
-        let mut clocks = SnapWriter::new();
-        encode_clocks(&mut clocks, world);
-        self.w.patch(self.clocks_at, clocks.bytes());
-        encode_obs(&mut self.w, world);
+        let head = self.head.clocked(world);
+        let mut w = SnapWriter::new();
+        head.walk(&mut w).expect(WRITE);
+        clocks(&mut w, &mut &*world, head.ncores as usize).expect(WRITE);
+        self.w.patch(Self::CORE_AT, w.bytes());
+        obs(&mut self.w, &mut &*world).expect(WRITE);
         self.w.seal()
     }
 
@@ -712,65 +1083,29 @@ pub fn encode(world: &World<'_>) -> Vec<u8> {
     Checkpoint::begin(world, Vec::new()).finish(world)
 }
 
-/// The head of CORE, read by [`inspect`] and [`restore_into`] alike: the
-/// digests and fault plan a restore checks, then the facts `inspect`
-/// reports.
-struct CoreHead {
-    config: u64,
-    program: u64,
-    plan: FaultPlan,
-    info: SnapshotInfo,
-}
-
-/// Open a sealed snapshot and read its CORE head. Returns the head, a
-/// reader over the rest of CORE and one over OBS.
-fn read_core_head(bytes: &[u8]) -> Result<(CoreHead, SnapReader<'_>, SnapReader<'_>), SnapError> {
+/// Open a sealed snapshot and walk its CORE head. Returns the head, the
+/// facts [`inspect`] reports, a reader over the rest of CORE and one over
+/// OBS.
+fn open_core(
+    bytes: &[u8],
+) -> Result<(CoreHead, SnapshotInfo, SnapReader<'_>, SnapReader<'_>), SnapError> {
     let payload = open(bytes)?;
     let mut obs = SnapReader::new(payload);
     let core_len = obs.len_prefix(1)?;
     let mut core = SnapReader::new(obs.take(core_len)?);
-    let head = CoreHead {
-        config: core.u64()?,
-        program: core.u64()?,
-        plan: decode_fault_plan(&mut core)?,
-        info: SnapshotInfo {
-            seq: core.u32()?,
-            wall_cycles: core.u64()?,
-            core_len: core_len as u64,
-            payload_len: payload.len(),
-        },
+    let head = CoreHead::default().walk(&mut core)?;
+    let info = SnapshotInfo {
+        seq: head.seq,
+        wall_cycles: head.wall_cycles,
+        core_len: core_len as u64,
+        payload_len: payload.len(),
     };
-    Ok((head, core, obs))
+    Ok((head, info, core, obs))
 }
 
 /// Header-level facts about a sealed snapshot without a full decode.
 pub fn inspect(bytes: &[u8]) -> Result<SnapshotInfo, SnapError> {
-    read_core_head(bytes).map(|(head, _, _)| head.info)
-}
-
-fn corrupt(ctx: &str, detail: &'static str) -> SnapError {
-    SnapError::Corrupt(format!("{ctx}: {detail}"))
-}
-
-/// Per-core rows written at the source's `src` cores, read at the
-/// destination's `dst`: rows of cores the destination does not have are
-/// read and dropped, rows of cores the source did not have start at the
-/// default.
-fn per_core<'a, T: Default>(
-    r: &mut SnapReader<'a>,
-    src: usize,
-    dst: usize,
-    mut read: impl FnMut(&mut SnapReader<'a>) -> Result<T, SnapError>,
-) -> Result<Vec<T>, SnapError> {
-    let mut rows = Vec::with_capacity(dst);
-    for i in 0..src {
-        let row = read(r)?;
-        if i < dst {
-            rows.push(row);
-        }
-    }
-    rows.resize_with(dst, T::default);
-    Ok(rows)
+    open_core(bytes).map(|(_, info, _, _)| info)
 }
 
 /// How a restore treats the fault plan carried in the snapshot.
@@ -798,12 +1133,11 @@ pub enum RestoreMode {
 /// snapshot from a different program or config) is rejected with a typed
 /// [`SnapError`], never a panic or a silently wrong resume.
 pub fn restore_into(
-    world: &mut World<'_>,
+    mut world: &mut World<'_>,
     bytes: &[u8],
     mode: RestoreMode,
 ) -> Result<u32, SnapError> {
-    let (head, mut r, mut outer) = read_core_head(bytes)?;
-    let program = world.program;
+    let (head, _, mut r, mut outer) = open_core(bytes)?;
     if head.program != world.program_digest() {
         return Err(SnapError::Corrupt(
             "snapshot was taken of a different guest program".into(),
@@ -829,7 +1163,7 @@ pub fn restore_into(
     // snapshot onto a 2-SPE machine) is legitimate as long as the
     // configurations agree on everything *except* `num_spes`.
     let ncores = world.machine.cores().len();
-    let src_ncores = r.u32()? as usize;
+    let src_ncores = head.ncores as usize;
     let mut src_cfg = world.config;
     if src_ncores != ncores {
         if mode != RestoreMode::Adopt {
@@ -847,485 +1181,17 @@ pub fn restore_into(
             "snapshot was taken under a different VM configuration".into(),
         ));
     }
-    let src_spes = (src_ncores - 1) as u8;
-    let dst_spes = world.config.cell.num_spes;
-    if src_spes > 0 && dst_spes == 0 {
+    if src_ncores > 1 && world.config.cell.num_spes == 0 {
         return Err(SnapError::Corrupt(
             "cannot adopt SPE state onto a machine with no SPEs".into(),
         ));
     }
-
-    // ---- machine ----
-    // Per-core rows decode at the *source* shape: a dropped SPE's clock
-    // and counters die with it (its threads drain to the PPE below), an
-    // added SPE starts fresh.
-    let clocks = per_core(&mut r, src_ncores, ncores, SnapReader::u64)?;
-    world
-        .machine
-        .set_clocks(&clocks)
-        .map_err(|e| corrupt("machine clocks", e))?;
-    let breakdowns = per_core(&mut r, src_ncores, ncores, |r| {
-        Ok(CycleBreakdown::from_raw(r.u64s()?, r.u64s()?))
-    })?;
-    world
-        .machine
-        .set_breakdowns(&breakdowns)
-        .map_err(|e| corrupt("machine breakdowns", e))?;
-    let failed = per_core(&mut r, src_ncores, ncores, SnapReader::bool)?;
-    world
-        .machine
-        .set_failed_flags(&failed)
-        .map_err(|e| corrupt("machine blacklist", e))?;
-    {
-        let fs = &mut world.machine.fault_stats;
-        fs.injected_mfc_transfer = r.u64()?;
-        fs.injected_eib_timeout = r.u64()?;
-        fs.injected_ls_corruption = r.u64()?;
-        fs.injected_proxy_timeout = r.u64()?;
-        fs.injected_migration_timeout = r.u64()?;
-        fs.mfc_retries = r.u64()?;
-        fs.backoff_cycles = r.u64()?;
-        fs.watchdog_cycles = r.u64()?;
-        fs.unrecoverable = r.u64()?;
-        fs.deaths = r.list(9, |r| Ok((r.u8()?, r.u64()?)))?;
-        fs.drained_threads = r.u64()?;
-        fs.salvaged_bytes = r.u64()?;
-    }
-    let windows = r.list(16, |r| Ok((r.u64()?, r.u64()?)))?;
-    let retired_below = r.u64()?;
-    world.machine.eib.import_state(windows, retired_below);
-    world.machine.eib.bytes_transferred = r.u64()?;
-    world.machine.eib.transfers = r.u64()?;
-    world.machine.eib.queue_cycles_total = r.u64()?;
-    let geometry = {
-        let (l1, l2) = world.machine.ppe_cache.export_state();
-        [(l1.0.len(), l1.1.len()), (l2.0.len(), l2.1.len())]
-    };
-    let mut levels = Vec::with_capacity(2);
-    for (ntags, nstamps) in geometry {
-        let mut tags = rle_decode_words(&mut r, RleLen::Exactly(ntags * 8))?;
-        tags.iter_mut().for_each(|t| *t = !*t); // stored inverted
-        let stamps = rle_decode_words(&mut r, RleLen::Exactly(nstamps * 8))?;
-        levels.push((tags, stamps, r.u64()?));
-    }
-    let l2 = levels.pop().unwrap();
-    let l1 = levels.pop().unwrap();
-    world
-        .machine
-        .ppe_cache
-        .import_state(l1, l2)
-        .map_err(|e| corrupt("ppe cache", e))?;
-    world.machine.ppe_cache.stats = HwCacheStats::from_array(r.u64s()?);
-    for spe in 0..src_spes {
-        // A local store is encoded as the all-zero buffer it is (its
-        // data-cache region lives in the data cache, decoded below), and
-        // every store has the one size the configs agree on.
-        let size = world.machine.local_store(spe.min(dst_spes - 1)).size();
-        if rle_skip_extent(&mut r, size as usize)? != 0 {
-            return Err(corrupt("local store", "non-zero bytes"));
-        }
-    }
-    if r.len_prefix(24)? != src_ncores {
-        return Err(SnapError::Corrupt(
-            "fault-injector row count mismatch".into(),
-        ));
-    }
-    let inj = per_core(&mut r, src_ncores, ncores, SnapReader::u64s)?;
-    world
-        .machine
-        .set_injector_counts(&inj)
-        .map_err(|e| corrupt("fault injector", e))?;
-
-    // ---- heap ----
-    let (heap_bytes, nonzero_end) =
-        rle_decode_extent(&mut r, RleLen::Exactly(world.heap.raw().len()))?;
-    let objects_base = r.u32()?;
-    let limit = r.u32()?;
-    let statics_size = r.u32()?;
-    if statics_size != world.heap.statics_size() {
-        return Err(SnapError::Corrupt("heap statics size mismatch".into()));
-    }
-    let free = r.list(8, |r| Ok((r.u32()?, r.u32()?)))?;
-    let objects = r.list(4, SnapReader::u32)?.into_iter().collect();
-    let heap_stats = AllocStats::from_array(r.u64s()?);
-    world.heap = hera_mem::Heap::from_raw_parts(
-        heap_bytes,
-        nonzero_end as u32,
-        objects_base,
-        limit,
-        free,
-        objects,
-        statics_size,
-        heap_stats,
-    )
-    .map_err(|e| corrupt("heap", e))?;
-
-    // ---- software caches ----
-    if r.len_prefix(4)? != src_spes as usize {
-        return Err(SnapError::Corrupt("data-cache count mismatch".into()));
-    }
-    for spe in 0..src_spes {
-        // A dropped SPE is dead-at-adopt: decode its cache into a scratch
-        // copy and salvage the dirty lines straight into main memory,
-        // exactly as `fail_spe` rescues a core that died mid-run. The
-        // rescue DMA is charged to the PPE under the migration cost class.
-        let mut scratch;
-        let dc = if spe < dst_spes {
-            &mut world.data_caches[spe as usize]
-        } else {
-            scratch = hera_softcache::DataCache::with_block_size(
-                world.config.cell.partition.data_cache_bytes,
-                world.config.array_block_bytes,
-            );
-            &mut scratch
-        };
-        let bump = r.u32()?;
-        let slots = r.list(24, |r| {
-            Ok((r.u32()?, [r.u32()?, r.u32()?, r.u32()?, r.u32()?, r.u32()?]))
-        })?;
-        let (local, extent) = rle_decode_extent(&mut r, RleLen::Exactly(dc.capacity() as usize))?;
-        dc.import_state(bump, slots, local, extent)
-            .map_err(|e| corrupt("data cache", e))?;
-        dc.stats = DataCacheStats::from_array(r.u64s()?);
-        if spe >= dst_spes {
-            let salvaged = dc.salvage(&mut world.heap).map_err(|e| {
-                SnapError::Corrupt(format!("adopt-drain salvage of SPE {spe}: {e}"))
-            })?;
-            world.charge_salvage(salvaged);
-        }
-    }
-    if r.len_prefix(4)? != src_spes as usize {
-        return Err(SnapError::Corrupt("code-cache count mismatch".into()));
-    }
-    for spe in 0..src_spes {
-        // Dropped SPEs' code caches are clean (code is re-fetchable) and
-        // simply discarded.
-        let bump = r.u32()?;
-        let methods = r.list(8, |r| Ok((method_id(r.u32()?, program)?, r.u32()?)))?;
-        let tibs = r.list(6, |r| Ok((class_id(r.u16()?, program)?, r.u32()?)))?;
-        let stats = CodeCacheStats::from_array(r.u64s()?);
-        if spe < dst_spes {
-            let cc = &mut world.code_caches[spe as usize];
-            cc.import_state(bump, methods, tibs)
-                .map_err(|e| corrupt("code cache", e))?;
-            cc.stats = stats;
-        }
-    }
-
-    // ---- JIT registry ----
-    // Recompile exactly the snapshot's key set eagerly (compilation is
-    // deterministic, so the code is identical to the original run's),
-    // then overwrite the stats below so compile costs are not repaid.
-    let keys = r.list(5, |r| {
-        let m = method_id(r.u32()?, program)?;
-        let kind = if r.u8()? == 0 {
-            CoreKind::Ppe
-        } else {
-            CoreKind::Spe
-        };
-        Ok((m, kind))
-    })?;
-    for (m, kind) in keys {
-        world
-            .registry
-            .get_or_compile(program, &world.layout, m, kind)
-            .map_err(|_| SnapError::Corrupt(format!("method {} fails to compile", m.0)))?;
-    }
-    let registry_stats = RegistryStats::from_array(r.u64s()?);
-
-    // ---- threads ----
-    let nthreads = r.len_prefix(1)?;
-    let tid = |r: &mut SnapReader<'_>| thread_id(r.u32()?, nthreads);
-    let opt_tid =
-        |r: &mut SnapReader<'_>| (r.opt_u32()?).map(|t| thread_id(t, nthreads)).transpose();
-    world.threads = (0..nthreads)
-        .map(|i| decode_thread(&mut r, world, i as u32, nthreads, src_spes))
-        .collect::<Result<_, _>>()?;
-    world.registry.set_stats(registry_stats);
-
-    // ---- dead-at-adopt drain ----
-    // Threads homed on SPEs the destination does not have are drained to
-    // the PPE through the same motions as `fail_spe`: migration markers
-    // that would return a thread to a missing core are rewritten, and
-    // every unfinished resident thread re-homes to the PPE paying one
-    // migration charge. Finished threads re-home too (no charge) so the
-    // next checkpoint encodes only cores this machine actually has.
-    if src_spes > dst_spes {
-        let ppe_now = world.machine.now(CoreId::Ppe);
-        let migration = world.config.migration_cycles as u64;
-        let dropped = |c: CoreId| matches!(c, CoreId::Spe(n) if n >= dst_spes);
-        let mut drained = 0u64;
-        for t in world.threads.iter_mut() {
-            for f in &mut t.frames {
-                if let FrameKind::MigrationMarker { origin } = &mut f.kind {
-                    if dropped(*origin) {
-                        *origin = CoreId::Ppe;
-                    }
-                }
-            }
-            if let Some((origin, _)) = &mut t.pending_migrate_in {
-                if dropped(*origin) {
-                    *origin = CoreId::Ppe;
-                }
-            }
-            if dropped(t.core) {
-                t.core = CoreId::Ppe;
-                if !t.is_finished() {
-                    t.available_at = t.available_at.max(ppe_now) + migration;
-                    t.migrations += 1;
-                    drained += 1;
-                }
-            }
-        }
-        world.machine.fault_stats.drained_threads += drained;
-    }
-
-    // ---- monitors / scheduler ----
-    let rows = r.list(8, |r| {
-        let (obj, owner, count) = (ObjRef(r.u32()?), opt_tid(r)?, r.u32()?);
-        Ok((obj, owner, count, r.list(4, tid)?, r.u64()?))
-    })?;
-    world.monitors.import_state(rows);
-    world.monitors.contended_acquires = r.u64()?;
-    world.monitors.acquisitions = r.u64()?;
-    if r.len_prefix(8)? != src_ncores {
-        return Err(SnapError::Corrupt("run queue count mismatch".into()));
-    }
-    let mut queues = (0..src_ncores)
-        .map(|_| r.list(4, tid))
-        .collect::<Result<Vec<_>, _>>()?;
-    // Dropped cores' queues fold into the PPE's in core order — the same
-    // motion as `fail_spe` merging a dead core's queue.
-    let extra: Vec<ThreadId> = queues
-        .split_off(src_ncores.min(ncores))
-        .into_iter()
-        .flatten()
-        .collect();
-    for (q, src) in world.run_queues.iter_mut().zip(queues) {
-        *q = src.into();
-    }
-    world.run_queues[0].extend(extra);
-    world.last_on_core = per_core(&mut r, src_ncores, ncores, opt_tid)?;
-    world.thread_switches = r.u64()?;
-    let joins = r.list(12, |r| Ok((tid(r)?, r.list(4, tid)?)))?;
-    world.join_waiters = joins.into_iter().collect();
-    world.output = r.list(8, SnapReader::str)?;
-    let files = r.list(12, |r| Ok((r.u32()? as i32, r.blob()?.to_vec())))?;
-    world.files = files.into_iter().collect();
-    world.gc = GcSummary::from_array(r.u64s()?);
-    world.next_checkpoint_at = r.opt_u64()?;
-    world.checkpoint_seq = head.info.seq;
+    core(&mut r, &mut world, src_ncores)?;
+    world.checkpoint_seq = head.seq;
     r.finish()?;
-
-    // ---- OBS: observability state ----
-    let trace_enabled = outer.bool()?;
-    if trace_enabled != world.machine.trace.is_enabled() {
-        return Err(SnapError::Corrupt("trace enablement mismatch".into()));
-    }
-    let mut metrics = MetricsRegistry::default();
-    for (name, v) in outer.list(8, |r| Ok((r.str()?, r.u64()?)))? {
-        metrics.set(&name, v);
-    }
-    let hists = outer.list(8, |r| {
-        let name = r.str()?;
-        let mut h = Histogram {
-            count: r.u64()?,
-            sum: r.u64()?,
-            min: r.u64()?,
-            max: r.u64()?,
-            ..Histogram::default()
-        };
-        for b in h.buckets.iter_mut() {
-            *b = r.u64()?;
-        }
-        Ok((name, h))
-    })?;
-    for (name, h) in hists {
-        metrics.set_histogram(&name, h);
-    }
-    world.machine.trace.metrics = metrics;
-    match outer.u8()? {
-        0 => {
-            if world.profiler.is_some() {
-                return Err(SnapError::Corrupt(
-                    "snapshot is missing profiler state".into(),
-                ));
-            }
-        }
-        1 => {
-            if world.profiler.is_none() {
-                return Err(SnapError::Corrupt(
-                    "snapshot has profiler state but profiling is off".into(),
-                ));
-            }
-            let nodes = outer.list(8, |r| {
-                let (method, parent) = (r.u32()?, r.u32()?);
-                let mut cost = [[0u64; hera_trace::CostClass::COUNT]; hera_prof::KindLane::COUNT];
-                for v in cost.iter_mut().flatten() {
-                    *v = r.u64()?;
-                }
-                Ok((method, parent, cost))
-            })?;
-            let current = outer.list(8, |r| Ok((r.u32()?, r.u32()?)))?;
-            let p = hera_prof::Profiler::from_state(nodes, current)
-                .map_err(|e| corrupt("profiler", e))?;
-            world.profiler = Some(p);
-        }
-        n => return Err(SnapError::Corrupt(format!("profiler tag {n} unknown"))),
-    }
+    obs(&mut outer, &mut world)?;
     outer.finish()?;
-    Ok(head.info.seq)
-}
-
-fn decode_thread(
-    r: &mut SnapReader<'_>,
-    world: &mut World<'_>,
-    expect_id: u32,
-    nthreads: usize,
-    num_spes: u8,
-) -> Result<JavaThread, SnapError> {
-    let id = r.u32()?;
-    if id != expect_id {
-        return Err(SnapError::Corrupt(format!(
-            "thread {expect_id} stored under id {id}"
-        )));
-    }
-    let core = decode_core_id(r.u8()?, num_spes)?;
-    let state = match r.u8()? {
-        0 => ThreadState::Ready,
-        1 => ThreadState::Blocked(BlockReason::Monitor(ObjRef(r.u32()?))),
-        2 => ThreadState::Blocked(BlockReason::Join(thread_id(r.u32()?, nthreads)?)),
-        3 => ThreadState::Finished(Ok(None)),
-        4 => ThreadState::Finished(Ok(Some(decode_value(r)?))),
-        5 => ThreadState::Finished(Err(decode_trap(r)?)),
-        n => return Err(SnapError::Corrupt(format!("thread state tag {n} unknown"))),
-    };
-    let available_at = r.u64()?;
-    let pending_call = match r.u8()? {
-        0 => None,
-        1 => {
-            let method = method_id(r.u32()?, world.program)?;
-            let args = r.list(9, decode_value)?;
-            match r.u8()? {
-                0 => {}
-                n => return Err(SnapError::Corrupt(format!("origin tag {n} unknown"))),
-            }
-            Some(PendingCall { method, args })
-        }
-        n => return Err(SnapError::Corrupt(format!("pending-call tag {n} unknown"))),
-    };
-    let pending_relookup = (r.opt_u32()?)
-        .map(|m| method_id(m, world.program))
-        .transpose()?;
-    let pending_acquire_barrier = match r.u8()? {
-        0 => None,
-        1 => Some(ObjRef(r.u32()?)),
-        n => return Err(SnapError::Corrupt(format!("barrier tag {n} unknown"))),
-    };
-    let pending_migrate_in = match r.u8()? {
-        0 => None,
-        1 => {
-            let origin = decode_core_id(r.u8()?, num_spes)?;
-            let kind = decode_migration_kind(r.u8()?)?;
-            Some((origin, kind))
-        }
-        n => return Err(SnapError::Corrupt(format!("migrate-in tag {n} unknown"))),
-    };
-    let window = crate::thread::BehaviourWindow {
-        fp_ops: r.u64()?,
-        mem_ops: r.u64()?,
-        total_ops: r.u64()?,
-    };
-    let migrations = r.u64()?;
-    let held_monitors = r.u32()?;
-    // The arena is variable-size: the snapshot declares its length, capped
-    // so a corrupt one cannot trigger a huge allocation.
-    const ARENA_CAP: usize = 256 << 20;
-    let arena: Vec<Slot> = rle_decode_words(r, RleLen::Words { cap: ARENA_CAP })?
-        .into_iter()
-        .map(Slot::from_raw)
-        .collect();
-    // A migration marker runs on the code of the frame below it.
-    let mut below: Option<Rc<hera_jit::CompiledMethod>> = None;
-    let frames = r.list(22, |r| {
-        let (kind, code_kind) = match r.u8()? {
-            0 => match r.u8()? {
-                0 => (FrameKind::Normal, Some(CoreKind::Ppe)),
-                1 => (FrameKind::Normal, Some(CoreKind::Spe)),
-                n => {
-                    return Err(SnapError::Corrupt(format!(
-                        "frame code-kind tag {n} unknown"
-                    )))
-                }
-            },
-            1 => {
-                let origin = decode_core_id(r.u8()?, num_spes)?;
-                (FrameKind::MigrationMarker { origin }, None)
-            }
-            n => return Err(SnapError::Corrupt(format!("frame tag {n} unknown"))),
-        };
-        let method = method_id(r.u32()?, world.program)?;
-        let [pc, base, nlocals, sp] = [r.u32()?, r.u32()?, r.u32()?, r.u32()?];
-        let code = match (code_kind, &below) {
-            (Some(kind), _) => {
-                let compiled =
-                    world
-                        .registry
-                        .get_or_compile(world.program, &world.layout, method, kind);
-                compiled
-                    .map_err(|_| {
-                        SnapError::Corrupt(format!("frame method {} fails to compile", method.0))
-                    })?
-                    .0
-            }
-            (None, Some(below)) => Rc::clone(below),
-            (None, None) => {
-                return Err(SnapError::Corrupt(
-                    "migration marker as bottom frame".into(),
-                ))
-            }
-        };
-        if matches!(kind, FrameKind::Normal) {
-            if (pc as usize) >= code.ops.len() {
-                return Err(SnapError::Corrupt(format!(
-                    "frame pc {pc} out of range for method {}",
-                    method.0
-                )));
-            }
-            let end = base as u64 + nlocals as u64;
-            if end > sp as u64 || (sp as usize) > arena.len() {
-                return Err(SnapError::Corrupt(format!(
-                    "frame cursors (base {base}, nlocals {nlocals}, sp {sp}) exceed arena {}",
-                    arena.len()
-                )));
-            }
-        }
-        below = Some(Rc::clone(&code));
-        Ok(Frame {
-            method,
-            code,
-            pc,
-            base,
-            nlocals,
-            sp,
-            kind,
-        })
-    })?;
-    Ok(JavaThread {
-        id: ThreadId(id),
-        frames,
-        arena,
-        state,
-        core,
-        available_at,
-        pending_call,
-        pending_relookup,
-        pending_acquire_barrier,
-        pending_migrate_in,
-        window,
-        migrations,
-        held_monitors,
-    })
+    Ok(head.seq)
 }
 
 #[cfg(test)]
@@ -1345,6 +1211,39 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    fn encode_thread(t: &JavaThread, program: &Program) -> Vec<u8> {
+        let ids = Ids {
+            program,
+            threads: 0,
+            spes: 0,
+        };
+        let mut w = SnapWriter::new();
+        thread(&mut w, t, t.id.0, &ids).expect(WRITE);
+        w.into_inner()
+    }
+
+    /// Thread `i` of `threads` on a machine of `spes` SPEs, read from the
+    /// whole of `bytes`, its frames rebuilt in `world`.
+    fn decode_thread(
+        bytes: &[u8],
+        world: &mut World<'_>,
+        i: u32,
+        threads: usize,
+        spes: u8,
+    ) -> Result<JavaThread, SnapError> {
+        let ids = Ids {
+            program: world.program,
+            threads,
+            spes,
+        };
+        let mut r = SnapReader::new(bytes);
+        let blank = JavaThread::new(ThreadId(0), CoreId::Ppe, MethodId(0), Vec::new());
+        let (t, rows) = thread(&mut r, &blank, i, &ids)?;
+        r.finish()?;
+        let frames = frames(world, rows, t.arena.len())?;
+        Ok(JavaThread { frames, ..t })
+    }
+
     /// Every variant of every tagged union a thread carries encodes to
     /// the bytes pinned here and decodes back to what was encoded.
     #[test]
@@ -1358,10 +1257,10 @@ mod tests {
         ];
         for (v, want) in values {
             let mut w = SnapWriter::new();
-            encode_value(&mut w, &v);
+            value(&mut w, v).expect(WRITE);
             assert_eq!(hex(w.bytes()), want, "{v:?}");
             let mut r = SnapReader::new(w.bytes());
-            assert_eq!(decode_value(&mut r), Ok(v));
+            assert_eq!(value(&mut r, Value::I32(0)), Ok(v));
             r.finish().unwrap();
         }
         let traps = [
@@ -1379,10 +1278,10 @@ mod tests {
         ];
         for (t, want) in traps {
             let mut w = SnapWriter::new();
-            encode_trap(&mut w, &t);
+            trap(&mut w, &t).expect(WRITE);
             assert_eq!(hex(w.bytes()), want, "{t:?}");
             let mut r = SnapReader::new(w.bytes());
-            assert_eq!(decode_trap(&mut r), Ok(t));
+            assert_eq!(trap(&mut r, &Trap::NullPointer), Ok(t));
             r.finish().unwrap();
         }
 
@@ -1440,7 +1339,7 @@ mod tests {
                 .get_or_compile(&program, &world.layout, MethodId(0), code_kind)
                 .expect("compiles")
                 .0;
-            let frame = |kind, base| Frame {
+            let at = |kind, base| Frame {
                 method: MethodId(0),
                 code: Rc::clone(&code),
                 pc: 0,
@@ -1452,14 +1351,11 @@ mod tests {
             let marker = FrameKind::MigrationMarker {
                 origin: CoreId::Spe(1),
             };
-            t.frames = vec![frame(FrameKind::Normal, 0), frame(marker, 1)];
-            let mut w = SnapWriter::new();
-            encode_thread(&mut w, &mut Vec::new(), &t);
-            assert_eq!(hex(w.bytes()), pinned[i], "thread {i}");
-            let mut r = SnapReader::new(w.bytes());
-            let back = decode_thread(&mut r, &mut world, i as u32, 6, 2);
+            t.frames = vec![at(FrameKind::Normal, 0), at(marker, 1)];
+            let bytes = encode_thread(&t, &program);
+            assert_eq!(hex(&bytes), pinned[i], "thread {i}");
+            let back = decode_thread(&bytes, &mut world, i as u32, 6, 2);
             assert_eq!(format!("{back:?}"), format!("{:?}", Ok::<_, SnapError>(t)));
-            r.finish().unwrap();
         }
     }
 
@@ -1471,11 +1367,9 @@ mod tests {
         let program = one_method_program();
         let mut world = World::new(&program, VmConfig::default());
         let thread = JavaThread::new(ThreadId(0), CoreId::Ppe, MethodId(0), Vec::new());
-        let mut w = SnapWriter::new();
-        encode_thread(&mut w, &mut Vec::new(), &thread);
-        let mut bytes = w.into_inner();
+        let mut bytes = encode_thread(&thread, &program);
         let decode = |bytes: &[u8], world: &mut World<'_>| {
-            decode_thread(&mut SnapReader::new(bytes), world, 0, 1, 0).map(|t| t.pending_call)
+            decode_thread(bytes, world, 0, 1, 0).map(|t| t.pending_call)
         };
         let call = decode(&bytes, &mut world).expect("the encoding round-trips");
         assert_eq!(

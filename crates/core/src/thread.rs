@@ -16,7 +16,7 @@ use hera_trace::MigrationKind;
 use std::rc::Rc;
 
 /// Identifier of a guest thread.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Default)]
 pub struct ThreadId(pub u32);
 
 /// Why a thread is not currently runnable.

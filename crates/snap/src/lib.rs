@@ -15,7 +15,8 @@
 //! Everything inside the payload is written with the little-endian
 //! primitives of [`SnapWriter`] and read back with the bounds-checked
 //! [`SnapReader`]; there is no self-describing structure and no external
-//! serialization dependency. The CRC detects any single-bit flip in the
+//! serialization dependency. Both implement [`Codec`], so each struct's
+//! fields are listed once, in one walk that encodes and decodes alike. The CRC detects any single-bit flip in the
 //! payload; flips inside the header are caught by the explicit magic,
 //! version, flags, and length checks. Large mostly-zero buffers (the heap,
 //! SPE local stores) go through the zero-run-length codec in
@@ -257,11 +258,14 @@ pub fn open(bytes: &[u8]) -> Result<&[u8], SnapError> {
 #[derive(Default)]
 pub struct SnapWriter {
     buf: Vec<u8>,
+    /// Where [`rle_encode_words`] stages words as bytes: one allocation
+    /// serves every word array of a snapshot.
+    words: Vec<u8>,
 }
 
 impl SnapWriter {
     pub fn new() -> Self {
-        Self { buf: Vec::new() }
+        Self::default()
     }
 
     /// A writer for a container built in place: the buffer starts with the
@@ -278,7 +282,10 @@ impl SnapWriter {
     /// each time ([`SnapWriter::into_inner`] returns it).
     pub fn sealed_in(mut buf: Vec<u8>) -> Self {
         buf.clear();
-        let mut w = Self { buf };
+        let mut w = Self {
+            buf,
+            ..Self::default()
+        };
         w.raw(&MAGIC);
         w.u32(FORMAT_VERSION);
         w.u32(0); // flags
@@ -329,10 +336,6 @@ impl SnapWriter {
         self.buf.push(v);
     }
 
-    pub fn bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-
     pub fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -345,17 +348,6 @@ impl SnapWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// A fixed-length run of `u64`s, with no length prefix.
-    pub fn u64s(&mut self, vs: &[u64]) {
-        for &v in vs {
-            self.u64(v);
-        }
-    }
-
     /// Length prefix. Fixed-width u64 so lengths never change encoding size.
     pub fn len_prefix(&mut self, n: usize) {
         self.u64(n as u64);
@@ -363,36 +355,6 @@ impl SnapWriter {
 
     pub fn raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Length-prefixed byte string.
-    pub fn blob(&mut self, bytes: &[u8]) {
-        self.len_prefix(bytes.len());
-        self.raw(bytes);
-    }
-
-    pub fn str(&mut self, s: &str) {
-        self.blob(s.as_bytes());
-    }
-
-    pub fn opt_u32(&mut self, v: Option<u32>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.u32(x);
-            }
-        }
-    }
-
-    pub fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
-            }
-        }
     }
 }
 
@@ -451,14 +413,6 @@ impl<'a> SnapReader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    pub fn bool(&mut self) -> Result<bool, SnapError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            v => Err(SnapError::Corrupt(format!("invalid bool byte {v:#04x}"))),
-        }
-    }
-
     pub fn u16(&mut self) -> Result<u16, SnapError> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
@@ -469,19 +423,6 @@ impl<'a> SnapReader<'a> {
 
     pub fn u64(&mut self) -> Result<u64, SnapError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub fn i64(&mut self) -> Result<i64, SnapError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Read `N` `u64`s written by [`SnapWriter::u64s`].
-    pub fn u64s<const N: usize>(&mut self) -> Result<[u64; N], SnapError> {
-        let mut vs = [0; N];
-        for v in &mut vs {
-            *v = self.u64()?;
-        }
-        Ok(vs)
     }
 
     /// Read a length prefix that counts elements of `elem_size` bytes each,
@@ -499,49 +440,210 @@ impl<'a> SnapReader<'a> {
         }
         Ok(n as usize)
     }
+}
 
-    /// A counted list: a [`SnapReader::len_prefix`] whose elements take at
-    /// least `min_elem_bytes` each, then that many elements, each read by
-    /// `read`. The vector is reserved once, for the checked count.
-    pub fn list<T>(
-        &mut self,
-        min_elem_bytes: usize,
-        mut read: impl FnMut(&mut Self) -> Result<T, SnapError>,
-    ) -> Result<Vec<T>, SnapError> {
-        let n = self.len_prefix(min_elem_bytes)?;
-        let mut items = Vec::with_capacity(n);
-        for _ in 0..n {
-            items.push(read(self)?);
-        }
-        Ok(items)
-    }
+/// One direction of a payload walk. Each struct's fields are listed once,
+/// in a walk generic over `Codec`: every method is handed the value to
+/// write and returns the value read. [`SnapWriter`] writes what it is
+/// handed and returns values the walk drops — strings, buffers and lists
+/// come back empty, so a write allocates nothing; [`SnapReader`] ignores
+/// what it is handed and returns what it reads, bounds-checked. A walk's
+/// control flow must therefore depend only on values a method returned.
+pub trait Codec: Sized {
+    /// Whether this is the reader. A walk runs its decode-only checks,
+    /// and keeps what it decodes, only when it is.
+    const READS: bool;
+
+    fn u8(&mut self, v: u8) -> Result<u8, SnapError>;
+    fn u16(&mut self, v: u16) -> Result<u16, SnapError>;
+    fn u32(&mut self, v: u32) -> Result<u32, SnapError>;
+    fn u64(&mut self, v: u64) -> Result<u64, SnapError>;
+
+    /// The count of a list whose `n` elements take at least
+    /// `min_elem_bytes` each; the reader checks the bytes it implies
+    /// against the remaining payload before anything is allocated.
+    fn len_prefix(&mut self, n: usize, min_elem_bytes: usize) -> Result<usize, SnapError>;
 
     /// Length-prefixed byte string.
-    pub fn blob(&mut self) -> Result<&'a [u8], SnapError> {
-        let n = self.len_prefix(1)?;
-        self.take(n)
+    fn blob(&mut self, bytes: &[u8]) -> Result<Vec<u8>, SnapError>;
+
+    /// `words` zero-run-length coded ([`rle_encode_words`]); the reader
+    /// checks their total against `len`.
+    fn words(
+        &mut self,
+        words: impl Iterator<Item = u64>,
+        len: RleLen,
+    ) -> Result<Vec<u64>, SnapError>;
+
+    /// `data`, all zero from `written` on, zero-run-length coded
+    /// ([`rle_encode_zero_tail`]). The reader requires `data.len()` bytes
+    /// and also returns the end of their last literal chunk
+    /// ([`rle_decode_extent`]).
+    fn rle(&mut self, data: &[u8], written: usize) -> Result<(Vec<u8>, usize), SnapError>;
+
+    /// `len` zero bytes zero-run-length coded ([`rle_encode_zeros`]).
+    /// Returns the end of the last literal chunk read, which a buffer
+    /// that is all zero has at 0.
+    fn zeros(&mut self, len: usize) -> Result<usize, SnapError>;
+
+    fn bool(&mut self, v: bool) -> Result<bool, SnapError> {
+        match self.u8(v as u8)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(SnapError::Corrupt(format!("invalid bool byte {b:#04x}"))),
+        }
     }
 
-    pub fn str(&mut self) -> Result<String, SnapError> {
-        let bytes = self.blob()?;
-        String::from_utf8(bytes.to_vec())
+    fn str(&mut self, s: &str) -> Result<String, SnapError> {
+        String::from_utf8(self.blob(s.as_bytes())?)
             .map_err(|_| SnapError::Corrupt("invalid utf-8 string".into()))
     }
 
-    pub fn opt_u32(&mut self) -> Result<Option<u32>, SnapError> {
-        match self.u8()? {
+    /// A fixed-length run of `u64`s, with no length prefix.
+    fn u64s<const N: usize>(&mut self, mut vs: [u64; N]) -> Result<[u64; N], SnapError> {
+        for v in &mut vs {
+            *v = self.u64(*v)?;
+        }
+        Ok(vs)
+    }
+
+    /// `None` as a 0 byte; `Some` as a 1 byte, then `walk` of the value
+    /// (the reader hands `walk` a `T::default()`).
+    fn opt<T: Default, U>(
+        &mut self,
+        v: Option<T>,
+        walk: impl FnOnce(&mut Self, T) -> Result<U, SnapError>,
+    ) -> Result<Option<U>, SnapError> {
+        match self.u8(v.is_some() as u8)? {
             0 => Ok(None),
-            1 => Ok(Some(self.u32()?)),
-            v => Err(SnapError::Corrupt(format!("invalid option tag {v:#04x}"))),
+            1 => walk(self, v.unwrap_or_default()).map(Some),
+            n => Err(SnapError::Corrupt(format!("invalid option tag {n:#04x}"))),
         }
     }
 
-    pub fn opt_u64(&mut self) -> Result<Option<u64>, SnapError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            v => Err(SnapError::Corrupt(format!("invalid option tag {v:#04x}"))),
+    /// `n` rows with no count written, row `i` walked by `walk(i)`; only
+    /// the reader keeps what the walks return.
+    fn rows<U>(
+        &mut self,
+        n: usize,
+        mut walk: impl FnMut(&mut Self, usize) -> Result<U, SnapError>,
+    ) -> Result<Vec<U>, SnapError> {
+        let mut out = Vec::with_capacity(if Self::READS { n } else { 0 });
+        for i in 0..n {
+            let row = walk(self, i)?;
+            if Self::READS {
+                out.push(row);
+            }
         }
+        Ok(out)
+    }
+
+    /// A counted list ([`Codec::len_prefix`]) of `items`, each walked by
+    /// `walk` (the reader hands it `T::default()`).
+    fn list<T: Default, U>(
+        &mut self,
+        items: impl ExactSizeIterator<Item = T>,
+        min_elem_bytes: usize,
+        mut walk: impl FnMut(&mut Self, T) -> Result<U, SnapError>,
+    ) -> Result<Vec<U>, SnapError> {
+        let n = self.len_prefix(items.len(), min_elem_bytes)?;
+        let mut items = items.fuse();
+        self.rows(n, |c, _| walk(c, items.next().unwrap_or_default()))
+    }
+}
+
+impl Codec for SnapWriter {
+    const READS: bool = false;
+
+    fn u8(&mut self, v: u8) -> Result<u8, SnapError> {
+        SnapWriter::u8(self, v);
+        Ok(v)
+    }
+
+    fn u16(&mut self, v: u16) -> Result<u16, SnapError> {
+        SnapWriter::u16(self, v);
+        Ok(v)
+    }
+
+    fn u32(&mut self, v: u32) -> Result<u32, SnapError> {
+        SnapWriter::u32(self, v);
+        Ok(v)
+    }
+
+    fn u64(&mut self, v: u64) -> Result<u64, SnapError> {
+        SnapWriter::u64(self, v);
+        Ok(v)
+    }
+
+    fn len_prefix(&mut self, n: usize, _: usize) -> Result<usize, SnapError> {
+        SnapWriter::len_prefix(self, n);
+        Ok(n)
+    }
+
+    fn blob(&mut self, bytes: &[u8]) -> Result<Vec<u8>, SnapError> {
+        SnapWriter::len_prefix(self, bytes.len());
+        self.raw(bytes);
+        Ok(Vec::new())
+    }
+
+    fn words(
+        &mut self,
+        words: impl Iterator<Item = u64>,
+        _: RleLen,
+    ) -> Result<Vec<u64>, SnapError> {
+        rle_encode_words(self, words);
+        Ok(Vec::new())
+    }
+
+    fn rle(&mut self, data: &[u8], written: usize) -> Result<(Vec<u8>, usize), SnapError> {
+        rle_encode_zero_tail(self, data, written);
+        Ok((Vec::new(), 0))
+    }
+
+    fn zeros(&mut self, len: usize) -> Result<usize, SnapError> {
+        rle_encode_zeros(self, len);
+        Ok(0)
+    }
+}
+
+impl Codec for SnapReader<'_> {
+    const READS: bool = true;
+
+    fn u8(&mut self, _: u8) -> Result<u8, SnapError> {
+        SnapReader::u8(self)
+    }
+
+    fn u16(&mut self, _: u16) -> Result<u16, SnapError> {
+        SnapReader::u16(self)
+    }
+
+    fn u32(&mut self, _: u32) -> Result<u32, SnapError> {
+        SnapReader::u32(self)
+    }
+
+    fn u64(&mut self, _: u64) -> Result<u64, SnapError> {
+        SnapReader::u64(self)
+    }
+
+    fn len_prefix(&mut self, _: usize, min_elem_bytes: usize) -> Result<usize, SnapError> {
+        SnapReader::len_prefix(self, min_elem_bytes)
+    }
+
+    fn blob(&mut self, _: &[u8]) -> Result<Vec<u8>, SnapError> {
+        let n = SnapReader::len_prefix(self, 1)?;
+        Ok(self.take(n)?.to_vec())
+    }
+
+    fn words(&mut self, _: impl Iterator<Item = u64>, len: RleLen) -> Result<Vec<u64>, SnapError> {
+        rle_decode_words(self, len)
+    }
+
+    fn rle(&mut self, data: &[u8], _: usize) -> Result<(Vec<u8>, usize), SnapError> {
+        rle_decode_extent(self, RleLen::Exactly(data.len()))
+    }
+
+    fn zeros(&mut self, len: usize) -> Result<usize, SnapError> {
+        rle_skip_extent(self, len)
     }
 }
 
@@ -655,19 +757,16 @@ pub fn rle_encode_zero_tail(w: &mut SnapWriter, data: &[u8], written: usize) {
     }
 }
 
-/// [`rle_encode`] of `words` as little-endian bytes, staged in `scratch`
-/// (reused from call to call, so one snapshot stages every word array in
-/// one allocation). [`rle_decode_words`] reads it back.
-pub fn rle_encode_words(
-    w: &mut SnapWriter,
-    scratch: &mut Vec<u8>,
-    words: impl Iterator<Item = u64>,
-) {
-    scratch.clear();
+/// [`rle_encode`] of `words` as little-endian bytes, staged in the
+/// writer's word buffer. [`rle_decode_words`] reads it back.
+pub fn rle_encode_words(w: &mut SnapWriter, words: impl Iterator<Item = u64>) {
+    let mut staged = std::mem::take(&mut w.words);
+    staged.clear();
     for v in words {
-        scratch.extend_from_slice(&v.to_le_bytes());
+        staged.extend_from_slice(&v.to_le_bytes());
     }
-    rle_encode(w, scratch);
+    rle_encode(w, &staged);
+    w.words = staged;
 }
 
 /// [`rle_encode`] of `len` zero bytes, without the buffer.
@@ -1097,36 +1196,75 @@ mod tests {
         assert_eq!(w.seal(), seal(b"second"));
     }
 
+    /// One walk of every primitive, as [`Codec`] walks are written: the
+    /// reader hands back what the writer was handed.
+    #[allow(clippy::type_complexity)]
+    fn walk_primitives<C: Codec>(
+        c: &mut C,
+        v: (u8, bool, bool, u16, u32, u64, &str, &[u8]),
+        opts: (Option<u32>, Option<u32>, Option<u64>),
+    ) -> Result<
+        (
+            u8,
+            bool,
+            bool,
+            u16,
+            u32,
+            u64,
+            String,
+            Vec<u8>,
+            [Option<u64>; 3],
+        ),
+        SnapError,
+    > {
+        Ok((
+            c.u8(v.0)?,
+            c.bool(v.1)?,
+            c.bool(v.2)?,
+            c.u16(v.3)?,
+            c.u32(v.4)?,
+            c.u64(v.5)?,
+            c.str(v.6)?,
+            c.blob(v.7)?,
+            [
+                c.opt(opts.0, |c, x| c.u32(x))?.map(u64::from),
+                c.opt(opts.1, |c, x| c.u32(x))?.map(u64::from),
+                c.opt(opts.2, |c, x| c.u64(x))?,
+            ],
+        ))
+    }
+
     #[test]
     fn writer_reader_round_trip() {
+        let v = (
+            0xAB,
+            true,
+            false,
+            0xBEEF,
+            0xDEAD_BEEF,
+            0x0123_4567_89AB_CDEF,
+            "hera",
+            &[1u8, 2, 3][..],
+        );
+        let opts = (None, Some(7), Some(u64::MAX));
         let mut w = SnapWriter::new();
-        w.u8(0xAB);
-        w.bool(true);
-        w.bool(false);
-        w.u16(0xBEEF);
-        w.u32(0xDEAD_BEEF);
-        w.u64(0x0123_4567_89AB_CDEF);
-        w.i64(-42);
-        w.str("hera");
-        w.blob(&[1, 2, 3]);
-        w.opt_u32(None);
-        w.opt_u32(Some(7));
-        w.opt_u64(Some(u64::MAX));
-
-        let buf = w.into_inner();
-        let mut r = SnapReader::new(&buf);
-        assert_eq!(r.u8().unwrap(), 0xAB);
-        assert!(r.bool().unwrap());
-        assert!(!r.bool().unwrap());
-        assert_eq!(r.u16().unwrap(), 0xBEEF);
-        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.u64().unwrap(), 0x0123_4567_89AB_CDEF);
-        assert_eq!(r.i64().unwrap(), -42);
-        assert_eq!(r.str().unwrap(), "hera");
-        assert_eq!(r.blob().unwrap(), &[1, 2, 3]);
-        assert_eq!(r.opt_u32().unwrap(), None);
-        assert_eq!(r.opt_u32().unwrap(), Some(7));
-        assert_eq!(r.opt_u64().unwrap(), Some(u64::MAX));
+        walk_primitives(&mut w, v, opts).unwrap();
+        let mut r = SnapReader::new(w.bytes());
+        let back = walk_primitives(&mut r, Default::default(), Default::default()).unwrap();
+        assert_eq!(
+            back,
+            (
+                0xAB,
+                true,
+                false,
+                0xBEEF,
+                0xDEAD_BEEF,
+                0x0123_4567_89AB_CDEF,
+                "hera".to_string(),
+                vec![1, 2, 3],
+                [None, Some(7), Some(u64::MAX)]
+            )
+        );
         r.finish().unwrap();
     }
 
@@ -1276,7 +1414,7 @@ mod tests {
     fn words_round_trip_and_a_word_array_is_whole_words_under_its_cap() {
         let words = [0u64, 0, 7, u64::MAX, 0, 0, 0, 0, 1 << 40];
         let mut w = SnapWriter::new();
-        rle_encode_words(&mut w, &mut Vec::new(), words.iter().copied());
+        rle_encode_words(&mut w, words.iter().copied());
         for len in [RleLen::Exactly(72), RleLen::Words { cap: 72 }] {
             let mut r = SnapReader::new(w.bytes());
             assert_eq!(rle_decode_words(&mut r, len), Ok(words.to_vec()));
@@ -1299,12 +1437,13 @@ mod tests {
         for v in [5u32, 6, 7] {
             w.u32(v);
         }
+        let list = |r: &mut SnapReader<'_>, min| r.list(std::iter::empty(), min, Codec::u32);
         let mut r = SnapReader::new(w.bytes());
-        assert_eq!(r.list(4, SnapReader::u32), Ok(vec![5, 6, 7]));
+        assert_eq!(list(&mut r, 4), Ok(vec![5, 6, 7]));
         r.finish().unwrap();
         // Three elements of at least five bytes do not fit in twelve.
         let mut r = SnapReader::new(w.bytes());
-        let long = r.list(5, SnapReader::u32);
+        let long = list(&mut r, 5);
         assert!(matches!(long, Err(SnapError::Corrupt(_))), "{long:?}");
     }
 
