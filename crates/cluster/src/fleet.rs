@@ -415,7 +415,7 @@ impl<'a> Sim<'a> {
     /// Pick a machine for `job` through the balancing policy and place
     /// it there (`hedge` placements skip admission control: the primary
     /// attempt is still live).
-    pub fn route(
+    pub(crate) fn route(
         &mut self,
         job: usize,
         now: u64,
@@ -441,7 +441,7 @@ impl<'a> Sim<'a> {
 
     /// Route `job` to a machine other than `exclude`, holding it at the
     /// front-end if the whole fleet is down and shedding it on overflow.
-    pub fn dispatch(
+    pub(crate) fn dispatch(
         &mut self,
         job: usize,
         now: u64,
@@ -545,7 +545,12 @@ impl<'a> Sim<'a> {
     /// [`hera_trace::FlowKind::Drain`] arrow, `rebal.drains` counted)
     /// while the virtual-time charges stay exactly those of a scheduled
     /// migration. Returns whether a migration was actually started.
-    pub fn migrate_off(&mut self, m: usize, now: u64, drain: bool) -> Result<bool, ClusterError> {
+    pub(crate) fn migrate_off(
+        &mut self,
+        m: usize,
+        now: u64,
+        drain: bool,
+    ) -> Result<bool, ClusterError> {
         let skip = |s: &mut Self, what: &str| {
             let pre = if drain {
                 "rebal.drain"

@@ -220,7 +220,7 @@ pub(crate) struct Job {
 impl Job {
     /// Machines currently holding an attempt, as `(machine, is_hedge)`,
     /// oldest first.
-    pub fn placements(&self) -> &[(usize, bool)] {
+    pub(crate) fn placements(&self) -> &[(usize, bool)] {
         &self.placements
     }
 }
@@ -249,16 +249,16 @@ pub(crate) struct Mach {
 }
 
 impl Mach {
-    pub fn queue(&self) -> &VecDeque<(usize, u64)> {
+    pub(crate) fn queue(&self) -> &VecDeque<(usize, u64)> {
         &self.queue
     }
 
-    pub fn running(&self) -> Option<&Running> {
+    pub(crate) fn running(&self) -> Option<&Running> {
         self.running.as_ref()
     }
 
     /// Estimated virtual cycles of queued plus remaining running work.
-    pub fn backlog(&self, now: u64) -> u64 {
+    pub(crate) fn backlog(&self, now: u64) -> u64 {
         let running = self
             .running
             .as_ref()
@@ -299,7 +299,7 @@ pub(crate) struct Kernel<'a> {
 }
 
 impl<'a> Kernel<'a> {
-    pub fn new(
+    pub(crate) fn new(
         cfg: &'a ClusterConfig,
         profile: &'a FleetProfile,
         runs: &'a Reruns,
@@ -339,17 +339,17 @@ impl<'a> Kernel<'a> {
     }
 
     /// Schedule `ev` at `time`, after everything already scheduled then.
-    pub fn push(&mut self, time: u64, ev: Ev) {
+    pub(crate) fn push(&mut self, time: u64, ev: Ev) {
         self.events.push(time, ev);
     }
 
     /// Take the next event in `(time, insertion seq)` order.
-    pub fn pop(&mut self) -> Option<(u64, Ev)> {
+    pub(crate) fn pop(&mut self) -> Option<(u64, Ev)> {
         self.events.pop()
     }
 
     /// Run a hera-scope hook when scope is on.
-    pub fn observe(&mut self, hook: impl FnOnce(&mut Scope)) {
+    pub(crate) fn observe(&mut self, hook: impl FnOnce(&mut Scope)) {
         if let Some(sc) = self.scope.as_mut() {
             hook(sc);
         }
@@ -360,14 +360,14 @@ impl<'a> Kernel<'a> {
         &self.profile.reference[j.class][j.origin.unwrap_or(fallback_machine)]
     }
 
-    pub fn transfer_cycles(&self, bytes: u64) -> u64 {
+    pub(crate) fn transfer_cycles(&self, bytes: u64) -> u64 {
         TRANSFER_LATENCY_CYCLES + bytes / TRANSFER_BYTES_PER_CYCLE
     }
 
     /// Estimated cost of `job` if placed on `machine` now: dispatch
     /// overhead, plus snapshot transfer and remaining cycles when
     /// resuming, or the full service time when fresh.
-    pub fn estimate(&self, job: usize, machine: usize) -> u64 {
+    pub(crate) fn estimate(&self, job: usize, machine: usize) -> u64 {
         let j = &self.jobs[job];
         match &j.resume {
             Some(r) => {
@@ -382,7 +382,7 @@ impl<'a> Kernel<'a> {
 
     /// Book an attempt of `job` on machine `m` (a hedge duplicate when
     /// `hedge`), queue it there, and start it if the machine is idle.
-    pub fn place(
+    pub(crate) fn place(
         &mut self,
         m: usize,
         job: usize,
@@ -408,7 +408,7 @@ impl<'a> Kernel<'a> {
 
     /// Take queued `job` off machine `m`. Returns when it was queued
     /// there, or `None` when it was not there.
-    pub fn detach_queued(&mut self, m: usize, job: usize) -> Option<u64> {
+    pub(crate) fn detach_queued(&mut self, m: usize, job: usize) -> Option<u64> {
         let pos = self.machines[m].queue.iter().position(|&(q, _)| q == job)?;
         let est = self.estimate(job, m);
         let mach = &mut self.machines[m];
@@ -421,7 +421,7 @@ impl<'a> Kernel<'a> {
 
     /// Take the running job off machine `m`; the epoch bump makes its
     /// pending `Done` stale. Starting the next job is the caller's call.
-    pub fn detach_running(&mut self, m: usize) -> Option<Running> {
+    pub(crate) fn detach_running(&mut self, m: usize) -> Option<Running> {
         let mach = &mut self.machines[m];
         let run = mach.running.take()?;
         mach.epoch += 1;
@@ -433,7 +433,7 @@ impl<'a> Kernel<'a> {
 
     /// Take every queued job off machine `m`, in queue order, each with
     /// the time it was queued.
-    pub fn evict(&mut self, m: usize) -> Vec<(usize, u64)> {
+    pub(crate) fn evict(&mut self, m: usize) -> Vec<(usize, u64)> {
         let mach = &mut self.machines[m];
         let queued: Vec<(usize, u64)> = mach.queue.drain(..).collect();
         mach.queued_cycles = 0;
@@ -447,7 +447,7 @@ impl<'a> Kernel<'a> {
     /// Cancel `job`'s attempt on machine `m`: pull it out of the queue,
     /// or — if it is the running job — detach it and start the next
     /// queued job.
-    pub fn cancel(&mut self, m: usize, job: usize, now: u64) -> Result<(), ClusterError> {
+    pub(crate) fn cancel(&mut self, m: usize, job: usize, now: u64) -> Result<(), ClusterError> {
         if self.machines[m].running().is_some_and(|r| r.job == job) {
             self.observe(|sc| sc.on_cancel_running(m, now));
             let run = self
@@ -471,7 +471,7 @@ impl<'a> Kernel<'a> {
     /// Start the next queued job on `m` if it is idle and up. Resumed
     /// jobs run their adoption proof here: a real `adopt_bytes` run on
     /// this machine, compared against the unmigrated reference.
-    pub fn try_start(&mut self, m: usize, now: u64) -> Result<(), ClusterError> {
+    pub(crate) fn try_start(&mut self, m: usize, now: u64) -> Result<(), ClusterError> {
         self.check(m); // covers a `place` onto a busy machine, which starts nothing
         if !self.machines[m].up || self.machines[m].running.is_some() {
             return Ok(());
@@ -527,7 +527,7 @@ impl<'a> Kernel<'a> {
 
     /// The `Done` of `epoch` fired on machine `m`: take its running job,
     /// or `None` when it is stale (crashed, cancelled or migrated away).
-    pub fn finish_running(&mut self, m: usize, epoch: u64) -> Option<usize> {
+    pub(crate) fn finish_running(&mut self, m: usize, epoch: u64) -> Option<usize> {
         let mach = &mut self.machines[m];
         if !mach.up || mach.epoch != epoch {
             return None;
@@ -537,7 +537,12 @@ impl<'a> Kernel<'a> {
 
     /// `job` finished on machine `m`. First completion wins: any losing
     /// attempt elsewhere is cancelled, and the job resolves `Completed`.
-    pub fn complete(&mut self, job: usize, m: usize, now: u64) -> Result<Completion, ClusterError> {
+    pub(crate) fn complete(
+        &mut self,
+        job: usize,
+        m: usize,
+        now: u64,
+    ) -> Result<Completion, ClusterError> {
         let mut was_hedge = false;
         for (pm, hedge) in std::mem::take(&mut self.jobs[job].placements) {
             if pm == m {
@@ -569,7 +574,7 @@ impl<'a> Kernel<'a> {
 
     /// Drop `job` through the shed path: graceful refusal, reported —
     /// never a silent loss.
-    pub fn shed(&mut self, job: usize, now: u64, why: &str) {
+    pub(crate) fn shed(&mut self, job: usize, now: u64, why: &str) {
         let j = &mut self.jobs[job];
         debug_assert!(j.outcome == Outcome::Pending, "shed a resolved job");
         debug_assert!(j.placements.is_empty(), "shed a placed job");
@@ -692,7 +697,7 @@ impl<'a> Kernel<'a> {
     /// Returns the new resume state (`None`: full restart) and the
     /// re-executed cycles; or `None` when the crash fell after the last
     /// safepoint and the job finished first.
-    pub fn interrupt(
+    pub(crate) fn interrupt(
         &self,
         run: &Running,
         m: usize,

@@ -101,7 +101,7 @@ pub(crate) struct Rebal {
 }
 
 impl Rebal {
-    pub fn new(cfg: RebalConfig, machines: usize, span: u64) -> Rebal {
+    pub(crate) fn new(cfg: RebalConfig, machines: usize, span: u64) -> Rebal {
         Rebal {
             cfg,
             draining: vec![false; machines],
@@ -114,7 +114,7 @@ impl Rebal {
     /// The rebalance-tick times over a trace of arrival span `span`:
     /// laid out up front with seeded jitter, so the whole schedule is a
     /// pure function of the config.
-    pub fn ticks(&self, seed: u64, span: u64) -> Vec<u64> {
+    pub(crate) fn ticks(&self, seed: u64, span: u64) -> Vec<u64> {
         if self.cfg.rebalance_every_permille == 0 || span == 0 {
             return Vec::new();
         }
@@ -128,7 +128,7 @@ impl Rebal {
     }
 
     /// Machine `m` starts a fresh drain episode.
-    pub fn end_episode(&mut self, m: usize) {
+    pub(crate) fn end_episode(&mut self, m: usize) {
         self.draining[m] = false;
         self.slow_streak[m] = 0;
     }

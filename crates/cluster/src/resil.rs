@@ -293,7 +293,7 @@ pub(crate) struct Resil {
 }
 
 impl Resil {
-    pub fn new(cfg: ResilConfig, machines: usize, classes: usize) -> Resil {
+    pub(crate) fn new(cfg: ResilConfig, machines: usize, classes: usize) -> Resil {
         Resil {
             cfg,
             breakers: vec![Breaker::new(); machines],
@@ -303,7 +303,7 @@ impl Resil {
 
     /// Machine `m`'s breaker as the scope sampler codes it: 0 = closed,
     /// 1 = half-open, 2 = open.
-    pub fn breaker_code(&self, m: usize) -> u64 {
+    pub(crate) fn breaker_code(&self, m: usize) -> u64 {
         match self.breakers[m].state {
             BreakerState::Closed => 0,
             BreakerState::HalfOpen => 1,

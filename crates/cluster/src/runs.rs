@@ -54,7 +54,7 @@ pub(crate) struct RunKey {
 }
 
 impl RunKey {
-    pub fn new(class: usize, replay: u8, vm: VmConfig, start: Option<Arc<Vec<u8>>>) -> Self {
+    pub(crate) fn new(class: usize, replay: u8, vm: VmConfig, start: Option<Arc<Vec<u8>>>) -> Self {
         let shown = format!("{vm:?}");
         RunKey {
             class,
@@ -159,7 +159,11 @@ impl Reruns {
     /// the machine, from its start snapshot or from scratch. A sealed
     /// checkpoint resumes at the wall clock its header records, on the
     /// shape that sealed it.
-    pub fn doomed(&self, classes: &[ClassProfile], key: RunKey) -> Result<Doomed, ClusterError> {
+    pub(crate) fn doomed(
+        &self,
+        classes: &[ClassProfile],
+        key: RunKey,
+    ) -> Result<Doomed, ClusterError> {
         self.doomed.get(key, |key| {
             let vm = HeraJvm::new(classes[key.class].program.clone(), key.config.vm)
                 .map_err(|e| vm_err("doomed vm", e))?;
@@ -196,7 +200,7 @@ impl Reruns {
     }
 
     /// Adopt `key`'s start snapshot under its config and run to the end.
-    pub fn adopted(
+    pub(crate) fn adopted(
         &self,
         classes: &[ClassProfile],
         key: RunKey,
@@ -236,7 +240,7 @@ impl<V> Memo<V> {
 #[cfg(test)]
 impl Reruns {
     /// The doomed runs' tally, then the adoption runs'.
-    pub fn tally(&self) -> [Tally; 2] {
+    pub(crate) fn tally(&self) -> [Tally; 2] {
         [self.doomed.tally(), self.adopted.tally()]
     }
 }

@@ -30,7 +30,7 @@ use hera_trace::{
 use std::fmt::Write as _;
 
 /// Track index of the front-end; machine `m` is track `m + 1`.
-pub const FRONTEND_TRACK: u16 = 0;
+pub(crate) const FRONTEND_TRACK: u16 = 0;
 
 fn machine_track(m: usize) -> u16 {
     u16::try_from(m + 1).expect("validated: machines <= u16::MAX")
@@ -109,7 +109,7 @@ pub(crate) struct Scope {
 }
 
 impl Scope {
-    pub fn new(machines: usize, class_names: Vec<String>, span: u64, njobs: usize) -> Scope {
+    pub(crate) fn new(machines: usize, class_names: Vec<String>, span: u64, njobs: usize) -> Scope {
         let sample_every = (span / TARGET_SAMPLES).max(1);
         Scope {
             class_lat: vec![Vec::new(); class_names.len()],
@@ -188,7 +188,7 @@ impl Scope {
 
     // ------------------------------------------------------------ hooks
 
-    pub fn on_arrival(&mut self, job: usize, class: usize, now: u64) {
+    pub(crate) fn on_arrival(&mut self, job: usize, class: usize, now: u64) {
         debug_assert_eq!(job, self.jobs.len(), "arrivals out of order");
         let root = self.alloc();
         self.jobs.push(JobScope {
@@ -200,39 +200,39 @@ impl Scope {
         });
     }
 
-    pub fn on_shed(&mut self, job: usize, now: u64) {
+    pub(crate) fn on_shed(&mut self, job: usize, now: u64) {
         self.jobs[job].pending_flow = None;
         self.shed += 1;
         self.terminal(job, SpanKind::Shed, now);
     }
 
     /// Arm the causal arrow the next enqueue of `job` will consume.
-    pub fn flow_from(&mut self, job: usize, kind: FlowKind, from_track: u16, from_ts: u64) {
+    pub(crate) fn flow_from(&mut self, job: usize, kind: FlowKind, from_track: u16, from_ts: u64) {
         self.jobs[job].pending_flow = Some((kind, from_track, from_ts));
     }
 
     /// Drop an armed arrow whose attempt never landed (skipped hedge).
-    pub fn clear_flow(&mut self, job: usize) {
+    pub(crate) fn clear_flow(&mut self, job: usize) {
         self.jobs[job].pending_flow = None;
     }
 
-    pub fn on_retry_wave(&mut self, job: usize, now: u64) {
+    pub(crate) fn on_retry_wave(&mut self, job: usize, now: u64) {
         self.retry_waves += 1;
         self.flow_from(job, FlowKind::Retry, FRONTEND_TRACK, now);
     }
 
-    pub fn on_requeue(&mut self, job: usize, from_machine: usize, now: u64) {
+    pub(crate) fn on_requeue(&mut self, job: usize, from_machine: usize, now: u64) {
         self.requeues += 1;
         self.flow_from(job, FlowKind::Requeue, machine_track(from_machine), now);
     }
 
     /// A hedge is about to dispatch: arm the arrow from the primary
     /// attempt's machine (dropped again if the hedge finds no machine).
-    pub fn on_hedge_armed(&mut self, job: usize, primary: usize, now: u64) {
+    pub(crate) fn on_hedge_armed(&mut self, job: usize, primary: usize, now: u64) {
         self.flow_from(job, FlowKind::Hedge, machine_track(primary), now);
     }
 
-    pub fn on_enqueue(&mut self, m: usize, job: usize, now: u64, hedge: bool) {
+    pub(crate) fn on_enqueue(&mut self, m: usize, job: usize, now: u64, hedge: bool) {
         if hedge {
             self.hedges += 1;
         }
@@ -251,7 +251,7 @@ impl Scope {
 
     /// `job` starts on machine `m` at `now`, ending the queue wait it
     /// began at `enqueued`.
-    pub fn on_start(
+    pub(crate) fn on_start(
         &mut self,
         m: usize,
         job: usize,
@@ -298,7 +298,7 @@ impl Scope {
         Some(open.job)
     }
 
-    pub fn on_complete(&mut self, job: usize, m: usize, now: u64) {
+    pub(crate) fn on_complete(&mut self, job: usize, m: usize, now: u64) {
         let closed = self.close_service(m, now, SpanKind::Service);
         debug_assert_eq!(closed, Some(job), "completion closed a foreign attempt");
         let (arrival, class) = (self.jobs[job].arrival, self.jobs[job].class);
@@ -308,31 +308,31 @@ impl Scope {
     }
 
     /// A deadline or a winning twin cancelled the attempt running on `m`.
-    pub fn on_cancel_running(&mut self, m: usize, now: u64) {
+    pub(crate) fn on_cancel_running(&mut self, m: usize, now: u64) {
         self.close_service(m, now, SpanKind::ServiceCancelled);
     }
 
     /// A deadline or a winning twin cancelled `job`'s attempt queued on
     /// `m` since `enqueued`.
-    pub fn on_cancel_queued(&mut self, m: usize, job: usize, enqueued: u64, now: u64) {
+    pub(crate) fn on_cancel_queued(&mut self, m: usize, job: usize, enqueued: u64, now: u64) {
         self.close_queue(m, job, enqueued, now, SpanKind::QueueCancelled);
     }
 
     /// A crash (or migration detach) interrupted the running attempt.
-    pub fn on_interrupt(&mut self, m: usize, now: u64) {
+    pub(crate) fn on_interrupt(&mut self, m: usize, now: u64) {
         self.close_service(m, now, SpanKind::ServiceInterrupted);
     }
 
     /// A crash drained `job`, queued since `enqueued`, out of machine
     /// `m`'s queue.
-    pub fn on_queue_interrupt(&mut self, m: usize, job: usize, enqueued: u64, now: u64) {
+    pub(crate) fn on_queue_interrupt(&mut self, m: usize, job: usize, enqueued: u64, now: u64) {
         self.close_queue(m, job, enqueued, now, SpanKind::QueueInterrupted);
     }
 
     /// A proactive drain pulled `job`, queued since `enqueued`, out of
     /// machine `m`: close its queue span and arm the [`FlowKind::Drain`]
     /// arrow the next enqueue will consume.
-    pub fn on_drain(&mut self, m: usize, job: usize, enqueued: u64, now: u64) {
+    pub(crate) fn on_drain(&mut self, m: usize, job: usize, enqueued: u64, now: u64) {
         self.close_queue(m, job, enqueued, now, SpanKind::QueueDrained);
         self.drains += 1;
         self.flow_from(job, FlowKind::Drain, machine_track(m), now);
@@ -340,7 +340,7 @@ impl Scope {
 
     /// A machine-wide marker on machine `m`: `kind` is `Crash`, `Recover`
     /// or one of the three `SpanKind::Breaker*` transitions.
-    pub fn on_machine(&mut self, m: usize, kind: SpanKind, now: u64) {
+    pub(crate) fn on_machine(&mut self, m: usize, kind: SpanKind, now: u64) {
         self.span(kind, machine_track(m), None, (now, 0), 0, false);
     }
 
@@ -351,7 +351,7 @@ impl Scope {
     /// consume. `drain` marks a proactive-drain migration: the span and
     /// arrow are labelled as a drain and the drain ledger counts it too
     /// (it is still a migration — the simulator charges it identically).
-    pub fn on_migrate(
+    pub(crate) fn on_migrate(
         &mut self,
         m: usize,
         dest: usize,
@@ -376,7 +376,7 @@ impl Scope {
 
     /// An attempt wave hit its deadline (the wave's cancels follow via
     /// [`Scope::on_cancel_running`] and [`Scope::on_cancel_queued`]).
-    pub fn on_wave_timeout(&mut self, job: usize, now: u64) {
+    pub(crate) fn on_wave_timeout(&mut self, job: usize, now: u64) {
         self.span(
             SpanKind::WaveTimeout,
             FRONTEND_TRACK,
@@ -388,14 +388,14 @@ impl Scope {
     }
 
     /// The last retry wave timed out: the request is dead.
-    pub fn on_timed_out(&mut self, job: usize, now: u64) {
+    pub(crate) fn on_timed_out(&mut self, job: usize, now: u64) {
         self.timedout += 1;
         self.terminal(job, SpanKind::TimedOut, now);
     }
 
     // ---------------------------------------------------------- sampler
 
-    pub fn sample_due(&self, now: u64) -> bool {
+    pub(crate) fn sample_due(&self, now: u64) -> bool {
         self.ticks < MAX_TICKS && self.next_sample <= now
     }
 
@@ -407,7 +407,7 @@ impl Scope {
     ///
     /// `views` is `(queue_len, in_flight, breaker_state)` per machine,
     /// breaker state coded 0 = closed, 1 = half-open, 2 = open.
-    pub fn sample_until(&mut self, now: u64, views: &[(u64, u64, u64)]) {
+    pub(crate) fn sample_until(&mut self, now: u64, views: &[(u64, u64, u64)]) {
         while self.ticks < MAX_TICKS && self.next_sample <= now {
             let t = self.next_sample;
             for (m, &(qlen, inflight, breaker)) in views.iter().enumerate() {
@@ -436,7 +436,7 @@ impl Scope {
 
     /// Reconcile the span ledger against the simulator's counters and
     /// seal the recording. Every mismatch becomes a reported failure.
-    pub fn finish(
+    pub(crate) fn finish(
         mut self,
         sim: &MetricsRegistry,
         njobs: u64,
