@@ -727,7 +727,7 @@ pub fn rle_encode(w: &mut SnapWriter, data: &[u8]) {
 /// # Panics
 ///
 /// Panics when `written` is past the end of `data`.
-pub fn rle_encode_zero_tail(w: &mut SnapWriter, data: &[u8], written: usize) {
+fn rle_encode_zero_tail(w: &mut SnapWriter, data: &[u8], written: usize) {
     assert!(written <= data.len(), "written mark past the buffer");
     debug_assert!(
         data[written..].iter().all(|&b| b == 0),
@@ -759,7 +759,7 @@ pub fn rle_encode_zero_tail(w: &mut SnapWriter, data: &[u8], written: usize) {
 
 /// [`rle_encode`] of `words` as little-endian bytes, staged in the
 /// writer's word buffer. [`rle_decode_words`] reads it back.
-pub fn rle_encode_words(w: &mut SnapWriter, words: impl Iterator<Item = u64>) {
+fn rle_encode_words(w: &mut SnapWriter, words: impl Iterator<Item = u64>) {
     let mut staged = std::mem::take(&mut w.words);
     staged.clear();
     for v in words {
@@ -770,7 +770,7 @@ pub fn rle_encode_words(w: &mut SnapWriter, words: impl Iterator<Item = u64>) {
 }
 
 /// [`rle_encode`] of `len` zero bytes, without the buffer.
-pub fn rle_encode_zeros(w: &mut SnapWriter, len: usize) {
+fn rle_encode_zeros(w: &mut SnapWriter, len: usize) {
     w.len_prefix(len);
     if len > 0 {
         w.u8(RLE_ZERO);
@@ -815,7 +815,7 @@ pub fn rle_decode(r: &mut SnapReader<'_>, expected_len: usize) -> Result<Vec<u8>
 /// returning the end of the last literal chunk (0 when there is none):
 /// every decoded byte at or past it is zero, which the caller then knows
 /// without scanning the buffer.
-pub fn rle_decode_extent(
+fn rle_decode_extent(
     r: &mut SnapReader<'_>,
     len: RleLen,
 ) -> Result<(Vec<u8>, usize), SnapError> {
@@ -829,7 +829,7 @@ pub fn rle_decode_extent(
 
 /// The words [`rle_encode_words`] wrote, their total checked by `len`
 /// (which counts bytes, eight to a word).
-pub fn rle_decode_words(r: &mut SnapReader<'_>, len: RleLen) -> Result<Vec<u64>, SnapError> {
+fn rle_decode_words(r: &mut SnapReader<'_>, len: RleLen) -> Result<Vec<u64>, SnapError> {
     let (bytes, _) = rle_decode_extent(r, len)?;
     Ok(bytes.chunks_exact(8).map(le_word).collect())
 }
@@ -837,7 +837,7 @@ pub fn rle_decode_words(r: &mut SnapReader<'_>, len: RleLen) -> Result<Vec<u64>,
 /// The literal end [`rle_decode_extent`] returns, with the chunks checked
 /// the same way but nothing allocated or copied: a caller that requires
 /// an all-zero buffer requires 0.
-pub fn rle_skip_extent(r: &mut SnapReader<'_>, expected_len: usize) -> Result<usize, SnapError> {
+fn rle_skip_extent(r: &mut SnapReader<'_>, expected_len: usize) -> Result<usize, SnapError> {
     let total = RleLen::Exactly(expected_len).read_total(r)?;
     rle_chunks(r, total, |_, _| {})
 }

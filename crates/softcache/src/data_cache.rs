@@ -495,8 +495,8 @@ impl DataCache {
     }
 
     /// The written-mark: every local byte at or past it is zero, so a
-    /// snapshot encodes the region with
-    /// `hera_snap::rle_encode_zero_tail(local, mark)`.
+    /// snapshot encodes the region with `hera_snap::Codec::rle(local,
+    /// mark)`.
     pub fn written_mark(&self) -> u32 {
         self.written
     }
