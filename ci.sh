@@ -21,10 +21,13 @@ cargo test -q --workspace --exclude hera-integration
 # record and its writer in hera-trace), hera-cluster's run table
 # executing each VM re-run once per experiment on pools of 0, 1 and 3
 # extra threads (replays_render_identically_on_any_pool) and hera-core's
-# resealed-payload mutation sweep over the snapshot decoder once more
-# where the per-op charge shadow is compiled out and arithmetic wraps
-# instead of panicking: a decoder check that leans on an overflow panic
-# shows up there as a restore the sweep's pinned digest does not expect.
+# two resealed-payload mutation sweeps over the snapshot codec
+# (resealed_payload_mutations_never_panic over a whole untraced
+# checkpoint, resealed_obs_mutations_of_an_observed_checkpoint_never_panic
+# over the OBS section of a traced and profiled one) once more where the
+# per-op charge shadow is compiled out and arithmetic wraps instead of
+# panicking: a decoder check that leans on an overflow panic shows up
+# there as a restore a sweep's pinned digest does not expect.
 cargo test -q --release -p hera-jit -p hera-core -p hera-softcache -p hera-cluster -p hera-trace
 # hera-integration's binaries are most of the suite's wall time (ROADMAP
 # aim 4e): build them once, then run them one at a time and print the
