@@ -172,10 +172,11 @@ impl Ids<'_> {
 
     /// A core as its tag: the PPE is 0, SPE n is 1 + n.
     fn core<C: Codec>(&self, c: &mut C, core: CoreId) -> Result<CoreId, SnapError> {
-        match c.u8(match core {
+        let tag = match core {
             CoreId::Ppe => 0,
             CoreId::Spe(n) => 1 + n,
-        })? {
+        };
+        match c.u8(tag)? {
             0 => Ok(CoreId::Ppe),
             n => {
                 ensure::<C>(n <= self.spes, || format!("core tag {n} out of range"))?;

@@ -815,10 +815,7 @@ pub fn rle_decode(r: &mut SnapReader<'_>, expected_len: usize) -> Result<Vec<u8>
 /// returning the end of the last literal chunk (0 when there is none):
 /// every decoded byte at or past it is zero, which the caller then knows
 /// without scanning the buffer.
-fn rle_decode_extent(
-    r: &mut SnapReader<'_>,
-    len: RleLen,
-) -> Result<(Vec<u8>, usize), SnapError> {
+fn rle_decode_extent(r: &mut SnapReader<'_>, len: RleLen) -> Result<(Vec<u8>, usize), SnapError> {
     let total = len.read_total(r)?;
     let mut out = vec![0u8; total];
     let literal_end = rle_chunks(r, total, |at, bytes| {
