@@ -708,8 +708,7 @@ fn core<'p, C: Codec, W: Target<'p>>(c: &mut C, w: &mut W, src: usize) -> Result
     let free = c.list(heap.free_spans().iter().copied(), 8, |c, (addr, size)| {
         Ok((c.u32(addr)?, c.u32(size)?))
     })?;
-    let objects: Vec<u32> = heap.objects().map(|r| r.0).collect(); // BTreeSet order
-    let objects = c.list(objects.into_iter(), 4, Codec::u32)?;
+    let objects = c.list(heap.objects().map(|r| r.0), 4, Codec::u32)?;
     let heap_stats = AllocStats::from_array(c.u64s(heap.stats.to_array())?);
     w.restore(|world| {
         world.heap = hera_mem::Heap::from_raw_parts(

@@ -335,8 +335,9 @@ impl Heap {
         self.objects.len()
     }
 
-    /// Iterate over the addresses of all allocated objects.
-    pub fn objects(&self) -> impl Iterator<Item = ObjRef> + '_ {
+    /// Iterate over the addresses of all allocated objects, in address
+    /// order.
+    pub fn objects(&self) -> impl ExactSizeIterator<Item = ObjRef> + '_ {
         self.objects.iter().map(|&a| ObjRef(a))
     }
 
