@@ -16,11 +16,11 @@
 //! primitives of [`SnapWriter`] and read back with the bounds-checked
 //! [`SnapReader`]; there is no self-describing structure and no external
 //! serialization dependency. Both implement [`Codec`], so each struct's
-//! fields are listed once, in one walk that encodes and decodes alike. The CRC detects any single-bit flip in the
-//! payload; flips inside the header are caught by the explicit magic,
-//! version, flags, and length checks. Large mostly-zero buffers (the heap,
-//! SPE local stores) go through the zero-run-length codec in
-//! [`rle_encode`]/[`rle_decode`].
+//! fields are listed once, in one walk that encodes and decodes alike.
+//! The CRC detects any single-bit flip in the payload; flips inside the
+//! header are caught by the explicit magic, version, flags, and length
+//! checks. Large mostly-zero buffers (the heap, SPE local stores) go
+//! through the zero-run-length codec in [`rle_encode`]/[`rle_decode`].
 //!
 //! The container is deliberately dumb: interpretation of the payload —
 //! and all semantic validation — lives in `hera-core::snapshot`, which
