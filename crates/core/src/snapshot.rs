@@ -1558,6 +1558,24 @@ mod tests {
         );
     }
 
+    /// An unprofiled checkpoint ends with its profiler tag. Flipped to 1,
+    /// it must be refused as profiler state a world with profiling off
+    /// cannot take, before the walk reads on into nodes that are not
+    /// there; neither sweep samples that byte.
+    #[test]
+    fn a_profiler_tag_for_a_world_without_profiling_is_corrupt() {
+        let (program, cfg, bytes) = contended_checkpoint(false);
+        let mut payload = open(&bytes).expect("valid container").to_vec();
+        let tag = payload.len() - 1;
+        assert_eq!(payload[tag], 0, "the profiler tag ends the payload");
+        payload[tag] = 1;
+        let sealed = hera_snap::seal(&payload);
+        match restored(&program, cfg, &sealed, RestoreMode::Strict) {
+            Err(SnapError::Corrupt(what)) => assert!(what.contains("profiling is off"), "{what}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
     /// The sweep over the OBS section of a traced and profiled
     /// checkpoint: metric counters, histograms, profiler nodes and
     /// shadow-stack cursors, which the untraced sweep never reaches.
