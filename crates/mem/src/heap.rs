@@ -812,20 +812,31 @@ mod tests {
 
     #[test]
     fn codec_roundtrips_all_types() {
-        let mut buf = vec![0u8; 16];
-        let cases: Vec<(Ty, Value)> = vec![
-            (Ty::Byte, Value::I32(-5)),
-            (Ty::Short, Value::I32(-300)),
-            (Ty::Int, Value::I32(i32::MIN)),
-            (Ty::Long, Value::I64(i64::MAX)),
-            (Ty::Float, Value::F32(3.5)),
-            (Ty::Double, Value::F64(-2.25)),
-            (Ty::Ref(ClassId(0)), Value::Ref(ObjRef(0xdead))),
+        let cases = [
+            (Ty::Byte, Slot::from_i32(-5)),
+            (Ty::Short, Slot::from_i32(-300)),
+            (Ty::Int, Slot::from_i32(i32::MIN)),
+            (Ty::Long, Slot::from_i64(i64::MAX)),
+            (Ty::Float, Slot::from_f32(3.5)),
+            (Ty::Double, Slot::from_f64(-2.25)),
+            (Ty::Ref(ClassId(0)), Slot::from_ref(ObjRef(0xdead))),
+            (Ty::Array(ElemTy::Int), Slot::from_ref(ObjRef(0xbeef))),
         ];
-        for (ty, v) in cases {
-            codec::write_value(&mut buf, 4, ty, v);
-            assert_eq!(codec::read_value(&buf, 4, ty), v, "{ty:?}");
+        for (ty, s) in cases {
+            let mut buf = vec![0xa5u8; 16];
+            codec::write_slot(&mut buf, 4, ty, s);
+            assert_eq!(codec::read_slot(&buf, 4, ty), s, "{ty:?}");
+            // Only the field's own bytes change.
+            let end = 4 + codec::ty_width(ty);
+            let untouched = buf[..4].iter().chain(&buf[end..]);
+            assert!(untouched.into_iter().all(|&b| b == 0xa5), "{ty:?}");
         }
+        // A store truncates to the field's width; a load sign-extends.
+        let mut buf = vec![0u8; 16];
+        codec::write_slot(&mut buf, 4, Ty::Byte, Slot::from_i32(0x1fb));
+        assert_eq!(codec::read_slot(&buf, 4, Ty::Byte), Slot::from_i32(-5));
+        codec::write_slot(&mut buf, 4, Ty::Short, Slot::from_i32(0x1_fed4));
+        assert_eq!(codec::read_slot(&buf, 4, Ty::Short), Slot::from_i32(-300));
     }
 
     #[test]
