@@ -5,6 +5,18 @@
 set -eux
 
 cargo fmt --all -- --check
+# Non-test lines, the simplicity metric ROADMAP and EXPERIMENTS quote: per
+# crate and in total, the lines of crates/*/src (hostbench excluded) above
+# the `#[cfg(test)]` that opens a file's test `mod`, or the whole file
+# when it has none. A printout, not a gate.
+find crates/*/src -name '*.rs' ! -path 'crates/hostbench/*' | sort | xargs awk '
+    FNR == 1 { crate = FILENAME; sub(/^crates\//, "", crate); sub(/\/.*/, "", crate)
+               if (!(crate in lines)) order[++n] = crate; cut = 0; prev = "" }
+    !cut && prev ~ /^#\[cfg\(test\)\]$/ && /^(pub(\(crate\))? )?mod / { cut = 1; lines[crate]--; total-- }
+    !cut { lines[crate]++; total++ }
+    { prev = $0 }
+    END { for (i = 1; i <= n; i++) printf "non-test lines: %-12s %6d\n", order[i], lines[order[i]]
+          printf "non-test lines: %-12s %6d\n", "total", total }'
 cargo clippy --workspace --all-targets -- -D warnings
 # Doc links cannot rot: an intra-doc link to a deleted item (a field, a
 # constant, a function) fails the gate. Links from public docs to private

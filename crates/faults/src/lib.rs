@@ -18,10 +18,9 @@
 
 #![forbid(unsafe_code)]
 
-// The RNG primitives live in `hera-rng` (shared with the cluster trace
-// generator); re-exported here so existing `hera_faults::splitmix64` /
-// `hera_faults::draw_word` callers keep working unchanged.
-pub use hera_rng::{draw_word, splitmix64};
+// Fault draws come from `hera-rng`'s keyed stream (shared with the
+// cluster trace generator).
+use hera_rng::draw_word;
 
 /// Where in the machine a fault can be injected.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -413,6 +412,7 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hera_rng::splitmix64;
 
     #[test]
     fn splitmix_is_pure_and_mixes() {

@@ -1,6 +1,7 @@
 //! AST → bytecode compilation.
 
 use crate::ast::{BinOp, CmpOp, Expr, Stmt};
+use hera_isa::builder::Label;
 use hera_isa::{
     ClassId, Cond, ElemTy, Instr, MethodBody, MethodBuilder, MethodId, ProgramBuilder, Ty,
 };
@@ -273,11 +274,9 @@ impl<'a> Ctx<'a> {
             }
             Expr::Cmp(_, _, _) | Expr::AndAnd(_, _) | Expr::OrOr(_, _) | Expr::Not(_) => {
                 // Materialise a 0/1 through branches.
-                let mut mb = std::mem::take(&mut self.mb);
-                let l_false = mb.label();
-                let l_end = mb.label();
-                self.mb = mb;
-                self.branch_if_false(e, l_false)?;
+                let l_false = self.mb.label();
+                let l_end = self.mb.label();
+                self.branch_if(e, l_false, false)?;
                 self.mb.const_i32(1);
                 self.mb.goto(l_end);
                 self.mb.place(l_false);
@@ -539,62 +538,30 @@ impl<'a> Ctx<'a> {
 
     // ---- conditions (branch fusion) ----
 
-    fn branch_if_false(
+    /// Branch to `target` when `cond` evaluates to `when_true`, fusing
+    /// comparisons, `!` and the short-circuit operators into branches.
+    fn branch_if(
         &mut self,
         cond: &Expr,
-        target: hera_isa::builder::Label,
+        target: Label,
+        when_true: bool,
     ) -> Result<(), CompileError> {
         match cond {
-            Expr::Cmp(op, a, b) => self.cmp_branch(*op, a, b, target, false),
-            Expr::AndAnd(a, b) => {
-                self.branch_if_false(a, target)?;
-                self.branch_if_false(b, target)
-            }
-            Expr::OrOr(a, b) => {
-                let mut mb = std::mem::take(&mut self.mb);
-                let l_true = mb.label();
-                self.mb = mb;
-                self.branch_if_true(a, l_true)?;
-                self.branch_if_false(b, target)?;
-                self.mb.place(l_true);
-                Ok(())
-            }
-            Expr::Not(x) => self.branch_if_true(x, target),
-            other => {
-                let ty = self.expr(other)?;
-                if widen(ty) != Ty::Int {
-                    return Err(CompileError::TypeMismatch {
-                        expected: "int condition".into(),
-                        found: tname(ty),
-                        context: "condition",
-                    });
+            Expr::Cmp(op, a, b) => self.cmp_branch(*op, a, b, target, when_true),
+            Expr::Not(x) => self.branch_if(x, target, !when_true),
+            Expr::AndAnd(a, b) | Expr::OrOr(a, b) => {
+                // `a` alone decides `a && b` when false, `a || b` when true.
+                let decides = matches!(cond, Expr::OrOr(..));
+                if when_true == decides {
+                    self.branch_if(a, target, when_true)?;
+                    self.branch_if(b, target, when_true)
+                } else {
+                    let l_past = self.mb.label();
+                    self.branch_if(a, l_past, decides)?;
+                    self.branch_if(b, target, when_true)?;
+                    self.mb.place(l_past);
+                    Ok(())
                 }
-                self.mb.if_i(Cond::Eq, target);
-                Ok(())
-            }
-        }
-    }
-
-    fn branch_if_true(
-        &mut self,
-        cond: &Expr,
-        target: hera_isa::builder::Label,
-    ) -> Result<(), CompileError> {
-        match cond {
-            Expr::Cmp(op, a, b) => self.cmp_branch(*op, a, b, target, true),
-            Expr::Not(x) => self.branch_if_false(x, target),
-            Expr::AndAnd(a, b) => {
-                let mut mb = std::mem::take(&mut self.mb);
-                let l_false = mb.label();
-                self.mb = mb;
-                self.branch_if_false(a, l_false)?;
-                self.branch_if_true(b, target)?;
-                self.mb.place(l_false);
-                Ok(())
-            }
-            Expr::OrOr(a, b) => {
-                self.branch_if_true(a, target)?;
-                self.branch_if_true(b, target)
             }
             other => {
                 let ty = self.expr(other)?;
@@ -605,7 +572,8 @@ impl<'a> Ctx<'a> {
                         context: "condition",
                     });
                 }
-                self.mb.if_i(Cond::Ne, target);
+                let nonzero = if when_true { Cond::Ne } else { Cond::Eq };
+                self.mb.if_i(nonzero, target);
                 Ok(())
             }
         }
@@ -616,7 +584,7 @@ impl<'a> Ctx<'a> {
         op: CmpOp,
         a: &Expr,
         b: &Expr,
-        target: hera_isa::builder::Label,
+        target: Label,
         when_true: bool,
     ) -> Result<(), CompileError> {
         let at = widen(self.expr(a)?);
@@ -631,13 +599,9 @@ impl<'a> Ctx<'a> {
         };
         let cond = if when_true { cond } else { cond.negate() };
         if at.is_ref() && bt.is_ref() {
-            match (op, when_true) {
-                (CmpOp::Eq, true) | (CmpOp::Ne, false) => {
-                    self.mb.emit(Instr::IfACmpEq(u32::MAX));
-                }
-                (CmpOp::Ne, true) | (CmpOp::Eq, false) => {
-                    self.mb.emit(Instr::IfACmpNe(u32::MAX));
-                }
+            let branch = match cond {
+                Cond::Eq => Instr::IfACmpEq(u32::MAX),
+                Cond::Ne => Instr::IfACmpNe(u32::MAX),
                 _ => {
                     return Err(CompileError::TypeMismatch {
                         expected: "== or != on references".into(),
@@ -645,10 +609,8 @@ impl<'a> Ctx<'a> {
                         context: "reference comparison",
                     })
                 }
-            }
-            // Patch through the builder's label mechanism: re-emit as a
-            // labelled branch instead.
-            self.patch_last_ref_branch(target);
+            };
+            self.mb.emit_branch(branch, target);
             return Ok(());
         }
         if at != bt {
@@ -692,20 +654,6 @@ impl<'a> Ctx<'a> {
             }
         }
         Ok(())
-    }
-
-    /// Replace the just-emitted placeholder ref-compare branch with a
-    /// properly labelled one.
-    fn patch_last_ref_branch(&mut self, target: hera_isa::builder::Label) {
-        // MethodBuilder has no "retarget last" API; rebuild via its
-        // public branch methods instead: pop the placeholder and emit a
-        // labelled equivalent. Since `emit` appends, we reconstruct by
-        // matching on what we appended.
-        let mb = &mut self.mb;
-        // Swap in a labelled branch: the builder exposes goto/if_* only,
-        // so emulate via a tiny trampoline: invert through if_null is
-        // not possible — instead use the generic mechanism below.
-        mb.retarget_last_branch(target);
     }
 
     // ---- statements ----
@@ -805,11 +753,9 @@ impl<'a> Ctx<'a> {
                 Ok(())
             }
             Stmt::If(cond, then_body, else_body) => {
-                let mut mb = std::mem::take(&mut self.mb);
-                let l_else = mb.label();
-                let l_end = mb.label();
-                self.mb = mb;
-                self.branch_if_false(cond, l_else)?;
+                let l_else = self.mb.label();
+                let l_end = self.mb.label();
+                self.branch_if(cond, l_else, false)?;
                 for st in then_body {
                     self.stmt(st)?;
                 }
@@ -822,12 +768,10 @@ impl<'a> Ctx<'a> {
                 Ok(())
             }
             Stmt::While(cond, body) => {
-                let mut mb = std::mem::take(&mut self.mb);
-                let l_top = mb.label();
-                let l_end = mb.label();
-                self.mb = mb;
+                let l_top = self.mb.label();
+                let l_end = self.mb.label();
                 self.mb.place(l_top);
-                self.branch_if_false(cond, l_end)?;
+                self.branch_if(cond, l_end, false)?;
                 for st in body {
                     self.stmt(st)?;
                 }
@@ -837,12 +781,10 @@ impl<'a> Ctx<'a> {
             }
             Stmt::For(init, cond, step, body) => {
                 self.stmt(init)?;
-                let mut mb = std::mem::take(&mut self.mb);
-                let l_top = mb.label();
-                let l_end = mb.label();
-                self.mb = mb;
+                let l_top = self.mb.label();
+                let l_end = self.mb.label();
                 self.mb.place(l_top);
-                self.branch_if_false(cond, l_end)?;
+                self.branch_if(cond, l_end, false)?;
                 for st in body {
                     self.stmt(st)?;
                 }

@@ -75,7 +75,14 @@ impl MethodBuilder {
         self
     }
 
-    fn emit_branch(&mut self, i: Instr, l: Label) -> &mut Self {
+    /// Append branch `i`, whose target (a placeholder) is patched to
+    /// label `l` at finish time: any branch shape, `IfACmpEq` included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a branch.
+    pub fn emit_branch(&mut self, i: Instr, l: Label) -> &mut Self {
+        assert!(i.branch_target().is_some(), "{i:?} is not a branch");
         self.fixups.push((self.code.len(), l));
         self.code.push(i);
         self
@@ -114,10 +121,6 @@ impl MethodBuilder {
     pub fn dup(&mut self) -> &mut Self {
         self.emit(Instr::Dup)
     }
-    /// Duplicate the top of stack under the second element.
-    pub fn dup_x1(&mut self) -> &mut Self {
-        self.emit(Instr::DupX1)
-    }
     /// Swap the top two stack values.
     pub fn swap(&mut self) -> &mut Self {
         self.emit(Instr::Swap)
@@ -152,69 +155,17 @@ impl MethodBuilder {
     pub fn imul(&mut self) -> &mut Self {
         self.emit(Instr::IMul)
     }
-    /// i32 divide.
-    pub fn idiv(&mut self) -> &mut Self {
-        self.emit(Instr::IDiv)
-    }
-    /// i32 remainder.
-    pub fn irem(&mut self) -> &mut Self {
-        self.emit(Instr::IRem)
-    }
     /// i32 and.
     pub fn iand(&mut self) -> &mut Self {
         self.emit(Instr::IAnd)
-    }
-    /// i32 or.
-    pub fn ior(&mut self) -> &mut Self {
-        self.emit(Instr::IOr)
     }
     /// i32 xor.
     pub fn ixor(&mut self) -> &mut Self {
         self.emit(Instr::IXor)
     }
-    /// i32 shift left.
-    pub fn ishl(&mut self) -> &mut Self {
-        self.emit(Instr::IShl)
-    }
-    /// i32 arithmetic shift right.
-    pub fn ishr(&mut self) -> &mut Self {
-        self.emit(Instr::IShr)
-    }
-    /// i32 logical shift right.
-    pub fn iushr(&mut self) -> &mut Self {
-        self.emit(Instr::IUShr)
-    }
-    /// f32 add.
-    pub fn fadd(&mut self) -> &mut Self {
-        self.emit(Instr::FAdd)
-    }
-    /// f32 subtract.
-    pub fn fsub(&mut self) -> &mut Self {
-        self.emit(Instr::FSub)
-    }
     /// f32 multiply.
     pub fn fmul(&mut self) -> &mut Self {
         self.emit(Instr::FMul)
-    }
-    /// f32 divide.
-    pub fn fdiv(&mut self) -> &mut Self {
-        self.emit(Instr::FDiv)
-    }
-    /// f64 add.
-    pub fn dadd(&mut self) -> &mut Self {
-        self.emit(Instr::DAdd)
-    }
-    /// f64 subtract.
-    pub fn dsub(&mut self) -> &mut Self {
-        self.emit(Instr::DSub)
-    }
-    /// f64 multiply.
-    pub fn dmul(&mut self) -> &mut Self {
-        self.emit(Instr::DMul)
-    }
-    /// f64 divide.
-    pub fn ddiv(&mut self) -> &mut Self {
-        self.emit(Instr::DDiv)
     }
 
     // ---- control flow ----
@@ -230,14 +181,6 @@ impl MethodBuilder {
     /// Branch comparing two popped i32s.
     pub fn if_icmp(&mut self, cond: Cond, l: Label) -> &mut Self {
         self.emit_branch(Instr::IfICmp(cond, u32::MAX), l)
-    }
-    /// Branch if popped reference is null.
-    pub fn if_null(&mut self, l: Label) -> &mut Self {
-        self.emit_branch(Instr::IfNull(u32::MAX), l)
-    }
-    /// Branch if popped reference is non-null.
-    pub fn if_non_null(&mut self, l: Label) -> &mut Self {
-        self.emit_branch(Instr::IfNonNull(u32::MAX), l)
     }
 
     // ---- objects / arrays ----
@@ -307,23 +250,6 @@ impl MethodBuilder {
     /// Release the monitor of the popped object.
     pub fn monitor_exit(&mut self) -> &mut Self {
         self.emit(Instr::MonitorExit)
-    }
-
-    /// Register the most recently emitted instruction — which must be a
-    /// branch — to be patched to label `l` at finish time. Lets callers
-    /// emit branch shapes the fluent API lacks (e.g. `IfACmpEq`) and
-    /// still use label resolution.
-    pub fn retarget_last_branch(&mut self, l: Label) {
-        let idx = self
-            .code
-            .len()
-            .checked_sub(1)
-            .expect("retarget on empty builder");
-        assert!(
-            self.code[idx].branch_target().is_some(),
-            "last instruction is not a branch"
-        );
-        self.fixups.push((idx, l));
     }
 
     /// Resolve all labels and return the instruction vector.

@@ -230,11 +230,6 @@ impl ProgramBuilder {
         self.add_field_inner(class, name, ty, true, false)
     }
 
-    /// Declare a volatile static field on a class.
-    pub fn add_volatile_static_field(&mut self, class: ClassId, name: &str, ty: Ty) -> FieldId {
-        self.add_field_inner(class, name, ty, true, true)
-    }
-
     fn add_field_inner(
         &mut self,
         class: ClassId,
@@ -270,7 +265,7 @@ impl ProgramBuilder {
         max_locals: u16,
         body: MethodBody,
     ) -> MethodId {
-        self.add_method_inner(class, name, params, ret, true, max_locals, body, vec![])
+        self.add_method_inner(class, name, params, ret, true, max_locals, body)
     }
 
     /// Declare a virtual (instance) method.
@@ -283,31 +278,7 @@ impl ProgramBuilder {
         max_locals: u16,
         body: MethodBody,
     ) -> MethodId {
-        self.add_method_inner(class, name, params, ret, false, max_locals, body, vec![])
-    }
-
-    /// Declare a static method with behavioural annotations.
-    #[allow(clippy::too_many_arguments)]
-    pub fn add_annotated_static_method(
-        &mut self,
-        class: ClassId,
-        name: &str,
-        params: Vec<Ty>,
-        ret: Option<Ty>,
-        max_locals: u16,
-        body: MethodBody,
-        annotations: Vec<Annotation>,
-    ) -> MethodId {
-        self.add_method_inner(
-            class,
-            name,
-            params,
-            ret,
-            true,
-            max_locals,
-            body,
-            annotations,
-        )
+        self.add_method_inner(class, name, params, ret, false, max_locals, body)
     }
 
     /// Declare a native method (host-implemented; see `hera-core`'s
@@ -330,7 +301,6 @@ impl ProgramBuilder {
             true,
             0,
             MethodBody::Native(native),
-            vec![],
         );
         self.pending[id.0 as usize].def.native_kind = Some(kind);
         id
@@ -381,7 +351,6 @@ impl ProgramBuilder {
         is_static: bool,
         max_locals: u16,
         body: MethodBody,
-        annotations: Vec<Annotation>,
     ) -> MethodId {
         let id = MethodId(self.pending.len() as u32);
         self.pending.push(PendingMethod {
@@ -393,7 +362,7 @@ impl ProgramBuilder {
                 is_static,
                 max_locals,
                 body,
-                annotations,
+                annotations: Vec::new(),
                 vtable_slot: None,
                 native_kind: None,
             },

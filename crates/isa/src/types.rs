@@ -118,17 +118,6 @@ impl Value {
             other => panic!("value kind mismatch: expected ref, got {other:?}"),
         }
     }
-
-    /// The default (zero) value for a static type.
-    pub fn default_for(ty: Ty) -> Value {
-        match ty {
-            Ty::Byte | Ty::Short | Ty::Int => Value::I32(0),
-            Ty::Long => Value::I64(0),
-            Ty::Float => Value::F32(0.0),
-            Ty::Double => Value::F64(0.0),
-            Ty::Ref(_) | Ty::Array(_) => Value::Ref(ObjRef::NULL),
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -473,15 +462,12 @@ mod tests {
 
     #[test]
     fn default_values_are_zero() {
-        assert_eq!(Value::default_for(Ty::Int), Value::I32(0));
-        assert_eq!(Value::default_for(Ty::Byte), Value::I32(0));
-        assert_eq!(Value::default_for(Ty::Long), Value::I64(0));
-        assert_eq!(Value::default_for(Ty::Float), Value::F32(0.0));
-        assert_eq!(Value::default_for(Ty::Double), Value::F64(0.0));
-        assert_eq!(
-            Value::default_for(Ty::Array(ElemTy::Int)),
-            Value::Ref(ObjRef::NULL)
-        );
+        // Every accessor of the all-zero slot reads zero, floats as +0.0.
+        assert_eq!(Slot::ZERO.i32(), 0);
+        assert_eq!(Slot::ZERO.i64(), 0);
+        assert_eq!(Slot::ZERO.f32().to_bits(), 0.0f32.to_bits());
+        assert_eq!(Slot::ZERO.f64().to_bits(), 0.0f64.to_bits());
+        assert_eq!(Slot::ZERO.obj(), ObjRef::NULL);
     }
 
     #[test]
@@ -533,18 +519,17 @@ mod tests {
 
     #[test]
     fn zero_slot_is_default_for_every_type() {
-        for ty in [
-            Ty::Int,
-            Ty::Long,
-            Ty::Float,
-            Ty::Double,
-            Ty::Array(ElemTy::Int),
+        for (ty, zero) in [
+            (Ty::Int, Value::I32(0)),
+            (Ty::Byte, Value::I32(0)),
+            (Ty::Short, Value::I32(0)),
+            (Ty::Long, Value::I64(0)),
+            (Ty::Float, Value::F32(0.0)),
+            (Ty::Double, Value::F64(0.0)),
+            (Ty::Ref(ClassId(0)), Value::Ref(ObjRef::NULL)),
+            (Ty::Array(ElemTy::Int), Value::Ref(ObjRef::NULL)),
         ] {
-            assert_eq!(
-                Slot::ZERO.to_value(ty.kind()),
-                Value::default_for(ty),
-                "{ty}"
-            );
+            assert_eq!(Slot::ZERO.to_value(ty.kind()), zero, "{ty}");
         }
     }
 

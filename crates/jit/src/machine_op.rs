@@ -1,7 +1,7 @@
 //! Resolved machine operations and the arithmetic unit.
 
 use hera_cell::ExecOp;
-use hera_isa::{ClassId, Cond, ElemTy, Kind, MethodId, Slot, Trap, Ty, Value};
+use hera_isa::{ClassId, Cond, ElemTy, MethodId, Slot, Trap, Ty};
 
 /// Arithmetic, conversion and comparison operations, with JVM-faithful
 /// semantics (wrapping integer arithmetic, masked shifts, saturating
@@ -158,19 +158,6 @@ impl ArithOp {
         }
     }
 
-    /// The verification kind of this op's result.
-    pub fn result_kind(self) -> Kind {
-        use ArithOp::*;
-        match self {
-            IAdd | ISub | IMul | IDiv | IRem | INeg | IShl | IShr | IUShr | IAnd | IOr | IXor
-            | L2I | F2I | D2I | I2B | I2S | LCmp | FCmpL | FCmpG | DCmpL | DCmpG => Kind::I,
-            LAdd | LSub | LMul | LDiv | LRem | LNeg | LShl | LShr | LUShr | LAnd | LOr | LXor
-            | I2L | D2L => Kind::L,
-            FAdd | FSub | FMul | FDiv | FNeg | FSqrt | I2F | L2F | D2F => Kind::F,
-            DAdd | DSub | DMul | DDiv | DNeg | DSqrt | I2D | L2D | F2D => Kind::D,
-        }
-    }
-
     /// Apply a unary operation to an untagged slot.
     ///
     /// The verifier proved the operand kind, so the slot is read with
@@ -273,25 +260,6 @@ impl ArithOp {
             DCmpG => Slot::from_i32(fcmp(a.f64(), b.f64(), 1)),
             other => panic!("apply2 on unary op {other:?}"),
         })
-    }
-
-    /// Apply a unary operation at a tagged-value boundary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on a binary op (verified code cannot).
-    pub fn apply1(self, a: Value) -> Value {
-        self.apply1_slot(Slot::from_value(a))
-            .to_value(self.result_kind())
-    }
-
-    /// Apply a binary operation at a tagged-value boundary (`a op b`,
-    /// with `b` popped first).
-    ///
-    /// Division and remainder trap on a zero divisor.
-    pub fn apply2(self, a: Value, b: Value) -> Result<Value, Trap> {
-        self.apply2_slot(Slot::from_value(a), Slot::from_value(b))
-            .map(|s| s.to_value(self.result_kind()))
     }
 }
 
@@ -736,108 +704,94 @@ impl MachineOp {
 mod tests {
     use super::*;
 
+    fn i(v: i32) -> Slot {
+        Slot::from_i32(v)
+    }
+
+    fn l(v: i64) -> Slot {
+        Slot::from_i64(v)
+    }
+
     #[test]
     fn wrapping_integer_arithmetic() {
         assert_eq!(
-            ArithOp::IAdd
-                .apply2(Value::I32(i32::MAX), Value::I32(1))
-                .unwrap(),
-            Value::I32(i32::MIN)
+            ArithOp::IAdd.apply2_slot(i(i32::MAX), i(1)),
+            Ok(i(i32::MIN))
         );
         assert_eq!(
-            ArithOp::IMul
-                .apply2(Value::I32(1 << 20), Value::I32(1 << 20))
-                .unwrap(),
-            Value::I32((1i64 << 40) as i32)
+            ArithOp::IMul.apply2_slot(i(1 << 20), i(1 << 20)),
+            Ok(i((1i64 << 40) as i32))
         );
         assert_eq!(
-            ArithOp::IDiv
-                .apply2(Value::I32(i32::MIN), Value::I32(-1))
-                .unwrap(),
-            Value::I32(i32::MIN)
+            ArithOp::IDiv.apply2_slot(i(i32::MIN), i(-1)),
+            Ok(i(i32::MIN))
         );
     }
 
     #[test]
     fn division_by_zero_traps() {
         assert_eq!(
-            ArithOp::IDiv.apply2(Value::I32(1), Value::I32(0)),
+            ArithOp::IDiv.apply2_slot(i(1), i(0)),
             Err(Trap::DivisionByZero)
         );
         assert_eq!(
-            ArithOp::LRem.apply2(Value::I64(1), Value::I64(0)),
+            ArithOp::LRem.apply2_slot(l(1), l(0)),
             Err(Trap::DivisionByZero)
         );
     }
 
     #[test]
     fn shifts_mask_their_counts() {
-        assert_eq!(
-            ArithOp::IShl.apply2(Value::I32(1), Value::I32(33)).unwrap(),
-            Value::I32(2)
-        );
-        assert_eq!(
-            ArithOp::LShl.apply2(Value::I64(1), Value::I32(65)).unwrap(),
-            Value::I64(2)
-        );
-        assert_eq!(
-            ArithOp::IUShr
-                .apply2(Value::I32(-1), Value::I32(28))
-                .unwrap(),
-            Value::I32(15)
-        );
+        assert_eq!(ArithOp::IShl.apply2_slot(i(1), i(33)), Ok(i(2)));
+        assert_eq!(ArithOp::LShl.apply2_slot(l(1), i(65)), Ok(l(2)));
+        assert_eq!(ArithOp::IUShr.apply2_slot(i(-1), i(28)), Ok(i(15)));
     }
 
     #[test]
     fn saturating_float_conversions() {
-        assert_eq!(ArithOp::F2I.apply1(Value::F32(f32::NAN)), Value::I32(0));
-        assert_eq!(ArithOp::F2I.apply1(Value::F32(1e20)), Value::I32(i32::MAX));
-        assert_eq!(ArithOp::D2I.apply1(Value::F64(-1e20)), Value::I32(i32::MIN));
-        assert_eq!(ArithOp::D2L.apply1(Value::F64(1e30)), Value::I64(i64::MAX));
-        assert_eq!(ArithOp::D2I.apply1(Value::F64(3.99)), Value::I32(3));
+        let f = Slot::from_f32;
+        let d = Slot::from_f64;
+        assert_eq!(ArithOp::F2I.apply1_slot(f(f32::NAN)), i(0));
+        assert_eq!(ArithOp::F2I.apply1_slot(f(1e20)), i(i32::MAX));
+        assert_eq!(ArithOp::D2I.apply1_slot(d(-1e20)), i(i32::MIN));
+        assert_eq!(ArithOp::D2L.apply1_slot(d(1e30)), l(i64::MAX));
+        assert_eq!(ArithOp::D2I.apply1_slot(d(3.99)), i(3));
     }
 
     #[test]
     fn nan_biased_comparisons() {
-        let nan = Value::F32(f32::NAN);
-        let one = Value::F32(1.0);
-        assert_eq!(ArithOp::FCmpL.apply2(nan, one).unwrap(), Value::I32(-1));
-        assert_eq!(ArithOp::FCmpG.apply2(nan, one).unwrap(), Value::I32(1));
-        assert_eq!(ArithOp::FCmpL.apply2(one, one).unwrap(), Value::I32(0));
-        assert_eq!(
-            ArithOp::DCmpL
-                .apply2(Value::F64(2.0), Value::F64(1.0))
-                .unwrap(),
-            Value::I32(1)
-        );
+        let nan = Slot::from_f32(f32::NAN);
+        let one = Slot::from_f32(1.0);
+        assert_eq!(ArithOp::FCmpL.apply2_slot(nan, one), Ok(i(-1)));
+        assert_eq!(ArithOp::FCmpG.apply2_slot(nan, one), Ok(i(1)));
+        assert_eq!(ArithOp::FCmpL.apply2_slot(one, one), Ok(i(0)));
+        let (two, one) = (Slot::from_f64(2.0), Slot::from_f64(1.0));
+        assert_eq!(ArithOp::DCmpL.apply2_slot(two, one), Ok(i(1)));
     }
 
     #[test]
     fn narrowing_conversions_sign_extend() {
-        assert_eq!(ArithOp::I2B.apply1(Value::I32(0x181)), Value::I32(-127));
-        assert_eq!(ArithOp::I2S.apply1(Value::I32(0x18001)), Value::I32(-32767));
-        assert_eq!(
-            ArithOp::L2I.apply1(Value::I64(0x1_0000_0002)),
-            Value::I32(2)
-        );
+        assert_eq!(ArithOp::I2B.apply1_slot(i(0x181)), i(-127));
+        assert_eq!(ArithOp::I2S.apply1_slot(i(0x18001)), i(-32767));
+        assert_eq!(ArithOp::L2I.apply1_slot(l(0x1_0000_0002)), i(2));
     }
 
     #[test]
     fn lcmp_three_way() {
-        assert_eq!(
-            ArithOp::LCmp.apply2(Value::I64(5), Value::I64(9)).unwrap(),
-            Value::I32(-1)
-        );
-        assert_eq!(
-            ArithOp::LCmp.apply2(Value::I64(9), Value::I64(9)).unwrap(),
-            Value::I32(0)
-        );
+        assert_eq!(ArithOp::LCmp.apply2_slot(l(5), l(9)), Ok(i(-1)));
+        assert_eq!(ArithOp::LCmp.apply2_slot(l(9), l(9)), Ok(i(0)));
     }
 
     #[test]
     fn sqrt_intrinsics() {
-        assert_eq!(ArithOp::FSqrt.apply1(Value::F32(9.0)), Value::F32(3.0));
-        assert_eq!(ArithOp::DSqrt.apply1(Value::F64(2.25)), Value::F64(1.5));
+        assert_eq!(
+            ArithOp::FSqrt.apply1_slot(Slot::from_f32(9.0)),
+            Slot::from_f32(3.0)
+        );
+        assert_eq!(
+            ArithOp::DSqrt.apply1_slot(Slot::from_f64(2.25)),
+            Slot::from_f64(1.5)
+        );
     }
 
     #[test]
@@ -876,6 +830,7 @@ mod tests {
 
     #[test]
     fn null_values_flow_through() {
-        assert!(Value::Ref(hera_isa::ObjRef::NULL).as_ref().is_null());
+        assert!(Slot::from_ref(hera_isa::ObjRef::NULL).obj().is_null());
+        assert_eq!(Slot::from_ref(hera_isa::ObjRef::NULL), Slot::ZERO);
     }
 }

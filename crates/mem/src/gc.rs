@@ -167,7 +167,7 @@ impl Collector {
 mod tests {
     use super::*;
     use crate::heap::HeapConfig;
-    use hera_isa::{ClassId, ProgramBuilder, Ty, Value};
+    use hera_isa::{ClassId, ProgramBuilder, Slot, Ty};
 
     struct Fixture {
         heap: Heap,
@@ -213,21 +213,24 @@ mod tests {
         let a = f.heap.alloc_object(&f.layout, f.node).unwrap();
         let b2 = f.heap.alloc_object(&f.layout, f.node).unwrap();
         let c = f.heap.alloc_object(&f.layout, f.node).unwrap();
-        f.heap.put_field(&f.layout, a, f.next, Value::Ref(b2));
-        f.heap.put_field(&f.layout, b2, f.next, Value::Ref(c));
+        let (next, ty) = (f.layout.offset_of(f.next), Ty::Ref(f.node));
+        f.heap.write_typed_slot(a.0 + next, ty, Slot::from_ref(b2));
+        f.heap.write_typed_slot(b2.0 + next, ty, Slot::from_ref(c));
         let mut gc = Collector::new();
         let out = gc.collect(&mut f.heap, &f.layout, &[a]);
         assert_eq!(out.live_objects, 3);
         assert_eq!(out.freed_objects, 0);
         // Field contents survive the sweep untouched.
-        assert_eq!(f.heap.get_field(&f.layout, a, f.next), Value::Ref(b2));
+        assert_eq!(f.heap.read_typed_slot(a.0 + next, ty).obj(), b2);
     }
 
     #[test]
     fn statics_are_roots() {
         let mut f = fixture();
         let a = f.heap.alloc_object(&f.layout, f.node).unwrap();
-        f.heap.put_static(&f.layout, f.root_static, Value::Ref(a));
+        let head = Heap::STATICS_BASE + f.layout.offset_of(f.root_static);
+        f.heap
+            .write_typed_slot(head, Ty::Ref(f.node), Slot::from_ref(a));
         let mut gc = Collector::new();
         let out = gc.collect(&mut f.heap, &f.layout, &[]);
         assert_eq!(out.live_objects, 1);
@@ -238,8 +241,9 @@ mod tests {
         let mut f = fixture();
         let a = f.heap.alloc_object(&f.layout, f.node).unwrap();
         let b2 = f.heap.alloc_object(&f.layout, f.node).unwrap();
-        f.heap.put_field(&f.layout, a, f.next, Value::Ref(b2));
-        f.heap.put_field(&f.layout, b2, f.next, Value::Ref(a));
+        let (next, ty) = (f.layout.offset_of(f.next), Ty::Ref(f.node));
+        f.heap.write_typed_slot(a.0 + next, ty, Slot::from_ref(b2));
+        f.heap.write_typed_slot(b2.0 + next, ty, Slot::from_ref(a));
         let mut gc = Collector::new();
         let out = gc.collect(&mut f.heap, &f.layout, &[a]);
         assert_eq!(out.live_objects, 2);
@@ -254,7 +258,9 @@ mod tests {
         let mut f = fixture();
         let arr = f.heap.alloc_array(ElemTy::Ref, 4).unwrap();
         let a = f.heap.alloc_object(&f.layout, f.node).unwrap();
-        f.heap.array_store(arr, 2, Value::Ref(a)).unwrap();
+        let (at, _) = f.heap.elem_addr(arr, 2).unwrap();
+        f.heap
+            .write_typed_slot(at, Ty::Ref(f.node), Slot::from_ref(a));
         let mut gc = Collector::new();
         let out = gc.collect(&mut f.heap, &f.layout, &[arr]);
         assert_eq!(out.live_objects, 2);
@@ -266,9 +272,9 @@ mod tests {
         let arr = f.heap.alloc_array(ElemTy::Int, 64).unwrap();
         // Write values that would look like addresses if misinterpreted.
         let victim = f.heap.alloc_object(&f.layout, f.node).unwrap();
+        let (at, _) = f.heap.elem_addr(arr, 0).unwrap();
         f.heap
-            .array_store(arr, 0, Value::I32(victim.0 as i32))
-            .unwrap();
+            .write_typed_slot(at, Ty::Int, Slot::from_i32(victim.0 as i32));
         let mut gc = Collector::new();
         let out = gc.collect(&mut f.heap, &f.layout, &[arr]);
         // The int that happens to equal victim's address must not keep it alive.

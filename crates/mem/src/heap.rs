@@ -15,7 +15,7 @@
 //! block sits at [`Heap::STATICS_BASE`]; objects follow it.
 
 use crate::layout::{ProgramLayout, HEADER_BYTES};
-use hera_isa::{ClassId, ElemTy, ObjRef, Slot, Trap, Ty, Value};
+use hera_isa::{ClassId, ElemTy, ObjRef, Slot, Trap, Ty};
 use std::collections::BTreeSet;
 
 /// Heap configuration.
@@ -180,33 +180,8 @@ pub mod codec {
         }
     }
 
-    /// Read a typed value from a byte buffer at `off`.
-    pub fn read_value(buf: &[u8], off: usize, ty: Ty) -> Value {
-        read_slot(buf, off, ty).to_value(ty.kind())
-    }
-
-    /// Write a typed value into a byte buffer at `off`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a kind mismatch between `ty` and `v` (verified bytecode
-    /// cannot produce one).
-    pub fn write_value(buf: &mut [u8], off: usize, ty: Ty, v: Value) {
-        match ty {
-            Ty::Byte => buf[off] = v.as_i32() as u8,
-            Ty::Short => buf[off..off + 2].copy_from_slice(&(v.as_i32() as i16).to_le_bytes()),
-            Ty::Int => buf[off..off + 4].copy_from_slice(&v.as_i32().to_le_bytes()),
-            Ty::Float => buf[off..off + 4].copy_from_slice(&v.as_f32().to_le_bytes()),
-            Ty::Long => buf[off..off + 8].copy_from_slice(&v.as_i64().to_le_bytes()),
-            Ty::Double => buf[off..off + 8].copy_from_slice(&v.as_f64().to_le_bytes()),
-            Ty::Ref(_) | Ty::Array(_) => {
-                buf[off..off + 4].copy_from_slice(&v.as_ref().0.to_le_bytes())
-            }
-        }
-    }
-
-    /// Field width in bytes of a typed access (the number of heap bytes
-    /// `read_value`/`write_value` touch for `ty`).
+    /// Field width in bytes of a typed access (the number of bytes
+    /// [`read_slot`] / [`write_slot`] touch for `ty`).
     #[inline]
     pub fn ty_width(ty: Ty) -> usize {
         match ty {
@@ -491,19 +466,6 @@ impl Heap {
         self.data_mut(a + 4)[a..a + 4].copy_from_slice(&v.to_le_bytes());
     }
 
-    /// Typed read at an absolute address.
-    #[inline]
-    pub fn read_typed(&self, addr: u32, ty: Ty) -> Value {
-        codec::read_value(&self.data, addr as usize, ty)
-    }
-
-    /// Typed write at an absolute address.
-    #[inline]
-    pub fn write_typed(&mut self, addr: u32, ty: Ty, v: Value) {
-        let a = addr as usize;
-        codec::write_value(self.data_mut(a + codec::ty_width(ty)), a, ty, v)
-    }
-
     /// Untagged read at an absolute address; `ty` selects width only.
     #[inline]
     pub fn read_typed_slot(&self, addr: u32, ty: Ty) -> Slot {
@@ -617,45 +579,6 @@ impl Heap {
         &self.objects
     }
 
-    // ---- typed field / element access ----
-
-    /// Read an instance field.
-    #[inline]
-    pub fn get_field(&self, layout: &ProgramLayout, r: ObjRef, field: hera_isa::FieldId) -> Value {
-        self.read_typed(r.0 + layout.offset_of(field), layout.ty_of(field))
-    }
-
-    /// Write an instance field.
-    #[inline]
-    pub fn put_field(
-        &mut self,
-        layout: &ProgramLayout,
-        r: ObjRef,
-        field: hera_isa::FieldId,
-        v: Value,
-    ) {
-        self.write_typed(r.0 + layout.offset_of(field), layout.ty_of(field), v)
-    }
-
-    /// Read a static field from the statics block.
-    #[inline]
-    pub fn get_static(&self, layout: &ProgramLayout, field: hera_isa::FieldId) -> Value {
-        self.read_typed(
-            Self::STATICS_BASE + layout.offset_of(field),
-            layout.ty_of(field),
-        )
-    }
-
-    /// Write a static field into the statics block.
-    #[inline]
-    pub fn put_static(&mut self, layout: &ProgramLayout, field: hera_isa::FieldId, v: Value) {
-        self.write_typed(
-            Self::STATICS_BASE + layout.offset_of(field),
-            layout.ty_of(field),
-            v,
-        )
-    }
-
     /// Element type and length of the array at `r`, `None` for an object:
     /// the two header facts an element access needs, without the byte
     /// size [`Heap::header`] also computes.
@@ -679,19 +602,6 @@ impl Heap {
             return Err(Trap::ArrayIndexOutOfBounds { index: idx, len });
         }
         Ok((r.0 + HEADER_BYTES + idx as u32 * elem.size(), elem))
-    }
-
-    /// Bounds-checked array element load.
-    pub fn array_load(&self, r: ObjRef, idx: i32) -> Result<Value, Trap> {
-        let (addr, elem) = self.elem_addr(r, idx)?;
-        Ok(self.read_typed(addr, codec::elem_as_ty(elem)))
-    }
-
-    /// Bounds-checked array element store.
-    pub fn array_store(&mut self, r: ObjRef, idx: i32, v: Value) -> Result<(), Trap> {
-        let (addr, elem) = self.elem_addr(r, idx)?;
-        self.write_typed(addr, codec::elem_as_ty(elem), v);
-        Ok(())
     }
 
     /// Array length from the header.
@@ -727,9 +637,10 @@ mod tests {
         let (mut heap, layout, c, f) = small_heap();
         let r = heap.alloc_object(&layout, c).unwrap();
         assert!(!r.is_null());
-        assert_eq!(heap.get_field(&layout, r, f), Value::I32(0));
-        heap.put_field(&layout, r, f, Value::I32(-99));
-        assert_eq!(heap.get_field(&layout, r, f), Value::I32(-99));
+        let x = r.0 + layout.offset_of(f);
+        assert_eq!(heap.read_typed_slot(x, Ty::Int), Slot::ZERO);
+        heap.write_typed_slot(x, Ty::Int, Slot::from_i32(-99));
+        assert_eq!(heap.read_typed_slot(x, Ty::Int).i32(), -99);
         let hdr = heap.header(r);
         assert_eq!(hdr.kind, HeapKind::Object(c));
         assert_eq!(hdr.size, 16);
@@ -741,14 +652,16 @@ mod tests {
         let (mut heap, _, _, _) = small_heap();
         let r = heap.alloc_array(ElemTy::Short, 5).unwrap();
         assert_eq!(heap.array_length(r), 5);
-        heap.array_store(r, 4, Value::I32(-2)).unwrap();
-        assert_eq!(heap.array_load(r, 4).unwrap(), Value::I32(-2));
+        let (last, elem) = heap.elem_addr(r, 4).unwrap();
+        assert_eq!((last, elem), (r.0 + HEADER_BYTES + 8, ElemTy::Short));
+        heap.write_typed_slot(last, Ty::Short, Slot::from_i32(-2));
+        assert_eq!(heap.read_typed_slot(last, Ty::Short).i32(), -2);
         assert_eq!(
-            heap.array_load(r, 5),
+            heap.elem_addr(r, 5),
             Err(Trap::ArrayIndexOutOfBounds { index: 5, len: 5 })
         );
         assert_eq!(
-            heap.array_store(r, -1, Value::I32(0)),
+            heap.elem_addr(r, -1),
             Err(Trap::ArrayIndexOutOfBounds { index: -1, len: 5 })
         );
     }
@@ -766,11 +679,13 @@ mod tests {
     fn allocations_are_disjoint_and_zeroed() {
         let (mut heap, layout, c, f) = small_heap();
         let a = heap.alloc_object(&layout, c).unwrap();
-        heap.put_field(&layout, a, f, Value::I32(7));
+        let ax = a.0 + layout.offset_of(f);
+        heap.write_typed_slot(ax, Ty::Int, Slot::from_i32(7));
         let b2 = heap.alloc_object(&layout, c).unwrap();
         assert_ne!(a, b2);
-        assert_eq!(heap.get_field(&layout, b2, f), Value::I32(0));
-        assert_eq!(heap.get_field(&layout, a, f), Value::I32(7));
+        let bx = b2.0 + layout.offset_of(f);
+        assert_eq!(heap.read_typed_slot(bx, Ty::Int), Slot::ZERO);
+        assert_eq!(heap.read_typed_slot(ax, Ty::Int).i32(), 7);
         assert_eq!(heap.object_count(), 2);
     }
 
@@ -793,9 +708,10 @@ mod tests {
         let p = b.finish().unwrap();
         let layout = ProgramLayout::compute(&p);
         let mut heap = Heap::new(HeapConfig { size_bytes: 4096 }, layout.statics.size);
-        assert_eq!(heap.get_static(&layout, s), Value::I64(0));
-        heap.put_static(&layout, s, Value::I64(1 << 40));
-        assert_eq!(heap.get_static(&layout, s), Value::I64(1 << 40));
+        let at = Heap::STATICS_BASE + layout.offset_of(s);
+        assert_eq!(heap.read_typed_slot(at, Ty::Long), Slot::ZERO);
+        heap.write_typed_slot(at, Ty::Long, Slot::from_i64(1 << 40));
+        assert_eq!(heap.read_typed_slot(at, Ty::Long).i64(), 1 << 40);
     }
 
     #[test]
@@ -844,7 +760,7 @@ mod tests {
         let (mut heap, layout, c, f) = small_heap();
         assert_eq!(heap.written_mark(), heap.objects_base());
         let a = heap.alloc_object(&layout, c).unwrap();
-        heap.put_field(&layout, a, f, Value::I32(7));
+        heap.write_typed_slot(a.0 + layout.offset_of(f), Ty::Int, Slot::from_i32(7));
         assert_eq!(heap.written_mark(), a.0 + 16);
         // An array whose body is still zero: the image's last non-zero
         // byte is in its header, the frontier is its end.
@@ -866,7 +782,8 @@ mod tests {
         };
         let mut back = rebuild(&heap, z.0 + HEADER_BYTES, heap.free_spans().to_vec()).unwrap();
         assert_eq!(back.written_mark(), end);
-        back.array_store(z, 99, Value::I32(1)).unwrap(); // inside the mark
+        let (at, _) = back.elem_addr(z, 99).unwrap();
+        back.write_typed_slot(at, Ty::Int, Slot::from_i32(1)); // inside the mark
         assert_eq!(back.written_mark(), end);
         // No free span reaches the limit: anything may be allocated.
         let full = rebuild(&heap, z.0 + HEADER_BYTES, Vec::new()).unwrap();

@@ -6,7 +6,7 @@
 //! Reference-bearing offsets are recorded per class (and for the statics
 //! block) so the collector can trace exactly.
 
-use hera_isa::{ClassId, FieldId, Program, Ty};
+use hera_isa::{ClassId, FieldId, Program};
 
 /// Byte size of the object/array header (see `heap` module docs).
 pub const HEADER_BYTES: u32 = 8;
@@ -40,9 +40,6 @@ pub struct ProgramLayout {
     /// Byte offset of every field: for instance fields, from the object
     /// base; for static fields, from the statics block base.
     pub field_offset: Vec<u32>,
-    /// The static type of every field (cached from the program for fast
-    /// typed access).
-    pub field_ty: Vec<Ty>,
     /// Statics block layout.
     pub statics: StaticsLayout,
 }
@@ -56,7 +53,6 @@ impl ProgramLayout {
     /// Compute layouts for every class and the statics block.
     pub fn compute(program: &Program) -> ProgramLayout {
         let mut field_offset = vec![0u32; program.fields.len()];
-        let field_ty: Vec<Ty> = program.fields.iter().map(|f| f.ty).collect();
 
         // Instance layout per class, inheritance order.
         let mut classes = Vec::with_capacity(program.classes.len());
@@ -103,7 +99,6 @@ impl ProgramLayout {
         ProgramLayout {
             classes,
             field_offset,
-            field_ty,
             statics,
         }
     }
@@ -119,18 +114,12 @@ impl ProgramLayout {
     pub fn offset_of(&self, field: FieldId) -> u32 {
         self.field_offset[field.0 as usize]
     }
-
-    /// Declared type of a field.
-    #[inline]
-    pub fn ty_of(&self, field: FieldId) -> Ty {
-        self.field_ty[field.0 as usize]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hera_isa::{ElemTy, ProgramBuilder};
+    use hera_isa::{ElemTy, ProgramBuilder, Ty};
 
     #[test]
     fn empty_class_is_header_only() {

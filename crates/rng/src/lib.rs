@@ -11,7 +11,7 @@
 //!
 //! * [`splitmix64`] — the classic stateless mixer.
 //! * [`draw_word`] — the `(seed, core, site, count)` keyed stream used by
-//!   `hera-faults` (re-exported there for compatibility).
+//!   `hera-faults`.
 //! * [`SplitMix64`] — a tiny sequential stream for generators that consume
 //!   draws in one deterministic order (e.g. the cluster trace generator).
 

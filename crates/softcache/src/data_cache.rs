@@ -676,7 +676,7 @@ mod tests {
         )
         .unwrap();
         // Main memory still sees the old value (stale is allowed).
-        assert_eq!(f.heap.get_field(&f.layout, r, f.field), Value::I32(0));
+        assert_eq!(f.heap.read_typed_slot(r.0 + off, Ty::Int), Slot::ZERO);
         assert!(dc.is_dirty(r.0));
         // Local copy sees the new value (read-your-writes).
         let v = dc
@@ -686,7 +686,7 @@ mod tests {
         // Write-back publishes it.
         dc.write_back_dirty(&mut f.heap, &mut f.machine, SPE)
             .unwrap();
-        assert_eq!(f.heap.get_field(&f.layout, r, f.field), Value::I32(77));
+        assert_eq!(f.heap.read_typed_slot(r.0 + off, Ty::Int).i32(), 77);
         assert!(!dc.is_dirty(r.0));
         assert_eq!(dc.stats.writebacks, 1);
     }
@@ -701,7 +701,8 @@ mod tests {
         dc.read(&mut f.heap, &mut f.machine, SPE, r.0, size, off, Ty::Int)
             .unwrap();
         // Another core updates main memory.
-        f.heap.put_field(&f.layout, r, f.field, Value::I32(5));
+        f.heap
+            .write_typed_slot(r.0 + off, Ty::Int, Slot::from_i32(5));
         // The SPE still sees the stale cached value…
         let v = dc
             .read(&mut f.heap, &mut f.machine, SPE, r.0, size, off, Ty::Int)
@@ -734,7 +735,7 @@ mod tests {
         )
         .unwrap();
         dc.purge(&mut f.heap, &mut f.machine, SPE).unwrap();
-        assert_eq!(f.heap.get_field(&f.layout, r, f.field), Value::I32(42));
+        assert_eq!(f.heap.read_typed_slot(r.0 + off, Ty::Int).i32(), 42);
         assert!(!dc.contains(r.0));
     }
 
@@ -757,7 +758,8 @@ mod tests {
     fn oversized_units_bypass() {
         let mut f = fx();
         let arr = f.heap.alloc_array(ElemTy::Byte, 1 << 10).unwrap();
-        f.heap.array_store(arr, 5, Value::I32(9)).unwrap();
+        let (at, _) = f.heap.elem_addr(arr, 5).unwrap();
+        f.heap.write_typed_slot(at, Ty::Byte, Slot::from_i32(9));
         let mut dc = DataCache::new(256); // smaller than the 1 KB unit
         let v = dc
             .read(
@@ -784,7 +786,8 @@ mod tests {
             Value::I32(3),
         )
         .unwrap();
-        assert_eq!(f.heap.array_load(arr, 6).unwrap(), Value::I32(3));
+        let (at, _) = f.heap.elem_addr(arr, 6).unwrap();
+        assert_eq!(f.heap.read_typed_slot(at, Ty::Byte).i32(), 3);
     }
 
     #[test]
@@ -832,7 +835,7 @@ mod tests {
         assert_eq!(salvaged, 4);
         // The dead core's clock must not move: salvage is out-of-band.
         assert_eq!(f.machine.now(SPE), t0);
-        assert_eq!(f.heap.get_field(&f.layout, r, f.field), Value::I32(42));
+        assert_eq!(f.heap.read_typed_slot(r.0 + off, Ty::Int).i32(), 42);
         assert!(!dc.contains(r.0));
     }
 
@@ -888,14 +891,15 @@ mod tests {
     #[test]
     fn many_objects_with_collisions_still_resolve() {
         let mut f = fx();
+        let off = f.layout.offset_of(f.field);
         let mut refs: Vec<ObjRef> = Vec::new();
         for i in 0..200 {
             let r = f.heap.alloc_object(&f.layout, f.class).unwrap();
-            f.heap.put_field(&f.layout, r, f.field, Value::I32(i));
+            f.heap
+                .write_typed_slot(r.0 + off, Ty::Int, Slot::from_i32(i));
             refs.push(r);
         }
         let size = f.layout.object_size(f.class);
-        let off = f.layout.offset_of(f.field);
         let mut dc = DataCache::new(64 << 10);
         for (i, r) in refs.iter().enumerate() {
             let v = dc

@@ -69,7 +69,7 @@ pub fn release_barrier(
 mod tests {
     use super::*;
     use hera_cell::CellConfig;
-    use hera_isa::{ProgramBuilder, Ty, Value};
+    use hera_isa::{ProgramBuilder, Slot, Ty, Value};
     use hera_mem::{HeapConfig, ProgramLayout};
 
     const SPE0: CoreId = CoreId::Spe(0);
@@ -167,10 +167,11 @@ mod tests {
         )
         .unwrap();
         // Meanwhile the PPE writes field `b` directly to main memory.
-        heap.put_field(&layout, r, fb, Value::I32(2));
+        let (a, b) = (r.0 + layout.offset_of(fa), r.0 + layout.offset_of(fb));
+        heap.write_typed_slot(b, Ty::Int, Slot::from_i32(2));
         // SPE0 releases: only its dirty span (field a) is written back.
         release_barrier(&mut spe0, &mut heap, &mut machine, SPE0).unwrap();
-        assert_eq!(heap.get_field(&layout, r, fa), Value::I32(1));
-        assert_eq!(heap.get_field(&layout, r, fb), Value::I32(2));
+        assert_eq!(heap.read_typed_slot(a, Ty::Int).i32(), 1);
+        assert_eq!(heap.read_typed_slot(b, Ty::Int).i32(), 2);
     }
 }
